@@ -8,9 +8,11 @@ DMDc reduced-order modeling, and Riccati reference solvers for validation.
 
 from .config import ExperimentConfig, burgers_config, default_config, heat_config
 from .controller import (
+    CompiledLaw,
     ControlLaw,
     RobustConfig,
     Weights,
+    compile_law,
     estimate_b,
     hamiltonian,
     minimize_hamiltonian,
@@ -40,14 +42,11 @@ from .enkf import (
 from .harness import (
     Artifacts,
     BatchResult,
-    DisturbanceSpec,
-    TrialResult,
+    Rollout,
     build_artifacts,
     build_law,
-    make_disturbance,
     run_grid,
     run_policy_comparison,
-    run_trial_batch,
     simulate_closed_loop,
     train_gain,
 )

@@ -29,10 +29,8 @@ from .config import (
 from .harness import (
     Artifacts,
     BatchResult,
-    DisturbanceSpec,
     build_artifacts,
     build_full_simulator,
-    build_law,
     fit_reduction,
     run_grid,
     run_policy_comparison,
@@ -147,17 +145,17 @@ def cmd_simulate(args) -> int:
     art = _load_artifacts(cfg, args)
     policy = args.policy
     lam = {"uncontrolled": 0.0, "optimal": 0.0, "robust": cfg.lam}[policy]
-    law = None if policy == "uncontrolled" else build_law(cfg, art, lam)
-    disturbance = DisturbanceSpec(kind=cfg.dist_kind, d0=cfg.d0, channel=cfg.channel)
-    z0 = trial_initial_condition(cfg, 0)
-    res = simulate_closed_loop(cfg, law, z0, disturbance, art)
+    roll = simulate_closed_loop(
+        cfg, art, trial_initial_condition(cfg, 0), lam=lam, kinds=cfg.dist_kind,
+        d0=cfg.d0, controlled=policy != "uncontrolled",
+    )
     batch = BatchResult(
-        t=res.t, mean=res.l2, variance=np.zeros_like(res.l2),
-        ratios=np.array([res.terminal_ratio]), failures=int(res.failed),
+        t=roll.t, mean=roll.l2[0], variance=np.zeros_like(roll.l2[0]),
+        ratios=roll.ratios, failures=int(roll.failed[0]),
     )
     trials = _trial_rows(cfg, {policy: batch}) if args.dump_trials else None
     emit_results(ResultSet(config=cfg, timeseries={policy: batch}, trials=trials), args.out)
-    print(f"{policy} trial terminal ratio: {res.terminal_ratio:.6g}")
+    print(f"{policy} trial terminal ratio: {batch.ratios[0]:.6g}")
     return 0
 
 
@@ -178,11 +176,10 @@ def cmd_batch(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = resolve_config(args)
-    d0_list = tuple(args.grid_d0) if args.grid_d0 else None
-    lambda_list = tuple(args.grid_lambda) if args.grid_lambda else None
-    kinds = tuple(args.grid_kinds) if args.grid_kinds else None
+    lists = {"grid_d0": args.grid_d0, "grid_lambda": args.grid_lambda, "grid_kinds": args.grid_kinds}
+    cfg = replace(cfg, **{f: tuple(v) for f, v in lists.items() if v}).validate()
     art = _load_artifacts(cfg, args)
-    cells = run_grid(cfg, art, d0_list=d0_list, lambda_list=lambda_list, kinds=kinds)
+    cells = run_grid(cfg, art)
     trials = None
     if args.dump_trials:
         trials = [

@@ -98,6 +98,8 @@ class ExperimentConfig:
         expect(self.dmdc_trajectories >= 1 and self.dmdc_steps >= 1, "dmdc snapshot counts must be positive")
         expect(len(self.grid_d0) > 0 and len(self.grid_lambda) > 0 and len(self.grid_kinds) > 0,
                "grid lists must be nonempty")
+        expect(min(self.grid_d0) >= 0 and min(self.grid_lambda) >= 0,
+               "grid d0 and lambda values must be nonnegative")
         for kind in self.grid_kinds:
             expect(kind in DISTURBANCE_KINDS, f"grid kind {kind!r} unknown")
         return self

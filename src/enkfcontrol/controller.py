@@ -20,6 +20,14 @@ with B^+ the least-squares pseudo-inverse.  The regularization floor r trades
 asymptotic for practical stability (the state settles into the ball |g| < r
 instead of reaching the origin).  With unknown B the same least-squares
 problem is solved against an input matrix probed from the simulator.
+
+The per-state functions above re-solve the law at every call.  When b(x) is
+a constant B (a linear-mode gain, or a known B) the law is a fixed linear
+feedback plus a normalized projection; :func:`compile_law` solves it once
+into matrices (K = R^-1 B' P, B^+, and the reduction Phi) and
+:class:`CompiledLaw` evaluates it for a whole stack of states.  The closed
+loop uses the compiled law whenever :func:`compilable` allows; a
+nonlinear-mode gain with a probed input matrix is evaluated per state.
 """
 
 from __future__ import annotations
@@ -193,3 +201,61 @@ def robust_control(law: ControlLaw, t: float, z: np.ndarray, sim: Simulator) -> 
     """Full control u = u_bar + u_d at state z (reduced first if applicable)."""
     x = reduce_state(law.reduction, z) if law.reduction is not None else np.asarray(z, dtype=float)
     return minimize_hamiltonian(law, x, sim) + robust_term(law, x, sim, t)
+
+
+def compilable(law: ControlLaw) -> bool:
+    """Whether the law is a fixed linear feedback plus a normalized projection.
+
+    It is unless b(x) may depend on the state: a nonlinear-mode gain whose
+    input matrix is only probed from the simulator.
+    """
+    return law.gain.mode == "linear" or law.b_access == "known"
+
+
+@dataclass(frozen=True)
+class CompiledLaw:
+    """The law of :func:`robust_control` as matrices, for a stack of states.
+
+    With x = Phi z (x = z without a reduction) and g = P x,
+
+        u = -K x - lambda B^+ g / max(|g|, r),   K = R^-1 B' P.
+
+    lambda is supplied per row at evaluation, so one compiled law serves
+    every lambda that shares the gain.
+    """
+
+    Phi: np.ndarray | None
+    P: np.ndarray
+    K: np.ndarray
+    B_pinv: np.ndarray
+    r: float
+
+    def __call__(self, Z: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """(batch, m) controls for the rows of Z, row i under lambda lam[i]."""
+        X = Z if self.Phi is None else Z @ self.Phi.T
+        G = X @ self.P.T
+        r1 = np.maximum(np.linalg.norm(G, axis=1), self.r)
+        return -(X @ self.K.T) - (lam / r1)[:, None] * (G @ self.B_pinv.T)
+
+
+def compile_law(law: ControlLaw, sim: Simulator) -> CompiledLaw:
+    """Solve the law once: B read from ``sim`` or probed from it at x = 0.
+
+    Requires :func:`compilable`; the probe at the origin is then exact, as in
+    :func:`robust_term`.  The law's own lambda is not compiled in.
+    """
+    if not compilable(law):
+        raise ValueError("a nonlinear-mode law with a probed input matrix cannot be compiled")
+    if law.b_access == "known":
+        B = sim.control_matrix
+    else:
+        B = estimate_b(sim, np.zeros(sim.n), sim.m)
+    _check_column_rank(B)
+    P = law.gain.P
+    return CompiledLaw(
+        Phi=None if law.reduction is None else law.reduction.Phi,
+        P=P,
+        K=np.linalg.solve(law.weights.R, B.T @ P),
+        B_pinv=np.linalg.pinv(B),
+        r=law.robust.r,
+    )

@@ -151,9 +151,16 @@ def empirical_stats(e: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     return mean, S
 
 
-def _control_noise(R: np.ndarray, N: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian increments with covariance R^-1 dt, one row per particle."""
-    chol = np.linalg.cholesky(invert_spd(np.atleast_2d(R)))
+def noise_factor(R: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of R^-1, the control-noise covariance per unit time."""
+    return np.linalg.cholesky(invert_spd(np.atleast_2d(R)))
+
+
+def _control_noise(chol: np.ndarray, N: int, dt: float, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian increments with covariance R^-1 dt, one row per particle.
+
+    ``chol`` is :func:`noise_factor` of R, computed once per run.
+    """
     return rng.standard_normal((N, chol.shape[0])) @ chol.T * np.sqrt(dt)
 
 
@@ -162,7 +169,7 @@ def step_linear(
     A: np.ndarray,
     B: np.ndarray,
     C: np.ndarray,
-    R: np.ndarray,
+    chol: np.ndarray,
     dt: float,
     rng: np.random.Generator,
     innovation: str = "averaged",
@@ -171,7 +178,7 @@ def step_linear(
 
     Drift A Y_i plus the coupling gain S C' applied to the averaged
     innovation (C Y_i + C mean)/2 enter with step -dt; the noise B d_eta has
-    covariance B R^-1 B' dt.
+    covariance B R^-1 B' dt, drawn through ``chol`` = :func:`noise_factor` of R.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean, S = empirical_stats(e)
@@ -182,7 +189,7 @@ def step_linear(
         if innovation == "averaged":
             innov = innov / 2.0
         drift = e.Y @ A.T + innov @ L.T
-        noise = _control_noise(R, e.N, dt, rng) @ B.T
+        noise = _control_noise(chol, e.N, dt, rng) @ B.T
         Y_next = e.Y - dt * drift + noise
     t_next = e.t - dt
     if not np.all(np.isfinite(Y_next)):
@@ -194,7 +201,7 @@ def step_nonlinear(
     e: Ensemble,
     sim,
     obs,
-    R: np.ndarray,
+    chol: np.ndarray,
     dt: float,
     rng: np.random.Generator,
     innovation: str = "averaged",
@@ -206,7 +213,7 @@ def step_nonlinear(
     S(Y_i, d_eta) - S(Y_i, 0) are obtained purely through simulator calls.
     The coupling uses the empirical cross-covariance between particles and
     their observations, normalized by 1/(N-1), applied to the averaged
-    innovation.
+    innovation.  ``chol`` is :func:`noise_factor` of R.
 
     The ensemble statistics (observation mean and cross-covariance) are
     frozen once per step; with ``drift="rk4"`` the deterministic part,
@@ -241,7 +248,7 @@ def step_nonlinear(
         else:
             Y_det = e.Y + dt * minus_drift(e.Y)
 
-        deta = _control_noise(R, e.N, dt, rng)
+        deta = _control_noise(chol, e.N, dt, rng)
         noise = sim.rhs_batch(e.Y, deta) - sim.rhs_batch(e.Y, U0)
         Y_next = Y_det + noise
     t_next = e.t - dt
@@ -281,8 +288,9 @@ def run_dual_enkf_linear(
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     e = init_ensemble(cfg, A.shape[0], rng)
     h = cfg.dt_effective
+    chol = noise_factor(R)
     for _ in range(cfg.n_steps):
-        e = step_linear(e, A, B, C, R, h, rng, cfg.innovation)
+        e = step_linear(e, A, B, C, chol, h, rng, cfg.innovation)
     return _gain_from_ensemble(e, "linear")
 
 
@@ -303,6 +311,7 @@ def run_dual_enkf_nonlinear(
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     e = init_ensemble(cfg, sim.n, rng)
     h = cfg.dt_effective
+    chol = noise_factor(R)
     for _ in range(cfg.n_steps):
-        e = step_nonlinear(e, sim, obs, R, h, rng, cfg.innovation, cfg.drift)
+        e = step_nonlinear(e, sim, obs, chol, h, rng, cfg.innovation, cfg.drift)
     return _gain_from_ensemble(e, "nonlinear")

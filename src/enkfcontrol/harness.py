@@ -2,11 +2,23 @@
 
 Everything downstream of a config is deterministic: independent RNG streams
 are derived from (seed, purpose tag, index), trials are paired across control
-policies (same initial conditions and disturbances), and aggregation is an
-ordered reduction, so rerunning a config reproduces results bit for bit.
+policies and grid cells (same initial conditions and disturbances), and
+aggregation is an ordered reduction, so rerunning a config reproduces results
+bit for bit.
 
 Training is always disturbance-free; a single learned gain is reused across
 every disturbance level of a sweep.
+
+Closed-loop trials run batched: :func:`simulate_closed_loop` advances a
+(batch, p) stack of plant states with one RK4 step per time step, each row
+carrying its own lambda, disturbance and controlled flag.  A verb makes one
+call: ``batch`` stacks its three policies x n_trials, ``grid`` all its cells
+x n_trials, ``simulate`` a single row.  The control law is compiled once into
+matrices (:func:`controller.compile_law`) unless its input matrix may depend
+on the state; then each row evaluates :func:`controller.robust_control`.  A
+row that turns non-finite is masked, reading inf from that step on, while the
+other rows carry on.  Rows agree with a one-trajectory-at-a-time loop to
+rounding (matrix products over the stack instead of matrix-vector ones).
 """
 
 from __future__ import annotations
@@ -17,7 +29,14 @@ import numpy as np
 
 from . import dmdc as dmdc_mod
 from .config import ExperimentConfig
-from .controller import ControlLaw, RobustConfig, Weights, estimate_b, robust_control
+from .controller import (
+    ControlLaw,
+    RobustConfig,
+    Weights,
+    compilable,
+    compile_law,
+    robust_control,
+)
 from .enkf import (
     DivergenceError,
     EnkfConfig,
@@ -46,48 +65,6 @@ _TAG_TRIALS = 2
 
 class HarnessError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class DisturbanceSpec:
-    """Control-channel disturbance: d(t) = d0 * shape(t) * weights."""
-
-    kind: str  # "sin" | "const" | "none"
-    d0: float
-    channel: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.d0 < 0:
-            raise ValueError("d0 must be nonnegative")
-        if self.kind not in ("sin", "const", "none"):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
-
-
-def make_disturbance(spec: DisturbanceSpec, m: int):
-    """Time -> R^m disturbance applied identically on every control channel.
-
-    A channel-weight vector overrides the uniform broadcast.
-    """
-    weights = np.ones(m) if spec.channel is None else np.asarray(spec.channel, dtype=float)
-    if weights.shape != (m,):
-        raise ValueError(f"channel weights must have length m={m}")
-    if spec.kind == "none" or spec.d0 == 0.0:
-        zero = np.zeros(m)
-        return lambda t: zero
-    if spec.kind == "const":
-        const = spec.d0 * weights
-        return lambda t: const
-    return lambda t: spec.d0 * np.sin(t) * weights
-
-
-@dataclass
-class TrialResult:
-    """L2-norm trace of one closed-loop trial."""
-
-    t: np.ndarray
-    l2: np.ndarray
-    terminal_ratio: float
-    failed: bool = False
 
 
 @dataclass
@@ -264,21 +241,21 @@ def build_artifacts(
     return Artifacts(sim=sim, design_sim=design_sim, gain=gain, reduction=reduction)
 
 
-def _design_input_matrix(art: Artifacts) -> np.ndarray:
-    sim = art.design_sim
-    if sim.b_disclosed:
-        return sim.control_matrix
-    return estimate_b(sim, np.zeros(sim.n), sim.m)
+def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam: float) -> float:
+    """The state-space bound for a lambda quoted in ``cfg.lambda_units``.
+
+    With ``lambda_units = amplitude`` (default), lambda is quoted in the same
+    per-channel units as the disturbance amplitude d0: the disturbance d0*w
+    enters the state equation as B (d0 w), so the bound scales by |B w|.
+    """
+    if cfg.lambda_units != "amplitude" or lam == 0:
+        return float(lam)
+    w = np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
+    return lam * float(np.linalg.norm(art.design_sim.control_matrix @ w))
 
 
 def build_law(cfg: ExperimentConfig, art: Artifacts, lam: float) -> ControlLaw:
-    """Control law for a given robust gain lambda.
-
-    With ``lambda_units = amplitude`` (default), lambda is quoted in the same
-    per-channel units as the disturbance amplitude d0 and converted to the
-    state-space bound the redesign term needs: the disturbance d0*w enters
-    the state equation as B (d0 w), so the bound scales by |B w|.
-    """
+    """Control law for a given robust gain lambda (see :func:`_lambda_state`)."""
     n = art.gain.n
     if cfg.model == "dmdc" or cfg.pde == "heat":
         weights = Weights(
@@ -291,10 +268,6 @@ def build_law(cfg: ExperimentConfig, art: Artifacts, lam: float) -> ControlLaw:
             G=cfg.g * np.eye(n),
             state_cost=lambda x: q * float(x @ x),
         )
-    lam_state = float(lam)
-    if cfg.lambda_units == "amplitude" and lam > 0:
-        w = np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
-        lam_state = lam * float(np.linalg.norm(_design_input_matrix(art) @ w))
     b_access = cfg.b_access
     if b_access == "auto":
         b_access = "known" if art.design_sim.b_disclosed else "simulator"
@@ -303,45 +276,108 @@ def build_law(cfg: ExperimentConfig, art: Artifacts, lam: float) -> ControlLaw:
     return ControlLaw(
         gain=art.gain,
         weights=weights,
-        robust=RobustConfig(lam=lam_state, r=cfg.r_robust),
+        robust=RobustConfig(lam=_lambda_state(cfg, art, lam), r=cfg.r_robust),
         b_access=b_access,
         reduction=art.reduction,
     )
 
 
+def _feedback(cfg: ExperimentConfig, art: Artifacts, lam: np.ndarray):
+    """(t, Z) -> controls of the rows of Z, row i under lambda lam[i].
+
+    A law that :func:`compilable` accepts is compiled once for every row;
+    otherwise each row evaluates :func:`robust_control` for its lambda.
+    """
+    law = build_law(cfg, art, 0.0)
+    if compilable(law):
+        compiled = compile_law(law, art.design_sim)
+        by_lam = {v: _lambda_state(cfg, art, v) for v in set(lam.tolist())}
+        lam_state = np.array([by_lam[v] for v in lam.tolist()])
+        return lambda t, Z: compiled(Z, lam_state)
+    by_lam = {v: build_law(cfg, art, v) for v in set(lam.tolist())}
+    laws = [by_lam[v] for v in lam.tolist()]
+    return lambda t, Z: np.array(
+        [robust_control(row_law, t, z, art.design_sim) for row_law, z in zip(laws, Z)]
+    )
+
+
+@dataclass
+class Rollout:
+    """L2-norm traces of a stack of closed-loop trajectories, one row each."""
+
+    t: np.ndarray
+    l2: np.ndarray  # (batch, n_steps + 1)
+    ratios: np.ndarray
+    failed: np.ndarray  # bool per row
+
+    def batch(self, rows: slice) -> BatchResult:
+        """Pointwise statistics and ratios of a block of rows."""
+        traces = self.l2[rows]
+        with np.errstate(invalid="ignore"):  # inf - inf in a blown-up column
+            variance = traces.var(axis=0)
+        return BatchResult(
+            t=self.t,
+            mean=traces.mean(axis=0),
+            variance=variance,
+            ratios=self.ratios[rows],
+            failures=int(np.sum(self.failed[rows])),
+        )
+
+
 def simulate_closed_loop(
     cfg: ExperimentConfig,
-    law: ControlLaw | None,
-    z0: np.ndarray,
-    disturbance: DisturbanceSpec,
     art: Artifacts,
-) -> TrialResult:
-    """Integrate the full plant with U(t) = u(t) + d(t), zero-order hold.
+    Z0: np.ndarray,
+    lam,
+    kinds,
+    d0,
+    controlled,
+) -> Rollout:
+    """Integrate a stack of plant states with U(t) = u(t) + d(t), zero-order hold.
 
-    The control is recomputed every simulation step.  A blow-up is recorded
-    as a failed trial with an infinite terminal ratio, not an exception.
+    Row i starts at Z0[i], is disturbed by d(t) = d0[i] shape(kinds[i], t) w
+    on every control channel (w the configured channel weights, shape sin(t),
+    1 or 0) and, if controlled[i], feeds back the law with lambda lam[i].
+    A scalar lam, kinds, d0 or controlled applies to every row.
+    The control is recomputed every step and the whole stack advances with
+    one RK4 step.  A row that turns non-finite is a failed trial: its trace
+    and terminal ratio read inf from that step on, it is frozen at zero, and
+    the other rows carry on.
     """
+    Z = np.array(Z0, dtype=float, ndmin=2)
+    batch = Z.shape[0]
+    lam, d0 = (np.broadcast_to(np.asarray(v, dtype=float), batch) for v in (lam, d0))
+    controlled = np.broadcast_to(np.asarray(controlled, dtype=bool), batch)
+    kinds = np.broadcast_to(np.asarray(kinds), batch)
+    if not set(kinds.tolist()) <= {"sin", "const", "none"}:
+        raise HarnessError(f"unknown disturbance kind in {sorted(set(kinds.tolist()))}")
+    if np.any(d0 < 0) or np.any(lam < 0):
+        raise HarnessError("d0 and lambda must be nonnegative")
+    w = np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
+    rows = np.flatnonzero(controlled)
+    feedback = _feedback(cfg, art, lam[rows]) if rows.size else None
+    is_sin, is_const = kinds == "sin", kinds == "const"
+
     grid = grid_of(cfg)
-    d_fn = make_disturbance(disturbance, cfg.m)
     n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
     t = np.arange(n_steps + 1) * cfg.dt_sim
-    l2 = np.empty(n_steps + 1)
-    z = np.asarray(z0, dtype=float).copy()
-    l2[0] = l2_norm(z, grid)
-    zero_u = np.zeros(cfg.m)
-    failed = False
+    l2 = np.empty((batch, n_steps + 1))
+    l2[:, 0] = l2_norm(Z, grid)
+    failed = np.zeros(batch, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             tk = t[k]
-            u = zero_u if law is None else robust_control(law, tk, z, art.design_sim)
-            z = rk4_step(art.sim, z, u + d_fn(tk), cfg.dt_sim)
-            if not np.all(np.isfinite(z)):
-                l2[k + 1 :] = np.inf
-                failed = True
-                break
-            l2[k + 1] = l2_norm(z, grid)
-    ratio = np.inf if failed or l2[0] == 0 else float(l2[-1] / l2[0])
-    return TrialResult(t=t, l2=l2, terminal_ratio=ratio, failed=failed)
+            shape = np.where(is_sin, np.sin(tk), np.where(is_const, 1.0, 0.0))
+            U = (d0 * shape)[:, None] * w
+            if feedback is not None:
+                U[rows] = feedback(tk, Z[rows]) + U[rows]
+            Z = rk4_step(art.sim, Z, U, cfg.dt_sim)
+            failed |= ~np.all(np.isfinite(Z), axis=1)
+            Z[failed] = 0.0
+            l2[:, k + 1] = np.where(failed, np.inf, l2_norm(Z, grid))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(failed | (l2[:, 0] == 0), np.inf, l2[:, -1] / l2[:, 0])
+    return Rollout(t=t, l2=l2, ratios=ratios, failed=failed)
 
 
 def trial_initial_condition(cfg: ExperimentConfig, trial: int) -> np.ndarray:
@@ -349,45 +385,29 @@ def trial_initial_condition(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     return sample_initial_condition(_rng(cfg, _TAG_TRIALS, trial), grid_of(cfg))
 
 
-def run_trial_batch(
-    cfg: ExperimentConfig,
-    law: ControlLaw | None,
-    disturbance: DisturbanceSpec,
-    art: Artifacts,
-) -> BatchResult:
-    """n_trials independent initial conditions under one control policy."""
-    traces = []
-    ratios = []
-    failures = 0
-    t = None
-    for trial in range(cfg.n_trials):
-        z0 = trial_initial_condition(cfg, trial)
-        res = simulate_closed_loop(cfg, law, z0, disturbance, art)
-        traces.append(res.l2)
-        ratios.append(res.terminal_ratio)
-        failures += int(res.failed)
-        t = res.t
-    traces = np.array(traces)
-    return BatchResult(
-        t=t,
-        mean=traces.mean(axis=0),
-        variance=traces.var(axis=0),
-        ratios=np.array(ratios),
-        failures=failures,
-    )
+def _trial_stack(cfg: ExperimentConfig, repeats: int) -> np.ndarray:
+    """The n_trials initial conditions, the whole set repeated ``repeats`` times."""
+    Z0 = np.array([trial_initial_condition(cfg, i) for i in range(cfg.n_trials)])
+    return np.tile(Z0, (repeats, 1))
 
 
 def run_policy_comparison(
     cfg: ExperimentConfig, art: Artifacts
 ) -> dict[str, BatchResult]:
-    """The three named policies on paired trials: uncontrolled, optimal, robust."""
-    disturbance = DisturbanceSpec(kind=cfg.dist_kind, d0=cfg.d0, channel=cfg.channel)
-    laws = {
-        "uncontrolled": None,
-        "optimal": build_law(cfg, art, 0.0),
-        "robust": build_law(cfg, art, cfg.lam),
-    }
-    return {name: run_trial_batch(cfg, law, disturbance, art) for name, law in laws.items()}
+    """The three named policies on paired trials: uncontrolled, optimal, robust.
+
+    All 3 x n_trials trajectories run as one stack.
+    """
+    n = cfg.n_trials
+    lam = {"uncontrolled": 0.0, "optimal": 0.0, "robust": cfg.lam}
+    roll = simulate_closed_loop(
+        cfg, art, _trial_stack(cfg, len(POLICIES)),
+        lam=np.repeat([lam[p] for p in POLICIES], n),
+        kinds=cfg.dist_kind,
+        d0=cfg.d0,
+        controlled=np.repeat([p != "uncontrolled" for p in POLICIES], n),
+    )
+    return {p: roll.batch(slice(i * n, (i + 1) * n)) for i, p in enumerate(POLICIES)}
 
 
 @dataclass(frozen=True)
@@ -400,38 +420,38 @@ class GridCell:
     failures: int
 
 
-def run_grid(
-    cfg: ExperimentConfig,
-    art: Artifacts,
-    d0_list=None,
-    lambda_list=None,
-    kinds=None,
-) -> list[GridCell]:
-    """Mean terminal ratio per (kind, d0, lambda) cell, one shared gain.
+def run_grid(cfg: ExperimentConfig, art: Artifacts) -> list[GridCell]:
+    """Mean terminal ratio per (kind, d0, lambda) cell of the configured grid.
 
-    Cells are independent; training happened once (disturbance-free), so the
-    same artifacts serve every cell.
+    Training happened once (disturbance-free), so every cell shares the gain
+    and all cells x n_trials trajectories run as one stack.
     """
-    d0_list = cfg.grid_d0 if d0_list is None else tuple(d0_list)
-    lambda_list = cfg.grid_lambda if lambda_list is None else tuple(lambda_list)
-    kinds = cfg.grid_kinds if kinds is None else tuple(kinds)
-    if not d0_list or not lambda_list or not kinds:
+    cases = [
+        (kind, d0, lam)
+        for kind in cfg.grid_kinds for d0 in cfg.grid_d0 for lam in cfg.grid_lambda
+    ]
+    if not cases:
         raise HarnessError("grid lists must be nonempty")
+    n = cfg.n_trials
+    kinds, d0s, lams = zip(*cases)
+    roll = simulate_closed_loop(
+        cfg, art, _trial_stack(cfg, len(cases)),
+        lam=np.repeat(lams, n),
+        kinds=np.repeat(kinds, n),
+        d0=np.repeat(d0s, n),
+        controlled=True,
+    )
     cells = []
-    laws = {lam: build_law(cfg, art, lam) for lam in lambda_list}
-    for kind in kinds:
-        for d0 in d0_list:
-            disturbance = DisturbanceSpec(kind=kind, d0=d0, channel=cfg.channel)
-            for lam in lambda_list:
-                batch = run_trial_batch(cfg, laws[lam], disturbance, art)
-                cells.append(
-                    GridCell(
-                        kind=kind,
-                        d0=d0,
-                        lam=lam,
-                        mean_terminal_ratio=batch.mean_terminal_ratio,
-                        ratios=tuple(batch.ratios),
-                        failures=batch.failures,
-                    )
-                )
+    for i, (kind, d0, lam) in enumerate(cases):
+        batch = roll.batch(slice(i * n, (i + 1) * n))
+        cells.append(
+            GridCell(
+                kind=kind,
+                d0=d0,
+                lam=lam,
+                mean_terminal_ratio=batch.mean_terminal_ratio,
+                ratios=tuple(batch.ratios),
+                failures=batch.failures,
+            )
+        )
     return cells

@@ -321,7 +321,7 @@ def sample_initial_condition(rng: np.random.Generator, grid: GridSpec) -> np.nda
     return alpha / np.cosh((grid.points - center) / beta)
 
 
-def l2_norm(z: np.ndarray, grid: GridSpec) -> float:
-    """Rectangle-rule L2 norm sqrt(sum_i z_i^2 * dy)."""
+def l2_norm(z: np.ndarray, grid: GridSpec):
+    """Rectangle-rule L2 norm sqrt(sum_i z_i^2 * dy) along the last axis."""
     z = np.asarray(z, dtype=float)
-    return float(np.sqrt(np.sum(z * z, axis=-1) * grid.dy))
+    return np.sqrt(np.sum(z * z, axis=-1) * grid.dy)

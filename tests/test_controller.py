@@ -6,6 +6,8 @@ from enkfcontrol.controller import (
     RankDeficientError,
     RobustConfig,
     Weights,
+    compilable,
+    compile_law,
     estimate_b,
     hamiltonian,
     minimize_hamiltonian,
@@ -264,6 +266,52 @@ class TestRobustControl:
         u = robust_control(law, 0.0, z, design_sim)
         expected = -np.linalg.solve(np.eye(2), red.B.T @ (2.0 * (Phi @ z)))
         assert np.allclose(u, expected, atol=1e-12)
+
+
+class TestCompiledLaw:
+    """The compiled law against the per-state law, on stacks of states."""
+
+    @pytest.mark.parametrize("b_access", ["known", "simulator"])
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_matches_robust_control(self, b_access, reduced):
+        from enkfcontrol.dmdc import ReducedModel
+
+        rng = np.random.default_rng(15)
+        n, m, p = 4, 3, 7
+        A, B = random_lti(rng, n, m)
+        sim = LinearSimulator(A, B)
+        M = rng.normal(size=(n, n))
+        P = M @ M.T + 0.2 * np.eye(n)
+        R = np.diag([0.5, 1.0, 2.0])
+        red = None
+        if reduced:
+            Phi = np.linalg.qr(rng.normal(size=(p, n)))[0].T
+            red = ReducedModel(A=A, B=B, Phi=Phi, dt=0.1, discrete=False)
+        Z = rng.normal(size=(6, p if reduced else n))
+        Z[0] = 0.0
+        Z[1] *= 1e-4  # inside the ball |g| < r
+        lam = np.array([0.0, 0.7, 0.7, 0.0, 1.3, 0.2])
+        law = make_law(P, np.eye(n), R, r=0.01, b_access=b_access, reduction=red)
+        compiled = compile_law(law, sim)
+        U = compiled(Z, lam)
+        for z, lam_i, u in zip(Z, lam, U):
+            row_law = make_law(P, np.eye(n), R, lam=lam_i, r=0.01, b_access=b_access, reduction=red)
+            np.testing.assert_allclose(u, robust_control(row_law, 0.0, z, sim), rtol=1e-12, atol=1e-15)
+
+    def test_probes_b_once_and_checks_rank(self):
+        B = np.zeros((3, 2))
+        B[:, 0] = [1.0, 0.0, 0.0]
+        sim = LinearSimulator(np.zeros((3, 3)), B)
+        law = make_law(np.eye(3), np.eye(3), np.eye(2), b_access="simulator")
+        with pytest.raises(RankDeficientError):
+            compile_law(law, sim)
+
+    def test_state_dependent_input_matrix_not_compiled(self):
+        law = make_law(np.eye(2), np.eye(2), np.eye(2), b_access="simulator", mode="nonlinear")
+        assert not compilable(law)
+        assert compilable(make_law(np.eye(2), np.eye(2), np.eye(2), mode="nonlinear"))
+        with pytest.raises(ValueError):
+            compile_law(law, LinearSimulator(-np.eye(2), np.eye(2)))
 
 
 class TestLyapunovDecrease:

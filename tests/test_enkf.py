@@ -3,19 +3,21 @@ import pytest
 
 from enkfcontrol.enkf import (
     DivergenceError,
+    _control_noise,
     EnkfConfig,
     EnkfConfigError,
     Ensemble,
     RankError,
     empirical_stats,
     init_ensemble,
+    noise_factor,
     run_dual_enkf_linear,
     run_dual_enkf_nonlinear,
     step_linear,
     step_nonlinear,
 )
 from enkfcontrol.pde import LinearSimulator
-from enkfcontrol.riccati import LtiSystem, solve_are
+from enkfcontrol.riccati import LtiSystem, invert_spd, solve_are
 
 
 def scalar_cfg(N, seed=0, T=10.0, dt=1e-3):
@@ -83,7 +85,7 @@ class TestEmpiricalStats:
         A, B, C, R = -np.eye(2), np.eye(2), np.eye(2), np.eye(2)
         e = init_ensemble(cfg, 2, rng)
         for _ in range(cfg.n_steps):
-            e = step_linear(e, A, B, C, R, cfg.dt_effective, rng)
+            e = step_linear(e, A, B, C, noise_factor(R), cfg.dt_effective, rng)
             _, S = empirical_stats(e)
             assert np.max(np.abs(S - S.T)) <= 1e-12
 
@@ -95,7 +97,7 @@ class TestStepLinear:
         Y0 = rng.normal(size=(20, 2))
         e = Ensemble(Y=Y0.copy(), t=1.0)
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        e = step_linear(e, A, np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1), 0.01, rng)
+        e = step_linear(e, A, np.zeros((2, 1)), np.zeros((1, 2)), noise_factor(np.eye(1)), 0.01, rng)
         assert np.allclose(e.Y, Y0 - 0.01 * Y0 @ A.T)
         assert e.t == pytest.approx(0.99)
 
@@ -109,16 +111,27 @@ class TestStepLinear:
         with pytest.raises(DivergenceError):
             step_linear(
                 e, np.array([[-1e30]]), np.zeros((1, 1)), np.zeros((1, 1)),
-                np.eye(1), 0.1, np.random.default_rng(0),
+                noise_factor(np.eye(1)), 0.1, np.random.default_rng(0),
             )
 
 
-class TestScalarBenchmark:
-    """Scalar system A=0, B=C=R=1: the stationary Riccati solution is 1.
+class TestControlNoise:
+    def test_hoisted_factor_matches_per_step_expression(self):
+        # the factor of R^-1 is computed once per run; the draws keep their bits
+        rng = np.random.default_rng(21)
+        M = rng.normal(size=(3, 3))
+        R = M @ M.T + 3.0 * np.eye(3)
+        chol = noise_factor(R)
+        rng_new, rng_old = np.random.default_rng(8), np.random.default_rng(8)
+        for dt in (1e-3, 0.25, 1e-3):
+            new = _control_noise(chol, 50, dt, rng_new)
+            old_chol = np.linalg.cholesky(invert_spd(np.atleast_2d(R)))
+            old = rng_old.standard_normal((50, 3)) @ old_chol.T * np.sqrt(dt)
+            assert np.array_equal(new, old)
 
-    The full N-sweep convergence study is an acceptance criterion and lives
-    in test_acceptance.py; these are lighter spot checks.
-    """
+
+class TestScalarBenchmark:
+    """Scalar system A=0, B=C=R=1: the stationary Riccati solution is 1."""
 
     def test_estimate_in_band_at_n1000(self):
         hits = 0
@@ -154,7 +167,7 @@ class TestStepNonlinear:
         Y0 = rng.normal(size=(10, 2))
         e = Ensemble(Y=Y0.copy(), t=1.0)
         # constant observation: zero cross covariance, zero drift, zero noise
-        e = step_nonlinear(e, NullSim(), lambda Y: np.ones((10, 1)), np.eye(1), 0.1, rng)
+        e = step_nonlinear(e, NullSim(), lambda Y: np.ones((10, 1)), noise_factor(np.eye(1)), 0.1, rng)
         assert np.array_equal(e.Y, Y0)
 
     def test_fixed_seed_deterministic(self):
@@ -167,7 +180,7 @@ class TestStepNonlinear:
 
 
 class TestLinearNonlinearAgreement:
-    """Light twin of the acceptance agreement study (fewer seeds, shorter T)."""
+    """Linear and nonlinear algorithms agree on a quadratic cost."""
 
     def test_quadratic_cost_matches_linear_algorithm(self):
         # same 3-state system through both algorithms; cost |Cx|^2 <-> obs Cx

@@ -1,0 +1,238 @@
+"""The batched closed loop against a per-trajectory reference loop.
+
+The reference advances one state at a time with the per-state law
+(``robust_control``) and ``rk4_step``, stopping a trajectory at its first
+non-finite state.  The batched engine evaluates the same arithmetic as
+matrix products over the whole stack, so the two agree to rounding.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from enkfcontrol import controller
+from enkfcontrol.config import burgers_config, heat_config
+from enkfcontrol.controller import robust_control
+from enkfcontrol.enkf import GainApprox
+from enkfcontrol.harness import (
+    POLICIES,
+    HarnessError,
+    build_artifacts,
+    build_full_simulator,
+    build_law,
+    fit_reduction,
+    grid_of,
+    run_grid,
+    run_policy_comparison,
+    simulate_closed_loop,
+    trial_initial_condition,
+)
+from enkfcontrol.pde import l2_norm, rk4_step
+
+RTOL = 1e-12
+
+
+def spd_gain(n: int, seed: int, mode: str = "linear") -> GainApprox:
+    M = np.random.default_rng(seed).normal(size=(n, n))
+    P = np.eye(n) + 0.1 * M @ M.T / n
+    return GainApprox(S0=np.linalg.inv(P), P=P, mode=mode)
+
+
+def reference(cfg, art, z0, lam, kind, d0, controlled):
+    """(l2 trace, terminal ratio) of one trajectory, one state at a time."""
+    grid = grid_of(cfg)
+    w = np.ones(cfg.m)
+    law = build_law(cfg, art, lam) if controlled else None
+    n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
+    t = np.arange(n_steps + 1) * cfg.dt_sim
+    l2 = np.empty(n_steps + 1)
+    z = np.array(z0, dtype=float)
+    l2[0] = l2_norm(z, grid)
+    failed = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            u = np.zeros(cfg.m) if law is None else robust_control(law, t[k], z, art.design_sim)
+            d = d0 * {"sin": np.sin(t[k]), "const": 1.0, "none": 0.0}[kind] * w
+            z = rk4_step(art.sim, z, u + d, cfg.dt_sim)
+            if not np.all(np.isfinite(z)):
+                l2[k + 1:] = np.inf
+                failed = True
+                break
+            l2[k + 1] = l2_norm(z, grid)
+    ratio = np.inf if failed or l2[0] == 0 else l2[-1] / l2[0]
+    return l2, ratio
+
+
+def reference_batch(cfg, art, lam, kind, d0, controlled):
+    runs = [
+        reference(cfg, art, trial_initial_condition(cfg, i), lam, kind, d0, controlled)
+        for i in range(cfg.n_trials)
+    ]
+    return np.array([l2 for l2, _ in runs]), np.array([r for _, r in runs])
+
+
+@pytest.fixture(scope="module")
+def heat_full():
+    cfg = heat_config(
+        p=32, m=4, n_trials=3, T_sim=0.03, lam=0.3, d0=0.2,
+        grid_lambda=(0.0, 0.3), grid_kinds=("sin", "const"),
+    )
+    return cfg, build_artifacts(cfg, gain=spd_gain(cfg.p, 1))
+
+
+@pytest.fixture(scope="module")
+def heat_dmdc_sim():
+    cfg = heat_config(
+        p=32, m=4, n_trials=2, T_sim=0.03, model="dmdc", b_access="simulator",
+        dmdc_order=6, dmdc_trajectories=4, dmdc_steps=30,
+        grid_d0=(0.0, 0.1), grid_lambda=(0.0, 0.3), grid_kinds=("sin", "const"),
+    )
+    reduction = fit_reduction(cfg, build_full_simulator(cfg))
+    return cfg, build_artifacts(cfg, gain=spd_gain(cfg.dmdc_order, 2), reduction=reduction)
+
+
+class TestAgainstReference:
+    def test_heat_full_known_b_batch(self, heat_full):
+        cfg, art = heat_full
+        series = run_policy_comparison(cfg, art)
+        assert list(series) == list(POLICIES)
+        for policy, batch in series.items():
+            lam = cfg.lam if policy == "robust" else 0.0
+            traces, ratios = reference_batch(
+                cfg, art, lam, cfg.dist_kind, cfg.d0, policy != "uncontrolled"
+            )
+            np.testing.assert_allclose(batch.ratios, ratios, rtol=RTOL, atol=0)
+            np.testing.assert_allclose(batch.mean, traces.mean(axis=0), rtol=RTOL, atol=0)
+            assert batch.failures == 0
+        # the three policies differ, so the rows really were assigned per policy
+        means = [series[p].mean_terminal_ratio for p in POLICIES]
+        assert len(set(means)) == 3
+
+    def test_heat_full_traces(self, heat_full):
+        cfg, art = heat_full
+        Z0 = np.array([trial_initial_condition(cfg, i) for i in range(2)])
+        roll = simulate_closed_loop(
+            cfg, art, Z0, lam=[0.3, 0.0], kinds=["const", "sin"], d0=[0.2, 0.1],
+            controlled=[True, False],
+        )
+        for i, (lam, kind, d0, ctrl) in enumerate([(0.3, "const", 0.2, True), (0.0, "sin", 0.1, False)]):
+            l2, ratio = reference(cfg, art, Z0[i], lam, kind, d0, ctrl)
+            np.testing.assert_allclose(roll.l2[i], l2, rtol=RTOL, atol=0)
+            assert roll.ratios[i] == pytest.approx(ratio, rel=RTOL)
+
+    def test_heat_dmdc_simulator_b_grid(self, heat_dmdc_sim, monkeypatch):
+        cfg, art = heat_dmdc_sim
+        probes = []
+        estimate_b = controller.estimate_b
+        monkeypatch.setattr(
+            controller, "estimate_b", lambda *a: probes.append(a) or estimate_b(*a)
+        )
+        cells = run_grid(cfg, art)
+        assert len(probes) == 1  # B probed once, when the law is compiled
+        assert [(c.kind, c.d0, c.lam) for c in cells] == [
+            (k, d0, lam) for k in cfg.grid_kinds for d0 in cfg.grid_d0 for lam in cfg.grid_lambda
+        ]
+        for cell in cells:
+            _, ratios = reference_batch(cfg, art, cell.lam, cell.kind, cell.d0, True)
+            np.testing.assert_allclose(cell.ratios, ratios, rtol=RTOL, atol=0)
+            assert cell.mean_terminal_ratio == pytest.approx(np.mean(ratios), rel=RTOL)
+            assert cell.failures == 0
+
+    def test_burgers_nonlinear_simulator_b_row_by_row(self):
+        # b(x) may depend on x: the law is evaluated per row, not compiled
+        cfg = burgers_config(p=16, m=4, n_trials=2, T_sim=0.01, b_access="simulator")
+        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3, mode="nonlinear"))
+        assert not controller.compilable(build_law(cfg, art, cfg.lam))
+        series = run_policy_comparison(cfg, art)
+        for policy in ("optimal", "robust"):
+            lam = cfg.lam if policy == "robust" else 0.0
+            traces, ratios = reference_batch(cfg, art, lam, cfg.dist_kind, cfg.d0, True)
+            np.testing.assert_allclose(series[policy].ratios, ratios, rtol=RTOL, atol=0)
+            np.testing.assert_allclose(series[policy].mean, traces.mean(axis=0), rtol=RTOL, atol=0)
+
+
+class TestBlowUp:
+    @pytest.mark.parametrize("mode,b_access", [("linear", "auto"), ("nonlinear", "simulator")])
+    def test_mask_isolates_blown_up_rows(self, mode, b_access):
+        # compiled law, and the per-row law that must never see a blown-up state
+        cfg = burgers_config(p=32, m=4, n_trials=2, T_sim=0.05, b_access=b_access)
+        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 4, mode=mode))
+        z = trial_initial_condition(cfg, 0)
+        # (z0, lambda, controlled, d0): the 130x bump steepens until explicit
+        # RK4 blows up a few steps in; a constant d0 = 1e308 overflows step one
+        rows = [(z, 0.2, True, 0.0), (130.0 * z, 0.0, False, 0.0), (z, 0.0, False, 0.0),
+                (z, 0.2, True, 1e308)]
+        Z0, lam, ctrl, d0 = (np.array(col) for col in zip(*rows))
+        roll = simulate_closed_loop(cfg, art, Z0, lam=lam, kinds="const", d0=d0, controlled=ctrl)
+        assert roll.failed.tolist() == [False, True, False, True]
+        for i, (z0, lam_i, ctrl_i, d0_i) in enumerate(rows):
+            l2, ratio = reference(cfg, art, z0, lam_i, "const", d0_i, ctrl_i)
+            np.testing.assert_allclose(roll.l2[i], l2, rtol=RTOL, atol=0)
+            assert roll.ratios[i] == pytest.approx(ratio, rel=RTOL)
+        first = np.argmax(np.isinf(roll.l2[1]))
+        assert 1 < first < roll.l2.shape[1] - 1
+        assert np.all(np.isfinite(roll.l2[1, :first])) and np.all(np.isinf(roll.l2[1, first:]))
+        assert np.all(np.isinf(roll.l2[3, 1:]))
+        # the surviving rows are the rows of a stack without the blown-up ones
+        alone = simulate_closed_loop(
+            cfg, art, Z0[[0, 2]], lam=lam[[0, 2]], kinds="const", d0=d0[[0, 2]],
+            controlled=ctrl[[0, 2]],
+        )
+        np.testing.assert_allclose(roll.l2[[0, 2]], alone.l2, rtol=RTOL, atol=0)
+
+    def test_grid_failure_counts(self, heat_full):
+        cfg, art = heat_full
+        # a constant d0 = 1e308 overflows the first RK4 step of every trial of its cells
+        blown = run_grid(replace(cfg, grid_d0=(0.1, 1e308), grid_kinds=("const",)), art)
+        clean = run_grid(replace(cfg, grid_d0=(0.1,), grid_kinds=("const",)), art)
+        for cell in blown:
+            if cell.d0 == 1e308:
+                assert cell.failures == cfg.n_trials
+                assert cell.mean_terminal_ratio == np.inf
+                assert all(r == np.inf for r in cell.ratios)
+        survivors = [c for c in blown if c.d0 != 1e308]
+        assert len(survivors) == len(clean) == 2
+        for got, want in zip(survivors, clean):
+            assert got.failures == 0
+            np.testing.assert_allclose(got.ratios, want.ratios, rtol=RTOL, atol=0)
+
+
+class TestDeterminism:
+    def test_row_does_not_depend_on_its_batch(self, heat_dmdc_sim):
+        cfg, art = heat_dmdc_sim
+        n = 5
+        Z0 = np.array([trial_initial_condition(cfg, i) for i in range(n)])
+        lam = [0.0, 0.3, 0.1, 0.3, 0.0]
+        kinds = ["sin", "const", "none", "sin", "const"]
+        d0 = [0.1, 0.2, 0.1, 0.0, 0.05]
+        ctrl = [True, True, True, False, True]
+        full = simulate_closed_loop(cfg, art, Z0, lam=lam, kinds=kinds, d0=d0, controlled=ctrl)
+        again = simulate_closed_loop(cfg, art, Z0, lam=lam, kinds=kinds, d0=d0, controlled=ctrl)
+        assert np.array_equal(full.l2, again.l2)
+        for i in range(n):
+            one = simulate_closed_loop(
+                cfg, art, Z0[i], lam=lam[i], kinds=kinds[i], d0=d0[i], controlled=ctrl[i]
+            )
+            np.testing.assert_allclose(one.l2[0], full.l2[i], rtol=RTOL, atol=0)
+            assert one.ratios[0] == pytest.approx(full.ratios[i], rel=RTOL)
+
+    def test_policies_share_initial_conditions(self, heat_full):
+        cfg, art = heat_full
+        series = run_policy_comparison(cfg, art)
+        starts = {p: series[p].mean[0] for p in POLICIES}
+        assert len(set(starts.values())) == 1
+
+
+class TestValidation:
+    def test_negative_lambda_rejected(self, heat_full):
+        cfg, art = heat_full
+        z = trial_initial_condition(cfg, 0)
+        with pytest.raises(HarnessError):
+            simulate_closed_loop(cfg, art, z, lam=-0.1, kinds="sin", d0=0.1, controlled=True)
+
+    def test_unknown_kind_rejected(self, heat_full):
+        cfg, art = heat_full
+        z = trial_initial_condition(cfg, 0)
+        with pytest.raises(HarnessError):
+            simulate_closed_loop(cfg, art, z, lam=0.1, kinds="square", d0=0.1, controlled=True)
