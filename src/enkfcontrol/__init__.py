@@ -48,10 +48,8 @@ from .harness import (
     run_grid,
     run_policy_comparison,
     simulate_closed_loop,
-    train_gain,
 )
 from .pde import (
-    BlowUpError,
     BurgersSimulator,
     GridSpec,
     HeatSimulator,
@@ -59,8 +57,6 @@ from .pde import (
     Simulator,
     build_control_matrix,
     burgers_rhs,
-    heat_rhs,
-    integrate,
     l2_norm,
     sample_initial_condition,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import _fmt
 from .dmdc import ReducedModel
 from .enkf import GainApprox
 
@@ -19,14 +20,10 @@ class BundleError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _render(kind: str, header: dict, matrices: dict) -> str:
     lines = [f"format={FORMAT_TAG}", f"kind={kind}"]
     for key, val in header.items():
-        lines.append(f"{key}={_fmt(val) if isinstance(val, float) else val}")
+        lines.append(f"{key}={_fmt(val)}")
     for name, M in matrices.items():
         lines.append(f"[{name}]")
         M = np.atleast_2d(np.asarray(M, dtype=float))

@@ -54,8 +54,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--disturbance", choices=DISTURBANCE_KINDS, dest="dist_kind")
     p.add_argument("--trials", dest="n_trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--p", dest="p_points", type=int, help="grid points")
-    p.add_argument("--m", dest="m_controls", type=int, help="control channels")
+    p.add_argument("--p", type=int, help="grid points")
+    p.add_argument("--m", type=int, help="control channels")
     p.add_argument("--particles", dest="enkf_particles", type=int)
     p.add_argument("--out", metavar="DIR", default="out", help="output directory")
     p.add_argument("--gain", metavar="FILE", help="load a trained gain bundle")
@@ -63,32 +63,20 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dump-trials", action="store_true", help="also write per-trial ratios")
 
 
-_OVERRIDE_FIELDS = {
-    "model": "model",
-    "nu": "nu",
-    "lam": "lam",
-    "d0": "d0",
-    "dist_kind": "dist_kind",
-    "n_trials": "n_trials",
-    "seed": "seed",
-    "p_points": "p",
-    "m_controls": "m",
-    "enkf_particles": "enkf_particles",
-}
+# argparse dests that are also config field names
+_OVERRIDE_FIELDS = (
+    "model", "nu", "lam", "d0", "dist_kind", "n_trials", "seed", "p", "m", "enkf_particles",
+)
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {}
     base: dict = {}
     if args.config:
         cfg = load_config(args.config)
         base = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
     pde = args.pde or base.pop("pde", None) or "heat"
     base.pop("pde", None)
-    for arg_name, field_name in _OVERRIDE_FIELDS.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field_name] = value
+    overrides = {f: getattr(args, f) for f in _OVERRIDE_FIELDS if getattr(args, f) is not None}
     return default_config(pde, **{**base, **overrides})
 
 

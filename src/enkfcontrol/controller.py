@@ -2,7 +2,7 @@
 
 The stabilizing part minimizes the control Hamiltonian
 
-    H(x, u) = g(x)' S(x, u) + (c(x) + u' R u) / 2,
+    H(x, u) = g(x)' S(x, u) + (x' Q x + u' R u) / 2,
 
 where g(x) is the learned value gradient (P x).  For fixed x the Hamiltonian
 is an exact quadratic in u, so its minimizer can be written either in closed
@@ -33,8 +33,6 @@ nonlinear-mode gain with a probed input matrix is evaluated per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .dmdc import ReducedModel, reduce_state
@@ -50,56 +48,38 @@ class RankDeficientError(RuntimeError):
 
 @dataclass(frozen=True)
 class Weights:
-    """Quadratic cost weights; the running state cost is x'Qx or state_cost(x)."""
+    """Quadratic cost weights: running cost x'Qx + u'Ru."""
 
     R: np.ndarray
-    Q: np.ndarray | None = None
-    G: np.ndarray | None = None
-    state_cost: Callable[[np.ndarray], float] | None = None
+    Q: np.ndarray
 
     def __post_init__(self):
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
+        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         if not np.allclose(R, R.T, atol=1e-10):
             raise ValueError("R must be symmetric")
         try:
             np.linalg.cholesky(R)
         except np.linalg.LinAlgError:
             raise ValueError("R must be positive definite") from None
+        if not np.allclose(Q, Q.T, atol=1e-10):
+            raise ValueError("Q must be symmetric")
         object.__setattr__(self, "R", R)
-        if self.Q is not None:
-            Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-            if not np.allclose(Q, Q.T, atol=1e-10):
-                raise ValueError("Q must be symmetric")
-            object.__setattr__(self, "Q", Q)
-        if self.G is not None:
-            G = np.atleast_2d(np.asarray(self.G, dtype=float))
-            object.__setattr__(self, "G", G)
-        if self.Q is None and self.state_cost is None:
-            raise ValueError("either Q or state_cost is required")
-
-    def running_state_cost(self, x: np.ndarray) -> float:
-        if self.state_cost is not None:
-            return float(self.state_cost(x))
-        return float(x @ self.Q @ x)
+        object.__setattr__(self, "Q", Q)
 
 
 @dataclass(frozen=True)
 class RobustConfig:
-    """Disturbance bound lambda (scalar or callable of (t, x)) and floor r > 0."""
+    """Disturbance bound lambda >= 0 and regularization floor r > 0."""
 
-    lam: float | Callable[[float, np.ndarray], float]
+    lam: float
     r: float
 
     def __post_init__(self):
         if not self.r > 0:
             raise ValueError(f"regularization r must be positive, got {self.r}")
-        if not callable(self.lam) and self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-
-    def lam_at(self, t: float, x: np.ndarray) -> float:
-        if callable(self.lam):
-            return float(self.lam(t, x))
-        return float(self.lam)
 
 
 @dataclass(frozen=True)
@@ -124,7 +104,7 @@ class ControlLaw:
 def hamiltonian(law: ControlLaw, x: np.ndarray, u: np.ndarray, sim: Simulator) -> float:
     """Evaluate H(x, u) with exactly one simulator call."""
     g = law.gain.value_gradient(x)
-    running = law.weights.running_state_cost(x) + float(u @ law.weights.R @ u)
+    running = float(x @ law.weights.Q @ x) + float(u @ law.weights.R @ u)
     return float(g @ sim.rhs(x, u)) + 0.5 * running
 
 
@@ -175,12 +155,10 @@ def _check_column_rank(B: np.ndarray) -> None:
         )
 
 
-def robust_term(
-    law: ControlLaw, x: np.ndarray, sim: Simulator, t: float = 0.0
-) -> np.ndarray:
+def robust_term(law: ControlLaw, x: np.ndarray, sim: Simulator) -> np.ndarray:
     """Lyapunov-redesign term u_d = -lambda * B^+ g / max(|g|, r)."""
     x = np.asarray(x, dtype=float)
-    lam = law.robust.lam_at(t, x)
+    lam = float(law.robust.lam)
     if lam == 0.0:
         return np.zeros(sim.m)
     g = law.gain.value_gradient(x)
@@ -197,10 +175,10 @@ def robust_term(
     return -lam * v
 
 
-def robust_control(law: ControlLaw, t: float, z: np.ndarray, sim: Simulator) -> np.ndarray:
+def robust_control(law: ControlLaw, z: np.ndarray, sim: Simulator) -> np.ndarray:
     """Full control u = u_bar + u_d at state z (reduced first if applicable)."""
     x = reduce_state(law.reduction, z) if law.reduction is not None else np.asarray(z, dtype=float)
-    return minimize_hamiltonian(law, x, sim) + robust_term(law, x, sim, t)
+    return minimize_hamiltonian(law, x, sim) + robust_term(law, x, sim)
 
 
 def compilable(law: ControlLaw) -> bool:

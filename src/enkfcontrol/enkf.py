@@ -237,7 +237,7 @@ def step_nonlinear(
             if Hs.shape[0] != e.N:
                 Hs = Hs.reshape(e.N, -1)
             coupling = (half * (Hs + h_mean)) @ V.T
-            return -(sim.rhs_batch(Y, U0) + coupling)
+            return -(sim.rhs(Y, U0) + coupling)
 
         if drift == "rk4":
             k1 = minus_drift(e.Y)
@@ -249,7 +249,7 @@ def step_nonlinear(
             Y_det = e.Y + dt * minus_drift(e.Y)
 
         deta = _control_noise(chol, e.N, dt, rng)
-        noise = sim.rhs_batch(e.Y, deta) - sim.rhs_batch(e.Y, U0)
+        noise = sim.rhs(e.Y, deta) - sim.rhs(e.Y, U0)
         Y_next = Y_det + noise
     t_next = e.t - dt
     if not np.all(np.isfinite(Y_next)):

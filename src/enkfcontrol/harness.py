@@ -16,8 +16,8 @@ call: ``batch`` stacks its three policies x n_trials, ``grid`` all its cells
 x n_trials, ``simulate`` a single row.  The control law is compiled once into
 matrices (:func:`controller.compile_law`) unless its input matrix may depend
 on the state; then each row evaluates :func:`controller.robust_control`.  A
-row that turns non-finite is masked, reading inf from that step on, while the
-other rows carry on.  Rows agree with a one-trajectory-at-a-time loop to
+row whose state or L2 norm turns non-finite is masked, reading inf from that
+step on, while the other rows carry on.  Rows agree with a one-trajectory-at-a-time loop to
 rounding (matrix products over the stack instead of matrix-vector ones).
 """
 
@@ -31,6 +31,7 @@ from . import dmdc as dmdc_mod
 from .config import ExperimentConfig
 from .controller import (
     ControlLaw,
+    RankDeficientError,
     RobustConfig,
     Weights,
     compilable,
@@ -162,42 +163,24 @@ def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedMode
     return dmdc_mod.to_continuous(model)
 
 
-def train_gain(
-    cfg: ExperimentConfig, reduction: dmdc_mod.ReducedModel | None = None
-) -> Artifacts:
-    """Run the dual EnKF for the configured path and return shared artifacts.
+def _train_gain(cfg: ExperimentConfig, design_sim: Simulator) -> GainApprox:
+    """Run the dual EnKF against the design simulator.
 
-    Paths: a linear run on the full heat operator (the heat equation is LTI),
-    a linear run on the fitted reduced model for ``model=dmdc``, and a
-    nonlinear simulator-driven run on the full Burgers state otherwise.
+    A linear design simulator (the full heat operator, which is LTI, or the
+    fitted reduced model for ``model=dmdc``) gets a linear run on its A and B;
+    the full Burgers state gets a nonlinear simulator-driven run.
     """
-    sim = build_full_simulator(cfg)
-    rng = _rng(cfg, _TAG_ENKF)
     R = cfg.r_input * np.eye(cfg.m)
-
-    if cfg.model == "dmdc":
-        if reduction is None:
-            reduction = fit_reduction(cfg, sim)
-        n = reduction.n
-        design_sim = LinearSimulator(reduction.A, reduction.B)
-        T, dt = _enkf_step_linear(cfg, reduction.A)
+    S_T = np.eye(design_sim.n) / cfg.g
+    if isinstance(design_sim, LinearSimulator):
+        T, dt = _enkf_step_linear(cfg, design_sim.A)
         enkf_cfg = EnkfConfig(
-            N=cfg.enkf_particles, T=T, dt=dt,
-            S_T=np.eye(n) / cfg.g, seed=cfg.seed, innovation=cfg.innovation,
+            N=cfg.enkf_particles, T=T, dt=dt, S_T=S_T, seed=cfg.seed, innovation=cfg.innovation,
         )
-        C = np.sqrt(cfg.q) * np.eye(n)
-        gain = run_dual_enkf_linear(reduction.A, reduction.B, C, R, enkf_cfg, rng)
-        return Artifacts(sim=sim, design_sim=design_sim, gain=gain, reduction=reduction)
-
-    if cfg.pde == "heat":
-        T, dt = _enkf_step_linear(cfg, sim.A)
-        enkf_cfg = EnkfConfig(
-            N=cfg.enkf_particles, T=T, dt=dt,
-            S_T=np.eye(cfg.p) / cfg.g, seed=cfg.seed, innovation=cfg.innovation,
+        C = np.sqrt(cfg.q) * np.eye(design_sim.n)
+        return run_dual_enkf_linear(
+            design_sim.A, design_sim.control_matrix, C, R, enkf_cfg, _rng(cfg, _TAG_ENKF)
         )
-        C = np.sqrt(cfg.q) * np.eye(cfg.p)
-        gain = run_dual_enkf_linear(sim.A, sim.control_matrix, C, R, enkf_cfg, rng)
-        return Artifacts(sim=sim, design_sim=sim, gain=gain, reduction=None)
 
     # full nonlinear path; drift handled with RK4 (stiff advective simulator),
     # halving the step on divergence keeps the auto step estimate honest
@@ -207,13 +190,11 @@ def train_gain(
     last_exc: Exception | None = None
     for attempt in range(5):
         enkf_cfg = EnkfConfig(
-            N=cfg.enkf_particles, T=T, dt=dt / 2**attempt,
-            S_T=np.eye(cfg.p) / cfg.g, seed=cfg.seed,
+            N=cfg.enkf_particles, T=T, dt=dt / 2**attempt, S_T=S_T, seed=cfg.seed,
             innovation=cfg.innovation, drift="rk4",
         )
         try:
-            gain = run_dual_enkf_nonlinear(sim, obs, R, enkf_cfg, _rng(cfg, _TAG_ENKF, attempt))
-            return Artifacts(sim=sim, design_sim=sim, gain=gain, reduction=None)
+            return run_dual_enkf_nonlinear(design_sim, obs, R, enkf_cfg, _rng(cfg, _TAG_ENKF, attempt))
         except DivergenceError as exc:
             last_exc = exc
     raise HarnessError(f"ensemble training diverged at the smallest step tried: {last_exc}")
@@ -224,20 +205,20 @@ def build_artifacts(
     gain: GainApprox | None = None,
     reduction: dmdc_mod.ReducedModel | None = None,
 ) -> Artifacts:
-    """Assemble artifacts, training whatever was not supplied."""
-    if gain is None:
-        return train_gain(cfg, reduction)
+    """Assemble the simulators, fitting and training whatever was not supplied."""
     sim = build_full_simulator(cfg)
     if cfg.model == "dmdc":
         if reduction is None:
-            raise HarnessError("dmdc model path needs a reduced model with the gain")
+            if gain is not None:
+                raise HarnessError("dmdc model path needs a reduced model with the gain")
+            reduction = fit_reduction(cfg, sim)
         design_sim = LinearSimulator(reduction.A, reduction.B)
     else:
-        design_sim = sim
-        reduction = None
-    expected_n = reduction.n if reduction is not None else cfg.p
-    if gain.n != expected_n:
-        raise HarnessError(f"gain dimension {gain.n} does not match design dimension {expected_n}")
+        design_sim, reduction = sim, None
+    if gain is None:
+        gain = _train_gain(cfg, design_sim)
+    elif gain.n != design_sim.n:
+        raise HarnessError(f"gain dimension {gain.n} does not match design dimension {design_sim.n}")
     return Artifacts(sim=sim, design_sim=design_sim, gain=gain, reduction=reduction)
 
 
@@ -256,18 +237,7 @@ def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam: float) -> float:
 
 def build_law(cfg: ExperimentConfig, art: Artifacts, lam: float) -> ControlLaw:
     """Control law for a given robust gain lambda (see :func:`_lambda_state`)."""
-    n = art.gain.n
-    if cfg.model == "dmdc" or cfg.pde == "heat":
-        weights = Weights(
-            R=cfg.r_input * np.eye(cfg.m), Q=cfg.q * np.eye(n), G=cfg.g * np.eye(n)
-        )
-    else:
-        q = cfg.q
-        weights = Weights(
-            R=cfg.r_input * np.eye(cfg.m),
-            G=cfg.g * np.eye(n),
-            state_cost=lambda x: q * float(x @ x),
-        )
+    weights = Weights(R=cfg.r_input * np.eye(cfg.m), Q=cfg.q * np.eye(art.gain.n))
     b_access = cfg.b_access
     if b_access == "auto":
         b_access = "known" if art.design_sim.b_disclosed else "simulator"
@@ -283,22 +253,32 @@ def build_law(cfg: ExperimentConfig, art: Artifacts, lam: float) -> ControlLaw:
 
 
 def _feedback(cfg: ExperimentConfig, art: Artifacts, lam: np.ndarray):
-    """(t, Z) -> controls of the rows of Z, row i under lambda lam[i].
+    """Z -> controls of the rows of Z, row i under lambda lam[i].
 
     A law that :func:`compilable` accepts is compiled once for every row;
-    otherwise each row evaluates :func:`robust_control` for its lambda.
+    otherwise each row evaluates :func:`robust_control` for its lambda.  A
+    row whose probed input matrix loses rank (finite differences at a state
+    on its way to blow-up) gets a NaN control, so it fails as a trial.
     """
     law = build_law(cfg, art, 0.0)
     if compilable(law):
         compiled = compile_law(law, art.design_sim)
         by_lam = {v: _lambda_state(cfg, art, v) for v in set(lam.tolist())}
         lam_state = np.array([by_lam[v] for v in lam.tolist()])
-        return lambda t, Z: compiled(Z, lam_state)
+        return lambda Z: compiled(Z, lam_state)
     by_lam = {v: build_law(cfg, art, v) for v in set(lam.tolist())}
     laws = [by_lam[v] for v in lam.tolist()]
-    return lambda t, Z: np.array(
-        [robust_control(row_law, t, z, art.design_sim) for row_law, z in zip(laws, Z)]
-    )
+
+    def per_row(Z):
+        U = np.full((len(Z), cfg.m), np.nan)
+        for i, (row_law, z) in enumerate(zip(laws, Z)):
+            try:
+                U[i] = robust_control(row_law, z, art.design_sim)
+            except RankDeficientError:
+                pass
+        return U
+
+    return per_row
 
 
 @dataclass
@@ -340,9 +320,9 @@ def simulate_closed_loop(
     1 or 0) and, if controlled[i], feeds back the law with lambda lam[i].
     A scalar lam, kinds, d0 or controlled applies to every row.
     The control is recomputed every step and the whole stack advances with
-    one RK4 step.  A row that turns non-finite is a failed trial: its trace
-    and terminal ratio read inf from that step on, it is frozen at zero, and
-    the other rows carry on.
+    one RK4 step.  A row whose state or L2 norm turns non-finite is a failed
+    trial: its trace and terminal ratio read inf from that step on, it is
+    frozen at zero, and the other rows carry on.
     """
     Z = np.array(Z0, dtype=float, ndmin=2)
     batch = Z.shape[0]
@@ -366,15 +346,15 @@ def simulate_closed_loop(
     failed = np.zeros(batch, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            tk = t[k]
-            shape = np.where(is_sin, np.sin(tk), np.where(is_const, 1.0, 0.0))
+            shape = np.where(is_sin, np.sin(t[k]), np.where(is_const, 1.0, 0.0))
             U = (d0 * shape)[:, None] * w
             if feedback is not None:
-                U[rows] = feedback(tk, Z[rows]) + U[rows]
+                U[rows] = feedback(Z[rows]) + U[rows]
             Z = rk4_step(art.sim, Z, U, cfg.dt_sim)
-            failed |= ~np.all(np.isfinite(Z), axis=1)
+            norms = l2_norm(Z, grid)  # non-finite for a non-finite state too
+            failed |= ~np.isfinite(norms)
             Z[failed] = 0.0
-            l2[:, k + 1] = np.where(failed, np.inf, l2_norm(Z, grid))
+            l2[:, k + 1] = np.where(failed, np.inf, norms)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(failed | (l2[:, 0] == 0), np.inf, l2[:, -1] / l2[:, 0])
     return Rollout(t=t, l2=l2, ratios=ratios, failed=failed)

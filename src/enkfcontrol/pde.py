@@ -11,30 +11,18 @@ conditions are supported; periodic is the default (difference operators are
 circulant, constants lie in their kernel).
 
 A :class:`Simulator` is the black-box interface the learning algorithms see:
-they may only evaluate ``rhs(x, u)`` (and its batched variant), never the
-internals.  Whether the input matrix is disclosed to callers is an explicit
-flag, so model-free code paths can be exercised honestly.
+they may only evaluate ``rhs(x, u)``, never the internals.  Whether the
+input matrix is disclosed to callers is an explicit flag, so model-free code
+paths can be exercised honestly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 BOUNDARY_CONDITIONS = ("periodic", "dirichlet")
-
-
-class BlowUpError(RuntimeError):
-    """Raised when integration produces a non-finite state.
-
-    Carries ``t_last``, the last time at which the state was still finite.
-    """
-
-    def __init__(self, t_last: float, message: str | None = None):
-        self.t_last = t_last
-        super().__init__(message or f"state became non-finite after t={t_last:g}")
 
 
 @dataclass(frozen=True)
@@ -124,23 +112,6 @@ def _apply_control(B: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u @ B.T
 
 
-def heat_rhs(
-    z: np.ndarray,
-    u: np.ndarray,
-    nu: float,
-    grid: GridSpec,
-    B: np.ndarray,
-    bc: str = "periodic",
-) -> np.ndarray:
-    """Right-hand side of the forced heat equation: nu * D2 z + B u."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != grid.p:
-        raise ValueError(f"state length {z.shape[-1]} != grid p={grid.p}")
-    if not nu > 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
-    return nu * second_difference(z, grid, bc) + _apply_control(B, u)
-
-
 def burgers_rhs(
     z: np.ndarray,
     u: np.ndarray,
@@ -167,8 +138,9 @@ def burgers_rhs(
 class Simulator:
     """Black-box evaluator of an affine-in-control system dx/dt = a(x) + b(x) u.
 
-    Subclasses implement :meth:`rhs`; the input coupling must be linear in u
-    for every fixed x.  ``b_disclosed`` states whether callers may read
+    Subclasses implement :meth:`rhs` for one state or a stack of states (rows
+    of x, with the inputs as rows of u); the input coupling must be linear in
+    u for every fixed x.  ``b_disclosed`` states whether callers may read
     :attr:`control_matrix`; model-free algorithms must work with it False.
     """
 
@@ -178,10 +150,6 @@ class Simulator:
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def rhs_batch(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Evaluate the rhs for a batch of states (rows of X) and inputs (rows of U)."""
-        return self.rhs(X, U)
 
     @property
     def control_matrix(self) -> np.ndarray:
@@ -258,55 +226,6 @@ def rk4_step(sim: Simulator, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarr
     k3 = sim.rhs(x + 0.5 * h * k2, u)
     k4 = sim.rhs(x + h * k3, u)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate(
-    sim: Simulator,
-    x0: np.ndarray,
-    u_fn,
-    t0: float,
-    t1: float,
-    dt: float,
-    direction: str = "forward",
-):
-    """RK4 time-stepping of dx/dt = S(x, u_fn(t)) from t0 to t1.
-
-    ``direction`` selects the sign of the time increment: forward requires
-    t1 > t0, backward requires t1 < t0.  The returned time array starts at t0
-    and ends exactly at t1 (the final step is shortened if needed).
-
-    Returns (ts, xs) with xs[k] the state at ts[k].  Raises
-    :class:`BlowUpError` if the state becomes non-finite.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if direction == "forward":
-        if not t1 > t0:
-            raise ValueError("forward integration needs t1 > t0")
-        h = dt
-    elif direction == "backward":
-        if not t1 < t0:
-            raise ValueError("backward integration needs t1 < t0")
-        h = -dt
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-
-    span = t1 - t0
-    n_steps = max(1, math.ceil(abs(span) / dt - 1e-12))
-    x = np.array(x0, dtype=float)
-    ts = [t0]
-    xs = [x.copy()]
-    t = t0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            t_next = t1 if k == n_steps - 1 else t0 + (k + 1) * h
-            x = rk4_step(sim, x, u_fn(t), t_next - t)
-            if not np.all(np.isfinite(x)):
-                raise BlowUpError(t)
-            t = t_next
-            ts.append(t)
-            xs.append(x.copy())
-    return np.array(ts), np.array(xs)
 
 
 def sample_initial_condition(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:

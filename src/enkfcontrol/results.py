@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .config import ExperimentConfig, render_config
+from .config import ExperimentConfig, _fmt, render_config
 from .harness import POLICIES, BatchResult, GridCell
 
 
@@ -41,10 +41,6 @@ class ResultSet:
     trials: list[TrialRow] | None = None
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write(path: str, lines: list[str]) -> None:
     try:
         with open(path, "w", newline="\n") as fh:
@@ -55,9 +51,7 @@ def _write(path: str, lines: list[str]) -> None:
 
 def timeseries_lines(series: dict[str, BatchResult]) -> list[str]:
     lines = ["policy,t,mean,variance"]
-    ordered = [p for p in POLICIES if p in series]
-    ordered += [p for p in series if p not in POLICIES]
-    for policy in ordered:
+    for policy in (p for p in POLICIES if p in series):
         batch = series[policy]
         for t, mean, var in zip(batch.t, batch.mean, batch.variance):
             lines.append(f"{policy},{_fmt(t)},{_fmt(mean)},{_fmt(var)}")
@@ -103,11 +97,7 @@ def emit_results(results: ResultSet, out_dir: str) -> list[str]:
     paths.append(path)
 
     path = os.path.join(out_dir, "config.echo")
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(render_config(results.config))
-    except OSError as exc:
-        raise EmitError(f"cannot write {path}: {exc}") from exc
+    _write(path, render_config(results.config).splitlines())
     paths.append(path)
 
     if results.trials is not None:

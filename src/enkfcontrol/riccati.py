@@ -1,10 +1,13 @@
 """Reference solvers for continuous-time Riccati equations.
 
 These are the trusted oracles the particle-based gain estimates are tested
-against: a Runge-Kutta integrator for the differential Riccati equation and a
-stationary solver that runs the integration to convergence and polishes the
-result with Newton (Kleinman) steps.  Deliberately plain; dimensions here stay
-well below the point where Schur-form solvers would be worth the machinery.
+against: a Runge-Kutta integrator for the differential Riccati equation (the
+finite-horizon P(0) the ensemble approximates) and scipy's Schur-form solver
+for the algebraic equation.  Before the algebraic solve the system passes the
+PBH rank test at every eigenvalue with Re lambda >= 0: (A, B) stabilizable
+and (A, C) detectable, the conditions for a unique stabilizing solution.  A
+system with uncontrollable but stable modes is therefore accepted, as the
+paper's periodic heat equation needs (only its constant mode is marginal).
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_continuous_lyapunov
+from scipy.linalg import cho_factor, cho_solve, solve_continuous_are
 
 
 class AssumptionError(ValueError):
-    """System fails the controllability/observability/definiteness checks."""
+    """System fails the stabilizability/detectability/definiteness checks."""
 
 
 class FiniteEscapeError(RuntimeError):
@@ -86,26 +89,27 @@ def _is_spd(M: np.ndarray) -> bool:
         return False
 
 
-def _staircase_rank(blocks: list[np.ndarray], tol_scale: float = 1e-9) -> int:
-    K = np.hstack(blocks)
-    s = np.linalg.svd(K, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol_scale * s[0]))
+def _pbh_full_rank(A: np.ndarray, M: np.ndarray) -> bool:
+    """rank [A - lambda I, M] = n at every eigenvalue lambda with Re lambda >= 0.
+
+    Eigenvalues within 1e-9 ||A|| of the imaginary axis count as marginal:
+    the periodic heat operator's constant mode computes as about -1e-14.
+    """
+    n = A.shape[0]
+    eigs = np.linalg.eigvals(A)
+    for lam in eigs[eigs.real >= -1e-9 * max(1.0, np.linalg.norm(A, 2))]:
+        s = np.linalg.svd(np.hstack([A - lam * np.eye(n), M]), compute_uv=False)
+        if np.sum(s > 1e-9 * s[0]) < n:
+            return False
+    return True
 
 
 def validate_system(sys: LtiSystem) -> None:
-    """Check controllability of (A, B), observability of (A, C), R, G > 0."""
-    n = sys.n
-    ctrb = [sys.B]
-    obsv = [sys.C]
-    for _ in range(n - 1):
-        ctrb.append(sys.A @ ctrb[-1])
-        obsv.append(obsv[-1] @ sys.A)
-    if _staircase_rank(ctrb) < n:
-        raise AssumptionError("(A, B) is not controllable")
-    if _staircase_rank([M.T for M in obsv]) < n:
-        raise AssumptionError("(A, C) is not observable")
+    """Check (A, B) stabilizable, (A, C) detectable (PBH tests) and R, G > 0."""
+    if not _pbh_full_rank(sys.A, sys.B):
+        raise AssumptionError("(A, B) is not stabilizable")
+    if not _pbh_full_rank(sys.A.T, sys.C.T):
+        raise AssumptionError("(A, C) is not detectable")
     if not _is_spd(sys.R):
         raise AssumptionError("R is not symmetric positive definite")
     if not _is_spd(sys.G):
@@ -147,51 +151,19 @@ def solve_dre(sys: LtiSystem, T: float, dt: float) -> np.ndarray:
     return P
 
 
-def _newton_step(sys: LtiSystem, P: np.ndarray) -> np.ndarray:
-    """One Kleinman iteration: solve the closed-loop Lyapunov equation."""
-    K = np.linalg.solve(sys.R, sys.B.T @ P)
-    Acl = sys.A - sys.B @ K
-    rhs = -(sys.Q + K.T @ sys.R @ K)
-    P_next = solve_continuous_lyapunov(Acl.T, rhs)
-    return 0.5 * (P_next + P_next.T)
+def solve_are(sys: LtiSystem, residual_tol: float = 1e-8) -> np.ndarray:
+    """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
-
-def solve_are(
-    sys: LtiSystem,
-    stationarity_tol: float = 1e-10,
-    residual_tol: float = 1e-8,
-    max_horizon: float = 2000.0,
-) -> np.ndarray:
-    """Stationary solution of the algebraic Riccati equation.
-
-    Integrates the differential equation in unit-horizon chunks until the
-    endpoint stops moving, then applies Newton refinement until the residual
-    drops below ``residual_tol * max(1, ||Q||_F)``.
+    scipy's Schur-form solver, symmetrized; raises :class:`ConvergenceError`
+    unless the residual is at most ``residual_tol * max(1, ||Q||_F)``.
     """
     validate_system(sys)
-    scale = max(1.0, np.linalg.norm(sys.A, 2))
-    dt = min(1e-2, 0.05 / scale)
-    chunk = 1.0
-    P = sys.G.copy()
-    t = 0.0
-    while t < max_horizon:
-        P_next = solve_dre(LtiSystem(sys.A, sys.B, sys.C, sys.R, P), chunk, dt)
-        t += chunk
-        if np.linalg.norm(P_next - P, "fro") < stationarity_tol:
-            P = P_next
-            break
-        P = P_next
-    else:
-        raise ConvergenceError(
-            f"Riccati flow not stationary after horizon {max_horizon:g}"
-        )
+    P = solve_continuous_are(sys.A, sys.B, sys.Q, sys.R)
+    P = 0.5 * (P + P.T)
     tol = residual_tol * max(1.0, np.linalg.norm(sys.Q, "fro"))
-    for _ in range(10):
-        if riccati_residual(sys, P) <= tol:
-            break
-        P = _newton_step(sys, P)
-    if riccati_residual(sys, P) > tol:
-        raise ConvergenceError("Newton refinement did not reach residual tolerance")
+    residual = riccati_residual(sys, P)
+    if residual > tol:
+        raise ConvergenceError(f"Riccati residual {residual:.3e} exceeds {tol:.3e}")
     return P
 
 

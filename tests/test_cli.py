@@ -15,6 +15,11 @@ seed = 5
 
 [enkf]
 particles = 50
+
+[dmdc]
+order = 4
+trajectories = 3
+steps = 20
 """
 
 
@@ -28,6 +33,48 @@ def small_cfg(tmp_path):
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _files(out):
+    return {name: _read(os.path.join(out, name)) for name in sorted(os.listdir(out))}
+
+
+class TestEchoRoundTrip:
+    @pytest.mark.parametrize("verb,written", [
+        ("train", ["config.echo", "gain.bundle", "heatmap.csv", "timeseries.csv"]),
+        ("fit-dmdc", ["config.echo", "heatmap.csv", "reduced_model.bundle", "timeseries.csv"]),
+        ("simulate", ["config.echo", "heatmap.csv", "timeseries.csv"]),
+        ("batch", ["config.echo", "heatmap.csv", "timeseries.csv"]),
+    ])
+    def test_rerun_from_echo_is_byte_identical(self, verb, written, small_cfg, tmp_path, capsys):
+        out = str(tmp_path / "first")
+        assert main([verb, "--config", small_cfg, "--out", out, "--p", "12", "--m", "3"]) == 0
+        first = _files(out)
+        assert list(first) == written
+        # --p/--m reach the echo, so the echo alone reproduces the run
+        echoed = load_config(os.path.join(out, "config.echo"))
+        assert (echoed.p, echoed.m) == (12, 3)
+        again = str(tmp_path / "again")
+        assert main([verb, "--config", os.path.join(out, "config.echo"), "--out", again]) == 0
+        assert _files(again) == first
+
+    def test_trials_only_with_dump_flag(self, small_cfg, tmp_path, capsys):
+        plain, dumped = str(tmp_path / "plain"), str(tmp_path / "dumped")
+        assert main(["batch", "--config", small_cfg, "--out", plain]) == 0
+        assert main(["batch", "--config", small_cfg, "--out", dumped, "--dump-trials"]) == 0
+        assert "trials.csv" not in os.listdir(plain)
+        rows = _read(os.path.join(dumped, "trials.csv")).decode().splitlines()
+        assert rows[0] == "policy,kind,d0,lambda,trial,terminal_ratio"
+        assert len(rows) == 1 + 3 * 2  # three policies x n_trials
+        for name in ("timeseries.csv", "heatmap.csv", "config.echo"):
+            assert _read(os.path.join(dumped, name)) == _read(os.path.join(plain, name))
+
+    @pytest.mark.parametrize("verb", ["train", "fit-dmdc", "simulate", "batch"])
+    def test_bad_flag_exits_1(self, verb, small_cfg, tmp_path, capsys):
+        out = str(tmp_path / "bad")
+        assert main([verb, "--config", small_cfg, "--out", out, "--m", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(out)
 
 
 class TestGridEcho:

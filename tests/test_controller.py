@@ -221,7 +221,7 @@ class TestRobustControl:
         rng = np.random.default_rng(11)
         sim = LinearSimulator(*random_lti(rng, 3, 3))
         law = make_law(np.eye(3), np.eye(3), np.eye(3), lam=0.5)
-        assert np.allclose(robust_control(law, 0.0, np.zeros(3), sim), 0.0)
+        assert np.allclose(robust_control(law, np.zeros(3), sim), 0.0)
 
     def test_branch_swap_leaves_control_unchanged(self):
         rng = np.random.default_rng(12)
@@ -236,8 +236,8 @@ class TestRobustControl:
             for _ in range(20):
                 z = rng.normal(size=n)
                 assert np.allclose(
-                    robust_control(law_known, 0.0, z, sim),
-                    robust_control(law_free, 0.0, z, sim.undisclosed()),
+                    robust_control(law_known, z, sim),
+                    robust_control(law_free, z, sim.undisclosed()),
                     atol=1e-10,
                 )
 
@@ -250,7 +250,7 @@ class TestRobustControl:
         x = np.array([1.0])
         dt = 1e-2
         for _ in range(400):
-            u = robust_control(law, 0.0, x, sim)
+            u = robust_control(law, x, sim)
             x = x + dt * sim.rhs(x, u)
         assert abs(x[0]) < np.exp(-3.0)
 
@@ -263,7 +263,7 @@ class TestRobustControl:
         design_sim = LinearSimulator(red.A, red.B)
         law = make_law(np.eye(2) * 2.0, np.eye(2), np.eye(2), lam=0.0, reduction=red)
         z = rng.normal(size=6)
-        u = robust_control(law, 0.0, z, design_sim)
+        u = robust_control(law, z, design_sim)
         expected = -np.linalg.solve(np.eye(2), red.B.T @ (2.0 * (Phi @ z)))
         assert np.allclose(u, expected, atol=1e-12)
 
@@ -296,7 +296,7 @@ class TestCompiledLaw:
         U = compiled(Z, lam)
         for z, lam_i, u in zip(Z, lam, U):
             row_law = make_law(P, np.eye(n), R, lam=lam_i, r=0.01, b_access=b_access, reduction=red)
-            np.testing.assert_allclose(u, robust_control(row_law, 0.0, z, sim), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(u, robust_control(row_law, z, sim), rtol=1e-12, atol=1e-15)
 
     def test_probes_b_once_and_checks_rank(self):
         B = np.zeros((3, 2))
@@ -345,7 +345,7 @@ class TestLyapunovDecrease:
             entered = False
             ok = True
             for k in range(8000):
-                u = robust_control(law, k * dt, x, sim)
+                u = robust_control(law, x, sim)
                 x = x + dt * (sim.rhs(x, u) + disturbance(x))
                 V = 0.5 * x @ P @ x
                 if not entered:

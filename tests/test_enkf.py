@@ -160,7 +160,7 @@ class TestStepNonlinear:
         class NullSim:
             n, m = 2, 1
 
-            def rhs_batch(self, X, U):
+            def rhs(self, X, U):
                 return np.zeros_like(X)
 
         rng = np.random.default_rng(7)

@@ -2,7 +2,8 @@
 
 The reference advances one state at a time with the per-state law
 (``robust_control``) and ``rk4_step``, stopping a trajectory at its first
-non-finite state.  The batched engine evaluates the same arithmetic as
+state that is non-finite or has a non-finite L2 norm.  A row whose probed
+input matrix loses rank gets a NaN control and so fails at that step.  The batched engine evaluates the same arithmetic as
 matrix products over the whole stack, so the two agree to rounding.
 """
 
@@ -13,7 +14,7 @@ import pytest
 
 from enkfcontrol import controller
 from enkfcontrol.config import burgers_config, heat_config
-from enkfcontrol.controller import robust_control
+from enkfcontrol.controller import RankDeficientError, robust_control
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.harness import (
     POLICIES,
@@ -52,14 +53,20 @@ def reference(cfg, art, z0, lam, kind, d0, controlled):
     failed = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            u = np.zeros(cfg.m) if law is None else robust_control(law, t[k], z, art.design_sim)
+            u = np.zeros(cfg.m)
+            if law is not None:
+                try:
+                    u = robust_control(law, z, art.design_sim)
+                except RankDeficientError:
+                    u = np.full(cfg.m, np.nan)
             d = d0 * {"sin": np.sin(t[k]), "const": 1.0, "none": 0.0}[kind] * w
             z = rk4_step(art.sim, z, u + d, cfg.dt_sim)
-            if not np.all(np.isfinite(z)):
+            norm = l2_norm(z, grid)
+            if not (np.all(np.isfinite(z)) and np.isfinite(norm)):
                 l2[k + 1:] = np.inf
                 failed = True
                 break
-            l2[k + 1] = l2_norm(z, grid)
+            l2[k + 1] = norm
     ratio = np.inf if failed or l2[0] == 0 else l2[-1] / l2[0]
     return l2, ratio
 
@@ -160,12 +167,14 @@ class TestBlowUp:
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 4, mode=mode))
         z = trial_initial_condition(cfg, 0)
         # (z0, lambda, controlled, d0): the 130x bump steepens until explicit
-        # RK4 blows up a few steps in; a constant d0 = 1e308 overflows step one
+        # RK4 blows up a few steps in; a constant d0 = 1e308 overflows step one.
+        # Under control the bump fails too; with a probed B the finite
+        # differences at the steepened state lose an input column first.
         rows = [(z, 0.2, True, 0.0), (130.0 * z, 0.0, False, 0.0), (z, 0.0, False, 0.0),
-                (z, 0.2, True, 1e308)]
+                (z, 0.2, True, 1e308), (130.0 * z, 0.2, True, 0.0)]
         Z0, lam, ctrl, d0 = (np.array(col) for col in zip(*rows))
         roll = simulate_closed_loop(cfg, art, Z0, lam=lam, kinds="const", d0=d0, controlled=ctrl)
-        assert roll.failed.tolist() == [False, True, False, True]
+        assert roll.failed.tolist() == [False, True, False, True, True]
         for i, (z0, lam_i, ctrl_i, d0_i) in enumerate(rows):
             l2, ratio = reference(cfg, art, z0, lam_i, "const", d0_i, ctrl_i)
             np.testing.assert_allclose(roll.l2[i], l2, rtol=RTOL, atol=0)
@@ -180,6 +189,18 @@ class TestBlowUp:
             controlled=ctrl[[0, 2]],
         )
         np.testing.assert_allclose(roll.l2[[0, 2]], alone.l2, rtol=RTOL, atol=0)
+
+    def test_norm_overflow_is_a_failure(self, heat_full):
+        # d0 = 1e308 under sin(t) leaves the state finite but overflows its L2
+        # norm; under a constant shape the state itself overflows
+        cfg, art = heat_full
+        overflow = replace(cfg, grid_d0=(1e308,), grid_lambda=(0.0,), grid_kinds=("sin", "const"))
+        cells = run_grid(overflow, art)
+        assert [(c.kind, c.failures) for c in cells] == [("sin", cfg.n_trials), ("const", cfg.n_trials)]
+        for cell in cells:
+            traces, ratios = reference_batch(cfg, art, 0.0, cell.kind, 1e308, True)
+            assert np.all(np.isinf(ratios)) and np.all(np.isinf(cell.ratios))
+            assert np.all(np.isinf(traces[:, -1]))
 
     def test_grid_failure_counts(self, heat_full):
         cfg, art = heat_full

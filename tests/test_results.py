@@ -1,0 +1,55 @@
+import os
+
+import numpy as np
+import pytest
+
+from enkfcontrol.config import heat_config, render_config
+from enkfcontrol.harness import BatchResult, GridCell
+from enkfcontrol.results import EmitError, ResultSet, TrialRow, emit_results
+
+
+def _text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _batch(offset):
+    t = np.array([0.0, 0.5])
+    return BatchResult(t=t, mean=t + offset, variance=np.zeros(2), ratios=np.ones(1), failures=0)
+
+
+class TestEmit:
+    def test_empty_result_set_writes_headers(self, tmp_path):
+        cfg = heat_config()
+        paths = emit_results(ResultSet(config=cfg), str(tmp_path))
+        assert [os.path.basename(p) for p in paths] == ["timeseries.csv", "heatmap.csv", "config.echo"]
+        assert _text(paths[0]) == "policy,t,mean,variance\n"
+        assert _text(paths[1]) == "kind,d0,lambda,mean_terminal_ratio\n"
+        assert _text(paths[2]) == render_config(cfg)
+        assert not os.path.exists(tmp_path / "trials.csv")
+
+    def test_empty_trials_still_writes_header(self, tmp_path):
+        paths = emit_results(ResultSet(config=heat_config(), trials=[]), str(tmp_path))
+        assert os.path.basename(paths[-1]) == "trials.csv"
+        assert _text(paths[-1]) == "policy,kind,d0,lambda,trial,terminal_ratio\n"
+
+    def test_rows_in_fixed_order_with_17_digits(self, tmp_path):
+        series = {"robust": _batch(0.1), "uncontrolled": _batch(0.2)}
+        cell = GridCell(kind="sin", d0=0.1, lam=0.2, mean_terminal_ratio=1 / 3, ratios=(1 / 3,), failures=0)
+        row = TrialRow(policy="robust", kind="sin", d0=0.1, lam=0.2, trial=0, terminal_ratio=np.inf)
+        results = ResultSet(config=heat_config(), timeseries=series, heatmap=[cell], trials=[row])
+        paths = emit_results(results, str(tmp_path))
+        assert _text(paths[0]).splitlines()[1:] == [
+            "uncontrolled,0,0.20000000000000001,0",
+            "uncontrolled,0.5,0.69999999999999996,0",
+            "robust,0,0.10000000000000001,0",
+            "robust,0.5,0.59999999999999998,0",
+        ]
+        assert _text(paths[1]).splitlines()[1] == "sin,0.10000000000000001,0.20000000000000001,0.33333333333333331"
+        assert _text(paths[3]).splitlines()[1] == "robust,sin,0.10000000000000001,0.20000000000000001,0,inf"
+
+    def test_unwritable_directory_raises(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(EmitError):
+            emit_results(ResultSet(config=heat_config()), str(blocker / "out"))

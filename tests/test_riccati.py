@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
+from enkfcontrol.config import heat_config
+from enkfcontrol.harness import build_full_simulator
 from enkfcontrol.riccati import (
     AssumptionError,
     LtiSystem,
@@ -46,6 +48,16 @@ class TestValidate:
 
     def test_good_system_passes(self):
         validate_system(scalar_system())
+
+    def test_uncontrollable_stable_mode_accepted(self):
+        # stabilizable, not controllable: the unactuated mode decays on its own
+        sys = LtiSystem(A=np.diag([-1.0, 1.0]), B=[[0.0], [1.0]], C=np.eye(2), R=[[1.0]])
+        validate_system(sys)
+
+    def test_uncontrollable_marginal_mode_rejected(self):
+        sys = LtiSystem(A=np.diag([0.0, -1.0]), B=[[0.0], [1.0]], C=np.eye(2), R=[[1.0]])
+        with pytest.raises(AssumptionError):
+            validate_system(sys)
 
 
 class TestDre:
@@ -105,6 +117,19 @@ class TestAre:
             assert np.allclose(P, P.T, atol=1e-10)
             assert np.min(np.linalg.eigvalsh(P)) > 0
             assert riccati_residual(sys, P) <= 1e-8 * max(1.0, np.linalg.norm(sys.Q, "fro"))
+
+    def test_paper_heat_system(self):
+        # periodic heat, p = 100, m = 8: not controllable, but stabilizable,
+        # as its one marginal mode (the constant) is actuated: 1'B != 0
+        cfg = heat_config()
+        sim = build_full_simulator(cfg)
+        sys = LtiSystem(A=sim.A, B=sim.control_matrix, C=np.eye(cfg.p), R=np.eye(cfg.m))
+        P = solve_are(sys)
+        assert np.array_equal(P, P.T)
+        assert np.min(np.linalg.eigvalsh(P)) > 0
+        assert riccati_residual(sys, P) <= 1e-8 * max(1.0, np.linalg.norm(sys.Q, "fro"))
+        P_ref = solve_continuous_are(sys.A, sys.B, sys.Q, sys.R)
+        assert np.linalg.norm(P - P_ref, "fro") <= 1e-9 * np.linalg.norm(P_ref, "fro")
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(23)
