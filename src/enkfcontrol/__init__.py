@@ -41,12 +41,14 @@ from .enkf import (
 )
 from .harness import (
     Artifacts,
-    BatchResult,
+    Case,
+    CaseResult,
     Rollout,
     build_artifacts,
     build_law,
-    run_grid,
-    run_policy_comparison,
+    grid_cases,
+    policy_cases,
+    run_cases,
     simulate_closed_loop,
 )
 from .pde import (

@@ -27,17 +27,16 @@ from .config import (
     load_config,
 )
 from .harness import (
+    POLICIES,
     Artifacts,
-    BatchResult,
     build_artifacts,
     build_full_simulator,
     fit_reduction,
-    run_grid,
-    run_policy_comparison,
-    simulate_closed_loop,
-    trial_initial_condition,
+    grid_cases,
+    policy_cases,
+    run_cases,
 )
-from .results import ResultSet, TrialRow, emit_results
+from .results import ResultSet, emit_results
 from .riccati import LtiSystem, lqr_gain, riccati_residual, solve_are
 
 GAIN_FILE = "gain.bundle"
@@ -86,20 +85,6 @@ def _load_artifacts(cfg: ExperimentConfig, args: argparse.Namespace) -> Artifact
     return build_artifacts(cfg, gain=gain, reduction=reduction)
 
 
-def _trial_rows(cfg, series: dict) -> list[TrialRow]:
-    rows = []
-    for policy, batch in series.items():
-        lam = {"uncontrolled": 0.0, "optimal": 0.0}.get(policy, cfg.lam)
-        for i, ratio in enumerate(batch.ratios):
-            rows.append(
-                TrialRow(
-                    policy=policy, kind=cfg.dist_kind, d0=cfg.d0,
-                    lam=lam, trial=i, terminal_ratio=float(ratio),
-                )
-            )
-    return rows
-
-
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     art = _load_artifacts(cfg, args)
@@ -131,33 +116,26 @@ def cmd_fit_dmdc(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     art = _load_artifacts(cfg, args)
-    policy = args.policy
-    lam = {"uncontrolled": 0.0, "optimal": 0.0, "robust": cfg.lam}[policy]
-    roll = simulate_closed_loop(
-        cfg, art, trial_initial_condition(cfg, 0), lam=lam, kinds=cfg.dist_kind,
-        d0=cfg.d0, controlled=policy != "uncontrolled",
+    case = policy_cases(cfg)[POLICIES.index(args.policy)]
+    series = run_cases(cfg, art, [case], n_trials=1)
+    emit_results(
+        ResultSet(config=cfg, timeseries=series, dump_trials=args.dump_trials), args.out
     )
-    batch = BatchResult(
-        t=roll.t, mean=roll.l2[0], variance=np.zeros_like(roll.l2[0]),
-        ratios=roll.ratios, failures=int(roll.failed[0]),
-    )
-    trials = _trial_rows(cfg, {policy: batch}) if args.dump_trials else None
-    emit_results(ResultSet(config=cfg, timeseries={policy: batch}, trials=trials), args.out)
-    print(f"{policy} trial terminal ratio: {batch.ratios[0]:.6g}")
+    print(f"{case.policy} trial terminal ratio: {series[0].ratios[0]:.6g}")
     return 0
 
 
 def cmd_batch(args) -> int:
     cfg = resolve_config(args)
     art = _load_artifacts(cfg, args)
-    series = run_policy_comparison(cfg, art)
-    trials = _trial_rows(cfg, series) if args.dump_trials else None
-    emit_results(ResultSet(config=cfg, timeseries=series, trials=trials), args.out)
-    for policy in ("uncontrolled", "optimal", "robust"):
-        batch = series[policy]
+    series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
+    emit_results(
+        ResultSet(config=cfg, timeseries=series, dump_trials=args.dump_trials), args.out
+    )
+    for res in series:
         print(
-            f"{policy}: mean terminal ratio {batch.mean_terminal_ratio:.6g}"
-            + (f" ({batch.failures} failed trials)" if batch.failures else "")
+            f"{res.case.policy}: mean terminal ratio {res.mean_terminal_ratio:.6g}"
+            + (f" ({res.failures} failed trials)" if res.failures else "")
         )
     return 0
 
@@ -167,16 +145,8 @@ def cmd_grid(args) -> int:
     lists = {"grid_d0": args.grid_d0, "grid_lambda": args.grid_lambda, "grid_kinds": args.grid_kinds}
     cfg = replace(cfg, **{f: tuple(v) for f, v in lists.items() if v}).validate()
     art = _load_artifacts(cfg, args)
-    cells = run_grid(cfg, art)
-    trials = None
-    if args.dump_trials:
-        trials = [
-            TrialRow(policy="robust", kind=c.kind, d0=c.d0, lam=c.lam,
-                     trial=i, terminal_ratio=r)
-            for c in cells
-            for i, r in enumerate(c.ratios)
-        ]
-    emit_results(ResultSet(config=cfg, heatmap=cells, trials=trials), args.out)
+    cells = run_cases(cfg, art, grid_cases(cfg), cfg.n_trials)
+    emit_results(ResultSet(config=cfg, heatmap=cells, dump_trials=args.dump_trials), args.out)
     print(f"grid: {len(cells)} cells -> {os.path.join(args.out, 'heatmap.csv')}")
     return 0
 
@@ -216,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="single closed-loop trajectory")
     _add_common_flags(p)
-    p.add_argument("--policy", choices=("uncontrolled", "optimal", "robust"),
-                   default="robust")
+    p.add_argument("--policy", choices=POLICIES, default="robust")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("batch", help="trial batch under the three policies")

@@ -6,9 +6,9 @@ The stabilizing part minimizes the control Hamiltonian
 
 where g(x) is the learned value gradient (P x).  For fixed x the Hamiltonian
 is an exact quadratic in u, so its minimizer can be written either in closed
-form -R^-1 b(x)' g(x) when the input matrix is known, or recovered exactly
+form -R^-1 B' g(x) when the input matrix is known, or recovered exactly
 from m+1 Hamiltonian evaluations when only the simulator is available.  The
-finite-difference identity evaluates to +R^-1 b' g, i.e. the negative of the
+finite-difference identity evaluates to +R^-1 B' g, i.e. the negative of the
 minimizer; the sign is corrected here so both branches coincide.
 
 The robust term opposes norm-bounded matched disturbances along the value
@@ -19,15 +19,15 @@ gradient:
 with B^+ the least-squares pseudo-inverse.  The regularization floor r trades
 asymptotic for practical stability (the state settles into the ball |g| < r
 instead of reaching the origin).  With unknown B the same least-squares
-problem is solved against an input matrix probed from the simulator.
+problem is solved against an input matrix probed from the simulator at the
+origin.
 
-The per-state functions above re-solve the law at every call.  When b(x) is
-a constant B (a linear-mode gain, or a known B) the law is a fixed linear
-feedback plus a normalized projection; :func:`compile_law` solves it once
-into matrices (K = R^-1 B' P, B^+, and the reduction Phi) and
-:class:`CompiledLaw` evaluates it for a whole stack of states.  The closed
-loop uses the compiled law whenever :func:`compilable` allows; a
-nonlinear-mode gain with a probed input matrix is evaluated per state.
+Every simulator enters the input as a constant B u, so the law is always a
+fixed linear feedback plus a normalized projection.  The per-state functions
+above re-solve it at every call and are the reference the tests compare
+against; :func:`compile_law` solves it once into matrices (K = R^-1 B' P,
+B^+, and the reduction Phi) and :class:`CompiledLaw` evaluates it for a
+whole stack of states.  The closed loop always uses the compiled law.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def hamiltonian(law: ControlLaw, x: np.ndarray, u: np.ndarray, sim: Simulator) -
 
 
 def estimate_b(sim: Simulator, x: np.ndarray, m: int) -> np.ndarray:
-    """Probe the input matrix b(x) columnwise: column j = S(x, e_j) - S(x, 0)."""
+    """Probe the input matrix B columnwise at x: column j = S(x, e_j) - S(x, 0)."""
     x = np.asarray(x, dtype=float)
     if m == 0:
         return np.zeros((x.shape[0], 0))
@@ -121,8 +121,8 @@ def estimate_b(sim: Simulator, x: np.ndarray, m: int) -> np.ndarray:
 def minimize_hamiltonian(law: ControlLaw, x: np.ndarray, sim: Simulator) -> np.ndarray:
     """Global minimizer of H(x, .).
 
-    Known-B branch: -R^-1 b' g.  Simulator-only branch: per-coordinate
-    Hamiltonian differences, negated (the raw identity yields +R^-1 b' g);
+    Known-B branch: -R^-1 B' g.  Simulator-only branch: per-coordinate
+    Hamiltonian differences, negated (the raw identity yields +R^-1 B' g);
     exact for the quadratic Hamiltonian, m+1 simulator calls.
     """
     x = np.asarray(x, dtype=float)
@@ -168,8 +168,7 @@ def robust_term(law: ControlLaw, x: np.ndarray, sim: Simulator) -> np.ndarray:
         _check_column_rank(B)
         v = np.linalg.solve(B.T @ B, B.T @ (g / r1))
     else:
-        x_probe = x if law.gain.mode == "nonlinear" else np.zeros_like(x)
-        B = estimate_b(sim, x_probe, sim.m)
+        B = estimate_b(sim, np.zeros_like(x), sim.m)
         _check_column_rank(B)
         v, *_ = np.linalg.lstsq(B, g / r1, rcond=None)
     return -lam * v
@@ -179,15 +178,6 @@ def robust_control(law: ControlLaw, z: np.ndarray, sim: Simulator) -> np.ndarray
     """Full control u = u_bar + u_d at state z (reduced first if applicable)."""
     x = reduce_state(law.reduction, z) if law.reduction is not None else np.asarray(z, dtype=float)
     return minimize_hamiltonian(law, x, sim) + robust_term(law, x, sim)
-
-
-def compilable(law: ControlLaw) -> bool:
-    """Whether the law is a fixed linear feedback plus a normalized projection.
-
-    It is unless b(x) may depend on the state: a nonlinear-mode gain whose
-    input matrix is only probed from the simulator.
-    """
-    return law.gain.mode == "linear" or law.b_access == "known"
 
 
 @dataclass(frozen=True)
@@ -219,11 +209,10 @@ class CompiledLaw:
 def compile_law(law: ControlLaw, sim: Simulator) -> CompiledLaw:
     """Solve the law once: B read from ``sim`` or probed from it at x = 0.
 
-    Requires :func:`compilable`; the probe at the origin is then exact, as in
-    :func:`robust_term`.  The law's own lambda is not compiled in.
+    The probe at the origin is exact for the constant B of every
+    :class:`Simulator`, as in :func:`robust_term`.  The law's own lambda is
+    not compiled in.
     """
-    if not compilable(law):
-        raise ValueError("a nonlinear-mode law with a probed input matrix cannot be compiled")
     if law.b_access == "known":
         B = sim.control_matrix
     else:

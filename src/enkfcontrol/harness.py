@@ -11,14 +11,15 @@ every disturbance level of a sweep.
 
 Closed-loop trials run batched: :func:`simulate_closed_loop` advances a
 (batch, p) stack of plant states with one RK4 step per time step, each row
-carrying its own lambda, disturbance and controlled flag.  A verb makes one
-call: ``batch`` stacks its three policies x n_trials, ``grid`` all its cells
-x n_trials, ``simulate`` a single row.  The control law is compiled once into
-matrices (:func:`controller.compile_law`) unless its input matrix may depend
-on the state; then each row evaluates :func:`controller.robust_control`.  A
-row whose state or L2 norm turns non-finite is masked, reading inf from that
-step on, while the other rows carry on.  Rows agree with a one-trajectory-at-a-time loop to
-rounding (matrix products over the stack instead of matrix-vector ones).
+carrying its own lambda, disturbance and controlled flag.  Every verb states
+its trials as a list of :class:`Case` (``batch``: the three policies,
+``grid``: one robust case per cell, ``simulate``: one case of one trial) and
+:func:`run_cases` runs all cases x trials as one stack.  The control law is
+compiled once into matrices (:func:`controller.compile_law`) and serves every
+row.  A row whose state or L2 norm turns non-finite is masked, reading inf
+from that step on, while the other rows carry on.  Rows agree with a
+one-trajectory-at-a-time loop to rounding (matrix products over the stack
+instead of matrix-vector ones).
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ import numpy as np
 
 from . import dmdc as dmdc_mod
 from .config import ExperimentConfig
-from .controller import (
-    ControlLaw,
-    RankDeficientError,
-    RobustConfig,
-    Weights,
-    compilable,
-    compile_law,
-    robust_control,
-)
+from .controller import ControlLaw, RobustConfig, Weights, compile_law
 from .enkf import (
     DivergenceError,
     EnkfConfig,
@@ -66,21 +59,6 @@ _TAG_TRIALS = 2
 
 class HarnessError(RuntimeError):
     pass
-
-
-@dataclass
-class BatchResult:
-    """Pointwise mean/variance of the L2 traces plus per-trial terminal ratios."""
-
-    t: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    ratios: np.ndarray
-    failures: int
-
-    @property
-    def mean_terminal_ratio(self) -> float:
-        return float(np.mean(self.ratios))
 
 
 @dataclass
@@ -187,17 +165,22 @@ def _train_gain(cfg: ExperimentConfig, design_sim: Simulator) -> GainApprox:
     T, dt = _enkf_step_burgers(cfg)
     sqrt_q = np.sqrt(cfg.q)
     obs = lambda Y: sqrt_q * Y
-    last_exc: Exception | None = None
     for attempt in range(5):
+        step = dt / 2**attempt
         enkf_cfg = EnkfConfig(
-            N=cfg.enkf_particles, T=T, dt=dt / 2**attempt, S_T=S_T, seed=cfg.seed,
+            N=cfg.enkf_particles, T=T, dt=step, S_T=S_T, seed=cfg.seed,
             innovation=cfg.innovation, drift="rk4",
         )
         try:
             return run_dual_enkf_nonlinear(design_sim, obs, R, enkf_cfg, _rng(cfg, _TAG_ENKF, attempt))
         except DivergenceError as exc:
-            last_exc = exc
-    raise HarnessError(f"ensemble training diverged at the smallest step tried: {last_exc}")
+            diverged_at = exc.t
+    raise HarnessError(
+        f"ensemble training on the full Burgers state diverged at t={diverged_at:g} "
+        f"(integrating back from T={T:g}), also at the smallest step tried, dt={step:g}; "
+        "train on the reduced model with --model dmdc, or set a smaller [enkf] dt "
+        "in a --config file"
+    )
 
 
 def build_artifacts(
@@ -253,32 +236,11 @@ def build_law(cfg: ExperimentConfig, art: Artifacts, lam: float) -> ControlLaw:
 
 
 def _feedback(cfg: ExperimentConfig, art: Artifacts, lam: np.ndarray):
-    """Z -> controls of the rows of Z, row i under lambda lam[i].
-
-    A law that :func:`compilable` accepts is compiled once for every row;
-    otherwise each row evaluates :func:`robust_control` for its lambda.  A
-    row whose probed input matrix loses rank (finite differences at a state
-    on its way to blow-up) gets a NaN control, so it fails as a trial.
-    """
-    law = build_law(cfg, art, 0.0)
-    if compilable(law):
-        compiled = compile_law(law, art.design_sim)
-        by_lam = {v: _lambda_state(cfg, art, v) for v in set(lam.tolist())}
-        lam_state = np.array([by_lam[v] for v in lam.tolist()])
-        return lambda Z: compiled(Z, lam_state)
-    by_lam = {v: build_law(cfg, art, v) for v in set(lam.tolist())}
-    laws = [by_lam[v] for v in lam.tolist()]
-
-    def per_row(Z):
-        U = np.full((len(Z), cfg.m), np.nan)
-        for i, (row_law, z) in enumerate(zip(laws, Z)):
-            try:
-                U[i] = robust_control(row_law, z, art.design_sim)
-            except RankDeficientError:
-                pass
-        return U
-
-    return per_row
+    """Z -> controls of the rows of Z, row i under lambda lam[i]."""
+    compiled = compile_law(build_law(cfg, art, 0.0), art.design_sim)
+    by_lam = {v: _lambda_state(cfg, art, v) for v in set(lam.tolist())}
+    lam_state = np.array([by_lam[v] for v in lam.tolist()])
+    return lambda Z: compiled(Z, lam_state)
 
 
 @dataclass
@@ -289,19 +251,6 @@ class Rollout:
     l2: np.ndarray  # (batch, n_steps + 1)
     ratios: np.ndarray
     failed: np.ndarray  # bool per row
-
-    def batch(self, rows: slice) -> BatchResult:
-        """Pointwise statistics and ratios of a block of rows."""
-        traces = self.l2[rows]
-        with np.errstate(invalid="ignore"):  # inf - inf in a blown-up column
-            variance = traces.var(axis=0)
-        return BatchResult(
-            t=self.t,
-            mean=traces.mean(axis=0),
-            variance=variance,
-            ratios=self.ratios[rows],
-            failures=int(np.sum(self.failed[rows])),
-        )
 
 
 def simulate_closed_loop(
@@ -365,73 +314,73 @@ def trial_initial_condition(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     return sample_initial_condition(_rng(cfg, _TAG_TRIALS, trial), grid_of(cfg))
 
 
-def _trial_stack(cfg: ExperimentConfig, repeats: int) -> np.ndarray:
-    """The n_trials initial conditions, the whole set repeated ``repeats`` times."""
-    Z0 = np.array([trial_initial_condition(cfg, i) for i in range(cfg.n_trials)])
-    return np.tile(Z0, (repeats, 1))
-
-
-def run_policy_comparison(
-    cfg: ExperimentConfig, art: Artifacts
-) -> dict[str, BatchResult]:
-    """The three named policies on paired trials: uncontrolled, optimal, robust.
-
-    All 3 x n_trials trajectories run as one stack.
-    """
-    n = cfg.n_trials
-    lam = {"uncontrolled": 0.0, "optimal": 0.0, "robust": cfg.lam}
-    roll = simulate_closed_loop(
-        cfg, art, _trial_stack(cfg, len(POLICIES)),
-        lam=np.repeat([lam[p] for p in POLICIES], n),
-        kinds=cfg.dist_kind,
-        d0=cfg.d0,
-        controlled=np.repeat([p != "uncontrolled" for p in POLICIES], n),
-    )
-    return {p: roll.batch(slice(i * n, (i + 1) * n)) for i, p in enumerate(POLICIES)}
-
-
 @dataclass(frozen=True)
-class GridCell:
+class Case:
+    """One block of paired trials: a policy under one disturbance and lambda."""
+
+    policy: str
     kind: str
     d0: float
     lam: float
-    mean_terminal_ratio: float
-    ratios: tuple[float, ...]
+
+
+@dataclass
+class CaseResult:
+    """Pointwise mean/variance of a case's L2 traces plus per-trial terminal ratios."""
+
+    case: Case
+    t: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+    ratios: np.ndarray
     failures: int
 
+    @property
+    def mean_terminal_ratio(self) -> float:
+        return float(np.mean(self.ratios))
 
-def run_grid(cfg: ExperimentConfig, art: Artifacts) -> list[GridCell]:
-    """Mean terminal ratio per (kind, d0, lambda) cell of the configured grid.
 
-    Training happened once (disturbance-free), so every cell shares the gain
-    and all cells x n_trials trajectories run as one stack.
-    """
+def policy_cases(cfg: ExperimentConfig) -> list[Case]:
+    """The three named policies under the configured disturbance."""
+    return [
+        Case(p, cfg.dist_kind, cfg.d0, cfg.lam if p == "robust" else 0.0) for p in POLICIES
+    ]
+
+
+def grid_cases(cfg: ExperimentConfig) -> list[Case]:
+    """One robust case per (kind, d0, lambda) cell of the configured grid."""
     cases = [
-        (kind, d0, lam)
+        Case("robust", kind, d0, lam)
         for kind in cfg.grid_kinds for d0 in cfg.grid_d0 for lam in cfg.grid_lambda
     ]
     if not cases:
         raise HarnessError("grid lists must be nonempty")
-    n = cfg.n_trials
-    kinds, d0s, lams = zip(*cases)
+    return cases
+
+
+def run_cases(
+    cfg: ExperimentConfig, art: Artifacts, cases: list[Case], n_trials: int
+) -> list[CaseResult]:
+    """Trials 0..n_trials-1 of every case, paired across cases, as one stack.
+
+    Training happened once (disturbance-free), so every case shares the gain.
+    """
+    Z0 = np.array([trial_initial_condition(cfg, i) for i in range(n_trials)])
     roll = simulate_closed_loop(
-        cfg, art, _trial_stack(cfg, len(cases)),
-        lam=np.repeat(lams, n),
-        kinds=np.repeat(kinds, n),
-        d0=np.repeat(d0s, n),
-        controlled=True,
+        cfg, art, np.tile(Z0, (len(cases), 1)),
+        lam=np.repeat([c.lam for c in cases], n_trials),
+        kinds=np.repeat([c.kind for c in cases], n_trials),
+        d0=np.repeat([c.d0 for c in cases], n_trials),
+        controlled=np.repeat([c.policy != "uncontrolled" for c in cases], n_trials),
     )
-    cells = []
-    for i, (kind, d0, lam) in enumerate(cases):
-        batch = roll.batch(slice(i * n, (i + 1) * n))
-        cells.append(
-            GridCell(
-                kind=kind,
-                d0=d0,
-                lam=lam,
-                mean_terminal_ratio=batch.mean_terminal_ratio,
-                ratios=tuple(batch.ratios),
-                failures=batch.failures,
-            )
-        )
-    return cells
+    results = []
+    for i, case in enumerate(cases):
+        rows = slice(i * n_trials, (i + 1) * n_trials)
+        traces = roll.l2[rows]
+        with np.errstate(invalid="ignore"):  # inf - inf in a blown-up column
+            variance = traces.var(axis=0)
+        results.append(CaseResult(
+            case=case, t=roll.t, mean=traces.mean(axis=0), variance=variance,
+            ratios=roll.ratios[rows], failures=int(np.sum(roll.failed[rows])),
+        ))
+    return results

@@ -73,30 +73,32 @@ def _check_bc(bc: str) -> None:
         raise ValueError(f"unknown boundary condition {bc!r}")
 
 
+def _neighbours(z: np.ndarray, bc: str) -> tuple[np.ndarray, np.ndarray]:
+    """(z_{i+1}, z_{i-1}) along the last axis, built by slicing.
+
+    Periodic boundaries wrap around; Dirichlet ghost cells mirror with a sign
+    flip, so the wall value interpolates to 0.
+    """
+    _check_bc(bc)
+    if bc == "periodic":
+        after, before = z[..., :1], z[..., -1:]
+    else:
+        after, before = -z[..., -1:], -z[..., :1]
+    return (
+        np.concatenate((z[..., 1:], after), axis=-1),
+        np.concatenate((before, z[..., :-1]), axis=-1),
+    )
+
+
 def first_difference(z: np.ndarray, grid: GridSpec, bc: str = "periodic") -> np.ndarray:
     """Central first difference (z_{i+1} - z_{i-1}) / (2 dy) along the last axis."""
-    _check_bc(bc)
-    zp = np.roll(z, -1, axis=-1)
-    zm = np.roll(z, 1, axis=-1)
-    if bc == "dirichlet":
-        # ghost cells mirror with sign flip so the wall value interpolates to 0
-        zp = zp.copy()
-        zm = zm.copy()
-        zp[..., -1] = -z[..., -1]
-        zm[..., 0] = -z[..., 0]
+    zp, zm = _neighbours(z, bc)
     return (zp - zm) / (2.0 * grid.dy)
 
 
 def second_difference(z: np.ndarray, grid: GridSpec, bc: str = "periodic") -> np.ndarray:
     """Second difference (z_{i+1} - 2 z_i + z_{i-1}) / dy^2 along the last axis."""
-    _check_bc(bc)
-    zp = np.roll(z, -1, axis=-1)
-    zm = np.roll(z, 1, axis=-1)
-    if bc == "dirichlet":
-        zp = zp.copy()
-        zm = zm.copy()
-        zp[..., -1] = -z[..., -1]
-        zm[..., 0] = -z[..., 0]
+    zp, zm = _neighbours(z, bc)
     return (zp - 2.0 * z + zm) / grid.dy**2
 
 
@@ -136,12 +138,14 @@ def burgers_rhs(
 
 
 class Simulator:
-    """Black-box evaluator of an affine-in-control system dx/dt = a(x) + b(x) u.
+    """Black-box evaluator of an affine-in-control system dx/dt = a(x) + B u.
 
     Subclasses implement :meth:`rhs` for one state or a stack of states (rows
-    of x, with the inputs as rows of u); the input coupling must be linear in
-    u for every fixed x.  ``b_disclosed`` states whether callers may read
-    :attr:`control_matrix`; model-free algorithms must work with it False.
+    of x, with the inputs as rows of u).  The input matrix B is constant: it
+    does not depend on x, so probing it once (at the origin) from ``rhs``
+    recovers it exactly, and the control law is compiled on that contract.
+    ``b_disclosed`` states whether callers may read :attr:`control_matrix`;
+    model-free algorithms must work with it False.
     """
 
     n: int

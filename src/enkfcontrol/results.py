@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 from .config import ExperimentConfig, _fmt, render_config
-from .harness import POLICIES, BatchResult, GridCell
+from .harness import POLICIES, CaseResult
 
 
 class EmitError(RuntimeError):
@@ -22,23 +22,18 @@ class EmitError(RuntimeError):
 
 
 @dataclass
-class TrialRow:
-    policy: str
-    kind: str
-    d0: float
-    lam: float
-    trial: int
-    terminal_ratio: float
-
-
-@dataclass
 class ResultSet:
-    """Everything one CLI run wants written to disk."""
+    """Everything one CLI run wants written to disk.
+
+    ``timeseries`` holds policy cases (written in :data:`POLICIES` order),
+    ``heatmap`` grid cells; with ``dump_trials`` every trial of both is
+    written to trials.csv.
+    """
 
     config: ExperimentConfig
-    timeseries: dict[str, BatchResult] = field(default_factory=dict)
-    heatmap: list[GridCell] = field(default_factory=list)
-    trials: list[TrialRow] | None = None
+    timeseries: list[CaseResult] = field(default_factory=list)
+    heatmap: list[CaseResult] = field(default_factory=list)
+    dump_trials: bool = False
 
 
 def _write(path: str, lines: list[str]) -> None:
@@ -49,38 +44,36 @@ def _write(path: str, lines: list[str]) -> None:
         raise EmitError(f"cannot write {path}: {exc}") from exc
 
 
-def timeseries_lines(series: dict[str, BatchResult]) -> list[str]:
+def timeseries_lines(series: list[CaseResult]) -> list[str]:
     lines = ["policy,t,mean,variance"]
-    for policy in (p for p in POLICIES if p in series):
-        batch = series[policy]
-        for t, mean, var in zip(batch.t, batch.mean, batch.variance):
-            lines.append(f"{policy},{_fmt(t)},{_fmt(mean)},{_fmt(var)}")
+    for res in series:
+        for t, mean, var in zip(res.t, res.mean, res.variance):
+            lines.append(f"{res.case.policy},{_fmt(t)},{_fmt(mean)},{_fmt(var)}")
     return lines
 
 
-def heatmap_lines(cells: list[GridCell]) -> list[str]:
+def heatmap_lines(cells: list[CaseResult]) -> list[str]:
     lines = ["kind,d0,lambda,mean_terminal_ratio"]
     for cell in cells:
-        lines.append(
-            f"{cell.kind},{_fmt(cell.d0)},{_fmt(cell.lam)},{_fmt(cell.mean_terminal_ratio)}"
-        )
+        c = cell.case
+        lines.append(f"{c.kind},{_fmt(c.d0)},{_fmt(c.lam)},{_fmt(cell.mean_terminal_ratio)}")
     return lines
 
 
-def trials_lines(rows: list[TrialRow]) -> list[str]:
+def trials_lines(results: list[CaseResult]) -> list[str]:
     lines = ["policy,kind,d0,lambda,trial,terminal_ratio"]
-    for r in rows:
-        lines.append(
-            f"{r.policy},{r.kind},{_fmt(r.d0)},{_fmt(r.lam)},{r.trial},{_fmt(r.terminal_ratio)}"
-        )
+    for res in results:
+        c = res.case
+        for i, ratio in enumerate(res.ratios):
+            lines.append(f"{c.policy},{c.kind},{_fmt(c.d0)},{_fmt(c.lam)},{i},{_fmt(ratio)}")
     return lines
 
 
 def emit_results(results: ResultSet, out_dir: str) -> list[str]:
     """Write timeseries.csv, heatmap.csv and config.echo (plus trials.csv).
 
-    Returns the list of paths written.  trials.csv is only written when the
-    result set carries per-trial rows (the --dump-trials path).
+    Returns the list of paths written.  trials.csv is only written with
+    ``dump_trials`` (the --dump-trials path).
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -88,8 +81,9 @@ def emit_results(results: ResultSet, out_dir: str) -> list[str]:
         raise EmitError(f"cannot create output directory {out_dir}: {exc}") from exc
     paths = []
 
+    series = sorted(results.timeseries, key=lambda r: POLICIES.index(r.case.policy))
     path = os.path.join(out_dir, "timeseries.csv")
-    _write(path, timeseries_lines(results.timeseries))
+    _write(path, timeseries_lines(series))
     paths.append(path)
 
     path = os.path.join(out_dir, "heatmap.csv")
@@ -100,8 +94,8 @@ def emit_results(results: ResultSet, out_dir: str) -> list[str]:
     _write(path, render_config(results.config).splitlines())
     paths.append(path)
 
-    if results.trials is not None:
+    if results.dump_trials:
         path = os.path.join(out_dir, "trials.csv")
-        _write(path, trials_lines(results.trials))
+        _write(path, trials_lines(series + results.heatmap))
         paths.append(path)
     return paths

@@ -1,9 +1,11 @@
 import os
 
+import numpy as np
 import pytest
 
+from enkfcontrol import harness
 from enkfcontrol.cli import main
-from enkfcontrol.config import load_config
+from enkfcontrol.config import default_config, load_config
 
 SMALL = """\
 [experiment]
@@ -96,7 +98,44 @@ class TestGridEcho:
         for name in ("heatmap.csv", "config.echo"):
             assert _read(os.path.join(again, name)) == _read(os.path.join(out, name))
 
+    def test_dump_trials_rows_follow_the_heat_map(self, small_cfg, tmp_path, capsys):
+        out = str(tmp_path / "grid")
+        argv = ["grid", "--config", small_cfg, "--out", out, "--dump-trials",
+                "--grid-d0", "0.0", "0.05", "--grid-lambda", "0.0", "0.2",
+                "--grid-kinds", "sin", "const"]
+        assert main(argv) == 0
+        cells = [row.split(",") for row in _read(os.path.join(out, "heatmap.csv")).decode().splitlines()[1:]]
+        rows = [row.split(",") for row in _read(os.path.join(out, "trials.csv")).decode().splitlines()[1:]]
+        n_trials = 2
+        assert len(cells) == 2 * 2 * 2
+        assert len(rows) == len(cells) * n_trials
+        for i, (policy, kind, d0, lam, trial, _) in enumerate(rows):
+            assert policy == "robust"
+            assert [kind, d0, lam] == cells[i // n_trials][:3]
+            assert trial == str(i % n_trials)
+        for j, cell in enumerate(cells):
+            ratios = [float(r[-1]) for r in rows[j * n_trials:(j + 1) * n_trials]]
+            assert float(cell[-1]) == pytest.approx(np.mean(ratios), rel=1e-15)
+
     def test_bad_grid_flag_fails_fast(self, small_cfg, tmp_path, capsys):
         out = str(tmp_path / "bad")
         assert main(["grid", "--config", small_cfg, "--out", out, "--grid-d0", "-1"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestBurgersTrain:
+    def test_divergence_names_the_fixes(self, tmp_path, capsys):
+        out = str(tmp_path / "burgers")
+        argv = ["train", "--pde", "burgers", "--p", "32", "--m", "4", "--particles", "200",
+                "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        T, dt = harness._enkf_step_burgers(
+            default_config("burgers", p=32, m=4, enkf_particles=200)
+        )
+        # when it diverged, the smallest step tried, and what to change
+        assert "diverged at t=" in err and f"T={T:g}" in err
+        assert f"dt={dt / 16:g}" in err
+        assert "--model dmdc" in err and "[enkf] dt" in err
+        assert not os.path.exists(os.path.join(out, "gain.bundle"))

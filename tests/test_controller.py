@@ -6,7 +6,6 @@ from enkfcontrol.controller import (
     RankDeficientError,
     RobustConfig,
     Weights,
-    compilable,
     compile_law,
     estimate_b,
     hamiltonian,
@@ -306,12 +305,23 @@ class TestCompiledLaw:
         with pytest.raises(RankDeficientError):
             compile_law(law, sim)
 
-    def test_state_dependent_input_matrix_not_compiled(self):
-        law = make_law(np.eye(2), np.eye(2), np.eye(2), b_access="simulator", mode="nonlinear")
-        assert not compilable(law)
-        assert compilable(make_law(np.eye(2), np.eye(2), np.eye(2), mode="nonlinear"))
-        with pytest.raises(ValueError):
-            compile_law(law, LinearSimulator(-np.eye(2), np.eye(2)))
+    def test_nonlinear_gain_with_probed_b_compiles(self):
+        # Burgers enters the input as a constant B u, so B probed at the origin
+        # serves every state
+        p, m = 12, 3
+        sim = BurgersSimulator(GridSpec(p=p), 0.01, m)
+        rng = np.random.default_rng(16)
+        M = rng.normal(size=(p, p))
+        P = np.eye(p) + M @ M.T / p
+        Z = rng.normal(size=(5, p))
+        lam = np.array([0.0, 0.5, 1.0, 0.5, 2.0])
+        law = make_law(P, np.eye(p), np.eye(m), b_access="simulator", mode="nonlinear")
+        U = compile_law(law, sim)(Z, lam)
+        for z, lam_i, u in zip(Z, lam, U):
+            row_law = make_law(
+                P, np.eye(p), np.eye(m), lam=lam_i, b_access="simulator", mode="nonlinear"
+            )
+            np.testing.assert_allclose(u, robust_control(row_law, z, sim), rtol=1e-12, atol=0)
 
 
 class TestLyapunovDecrease:
@@ -328,8 +338,9 @@ class TestLyapunovDecrease:
             P = solve_are(sys)
             lam = 0.5
             r = 0.05
-            law = make_law(P, np.eye(n), np.eye(n), lam=lam, r=r)
             sim = LinearSimulator(A, B)
+            compiled = compile_law(make_law(P, np.eye(n), np.eye(n), r=r), sim)
+            lam_row = np.array([lam])
 
             # adversarial matched disturbance of norm 0.9*lambda enters the
             # state equation directly, aligned with the value gradient
@@ -345,7 +356,7 @@ class TestLyapunovDecrease:
             entered = False
             ok = True
             for k in range(8000):
-                u = robust_control(law, x, sim)
+                u = compiled(x[None], lam_row)[0]
                 x = x + dt * (sim.rhs(x, u) + disturbance(x))
                 V = 0.5 * x @ P @ x
                 if not entered:

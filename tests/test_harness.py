@@ -2,9 +2,9 @@
 
 The reference advances one state at a time with the per-state law
 (``robust_control``) and ``rk4_step``, stopping a trajectory at its first
-state that is non-finite or has a non-finite L2 norm.  A row whose probed
-input matrix loses rank gets a NaN control and so fails at that step.  The batched engine evaluates the same arithmetic as
-matrix products over the whole stack, so the two agree to rounding.
+state that is non-finite or has a non-finite L2 norm.  The batched engine
+evaluates the same arithmetic with the compiled law, as matrix products over
+the whole stack, so the two agree to rounding.
 """
 
 from dataclasses import replace
@@ -14,7 +14,7 @@ import pytest
 
 from enkfcontrol import controller
 from enkfcontrol.config import burgers_config, heat_config
-from enkfcontrol.controller import RankDeficientError, robust_control
+from enkfcontrol.controller import robust_control
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.harness import (
     POLICIES,
@@ -23,9 +23,10 @@ from enkfcontrol.harness import (
     build_full_simulator,
     build_law,
     fit_reduction,
+    grid_cases,
     grid_of,
-    run_grid,
-    run_policy_comparison,
+    policy_cases,
+    run_cases,
     simulate_closed_loop,
     trial_initial_condition,
 )
@@ -53,12 +54,7 @@ def reference(cfg, art, z0, lam, kind, d0, controlled):
     failed = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            u = np.zeros(cfg.m)
-            if law is not None:
-                try:
-                    u = robust_control(law, z, art.design_sim)
-                except RankDeficientError:
-                    u = np.full(cfg.m, np.nan)
+            u = robust_control(law, z, art.design_sim) if law is not None else np.zeros(cfg.m)
             d = d0 * {"sin": np.sin(t[k]), "const": 1.0, "none": 0.0}[kind] * w
             z = rk4_step(art.sim, z, u + d, cfg.dt_sim)
             norm = l2_norm(z, grid)
@@ -77,6 +73,16 @@ def reference_batch(cfg, art, lam, kind, d0, controlled):
         for i in range(cfg.n_trials)
     ]
     return np.array([l2 for l2, _ in runs]), np.array([r for _, r in runs])
+
+
+def count_probes(monkeypatch) -> list:
+    """Record every call of ``controller.estimate_b`` from here on."""
+    probes = []
+    estimate_b = controller.estimate_b
+    monkeypatch.setattr(
+        controller, "estimate_b", lambda *a: probes.append(a) or estimate_b(*a)
+    )
+    return probes
 
 
 @pytest.fixture(scope="module")
@@ -102,18 +108,19 @@ def heat_dmdc_sim():
 class TestAgainstReference:
     def test_heat_full_known_b_batch(self, heat_full):
         cfg, art = heat_full
-        series = run_policy_comparison(cfg, art)
-        assert list(series) == list(POLICIES)
-        for policy, batch in series.items():
-            lam = cfg.lam if policy == "robust" else 0.0
+        series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
+        assert [res.case.policy for res in series] == list(POLICIES)
+        for res in series:
+            lam = cfg.lam if res.case.policy == "robust" else 0.0
+            assert res.case.lam == lam
             traces, ratios = reference_batch(
-                cfg, art, lam, cfg.dist_kind, cfg.d0, policy != "uncontrolled"
+                cfg, art, lam, cfg.dist_kind, cfg.d0, res.case.policy != "uncontrolled"
             )
-            np.testing.assert_allclose(batch.ratios, ratios, rtol=RTOL, atol=0)
-            np.testing.assert_allclose(batch.mean, traces.mean(axis=0), rtol=RTOL, atol=0)
-            assert batch.failures == 0
+            np.testing.assert_allclose(res.ratios, ratios, rtol=RTOL, atol=0)
+            np.testing.assert_allclose(res.mean, traces.mean(axis=0), rtol=RTOL, atol=0)
+            assert res.failures == 0
         # the three policies differ, so the rows really were assigned per policy
-        means = [series[p].mean_terminal_ratio for p in POLICIES]
+        means = [res.mean_terminal_ratio for res in series]
         assert len(set(means)) == 3
 
     def test_heat_full_traces(self, heat_full):
@@ -130,46 +137,44 @@ class TestAgainstReference:
 
     def test_heat_dmdc_simulator_b_grid(self, heat_dmdc_sim, monkeypatch):
         cfg, art = heat_dmdc_sim
-        probes = []
-        estimate_b = controller.estimate_b
-        monkeypatch.setattr(
-            controller, "estimate_b", lambda *a: probes.append(a) or estimate_b(*a)
-        )
-        cells = run_grid(cfg, art)
+        probes = count_probes(monkeypatch)
+        cells = run_cases(cfg, art, grid_cases(cfg), cfg.n_trials)
         assert len(probes) == 1  # B probed once, when the law is compiled
-        assert [(c.kind, c.d0, c.lam) for c in cells] == [
-            (k, d0, lam) for k in cfg.grid_kinds for d0 in cfg.grid_d0 for lam in cfg.grid_lambda
+        assert [(c.case.policy, c.case.kind, c.case.d0, c.case.lam) for c in cells] == [
+            ("robust", k, d0, lam)
+            for k in cfg.grid_kinds for d0 in cfg.grid_d0 for lam in cfg.grid_lambda
         ]
         for cell in cells:
-            _, ratios = reference_batch(cfg, art, cell.lam, cell.kind, cell.d0, True)
+            c = cell.case
+            _, ratios = reference_batch(cfg, art, c.lam, c.kind, c.d0, True)
             np.testing.assert_allclose(cell.ratios, ratios, rtol=RTOL, atol=0)
             assert cell.mean_terminal_ratio == pytest.approx(np.mean(ratios), rel=RTOL)
             assert cell.failures == 0
 
-    def test_burgers_nonlinear_simulator_b_row_by_row(self):
-        # b(x) may depend on x: the law is evaluated per row, not compiled
+    def test_burgers_nonlinear_simulator_b_row_by_row(self, monkeypatch):
+        # a nonlinear-mode gain with a probed B compiles like any other: the
+        # Burgers input matrix is constant, so one probe at the origin serves
+        # every row, and each row matches the per-state law row by row
         cfg = burgers_config(p=16, m=4, n_trials=2, T_sim=0.01, b_access="simulator")
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3, mode="nonlinear"))
-        assert not controller.compilable(build_law(cfg, art, cfg.lam))
-        series = run_policy_comparison(cfg, art)
-        for policy in ("optimal", "robust"):
-            lam = cfg.lam if policy == "robust" else 0.0
-            traces, ratios = reference_batch(cfg, art, lam, cfg.dist_kind, cfg.d0, True)
-            np.testing.assert_allclose(series[policy].ratios, ratios, rtol=RTOL, atol=0)
-            np.testing.assert_allclose(series[policy].mean, traces.mean(axis=0), rtol=RTOL, atol=0)
+        probes = count_probes(monkeypatch)
+        series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
+        assert len(probes) == 1
+        for res in series[1:]:
+            traces, ratios = reference_batch(cfg, art, res.case.lam, cfg.dist_kind, cfg.d0, True)
+            np.testing.assert_allclose(res.ratios, ratios, rtol=RTOL, atol=0)
+            np.testing.assert_allclose(res.mean, traces.mean(axis=0), rtol=RTOL, atol=0)
 
 
 class TestBlowUp:
-    @pytest.mark.parametrize("mode,b_access", [("linear", "auto"), ("nonlinear", "simulator")])
+    @pytest.mark.parametrize("mode,b_access", [("linear", "auto")])
     def test_mask_isolates_blown_up_rows(self, mode, b_access):
-        # compiled law, and the per-row law that must never see a blown-up state
         cfg = burgers_config(p=32, m=4, n_trials=2, T_sim=0.05, b_access=b_access)
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 4, mode=mode))
         z = trial_initial_condition(cfg, 0)
         # (z0, lambda, controlled, d0): the 130x bump steepens until explicit
         # RK4 blows up a few steps in; a constant d0 = 1e308 overflows step one.
-        # Under control the bump fails too; with a probed B the finite
-        # differences at the steepened state lose an input column first.
+        # Under control the bump fails too.
         rows = [(z, 0.2, True, 0.0), (130.0 * z, 0.0, False, 0.0), (z, 0.0, False, 0.0),
                 (z, 0.2, True, 1e308), (130.0 * z, 0.2, True, 0.0)]
         Z0, lam, ctrl, d0 = (np.array(col) for col in zip(*rows))
@@ -195,24 +200,28 @@ class TestBlowUp:
         # norm; under a constant shape the state itself overflows
         cfg, art = heat_full
         overflow = replace(cfg, grid_d0=(1e308,), grid_lambda=(0.0,), grid_kinds=("sin", "const"))
-        cells = run_grid(overflow, art)
-        assert [(c.kind, c.failures) for c in cells] == [("sin", cfg.n_trials), ("const", cfg.n_trials)]
+        cells = run_cases(overflow, art, grid_cases(overflow), cfg.n_trials)
+        assert [(c.case.kind, c.failures) for c in cells] == [("sin", cfg.n_trials), ("const", cfg.n_trials)]
         for cell in cells:
-            traces, ratios = reference_batch(cfg, art, 0.0, cell.kind, 1e308, True)
+            traces, ratios = reference_batch(cfg, art, 0.0, cell.case.kind, 1e308, True)
             assert np.all(np.isinf(ratios)) and np.all(np.isinf(cell.ratios))
             assert np.all(np.isinf(traces[:, -1]))
 
     def test_grid_failure_counts(self, heat_full):
         cfg, art = heat_full
         # a constant d0 = 1e308 overflows the first RK4 step of every trial of its cells
-        blown = run_grid(replace(cfg, grid_d0=(0.1, 1e308), grid_kinds=("const",)), art)
-        clean = run_grid(replace(cfg, grid_d0=(0.1,), grid_kinds=("const",)), art)
+        def grid(**lists):
+            sweep = replace(cfg, **lists)
+            return run_cases(sweep, art, grid_cases(sweep), cfg.n_trials)
+
+        blown = grid(grid_d0=(0.1, 1e308), grid_kinds=("const",))
+        clean = grid(grid_d0=(0.1,), grid_kinds=("const",))
         for cell in blown:
-            if cell.d0 == 1e308:
+            if cell.case.d0 == 1e308:
                 assert cell.failures == cfg.n_trials
                 assert cell.mean_terminal_ratio == np.inf
                 assert all(r == np.inf for r in cell.ratios)
-        survivors = [c for c in blown if c.d0 != 1e308]
+        survivors = [c for c in blown if c.case.d0 != 1e308]
         assert len(survivors) == len(clean) == 2
         for got, want in zip(survivors, clean):
             assert got.failures == 0
@@ -240,8 +249,9 @@ class TestDeterminism:
 
     def test_policies_share_initial_conditions(self, heat_full):
         cfg, art = heat_full
-        series = run_policy_comparison(cfg, art)
-        starts = {p: series[p].mean[0] for p in POLICIES}
+        series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
+        starts = {res.case.policy: res.mean[0] for res in series}
+        assert list(starts) == list(POLICIES)
         assert len(set(starts.values())) == 1
 
 

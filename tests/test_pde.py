@@ -9,6 +9,7 @@ from enkfcontrol.pde import (
     LinearSimulator,
     build_control_matrix,
     burgers_rhs,
+    first_difference,
     l2_norm,
     rk4_step,
     sample_initial_condition,
@@ -243,6 +244,17 @@ class TestDirichlet:
         xs = rk4_run(sim, z0, np.zeros(2), 1e-3, 200)
         norms = [l2_norm(x, grid) for x in xs]
         assert norms[-1] < norms[0]
+
+    def test_first_difference_of_a_stack(self):
+        # ghost cells z_{-1} = -z_0 and z_p = -z_{p-1}, row by row
+        grid = GridSpec(p=9)
+        Z = np.random.default_rng(2).normal(size=(4, 9))
+        out = first_difference(Z, grid, "dirichlet")
+        assert out.shape == Z.shape
+        for z, row in zip(Z, out):
+            ghost = np.concatenate(([-z[0]], z, [-z[-1]]))
+            for i in range(9):
+                assert row[i] == pytest.approx((ghost[i + 2] - ghost[i]) / (2 * grid.dy), rel=1e-14)
 
 
 def test_second_difference_matrix_matches_operator():

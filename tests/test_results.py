@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from enkfcontrol.config import heat_config, render_config
-from enkfcontrol.harness import BatchResult, GridCell
-from enkfcontrol.results import EmitError, ResultSet, TrialRow, emit_results
+from enkfcontrol.harness import Case, CaseResult
+from enkfcontrol.results import EmitError, ResultSet, emit_results
 
 
 def _text(path):
@@ -13,9 +13,11 @@ def _text(path):
         return fh.read()
 
 
-def _batch(offset):
+def _result(case, offset=0.0, ratios=(1.0,)):
     t = np.array([0.0, 0.5])
-    return BatchResult(t=t, mean=t + offset, variance=np.zeros(2), ratios=np.ones(1), failures=0)
+    return CaseResult(
+        case=case, t=t, mean=t + offset, variance=np.zeros(2), ratios=np.array(ratios), failures=0
+    )
 
 
 class TestEmit:
@@ -29,15 +31,17 @@ class TestEmit:
         assert not os.path.exists(tmp_path / "trials.csv")
 
     def test_empty_trials_still_writes_header(self, tmp_path):
-        paths = emit_results(ResultSet(config=heat_config(), trials=[]), str(tmp_path))
+        paths = emit_results(ResultSet(config=heat_config(), dump_trials=True), str(tmp_path))
         assert os.path.basename(paths[-1]) == "trials.csv"
         assert _text(paths[-1]) == "policy,kind,d0,lambda,trial,terminal_ratio\n"
 
     def test_rows_in_fixed_order_with_17_digits(self, tmp_path):
-        series = {"robust": _batch(0.1), "uncontrolled": _batch(0.2)}
-        cell = GridCell(kind="sin", d0=0.1, lam=0.2, mean_terminal_ratio=1 / 3, ratios=(1 / 3,), failures=0)
-        row = TrialRow(policy="robust", kind="sin", d0=0.1, lam=0.2, trial=0, terminal_ratio=np.inf)
-        results = ResultSet(config=heat_config(), timeseries=series, heatmap=[cell], trials=[row])
+        series = [
+            _result(Case("robust", "sin", 0.1, 0.2), 0.1, ratios=(np.inf,)),
+            _result(Case("uncontrolled", "sin", 0.1, 0.0), 0.2),
+        ]
+        cell = _result(Case("robust", "sin", 0.1, 0.2), ratios=(1 / 3,))
+        results = ResultSet(config=heat_config(), timeseries=series, heatmap=[cell], dump_trials=True)
         paths = emit_results(results, str(tmp_path))
         assert _text(paths[0]).splitlines()[1:] == [
             "uncontrolled,0,0.20000000000000001,0",
@@ -46,7 +50,12 @@ class TestEmit:
             "robust,0.5,0.59999999999999998,0",
         ]
         assert _text(paths[1]).splitlines()[1] == "sin,0.10000000000000001,0.20000000000000001,0.33333333333333331"
-        assert _text(paths[3]).splitlines()[1] == "robust,sin,0.10000000000000001,0.20000000000000001,0,inf"
+        # trial rows follow the timeseries order, then the heat-map cells
+        assert _text(paths[3]).splitlines()[1:] == [
+            "uncontrolled,sin,0.10000000000000001,0,0,1",
+            "robust,sin,0.10000000000000001,0.20000000000000001,0,inf",
+            "robust,sin,0.10000000000000001,0.20000000000000001,0,0.33333333333333331",
+        ]
 
     def test_unwritable_directory_raises(self, tmp_path):
         blocker = tmp_path / "file"
