@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs: train, fit-dmdc, simulate, batch, grid, oracle.  Resolution order for
-settings: per-PDE defaults, then --config file values, then explicit flags.
+settings: the defaults of the PDE (--pde if given, else the file's), then
+--config file values, then explicit flags.
 Every verb that writes files also writes config.echo, which can be passed
 back via --config to reproduce the run byte for byte.
 
@@ -69,14 +70,10 @@ _OVERRIDE_FIELDS = (
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {}
-    if args.config:
-        cfg = load_config(args.config)
-        base = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-    pde = args.pde or base.pop("pde", None) or "heat"
-    base.pop("pde", None)
+    """Defaults of the final PDE, then the --config file's keys, then flags."""
+    cfg = load_config(args.config, args.pde) if args.config else default_config(args.pde or "heat")
     overrides = {f: getattr(args, f) for f in _OVERRIDE_FIELDS if getattr(args, f) is not None}
-    return default_config(pde, **{**base, **overrides})
+    return replace(cfg, **overrides).validate()
 
 
 def _load_artifacts(cfg: ExperimentConfig, args: argparse.Namespace) -> Artifacts:

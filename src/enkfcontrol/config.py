@@ -111,9 +111,14 @@ def heat_config(**overrides) -> ExperimentConfig:
 
 
 def burgers_config(**overrides) -> ExperimentConfig:
-    """Burgers defaults: p=128, m=10, T=3, N=10^3, Q=G=I, R=0.1 I."""
+    """Burgers defaults: p=128, m=10, T=3, N=10^3, Q=G=I, R=0.1 I, model=dmdc.
+
+    The gain is trained on the linear DMDc model; ``model=full`` runs the
+    closed loop on the full Burgers state with a supplied gain.
+    """
     base = ExperimentConfig(
         pde="burgers",
+        model="dmdc",
         nu=0.02,
         p=128,
         m=10,
@@ -231,8 +236,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the strict sectioned key=value format into a config."""
+def parse_config_text(text: str, pde: str | None = None) -> ExperimentConfig:
+    """Parse the strict sectioned key=value format into a config.
+
+    Keys the text leaves out take the defaults of ``pde``, else of its own.
+    """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keys are case sensitive
     try:
@@ -250,13 +258,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
             field_name, parser = _SCHEMA[section][key]
             raw[field_name] = parser(value)
 
-    pde = raw.pop("pde", "heat")
-    return default_config(str(pde), **raw)
+    file_pde = raw.pop("pde", "heat")
+    return default_config(pde or str(file_pde), **raw)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, pde: str | None = None) -> ExperimentConfig:
     with open(path) as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), pde)
 
 
 def render_config(cfg: ExperimentConfig) -> str:

@@ -86,25 +86,23 @@ def collect_snapshots(
 
     Inputs are zero-mean uniform on [-amplitude, amplitude], redrawn every
     step (piecewise constant over one step).  Each trajectory consumes its
-    own child RNG stream so the data is reproducible regardless of how the
-    trajectories would be scheduled.
+    own child RNG stream (its initial condition, then one input per step),
+    so the data is reproducible regardless of how the trajectories are
+    scheduled.  All trajectories advance as one (n_traj, p) stack; columns
+    are trajectory-major and time-ordered.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     streams = rng.spawn(n_traj)
-    xs, xnexts, us = [], [], []
-    for traj_rng in streams:
-        z = np.asarray(ic_sampler(traj_rng), dtype=float)
-        for _ in range(steps):
-            u = traj_rng.uniform(-amplitude, amplitude, size=sim.m)
-            z_next = rk4_step(sim, z, u, dt)
-            xs.append(z)
-            xnexts.append(z_next)
-            us.append(u)
-            z = z_next
-    return SnapshotData(
-        X=np.array(xs).T, Xnext=np.array(xnexts).T, U=np.array(us).T, dt=dt
-    )
+    Z0 = np.array([ic_sampler(traj_rng) for traj_rng in streams], dtype=float)
+    xs = np.empty((n_traj, steps + 1, Z0.shape[1]))
+    us = np.empty((n_traj, steps, sim.m))
+    xs[:, 0] = Z0
+    for k in range(steps):
+        us[:, k] = [traj_rng.uniform(-amplitude, amplitude, size=sim.m) for traj_rng in streams]
+        xs[:, k + 1] = rk4_step(sim, xs[:, k], us[:, k], dt)
+    columns = lambda a: a.reshape(-1, a.shape[-1]).T  # one column per (trajectory, step)
+    return SnapshotData(X=columns(xs[:, :-1]), Xnext=columns(xs[:, 1:]), U=columns(us), dt=dt)
 
 
 def _truncated_svd(M: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -31,7 +31,6 @@ import numpy as np
 from .riccati import invert_spd
 
 INNOVATION_FORMS = ("averaged", "literal")
-DRIFT_INTEGRATORS = ("euler", "rk4")
 
 COVARIANCE_JITTER = 1e-10
 
@@ -66,7 +65,6 @@ class EnkfConfig:
     S_T: np.ndarray
     seed: int = 0
     innovation: str = "averaged"
-    drift: str = "euler"
 
     def __post_init__(self):
         if self.N < 2:
@@ -77,8 +75,6 @@ class EnkfConfig:
             raise EnkfConfigError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
         if self.innovation not in INNOVATION_FORMS:
             raise EnkfConfigError(f"unknown innovation form {self.innovation!r}")
-        if self.drift not in DRIFT_INTEGRATORS:
-            raise EnkfConfigError(f"unknown drift integrator {self.drift!r}")
         S_T = np.atleast_2d(np.asarray(self.S_T, dtype=float))
         if not np.allclose(S_T, S_T.T, atol=1e-10):
             raise EnkfConfigError("S_T must be symmetric")
@@ -205,22 +201,15 @@ def step_nonlinear(
     dt: float,
     rng: np.random.Generator,
     innovation: str = "averaged",
-    drift: str = "euler",
 ) -> Ensemble:
-    """One backward step of the nonlinear particle system.
+    """One backward Euler-Maruyama step of the nonlinear particle system.
 
     The drift a(Y_i) = S(Y_i, 0) and the noise b(Y_i) d_eta =
     S(Y_i, d_eta) - S(Y_i, 0) are obtained purely through simulator calls.
     The coupling uses the empirical cross-covariance between particles and
     their observations, normalized by 1/(N-1), applied to the averaged
-    innovation.  ``chol`` is :func:`noise_factor` of R.
-
-    The ensemble statistics (observation mean and cross-covariance) are
-    frozen once per step; with ``drift="rk4"`` the deterministic part,
-    including the coupling, is then advanced with a classical Runge-Kutta
-    step before the noise is added.  Stiff advective simulators need this:
-    one-stage Euler is unconditionally unstable for centered advection, and
-    on the reversed clock there is no viscosity left to mask that.
+    innovation.  Drift and coupling enter with step -dt; ``chol`` is
+    :func:`noise_factor` of R.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         H = np.atleast_2d(np.asarray(obs(e.Y), dtype=float))
@@ -230,27 +219,11 @@ def step_nonlinear(
         mean = e.Y.mean(axis=0)
         V = (e.Y - mean).T @ (H - h_mean) / (e.N - 1)
         half = 0.5 if innovation == "averaged" else 1.0
-        U0 = np.zeros((e.N, sim.m))
-
-        def minus_drift(Y):
-            Hs = np.atleast_2d(np.asarray(obs(Y), dtype=float))
-            if Hs.shape[0] != e.N:
-                Hs = Hs.reshape(e.N, -1)
-            coupling = (half * (Hs + h_mean)) @ V.T
-            return -(sim.rhs(Y, U0) + coupling)
-
-        if drift == "rk4":
-            k1 = minus_drift(e.Y)
-            k2 = minus_drift(e.Y + 0.5 * dt * k1)
-            k3 = minus_drift(e.Y + 0.5 * dt * k2)
-            k4 = minus_drift(e.Y + dt * k3)
-            Y_det = e.Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            Y_det = e.Y + dt * minus_drift(e.Y)
-
+        drift = sim.rhs(e.Y, np.zeros((e.N, sim.m)))
+        coupling = (half * (H + h_mean)) @ V.T
         deta = _control_noise(chol, e.N, dt, rng)
-        noise = sim.rhs(e.Y, deta) - sim.rhs(e.Y, U0)
-        Y_next = Y_det + noise
+        noise = sim.rhs(e.Y, deta) - drift
+        Y_next = e.Y - dt * (drift + coupling) + noise
     t_next = e.t - dt
     if not np.all(np.isfinite(Y_next)):
         raise DivergenceError(t_next)
@@ -313,5 +286,5 @@ def run_dual_enkf_nonlinear(
     h = cfg.dt_effective
     chol = noise_factor(R)
     for _ in range(cfg.n_steps):
-        e = step_nonlinear(e, sim, obs, chol, h, rng, cfg.innovation, cfg.drift)
+        e = step_nonlinear(e, sim, obs, chol, h, rng, cfg.innovation)
     return _gain_from_ensemble(e, "nonlinear")

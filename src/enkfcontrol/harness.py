@@ -6,8 +6,9 @@ policies and grid cells (same initial conditions and disturbances), and
 aggregation is an ordered reduction, so rerunning a config reproduces results
 bit for bit.
 
-Training is always disturbance-free; a single learned gain is reused across
-every disturbance level of a sweep.
+Training is the linear dual EnKF on a linear design model (the heat operator
+or the DMDc reduced model), always disturbance-free; a single learned gain is
+reused across every disturbance level of a sweep.
 
 Closed-loop trials run batched: :func:`simulate_closed_loop` advances a
 (batch, p) stack of plant states with one RK4 step per time step, each row
@@ -31,13 +32,7 @@ import numpy as np
 from . import dmdc as dmdc_mod
 from .config import ExperimentConfig
 from .controller import ControlLaw, RobustConfig, Weights, compile_law
-from .enkf import (
-    DivergenceError,
-    EnkfConfig,
-    GainApprox,
-    run_dual_enkf_linear,
-    run_dual_enkf_nonlinear,
-)
+from .enkf import EnkfConfig, GainApprox, run_dual_enkf_linear
 from .pde import (
     BurgersSimulator,
     GridSpec,
@@ -86,12 +81,6 @@ def _rng(cfg: ExperimentConfig, *words: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, *words]))
 
 
-def _diffusion_rate(cfg: ExperimentConfig) -> float:
-    """Largest |eigenvalue| of the discrete diffusion operator."""
-    grid = grid_of(cfg)
-    return 4.0 * cfg.nu / grid.dy**2
-
-
 def _enkf_step_linear(cfg: ExperimentConfig, A: np.ndarray) -> tuple[float, float]:
     """(T, dt) for a linear dual-EnKF run, respecting explicit overrides.
 
@@ -102,26 +91,6 @@ def _enkf_step_linear(cfg: ExperimentConfig, A: np.ndarray) -> tuple[float, floa
     dt_stable = 0.5 / (2.0 * a_max) if a_max > 0 else cfg.dt_sim
     T = cfg.enkf_T if cfg.enkf_T is not None else cfg.T_sim
     dt = cfg.enkf_dt if cfg.enkf_dt is not None else min(cfg.dt_sim, dt_stable)
-    return T, min(dt, T)
-
-
-def _enkf_step_burgers(cfg: ExperimentConfig) -> tuple[float, float]:
-    """(T, dt) for the nonlinear run on the full Burgers state.
-
-    On the reversed clock diffusion pumps the rough modes until the coupling
-    balances them, at per-point amplitude about 2 p sqrt(nu) / (L sqrt(q)).
-    The drift is advanced with RK4, so the step is set by its stability
-    bounds: the centered-advection spectrum at that amplitude (imaginary
-    axis, |eig| ~ amp * p / L) and the covariance relaxation rate (twice the
-    diffusion rate).  The horizon only needs to cover the equilibration of
-    the ensemble covariance, not the simulation horizon.
-    """
-    a_max = _diffusion_rate(cfg)
-    amp = 2.0 * cfg.p * np.sqrt(cfg.nu) / (cfg.L * np.sqrt(cfg.q))
-    dt_adv = 2.0 / (amp * cfg.p / cfg.L)
-    dt_cov = 2.0 / (2.0 * a_max)
-    T = cfg.enkf_T if cfg.enkf_T is not None else min(cfg.T_sim, 0.3)
-    dt = cfg.enkf_dt if cfg.enkf_dt is not None else min(cfg.dt_sim, dt_adv, dt_cov)
     return T, min(dt, T)
 
 
@@ -142,44 +111,26 @@ def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedMode
 
 
 def _train_gain(cfg: ExperimentConfig, design_sim: Simulator) -> GainApprox:
-    """Run the dual EnKF against the design simulator.
+    """Run the linear dual EnKF on the design model's A and B.
 
-    A linear design simulator (the full heat operator, which is LTI, or the
-    fitted reduced model for ``model=dmdc``) gets a linear run on its A and B;
-    the full Burgers state gets a nonlinear simulator-driven run.
+    The design model is linear: the full heat operator, which is LTI, or the
+    fitted reduced model for ``model=dmdc``.  The full Burgers state has no
+    linear model to train on, so it fails before any ensemble step.
     """
+    if not isinstance(design_sim, LinearSimulator):
+        raise HarnessError(
+            f"no linear design model to train a gain on for pde={cfg.pde}, model={cfg.model}; "
+            "train on the reduced model with --model dmdc, or supply a trained gain with --gain"
+        )
+    T, dt = _enkf_step_linear(cfg, design_sim.A)
+    enkf_cfg = EnkfConfig(
+        N=cfg.enkf_particles, T=T, dt=dt, S_T=np.eye(design_sim.n) / cfg.g, seed=cfg.seed,
+        innovation=cfg.innovation,
+    )
+    C = np.sqrt(cfg.q) * np.eye(design_sim.n)
     R = cfg.r_input * np.eye(cfg.m)
-    S_T = np.eye(design_sim.n) / cfg.g
-    if isinstance(design_sim, LinearSimulator):
-        T, dt = _enkf_step_linear(cfg, design_sim.A)
-        enkf_cfg = EnkfConfig(
-            N=cfg.enkf_particles, T=T, dt=dt, S_T=S_T, seed=cfg.seed, innovation=cfg.innovation,
-        )
-        C = np.sqrt(cfg.q) * np.eye(design_sim.n)
-        return run_dual_enkf_linear(
-            design_sim.A, design_sim.control_matrix, C, R, enkf_cfg, _rng(cfg, _TAG_ENKF)
-        )
-
-    # full nonlinear path; drift handled with RK4 (stiff advective simulator),
-    # halving the step on divergence keeps the auto step estimate honest
-    T, dt = _enkf_step_burgers(cfg)
-    sqrt_q = np.sqrt(cfg.q)
-    obs = lambda Y: sqrt_q * Y
-    for attempt in range(5):
-        step = dt / 2**attempt
-        enkf_cfg = EnkfConfig(
-            N=cfg.enkf_particles, T=T, dt=step, S_T=S_T, seed=cfg.seed,
-            innovation=cfg.innovation, drift="rk4",
-        )
-        try:
-            return run_dual_enkf_nonlinear(design_sim, obs, R, enkf_cfg, _rng(cfg, _TAG_ENKF, attempt))
-        except DivergenceError as exc:
-            diverged_at = exc.t
-    raise HarnessError(
-        f"ensemble training on the full Burgers state diverged at t={diverged_at:g} "
-        f"(integrating back from T={T:g}), also at the smallest step tried, dt={step:g}; "
-        "train on the reduced model with --model dmdc, or set a smaller [enkf] dt "
-        "in a --config file"
+    return run_dual_enkf_linear(
+        design_sim.A, design_sim.control_matrix, C, R, enkf_cfg, _rng(cfg, _TAG_ENKF)
     )
 
 

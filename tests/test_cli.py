@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from enkfcontrol import harness
+from enkfcontrol import enkf, harness
 from enkfcontrol.cli import main
 from enkfcontrol.config import default_config, load_config
 
@@ -124,18 +124,39 @@ class TestGridEcho:
 
 
 class TestBurgersTrain:
-    def test_divergence_names_the_fixes(self, tmp_path, capsys):
+    ARGV = ["train", "--pde", "burgers", "--p", "32", "--m", "4", "--particles", "200"]
+
+    def test_defaults_train_on_the_reduced_model(self, tmp_path, capsys):
         out = str(tmp_path / "burgers")
-        argv = ["train", "--pde", "burgers", "--p", "32", "--m", "4", "--particles", "200",
-                "--out", out]
-        assert main(argv) == 1
+        assert main(self.ARGV + ["--out", out]) == 0
+        assert "model = dmdc\n" in _read(os.path.join(out, "config.echo")).decode()
+        for name in ("gain.bundle", "reduced_model.bundle"):
+            assert os.path.exists(os.path.join(out, name))
+
+    def test_full_state_fails_before_any_ensemble_step(self, tmp_path, capsys, monkeypatch):
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr(harness, "run_dual_enkf_linear", no_ensemble)
+        monkeypatch.setattr(enkf, "init_ensemble", no_ensemble)
+        out = str(tmp_path / "burgers")
+        assert main(self.ARGV + ["--model", "full", "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        T, dt = harness._enkf_step_burgers(
-            default_config("burgers", p=32, m=4, enkf_particles=200)
-        )
-        # when it diverged, the smallest step tried, and what to change
-        assert "diverged at t=" in err and f"T={T:g}" in err
-        assert f"dt={dt / 16:g}" in err
-        assert "--model dmdc" in err and "[enkf] dt" in err
+        assert "--model dmdc" in err and "--gain" in err
         assert not os.path.exists(os.path.join(out, "gain.bundle"))
+
+
+class TestConfigFilePde:
+    """Keys a --config file leaves out take the defaults of the final PDE."""
+
+    @pytest.mark.parametrize("file_pde,flag_pde", [(None, "burgers"), ("burgers", "heat")])
+    def test_unset_keys_follow_the_pde_flag(self, file_pde, flag_pde, tmp_path, capsys):
+        path = tmp_path / "seed.cfg"
+        path.write_text("[experiment]\n" + (f"pde = {file_pde}\n" if file_pde else "") + "seed = 3\n")
+        out = str(tmp_path / "fit")
+        argv = ["fit-dmdc", "--config", str(path), "--pde", flag_pde, "--p", "16", "--m", "2",
+                "--out", out]
+        assert main(argv) == 0
+        echoed = load_config(os.path.join(out, "config.echo"))
+        assert echoed == default_config(flag_pde, seed=3, p=16, m=2, model="dmdc")

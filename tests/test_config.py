@@ -27,6 +27,7 @@ class TestDefaults:
         assert cfg.r_input == 0.1
         assert cfg.enkf_particles == 1000
         assert cfg.dmdc_order == 10
+        assert cfg.model == "dmdc"
 
     def test_overrides_validate(self):
         with pytest.raises(ConfigError):

@@ -13,7 +13,14 @@ from enkfcontrol.dmdc import (
     reduce_state,
     to_continuous,
 )
-from enkfcontrol.pde import BurgersSimulator, GridSpec, LinearSimulator, sample_initial_condition
+from enkfcontrol.pde import (
+    BurgersSimulator,
+    GridSpec,
+    HeatSimulator,
+    LinearSimulator,
+    rk4_step,
+    sample_initial_condition,
+)
 
 
 def exact_discretization(A, B, dt):
@@ -79,6 +86,44 @@ class TestCollect:
                                rng=np.random.default_rng(9), **kwargs)
         assert np.array_equal(d1.X, d2.X)
         assert np.array_equal(d1.U, d2.U)
+
+
+def snapshots_one_at_a_time(sim, ic_sampler, n_traj, steps, dt, amplitude, rng):
+    """Reference: each trajectory integrated alone, one state vector at a time."""
+    xs, xnexts, us = [], [], []
+    for traj_rng in rng.spawn(n_traj):
+        z = np.asarray(ic_sampler(traj_rng), dtype=float)
+        for _ in range(steps):
+            u = traj_rng.uniform(-amplitude, amplitude, size=sim.m)
+            z_next = rk4_step(sim, z, u, dt)
+            xs.append(z)
+            xnexts.append(z_next)
+            us.append(u)
+            z = z_next
+    return np.array(xs).T, np.array(xnexts).T, np.array(us).T
+
+
+class TestStackedTrajectories:
+    """The (n_traj, p) stack reproduces the trajectory-by-trajectory loop."""
+
+    @pytest.mark.parametrize("pde", ["burgers", "heat"])
+    def test_matches_one_trajectory_at_a_time(self, pde):
+        grid = GridSpec(p=48)
+        make = BurgersSimulator if pde == "burgers" else HeatSimulator
+        sim = make(grid, 0.01, 4)
+        ic = lambda r: sample_initial_condition(r, grid)
+        kwargs = dict(n_traj=5, steps=30, dt=1e-3, amplitude=0.5)
+        data = collect_snapshots(sim, ic, rng=np.random.default_rng(21), **kwargs)
+        X, Xnext, U = snapshots_one_at_a_time(sim, ic, rng=np.random.default_rng(21), **kwargs)
+        assert np.array_equal(data.U, U)
+        for got, want in ((data.X, X), (data.Xnext, Xnext)):
+            assert got.shape == want.shape == (48, 150)
+            if pde == "burgers":
+                # elementwise rows and a 0/1 input matrix: the same arithmetic
+                assert np.array_equal(got, want)
+            else:
+                # x A' over the stack sums in another order than A x
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestFit:

@@ -170,6 +170,28 @@ class TestStepNonlinear:
         e = step_nonlinear(e, NullSim(), lambda Y: np.ones((10, 1)), noise_factor(np.eye(1)), 0.1, rng)
         assert np.array_equal(e.Y, Y0)
 
+    def test_linear_simulator_matches_the_explicit_step(self):
+        # Y - dt (A Y + coupling) + B d_eta, with the coupling built from the
+        # 1/(N-1) cross-covariance of Y and C Y and the averaged innovation
+        rng = np.random.default_rng(5)
+        N, n, m, dt = 40, 3, 2, 1e-2
+        A = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, m))
+        C = rng.normal(size=(2, n))
+        chol = noise_factor(np.diag([0.5, 2.0]))
+        Y = rng.normal(size=(N, n))
+        got = step_nonlinear(Ensemble(Y=Y, t=1.0), LinearSimulator(A, B), lambda Z: Z @ C.T,
+                             chol, dt, np.random.default_rng(6))
+        H = Y @ C.T
+        V = (Y - Y.mean(axis=0)).T @ (H - H.mean(axis=0)) / (N - 1)
+        coupling = (H + H.mean(axis=0)) / 2.0 @ V.T
+        deta = np.random.default_rng(6).standard_normal((N, m)) @ chol.T * np.sqrt(dt)
+        want = Y - dt * (Y @ A.T + coupling) + deta @ B.T
+        assert got.t == pytest.approx(1.0 - dt)
+        np.testing.assert_allclose(got.Y, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        # the noise is a real contribution, not rounding
+        assert np.max(np.abs(deta @ B.T)) > 1e-3
+
     def test_fixed_seed_deterministic(self):
         sim = LinearSimulator(-np.eye(2), np.eye(2))
         cfg = EnkfConfig(N=100, T=1.0, dt=1e-2, S_T=np.eye(2), seed=11)

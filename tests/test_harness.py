@@ -155,7 +155,7 @@ class TestAgainstReference:
         # a nonlinear-mode gain with a probed B compiles like any other: the
         # Burgers input matrix is constant, so one probe at the origin serves
         # every row, and each row matches the per-state law row by row
-        cfg = burgers_config(p=16, m=4, n_trials=2, T_sim=0.01, b_access="simulator")
+        cfg = burgers_config(model="full", p=16, m=4, n_trials=2, T_sim=0.01, b_access="simulator")
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3, mode="nonlinear"))
         probes = count_probes(monkeypatch)
         series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
@@ -169,7 +169,7 @@ class TestAgainstReference:
 class TestBlowUp:
     @pytest.mark.parametrize("mode,b_access", [("linear", "auto")])
     def test_mask_isolates_blown_up_rows(self, mode, b_access):
-        cfg = burgers_config(p=32, m=4, n_trials=2, T_sim=0.05, b_access=b_access)
+        cfg = burgers_config(model="full", p=32, m=4, n_trials=2, T_sim=0.05, b_access=b_access)
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 4, mode=mode))
         z = trial_initial_condition(cfg, 0)
         # (z0, lambda, controlled, d0): the 130x bump steepens until explicit
