@@ -13,6 +13,13 @@ coupling term are applied with step -dt on the reversed clock, and the noise
 is drawn as fresh Gaussian increments with covariance R^-1 dt; this
 convention is pinned by the scalar stationary-Riccati benchmark in the tests.
 
+Linear step.  With a linear drift A, an observation C and the innovation
+h (C Y_i + C mean), where h = 1/2 (averaged) or 1 (literal), the coupling
+S C' h (C Y_i + C mean) is linear in Y_i.  A step therefore folds into one
+N x p x p product: with M = h C'C S, G = I - dt (A' + M) and
+W = sqrt(dt) chol' B' (chol the Cholesky factor of R^-1),
+Y_next = Y G - dt 1 (mean' M) + xi W, xi the (N, m) standard-normal draw.
+
 Cost observation.  The nonlinear coupling is driven by an observation map
 ``obs`` whose squared norm is the running state cost, c(x) = |obs(x)|^2.  For
 a quadratic cost |C x|^2 the map is obs(x) = C x and the nonlinear update
@@ -172,21 +179,29 @@ def step_linear(
 ) -> Ensemble:
     """One backward Euler-Maruyama step of the linear particle system.
 
-    Drift A Y_i plus the coupling gain S C' applied to the averaged
-    innovation (C Y_i + C mean)/2 enter with step -dt; the noise B d_eta has
-    covariance B R^-1 B' dt, drawn through ``chol`` = :func:`noise_factor` of R.
+    Drift A Y_i plus the coupling gain S C' applied to the innovation
+    h (C Y_i + C mean) enter with step -dt; the noise B d_eta has covariance
+    B R^-1 B' dt, drawn through ``chol`` = :func:`noise_factor` of R.  The
+    factor h is 1/2 for the averaged innovation and 1 for the literal one.
+
+    The coupling is linear in Y_i, so the step folds into one N x p x p
+    product: with M = h C'C S, G = I - dt (A' + M) and W = sqrt(dt) chol' B',
+
+        Y_next = Y G - dt 1 (mean' M) + xi W,
+
+    where xi is the (N, m) standard-normal draw of the noise.  The N-row
+    work is the covariance S, Y G and the rank-m noise product xi W.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean, S = empirical_stats(e)
-        L = S @ C.T
-        obs = e.Y @ C.T
-        obs_mean = C @ mean
-        innov = obs + obs_mean
-        if innovation == "averaged":
-            innov = innov / 2.0
-        drift = e.Y @ A.T + innov @ L.T
-        noise = _control_noise(chol, e.N, dt, rng) @ B.T
-        Y_next = e.Y - dt * drift + noise
+        half = 0.5 if innovation == "averaged" else 1.0
+        M = half * (C.T @ C) @ S
+        G = np.eye(e.n) - dt * (A.T + M)
+        W = np.sqrt(dt) * chol.T @ B.T
+        xi = rng.standard_normal((e.N, chol.shape[0]))
+        Y_next = e.Y @ G
+        Y_next -= dt * (mean @ M)
+        Y_next += xi @ W
     t_next = e.t - dt
     if not np.all(np.isfinite(Y_next)):
         raise DivergenceError(t_next)

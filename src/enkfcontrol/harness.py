@@ -15,10 +15,10 @@ Closed-loop trials run batched: :func:`simulate_closed_loop` advances a
 carrying its own lambda, disturbance and controlled flag.  Every verb states
 its trials as a list of :class:`Case` (``batch``: the three policies,
 ``grid``: one robust case per cell, ``simulate``: one case of one trial) and
-:func:`run_cases` runs all cases x trials as one stack.  The control law is
-compiled once into matrices (:func:`controller.compile_law`) and serves every
-row.  A row whose state or L2 norm turns non-finite is masked, reading inf
-from that step on, while the other rows carry on.  Rows agree with a
+:func:`run_cases` runs the distinct cases x trials as one stack.  The control
+law is compiled once into matrices (:func:`controller.compile_law`) and serves
+every row.  A row whose state or L2 norm turns non-finite is masked, reading
+inf from that step on, while the other rows carry on.  Rows agree with a
 one-trajectory-at-a-time loop to rounding (matrix products over the stack
 instead of matrix-vector ones).
 """
@@ -315,18 +315,23 @@ def run_cases(
     """Trials 0..n_trials-1 of every case, paired across cases, as one stack.
 
     Training happened once (disturbance-free), so every case shares the gain.
+    Cases whose trajectories coincide are integrated once: with d0 = 0 the
+    disturbance kind has no effect, so each distinct (controlled, kind, d0,
+    lambda) block, kind read as "none" when d0 = 0, is one block of the stack
+    and its twins share its traces, ratios and failures.
     """
+    keys = [(c.policy != "uncontrolled", c.kind if c.d0 else "none", c.d0, c.lam) for c in cases]
+    block_of = {key: j for j, key in enumerate(dict.fromkeys(keys))}
+    controlled, kinds, d0, lam = (np.repeat(col, n_trials) for col in zip(*block_of))
     Z0 = np.array([trial_initial_condition(cfg, i) for i in range(n_trials)])
     roll = simulate_closed_loop(
-        cfg, art, np.tile(Z0, (len(cases), 1)),
-        lam=np.repeat([c.lam for c in cases], n_trials),
-        kinds=np.repeat([c.kind for c in cases], n_trials),
-        d0=np.repeat([c.d0 for c in cases], n_trials),
-        controlled=np.repeat([c.policy != "uncontrolled" for c in cases], n_trials),
+        cfg, art, np.tile(Z0, (len(block_of), 1)),
+        lam=lam, kinds=kinds, d0=d0, controlled=controlled,
     )
     results = []
-    for i, case in enumerate(cases):
-        rows = slice(i * n_trials, (i + 1) * n_trials)
+    for case, key in zip(cases, keys):
+        j = block_of[key]
+        rows = slice(j * n_trials, (j + 1) * n_trials)
         traces = roll.l2[rows]
         with np.errstate(invalid="ignore"):  # inf - inf in a blown-up column
             variance = traces.var(axis=0)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from enkfcontrol.enkf import (
+    INNOVATION_FORMS,
     DivergenceError,
     _control_noise,
     EnkfConfig,
     EnkfConfigError,
     Ensemble,
     RankError,
+    _gain_from_ensemble,
     empirical_stats,
     init_ensemble,
     noise_factor,
@@ -22,6 +24,31 @@ from enkfcontrol.riccati import LtiSystem, invert_spd, solve_are
 
 def scalar_cfg(N, seed=0, T=10.0, dt=1e-3):
     return EnkfConfig(N=N, T=T, dt=dt, S_T=np.eye(1), seed=seed)
+
+
+def four_product_step(Y, A, B, C, chol, dt, rng, innovation="averaged"):
+    """The linear step as written out: Y - dt (Y A' + innov (S C')') + xi chol' sqrt(dt) B'."""
+    N = Y.shape[0]
+    mean = Y.mean(axis=0)
+    Yc = Y - mean
+    S = Yc.T @ Yc / N
+    innov = Y @ C.T + C @ mean
+    if innovation == "averaged":
+        innov = innov / 2.0
+    noise = rng.standard_normal((N, chol.shape[0])) @ chol.T * np.sqrt(dt) @ B.T
+    return Y - dt * (Y @ A.T + innov @ (S @ C.T).T) + noise
+
+
+def coupled_noisy_system(n, m, seed):
+    """A stable A, a full B, a non-square C and a non-identity R."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
+    B = rng.normal(size=(n, m))
+    C = rng.normal(size=(2, n))
+    M = rng.normal(size=(m, m))
+    R = M @ M.T + m * np.eye(m)
+    return A, B, C, R
 
 
 class TestConfig:
@@ -106,6 +133,24 @@ class TestStepLinear:
         gain = run_dual_enkf_linear([[0.0]], [[1.0]], [[1.0]], [[1.0]], cfg)
         assert np.isfinite(gain.P[0, 0])
 
+    @pytest.mark.parametrize("innovation", INNOVATION_FORMS)
+    def test_matches_the_four_product_step(self, innovation):
+        # the folded Y G - dt mean'M + xi W against the step written out term by term
+        A, B, C, R = coupled_noisy_system(3, 2, seed=31)
+        chol = noise_factor(R)
+        dt = 1e-2
+        Y = np.random.default_rng(32).normal(size=(60, 3))
+        got = step_linear(Ensemble(Y=Y, t=1.0), A, B, C, chol, dt, np.random.default_rng(33), innovation)
+        want = four_product_step(Y, A, B, C, chol, dt, np.random.default_rng(33), innovation)
+        assert got.t == pytest.approx(1.0 - dt)
+        np.testing.assert_allclose(got.Y, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        # drift, coupling and noise each move the ensemble well above rounding
+        frozen = four_product_step(Y, 0 * A, 0 * B, 0 * C, chol, dt, np.random.default_rng(33))
+        for part in (four_product_step(Y, A, 0 * B, 0 * C, chol, dt, np.random.default_rng(33)),
+                     four_product_step(Y, 0 * A, B, 0 * C, chol, dt, np.random.default_rng(33)),
+                     four_product_step(Y, 0 * A, 0 * B, C, chol, dt, np.random.default_rng(33))):
+            assert np.max(np.abs(part - frozen)) > 1e-3
+
     def test_divergence_detected(self):
         e = Ensemble(Y=np.array([[1e308], [1e308]]), t=1.0)
         with pytest.raises(DivergenceError):
@@ -153,6 +198,23 @@ class TestScalarBenchmark:
             offdiags.append(abs(gain.P[0, 1]))
         assert offdiags[1] < offdiags[0]
         assert offdiags[1] < 0.1
+
+
+class TestLinearRun:
+    def test_matches_a_loop_of_the_four_product_step(self):
+        # p = 12, N = 500, 200 steps of the whole run against the written-out step
+        A, B, C, R = coupled_noisy_system(12, 3, seed=41)
+        cfg = EnkfConfig(N=500, T=0.2, dt=1e-3, S_T=np.eye(12), seed=42)
+        assert cfg.n_steps == 200
+        got = run_dual_enkf_linear(A, B, C, R, cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        e = init_ensemble(cfg, 12, rng)
+        chol = noise_factor(R)
+        for _ in range(cfg.n_steps):
+            e = Ensemble(Y=four_product_step(e.Y, A, B, C, chol, cfg.dt_effective, rng), t=0.0)
+        want = _gain_from_ensemble(e, "linear")
+        rel = np.linalg.norm(got.P - want.P, "fro") / np.linalg.norm(want.P, "fro")
+        assert rel <= 1e-12
 
 
 class TestStepNonlinear:
@@ -259,7 +321,5 @@ class TestDeterminism:
 
 def test_rank_error_for_degenerate_ensemble():
     e = Ensemble(Y=np.zeros((5, 2)), t=0.0)
-    from enkfcontrol.enkf import _gain_from_ensemble
-
     with pytest.raises(RankError):
         _gain_from_ensemble(e, "linear")

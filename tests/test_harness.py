@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from enkfcontrol import controller
+from enkfcontrol import controller, harness
 from enkfcontrol.config import burgers_config, heat_config
 from enkfcontrol.controller import robust_control
 from enkfcontrol.enkf import GainApprox
@@ -226,6 +226,41 @@ class TestBlowUp:
         for got, want in zip(survivors, clean):
             assert got.failures == 0
             np.testing.assert_allclose(got.ratios, want.ratios, rtol=RTOL, atol=0)
+
+
+class TestTwinCells:
+    def test_zero_d0_cells_are_integrated_once(self, heat_dmdc_sim, monkeypatch):
+        # with d0 = 0 the disturbance kind has no effect, so the sin and const
+        # cells at d0 = 0 are one block of the stack: 8 cells, 6 blocks
+        cfg, art = heat_dmdc_sim
+        n, cases = cfg.n_trials, grid_cases(cfg)
+        stacks = []
+        simulate = harness.simulate_closed_loop
+        monkeypatch.setattr(
+            harness, "simulate_closed_loop",
+            lambda c, a, Z0, **rows: stacks.append(len(Z0)) or simulate(c, a, Z0, **rows),
+        )
+        cells = run_cases(cfg, art, cases, n)
+        assert stacks == [6 * n]
+        assert [c.case for c in cells] == cases
+        by_cell = {(c.case.kind, c.case.d0, c.case.lam): c for c in cells}
+        for lam in cfg.grid_lambda:
+            sin, const = by_cell["sin", 0.0, lam], by_cell["const", 0.0, lam]
+            for field in ("mean", "variance", "ratios"):
+                assert np.array_equal(getattr(sin, field), getattr(const, field))
+            assert sin.failures == const.failures == 0
+        # the stack that integrates every cell agrees to rounding (GEMM tiling
+        # follows the stack height)
+        Z0 = np.array([trial_initial_condition(cfg, i) for i in range(n)])
+        full = simulate(
+            cfg, art, np.tile(Z0, (len(cases), 1)),
+            lam=np.repeat([c.lam for c in cases], n), kinds=np.repeat([c.kind for c in cases], n),
+            d0=np.repeat([c.d0 for c in cases], n), controlled=True,
+        )
+        for i, cell in enumerate(cells):
+            traces = full.l2[i * n:(i + 1) * n]
+            np.testing.assert_allclose(cell.mean, traces.mean(axis=0), rtol=1e-14, atol=0)
+            np.testing.assert_allclose(cell.ratios, full.ratios[i * n:(i + 1) * n], rtol=1e-14, atol=0)
 
 
 class TestDeterminism:
