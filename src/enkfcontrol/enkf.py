@@ -15,10 +15,21 @@ convention is pinned by the scalar stationary-Riccati benchmark in the tests.
 
 Linear step.  With a linear drift A, an observation C and the innovation
 h (C Y_i + C mean), where h = 1/2 (averaged) or 1 (literal), the coupling
-S C' h (C Y_i + C mean) is linear in Y_i.  A step therefore folds into one
-N x p x p product: with M = h C'C S, G = I - dt (A' + M) and
-W = sqrt(dt) chol' B' (chol the Cholesky factor of R^-1),
-Y_next = Y G - dt 1 (mean' M) + xi W, xi the (N, m) standard-normal draw.
+S C' h (C Y_i + C mean) is linear in Y_i.  With M = h C'C S,
+G = I - dt (A' + M) and W = sqrt(dt) chol' B' (chol the Cholesky factor of
+R^-1), a step is Y+ = Y G - dt 1 (mean' M) + xi W, xi the (N, m)
+standard-normal draw.  Centered, Yc+ = Yc G + xic W, so the moments follow
+exactly from the old ones and the cross moments of the draw:
+
+    mean+ = mean (G - dt M) + xibar W,
+    S+    = G'SG + G'XW + (G'XW)' + W' Xi W,
+
+with X = Y'xi/N - mean xibar' and Xi = xi'xi/N - xibar xibar'.  The
+ensemble lives in a column-major N x (p+m+1) array [Y | xi | 1], so the
+N-row work of a step is two products: [Y|xi|1] [G; W; -dt mean'M] writes
+the next ensemble, and [Y|xi|1]' xi gives Y'xi, xi'xi and 1'xi.  The
+carried moments drive the coupling only; the gain is computed from the
+samples of the final ensemble.
 
 Cost observation.  The nonlinear coupling is driven by an observation map
 ``obs`` whose squared norm is the running state cost, c(x) = |obs(x)|^2.  For
@@ -103,10 +114,22 @@ class EnkfConfig:
 
 @dataclass
 class Ensemble:
-    """N particle states (rows of Y) at a common time t."""
+    """N particle states (rows of Y) at a common time t.
+
+    An ensemble made by :func:`step_linear` also carries its mean and
+    1/N-normalized covariance S, kept by the moment recursion, and ``work``,
+    the column-major N x (p+m+1) array [Y | xi | 1] whose first p columns
+    are Y.  A bare ``Ensemble(Y, t)`` leaves them None; the linear step then
+    takes the moments from the samples and lays Y out in a new work array.
+    The carried moments describe Y as the step left it, so Y is not to be
+    changed in place.
+    """
 
     Y: np.ndarray
     t: float
+    mean: np.ndarray | None = None
+    S: np.ndarray | None = None
+    work: np.ndarray | None = None
 
     @property
     def N(self) -> int:
@@ -167,6 +190,21 @@ def _control_noise(chol: np.ndarray, N: int, dt: float, rng: np.random.Generator
     return rng.standard_normal((N, chol.shape[0])) @ chol.T * np.sqrt(dt)
 
 
+def _work_array(N: int, p: int, m: int) -> np.ndarray:
+    """Column-major [Y | xi | 1] with the ones column filled in."""
+    work = np.empty((N, p + m + 1), order="F")
+    work[:, -1] = 1.0
+    return work
+
+
+def _laid_out(e: Ensemble, m: int) -> Ensemble:
+    """``e`` copied into a work array for noise dimension m, with its moments."""
+    mean, S = empirical_stats(e)
+    work = _work_array(e.N, e.n, m)
+    work[:, : e.n] = e.Y
+    return Ensemble(Y=work[:, : e.n], t=e.t, mean=mean, S=S, work=work)
+
+
 def step_linear(
     e: Ensemble,
     A: np.ndarray,
@@ -184,28 +222,47 @@ def step_linear(
     B R^-1 B' dt, drawn through ``chol`` = :func:`noise_factor` of R.  The
     factor h is 1/2 for the averaged innovation and 1 for the literal one.
 
-    The coupling is linear in Y_i, so the step folds into one N x p x p
-    product: with M = h C'C S, G = I - dt (A' + M) and W = sqrt(dt) chol' B',
+    With M = h C'C S, G = I - dt (A' + M), W = sqrt(dt) chol' B' and xi the
+    (N, m) standard-normal draw, written into the xi columns of ``e.work``,
+    the next ensemble is one product into a new work array,
 
-        Y_next = Y G - dt 1 (mean' M) + xi W,
+        Y_next = [Y | xi | 1] [G; W; -dt mean'M].
 
-    where xi is the (N, m) standard-normal draw of the noise.  The N-row
-    work is the covariance S, Y G and the rank-m noise product xi W.
+    The moments are carried, not recomputed from the rows.  The mean row
+    [mean | xibar | 1] moves like any row, and [Y | xi | 1]' xi / N gives
+    X = Y'xi/N - mean xibar' and Xi = xi'xi/N - xibar xibar':
+
+        mean_next = mean (G - dt M) + xibar W,
+        S_next    = G'SG + V + V',  V = (G'X + W'Xi / 2) W.
+
+    A bare ensemble is first copied into a work array with the moments of
+    its samples.
     """
+    m = chol.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, S = empirical_stats(e)
+        if e.work is None:
+            e = _laid_out(e, m)
+        N, p, work, mean, S = e.N, e.n, e.work, e.mean, e.S
         half = 0.5 if innovation == "averaged" else 1.0
         M = half * (C.T @ C) @ S
-        G = np.eye(e.n) - dt * (A.T + M)
+        G = np.eye(p) - dt * (A.T + M)
         W = np.sqrt(dt) * chol.T @ B.T
-        xi = rng.standard_normal((e.N, chol.shape[0]))
-        Y_next = e.Y @ G
-        Y_next -= dt * (mean @ M)
-        Y_next += xi @ W
+        xi = work[:, p : p + m]
+        xi[...] = rng.standard_normal((N, m))
+        K = np.concatenate((G, W, -dt * (mean @ M)[None]))
+        nxt = _work_array(N, p, m)
+        np.matmul(work, K, out=nxt[:, :p])
+        cross = work.T @ xi / N
+        row = np.concatenate((mean, cross[-1], [1.0]))  # the mean row [mean | xibar | 1]
+        D = cross - row[:, None] * cross[-1]  # [X; Xi; 0]
+        V = (G.T @ D[:p] + 0.5 * W.T @ D[p:-1]) @ W
+        S_next = G.T @ S @ G + V + V.T
+        mean_next = row @ K
+    Y_next = nxt[:, :p]
     t_next = e.t - dt
-    if not np.all(np.isfinite(Y_next)):
+    if not np.isfinite(Y_next).all():
         raise DivergenceError(t_next)
-    return Ensemble(Y=Y_next, t=t_next)
+    return Ensemble(Y=Y_next, t=t_next, mean=mean_next, S=S_next, work=nxt)
 
 
 def step_nonlinear(
@@ -274,9 +331,10 @@ def run_dual_enkf_linear(
     R = np.atleast_2d(np.asarray(R, dtype=float))
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    e = init_ensemble(cfg, A.shape[0], rng)
-    h = cfg.dt_effective
     chol = noise_factor(R)
+    # laid out at once, so that the terminal draw is gone before the first step
+    e = _laid_out(init_ensemble(cfg, A.shape[0], rng), chol.shape[0])
+    h = cfg.dt_effective
     for _ in range(cfg.n_steps):
         e = step_linear(e, A, B, C, chol, h, rng, cfg.innovation)
     return _gain_from_ensemble(e, "linear")

@@ -81,7 +81,7 @@ def _rng(cfg: ExperimentConfig, *words: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, *words]))
 
 
-def _enkf_step_linear(cfg: ExperimentConfig, A: np.ndarray) -> tuple[float, float]:
+def _enkf_horizon(cfg: ExperimentConfig, A: np.ndarray) -> tuple[float, float]:
     """(T, dt) for a linear dual-EnKF run, respecting explicit overrides.
 
     The covariance recursion relaxes at up to twice the drift's spectral
@@ -122,7 +122,7 @@ def _train_gain(cfg: ExperimentConfig, design_sim: Simulator) -> GainApprox:
             f"no linear design model to train a gain on for pde={cfg.pde}, model={cfg.model}; "
             "train on the reduced model with --model dmdc, or supply a trained gain with --gain"
         )
-    T, dt = _enkf_step_linear(cfg, design_sim.A)
+    T, dt = _enkf_horizon(cfg, design_sim.A)
     enkf_cfg = EnkfConfig(
         N=cfg.enkf_particles, T=T, dt=dt, S_T=np.eye(design_sim.n) / cfg.g, seed=cfg.seed,
         innovation=cfg.innovation,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,56 @@ class TestLinearRun:
         want = _gain_from_ensemble(e, "linear")
         rel = np.linalg.norm(got.P - want.P, "fro") / np.linalg.norm(want.P, "fro")
         assert rel <= 1e-12
+
+
+class TestCarriedMoments:
+    @pytest.mark.parametrize("innovation", INNOVATION_FORMS)
+    def test_carried_moments_match_the_samples(self, innovation):
+        # the mean and S the step carries against those of its samples, every step
+        A, B, C, R = coupled_noisy_system(12, 3, seed=43)
+        cfg = EnkfConfig(N=500, T=0.2, dt=1e-3, S_T=np.eye(12), seed=44, innovation=innovation)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        e = init_ensemble(cfg, 12, rng)
+        chol = noise_factor(R)
+        for _ in range(cfg.n_steps):
+            e = step_linear(e, A, B, C, chol, cfg.dt_effective, rng, innovation)
+            mean, S = empirical_stats(e)
+            assert np.linalg.norm(e.mean - mean) <= 1e-12 * np.linalg.norm(mean)
+            assert np.linalg.norm(e.S - S, "fro") <= 1e-12 * np.linalg.norm(S, "fro")
+
+    def test_run_diverges_at_the_time_of_the_four_product_loop(self):
+        # a wide terminal draw makes the coupling blow up: G ~ -dt S/2 grows with S,
+        # so both runs leave the finite range on the same step, well before t = 0
+        A = -40.0 * np.eye(3)
+        B, C, R = np.ones((3, 1)), np.eye(3), np.eye(1)
+        cfg = EnkfConfig(N=50, T=1.0, dt=0.05, S_T=1e3 * np.eye(3), seed=45)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        Y, t, t_fail = init_ensemble(cfg, 3, rng).Y, cfg.T, None
+        chol = noise_factor(R)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.n_steps):
+                Y, t = four_product_step(Y, A, B, C, chol, cfg.dt_effective, rng), t - cfg.dt_effective
+                if not np.all(np.isfinite(Y)):
+                    t_fail = t
+                    break
+        assert t_fail is not None and t_fail > 0.0
+        with pytest.raises(DivergenceError) as err:
+            run_dual_enkf_linear(A, B, C, R, cfg)
+        assert err.value.t == t_fail
+
+    def test_peak_allocation_of_a_run(self):
+        # two work arrays and the draw; no third N x p array alive at once
+        N, p, m = 4000, 50, 4
+        A, B, C, R = coupled_noisy_system(p, m, seed=46)
+        cfg = EnkfConfig(N=N, T=0.02, dt=1e-3, S_T=np.eye(p), seed=47)
+        assert cfg.n_steps == 20
+        tracemalloc.start()
+        try:
+            run_dual_enkf_linear(A, B, C, R, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * N * p * 8
 
 
 class TestStepNonlinear:
