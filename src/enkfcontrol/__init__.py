@@ -1,9 +1,10 @@
 """Data-driven robust stabilization of discretized PDEs.
 
-Core pieces: native heat/Burgers finite-difference simulators, a dual
-ensemble Kalman filter that learns optimal-control gains from simulator
-rollouts, a Lyapunov-redesign robustification term for matched disturbances,
-DMDc reduced-order modeling, and Riccati reference solvers for validation.
+Core pieces: native heat/Burgers finite-difference simulators, a linear
+dual ensemble Kalman filter that learns the optimal-control gain on a linear
+design model (the heat operator, or a DMDc reduced model fitted from
+simulator rollouts), a Lyapunov-redesign robustification term for matched
+disturbances, and Riccati reference solvers for validation.
 """
 
 from .config import ExperimentConfig, burgers_config, default_config, heat_config
@@ -35,9 +36,7 @@ from .enkf import (
     empirical_stats,
     init_ensemble,
     run_dual_enkf_linear,
-    run_dual_enkf_nonlinear,
     step_linear,
-    step_nonlinear,
 )
 from .harness import (
     Artifacts,

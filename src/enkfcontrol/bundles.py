@@ -3,6 +3,9 @@
 One file per artifact: `key=value` header lines, then one `[name]` block per
 matrix with comma-separated rows.  Floats are printed with 17 significant
 digits so save/load round-trips are exact and files are byte-reproducible.
+Loading checks what it reads: every header key and block it needs is there,
+each block is a finite rectangle, and its shape agrees with the header's
+dimensions.  Header keys a loader does not use are ignored.
 """
 
 from __future__ import annotations
@@ -32,6 +35,39 @@ def _render(kind: str, header: dict, matrices: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _block(name: str, rows: list[list[float]]) -> np.ndarray:
+    if not rows:
+        raise BundleError(f"[{name}] block is empty")
+    if len({len(row) for row in rows}) > 1:
+        raise BundleError(f"[{name}] block has rows of different lengths")
+    M = np.array(rows)
+    if not np.isfinite(M).all():
+        raise BundleError(f"[{name}] block has non-finite entries")
+    return M
+
+
+def _header_value(header: dict, key: str, parse, valid=lambda value: True):
+    if key not in header:
+        raise BundleError(f"missing header key {key!r}")
+    try:
+        value = parse(header[key])
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise BundleError(f"bad header value {key}={header[key]!r}")
+    return value
+
+
+def _matrix(matrices: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
+    if name not in matrices:
+        raise BundleError(f"missing [{name}] block")
+    M = matrices[name]
+    if M.shape != shape:
+        rows, cols = M.shape
+        raise BundleError(f"[{name}] block is {rows}x{cols}, the header says {shape[0]}x{shape[1]}")
+    return M
+
+
 def _parse(text: str) -> tuple[dict, dict]:
     header: dict[str, str] = {}
     matrices: dict[str, np.ndarray] = {}
@@ -43,7 +79,7 @@ def _parse(text: str) -> tuple[dict, dict]:
             continue
         if line.startswith("[") and line.endswith("]"):
             if name is not None:
-                matrices[name] = np.array(current)
+                matrices[name] = _block(name, current)
             name = line[1:-1]
             current = []
         elif current is not None:
@@ -57,24 +93,26 @@ def _parse(text: str) -> tuple[dict, dict]:
             key, _, val = line.partition("=")
             header[key.strip()] = val.strip()
     if name is not None:
-        matrices[name] = np.array(current)
+        matrices[name] = _block(name, current)
     if header.get("format") != FORMAT_TAG:
         raise BundleError(f"unrecognized bundle format {header.get('format')!r}")
     return header, matrices
 
 
 def save_gain(gain: GainApprox, path) -> None:
-    text = _render("gain", {"mode": gain.mode, "n": str(gain.n)}, {"S0": gain.S0, "P": gain.P})
+    text = _render("gain", {"n": str(gain.n)}, {"S0": gain.S0, "P": gain.P})
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
 
 def load_gain(path) -> GainApprox:
+    """Load a gain bundle; a ``mode`` header written by older versions is ignored."""
     with open(path) as fh:
         header, matrices = _parse(fh.read())
     if header.get("kind") != "gain":
         raise BundleError(f"expected a gain bundle, got kind={header.get('kind')!r}")
-    return GainApprox(S0=matrices["S0"], P=matrices["P"], mode=header["mode"])
+    n = _header_value(header, "n", int)
+    return GainApprox(S0=_matrix(matrices, "S0", (n, n)), P=_matrix(matrices, "P", (n, n)))
 
 
 def save_reduced_model(model: ReducedModel, path) -> None:
@@ -97,10 +135,13 @@ def load_reduced_model(path) -> ReducedModel:
         raise BundleError(
             f"expected a reduced_model bundle, got kind={header.get('kind')!r}"
         )
+    n, m, p = (_header_value(header, key, int) for key in ("n", "m", "p"))
+    dt = _header_value(header, "dt", float, lambda dt: 0 < dt < np.inf)
+    discrete = _header_value(header, "discrete", int, lambda d: d in (0, 1))
     return ReducedModel(
-        A=matrices["A"],
-        B=matrices["B"],
-        Phi=matrices["Phi"],
-        dt=float(header["dt"]),
-        discrete=bool(int(header["discrete"])),
+        A=_matrix(matrices, "A", (n, n)),
+        B=_matrix(matrices, "B", (n, m)),
+        Phi=_matrix(matrices, "Phi", (n, p)),
+        dt=dt,
+        discrete=bool(discrete),
     )

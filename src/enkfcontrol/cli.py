@@ -92,7 +92,7 @@ def cmd_train(args) -> int:
         bundles.save_reduced_model(art.reduction, os.path.join(args.out, REDUCED_FILE))
         written.append(os.path.join(args.out, REDUCED_FILE))
     emit_results(ResultSet(config=cfg), args.out)
-    print(f"trained gain (mode={art.gain.mode}, n={art.gain.n}) -> {written[0]}")
+    print(f"trained gain (n={art.gain.n}) -> {written[0]}")
     return 0
 
 

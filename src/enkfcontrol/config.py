@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields, replace
 
 PDE_KINDS = ("heat", "burgers")
@@ -72,6 +73,12 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(msg)
 
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            expect(all(math.isfinite(v) for v in values if isinstance(v, float)),
+                   f"{_FILE_KEYS[f.name]} must be finite, got {_fmt(value)}")
+        expect(self.seed >= 0, "[experiment] seed must be nonnegative")
         expect(self.pde in PDE_KINDS, f"pde must be one of {PDE_KINDS}")
         expect(self.model in MODEL_PATHS, f"model must be one of {MODEL_PATHS}")
         expect(self.bc in BOUNDARY_CHOICES, f"bc must be one of {BOUNDARY_CHOICES}")
@@ -233,6 +240,13 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "lambda_list": ("grid_lambda", _parse_float_list),
         "kinds": ("grid_kinds", _parse_str_list),
     },
+}
+
+# dataclass field -> its key as a config file writes it, for messages
+_FILE_KEYS = {
+    field_name: f"[{section}] {key}"
+    for section, keys in _SCHEMA.items()
+    for key, (field_name, _) in keys.items()
 }
 
 

@@ -1,12 +1,12 @@
 """Dual ensemble Kalman filter for learning optimal-control gains.
 
-An ensemble of N copies of the (disturbance-free) system is integrated
-backward from the horizon T to time 0.  Each particle follows the system
-drift plus control-channel noise with covariance R^-1, and is coupled to the
-ensemble through an empirical-covariance gain acting on the averaged
-innovation.  The empirical covariance at time 0 encodes the inverse of the
-value function's Hessian: its inverse is the stationary Riccati solution in
-the linear case and the value-gradient factor in the nonlinear case.
+The gain comes from the linear dual EnKF on a linear design model: the heat
+operator, or the DMDc reduced model of the heat or Burgers plant.  An
+ensemble of N copies of the disturbance-free model is integrated backward
+from the horizon T to time 0.  Each particle follows the model drift plus
+control-channel noise with covariance R^-1, and is coupled to the ensemble
+through an empirical-covariance gain acting on the innovation.  The inverse
+of the empirical covariance at time 0 approximates the Riccati solution P.
 
 Time direction.  Particles are indexed by decreasing t.  The drift and the
 coupling term are applied with step -dt on the reversed clock, and the noise
@@ -30,14 +30,6 @@ N-row work of a step is two products: [Y|xi|1] [G; W; -dt mean'M] writes
 the next ensemble, and [Y|xi|1]' xi gives Y'xi, xi'xi and 1'xi.  The
 carried moments drive the coupling only; the gain is computed from the
 samples of the final ensemble.
-
-Cost observation.  The nonlinear coupling is driven by an observation map
-``obs`` whose squared norm is the running state cost, c(x) = |obs(x)|^2.  For
-a quadratic cost |C x|^2 the map is obs(x) = C x and the nonlinear update
-reduces to the linear one (up to a 1/N vs 1/(N-1) normalization, kept as each
-algorithm defines it).  The per-particle innovation averages the particle and
-ensemble observations, (obs(Y_i) + mean obs)/2; ``innovation="literal"``
-drops the 1/2 for comparison.
 """
 
 from __future__ import annotations
@@ -144,13 +136,13 @@ class Ensemble:
 class GainApprox:
     """Learned gain: empirical covariance at t=0 and its inverse.
 
-    In linear mode P itself approximates the stationary Riccati solution; in
-    nonlinear mode the value gradient at x is evaluated as P @ x.
+    Both come from the linear dual EnKF on a linear design model (the heat
+    operator or DMDc), so P approximates the Riccati solution of that model
+    and the value gradient at x is P @ x.
     """
 
     S0: np.ndarray
     P: np.ndarray
-    mode: str  # "linear" | "nonlinear"
 
     @property
     def n(self) -> int:
@@ -180,14 +172,6 @@ def empirical_stats(e: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 def noise_factor(R: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of R^-1, the control-noise covariance per unit time."""
     return np.linalg.cholesky(invert_spd(np.atleast_2d(R)))
-
-
-def _control_noise(chol: np.ndarray, N: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian increments with covariance R^-1 dt, one row per particle.
-
-    ``chol`` is :func:`noise_factor` of R, computed once per run.
-    """
-    return rng.standard_normal((N, chol.shape[0])) @ chol.T * np.sqrt(dt)
 
 
 def _work_array(N: int, p: int, m: int) -> np.ndarray:
@@ -265,44 +249,7 @@ def step_linear(
     return Ensemble(Y=Y_next, t=t_next, mean=mean_next, S=S_next, work=nxt)
 
 
-def step_nonlinear(
-    e: Ensemble,
-    sim,
-    obs,
-    chol: np.ndarray,
-    dt: float,
-    rng: np.random.Generator,
-    innovation: str = "averaged",
-) -> Ensemble:
-    """One backward Euler-Maruyama step of the nonlinear particle system.
-
-    The drift a(Y_i) = S(Y_i, 0) and the noise b(Y_i) d_eta =
-    S(Y_i, d_eta) - S(Y_i, 0) are obtained purely through simulator calls.
-    The coupling uses the empirical cross-covariance between particles and
-    their observations, normalized by 1/(N-1), applied to the averaged
-    innovation.  Drift and coupling enter with step -dt; ``chol`` is
-    :func:`noise_factor` of R.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = np.atleast_2d(np.asarray(obs(e.Y), dtype=float))
-        if H.shape[0] != e.N:
-            H = H.reshape(e.N, -1)
-        h_mean = H.mean(axis=0)
-        mean = e.Y.mean(axis=0)
-        V = (e.Y - mean).T @ (H - h_mean) / (e.N - 1)
-        half = 0.5 if innovation == "averaged" else 1.0
-        drift = sim.rhs(e.Y, np.zeros((e.N, sim.m)))
-        coupling = (half * (H + h_mean)) @ V.T
-        deta = _control_noise(chol, e.N, dt, rng)
-        noise = sim.rhs(e.Y, deta) - drift
-        Y_next = e.Y - dt * (drift + coupling) + noise
-    t_next = e.t - dt
-    if not np.all(np.isfinite(Y_next)):
-        raise DivergenceError(t_next)
-    return Ensemble(Y=Y_next, t=t_next)
-
-
-def _gain_from_ensemble(e: Ensemble, mode: str) -> GainApprox:
+def _gain_from_ensemble(e: Ensemble) -> GainApprox:
     _, S0 = empirical_stats(e)
     S0 = 0.5 * (S0 + S0.T)
     eigs = np.linalg.eigvalsh(S0)
@@ -313,7 +260,7 @@ def _gain_from_ensemble(e: Ensemble, mode: str) -> GainApprox:
     S0 = S0 + COVARIANCE_JITTER * np.eye(e.n)
     P = invert_spd(S0)
     P = 0.5 * (P + P.T)
-    return GainApprox(S0=S0, P=P, mode=mode)
+    return GainApprox(S0=S0, P=P)
 
 
 def run_dual_enkf_linear(
@@ -337,27 +284,5 @@ def run_dual_enkf_linear(
     h = cfg.dt_effective
     for _ in range(cfg.n_steps):
         e = step_linear(e, A, B, C, chol, h, rng, cfg.innovation)
-    return _gain_from_ensemble(e, "linear")
+    return _gain_from_ensemble(e)
 
-
-def run_dual_enkf_nonlinear(
-    sim,
-    obs,
-    R: np.ndarray,
-    cfg: EnkfConfig,
-    rng: np.random.Generator | None = None,
-) -> GainApprox:
-    """Run the nonlinear dual EnKF against a simulator and invert S_0.
-
-    ``obs`` maps a batch of states (rows) to observations; the running state
-    cost it encodes is |obs(x)|^2.
-    """
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    e = init_ensemble(cfg, sim.n, rng)
-    h = cfg.dt_effective
-    chol = noise_factor(R)
-    for _ in range(cfg.n_steps):
-        e = step_nonlinear(e, sim, obs, chol, h, rng, cfg.innovation)
-    return _gain_from_ensemble(e, "nonlinear")

@@ -17,11 +17,10 @@ def test_gain_roundtrip_exact(tmp_path):
     M = rng.normal(size=(4, 4))
     S0 = M @ M.T + np.eye(4)
     P = np.linalg.inv(S0)
-    gain = GainApprox(S0=S0, P=P, mode="nonlinear")
+    gain = GainApprox(S0=S0, P=P)
     path = tmp_path / "gain.bundle"
     save_gain(gain, path)
     loaded = load_gain(path)
-    assert loaded.mode == "nonlinear"
     assert np.array_equal(loaded.S0, S0)
     assert np.array_equal(loaded.P, P)
 
@@ -44,7 +43,7 @@ def test_reduced_model_roundtrip_exact(tmp_path):
 
 
 def test_saved_bytes_deterministic(tmp_path):
-    gain = GainApprox(S0=np.eye(2), P=np.eye(2), mode="linear")
+    gain = GainApprox(S0=np.eye(2), P=np.eye(2))
     p1, p2 = tmp_path / "a.bundle", tmp_path / "b.bundle"
     save_gain(gain, p1)
     save_gain(gain, p2)
@@ -52,7 +51,7 @@ def test_saved_bytes_deterministic(tmp_path):
 
 
 def test_kind_mismatch_rejected(tmp_path):
-    gain = GainApprox(S0=np.eye(2), P=np.eye(2), mode="linear")
+    gain = GainApprox(S0=np.eye(2), P=np.eye(2))
     path = tmp_path / "gain.bundle"
     save_gain(gain, path)
     with pytest.raises(BundleError):
@@ -64,3 +63,76 @@ def test_garbage_rejected(tmp_path):
     path.write_text("not a bundle\n")
     with pytest.raises(BundleError):
         load_gain(path)
+
+
+# a gain bundle as earlier versions wrote it, with a mode header
+OLD_GAIN = """format=enkfcontrol-bundle-v1
+kind=gain
+mode={mode}
+n=2
+[S0]
+2,0.5
+0.5,1
+[P]
+0.5714285714285714,-0.2857142857142857
+-0.2857142857142857,1.1428571428571428
+"""
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_old_gain_bundle_loads(tmp_path, mode):
+    path = tmp_path / "gain.bundle"
+    path.write_text(OLD_GAIN.format(mode=mode))
+    gain = load_gain(path)
+    assert np.array_equal(gain.S0, [[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(
+        gain.P, [[0.5714285714285714, -0.2857142857142857], [-0.2857142857142857, 1.1428571428571428]]
+    )
+
+
+def test_saved_gain_has_no_mode_header(tmp_path):
+    path = tmp_path / "gain.bundle"
+    save_gain(GainApprox(S0=np.eye(2), P=np.eye(2)), path)
+    assert path.read_text().splitlines()[:3] == ["format=enkfcontrol-bundle-v1", "kind=gain", "n=2"]
+
+
+GOOD_GAIN = OLD_GAIN.format(mode="linear")
+GOOD_REDUCED = """format=enkfcontrol-bundle-v1
+kind=reduced_model
+n=1
+m=1
+p=2
+dt=0.001
+discrete=0
+[A]
+-1
+[B]
+1
+[Phi]
+0.6,0.8
+"""
+P_ROWS = "[P]\n0.5714285714285714,-0.2857142857142857\n-0.2857142857142857,1.1428571428571428\n"
+
+
+@pytest.mark.parametrize(
+    "load,text,named",
+    [
+        (load_gain, GOOD_GAIN.replace(P_ROWS, "[P]\n1,0,0\n0,1,0\n"), r"\[P\] block is 2x3"),
+        (load_gain, GOOD_GAIN.replace("1.1428571428571428", "nan"), r"\[P\] block has non-finite"),
+        (load_gain, GOOD_GAIN.replace("[S0]\n2,0.5\n0.5,1\n", "[S0]\n"), r"\[S0\] block is empty"),
+        (load_gain, GOOD_GAIN.replace("-0.2857142857142857,1.1428571428571428", "1"),
+         r"\[P\] block has rows of different lengths"),
+        (load_gain, GOOD_GAIN.replace(P_ROWS, ""), r"missing \[P\] block"),
+        (load_reduced_model, GOOD_REDUCED.replace("dt=0.001\n", ""), r"missing header key 'dt'"),
+        (load_reduced_model, GOOD_REDUCED.replace("dt=0.001", "dt=nan"), r"bad header value dt='nan'"),
+        (load_reduced_model, GOOD_REDUCED.replace("[B]\n1\n", "[B]\n1,2\n"), r"\[B\] block is 1x2"),
+    ],
+    ids=["wrong-shape", "nan", "empty-block", "ragged-row", "missing-block", "missing-header",
+         "bad-header-value", "reduced-wrong-shape"],
+)
+def test_malformed_bundle_rejected(tmp_path, load, text, named):
+    path = tmp_path / "bad.bundle"
+    path.write_text(text)
+    with pytest.raises(BundleError, match=named):
+        load(path)
+

@@ -160,3 +160,19 @@ class TestConfigFilePde:
         assert main(argv) == 0
         echoed = load_config(os.path.join(out, "config.echo"))
         assert echoed == default_config(flag_pde, seed=3, p=16, m=2, model="dmdc")
+
+
+class TestBadInput:
+    def test_negative_seed_names_the_setting(self, small_cfg, tmp_path, capsys):
+        out = str(tmp_path / "bad")
+        assert main(["train", "--config", small_cfg, "--out", out, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: config: [experiment] seed must be nonnegative\n"
+        assert not os.path.exists(out)
+
+    def test_malformed_gain_bundle_names_the_block(self, small_cfg, tmp_path, capsys):
+        gain = tmp_path / "gain.bundle"
+        gain.write_text("format=enkfcontrol-bundle-v1\nkind=gain\nn=2\n[S0]\n1,0\n0,1\n")
+        out = str(tmp_path / "bad")
+        assert main(["batch", "--config", small_cfg, "--gain", str(gain), "--out", out]) == 1
+        assert capsys.readouterr().err == "error: BundleError: missing [P] block\n"
+        assert not os.path.exists(out)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from enkfcontrol.config import (
@@ -79,3 +81,26 @@ class TestStrictness:
     def test_default_config_rejects_unknown_pde(self):
         with pytest.raises(ConfigError):
             default_config("advection")
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize(
+        "overrides,named",
+        [
+            ({"seed": -1}, r"\[experiment\] seed"),
+            ({"T_sim": math.inf}, r"\[experiment\] T_sim must be finite"),
+            ({"lam": math.inf}, r"\[robust\] lambda must be finite"),
+            ({"nu": math.nan}, r"\[experiment\] nu must be finite"),
+            ({"enkf_dt": math.inf}, r"\[enkf\] dt must be finite"),
+            ({"grid_d0": (0.0, math.inf)}, r"\[grid\] d0_list must be finite"),
+            ({"grid_lambda": (math.nan,)}, r"\[grid\] lambda_list must be finite"),
+            ({"channel": (1.0,) * 7 + (math.inf,)}, r"\[disturbance\] channel must be finite"),
+        ],
+    )
+    def test_rejected_with_the_key_named(self, overrides, named):
+        with pytest.raises(ConfigError, match=named):
+            heat_config(**overrides)
+
+    def test_infinite_value_in_a_file_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[experiment\] T_sim must be finite"):
+            parse_config_text("[experiment]\nT_sim = inf\n")

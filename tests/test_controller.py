@@ -18,14 +18,14 @@ from enkfcontrol.pde import BurgersSimulator, GridSpec, LinearSimulator, build_c
 from enkfcontrol.riccati import LtiSystem, invert_spd, solve_are
 
 
-def make_gain(P, mode="linear"):
+def make_gain(P):
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    return GainApprox(S0=invert_spd(P), P=P, mode=mode)
+    return GainApprox(S0=invert_spd(P), P=P)
 
 
-def make_law(P, Q, R, lam=0.0, r=0.01, b_access="known", mode="linear", reduction=None):
+def make_law(P, Q, R, lam=0.0, r=0.01, b_access="known", reduction=None):
     return ControlLaw(
-        gain=make_gain(P, mode),
+        gain=make_gain(P),
         weights=Weights(R=np.atleast_2d(R), Q=np.atleast_2d(Q)),
         robust=RobustConfig(lam=lam, r=r),
         b_access=b_access,
@@ -305,7 +305,7 @@ class TestCompiledLaw:
         with pytest.raises(RankDeficientError):
             compile_law(law, sim)
 
-    def test_nonlinear_gain_with_probed_b_compiles(self):
+    def test_burgers_law_with_probed_b_matches_the_per_state_law(self):
         # Burgers enters the input as a constant B u, so B probed at the origin
         # serves every state
         p, m = 12, 3
@@ -315,12 +315,10 @@ class TestCompiledLaw:
         P = np.eye(p) + M @ M.T / p
         Z = rng.normal(size=(5, p))
         lam = np.array([0.0, 0.5, 1.0, 0.5, 2.0])
-        law = make_law(P, np.eye(p), np.eye(m), b_access="simulator", mode="nonlinear")
+        law = make_law(P, np.eye(p), np.eye(m), b_access="simulator")
         U = compile_law(law, sim)(Z, lam)
         for z, lam_i, u in zip(Z, lam, U):
-            row_law = make_law(
-                P, np.eye(p), np.eye(m), lam=lam_i, b_access="simulator", mode="nonlinear"
-            )
+            row_law = make_law(P, np.eye(p), np.eye(m), lam=lam_i, b_access="simulator")
             np.testing.assert_allclose(u, robust_control(row_law, z, sim), rtol=1e-12, atol=0)
 
 

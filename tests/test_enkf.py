@@ -6,7 +6,6 @@ import pytest
 from enkfcontrol.enkf import (
     INNOVATION_FORMS,
     DivergenceError,
-    _control_noise,
     EnkfConfig,
     EnkfConfigError,
     Ensemble,
@@ -16,12 +15,9 @@ from enkfcontrol.enkf import (
     init_ensemble,
     noise_factor,
     run_dual_enkf_linear,
-    run_dual_enkf_nonlinear,
     step_linear,
-    step_nonlinear,
 )
-from enkfcontrol.pde import LinearSimulator
-from enkfcontrol.riccati import LtiSystem, invert_spd, solve_are
+from enkfcontrol.riccati import LtiSystem, solve_are
 
 
 def scalar_cfg(N, seed=0, T=10.0, dt=1e-3):
@@ -162,21 +158,6 @@ class TestStepLinear:
             )
 
 
-class TestControlNoise:
-    def test_hoisted_factor_matches_per_step_expression(self):
-        # the factor of R^-1 is computed once per run; the draws keep their bits
-        rng = np.random.default_rng(21)
-        M = rng.normal(size=(3, 3))
-        R = M @ M.T + 3.0 * np.eye(3)
-        chol = noise_factor(R)
-        rng_new, rng_old = np.random.default_rng(8), np.random.default_rng(8)
-        for dt in (1e-3, 0.25, 1e-3):
-            new = _control_noise(chol, 50, dt, rng_new)
-            old_chol = np.linalg.cholesky(invert_spd(np.atleast_2d(R)))
-            old = rng_old.standard_normal((50, 3)) @ old_chol.T * np.sqrt(dt)
-            assert np.array_equal(new, old)
-
-
 class TestScalarBenchmark:
     """Scalar system A=0, B=C=R=1: the stationary Riccati solution is 1."""
 
@@ -214,9 +195,23 @@ class TestLinearRun:
         chol = noise_factor(R)
         for _ in range(cfg.n_steps):
             e = Ensemble(Y=four_product_step(e.Y, A, B, C, chol, cfg.dt_effective, rng), t=0.0)
-        want = _gain_from_ensemble(e, "linear")
+        want = _gain_from_ensemble(e)
         rel = np.linalg.norm(got.P - want.P, "fro") / np.linalg.norm(want.P, "fro")
         assert rel <= 1e-12
+
+    def test_consistent_with_riccati_oracle(self):
+        rng = np.random.default_rng(14)
+        n, m = 3, 2
+        A = rng.normal(size=(n, n))
+        A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
+        B = rng.normal(size=(n, m))
+        C = np.eye(n)
+        R = np.eye(m)
+        P_are = solve_are(LtiSystem(A, B, C, R, np.eye(n)))
+        cfg = EnkfConfig(N=2000, T=4.0, dt=1e-3, S_T=np.eye(n), seed=2)
+        gain = run_dual_enkf_linear(A, B, C, R, cfg)
+        rel = np.linalg.norm(gain.P - P_are, "fro") / np.linalg.norm(P_are, "fro")
+        assert rel < 0.15
 
 
 class TestCarriedMoments:
@@ -269,90 +264,6 @@ class TestCarriedMoments:
         assert peak <= 3 * N * p * 8
 
 
-class TestStepNonlinear:
-    def test_frozen_when_dynamics_and_obs_trivial(self):
-        class NullSim:
-            n, m = 2, 1
-
-            def rhs(self, X, U):
-                return np.zeros_like(X)
-
-        rng = np.random.default_rng(7)
-        Y0 = rng.normal(size=(10, 2))
-        e = Ensemble(Y=Y0.copy(), t=1.0)
-        # constant observation: zero cross covariance, zero drift, zero noise
-        e = step_nonlinear(e, NullSim(), lambda Y: np.ones((10, 1)), noise_factor(np.eye(1)), 0.1, rng)
-        assert np.array_equal(e.Y, Y0)
-
-    def test_linear_simulator_matches_the_explicit_step(self):
-        # Y - dt (A Y + coupling) + B d_eta, with the coupling built from the
-        # 1/(N-1) cross-covariance of Y and C Y and the averaged innovation
-        rng = np.random.default_rng(5)
-        N, n, m, dt = 40, 3, 2, 1e-2
-        A = rng.normal(size=(n, n))
-        B = rng.normal(size=(n, m))
-        C = rng.normal(size=(2, n))
-        chol = noise_factor(np.diag([0.5, 2.0]))
-        Y = rng.normal(size=(N, n))
-        got = step_nonlinear(Ensemble(Y=Y, t=1.0), LinearSimulator(A, B), lambda Z: Z @ C.T,
-                             chol, dt, np.random.default_rng(6))
-        H = Y @ C.T
-        V = (Y - Y.mean(axis=0)).T @ (H - H.mean(axis=0)) / (N - 1)
-        coupling = (H + H.mean(axis=0)) / 2.0 @ V.T
-        deta = np.random.default_rng(6).standard_normal((N, m)) @ chol.T * np.sqrt(dt)
-        want = Y - dt * (Y @ A.T + coupling) + deta @ B.T
-        assert got.t == pytest.approx(1.0 - dt)
-        np.testing.assert_allclose(got.Y, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
-        # the noise is a real contribution, not rounding
-        assert np.max(np.abs(deta @ B.T)) > 1e-3
-
-    def test_fixed_seed_deterministic(self):
-        sim = LinearSimulator(-np.eye(2), np.eye(2))
-        cfg = EnkfConfig(N=100, T=1.0, dt=1e-2, S_T=np.eye(2), seed=11)
-        obs = lambda Y: Y
-        g1 = run_dual_enkf_nonlinear(sim, obs, np.eye(2), cfg)
-        g2 = run_dual_enkf_nonlinear(sim, obs, np.eye(2), cfg)
-        assert np.array_equal(g1.P, g2.P)
-
-
-class TestLinearNonlinearAgreement:
-    """Linear and nonlinear algorithms agree on a quadratic cost."""
-
-    def test_quadratic_cost_matches_linear_algorithm(self):
-        # same 3-state system through both algorithms; cost |Cx|^2 <-> obs Cx
-        rng = np.random.default_rng(13)
-        n, m = 3, 2
-        A = rng.normal(size=(n, n))
-        A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
-        B = rng.normal(size=(n, m))
-        C = rng.normal(size=(2, n))
-        R = 0.5 * np.eye(m)
-        sim = LinearSimulator(A, B)
-        Ps_lin, Ps_nl = [], []
-        for seed in range(3):
-            cfg = EnkfConfig(N=500, T=2.0, dt=1e-3, S_T=np.eye(n), seed=seed)
-            Ps_lin.append(run_dual_enkf_linear(A, B, C, R, cfg).P)
-            Ps_nl.append(run_dual_enkf_nonlinear(sim, lambda Y: Y @ C.T, R, cfg).P)
-        P_lin = np.median(np.array(Ps_lin), axis=0)
-        P_nl = np.median(np.array(Ps_nl), axis=0)
-        rel = np.linalg.norm(P_lin - P_nl, "fro") / np.linalg.norm(P_lin, "fro")
-        assert rel <= 0.10
-
-    def test_consistent_with_riccati_oracle(self):
-        rng = np.random.default_rng(14)
-        n, m = 3, 2
-        A = rng.normal(size=(n, n))
-        A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
-        B = rng.normal(size=(n, m))
-        C = np.eye(n)
-        R = np.eye(m)
-        P_are = solve_are(LtiSystem(A, B, C, R, np.eye(n)))
-        cfg = EnkfConfig(N=2000, T=4.0, dt=1e-3, S_T=np.eye(n), seed=2)
-        gain = run_dual_enkf_linear(A, B, C, R, cfg)
-        rel = np.linalg.norm(gain.P - P_are, "fro") / np.linalg.norm(P_are, "fro")
-        assert rel < 0.15
-
-
 class TestDeterminism:
     def test_gain_bit_identical(self):
         cfg = scalar_cfg(500, seed=42, T=2.0)
@@ -374,4 +285,4 @@ class TestDeterminism:
 def test_rank_error_for_degenerate_ensemble():
     e = Ensemble(Y=np.zeros((5, 2)), t=0.0)
     with pytest.raises(RankError):
-        _gain_from_ensemble(e, "linear")
+        _gain_from_ensemble(e)

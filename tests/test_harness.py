@@ -35,10 +35,10 @@ from enkfcontrol.pde import l2_norm, rk4_step
 RTOL = 1e-12
 
 
-def spd_gain(n: int, seed: int, mode: str = "linear") -> GainApprox:
+def spd_gain(n: int, seed: int) -> GainApprox:
     M = np.random.default_rng(seed).normal(size=(n, n))
     P = np.eye(n) + 0.1 * M @ M.T / n
-    return GainApprox(S0=np.linalg.inv(P), P=P, mode=mode)
+    return GainApprox(S0=np.linalg.inv(P), P=P)
 
 
 def reference(cfg, art, z0, lam, kind, d0, controlled):
@@ -151,12 +151,12 @@ class TestAgainstReference:
             assert cell.mean_terminal_ratio == pytest.approx(np.mean(ratios), rel=RTOL)
             assert cell.failures == 0
 
-    def test_burgers_nonlinear_simulator_b_row_by_row(self, monkeypatch):
-        # a nonlinear-mode gain with a probed B compiles like any other: the
-        # Burgers input matrix is constant, so one probe at the origin serves
-        # every row, and each row matches the per-state law row by row
+    def test_burgers_probed_b_row_by_row(self, monkeypatch):
+        # the Burgers law compiled from a probed B: the input matrix is
+        # constant, so one probe at the origin serves every row, and each row
+        # matches the per-state law row by row
         cfg = burgers_config(model="full", p=16, m=4, n_trials=2, T_sim=0.01, b_access="simulator")
-        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3, mode="nonlinear"))
+        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3))
         probes = count_probes(monkeypatch)
         series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
         assert len(probes) == 1
@@ -167,10 +167,9 @@ class TestAgainstReference:
 
 
 class TestBlowUp:
-    @pytest.mark.parametrize("mode,b_access", [("linear", "auto")])
-    def test_mask_isolates_blown_up_rows(self, mode, b_access):
-        cfg = burgers_config(model="full", p=32, m=4, n_trials=2, T_sim=0.05, b_access=b_access)
-        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 4, mode=mode))
+    def test_mask_isolates_blown_up_rows(self):
+        cfg = burgers_config(model="full", p=32, m=4, n_trials=2, T_sim=0.05)
+        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 4))
         z = trial_initial_condition(cfg, 0)
         # (z0, lambda, controlled, d0): the 130x bump steepens until explicit
         # RK4 blows up a few steps in; a constant d0 = 1e308 overflows step one.
