@@ -25,7 +25,6 @@ from .dmdc import (
     SnapshotData,
     collect_snapshots,
     fit_dmdc,
-    lift_state,
     reduce_state,
     to_continuous,
 )

@@ -3,9 +3,9 @@
 One file per artifact: `key=value` header lines, then one `[name]` block per
 matrix with comma-separated rows.  Floats are printed with 17 significant
 digits so save/load round-trips are exact and files are byte-reproducible.
-Loading checks what it reads: every header key and block it needs is there,
-each block is a finite rectangle, and its shape agrees with the header's
-dimensions.  Header keys a loader does not use are ignored.
+Loading checks what it reads: no header key or block appears twice, every
+one it needs is there, each block is a finite rectangle, and its shape agrees
+with the header's dimensions.  Header keys a loader does not use are ignored.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def _parse(text: str) -> tuple[dict, dict]:
             if name is not None:
                 matrices[name] = _block(name, current)
             name = line[1:-1]
+            if name in matrices:
+                raise BundleError(f"line {lineno}: repeated [{name}] block")
             current = []
         elif current is not None:
             try:
@@ -91,7 +93,10 @@ def _parse(text: str) -> tuple[dict, dict]:
             if "=" not in line:
                 raise BundleError(f"line {lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
-            header[key.strip()] = val.strip()
+            key = key.strip()
+            if key in header:
+                raise BundleError(f"line {lineno}: repeated header key {key!r}")
+            header[key] = val.strip()
     if name is not None:
         matrices[name] = _block(name, current)
     if header.get("format") != FORMAT_TAG:

@@ -23,6 +23,8 @@ from . import bundles
 from .config import (
     ConfigError,
     DISTURBANCE_KINDS,
+    MODEL_PATHS,
+    PDE_KINDS,
     ExperimentConfig,
     default_config,
     load_config,
@@ -46,8 +48,8 @@ REDUCED_FILE = "reduced_model.bundle"
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="config file to start from")
-    p.add_argument("--pde", choices=("heat", "burgers"))
-    p.add_argument("--model", choices=("full", "dmdc"))
+    p.add_argument("--pde", choices=PDE_KINDS)
+    p.add_argument("--model", choices=MODEL_PATHS)
     p.add_argument("--nu", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--d0", type=float)

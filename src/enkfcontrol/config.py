@@ -13,13 +13,13 @@ import io
 import math
 from dataclasses import dataclass, fields, replace
 
+from .pde import BOUNDARY_CONDITIONS
+
 PDE_KINDS = ("heat", "burgers")
 MODEL_PATHS = ("full", "dmdc")
 DISTURBANCE_KINDS = ("sin", "const", "none")
 B_ACCESS_CHOICES = ("auto", "known", "simulator")
 LAMBDA_UNITS = ("amplitude", "state")
-INNOVATIONS = ("averaged", "literal")
-BOUNDARY_CHOICES = ("periodic", "dirichlet")
 
 
 class ConfigError(ValueError):
@@ -53,7 +53,6 @@ class ExperimentConfig:
     enkf_particles: int = 10000
     enkf_T: float | None = None  # None = auto
     enkf_dt: float | None = None  # None = auto
-    innovation: str = "averaged"
     # disturbance
     dist_kind: str = "sin"
     d0: float = 0.1
@@ -81,11 +80,10 @@ class ExperimentConfig:
         expect(self.seed >= 0, "[experiment] seed must be nonnegative")
         expect(self.pde in PDE_KINDS, f"pde must be one of {PDE_KINDS}")
         expect(self.model in MODEL_PATHS, f"model must be one of {MODEL_PATHS}")
-        expect(self.bc in BOUNDARY_CHOICES, f"bc must be one of {BOUNDARY_CHOICES}")
+        expect(self.bc in BOUNDARY_CONDITIONS, f"bc must be one of {BOUNDARY_CONDITIONS}")
         expect(self.dist_kind in DISTURBANCE_KINDS, f"disturbance kind must be one of {DISTURBANCE_KINDS}")
         expect(self.b_access in B_ACCESS_CHOICES, f"b_access must be one of {B_ACCESS_CHOICES}")
         expect(self.lambda_units in LAMBDA_UNITS, f"lambda_units must be one of {LAMBDA_UNITS}")
-        expect(self.innovation in INNOVATIONS, f"innovation must be one of {INNOVATIONS}")
         expect(self.nu > 0, "nu must be positive")
         expect(self.p >= 3, "p must be at least 3")
         expect(self.L > 0, "L must be positive")
@@ -222,7 +220,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "particles": ("enkf_particles", _parse_int),
         "T": ("enkf_T", _parse_opt_float),
         "dt": ("enkf_dt", _parse_opt_float),
-        "innovation": ("innovation", str),
     },
     "disturbance": {
         "kind": ("dist_kind", str),
@@ -297,8 +294,3 @@ def render_config(cfg: ExperimentConfig) -> str:
                 text = _fmt(value)
             out.write(f"{key} = {text}\n")
     return out.getvalue()
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(render_config(cfg))

@@ -176,11 +176,3 @@ def reduce_state(model: ReducedModel, z: np.ndarray) -> np.ndarray:
     if z.shape[-1] != model.p:
         raise ValueError(f"state length {z.shape[-1]} != full dimension {model.p}")
     return z @ model.Phi.T
-
-
-def lift_state(model: ReducedModel, x: np.ndarray) -> np.ndarray:
-    """z = Phi' x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.n:
-        raise ValueError(f"state length {x.shape[-1]} != reduced dimension {model.n}")
-    return x @ model.Phi

@@ -13,13 +13,13 @@ coupling term are applied with step -dt on the reversed clock, and the noise
 is drawn as fresh Gaussian increments with covariance R^-1 dt; this
 convention is pinned by the scalar stationary-Riccati benchmark in the tests.
 
-Linear step.  With a linear drift A, an observation C and the innovation
-h (C Y_i + C mean), where h = 1/2 (averaged) or 1 (literal), the coupling
-S C' h (C Y_i + C mean) is linear in Y_i.  With M = h C'C S,
-G = I - dt (A' + M) and W = sqrt(dt) chol' B' (chol the Cholesky factor of
-R^-1), a step is Y+ = Y G - dt 1 (mean' M) + xi W, xi the (N, m)
-standard-normal draw.  Centered, Yc+ = Yc G + xic W, so the moments follow
-exactly from the old ones and the cross moments of the draw:
+Linear step.  With a linear drift A, an observation C and the averaged
+innovation (C Y_i + C mean) / 2, the coupling S C' (C Y_i + C mean) / 2 is
+linear in Y_i.  With M = C'C S / 2, G = I - dt (A' + M) and
+W = sqrt(dt) chol' B' (chol the Cholesky factor of R^-1), a step is
+Y+ = Y G - dt 1 (mean' M) + xi W, xi the (N, m) standard-normal draw.
+Centered, Yc+ = Yc G + xic W, so the moments follow exactly from the old
+ones and the cross moments of the draw:
 
     mean+ = mean (G - dt M) + xibar W,
     S+    = G'SG + G'XW + (G'XW)' + W' Xi W,
@@ -39,8 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .riccati import invert_spd
-
-INNOVATION_FORMS = ("averaged", "literal")
 
 COVARIANCE_JITTER = 1e-10
 
@@ -73,8 +71,6 @@ class EnkfConfig:
     T: float
     dt: float
     S_T: np.ndarray
-    seed: int = 0
-    innovation: str = "averaged"
 
     def __post_init__(self):
         if self.N < 2:
@@ -83,8 +79,6 @@ class EnkfConfig:
             raise EnkfConfigError(f"horizon must be positive, got T={self.T}")
         if not 0 < self.dt <= self.T:
             raise EnkfConfigError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
-        if self.innovation not in INNOVATION_FORMS:
-            raise EnkfConfigError(f"unknown innovation form {self.innovation!r}")
         S_T = np.atleast_2d(np.asarray(self.S_T, dtype=float))
         if not np.allclose(S_T, S_T.T, atol=1e-10):
             raise EnkfConfigError("S_T must be symmetric")
@@ -197,16 +191,15 @@ def step_linear(
     chol: np.ndarray,
     dt: float,
     rng: np.random.Generator,
-    innovation: str = "averaged",
 ) -> Ensemble:
     """One backward Euler-Maruyama step of the linear particle system.
 
-    Drift A Y_i plus the coupling gain S C' applied to the innovation
-    h (C Y_i + C mean) enter with step -dt; the noise B d_eta has covariance
-    B R^-1 B' dt, drawn through ``chol`` = :func:`noise_factor` of R.  The
-    factor h is 1/2 for the averaged innovation and 1 for the literal one.
+    Drift A Y_i plus the coupling gain S C' applied to the averaged
+    innovation (C Y_i + C mean) / 2 enter with step -dt; the noise B d_eta
+    has covariance B R^-1 B' dt, drawn through ``chol`` = :func:`noise_factor`
+    of R.
 
-    With M = h C'C S, G = I - dt (A' + M), W = sqrt(dt) chol' B' and xi the
+    With M = C'C S / 2, G = I - dt (A' + M), W = sqrt(dt) chol' B' and xi the
     (N, m) standard-normal draw, written into the xi columns of ``e.work``,
     the next ensemble is one product into a new work array,
 
@@ -227,8 +220,7 @@ def step_linear(
         if e.work is None:
             e = _laid_out(e, m)
         N, p, work, mean, S = e.N, e.n, e.work, e.mean, e.S
-        half = 0.5 if innovation == "averaged" else 1.0
-        M = half * (C.T @ C) @ S
+        M = 0.5 * (C.T @ C) @ S
         G = np.eye(p) - dt * (A.T + M)
         W = np.sqrt(dt) * chol.T @ B.T
         xi = work[:, p : p + m]
@@ -269,20 +261,18 @@ def run_dual_enkf_linear(
     C: np.ndarray,
     R: np.ndarray,
     cfg: EnkfConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> GainApprox:
     """Run the linear dual EnKF from t=T down to t=0 and invert S_0."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     chol = noise_factor(R)
     # laid out at once, so that the terminal draw is gone before the first step
     e = _laid_out(init_ensemble(cfg, A.shape[0], rng), chol.shape[0])
     h = cfg.dt_effective
     for _ in range(cfg.n_steps):
-        e = step_linear(e, A, B, C, chol, h, rng, cfg.innovation)
+        e = step_linear(e, A, B, C, chol, h, rng)
     return _gain_from_ensemble(e)
 

@@ -123,10 +123,7 @@ def _train_gain(cfg: ExperimentConfig, design_sim: Simulator) -> GainApprox:
             "train on the reduced model with --model dmdc, or supply a trained gain with --gain"
         )
     T, dt = _enkf_horizon(cfg, design_sim.A)
-    enkf_cfg = EnkfConfig(
-        N=cfg.enkf_particles, T=T, dt=dt, S_T=np.eye(design_sim.n) / cfg.g, seed=cfg.seed,
-        innovation=cfg.innovation,
-    )
+    enkf_cfg = EnkfConfig(N=cfg.enkf_particles, T=T, dt=dt, S_T=np.eye(design_sim.n) / cfg.g)
     C = np.sqrt(cfg.q) * np.eye(design_sim.n)
     R = cfg.r_input * np.eye(cfg.m)
     return run_dual_enkf_linear(
@@ -146,6 +143,11 @@ def build_artifacts(
             if gain is not None:
                 raise HarnessError("dmdc model path needs a reduced model with the gain")
             reduction = fit_reduction(cfg, sim)
+        elif reduction.discrete:
+            raise HarnessError(
+                "reduced model is the discrete-time fit (discrete=1); "
+                "pass the continuous-time bundle that fit-dmdc writes"
+            )
         design_sim = LinearSimulator(reduction.A, reduction.B)
     else:
         design_sim, reduction = sim, None
@@ -172,16 +174,11 @@ def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam: float) -> float:
 def build_law(cfg: ExperimentConfig, art: Artifacts, lam: float) -> ControlLaw:
     """Control law for a given robust gain lambda (see :func:`_lambda_state`)."""
     weights = Weights(R=cfg.r_input * np.eye(cfg.m), Q=cfg.q * np.eye(art.gain.n))
-    b_access = cfg.b_access
-    if b_access == "auto":
-        b_access = "known" if art.design_sim.b_disclosed else "simulator"
-    elif b_access == "known" and not art.design_sim.b_disclosed:
-        raise HarnessError("b_access=known but the simulator does not disclose B")
     return ControlLaw(
         gain=art.gain,
         weights=weights,
         robust=RobustConfig(lam=_lambda_state(cfg, art, lam), r=cfg.r_robust),
-        b_access=b_access,
+        b_access="known" if cfg.b_access == "auto" else cfg.b_access,
         reduction=art.reduction,
     )
 

@@ -10,10 +10,9 @@ partition of the domain.  Both periodic and homogeneous Dirichlet boundary
 conditions are supported; periodic is the default (difference operators are
 circulant, constants lie in their kernel).
 
-A :class:`Simulator` is the black-box interface the learning algorithms see:
-they may only evaluate ``rhs(x, u)``, never the internals.  Whether the
-input matrix is disclosed to callers is an explicit flag, so model-free code
-paths can be exercised honestly.
+A :class:`Simulator` evaluates ``rhs(x, u)`` and exposes its input matrix
+as ``control_matrix``; training and the compiled control law read the
+design model's A and B directly.
 """
 
 from __future__ import annotations
@@ -138,42 +137,28 @@ def burgers_rhs(
 
 
 class Simulator:
-    """Black-box evaluator of an affine-in-control system dx/dt = a(x) + B u.
+    """An affine-in-control system dx/dt = a(x) + B u.
 
     Subclasses implement :meth:`rhs` for one state or a stack of states (rows
     of x, with the inputs as rows of u).  The input matrix B is constant: it
     does not depend on x, so probing it once (at the origin) from ``rhs``
     recovers it exactly, and the control law is compiled on that contract.
-    ``b_disclosed`` states whether callers may read :attr:`control_matrix`;
-    model-free algorithms must work with it False.
+    ``control_matrix`` is B; ``rhs`` holds its own reference to B and never
+    reads the attribute.
     """
 
     n: int
     m: int
-    b_disclosed: bool = True
+    control_matrix: np.ndarray
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    @property
-    def control_matrix(self) -> np.ndarray:
-        if not self.b_disclosed:
-            raise AttributeError("input matrix is not disclosed by this simulator")
-        return self._B
-
-    def undisclosed(self) -> "Simulator":
-        """A view of this simulator with the input matrix hidden."""
-        import copy
-
-        twin = copy.copy(self)
-        twin.b_disclosed = False
-        return twin
 
 
 class LinearSimulator(Simulator):
     """dx/dt = A x + B u."""
 
-    def __init__(self, A: np.ndarray, B: np.ndarray, b_disclosed: bool = True):
+    def __init__(self, A: np.ndarray, B: np.ndarray):
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -181,9 +166,8 @@ class LinearSimulator(Simulator):
         if B.shape[0] != A.shape[0]:
             raise ValueError("A and B row counts differ")
         self.A = A
-        self._B = B
+        self._B = self.control_matrix = B
         self.n, self.m = B.shape
-        self.b_disclosed = b_disclosed
 
     def rhs(self, x, u):
         x = np.asarray(x, dtype=float)
@@ -195,11 +179,11 @@ class LinearSimulator(Simulator):
 class HeatSimulator(LinearSimulator):
     """Discretized heat equation as a linear simulator."""
 
-    def __init__(self, grid: GridSpec, nu: float, m: int, bc: str = "periodic", b_disclosed: bool = True):
+    def __init__(self, grid: GridSpec, nu: float, m: int, bc: str = "periodic"):
         if not nu > 0:
             raise ValueError(f"viscosity must be positive, got {nu}")
         B = build_control_matrix(grid, m)
-        super().__init__(nu * second_difference_matrix(grid, bc), B, b_disclosed)
+        super().__init__(nu * second_difference_matrix(grid, bc), B)
         self.grid = grid
         self.nu = nu
         self.bc = bc
@@ -208,16 +192,15 @@ class HeatSimulator(LinearSimulator):
 class BurgersSimulator(Simulator):
     """Discretized Burgers equation."""
 
-    def __init__(self, grid: GridSpec, nu: float, m: int, bc: str = "periodic", b_disclosed: bool = True):
+    def __init__(self, grid: GridSpec, nu: float, m: int, bc: str = "periodic"):
         if not nu > 0:
             raise ValueError(f"viscosity must be positive, got {nu}")
         self.grid = grid
         self.nu = nu
         self.bc = bc
-        self._B = build_control_matrix(grid, m)
+        self._B = self.control_matrix = build_control_matrix(grid, m)
         self.n = grid.p
         self.m = m
-        self.b_disclosed = b_disclosed
 
     def rhs(self, x, u):
         return burgers_rhs(x, u, self.nu, self.grid, self._B, self.bc)

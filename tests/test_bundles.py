@@ -126,9 +126,13 @@ P_ROWS = "[P]\n0.5714285714285714,-0.2857142857142857\n-0.2857142857142857,1.142
         (load_reduced_model, GOOD_REDUCED.replace("dt=0.001\n", ""), r"missing header key 'dt'"),
         (load_reduced_model, GOOD_REDUCED.replace("dt=0.001", "dt=nan"), r"bad header value dt='nan'"),
         (load_reduced_model, GOOD_REDUCED.replace("[B]\n1\n", "[B]\n1,2\n"), r"\[B\] block is 1x2"),
+        (load_reduced_model, GOOD_REDUCED.replace("[A]\n-1\n", "[A]\n1\n[A]\n5\n"),
+         r"line 10: repeated \[A\] block"),
+        (load_reduced_model, GOOD_REDUCED.replace("n=1\n", "n=1\nn=2\n"),
+         r"line 4: repeated header key 'n'"),
     ],
     ids=["wrong-shape", "nan", "empty-block", "ragged-row", "missing-block", "missing-header",
-         "bad-header-value", "reduced-wrong-shape"],
+         "bad-header-value", "reduced-wrong-shape", "repeated-block", "repeated-header-key"],
 )
 def test_malformed_bundle_rejected(tmp_path, load, text, named):
     path = tmp_path / "bad.bundle"

@@ -9,7 +9,6 @@ from enkfcontrol.dmdc import (
     SnapshotData,
     collect_snapshots,
     fit_dmdc,
-    lift_state,
     reduce_state,
     to_continuous,
 )
@@ -235,7 +234,7 @@ class TestReduceLift:
     def test_projection_identity_in_span(self, model):
         rng = np.random.default_rng(9)
         z = model.Phi.T @ rng.normal(size=3)
-        assert np.linalg.norm(lift_state(model, reduce_state(model, z)) - z) < 1e-10
+        assert np.linalg.norm(model.Phi.T @ reduce_state(model, z) - z) < 1e-10
 
     def test_orthogonal_component_maps_to_zero(self, model):
         rng = np.random.default_rng(10)
@@ -247,13 +246,11 @@ class TestReduceLift:
         rng = np.random.default_rng(11)
         for _ in range(20):
             z = rng.normal(size=10)
-            assert np.linalg.norm(lift_state(model, reduce_state(model, z))) <= np.linalg.norm(z) + 1e-12
+            assert np.linalg.norm(model.Phi.T @ reduce_state(model, z)) <= np.linalg.norm(z) + 1e-12
 
     def test_dimension_mismatch(self, model):
         with pytest.raises(ValueError):
             reduce_state(model, np.zeros(9))
-        with pytest.raises(ValueError):
-            lift_state(model, np.zeros(4))
 
 
 def test_one_step_prediction_heldout_lti():

@@ -301,3 +301,18 @@ class TestValidation:
         z = trial_initial_condition(cfg, 0)
         with pytest.raises(HarnessError):
             simulate_closed_loop(cfg, art, z, lam=0.1, kinds="square", d0=0.1, controlled=True)
+
+
+class TestLambdaUnits:
+    # m = 4 channels of 8 cells each with disjoint supports, so |B w| = sqrt(8 |w|^2)
+    @pytest.mark.parametrize("units,scale", [("state", 1.0), ("amplitude", np.sqrt(8 * 5.25))])
+    def test_robust_bound_under_each_unit(self, heat_full, units, scale):
+        cfg, art = heat_full
+        cfg = replace(cfg, channel=(1.0, 2.0, 0.5, 0.0), lambda_units=units).validate()
+        assert build_law(cfg, art, 0.3).robust.lam == pytest.approx(0.3 * scale, rel=1e-15)
+
+
+def test_discrete_reduced_model_rejected(heat_dmdc_sim):
+    cfg, art = heat_dmdc_sim
+    with pytest.raises(HarnessError, match="discrete=1.*fit-dmdc"):
+        build_artifacts(cfg, gain=art.gain, reduction=replace(art.reduction, discrete=True))

@@ -153,13 +153,6 @@ class TestAffinity:
         rhs = a * (sim.rhs(x, u1) - base) + b * (sim.rhs(x, u2) - base)
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
-    def test_undisclosed_hides_matrix(self):
-        sim = HeatSimulator(GridSpec(p=16), 0.01, 2).undisclosed()
-        with pytest.raises(AttributeError):
-            _ = sim.control_matrix
-        # evaluation still works
-        assert sim.rhs(np.zeros(16), np.zeros(2)).shape == (16,)
-
 
 class TestIntegrate:
     def test_constant_trajectory(self):
