@@ -11,11 +11,9 @@ from .config import ExperimentConfig, burgers_config, default_config, heat_confi
 from .controller import (
     CompiledLaw,
     ControlLaw,
-    RobustConfig,
-    Weights,
     compile_law,
     estimate_b,
-    hamiltonian,
+    input_matrix,
     minimize_hamiltonian,
     robust_control,
     robust_term,

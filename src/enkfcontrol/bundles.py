@@ -4,8 +4,9 @@ One file per artifact: `key=value` header lines, then one `[name]` block per
 matrix with comma-separated rows.  Floats are printed with 17 significant
 digits so save/load round-trips are exact and files are byte-reproducible.
 Loading checks what it reads: no header key or block appears twice, every
-one it needs is there, each block is a finite rectangle, and its shape agrees
-with the header's dimensions.  Header keys a loader does not use are ignored.
+one it needs is there, each block is a finite rectangle, its shape agrees
+with the header's dimensions, and a gain's P is symmetric positive definite.
+Header keys a loader does not use are ignored.
 """
 
 from __future__ import annotations
@@ -117,7 +118,14 @@ def load_gain(path) -> GainApprox:
     if header.get("kind") != "gain":
         raise BundleError(f"expected a gain bundle, got kind={header.get('kind')!r}")
     n = _header_value(header, "n", int)
-    return GainApprox(S0=_matrix(matrices, "S0", (n, n)), P=_matrix(matrices, "P", (n, n)))
+    P = _matrix(matrices, "P", (n, n))
+    if np.max(np.abs(P - P.T)) > 1e-12 * np.max(np.abs(P)):
+        raise BundleError("[P] block is not symmetric")
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        raise BundleError("[P] block is not positive definite") from None
+    return GainApprox(S0=_matrix(matrices, "S0", (n, n)), P=P)
 
 
 def save_reduced_model(model: ReducedModel, path) -> None:

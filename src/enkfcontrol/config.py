@@ -99,7 +99,8 @@ class ExperimentConfig:
         expect(self.d0 >= 0, "d0 must be nonnegative")
         if self.channel is not None:
             expect(len(self.channel) == self.m, "channel weights must have length m")
-        expect(1 <= self.dmdc_order <= self.p, "dmdc order must be in [1, p]")
+        expect(self.dmdc_order >= 1, "dmdc order must be at least 1")
+        expect(self.model != "dmdc" or self.dmdc_order <= self.p, "dmdc order must be at most p")
         expect(self.dmdc_trajectories >= 1 and self.dmdc_steps >= 1, "dmdc snapshot counts must be positive")
         expect(len(self.grid_d0) > 0 and len(self.grid_lambda) > 0 and len(self.grid_kinds) > 0,
                "grid lists must be nonempty")

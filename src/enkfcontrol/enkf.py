@@ -142,9 +142,6 @@ class GainApprox:
     def n(self) -> int:
         return self.P.shape[0]
 
-    def value_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.P @ x
-
 
 def init_ensemble(cfg: EnkfConfig, n: int, rng: np.random.Generator) -> Ensemble:
     """Draw the terminal ensemble Y_i ~ N(0, S_T) and stamp it with t = T."""

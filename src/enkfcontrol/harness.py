@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dmdc as dmdc_mod
 from .config import ExperimentConfig
-from .controller import ControlLaw, RobustConfig, Weights, compile_law
+from .controller import ControlLaw, compile_law
 from .enkf import EnkfConfig, GainApprox, run_dual_enkf_linear
 from .pde import (
     BurgersSimulator,
@@ -131,6 +131,27 @@ def _train_gain(cfg: ExperimentConfig, design_sim: Simulator) -> GainApprox:
     )
 
 
+def _check_reduction(cfg: ExperimentConfig, reduction: dmdc_mod.ReducedModel) -> None:
+    """A supplied reduced model must be the continuous-time fit of this config."""
+    if cfg.model != "dmdc":
+        raise HarnessError(
+            f"a reduced model was supplied with model={cfg.model}; "
+            "pass --model dmdc to use it, or drop --reduced-model"
+        )
+    if reduction.discrete:
+        raise HarnessError(
+            "reduced model is the discrete-time fit (discrete=1); "
+            "pass the continuous-time bundle that fit-dmdc writes"
+        )
+    for key, fitted, configured in (("p", reduction.p, cfg.p), ("m", reduction.m, cfg.m),
+                                    ("dmdc order", reduction.n, cfg.dmdc_order)):
+        if fitted != configured:
+            raise HarnessError(
+                f"reduced model has {key}={fitted}, the config {key}={configured}; "
+                f"run with {key}={fitted}, or refit the reduced model with fit-dmdc"
+            )
+
+
 def build_artifacts(
     cfg: ExperimentConfig,
     gain: GainApprox | None = None,
@@ -138,19 +159,13 @@ def build_artifacts(
 ) -> Artifacts:
     """Assemble the simulators, fitting and training whatever was not supplied."""
     sim = build_full_simulator(cfg)
-    if cfg.model == "dmdc":
-        if reduction is None:
-            if gain is not None:
-                raise HarnessError("dmdc model path needs a reduced model with the gain")
-            reduction = fit_reduction(cfg, sim)
-        elif reduction.discrete:
-            raise HarnessError(
-                "reduced model is the discrete-time fit (discrete=1); "
-                "pass the continuous-time bundle that fit-dmdc writes"
-            )
-        design_sim = LinearSimulator(reduction.A, reduction.B)
-    else:
-        design_sim, reduction = sim, None
+    if reduction is not None:
+        _check_reduction(cfg, reduction)
+    elif cfg.model == "dmdc":
+        if gain is not None:
+            raise HarnessError("dmdc model path needs a reduced model with the gain")
+        reduction = fit_reduction(cfg, sim)
+    design_sim = sim if reduction is None else LinearSimulator(reduction.A, reduction.B)
     if gain is None:
         gain = _train_gain(cfg, design_sim)
     elif gain.n != design_sim.n:
@@ -171,21 +186,20 @@ def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam: float) -> float:
     return lam * float(np.linalg.norm(art.design_sim.control_matrix @ w))
 
 
-def build_law(cfg: ExperimentConfig, art: Artifacts, lam: float) -> ControlLaw:
-    """Control law for a given robust gain lambda (see :func:`_lambda_state`)."""
-    weights = Weights(R=cfg.r_input * np.eye(cfg.m), Q=cfg.q * np.eye(art.gain.n))
+def build_law(cfg: ExperimentConfig, art: Artifacts) -> ControlLaw:
+    """The control law of the trained gain; lambda is given at evaluation."""
     return ControlLaw(
         gain=art.gain,
-        weights=weights,
-        robust=RobustConfig(lam=_lambda_state(cfg, art, lam), r=cfg.r_robust),
+        R=cfg.r_input * np.eye(cfg.m),
+        r=cfg.r_robust,
         b_access="known" if cfg.b_access == "auto" else cfg.b_access,
         reduction=art.reduction,
     )
 
 
 def _feedback(cfg: ExperimentConfig, art: Artifacts, lam: np.ndarray):
-    """Z -> controls of the rows of Z, row i under lambda lam[i]."""
-    compiled = compile_law(build_law(cfg, art, 0.0), art.design_sim)
+    """Z -> controls of the rows of Z, row i under lambda lam[i] (see :func:`_lambda_state`)."""
+    compiled = compile_law(build_law(cfg, art), art.design_sim)
     by_lam = {v: _lambda_state(cfg, art, v) for v in set(lam.tolist())}
     lam_state = np.array([by_lam[v] for v in lam.tolist()])
     return lambda Z: compiled(Z, lam_state)

@@ -123,6 +123,9 @@ P_ROWS = "[P]\n0.5714285714285714,-0.2857142857142857\n-0.2857142857142857,1.142
         (load_gain, GOOD_GAIN.replace("-0.2857142857142857,1.1428571428571428", "1"),
          r"\[P\] block has rows of different lengths"),
         (load_gain, GOOD_GAIN.replace(P_ROWS, ""), r"missing \[P\] block"),
+        (load_gain, GOOD_GAIN.replace(P_ROWS, "[P]\n1,0.5\n0,1\n"), r"\[P\] block is not symmetric"),
+        (load_gain, GOOD_GAIN.replace(P_ROWS, "[P]\n-1,0\n0,-1\n"),
+         r"\[P\] block is not positive definite"),
         (load_reduced_model, GOOD_REDUCED.replace("dt=0.001\n", ""), r"missing header key 'dt'"),
         (load_reduced_model, GOOD_REDUCED.replace("dt=0.001", "dt=nan"), r"bad header value dt='nan'"),
         (load_reduced_model, GOOD_REDUCED.replace("[B]\n1\n", "[B]\n1,2\n"), r"\[B\] block is 1x2"),
@@ -131,8 +134,9 @@ P_ROWS = "[P]\n0.5714285714285714,-0.2857142857142857\n-0.2857142857142857,1.142
         (load_reduced_model, GOOD_REDUCED.replace("n=1\n", "n=1\nn=2\n"),
          r"line 4: repeated header key 'n'"),
     ],
-    ids=["wrong-shape", "nan", "empty-block", "ragged-row", "missing-block", "missing-header",
-         "bad-header-value", "reduced-wrong-shape", "repeated-block", "repeated-header-key"],
+    ids=["wrong-shape", "nan", "empty-block", "ragged-row", "missing-block", "asymmetric-P",
+         "indefinite-P", "missing-header", "bad-header-value", "reduced-wrong-shape",
+         "repeated-block", "repeated-header-key"],
 )
 def test_malformed_bundle_rejected(tmp_path, load, text, named):
     path = tmp_path / "bad.bundle"

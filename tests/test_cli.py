@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,3 +178,18 @@ class TestBadInput:
         assert main(["batch", "--config", small_cfg, "--gain", str(gain), "--out", out]) == 1
         assert capsys.readouterr().err == "error: BundleError: missing [P] block\n"
         assert not os.path.exists(out)
+
+
+def test_oracle_prints_the_riccati_references():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-m", "enkfcontrol", "oracle"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    scalar, diagonal, abscissa = run.stdout.splitlines()
+    P = float(scalar.split("P = ")[1].split()[0])
+    assert abs(P - 1.0) <= 1e-12
+    errors = [float(scalar.rsplit("residual ", 1)[1]), float(diagonal.rsplit("= ", 1)[1])]
+    assert max(errors) <= 1e-12
+    assert abscissa.rsplit(": ", 1)[1] == f"{-np.sqrt(2.0):.6g}"  # -sqrt(2) as printed

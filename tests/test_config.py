@@ -104,3 +104,8 @@ class TestRangeChecks:
     def test_infinite_value_in_a_file_rejected(self):
         with pytest.raises(ConfigError, match=r"\[experiment\] T_sim must be finite"):
             parse_config_text("[experiment]\nT_sim = inf\n")
+
+    def test_dmdc_order_above_p_only_matters_for_the_dmdc_model(self):
+        heat_config(p=9)  # order 10 > p, but model=full fits no reduced model
+        with pytest.raises(ConfigError, match="dmdc order must be at most p"):
+            heat_config(p=9, model="dmdc")

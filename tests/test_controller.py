@@ -6,11 +6,9 @@ import pytest
 from enkfcontrol.controller import (
     ControlLaw,
     RankDeficientError,
-    RobustConfig,
-    Weights,
     compile_law,
     estimate_b,
-    hamiltonian,
+    input_matrix,
     minimize_hamiltonian,
     robust_control,
     robust_term,
@@ -25,14 +23,8 @@ def make_gain(P):
     return GainApprox(S0=invert_spd(P), P=P)
 
 
-def make_law(P, Q, R, lam=0.0, r=0.01, b_access="known", reduction=None):
-    return ControlLaw(
-        gain=make_gain(P),
-        weights=Weights(R=np.atleast_2d(R), Q=np.atleast_2d(Q)),
-        robust=RobustConfig(lam=lam, r=r),
-        b_access=b_access,
-        reduction=reduction,
-    )
+def make_law(P, R, r=0.01, b_access="known", reduction=None):
+    return ControlLaw(gain=make_gain(P), R=R, r=r, b_access=b_access, reduction=reduction)
 
 
 def hidden_b(sim):
@@ -49,38 +41,23 @@ def random_lti(rng, n, m):
     return A, B
 
 
-class TestHamiltonian:
-    def test_zero_state_zero_control(self):
-        sim = LinearSimulator(np.zeros((2, 2)), np.eye(2))
-        law = make_law(np.eye(2), np.eye(2), np.eye(2))
-        assert hamiltonian(law, np.zeros(2), np.zeros(2), sim) == 0.0
+class TestControlLaw:
+    @pytest.mark.parametrize("R,r,message", [
+        ([[1.0, 0.5], [0.0, 1.0]], 0.01, "R must be symmetric"),
+        ([[1.0, 0.0], [0.0, -1.0]], 0.01, "R must be positive definite"),
+        (np.eye(2), 0.0, "regularization r must be positive"),
+    ])
+    def test_bad_weights_rejected(self, R, r, message):
+        with pytest.raises(ValueError, match=message):
+            make_law(np.eye(2), R, r=r)
 
-    def test_scalar_complete_square(self):
-        # A=0, B=1, Q=R=1, P=1: H(1, u) = u + (1 + u^2)/2, minimum at u=-1
-        sim = LinearSimulator([[0.0]], [[1.0]])
-        law = make_law([[1.0]], [[1.0]], [[1.0]])
-        for u in (-2.0, -1.0, 0.0, 0.5):
-            expected = u + 0.5 * (1.0 + u * u)
-            assert hamiltonian(law, np.array([1.0]), np.array([u]), sim) == pytest.approx(expected)
-        assert minimize_hamiltonian(law, np.array([1.0]), sim) == pytest.approx([-1.0])
-
-    def test_second_difference_is_exactly_r(self):
+    def test_input_matrix_read_or_probed(self):
         rng = np.random.default_rng(1)
-        n, m = 4, 3
-        A, B = random_lti(rng, n, m)
+        A, B = random_lti(rng, 4, 2)
         sim = LinearSimulator(A, B)
-        R = np.diag([1.0, 2.0, 0.5])
-        P = np.eye(n)
-        law = make_law(P, np.eye(n), R)
-        x = rng.normal(size=n)
-        u = rng.normal(size=m)
-        h = rng.normal(size=m)
-        second_diff = (
-            hamiltonian(law, x, u + h, sim)
-            + hamiltonian(law, x, u - h, sim)
-            - 2.0 * hamiltonian(law, x, u, sim)
-        )
-        assert second_diff == pytest.approx(h @ R @ h, rel=1e-10)
+        assert input_matrix(make_law(np.eye(4), np.eye(2)), sim) is B
+        probed = input_matrix(make_law(np.eye(4), np.eye(2), b_access="simulator"), hidden_b(sim))
+        np.testing.assert_allclose(probed, B, rtol=0, atol=1e-12)
 
 
 class TestMinimizeHamiltonian:
@@ -88,8 +65,14 @@ class TestMinimizeHamiltonian:
         rng = np.random.default_rng(2)
         A, B = random_lti(rng, 3, 2)
         sim = LinearSimulator(A, B)
-        law = make_law(np.eye(3), np.eye(3), np.eye(2))
+        law = make_law(np.eye(3), np.eye(2))
         assert np.allclose(minimize_hamiltonian(law, np.zeros(3), sim), 0.0)
+
+    def test_scalar_complete_square(self):
+        # A=0, B=1, Q=R=1, P=1: H(1, u) = u + (1 + u^2)/2, minimum at u=-1
+        sim = LinearSimulator([[0.0]], [[1.0]])
+        law = make_law([[1.0]], [[1.0]])
+        assert minimize_hamiltonian(law, np.array([1.0]), sim) == pytest.approx([-1.0])
 
     def test_branches_agree_on_random_systems(self):
         rng = np.random.default_rng(3)
@@ -103,8 +86,8 @@ class TestMinimizeHamiltonian:
             D = rng.uniform(0.5, 2.0, size=m)
             R = np.diag(D)
             x = rng.normal(size=n)
-            law_known = make_law(P, np.eye(n), R, b_access="known")
-            law_free = make_law(P, np.eye(n), R, b_access="simulator")
+            law_known = make_law(P, R, b_access="known")
+            law_free = make_law(P, R, b_access="simulator")
             u_known = minimize_hamiltonian(law_known, x, sim)
             u_free = minimize_hamiltonian(law_free, x, hidden_b(sim))
             assert np.allclose(u_known, u_free, atol=1e-10)
@@ -114,13 +97,17 @@ class TestMinimizeHamiltonian:
         rng = np.random.default_rng(4)
         A, B = random_lti(rng, 4, 2)
         sim = LinearSimulator(A, B)
-        P = np.eye(4) * 2.0
-        law = make_law(P, np.eye(4), np.eye(2))
+        P, Q, R = np.eye(4) * 2.0, np.eye(4), np.eye(2)
+        law = make_law(P, R)
+
+        def H(x, u):  # g'(Ax + Bu) + (x'Qx + u'Ru)/2 with g = Px
+            return (P @ x) @ (A @ x + B @ u) + 0.5 * (x @ Q @ x + u @ R @ u)
+
         for _ in range(100):
             x = rng.normal(size=4)
             u_star = minimize_hamiltonian(law, x, sim)
             u_probe = rng.normal(size=2, scale=3.0)
-            assert hamiltonian(law, x, u_star, sim) <= hamiltonian(law, x, u_probe, sim) + 1e-12
+            assert H(x, u_star) <= H(x, u_probe) + 1e-12
 
 
 class TestEstimateB:
@@ -150,21 +137,21 @@ class TestRobustTerm:
     def test_worked_example(self):
         # B = I2, g = (3, 4), lambda = 1, r = 0.01: u_d = -(0.6, 0.8)
         sim = LinearSimulator(np.zeros((2, 2)), np.eye(2))
-        law = make_law(np.eye(2), np.eye(2), np.eye(2), lam=1.0, r=0.01)
-        u_d = robust_term(law, np.array([3.0, 4.0]), sim)
+        law = make_law(np.eye(2), np.eye(2), r=0.01)
+        u_d = robust_term(law, np.array([3.0, 4.0]), sim, 1.0)
         assert np.allclose(u_d, [-0.6, -0.8], atol=1e-12)
 
     def test_zero_gradient_inside_ball(self):
         sim = LinearSimulator(np.zeros((2, 2)), np.eye(2))
-        law = make_law(np.eye(2), np.eye(2), np.eye(2), lam=1.0, r=0.01)
-        assert np.allclose(robust_term(law, np.zeros(2), sim), 0.0)
+        law = make_law(np.eye(2), np.eye(2), r=0.01)
+        assert np.allclose(robust_term(law, np.zeros(2), sim, 1.0), 0.0)
 
     def test_lambda_zero_is_identically_zero(self):
         rng = np.random.default_rng(7)
         sim = LinearSimulator(*random_lti(rng, 3, 2))
-        law = make_law(np.eye(3), np.eye(3), np.eye(2), lam=0.0)
+        law = make_law(np.eye(3), np.eye(2))
         for _ in range(10):
-            assert np.array_equal(robust_term(law, rng.normal(size=3), sim), np.zeros(2))
+            assert np.array_equal(robust_term(law, rng.normal(size=3), sim, 0.0), np.zeros(2))
 
     def test_projection_bound_random_wide(self):
         # |B u_d| <= lambda across random cases with m < n
@@ -177,9 +164,9 @@ class TestRobustTerm:
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.1 * np.eye(n)
             lam = float(rng.uniform(0.1, 3.0))
-            law = make_law(P, np.eye(n), np.eye(m), lam=lam, r=0.01)
+            law = make_law(P, np.eye(m), r=0.01)
             x = rng.normal(size=n)
-            u_d = robust_term(law, x, sim)
+            u_d = robust_term(law, x, sim, lam)
             assert np.linalg.norm(B @ u_d) <= lam + 1e-9
 
     def test_full_span_direction(self):
@@ -192,10 +179,10 @@ class TestRobustTerm:
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.5 * np.eye(n)
             lam = 0.7
-            law = make_law(P, np.eye(n), np.eye(n), lam=lam, r=1e-4)
+            law = make_law(P, np.eye(n), r=1e-4)
             x = rng.normal(size=n)
             g = P @ x
-            u_d = robust_term(law, x, sim)
+            u_d = robust_term(law, x, sim, lam)
             assert np.allclose(B @ u_d, -lam * g / np.linalg.norm(g), atol=1e-10)
 
     def test_branches_agree(self):
@@ -206,12 +193,12 @@ class TestRobustTerm:
             sim = LinearSimulator(A, B)
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.1 * np.eye(n)
-            law_known = make_law(P, np.eye(n), np.eye(m), lam=1.3, r=0.01, b_access="known")
-            law_free = make_law(P, np.eye(n), np.eye(m), lam=1.3, r=0.01, b_access="simulator")
+            law_known = make_law(P, np.eye(m), r=0.01, b_access="known")
+            law_free = make_law(P, np.eye(m), r=0.01, b_access="simulator")
             x = rng.normal(size=n)
             assert np.allclose(
-                robust_term(law_known, x, sim),
-                robust_term(law_free, x, hidden_b(sim)),
+                robust_term(law_known, x, sim, 1.3),
+                robust_term(law_free, x, hidden_b(sim), 1.3),
                 atol=1e-10,
             )
 
@@ -219,17 +206,17 @@ class TestRobustTerm:
         B = np.zeros((3, 2))
         B[:, 0] = [1.0, 0.0, 0.0]  # second column identically zero
         sim = LinearSimulator(np.zeros((3, 3)), B)
-        law = make_law(np.eye(3), np.eye(3), np.eye(2), lam=1.0)
+        law = make_law(np.eye(3), np.eye(2))
         with pytest.raises(RankDeficientError, match="columns"):
-            robust_term(law, np.array([1.0, 0.0, 0.0]), sim)
+            robust_term(law, np.array([1.0, 0.0, 0.0]), sim, 1.0)
 
 
 class TestRobustControl:
     def test_zero_state_zero_control(self):
         rng = np.random.default_rng(11)
         sim = LinearSimulator(*random_lti(rng, 3, 3))
-        law = make_law(np.eye(3), np.eye(3), np.eye(3), lam=0.5)
-        assert np.allclose(robust_control(law, np.zeros(3), sim), 0.0)
+        law = make_law(np.eye(3), np.eye(3))
+        assert np.allclose(robust_control(law, np.zeros(3), sim, 0.5), 0.0)
 
     def test_branch_swap_leaves_control_unchanged(self):
         rng = np.random.default_rng(12)
@@ -238,14 +225,14 @@ class TestRobustControl:
         sim = LinearSimulator(A, B)
         M = rng.normal(size=(n, n))
         P = M @ M.T + 0.2 * np.eye(n)
+        law_known = make_law(P, np.eye(m), b_access="known")
+        law_free = make_law(P, np.eye(m), b_access="simulator")
         for lam in (0.0, 0.8):
-            law_known = make_law(P, np.eye(n), np.eye(m), lam=lam, b_access="known")
-            law_free = make_law(P, np.eye(n), np.eye(m), lam=lam, b_access="simulator")
             for _ in range(20):
                 z = rng.normal(size=n)
                 assert np.allclose(
-                    robust_control(law_known, z, sim),
-                    robust_control(law_free, z, hidden_b(sim)),
+                    robust_control(law_known, z, sim, lam),
+                    robust_control(law_free, z, hidden_b(sim), lam),
                     atol=1e-10,
                 )
 
@@ -254,11 +241,11 @@ class TestRobustControl:
         sim = LinearSimulator([[0.0]], [[1.0]])
         sys = LtiSystem([[0.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
         P = solve_are(sys)
-        law = make_law(P, [[1.0]], [[1.0]], lam=0.0)
+        law = make_law(P, [[1.0]])
         x = np.array([1.0])
         dt = 1e-2
         for _ in range(400):
-            u = robust_control(law, x, sim)
+            u = robust_control(law, x, sim, 0.0)
             x = x + dt * sim.rhs(x, u)
         assert abs(x[0]) < np.exp(-3.0)
 
@@ -269,9 +256,9 @@ class TestRobustControl:
         Phi = np.linalg.qr(rng.normal(size=(6, 2)))[0].T  # 2x6, orthonormal rows
         red = ReducedModel(A=-np.eye(2), B=np.eye(2), Phi=Phi, dt=0.1, discrete=False)
         design_sim = LinearSimulator(red.A, red.B)
-        law = make_law(np.eye(2) * 2.0, np.eye(2), np.eye(2), lam=0.0, reduction=red)
+        law = make_law(np.eye(2) * 2.0, np.eye(2), reduction=red)
         z = rng.normal(size=6)
-        u = robust_control(law, z, design_sim)
+        u = robust_control(law, z, design_sim, 0.0)
         expected = -np.linalg.solve(np.eye(2), red.B.T @ (2.0 * (Phi @ z)))
         assert np.allclose(u, expected, atol=1e-12)
 
@@ -299,18 +286,16 @@ class TestCompiledLaw:
         Z[0] = 0.0
         Z[1] *= 1e-4  # inside the ball |g| < r
         lam = np.array([0.0, 0.7, 0.7, 0.0, 1.3, 0.2])
-        law = make_law(P, np.eye(n), R, r=0.01, b_access=b_access, reduction=red)
-        compiled = compile_law(law, sim)
-        U = compiled(Z, lam)
+        law = make_law(P, R, r=0.01, b_access=b_access, reduction=red)
+        U = compile_law(law, sim)(Z, lam)
         for z, lam_i, u in zip(Z, lam, U):
-            row_law = make_law(P, np.eye(n), R, lam=lam_i, r=0.01, b_access=b_access, reduction=red)
-            np.testing.assert_allclose(u, robust_control(row_law, z, sim), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=1e-15)
 
     def test_probes_b_once_and_checks_rank(self):
         B = np.zeros((3, 2))
         B[:, 0] = [1.0, 0.0, 0.0]
         sim = LinearSimulator(np.zeros((3, 3)), B)
-        law = make_law(np.eye(3), np.eye(3), np.eye(2), b_access="simulator")
+        law = make_law(np.eye(3), np.eye(2), b_access="simulator")
         with pytest.raises(RankDeficientError):
             compile_law(law, sim)
 
@@ -324,11 +309,10 @@ class TestCompiledLaw:
         P = np.eye(p) + M @ M.T / p
         Z = rng.normal(size=(5, p))
         lam = np.array([0.0, 0.5, 1.0, 0.5, 2.0])
-        law = make_law(P, np.eye(p), np.eye(m), b_access="simulator")
+        law = make_law(P, np.eye(m), b_access="simulator")
         U = compile_law(law, sim)(Z, lam)
         for z, lam_i, u in zip(Z, lam, U):
-            row_law = make_law(P, np.eye(p), np.eye(m), lam=lam_i, b_access="simulator")
-            np.testing.assert_allclose(u, robust_control(row_law, z, sim), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=0)
 
 
 class TestLyapunovDecrease:
@@ -346,7 +330,7 @@ class TestLyapunovDecrease:
             lam = 0.5
             r = 0.05
             sim = LinearSimulator(A, B)
-            compiled = compile_law(make_law(P, np.eye(n), np.eye(n), r=r), sim)
+            compiled = compile_law(make_law(P, np.eye(n), r=r), sim)
             lam_row = np.array([lam])
 
             # adversarial matched disturbance of norm 0.9*lambda enters the

@@ -19,6 +19,7 @@ from enkfcontrol.enkf import GainApprox
 from enkfcontrol.harness import (
     POLICIES,
     HarnessError,
+    _lambda_state,
     build_artifacts,
     build_full_simulator,
     build_law,
@@ -45,7 +46,7 @@ def reference(cfg, art, z0, lam, kind, d0, controlled):
     """(l2 trace, terminal ratio) of one trajectory, one state at a time."""
     grid = grid_of(cfg)
     w = np.ones(cfg.m)
-    law = build_law(cfg, art, lam) if controlled else None
+    law, lam_state = build_law(cfg, art), _lambda_state(cfg, art, lam)
     n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
     t = np.arange(n_steps + 1) * cfg.dt_sim
     l2 = np.empty(n_steps + 1)
@@ -54,7 +55,7 @@ def reference(cfg, art, z0, lam, kind, d0, controlled):
     failed = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            u = robust_control(law, z, art.design_sim) if law is not None else np.zeros(cfg.m)
+            u = robust_control(law, z, art.design_sim, lam_state) if controlled else np.zeros(cfg.m)
             d = d0 * {"sin": np.sin(t[k]), "const": 1.0, "none": 0.0}[kind] * w
             z = rk4_step(art.sim, z, u + d, cfg.dt_sim)
             norm = l2_norm(z, grid)
@@ -309,10 +310,24 @@ class TestLambdaUnits:
     def test_robust_bound_under_each_unit(self, heat_full, units, scale):
         cfg, art = heat_full
         cfg = replace(cfg, channel=(1.0, 2.0, 0.5, 0.0), lambda_units=units).validate()
-        assert build_law(cfg, art, 0.3).robust.lam == pytest.approx(0.3 * scale, rel=1e-15)
+        assert _lambda_state(cfg, art, 0.3) == pytest.approx(0.3 * scale, rel=1e-15)
 
 
 def test_discrete_reduced_model_rejected(heat_dmdc_sim):
     cfg, art = heat_dmdc_sim
     with pytest.raises(HarnessError, match="discrete=1.*fit-dmdc"):
         build_artifacts(cfg, gain=art.gain, reduction=replace(art.reduction, discrete=True))
+
+
+@pytest.mark.parametrize("overrides,named", [
+    ({"model": "full"}, r"supplied with model=full; pass --model dmdc"),
+    ({"p": 40}, r"reduced model has p=32, the config p=40; run with p=32"),
+    ({"m": 3}, r"reduced model has m=4, the config m=3; run with m=4"),
+    ({"dmdc_order": 5}, r"reduced model has dmdc order=6, the config dmdc order=5"),
+], ids=["model-full", "p", "m", "order"])
+def test_reduced_model_must_match_the_config(heat_dmdc_sim, overrides, named):
+    cfg, art = heat_dmdc_sim
+    cfg = replace(cfg, **overrides).validate()
+    gain = spd_gain(cfg.p, 5) if cfg.model == "full" else art.gain
+    with pytest.raises(HarnessError, match=named):
+        build_artifacts(cfg, gain=gain, reduction=art.reduction)
