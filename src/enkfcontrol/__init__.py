@@ -26,15 +26,7 @@ from .dmdc import (
     reduce_state,
     to_continuous,
 )
-from .enkf import (
-    EnkfConfig,
-    Ensemble,
-    GainApprox,
-    empirical_stats,
-    init_ensemble,
-    run_dual_enkf_linear,
-    step_linear,
-)
+from .enkf import EnkfConfig, GainApprox, run_dual_enkf_linear, step_linear
 from .harness import (
     Artifacts,
     Case,

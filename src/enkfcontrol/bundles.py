@@ -6,7 +6,7 @@ digits so save/load round-trips are exact and files are byte-reproducible.
 Loading checks what it reads: no header key or block appears twice, every
 one it needs is there, each block is a finite rectangle, its shape agrees
 with the header's dimensions, and a gain's P is symmetric positive definite.
-Header keys a loader does not use are ignored.
+Header keys and blocks a loader does not use are ignored.
 """
 
 from __future__ import annotations
@@ -106,13 +106,13 @@ def _parse(text: str) -> tuple[dict, dict]:
 
 
 def save_gain(gain: GainApprox, path) -> None:
-    text = _render("gain", {"n": str(gain.n)}, {"S0": gain.S0, "P": gain.P})
+    text = _render("gain", {"n": str(gain.n)}, {"P": gain.P})
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
 
 def load_gain(path) -> GainApprox:
-    """Load a gain bundle; a ``mode`` header written by older versions is ignored."""
+    """Load a gain bundle; the ``mode`` header and ``[S0]`` block of older versions are ignored."""
     with open(path) as fh:
         header, matrices = _parse(fh.read())
     if header.get("kind") != "gain":
@@ -125,7 +125,7 @@ def load_gain(path) -> GainApprox:
         np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         raise BundleError("[P] block is not positive definite") from None
-    return GainApprox(S0=_matrix(matrices, "S0", (n, n)), P=P)
+    return GainApprox(P=P)
 
 
 def save_reduced_model(model: ReducedModel, path) -> None:

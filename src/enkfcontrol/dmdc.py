@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .pde import Simulator, rk4_step
 
@@ -147,6 +146,8 @@ def to_continuous(model: ReducedModel) -> ReducedModel:
     B_d = M B with M = int_0^dt exp(A s) ds; M is read off a block matrix
     exponential, which also covers singular A.
     """
+    from scipy.linalg import expm, logm  # here, not at the top: full-model runs need no scipy
+
     if not model.discrete:
         raise ConversionError("model is already continuous-time")
     eigs = np.linalg.eigvals(model.A)

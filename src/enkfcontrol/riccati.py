@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_continuous_are
 
 
 class AssumptionError(ValueError):
@@ -157,6 +156,8 @@ def solve_are(sys: LtiSystem, residual_tol: float = 1e-8) -> np.ndarray:
     scipy's Schur-form solver, symmetrized; raises :class:`ConvergenceError`
     unless the residual is at most ``residual_tol * max(1, ||Q||_F)``.
     """
+    from scipy.linalg import solve_continuous_are  # here: training imports riccati, not scipy
+
     validate_system(sys)
     P = solve_continuous_are(sys.A, sys.B, sys.Q, sys.R)
     P = 0.5 * (P + P.T)
@@ -179,6 +180,6 @@ def lqr_gain(sys: LtiSystem, P: np.ndarray) -> np.ndarray:
 
 
 def invert_spd(M: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
-    c = cho_factor(M)
-    return cho_solve(c, np.eye(M.shape[0]))
+    """Inverse of a symmetric positive definite matrix: L^-T L^-1 with M = LL'."""
+    L_inv = np.linalg.inv(np.linalg.cholesky(M))
+    return L_inv.T @ L_inv

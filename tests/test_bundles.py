@@ -15,13 +15,11 @@ from enkfcontrol.enkf import GainApprox
 def test_gain_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(0)
     M = rng.normal(size=(4, 4))
-    S0 = M @ M.T + np.eye(4)
-    P = np.linalg.inv(S0)
-    gain = GainApprox(S0=S0, P=P)
+    P = np.linalg.inv(M @ M.T + np.eye(4))
+    gain = GainApprox(P=P)
     path = tmp_path / "gain.bundle"
     save_gain(gain, path)
     loaded = load_gain(path)
-    assert np.array_equal(loaded.S0, S0)
     assert np.array_equal(loaded.P, P)
 
 
@@ -43,7 +41,7 @@ def test_reduced_model_roundtrip_exact(tmp_path):
 
 
 def test_saved_bytes_deterministic(tmp_path):
-    gain = GainApprox(S0=np.eye(2), P=np.eye(2))
+    gain = GainApprox(P=np.eye(2))
     p1, p2 = tmp_path / "a.bundle", tmp_path / "b.bundle"
     save_gain(gain, p1)
     save_gain(gain, p2)
@@ -51,7 +49,7 @@ def test_saved_bytes_deterministic(tmp_path):
 
 
 def test_kind_mismatch_rejected(tmp_path):
-    gain = GainApprox(S0=np.eye(2), P=np.eye(2))
+    gain = GainApprox(P=np.eye(2))
     path = tmp_path / "gain.bundle"
     save_gain(gain, path)
     with pytest.raises(BundleError):
@@ -65,7 +63,7 @@ def test_garbage_rejected(tmp_path):
         load_gain(path)
 
 
-# a gain bundle as earlier versions wrote it, with a mode header
+# a gain bundle as earlier versions wrote it, with a mode header and an [S0] block
 OLD_GAIN = """format=enkfcontrol-bundle-v1
 kind=gain
 mode={mode}
@@ -77,23 +75,35 @@ n=2
 0.5714285714285714,-0.2857142857142857
 -0.2857142857142857,1.1428571428571428
 """
+OLD_P = [[0.5714285714285714, -0.2857142857142857], [-0.2857142857142857, 1.1428571428571428]]
 
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
 def test_old_gain_bundle_loads(tmp_path, mode):
     path = tmp_path / "gain.bundle"
     path.write_text(OLD_GAIN.format(mode=mode))
+    assert np.array_equal(load_gain(path).P, OLD_P)
+
+
+def test_old_gain_bundle_s0_is_ignored(tmp_path):
+    # nothing reads S0: an [S0] block that is not P's inverse, nor even definite, still loads
+    path = tmp_path / "gain.bundle"
+    path.write_text(OLD_GAIN.format(mode="linear").replace("[S0]\n2,0.5\n0.5,1\n", "[S0]\n-5,0\n0,-5\n"))
     gain = load_gain(path)
-    assert np.array_equal(gain.S0, [[2.0, 0.5], [0.5, 1.0]])
-    assert np.array_equal(
-        gain.P, [[0.5714285714285714, -0.2857142857142857], [-0.2857142857142857, 1.1428571428571428]]
-    )
+    assert np.array_equal(gain.P, OLD_P)
+    assert not hasattr(gain, "S0")
 
 
 def test_saved_gain_has_no_mode_header(tmp_path):
     path = tmp_path / "gain.bundle"
-    save_gain(GainApprox(S0=np.eye(2), P=np.eye(2)), path)
+    save_gain(GainApprox(P=np.eye(2)), path)
     assert path.read_text().splitlines()[:3] == ["format=enkfcontrol-bundle-v1", "kind=gain", "n=2"]
+
+
+def test_saved_gain_has_only_the_p_block(tmp_path):
+    path = tmp_path / "gain.bundle"
+    save_gain(GainApprox(P=np.eye(2)), path)
+    assert [line for line in path.read_text().splitlines() if line.startswith("[")] == ["[P]"]
 
 
 GOOD_GAIN = OLD_GAIN.format(mode="linear")

@@ -140,7 +140,7 @@ class TestBurgersTrain:
             raise AssertionError("an ensemble ran")
 
         monkeypatch.setattr(harness, "run_dual_enkf_linear", no_ensemble)
-        monkeypatch.setattr(enkf, "init_ensemble", no_ensemble)
+        monkeypatch.setattr(enkf, "init_covariance", no_ensemble)
         out = str(tmp_path / "burgers")
         assert main(self.ARGV + ["--model", "full", "--out", out]) == 1
         err = capsys.readouterr().err
@@ -165,6 +165,28 @@ class TestConfigFilePde:
 
 
 class TestBadInput:
+    def test_particles_not_above_the_design_dimension(self, small_cfg, tmp_path, capsys, monkeypatch):
+        # N <= p fails before the first EnKF step, naming the key, its value and p
+        def no_step(*args, **kwargs):
+            raise AssertionError("an EnKF step ran")
+
+        monkeypatch.setattr(enkf, "step_linear", no_step)
+        out = str(tmp_path / "bad")
+        argv = ["train", "--config", small_cfg, "--out", out, "--p", "12", "--m", "2",
+                "--particles", "12"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[enkf] particles = 12" in err and "p = 12" in err
+        assert not os.path.exists(os.path.join(out, "gain.bundle"))
+
+    def test_particles_not_above_the_dmdc_order(self, small_cfg, tmp_path, capsys):
+        out = str(tmp_path / "bad")
+        argv = ["train", "--config", small_cfg, "--out", out, "--model", "dmdc", "--particles", "4"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "[enkf] particles = 4" in err and "[dmdc] order = 4" in err
+        assert not os.path.exists(os.path.join(out, "gain.bundle"))
+
     def test_negative_seed_names_the_setting(self, small_cfg, tmp_path, capsys):
         out = str(tmp_path / "bad")
         assert main(["train", "--config", small_cfg, "--out", out, "--seed", "-1"]) == 1
@@ -193,3 +215,16 @@ def test_oracle_prints_the_riccati_references():
     errors = [float(scalar.rsplit("residual ", 1)[1]), float(diagonal.rsplit("= ", 1)[1])]
     assert max(errors) <= 1e-12
     assert abscissa.rsplit(": ", 1)[1] == f"{-np.sqrt(2.0):.6g}"  # -sqrt(2) as printed
+
+
+def test_heat_full_train_imports_no_scipy(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = ("import sys; from enkfcontrol.cli import main; "
+            "rc = main(['train', '--pde', 'heat', '--p', '12', '--m', '2', '--particles', '50', "
+            "'--out', sys.argv[1]]); print(rc, 'scipy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"

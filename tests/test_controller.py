@@ -15,12 +15,12 @@ from enkfcontrol.controller import (
 )
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.pde import BurgersSimulator, GridSpec, LinearSimulator, build_control_matrix
-from enkfcontrol.riccati import LtiSystem, invert_spd, solve_are
+from enkfcontrol.riccati import LtiSystem, solve_are
 
 
 def make_gain(P):
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    return GainApprox(S0=invert_spd(P), P=P)
+    return GainApprox(P=P)
 
 
 def make_law(P, R, r=0.01, b_access="known", reduction=None):

@@ -7,16 +7,22 @@ from enkfcontrol.enkf import (
     DivergenceError,
     EnkfConfig,
     EnkfConfigError,
-    Ensemble,
     RankError,
-    _gain_from_ensemble,
-    empirical_stats,
-    init_ensemble,
+    _gain_from_covariance,
+    init_covariance,
     noise_factor,
     run_dual_enkf_linear,
     step_linear,
 )
-from enkfcontrol.riccati import LtiSystem, solve_are
+from enkfcontrol.riccati import LtiSystem, solve_are, solve_dre
+from particle_reference import (
+    Ensemble,
+    empirical_stats,
+    gain_from_ensemble,
+    init_ensemble,
+    particle_step,
+    run_particles,
+)
 
 
 def scalar_cfg(N, T=10.0, dt=1e-3):
@@ -51,10 +57,29 @@ def coupled_noisy_system(n, m, seed):
     return A, B, C, R
 
 
+def chain_step(S, A, B, C, R, N, dt, rng, t=1.0):
+    """step_linear with the run's precomputed C'C and W."""
+    W = np.sqrt(dt) * noise_factor(R).T @ B.T
+    return step_linear(S, t, A, C.T @ C, W, N, dt, rng)
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the empirical CDFs."""
+    points = np.concatenate((a, b))
+    Fa = np.searchsorted(np.sort(a), points, side="right") / len(a)
+    Fb = np.searchsorted(np.sort(b), points, side="right") / len(b)
+    return np.max(np.abs(Fa - Fb))
+
+
 class TestConfig:
     def test_invalid_particle_count(self):
         with pytest.raises(EnkfConfigError):
             EnkfConfig(N=1, T=1.0, dt=0.1, S_T=np.eye(1))
+
+    def test_particles_must_exceed_the_dimension(self):
+        with pytest.raises(EnkfConfigError, match="N=3 for n=3"):
+            EnkfConfig(N=3, T=1.0, dt=0.1, S_T=np.eye(3))
+        EnkfConfig(N=4, T=1.0, dt=0.1, S_T=np.eye(3))
 
     def test_zero_terminal_covariance_rejected(self):
         with pytest.raises(EnkfConfigError):
@@ -66,26 +91,41 @@ class TestConfig:
 
 
 class TestInitEnsemble:
+    """The terminal covariance drawn without the ensemble: N S ~ Wishart(N - 1, S_T)."""
+
     def test_empirical_covariance_close(self):
         cfg = EnkfConfig(N=10**5, T=1.0, dt=0.1, S_T=np.eye(3))
-        e = init_ensemble(cfg, 3, np.random.default_rng(1))
-        _, S = empirical_stats(e)
+        S = init_covariance(cfg, 3, np.random.default_rng(1))
         assert np.linalg.norm(S - np.eye(3), "fro") <= 0.02 * np.linalg.norm(np.eye(3), "fro")
-        assert e.t == 1.0
+
+    def test_mean_is_the_wishart_mean(self):
+        # E[S] = (N - 1)/N S_T, which a terminal draw with N degrees of freedom misses by 1/N
+        N, draws = 5, 20000
+        S_T = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
+        cfg = EnkfConfig(N=N, T=1.0, dt=0.1, S_T=S_T)
+        rng = np.random.default_rng(7)
+        mean = sum(init_covariance(cfg, 3, rng) for _ in range(draws)) / draws
+        want = (N - 1) / N * S_T
+        assert np.linalg.norm(mean - want) <= 0.02 * np.linalg.norm(want)
 
     def test_fixed_seed_bit_identical(self):
         cfg = EnkfConfig(N=50, T=1.0, dt=0.1, S_T=np.eye(2))
-        e1 = init_ensemble(cfg, 2, np.random.default_rng(3))
-        e2 = init_ensemble(cfg, 2, np.random.default_rng(3))
-        assert np.array_equal(e1.Y, e2.Y)
+        S1 = init_covariance(cfg, 2, np.random.default_rng(3))
+        S2 = init_covariance(cfg, 2, np.random.default_rng(3))
+        assert np.array_equal(S1, S2)
 
     def test_covariance_shape_mismatch(self):
         cfg = EnkfConfig(N=50, T=1.0, dt=0.1, S_T=np.eye(2))
         with pytest.raises(EnkfConfigError):
-            init_ensemble(cfg, 3, np.random.default_rng(0))
+            init_covariance(cfg, 3, np.random.default_rng(0))
+        with pytest.raises(EnkfConfigError):
+            run_dual_enkf_linear(np.zeros((3, 3)), np.ones((3, 1)), np.eye(3), np.eye(1), cfg,
+                                 np.random.default_rng(0))
 
 
 class TestEmpiricalStats:
+    """The particle reference's moments."""
+
     def test_two_particle_example(self):
         e = Ensemble(Y=np.array([[1.0, 0.0], [-1.0, 0.0]]), t=0.0)
         mean, S = empirical_stats(e)
@@ -112,21 +152,41 @@ class TestEmpiricalStats:
         A, B, C, R = -np.eye(2), np.eye(2), np.eye(2), np.eye(2)
         e = init_ensemble(cfg, 2, rng)
         for _ in range(cfg.n_steps):
-            e = step_linear(e, A, B, C, noise_factor(R), cfg.dt_effective, rng)
+            e = particle_step(e, A, B, C, noise_factor(R), cfg.dt_effective, rng)
             _, S = empirical_stats(e)
             assert np.max(np.abs(S - S.T)) <= 1e-12
 
 
 class TestStepLinear:
     def test_no_coupling_no_noise_is_linear_flow(self):
-        # C = 0 kills the coupling, B = 0 kills the noise
-        rng = np.random.default_rng(6)
-        Y0 = rng.normal(size=(20, 2))
-        e = Ensemble(Y=Y0.copy(), t=1.0)
+        # C = 0 kills the coupling and B = 0 the noise: S+ = G'SG with G = I - dt A'
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        e = step_linear(e, A, np.zeros((2, 1)), np.zeros((1, 2)), noise_factor(np.eye(1)), 0.01, rng)
-        assert np.allclose(e.Y, Y0 - 0.01 * Y0 @ A.T)
-        assert e.t == pytest.approx(0.99)
+        S = np.array([[2.0, 0.3], [0.3, 0.5]])
+        got = chain_step(S, A, np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1), 20, 0.01,
+                         np.random.default_rng(6))
+        G = np.eye(2) - 0.01 * A.T
+        np.testing.assert_allclose(got, G.T @ S @ G, rtol=1e-15, atol=0)
+
+    def test_mean_of_one_step(self):
+        # E[S+] = G'SG + (N - 1)/N W'W: the draw along the ensemble averages out,
+        # and Xi has mean (p + (N - p - 1)) / N I
+        A, B, C, R = coupled_noisy_system(3, 2, seed=34)
+        B = 4.0 * B  # a noise term well above the spread of the draws along the ensemble
+        S = np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.6]])
+        N, dt, draws = 8, 0.05, 20000
+        rng = np.random.default_rng(35)
+        mean = sum(chain_step(S, A, B, C, R, N, dt, rng) for _ in range(draws)) / draws
+        G = np.eye(3) - dt * (A.T + 0.5 * C.T @ C @ S)
+        W = np.sqrt(dt) * noise_factor(R).T @ B.T
+        noise = (N - 1) / N * W.T @ W
+        assert np.linalg.norm(mean - (G.T @ S @ G + noise)) <= 0.02 * np.linalg.norm(noise)
+
+    def test_symmetric_every_step(self):
+        A, B, C, R = coupled_noisy_system(4, 2, seed=36)
+        S, rng = np.eye(4), np.random.default_rng(37)
+        for _ in range(50):
+            S = chain_step(S, A, B, C, R, 10, 1e-2, rng)
+            assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
 
     def test_two_particles_scalar_no_singularity(self):
         cfg = scalar_cfg(N=2, T=1.0)
@@ -135,14 +195,15 @@ class TestStepLinear:
 
     @pytest.mark.parametrize("innovation", ("averaged", "literal"))
     def test_matches_the_four_product_step(self, innovation):
-        # the folded Y G - dt mean'M + xi W against the step written out term by term;
-        # the innovation without its 1/2 is the averaged one with C scaled by sqrt(2)
+        # the reference's folded Y G - dt mean'M + xi W against the step written out
+        # term by term; the innovation without its 1/2 is the averaged one with C
+        # scaled by sqrt(2)
         A, B, C, R = coupled_noisy_system(3, 2, seed=31)
         chol = noise_factor(R)
         dt = 1e-2
         Y = np.random.default_rng(32).normal(size=(60, 3))
         scale = 1.0 if innovation == "averaged" else np.sqrt(2.0)
-        got = step_linear(Ensemble(Y=Y, t=1.0), A, B, scale * C, chol, dt, np.random.default_rng(33))
+        got = particle_step(Ensemble(Y=Y, t=1.0), A, B, scale * C, chol, dt, np.random.default_rng(33))
         want = four_product_step(Y, A, B, C, chol, dt, np.random.default_rng(33), innovation)
         assert got.t == pytest.approx(1.0 - dt)
         np.testing.assert_allclose(got.Y, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
@@ -154,12 +215,15 @@ class TestStepLinear:
             assert np.max(np.abs(part - frozen)) > 1e-3
 
     def test_divergence_detected(self):
-        e = Ensemble(Y=np.array([[1e308], [1e308]]), t=1.0)
-        with pytest.raises(DivergenceError):
-            step_linear(
-                e, np.array([[-1e30]]), np.zeros((1, 1)), np.zeros((1, 1)),
-                noise_factor(np.eye(1)), 0.1, np.random.default_rng(0),
-            )
+        # an overflowing step fails at its end time, an indefinite S at its start time
+        args = (np.array([[-1e30]]), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1), 10, 0.1,
+                np.random.default_rng(0))
+        with pytest.raises(DivergenceError) as err:
+            chain_step(np.array([[1e308]]), *args, t=1.0)
+        assert err.value.t == pytest.approx(0.9)
+        with pytest.raises(DivergenceError) as err:
+            chain_step(np.array([[-1.0]]), *args, t=1.0)
+        assert err.value.t == 1.0
 
 
 class TestScalarBenchmark:
@@ -191,19 +255,36 @@ class TestScalarBenchmark:
 
 class TestLinearRun:
     def test_matches_a_loop_of_the_four_product_step(self):
-        # p = 12, N = 500, 200 steps of the whole run against the written-out step
+        # the particle reference, p = 12, N = 500, 200 steps, against the written-out step
         A, B, C, R = coupled_noisy_system(12, 3, seed=41)
         cfg = EnkfConfig(N=500, T=0.2, dt=1e-3, S_T=np.eye(12))
         assert cfg.n_steps == 200
-        got = run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(42))
+        got = run_particles(A, B, C, R, cfg, np.random.default_rng(42))
         rng = np.random.default_rng(42)
         e = init_ensemble(cfg, 12, rng)
         chol = noise_factor(R)
         for _ in range(cfg.n_steps):
             e = Ensemble(Y=four_product_step(e.Y, A, B, C, chol, cfg.dt_effective, rng), t=0.0)
-        want = _gain_from_ensemble(e)
+        want = gain_from_ensemble(e)
         rel = np.linalg.norm(got.P - want.P, "fro") / np.linalg.norm(want.P, "fro")
         assert rel <= 1e-12
+
+    def test_gain_error_in_law_matches_the_particles(self):
+        # the chain and the particle reference on 300 seeds each: the two-sample KS
+        # statistic of the gain error stays below its 1% critical value, 1.628 sqrt(2/300).
+        # At N = 10 a chain that drops E, or scales X by 1/N, reads above 0.3.
+        A, B, C, R = coupled_noisy_system(4, 2, seed=51)
+        cfg = EnkfConfig(N=10, T=0.5, dt=1e-2, S_T=np.eye(4))
+        P_dre = solve_dre(LtiSystem(A, B, C, R, np.eye(4)), cfg.T, 1e-3)
+
+        def errors(run, seeds):
+            return np.array([
+                np.linalg.norm(run(A, B, C, R, cfg, np.random.default_rng(s)).P - P_dre) for s in seeds
+            ]) / np.linalg.norm(P_dre)
+
+        chain = errors(run_dual_enkf_linear, range(300))
+        particles = errors(run_particles, range(1000, 1300))
+        assert ks_statistic(chain, particles) <= 1.628 * np.sqrt(2 / 300)
 
     def test_consistent_with_riccati_oracle(self):
         rng = np.random.default_rng(14)
@@ -222,21 +303,21 @@ class TestLinearRun:
 
 class TestCarriedMoments:
     def test_carried_moments_match_the_samples(self):
-        # the mean and S the step carries against those of its samples, every step
+        # the mean and S the reference step carries against those of its samples, every step
         A, B, C, R = coupled_noisy_system(12, 3, seed=43)
         cfg = EnkfConfig(N=500, T=0.2, dt=1e-3, S_T=np.eye(12))
         rng = np.random.default_rng(44)
         e = init_ensemble(cfg, 12, rng)
         chol = noise_factor(R)
         for _ in range(cfg.n_steps):
-            e = step_linear(e, A, B, C, chol, cfg.dt_effective, rng)
+            e = particle_step(e, A, B, C, chol, cfg.dt_effective, rng)
             mean, S = empirical_stats(e)
             assert np.linalg.norm(e.mean - mean) <= 1e-12 * np.linalg.norm(mean)
             assert np.linalg.norm(e.S - S, "fro") <= 1e-12 * np.linalg.norm(S, "fro")
 
-    def test_run_diverges_at_the_time_of_the_four_product_loop(self):
+    def test_run_diverges_before_time_zero(self):
         # a wide terminal draw makes the coupling blow up: G ~ -dt S/2 grows with S,
-        # so both runs leave the finite range on the same step, well before t = 0
+        # so the particles and the chain both leave the finite range well before t = 0
         A = -40.0 * np.eye(3)
         B, C, R = np.ones((3, 1)), np.eye(3), np.eye(1)
         cfg = EnkfConfig(N=50, T=1.0, dt=0.05, S_T=1e3 * np.eye(3))
@@ -252,21 +333,23 @@ class TestCarriedMoments:
         assert t_fail is not None and t_fail > 0.0
         with pytest.raises(DivergenceError) as err:
             run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(45))
-        assert err.value.t == t_fail
+        assert 0.0 < err.value.t < cfg.T
 
     def test_peak_allocation_of_a_run(self):
-        # two work arrays and the draw; no third N x p array alive at once
-        N, p, m = 4000, 50, 4
+        # nothing the chain allocates grows with N
+        p, m = 50, 4
         A, B, C, R = coupled_noisy_system(p, m, seed=46)
-        cfg = EnkfConfig(N=N, T=0.02, dt=1e-3, S_T=np.eye(p))
-        assert cfg.n_steps == 20
-        tracemalloc.start()
-        try:
-            run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(47))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * N * p * 8
+        peaks = []
+        for N in (10**3, 10**3, 10**9):  # the first run warms up numpy's caches
+            cfg = EnkfConfig(N=N, T=0.02, dt=1e-3, S_T=np.eye(p))
+            tracemalloc.start()
+            try:
+                run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(47))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == peaks[2]
+        assert peaks[1] < 10**3 * p * 8
 
 
 class TestDeterminism:
@@ -275,10 +358,15 @@ class TestDeterminism:
         g1 = run_dual_enkf_linear([[0.0]], [[1.0]], [[1.0]], [[1.0]], cfg, np.random.default_rng(42))
         g2 = run_dual_enkf_linear([[0.0]], [[1.0]], [[1.0]], [[1.0]], cfg, np.random.default_rng(42))
         assert np.array_equal(g1.P, g2.P)
-        assert np.array_equal(g1.S0, g2.S0)
+
+    def test_gain_bit_identical_at_p12(self):
+        A, B, C, R = coupled_noisy_system(12, 3, seed=48)
+        cfg = EnkfConfig(N=60, T=0.2, dt=1e-3, S_T=np.eye(12))
+        g1 = run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(49))
+        g2 = run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(49))
+        assert np.array_equal(g1.P, g2.P)
 
 
 def test_rank_error_for_degenerate_ensemble():
-    e = Ensemble(Y=np.zeros((5, 2)), t=0.0)
     with pytest.raises(RankError):
-        _gain_from_ensemble(e)
+        _gain_from_covariance(np.zeros((2, 2)))

@@ -39,7 +39,7 @@ RTOL = 1e-12
 def spd_gain(n: int, seed: int) -> GainApprox:
     M = np.random.default_rng(seed).normal(size=(n, n))
     P = np.eye(n) + 0.1 * M @ M.T / n
-    return GainApprox(S0=np.linalg.inv(P), P=P)
+    return GainApprox(P=P)
 
 
 def reference(cfg, art, z0, lam, kind, d0, controlled):

@@ -10,6 +10,7 @@ from enkfcontrol.riccati import (
     AssumptionError,
     LtiSystem,
     OracleError,
+    invert_spd,
     lqr_gain,
     riccati_residual,
     solve_are,
@@ -125,7 +126,7 @@ class TestAre:
         sim = build_full_simulator(cfg)
         sys = LtiSystem(A=sim.A, B=sim.control_matrix, C=np.eye(cfg.p), R=np.eye(cfg.m))
         P = solve_are(sys)
-        assert np.array_equal(P, P.T)
+        assert np.max(np.abs(P - P.T)) <= 1e-15 * np.max(np.abs(P))
         assert np.min(np.linalg.eigvalsh(P)) > 0
         assert riccati_residual(sys, P) <= 1e-8 * max(1.0, np.linalg.norm(sys.Q, "fro"))
         P_ref = solve_continuous_are(sys.A, sys.B, sys.Q, sys.R)
@@ -164,3 +165,14 @@ class TestLqrGain:
             sys = random_stable_system(rng, 4, 2)
             K = lqr_gain(sys, solve_are(sys))
             assert np.max(np.linalg.eigvals(sys.A - sys.B @ K).real) < 0
+
+
+def test_invert_spd_is_a_symmetric_inverse():
+    rng = np.random.default_rng(30)
+    M = rng.normal(size=(6, 6))
+    M = M @ M.T + np.eye(6)
+    P = invert_spd(M)
+    assert np.max(np.abs(P - P.T)) <= 1e-15 * np.max(np.abs(P))
+    np.testing.assert_allclose(P @ M, np.eye(6), rtol=0, atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        invert_spd(-M)
