@@ -93,7 +93,11 @@ class ExperimentConfig:
         expect(self.q > 0 and self.r_input > 0 and self.g > 0, "weights must be positive")
         expect(self.lam >= 0, "lambda must be nonnegative")
         expect(self.r_robust > 0, "robust r must be positive")
-        expect(self.enkf_particles >= 2, "need at least 2 particles")
+        # the ensemble covariance of the design model must have full rank
+        key, design = (("[dmdc] order", self.dmdc_order) if self.model == "dmdc"
+                       else ("[experiment] p", self.p))
+        expect(self.enkf_particles > design,
+               f"[enkf] particles = {self.enkf_particles} must exceed the design dimension, {key} = {design}")
         expect(self.enkf_T is None or self.enkf_T > 0, "enkf T must be positive")
         expect(self.enkf_dt is None or self.enkf_dt > 0, "enkf dt must be positive")
         expect(self.d0 >= 0, "d0 must be nonnegative")

@@ -32,7 +32,7 @@ import numpy as np
 from . import dmdc as dmdc_mod
 from .config import ExperimentConfig
 from .controller import ControlLaw, compile_law
-from .enkf import EnkfConfig, EnkfConfigError, GainApprox, run_dual_enkf_linear
+from .enkf import EnkfConfig, GainApprox, run_dual_enkf_linear
 from .pde import (
     BurgersSimulator,
     GridSpec,
@@ -115,20 +115,12 @@ def _train_gain(cfg: ExperimentConfig, design_sim: Simulator) -> GainApprox:
 
     The design model is linear: the full heat operator, which is LTI, or the
     fitted reduced model for ``model=dmdc``.  The full Burgers state has no
-    linear model to train on, so it fails before any ensemble step, as does
-    an ensemble no larger than the design dimension (its covariance would be
-    singular).
+    linear model to train on, so it fails before any ensemble step.
     """
     if not isinstance(design_sim, LinearSimulator):
         raise HarnessError(
             f"no linear design model to train a gain on for pde={cfg.pde}, model={cfg.model}; "
             "train on the reduced model with --model dmdc, or supply a trained gain with --gain"
-        )
-    if cfg.enkf_particles <= design_sim.n:
-        key = "[dmdc] order" if cfg.model == "dmdc" else "p"
-        raise EnkfConfigError(
-            f"[enkf] particles = {cfg.enkf_particles} must exceed the design dimension, "
-            f"{key} = {design_sim.n}"
         )
     T, dt = _enkf_horizon(cfg, design_sim.A)
     enkf_cfg = EnkfConfig(N=cfg.enkf_particles, T=T, dt=dt, S_T=np.eye(design_sim.n) / cfg.g)

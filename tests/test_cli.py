@@ -166,7 +166,7 @@ class TestConfigFilePde:
 
 class TestBadInput:
     def test_particles_not_above_the_design_dimension(self, small_cfg, tmp_path, capsys, monkeypatch):
-        # N <= p fails before the first EnKF step, naming the key, its value and p
+        # N <= p fails as the config is read, naming the key, its value and p
         def no_step(*args, **kwargs):
             raise AssertionError("an EnKF step ran")
 
@@ -176,10 +176,15 @@ class TestBadInput:
                 "--particles", "12"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "[enkf] particles = 12" in err and "p = 12" in err
+        assert err.startswith("error: ") and "[enkf] particles = 12" in err and "[experiment] p = 12" in err
         assert not os.path.exists(os.path.join(out, "gain.bundle"))
 
-    def test_particles_not_above_the_dmdc_order(self, small_cfg, tmp_path, capsys):
+    def test_particles_not_above_the_dmdc_order(self, small_cfg, tmp_path, capsys, monkeypatch):
+        # fails as the config is read, before the snapshots for the fit
+        def no_snapshots(*args, **kwargs):
+            raise AssertionError("snapshots were collected")
+
+        monkeypatch.setattr(harness.dmdc_mod, "collect_snapshots", no_snapshots)
         out = str(tmp_path / "bad")
         argv = ["train", "--config", small_cfg, "--out", out, "--model", "dmdc", "--particles", "4"]
         assert main(argv) == 1

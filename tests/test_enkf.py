@@ -15,34 +15,94 @@ from enkfcontrol.enkf import (
     step_linear,
 )
 from enkfcontrol.riccati import LtiSystem, solve_are, solve_dre
-from particle_reference import (
-    Ensemble,
-    empirical_stats,
-    gain_from_ensemble,
-    init_ensemble,
-    particle_step,
-    run_particles,
-)
 
 
 def scalar_cfg(N, T=10.0, dt=1e-3):
     return EnkfConfig(N=N, T=T, dt=dt, S_T=np.eye(1))
 
 
-def four_product_step(Y, A, B, C, chol, dt, rng, innovation="averaged"):
-    """The linear step as written out: Y - dt (Y A' + innov (S C')') + xi chol' sqrt(dt) B'.
+def empirical_stats(Y):
+    """The ensemble's mean and 1/N-normalized covariance S."""
+    mean = Y.mean(axis=0)
+    Yc = Y - mean
+    return mean, Yc.T @ Yc / Y.shape[0]
+
+
+def four_product_step(Y, A, B, C, chol, dt, xi, innovation="averaged"):
+    """The particle step as written out: Y - dt (Y A' + innov (S C')') + xi chol' sqrt(dt) B'.
 
     innov is the averaged innovation (Y C' + C mean) / 2; "literal" drops the 1/2.
     """
-    N = Y.shape[0]
-    mean = Y.mean(axis=0)
-    Yc = Y - mean
-    S = Yc.T @ Yc / N
+    mean, S = empirical_stats(Y)
     innov = Y @ C.T + C @ mean
     if innovation == "averaged":
         innov = innov / 2.0
-    noise = rng.standard_normal((N, chol.shape[0])) @ chol.T * np.sqrt(dt) @ B.T
-    return Y - dt * (Y @ A.T + innov @ (S @ C.T).T) + noise
+    return Y - dt * (Y @ A.T + innov @ (S @ C.T).T) + xi @ chol.T * np.sqrt(dt) @ B.T
+
+
+def particle_loop(A, B, C, R, cfg, rng):
+    """The particle system the chain samples, from t = T down to t = 0.
+
+    Y_i ~ N(0, S_T) at t = T, then n_steps four-product steps.  Returns the
+    terminal standard-normal draw, each step's noise draw and the ensembles,
+    the terminal one first.
+    """
+    chol = noise_factor(R)
+    G0 = rng.standard_normal((cfg.N, cfg.S_T.shape[0]))
+    Ys, xis = [G0 @ np.linalg.cholesky(cfg.S_T).T], []
+    for _ in range(cfg.n_steps):
+        xis.append(rng.standard_normal((cfg.N, chol.shape[0])))
+        Ys.append(four_product_step(Ys[-1], A, B, C, chol, cfg.dt_effective, xis[-1]))
+    return G0, xis, Ys
+
+
+def particle_gain(A, B, C, R, cfg, rng):
+    """The gain of the particle system: the inverse of its S at t = 0."""
+    return _gain_from_covariance(empirical_stats(particle_loop(A, B, C, R, cfg, rng)[2][-1])[1])
+
+
+class Replay:
+    """Stands in for the chain's rng, handing out given draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        return self._next(shape)
+
+    def chisquare(self, df):
+        return self._next(np.shape(df))
+
+    def _next(self, shape):
+        draw = self.draws.pop(0)
+        assert draw.shape == tuple(shape)
+        return draw
+
+
+def wishart_draws(H):
+    """The draws from which the chain's Wishart factor F has F'F = H'H.
+
+    H itself when it has fewer rows than columns, else Bartlett's F: its
+    upper triangle, then its squared diagonal as the chi-square draws.
+    """
+    if H.shape[0] < H.shape[1]:
+        return [H]
+    F = np.linalg.cholesky(H.T @ H).T
+    return [F, np.diag(F) ** 2]
+
+
+def chain_draws(Y, xi):
+    """The draws with which the chain's step reproduces the particle step of Y with noise xi.
+
+    With S = LL', the columns of Q = Yc L'^-1 / sqrt(N) are orthonormal, and
+    xi splits into Z1 = Q'xi, a part along the ones vector that moves only
+    the mean, and the rest, whose Gram matrix is E.
+    """
+    N, p = Y.shape
+    _, S = empirical_stats(Y)
+    Q = np.linalg.solve(np.linalg.cholesky(S), (Y - Y.mean(axis=0)).T).T / np.sqrt(N)
+    rest = np.linalg.qr(np.column_stack((Q, np.ones(N))), mode="complete")[0][:, p + 1:]
+    return [Q.T @ xi, *wishart_draws(rest.T @ xi)]
 
 
 def coupled_noisy_system(n, m, seed):
@@ -124,37 +184,31 @@ class TestInitEnsemble:
 
 
 class TestEmpiricalStats:
-    """The particle reference's moments."""
+    """The ensemble's 1/N covariance S: as its rows give it and as the chain carries it."""
 
     def test_two_particle_example(self):
-        e = Ensemble(Y=np.array([[1.0, 0.0], [-1.0, 0.0]]), t=0.0)
-        mean, S = empirical_stats(e)
+        mean, S = empirical_stats(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert np.array_equal(mean, [0.0, 0.0])
         # 1/N normalization: ((1)^2 + (-1)^2) / 2 = 1
         assert np.array_equal(S, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_identical_particles_zero_covariance(self):
-        e = Ensemble(Y=np.tile([2.0, -3.0], (7, 1)), t=0.0)
-        _, S = empirical_stats(e)
+        _, S = empirical_stats(np.tile([2.0, -3.0], (7, 1)))
         assert np.array_equal(S, np.zeros((2, 2)))
 
     def test_translation_invariance(self):
-        rng = np.random.default_rng(4)
-        Y = rng.normal(size=(50, 3))
-        m1, S1 = empirical_stats(Ensemble(Y=Y, t=0.0))
-        m2, S2 = empirical_stats(Ensemble(Y=Y + 5.0, t=0.0))
+        Y = np.random.default_rng(4).normal(size=(50, 3))
+        m1, S1 = empirical_stats(Y)
+        m2, S2 = empirical_stats(Y + 5.0)
         assert np.allclose(m2, m1 + 5.0)
         assert np.allclose(S1, S2)
 
     def test_symmetry_every_step(self):
-        rng = np.random.default_rng(5)
-        cfg = EnkfConfig(N=200, T=0.5, dt=1e-2, S_T=np.eye(2))
-        A, B, C, R = -np.eye(2), np.eye(2), np.eye(2), np.eye(2)
-        e = init_ensemble(cfg, 2, rng)
-        for _ in range(cfg.n_steps):
-            e = particle_step(e, A, B, C, noise_factor(R), cfg.dt_effective, rng)
-            _, S = empirical_stats(e)
-            assert np.max(np.abs(S - S.T)) <= 1e-12
+        A, B, C, R = coupled_noisy_system(4, 2, seed=36)
+        S, rng = np.eye(4), np.random.default_rng(37)
+        for _ in range(50):
+            S = chain_step(S, A, B, C, R, 10, 1e-2, rng)
+            assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
 
 
 class TestStepLinear:
@@ -167,26 +221,21 @@ class TestStepLinear:
         G = np.eye(2) - 0.01 * A.T
         np.testing.assert_allclose(got, G.T @ S @ G, rtol=1e-15, atol=0)
 
-    def test_mean_of_one_step(self):
+    @pytest.mark.parametrize("N", (8, 5))
+    def test_mean_of_one_step(self, N):
         # E[S+] = G'SG + (N - 1)/N W'W: the draw along the ensemble averages out,
-        # and Xi has mean (p + (N - p - 1)) / N I
+        # and Xi has mean (p + (N - p - 1)) / N I.  At p = 3, m = 2, N = 8 draws E
+        # by Bartlett's factor and N = 5 as one normal row.
         A, B, C, R = coupled_noisy_system(3, 2, seed=34)
         B = 4.0 * B  # a noise term well above the spread of the draws along the ensemble
         S = np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.6]])
-        N, dt, draws = 8, 0.05, 20000
+        dt, draws = 0.05, 20000
         rng = np.random.default_rng(35)
         mean = sum(chain_step(S, A, B, C, R, N, dt, rng) for _ in range(draws)) / draws
         G = np.eye(3) - dt * (A.T + 0.5 * C.T @ C @ S)
         W = np.sqrt(dt) * noise_factor(R).T @ B.T
         noise = (N - 1) / N * W.T @ W
         assert np.linalg.norm(mean - (G.T @ S @ G + noise)) <= 0.02 * np.linalg.norm(noise)
-
-    def test_symmetric_every_step(self):
-        A, B, C, R = coupled_noisy_system(4, 2, seed=36)
-        S, rng = np.eye(4), np.random.default_rng(37)
-        for _ in range(50):
-            S = chain_step(S, A, B, C, R, 10, 1e-2, rng)
-            assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
 
     def test_two_particles_scalar_no_singularity(self):
         cfg = scalar_cfg(N=2, T=1.0)
@@ -195,24 +244,26 @@ class TestStepLinear:
 
     @pytest.mark.parametrize("innovation", ("averaged", "literal"))
     def test_matches_the_four_product_step(self, innovation):
-        # the reference's folded Y G - dt mean'M + xi W against the step written out
-        # term by term; the innovation without its 1/2 is the averaged one with C
-        # scaled by sqrt(2)
+        # fed the projections of the particle step's noise, the chain's step gives the S
+        # of the step written out term by term; the innovation without its 1/2 is the
+        # averaged one with C'C doubled
         A, B, C, R = coupled_noisy_system(3, 2, seed=31)
         chol = noise_factor(R)
-        dt = 1e-2
-        Y = np.random.default_rng(32).normal(size=(60, 3))
-        scale = 1.0 if innovation == "averaged" else np.sqrt(2.0)
-        got = particle_step(Ensemble(Y=Y, t=1.0), A, B, scale * C, chol, dt, np.random.default_rng(33))
-        want = four_product_step(Y, A, B, C, chol, dt, np.random.default_rng(33), innovation)
-        assert got.t == pytest.approx(1.0 - dt)
-        np.testing.assert_allclose(got.Y, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
-        # drift, coupling and noise each move the ensemble well above rounding
-        frozen = four_product_step(Y, 0 * A, 0 * B, 0 * C, chol, dt, np.random.default_rng(33))
-        for part in (four_product_step(Y, A, 0 * B, 0 * C, chol, dt, np.random.default_rng(33)),
-                     four_product_step(Y, 0 * A, B, 0 * C, chol, dt, np.random.default_rng(33)),
-                     four_product_step(Y, 0 * A, 0 * B, C, chol, dt, np.random.default_rng(33))):
-            assert np.max(np.abs(part - frozen)) > 1e-3
+        N, dt = 60, 1e-2
+        rng = np.random.default_rng(32)
+        Y, xi = rng.normal(size=(N, 3)), rng.standard_normal((N, 2))
+        scale = 1.0 if innovation == "averaged" else 2.0
+        W = np.sqrt(dt) * chol.T @ B.T
+        replay = Replay(chain_draws(Y, xi))
+        got = step_linear(empirical_stats(Y)[1], 1.0, A, scale * C.T @ C, W, N, dt, replay)
+        assert not replay.draws
+        _, want = empirical_stats(four_product_step(Y, A, B, C, chol, dt, xi, innovation))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        # drift, coupling and noise each move S well above rounding
+        _, frozen = empirical_stats(four_product_step(Y, 0 * A, 0 * B, 0 * C, chol, dt, xi))
+        for part in ((A, 0 * B, 0 * C), (0 * A, B, 0 * C), (0 * A, 0 * B, C)):
+            _, moved = empirical_stats(four_product_step(Y, *part, chol, dt, xi))
+            assert np.max(np.abs(moved - frozen)) > 1e-3
 
     def test_divergence_detected(self):
         # an overflowing step fails at its end time, an indefinite S at its start time
@@ -255,17 +306,18 @@ class TestScalarBenchmark:
 
 class TestLinearRun:
     def test_matches_a_loop_of_the_four_product_step(self):
-        # the particle reference, p = 12, N = 500, 200 steps, against the written-out step
+        # p = 12, N = 500, 200 steps: the run, fed the terminal draw's Bartlett factor and
+        # each step's projected noise, gives the gain of the particle loop
         A, B, C, R = coupled_noisy_system(12, 3, seed=41)
         cfg = EnkfConfig(N=500, T=0.2, dt=1e-3, S_T=np.eye(12))
         assert cfg.n_steps == 200
-        got = run_particles(A, B, C, R, cfg, np.random.default_rng(42))
-        rng = np.random.default_rng(42)
-        e = init_ensemble(cfg, 12, rng)
-        chol = noise_factor(R)
-        for _ in range(cfg.n_steps):
-            e = Ensemble(Y=four_product_step(e.Y, A, B, C, chol, cfg.dt_effective, rng), t=0.0)
-        want = gain_from_ensemble(e)
+        G0, xis, Ys = particle_loop(A, B, C, R, cfg, np.random.default_rng(42))
+        replay = Replay(wishart_draws(G0 - G0.mean(axis=0)))
+        for Y, xi in zip(Ys, xis):
+            replay.draws += chain_draws(Y, xi)
+        got = run_dual_enkf_linear(A, B, C, R, cfg, replay)
+        assert not replay.draws
+        want = _gain_from_covariance(empirical_stats(Ys[-1])[1])
         rel = np.linalg.norm(got.P - want.P, "fro") / np.linalg.norm(want.P, "fro")
         assert rel <= 1e-12
 
@@ -283,7 +335,7 @@ class TestLinearRun:
             ]) / np.linalg.norm(P_dre)
 
         chain = errors(run_dual_enkf_linear, range(300))
-        particles = errors(run_particles, range(1000, 1300))
+        particles = errors(particle_gain, range(1000, 1300))
         assert ks_statistic(chain, particles) <= 1.628 * np.sqrt(2 / 300)
 
     def test_consistent_with_riccati_oracle(self):
@@ -303,17 +355,24 @@ class TestLinearRun:
 
 class TestCarriedMoments:
     def test_carried_moments_match_the_samples(self):
-        # the mean and S the reference step carries against those of its samples, every step
-        A, B, C, R = coupled_noisy_system(12, 3, seed=43)
-        cfg = EnkfConfig(N=500, T=0.2, dt=1e-3, S_T=np.eye(12))
-        rng = np.random.default_rng(44)
-        e = init_ensemble(cfg, 12, rng)
-        chol = noise_factor(R)
-        for _ in range(cfg.n_steps):
-            e = particle_step(e, A, B, C, chol, cfg.dt_effective, rng)
-            mean, S = empirical_stats(e)
-            assert np.linalg.norm(e.mean - mean) <= 1e-12 * np.linalg.norm(mean)
-            assert np.linalg.norm(e.S - S, "fro") <= 1e-12 * np.linalg.norm(S, "fro")
+        # the S the chain carries, fed the particle loop's draws, against the S of the
+        # samples every step, with E drawn as N - p - 1 < m normal rows: two at N = 7,
+        # none at N = p + 1 = 5
+        A, B, C, R = coupled_noisy_system(4, 3, seed=43)
+        W_unit = noise_factor(R).T @ B.T
+        for N in (7, 5):
+            cfg = EnkfConfig(N=N, T=0.2, dt=1e-2, S_T=np.eye(4))
+            h = cfg.dt_effective
+            G0, xis, Ys = particle_loop(A, B, C, R, cfg, np.random.default_rng(44))
+            S = init_covariance(cfg, 4, Replay(wishart_draws(G0 - G0.mean(axis=0))))
+            t = cfg.T
+            for Y, xi, Y_next in zip(Ys, xis, Ys[1:]):
+                replay = Replay(chain_draws(Y, xi))
+                S = step_linear(S, t, A, C.T @ C, np.sqrt(h) * W_unit, N, h, replay)
+                assert not replay.draws
+                t -= h
+                _, want = empirical_stats(Y_next)
+                assert np.linalg.norm(S - want, "fro") <= 1e-12 * np.linalg.norm(want, "fro")
 
     def test_run_diverges_before_time_zero(self):
         # a wide terminal draw makes the coupling blow up: G ~ -dt S/2 grows with S,
@@ -321,16 +380,9 @@ class TestCarriedMoments:
         A = -40.0 * np.eye(3)
         B, C, R = np.ones((3, 1)), np.eye(3), np.eye(1)
         cfg = EnkfConfig(N=50, T=1.0, dt=0.05, S_T=1e3 * np.eye(3))
-        rng = np.random.default_rng(45)
-        Y, t, t_fail = init_ensemble(cfg, 3, rng).Y, cfg.T, None
-        chol = noise_factor(R)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(cfg.n_steps):
-                Y, t = four_product_step(Y, A, B, C, chol, cfg.dt_effective, rng), t - cfg.dt_effective
-                if not np.all(np.isfinite(Y)):
-                    t_fail = t
-                    break
-        assert t_fail is not None and t_fail > 0.0
+            Ys = particle_loop(A, B, C, R, cfg, np.random.default_rng(45))[2]
+        assert not np.isfinite(Ys[-2]).all()  # already at t = dt
         with pytest.raises(DivergenceError) as err:
             run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(45))
         assert 0.0 < err.value.t < cfg.T
