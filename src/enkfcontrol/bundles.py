@@ -31,8 +31,8 @@ def _render(kind: str, header: dict, matrices: dict) -> str:
     for name, M in matrices.items():
         lines.append(f"[{name}]")
         M = np.atleast_2d(np.asarray(M, dtype=float))
-        for row in M:
-            lines.append(",".join(_fmt(v) for v in row))
+        row_format = ",".join(["%.17g"] * M.shape[1])  # _fmt of each float, in one pass
+        lines.extend(row_format % tuple(row) for row in M.tolist())
     return "\n".join(lines) + "\n"
 
 

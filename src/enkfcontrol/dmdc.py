@@ -3,7 +3,9 @@
 Fits a discrete-time linear model x_{k+1} = A_d x_k + B_d u_k on a reduced
 basis from snapshot pairs of a (possibly nonlinear) simulator, then converts
 it to continuous time.  The projection Phi has orthonormal rows; the full
-state is reconstructed as z = Phi' x.
+state is reconstructed as z = Phi' x.  The fit takes one QR of the stacked
+snapshots before any SVD (Chan, ACM TOMS 8, 1982), so no factor with one
+column per snapshot is formed.
 """
 
 from __future__ import annotations
@@ -87,18 +89,20 @@ def collect_snapshots(
     step (piecewise constant over one step).  Each trajectory consumes its
     own child RNG stream (its initial condition, then one input per step),
     so the data is reproducible regardless of how the trajectories are
-    scheduled.  All trajectories advance as one (n_traj, p) stack; columns
-    are trajectory-major and time-ordered.
+    scheduled.  A stream's inputs are drawn in one (steps, m) call, which
+    fills them in the order of one draw per step.  All trajectories advance
+    as one (n_traj, p) stack; columns are trajectory-major and time-ordered.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     streams = rng.spawn(n_traj)
     Z0 = np.array([ic_sampler(traj_rng) for traj_rng in streams], dtype=float)
+    us = np.array(
+        [traj_rng.uniform(-amplitude, amplitude, size=(steps, sim.m)) for traj_rng in streams]
+    )
     xs = np.empty((n_traj, steps + 1, Z0.shape[1]))
-    us = np.empty((n_traj, steps, sim.m))
     xs[:, 0] = Z0
     for k in range(steps):
-        us[:, k] = [traj_rng.uniform(-amplitude, amplitude, size=sim.m) for traj_rng in streams]
         xs[:, k + 1] = rk4_step(sim, xs[:, k], us[:, k], dt)
     columns = lambda a: a.reshape(-1, a.shape[-1]).T  # one column per (trajectory, step)
     return SnapshotData(X=columns(xs[:, :-1]), Xnext=columns(xs[:, 1:]), U=columns(us), dt=dt)
@@ -115,6 +119,14 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
 
     The stacked input matrix [X; U] is truncated at rank n + m for the
     regression; the successor snapshots provide the rank-n output basis.
+
+    Both come from one QR of the K x (2p + m) matrix [X; U; Xnext]' = Q R.
+    With R = [R1 R2] split after column p + m, [X; U] = R1' Q' and
+    Xnext = R2' Q', so their left singular vectors and values are those of
+    R1' and R2', and Xnext V_in = R2' W_in for the right singular vectors
+    W_in of R1'; Q is never formed.  A Gram matrix such as Xnext Xnext' would
+    square the condition number; the QR does not.  Phi's row signs are the
+    ones LAPACK picks for the SVD of R2'.
     """
     p, K = data.X.shape
     m = data.U.shape[0]
@@ -123,16 +135,17 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
     if K < n + m:
         raise FitError(f"need at least n+m={n + m} snapshot columns, got K={K}")
 
-    omega = np.vstack([data.X, data.U])
-    U_in, s_in, Vt_in = _truncated_svd(omega, n + m)
-    U_out, s_out, _ = _truncated_svd(data.Xnext, n)
+    R = np.linalg.qr(np.vstack([data.X, data.U, data.Xnext]).T, mode="r")
+    R1t, R2t = R[:, :p + m].T, R[:, p + m:].T
+    U_in, s_in, Wt_in = _truncated_svd(R1t, n + m)
+    U_out, _, _ = _truncated_svd(R2t, n)
     if U_out.shape[1] < n:
         raise FitError(
             f"snapshot data supports rank {U_out.shape[1]} < requested n={n}"
         )
 
     # G = Xnext V S^-1 U' maps stacked [x; u] to x_next; split and project.
-    proj = data.Xnext @ (Vt_in.T / s_in)
+    proj = R2t @ (Wt_in.T / s_in)
     U1 = U_in[:p]
     U2 = U_in[p:]
     A_d = U_out.T @ proj @ U1.T @ U_out

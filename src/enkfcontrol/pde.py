@@ -156,7 +156,7 @@ class Simulator:
 
 
 class LinearSimulator(Simulator):
-    """dx/dt = A x + B u."""
+    """dx/dt = A x + B u; a stack of states as x A' + u B', with A' and B' stored contiguous."""
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
         A = np.asarray(A, dtype=float)
@@ -167,13 +167,18 @@ class LinearSimulator(Simulator):
             raise ValueError("A and B row counts differ")
         self.A = A
         self._B = self.control_matrix = B
+        self._AT = np.ascontiguousarray(A.T)
+        self._BT = np.ascontiguousarray(B.T)
         self.n, self.m = B.shape
 
     def rhs(self, x, u):
         x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
         if x.ndim <= 1:
-            return self.A @ x + self._B @ np.asarray(u, dtype=float)
-        return x @ self.A.T + np.asarray(u, dtype=float) @ self._B.T
+            return self.A @ x + self._B @ u
+        out = x @ self._AT
+        out += u @ self._BT
+        return out
 
 
 class HeatSimulator(LinearSimulator):

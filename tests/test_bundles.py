@@ -3,11 +3,13 @@ import pytest
 
 from enkfcontrol.bundles import (
     BundleError,
+    _render,
     load_gain,
     load_reduced_model,
     save_gain,
     save_reduced_model,
 )
+from enkfcontrol.config import _fmt
 from enkfcontrol.dmdc import ReducedModel
 from enkfcontrol.enkf import GainApprox
 
@@ -46,6 +48,18 @@ def test_saved_bytes_deterministic(tmp_path):
     save_gain(gain, p1)
     save_gain(gain, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_rows_render_as_fmt_of_each_value():
+    M = np.array([
+        [-0.0, 5e-324, 1e300, 3.0],
+        [-2.0, 0.1, -1.5e-310, 12345678901234567.0],
+        [np.nextafter(1.0, 2.0), -1e-300, 0.0, 7.0],
+    ])
+    lines = ["format=enkfcontrol-bundle-v1", "kind=test", "n=3", "[M]"]
+    lines += [",".join(_fmt(v) for v in row) for row in M]
+    assert _render("test", {"n": "3"}, {"M": M}) == "\n".join(lines) + "\n"
+    assert "-0,4.9406564584124654e-324,1.0000000000000001e+300,3" in lines
 
 
 def test_kind_mismatch_rejected(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from enkfcontrol.config import default_config
 from enkfcontrol.dmdc import (
     ConversionError,
     FitError,
@@ -12,6 +13,7 @@ from enkfcontrol.dmdc import (
     reduce_state,
     to_continuous,
 )
+from enkfcontrol.harness import _TAG_SNAPSHOTS, _rng, build_full_simulator, grid_of
 from enkfcontrol.pde import (
     BurgersSimulator,
     GridSpec,
@@ -186,6 +188,79 @@ class TestFit:
         )
         model = fit_dmdc(data, n=6)
         assert np.linalg.norm(model.Phi @ model.Phi.T - np.eye(6)) < 1e-10
+
+
+def two_svd_fit(data, n):
+    """Reference: DMDc from thin SVDs of the K-column [X; U] and Xnext."""
+
+    def truncated_svd(M, rank):
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        keep = min(rank, int(np.sum(s > s[0] * 1e-12)))
+        return U[:, :keep], s[:keep], Vt[:keep]
+
+    p, m = data.X.shape[0], data.U.shape[0]
+    U_in, s_in, Vt_in = truncated_svd(np.vstack([data.X, data.U]), n + m)
+    U_out, _, _ = truncated_svd(data.Xnext, n)
+    proj = data.Xnext @ (Vt_in.T / s_in)
+    A_d = U_out.T @ proj @ U_in[:p].T @ U_out
+    B_d = U_out.T @ proj @ U_in[p:].T
+    return A_d, B_d, U_out.T
+
+
+def default_snapshots(pde, seed=0):
+    cfg = default_config(pde, model="dmdc", seed=seed)
+    grid = grid_of(cfg)
+    data = collect_snapshots(
+        build_full_simulator(cfg), lambda r: sample_initial_condition(r, grid),
+        n_traj=cfg.dmdc_trajectories, steps=cfg.dmdc_steps, dt=cfg.dt_sim,
+        amplitude=cfg.dmdc_amplitude, rng=_rng(cfg, _TAG_SNAPSHOTS),
+    )
+    return data, cfg.dmdc_order
+
+
+def assert_matches_two_svd_fit(model, data, n, rtol):
+    A_d, B_d, Phi = two_svd_fit(data, n)
+    # singular vectors are fixed up to sign: flip each reference row onto Phi's
+    signs = np.sign(np.sum(Phi * model.Phi, axis=1))
+    assert np.all(signs != 0)
+    Phi, A_d, B_d = signs[:, None] * Phi, signs[:, None] * A_d * signs, signs[:, None] * B_d
+    for got, want in ((model.Phi, Phi), (model.A, A_d), (model.B, B_d)):
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestQrFit:
+    """The one-QR fit against the two-SVD formula it replaces."""
+
+    @pytest.mark.parametrize("pde", ["heat", "burgers"])
+    def test_matches_two_svd_fit_on_default_snapshots(self, pde):
+        data, n = default_snapshots(pde)
+        assert_matches_two_svd_fit(fit_dmdc(data, n), data, n, rtol=1e-11)
+
+    @pytest.mark.parametrize("K", [12, 30])
+    def test_wide_data(self, K):
+        # n + m <= K < 2p + m: R is trapezoidal, and at K = 12 < p + m both
+        # of its blocks are wider than tall
+        rng = np.random.default_rng(13)
+        p, m, n = 20, 3, 5
+        data = SnapshotData(X=rng.normal(size=(p, K)), Xnext=rng.normal(size=(p, K)),
+                            U=rng.normal(size=(m, K)), dt=0.1)
+        assert n + m <= K < 2 * p + m
+        assert_matches_two_svd_fit(fit_dmdc(data, n), data, n, rtol=1e-11)
+
+    def test_no_k_column_matrix_is_decomposed(self, monkeypatch):
+        data, n = default_snapshots("heat")
+        assert data.K > 2 * data.X.shape[0] + data.U.shape[0]
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(M, *args, **kwargs):
+            shapes.append(np.shape(M))
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        fit_dmdc(data, n)
+        assert len(shapes) == 2
+        assert all(shape[1] < data.K for shape in shapes), shapes
 
 
 class TestToContinuous:

@@ -154,6 +154,17 @@ class TestAffinity:
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 
+def test_linear_stack_matches_rows():
+    rng = np.random.default_rng(4)
+    sim = LinearSimulator(rng.normal(size=(24, 24)), rng.normal(size=(24, 4)))
+    x, u = rng.normal(size=(7, 24)), rng.normal(size=(7, 4))
+    rows = np.array([sim.rhs(xi, ui) for xi, ui in zip(x, u)])
+    assert np.max(np.abs(sim.rhs(x, u) - rows)) <= 1e-13 * np.max(np.abs(rows))
+    # one input shared by every row
+    shared = np.array([sim.rhs(xi, u[0]) for xi in x])
+    assert np.max(np.abs(sim.rhs(x, u[0]) - shared)) <= 1e-13 * np.max(np.abs(shared))
+
+
 class TestIntegrate:
     def test_constant_trajectory(self):
         sim = LinearSimulator(np.zeros((3, 3)), np.zeros((3, 1)))
