@@ -99,6 +99,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_fit_dmdc(args) -> int:
+    for flag, value in (("--gain", args.gain), ("--reduced-model", args.reduced_model)):
+        if value is not None:
+            raise ValueError(f"fit-dmdc fits a new reduced model and loads no bundle; drop {flag}")
     cfg = resolve_config(args)
     if cfg.model != "dmdc":
         cfg = replace(cfg, model="dmdc").validate()

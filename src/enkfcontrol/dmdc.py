@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pde import Simulator, rk4_step
+from .pde import Simulator, rk4_stepper
 
 
 class FitError(RuntimeError):
@@ -91,7 +91,8 @@ def collect_snapshots(
     so the data is reproducible regardless of how the trajectories are
     scheduled.  A stream's inputs are drawn in one (steps, m) call, which
     fills them in the order of one draw per step.  All trajectories advance
-    as one (n_traj, p) stack; columns are trajectory-major and time-ordered.
+    as one (n_traj, p) stack, by a step compiled once for a linear simulator
+    (:func:`pde.rk4_stepper`); columns are trajectory-major and time-ordered.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -102,8 +103,9 @@ def collect_snapshots(
     )
     xs = np.empty((n_traj, steps + 1, Z0.shape[1]))
     xs[:, 0] = Z0
+    step = rk4_stepper(sim, dt)
     for k in range(steps):
-        xs[:, k + 1] = rk4_step(sim, xs[:, k], us[:, k], dt)
+        xs[:, k + 1] = step(xs[:, k], us[:, k])
     columns = lambda a: a.reshape(-1, a.shape[-1]).T  # one column per (trajectory, step)
     return SnapshotData(X=columns(xs[:, :-1]), Xnext=columns(xs[:, 1:]), U=columns(us), dt=dt)
 

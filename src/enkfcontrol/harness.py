@@ -11,7 +11,8 @@ or the DMDc reduced model), always disturbance-free; a single learned gain is
 reused across every disturbance level of a sweep.
 
 Closed-loop trials run batched: :func:`simulate_closed_loop` advances a
-(batch, p) stack of plant states with one RK4 step per time step, each row
+(batch, p) stack of plant states with one RK4 step per time step (for a
+linear plant, one GEMM pair compiled by :func:`pde.rk4_stepper`), each row
 carrying its own lambda, disturbance and controlled flag.  Every verb states
 its trials as a list of :class:`Case` (``batch``: the three policies,
 ``grid``: one robust case per cell, ``simulate``: one case of one trial) and
@@ -40,7 +41,7 @@ from .pde import (
     LinearSimulator,
     Simulator,
     l2_norm,
-    rk4_step,
+    rk4_stepper,
     sample_initial_condition,
 )
 
@@ -231,9 +232,9 @@ def simulate_closed_loop(
     1 or 0) and, if controlled[i], feeds back the law with lambda lam[i].
     A scalar lam, kinds, d0 or controlled applies to every row.
     The control is recomputed every step and the whole stack advances with
-    one RK4 step.  A row whose state or L2 norm turns non-finite is a failed
-    trial: its trace and terminal ratio read inf from that step on, it is
-    frozen at zero, and the other rows carry on.
+    one RK4 step, a GEMM pair for a linear plant.  A row whose state or L2
+    norm turns non-finite is a failed trial: its trace and terminal ratio
+    read inf from that step on, it is frozen at zero, and the others go on.
     """
     Z = np.array(Z0, dtype=float, ndmin=2)
     batch = Z.shape[0]
@@ -248,6 +249,7 @@ def simulate_closed_loop(
     rows = np.flatnonzero(controlled)
     feedback = _feedback(cfg, art, lam[rows]) if rows.size else None
     is_sin, is_const = kinds == "sin", kinds == "const"
+    step = rk4_stepper(art.sim, cfg.dt_sim)
 
     grid = grid_of(cfg)
     n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
@@ -261,7 +263,7 @@ def simulate_closed_loop(
             U = (d0 * shape)[:, None] * w
             if feedback is not None:
                 U[rows] = feedback(Z[rows]) + U[rows]
-            Z = rk4_step(art.sim, Z, U, cfg.dt_sim)
+            Z = step(Z, U)
             norms = l2_norm(Z, grid)  # non-finite for a non-finite state too
             failed |= ~np.isfinite(norms)
             Z[failed] = 0.0

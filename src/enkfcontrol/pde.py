@@ -12,7 +12,8 @@ circulant, constants lie in their kernel).
 
 A :class:`Simulator` evaluates ``rhs(x, u)`` and exposes its input matrix
 as ``control_matrix``; training and the compiled control law read the
-design model's A and B directly.
+design model's A and B directly.  :func:`rk4_stepper` compiles a linear
+simulator's RK4 step once into two matrices.
 """
 
 from __future__ import annotations
@@ -218,6 +219,27 @@ def rk4_step(sim: Simulator, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarr
     k3 = sim.rhs(x + 0.5 * h * k2, u)
     k4 = sim.rhs(x + h * k3, u)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_stepper(sim: Simulator, h: float):
+    """(x, u) -> :func:`rk4_step` of ``sim`` with step h, for one state or a stack.
+
+    A linear simulator's step is x R(hA)' + u (h phi(hA) B)', R and phi RK4's
+    polynomials: compiled once by one ``rk4_step`` of the identity, it is two
+    GEMMs that match ``rk4_step`` to rounding.  Others take ``rk4_step`` itself.
+    """
+    if not isinstance(sim, LinearSimulator):
+        return lambda x, u: rk4_step(sim, x, u, h)
+    E = np.eye(sim.n + sim.m)
+    step = rk4_step(sim, E[:, : sim.n], E[:, sim.n :], h)
+    MT, NT = step[: sim.n], step[sim.n :]
+
+    def linear_step(x, u):
+        out = x @ MT
+        out += u @ NT
+        return out
+
+    return linear_step
 
 
 def sample_initial_condition(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:

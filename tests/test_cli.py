@@ -206,6 +206,21 @@ class TestBadInput:
         assert capsys.readouterr().err == "error: BundleError: missing [P] block\n"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flag", ["--gain", "--reduced-model"])
+    def test_fit_dmdc_rejects_a_bundle_flag(self, flag, tmp_path, capsys, monkeypatch):
+        # fit-dmdc loads no bundle, so a bundle flag fails before any snapshot
+        def no_snapshots(*args, **kwargs):
+            raise AssertionError("snapshots were collected")
+
+        monkeypatch.setattr(harness.dmdc_mod, "collect_snapshots", no_snapshots)
+        out = str(tmp_path / "fit")
+        argv = ["fit-dmdc", "--pde", "heat", "--p", "16", "--m", "2", flag, "/nonexistent.bundle",
+                "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"drop {flag}" in err
+        assert not os.path.exists(out)
+
 
 def test_oracle_prints_the_riccati_references():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -196,8 +196,9 @@ class TestBlowUp:
         np.testing.assert_allclose(roll.l2[[0, 2]], alone.l2, rtol=RTOL, atol=0)
 
     def test_norm_overflow_is_a_failure(self, heat_full):
-        # d0 = 1e308 under sin(t) leaves the state finite but overflows its L2
-        # norm; under a constant shape the state itself overflows
+        # d0 = 1e308 leaves the compiled step's state finite (U N' is about
+        # 1e305 at dt = 1e-3) but overflows its L2 norm, under sin(t) and
+        # under a constant shape alike; the norm's overflow marks the failure
         cfg, art = heat_full
         overflow = replace(cfg, grid_d0=(1e308,), grid_lambda=(0.0,), grid_kinds=("sin", "const"))
         cells = run_cases(overflow, art, grid_cases(overflow), cfg.n_trials)
@@ -209,7 +210,8 @@ class TestBlowUp:
 
     def test_grid_failure_counts(self, heat_full):
         cfg, art = heat_full
-        # a constant d0 = 1e308 overflows the first RK4 step of every trial of its cells
+        # a constant d0 = 1e308 overflows the L2 norm after the first step of
+        # every trial of its cells (the compiled step's state stays finite)
         def grid(**lists):
             sweep = replace(cfg, **lists)
             return run_cases(sweep, art, grid_cases(sweep), cfg.n_trials)

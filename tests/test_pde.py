@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from enkfcontrol import pde
+from enkfcontrol.config import burgers_config, heat_config
+from enkfcontrol.enkf import GainApprox
+from enkfcontrol.harness import build_artifacts, simulate_closed_loop, trial_initial_condition
 from enkfcontrol.pde import (
     BurgersSimulator,
     GridSpec,
@@ -12,6 +16,7 @@ from enkfcontrol.pde import (
     first_difference,
     l2_norm,
     rk4_step,
+    rk4_stepper,
     sample_initial_condition,
     second_difference_matrix,
 )
@@ -185,6 +190,51 @@ class TestIntegrate:
         forth = rk4_run(sim, back[-1], np.zeros(4), 1e-3, 100)
         rel = np.linalg.norm(forth[-1] - z0) / np.linalg.norm(z0)
         assert rel < 1e-6
+
+
+class TestCompiledStep:
+    @pytest.mark.parametrize("make", [
+        lambda rng: HeatSimulator(GridSpec(p=48), 0.01, 4, bc="periodic"),
+        lambda rng: HeatSimulator(GridSpec(p=48), 0.01, 4, bc="dirichlet"),
+        # a nonsymmetric A and a dense B, as a DMDc reduced model has
+        lambda rng: LinearSimulator(rng.normal(size=(10, 10)), rng.normal(size=(10, 3))),
+    ], ids=["heat-periodic", "heat-dirichlet", "random-linear"])
+    def test_linear_matches_rk4_step(self, make):
+        rng = np.random.default_rng(6)
+        sim = make(rng)
+        step = rk4_stepper(sim, 1e-2)
+        x, u = rng.normal(size=(5, sim.n)), rng.normal(size=(5, sim.m))
+        for xi, ui in ((x, u), (x[0], u[0])):  # a stack and a 1-D state
+            want = rk4_step(sim, xi, ui, 1e-2)
+            got = step(xi, ui)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_burgers_is_rk4_step(self):
+        rng = np.random.default_rng(7)
+        sim = BurgersSimulator(GridSpec(p=32), 0.01, 4)
+        step = rk4_stepper(sim, 1e-3)
+        x, u = rng.normal(size=(5, 32)), rng.normal(size=(5, 4))
+        assert np.array_equal(step(x, u), rk4_step(sim, x, u, 1e-3))
+        assert np.array_equal(step(x[0], u[0]), rk4_step(sim, x[0], u[0], 1e-3))
+
+    @pytest.mark.parametrize("make_config,compiled", [(heat_config, True), (burgers_config, False)])
+    def test_closed_loop_compiles_once(self, make_config, compiled, monkeypatch):
+        # a linear plant runs one rk4_step (its compile) for the whole rollout;
+        # Burgers runs one per time step.  The plant's rhs is counted too, so
+        # a step taken by any other route shows.
+        cfg = make_config(model="full", p=16, m=2, n_trials=2, T_sim=0.01)
+        art = build_artifacts(cfg, gain=GainApprox(P=np.eye(cfg.p)))
+        Z0 = np.array([trial_initial_condition(cfg, i) for i in range(2)])
+        steps, rhs_calls = [], []
+        step, rhs = pde.rk4_step, art.sim.rhs
+        monkeypatch.setattr(pde, "rk4_step", lambda *a: steps.append(a) or step(*a))
+        monkeypatch.setattr(art.sim, "rhs", lambda *a: rhs_calls.append(a) or rhs(*a))
+        roll = simulate_closed_loop(cfg, art, Z0, lam=0.2, kinds="sin", d0=0.1, controlled=True)
+        n_steps = roll.l2.shape[1] - 1
+        assert n_steps > 1
+        assert len(steps) == (1 if compiled else n_steps)
+        assert len(rhs_calls) == 4 * len(steps)
 
 
 class TestInitialCondition:
