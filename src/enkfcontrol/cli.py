@@ -1,10 +1,17 @@
 """Command-line interface.
 
-Verbs: train, fit-dmdc, simulate, batch, grid, oracle.  Resolution order for
-settings: the defaults of the PDE (--pde if given, else the file's), then
---config file values, then explicit flags.
-Every verb that writes files also writes config.echo, which can be passed
-back via --config to reproduce the run byte for byte.
+Each verb takes only the flags its row of ``VERBS`` lists (their argparse
+keywords are in ``FLAGS``); any other flag exits 2 before any work starts.
+Every verb but ``oracle`` takes the config flags, which config.echo records:
+--config --pde --nu --lambda --d0 --disturbance --trials --seed --p --m
+--particles --out.  ``train`` adds --model and --reduced-model; ``fit-dmdc``
+takes the config flags alone and fits model = dmdc; ``simulate``, ``batch``
+and ``grid`` add --model --gain --reduced-model --dump-trials, ``simulate``
+--policy and ``grid`` the lists --grid-d0 --grid-lambda --grid-kinds.
+
+Settings resolve as the defaults of the PDE (--pde if given, else the file's),
+then --config file values, then every flag whose dest names a config field.
+config.echo, passed back via --config, reproduces the run byte for byte.
 
 Exit codes: 0 on success, 1 on runtime errors (one-line ``error: ...`` on
 stderr), 2 on usage errors.
@@ -15,7 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,66 +53,67 @@ from .riccati import LtiSystem, lqr_gain, riccati_residual, solve_are
 GAIN_FILE = "gain.bundle"
 REDUCED_FILE = "reduced_model.bundle"
 
+FLAGS: dict[str, dict] = {
+    "--config": dict(metavar="FILE", help="config file to start from"),
+    "--pde": dict(choices=PDE_KINDS),
+    "--nu": dict(type=float),
+    "--lambda": dict(dest="lam", type=float),
+    "--d0": dict(type=float),
+    "--disturbance": dict(choices=DISTURBANCE_KINDS, dest="dist_kind"),
+    "--trials": dict(dest="n_trials", type=int),
+    "--seed": dict(type=int),
+    "--p": dict(type=int, help="grid points"),
+    "--m": dict(type=int, help="control channels"),
+    "--particles": dict(dest="enkf_particles", type=int),
+    "--out": dict(metavar="DIR", default="out", help="output directory"),
+    "--model": dict(choices=MODEL_PATHS),
+    "--gain": dict(metavar="FILE", help="load a trained gain bundle"),
+    "--reduced-model": dict(metavar="FILE", help="load a fitted reduced model"),
+    "--dump-trials": dict(action="store_true", help="also write per-trial ratios"),
+    "--policy": dict(choices=POLICIES, default="robust"),
+    "--grid-d0": dict(type=float, nargs="+", metavar="D0"),
+    "--grid-lambda": dict(type=float, nargs="+", metavar="LAM"),
+    "--grid-kinds": dict(choices=DISTURBANCE_KINDS, nargs="+", metavar="KIND"),
+}
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="config file to start from")
-    p.add_argument("--pde", choices=PDE_KINDS)
-    p.add_argument("--model", choices=MODEL_PATHS)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--d0", type=float)
-    p.add_argument("--disturbance", choices=DISTURBANCE_KINDS, dest="dist_kind")
-    p.add_argument("--trials", dest="n_trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--p", type=int, help="grid points")
-    p.add_argument("--m", type=int, help="control channels")
-    p.add_argument("--particles", dest="enkf_particles", type=int)
-    p.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    p.add_argument("--gain", metavar="FILE", help="load a trained gain bundle")
-    p.add_argument("--reduced-model", metavar="FILE", help="load a fitted reduced model")
-    p.add_argument("--dump-trials", action="store_true", help="also write per-trial ratios")
+# config.echo is made from these (and written under --out), so every config verb takes them
+CONFIG_FLAGS = ("--config", "--pde", "--nu", "--lambda", "--d0", "--disturbance", "--trials",
+                "--seed", "--p", "--m", "--particles", "--out")
+_ROLLOUT_FLAGS = CONFIG_FLAGS + ("--model", "--gain", "--reduced-model", "--dump-trials")
 
-
-# argparse dests that are also config field names
-_OVERRIDE_FIELDS = (
-    "model", "nu", "lam", "d0", "dist_kind", "n_trials", "seed", "p", "m", "enkf_particles",
-)
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults of the final PDE, then the --config file's keys, then flags."""
     cfg = load_config(args.config, args.pde) if args.config else default_config(args.pde or "heat")
-    overrides = {f: getattr(args, f) for f in _OVERRIDE_FIELDS if getattr(args, f) is not None}
+    overrides = {k: tuple(v) if isinstance(v, list) else v
+                 for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
     return replace(cfg, **overrides).validate()
 
 
-def _load_artifacts(cfg: ExperimentConfig, args: argparse.Namespace) -> Artifacts:
-    gain = bundles.load_gain(args.gain) if args.gain else None
+def _artifacts(args, gain_file: str | None = None) -> tuple[ExperimentConfig, Artifacts]:
+    """Resolve the config and load the bundle files given; fit and train the rest."""
+    cfg = resolve_config(args)
+    gain = bundles.load_gain(gain_file) if gain_file else None
     reduction = bundles.load_reduced_model(args.reduced_model) if args.reduced_model else None
-    return build_artifacts(cfg, gain=gain, reduction=reduction)
+    return cfg, build_artifacts(cfg, gain=gain, reduction=reduction)
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    art = _load_artifacts(cfg, args)
+    cfg, art = _artifacts(args)
     os.makedirs(args.out, exist_ok=True)
-    bundles.save_gain(art.gain, os.path.join(args.out, GAIN_FILE))
-    written = [os.path.join(args.out, GAIN_FILE)]
+    path = os.path.join(args.out, GAIN_FILE)
+    bundles.save_gain(art.gain, path)
     if art.reduction is not None:
         bundles.save_reduced_model(art.reduction, os.path.join(args.out, REDUCED_FILE))
-        written.append(os.path.join(args.out, REDUCED_FILE))
     emit_results(ResultSet(config=cfg), args.out)
-    print(f"trained gain (n={art.gain.n}) -> {written[0]}")
+    print(f"trained gain (n={art.gain.n}) -> {path}")
     return 0
 
 
 def cmd_fit_dmdc(args) -> int:
-    for flag, value in (("--gain", args.gain), ("--reduced-model", args.reduced_model)):
-        if value is not None:
-            raise ValueError(f"fit-dmdc fits a new reduced model and loads no bundle; drop {flag}")
     cfg = resolve_config(args)
-    if cfg.model != "dmdc":
-        cfg = replace(cfg, model="dmdc").validate()
     sim = build_full_simulator(cfg)
     model = fit_reduction(cfg, sim)
     os.makedirs(args.out, exist_ok=True)
@@ -116,24 +125,18 @@ def cmd_fit_dmdc(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = resolve_config(args)
-    art = _load_artifacts(cfg, args)
+    cfg, art = _artifacts(args, args.gain)
     case = policy_cases(cfg)[POLICIES.index(args.policy)]
     series = run_cases(cfg, art, [case], n_trials=1)
-    emit_results(
-        ResultSet(config=cfg, timeseries=series, dump_trials=args.dump_trials), args.out
-    )
+    emit_results(ResultSet(config=cfg, timeseries=series, dump_trials=args.dump_trials), args.out)
     print(f"{case.policy} trial terminal ratio: {series[0].ratios[0]:.6g}")
     return 0
 
 
 def cmd_batch(args) -> int:
-    cfg = resolve_config(args)
-    art = _load_artifacts(cfg, args)
+    cfg, art = _artifacts(args, args.gain)
     series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
-    emit_results(
-        ResultSet(config=cfg, timeseries=series, dump_trials=args.dump_trials), args.out
-    )
+    emit_results(ResultSet(config=cfg, timeseries=series, dump_trials=args.dump_trials), args.out)
     for res in series:
         print(
             f"{res.case.policy}: mean terminal ratio {res.mean_terminal_ratio:.6g}"
@@ -143,10 +146,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    cfg = resolve_config(args)
-    lists = {"grid_d0": args.grid_d0, "grid_lambda": args.grid_lambda, "grid_kinds": args.grid_kinds}
-    cfg = replace(cfg, **{f: tuple(v) for f, v in lists.items() if v}).validate()
-    art = _load_artifacts(cfg, args)
+    cfg, art = _artifacts(args, args.gain)
     cells = run_cases(cfg, art, grid_cases(cfg), cfg.n_trials)
     emit_results(ResultSet(config=cfg, heatmap=cells, dump_trials=args.dump_trials), args.out)
     print(f"grid: {len(cells)} cells -> {os.path.join(args.out, 'heatmap.csv')}")
@@ -171,40 +171,36 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class Verb(NamedTuple):
+    fn: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[str, ...] = ()  # keys of FLAGS; argparse rejects every other flag
+    defaults: dict | None = None  # passed to set_defaults
+
+
+VERBS: dict[str, Verb] = {
+    "train": Verb(cmd_train, "run the dual EnKF and save the gain",
+                  CONFIG_FLAGS + ("--model", "--reduced-model")),
+    "fit-dmdc": Verb(cmd_fit_dmdc, "fit and save a reduced model", CONFIG_FLAGS, {"model": "dmdc"}),
+    "simulate": Verb(cmd_simulate, "single closed-loop trajectory", _ROLLOUT_FLAGS + ("--policy",)),
+    "batch": Verb(cmd_batch, "trial batch under the three policies", _ROLLOUT_FLAGS),
+    "grid": Verb(cmd_grid, "(kind, d0, lambda) heat-map sweep",
+                 _ROLLOUT_FLAGS + ("--grid-d0", "--grid-lambda", "--grid-kinds")),
+    "oracle": Verb(cmd_oracle, "Riccati reference benchmarks"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enkfcontrol",
         description="Robust stabilization of discretized PDEs via ensemble-Kalman control",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("train", help="run the dual EnKF and save the gain")
-    _add_common_flags(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("fit-dmdc", help="fit and save a reduced model")
-    _add_common_flags(p)
-    p.set_defaults(fn=cmd_fit_dmdc)
-
-    p = sub.add_parser("simulate", help="single closed-loop trajectory")
-    _add_common_flags(p)
-    p.add_argument("--policy", choices=POLICIES, default="robust")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("batch", help="trial batch under the three policies")
-    _add_common_flags(p)
-    p.set_defaults(fn=cmd_batch)
-
-    p = sub.add_parser("grid", help="(kind, d0, lambda) heat-map sweep")
-    _add_common_flags(p)
-    p.add_argument("--grid-d0", type=float, nargs="+", metavar="D0")
-    p.add_argument("--grid-lambda", type=float, nargs="+", metavar="LAM")
-    p.add_argument("--grid-kinds", choices=DISTURBANCE_KINDS, nargs="+", metavar="KIND")
-    p.set_defaults(fn=cmd_grid)
-
-    p = sub.add_parser("oracle", help="Riccati reference benchmarks")
-    p.set_defaults(fn=cmd_oracle)
-
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for flag in verb.flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(fn=verb.fn, **(verb.defaults or {}))
     return parser
 
 

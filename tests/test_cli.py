@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from enkfcontrol import enkf, harness
-from enkfcontrol.cli import main
+from enkfcontrol import bundles, cli, enkf, harness
+from enkfcontrol.cli import build_parser, main, resolve_config
 from enkfcontrol.config import default_config, load_config
 
 SMALL = """\
@@ -208,7 +209,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flag", ["--gain", "--reduced-model"])
     def test_fit_dmdc_rejects_a_bundle_flag(self, flag, tmp_path, capsys, monkeypatch):
-        # fit-dmdc loads no bundle, so a bundle flag fails before any snapshot
+        # fit-dmdc loads no bundle, so argparse rejects a bundle flag before any snapshot
         def no_snapshots(*args, **kwargs):
             raise AssertionError("snapshots were collected")
 
@@ -216,10 +217,110 @@ class TestBadInput:
         out = str(tmp_path / "fit")
         argv = ["fit-dmdc", "--pde", "heat", "--p", "16", "--m", "2", flag, "/nonexistent.bundle",
                 "--out", out]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"drop {flag}" in err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} /nonexistent.bundle" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+# a non-default value for each flag that sets a config field: (argv values, field, field value)
+OVERRIDES = {
+    "--pde": (["burgers"], "pde", "burgers"),
+    "--nu": (["0.01"], "nu", 0.01),
+    "--lambda": (["0.3"], "lam", 0.3),
+    "--d0": (["0.4"], "d0", 0.4),
+    "--disturbance": (["const"], "dist_kind", "const"),
+    "--trials": (["7"], "n_trials", 7),
+    "--seed": (["9"], "seed", 9),
+    "--p": (["40"], "p", 40),
+    "--m": (["4"], "m", 4),
+    "--particles": (["500"], "enkf_particles", 500),
+    "--model": (["dmdc"], "model", "dmdc"),
+    "--grid-d0": (["0.05", "0.3"], "grid_d0", (0.05, 0.3)),
+    "--grid-lambda": (["0.0", "0.3"], "grid_lambda", (0.0, 0.3)),
+    "--grid-kinds": (["const"], "grid_kinds", ("const",)),
+}
+# argv values for every flag of cli.FLAGS
+FLAG_VALUES = {
+    **{flag: values for flag, (values, _, _) in OVERRIDES.items()},
+    "--config": ["run.cfg"], "--out": ["run"], "--gain": ["gain.bundle"],
+    "--reduced-model": ["reduced_model.bundle"], "--dump-trials": [], "--policy": ["optimal"],
+}
+CONFIG_VERBS = [verb for verb in cli.VERBS if verb != "oracle"]
+
+
+class TestVerbFlags:
+    """Each verb takes exactly the flags its row of cli.VERBS lists."""
+
+    def test_flag_sets(self):
+        config = {"--config", "--pde", "--nu", "--lambda", "--d0", "--disturbance", "--trials",
+                  "--seed", "--p", "--m", "--particles", "--out"}
+        rollout = config | {"--model", "--gain", "--reduced-model", "--dump-trials"}
+        assert {name: set(verb.flags) for name, verb in cli.VERBS.items()} == {
+            "train": config | {"--model", "--reduced-model"},
+            "fit-dmdc": config,
+            "simulate": rollout | {"--policy"},
+            "batch": rollout,
+            "grid": rollout | {"--grid-d0", "--grid-lambda", "--grid-kinds"},
+            "oracle": set(),
+        }
+
+    @pytest.mark.parametrize("verb,flag", [
+        (verb, flag) for verb, row in cli.VERBS.items() for flag in cli.FLAGS if flag not in row.flags
+    ])
+    def test_unlisted_flag_exits_2_before_any_work(self, verb, flag, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(harness, "run_dual_enkf_linear", no_work)
+        monkeypatch.setattr(harness.dmdc_mod, "collect_snapshots", no_work)
+        out = str(tmp_path / "out")
+        argv = [verb] + (["--out", out] if "--out" in cli.VERBS[verb].flags else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag] + FLAG_VALUES[flag])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith("error: unrecognized arguments: " + " ".join([flag] + FLAG_VALUES[flag]))
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("verb,flag", [
+        (verb, flag) for verb in CONFIG_VERBS for flag in cli.VERBS[verb].flags if flag in OVERRIDES
+    ])
+    def test_a_dest_naming_a_field_overrides_it(self, verb, flag):
+        values, field, value = OVERRIDES[flag]
+        base = resolve_config(build_parser().parse_args([verb]))
+        assert getattr(base, field) != value
+        cfg = resolve_config(build_parser().parse_args([verb, flag] + values))
+        assert getattr(cfg, field) == value
+        if flag != "--pde":  # the PDE picks every default; any other flag sets its field alone
+            assert cfg == replace(base, **{field: value})
+
+    def test_fit_dmdc_validates_as_the_model_it_fits(self, tmp_path, capsys):
+        # N only has to exceed the reduced order, not p
+        out = str(tmp_path / "fit")
+        argv = ["fit-dmdc", "--pde", "heat", "--p", "16", "--m", "2", "--particles", "12", "--out", out]
+        assert main(argv) == 0
+        echo = _read(os.path.join(out, "config.echo")).decode().splitlines()
+        assert "model = dmdc" in echo and "particles = 12" in echo
+
+    def test_train_on_a_fitted_reduced_model(self, small_cfg, tmp_path, capsys, monkeypatch):
+        fit = str(tmp_path / "fit")
+        assert main(["fit-dmdc", "--config", small_cfg, "--out", fit]) == 0
+        bundle = os.path.join(fit, "reduced_model.bundle")
+
+        def no_snapshots(*args, **kwargs):
+            raise AssertionError("snapshots were collected")
+
+        monkeypatch.setattr(harness.dmdc_mod, "collect_snapshots", no_snapshots)
+        out = str(tmp_path / "train")
+        argv = ["train", "--config", small_cfg, "--model", "dmdc", "--reduced-model", bundle,
+                "--out", out]
+        assert main(argv) == 0
+        order = bundles.load_reduced_model(bundle).n
+        assert order == 4
+        assert bundles.load_gain(os.path.join(out, "gain.bundle")).n == order
+        assert _read(os.path.join(out, "reduced_model.bundle")) == _read(bundle)
 
 
 def test_oracle_prints_the_riccati_references():
