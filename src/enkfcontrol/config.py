@@ -89,6 +89,11 @@ class ExperimentConfig:
         expect(self.L > 0, "L must be positive")
         expect(1 <= self.m <= self.p, "need 1 <= m <= p")
         expect(self.T_sim > 0 and self.dt_sim > 0, "T_sim and dt_sim must be positive")
+        steps = self.T_sim / self.dt_sim  # the rollout takes round(steps) steps
+        expect(abs(steps - round(steps)) <= 1e-9 * steps,
+               f"[experiment] T_sim = {self.T_sim!r} is not a whole number of steps of "
+               f"dt_sim = {self.dt_sim!r}; the nearest valid T_sim is "
+               f"{max(1, round(steps)) * self.dt_sim:.12g}")
         expect(self.n_trials >= 1, "n_trials must be at least 1")
         expect(self.q > 0 and self.r_input > 0 and self.g > 0, "weights must be positive")
         expect(self.lam >= 0, "lambda must be nonnegative")

@@ -22,14 +22,16 @@ checked for full column rank.  Every simulator enters the input as a
 constant B u, so the probe is exact and the law is always a fixed linear
 feedback plus a normalized projection.  The per-state functions re-solve it
 at every call and are the reference the tests compare against;
-:func:`compile_law` solves it once into matrices (K = R^-1 B' P, B^+, and
-the reduction Phi) and :class:`CompiledLaw` evaluates it for a whole stack
-of states.  The closed loop always uses the compiled law.
+:func:`compile_law` solves it once into one matrix, which folds the
+reduction Phi, P, K = R^-1 B' P and B^+ together, and :class:`CompiledLaw`
+evaluates it for a whole stack of states with one GEMM, in the plant's
+state coordinates or any orthonormal basis of them.  The closed loop always
+uses the compiled law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .dmdc import ReducedModel, reduce_state
@@ -131,38 +133,39 @@ def robust_control(law: ControlLaw, z: np.ndarray, sim: Simulator, lam: float) -
 
 @dataclass(frozen=True)
 class CompiledLaw:
-    """The law of :func:`robust_control` as matrices, for a stack of states.
+    """The law of :func:`robust_control` as one matrix, for a stack of states.
 
-    With x = Phi z (x = z without a reduction) and g = P x,
+    With x = Phi z (Phi = I without a reduction), g = P x and K = R^-1 B' P,
 
-        u = -K x - lambda B^+ g / max(|g|, r),   K = R^-1 B' P.
+        u = -K x - lambda B^+ g / max(|g|, r),
 
-    lambda is supplied per row at evaluation, so one compiled law serves
-    every lambda that shares the gain.
+    and a row z of the stack gives g, K x and B^+ g at once as the row
+    z H, H = [Phi'P' | Phi'K' | Phi'P'B^+'] with n + m + m columns.  lambda
+    is supplied per row at evaluation, so one compiled law serves every
+    lambda that shares the gain.
     """
 
-    Phi: np.ndarray | None
-    P: np.ndarray
-    K: np.ndarray
-    B_pinv: np.ndarray
+    H: np.ndarray
+    n: int
     r: float
 
     def __call__(self, Z: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """(batch, m) controls for the rows of Z, row i under lambda lam[i]."""
-        X = Z if self.Phi is None else Z @ self.Phi.T
-        G = X @ self.P.T
-        r1 = np.maximum(np.linalg.norm(G, axis=1), self.r)
-        return -(X @ self.K.T) - (lam / r1)[:, None] * (G @ self.B_pinv.T)
+        F = Z @ self.H
+        n, m = self.n, (self.H.shape[1] - self.n) // 2
+        r1 = np.maximum(np.sqrt(np.einsum("ij,ij->i", F[:, :n], F[:, :n])), self.r)
+        return -F[:, n:n + m] - (lam / r1)[:, None] * F[:, n + m:]
+
+    def in_basis(self, Q: np.ndarray) -> "CompiledLaw":
+        """The same law on y = z Q, Q orthogonal: z = y Q', so H becomes Q'H."""
+        return replace(self, H=Q.T @ self.H)
 
 
 def compile_law(law: ControlLaw, sim: Simulator) -> CompiledLaw:
     """Solve the law once, with B from :func:`input_matrix`."""
     B = input_matrix(law, sim)
     P = law.gain.P
-    return CompiledLaw(
-        Phi=None if law.reduction is None else law.reduction.Phi,
-        P=P,
-        K=np.linalg.solve(law.R, B.T @ P),
-        B_pinv=np.linalg.pinv(B),
-        r=law.r,
-    )
+    K = np.linalg.solve(law.R, B.T @ P)
+    Phi = np.eye(P.shape[0]) if law.reduction is None else law.reduction.Phi
+    H = Phi.T @ np.hstack([P.T, K.T, P.T @ np.linalg.pinv(B).T])
+    return CompiledLaw(H=H, n=P.shape[0], r=law.r)

@@ -91,8 +91,9 @@ def collect_snapshots(
     so the data is reproducible regardless of how the trajectories are
     scheduled.  A stream's inputs are drawn in one (steps, m) call, which
     fills them in the order of one draw per step.  All trajectories advance
-    as one (n_traj, p) stack, by a step compiled once for a linear simulator
-    (:func:`pde.rk4_stepper`); columns are trajectory-major and time-ordered.
+    as one (n_traj, p) stack by :func:`pde.rk4_stepper`'s step, in the
+    eigenbasis of a symmetric linear simulator's A and mapped back with one
+    product at the end; columns are trajectory-major and time-ordered.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -101,11 +102,13 @@ def collect_snapshots(
     us = np.array(
         [traj_rng.uniform(-amplitude, amplitude, size=(steps, sim.m)) for traj_rng in streams]
     )
+    Q, step = rk4_stepper(sim, dt)
     xs = np.empty((n_traj, steps + 1, Z0.shape[1]))
-    xs[:, 0] = Z0
-    step = rk4_stepper(sim, dt)
+    xs[:, 0] = Z0 if Q is None else Z0 @ Q
     for k in range(steps):
         xs[:, k + 1] = step(xs[:, k], us[:, k])
+    if Q is not None:
+        xs = xs @ Q.T
     columns = lambda a: a.reshape(-1, a.shape[-1]).T  # one column per (trajectory, step)
     return SnapshotData(X=columns(xs[:, :-1]), Xnext=columns(xs[:, 1:]), U=columns(us), dt=dt)
 

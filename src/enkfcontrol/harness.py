@@ -11,17 +11,18 @@ or the DMDc reduced model), always disturbance-free; a single learned gain is
 reused across every disturbance level of a sweep.
 
 Closed-loop trials run batched: :func:`simulate_closed_loop` advances a
-(batch, p) stack of plant states with one RK4 step per time step (for a
-linear plant, one GEMM pair compiled by :func:`pde.rk4_stepper`), each row
-carrying its own lambda, disturbance and controlled flag.  Every verb states
-its trials as a list of :class:`Case` (``batch``: the three policies,
-``grid``: one robust case per cell, ``simulate``: one case of one trial) and
-:func:`run_cases` runs the distinct cases x trials as one stack.  The control
-law is compiled once into matrices (:func:`controller.compile_law`) and serves
-every row.  A row whose state or L2 norm turns non-finite is masked, reading
-inf from that step on, while the other rows carry on.  Rows agree with a
-one-trajectory-at-a-time loop to rounding (matrix products over the stack
-instead of matrix-vector ones).
+(batch, p) stack of plant states with one RK4 step per time step (for the
+heat plant, an elementwise step in the eigenbasis of its operator, compiled
+by :func:`pde.rk4_stepper`), each row carrying its own lambda, disturbance
+and controlled flag.  Every verb states its trials as a list of
+:class:`Case` (``batch``: the three policies, ``grid``: one robust case per
+cell, ``simulate``: one case of one trial) and :func:`run_cases` runs the
+distinct cases x trials as one stack.  The control law is compiled once
+into one matrix (:func:`controller.compile_law`) and serves every row with
+one GEMM per step.  A row whose state or L2 norm turns non-finite is masked,
+reading inf from that step on, while the other rows carry on.  Rows agree
+with a one-trajectory-at-a-time loop to rounding (matrix products over the
+stack instead of matrix-vector ones).
 """
 
 from __future__ import annotations
@@ -174,15 +175,15 @@ def build_artifacts(
     return Artifacts(sim=sim, design_sim=design_sim, gain=gain, reduction=reduction)
 
 
-def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam: float) -> float:
-    """The state-space bound for a lambda quoted in ``cfg.lambda_units``.
+def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam):
+    """The state-space bound for a lambda, or an array of them, quoted in ``cfg.lambda_units``.
 
     With ``lambda_units = amplitude`` (default), lambda is quoted in the same
     per-channel units as the disturbance amplitude d0: the disturbance d0*w
     enters the state equation as B (d0 w), so the bound scales by |B w|.
     """
-    if cfg.lambda_units != "amplitude" or lam == 0:
-        return float(lam)
+    if cfg.lambda_units != "amplitude":
+        return lam
     w = np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
     return lam * float(np.linalg.norm(art.design_sim.control_matrix @ w))
 
@@ -196,14 +197,6 @@ def build_law(cfg: ExperimentConfig, art: Artifacts) -> ControlLaw:
         b_access="known" if cfg.b_access == "auto" else cfg.b_access,
         reduction=art.reduction,
     )
-
-
-def _feedback(cfg: ExperimentConfig, art: Artifacts, lam: np.ndarray):
-    """Z -> controls of the rows of Z, row i under lambda lam[i] (see :func:`_lambda_state`)."""
-    compiled = compile_law(build_law(cfg, art), art.design_sim)
-    by_lam = {v: _lambda_state(cfg, art, v) for v in set(lam.tolist())}
-    lam_state = np.array([by_lam[v] for v in lam.tolist()])
-    return lambda Z: compiled(Z, lam_state)
 
 
 @dataclass
@@ -232,9 +225,13 @@ def simulate_closed_loop(
     1 or 0) and, if controlled[i], feeds back the law with lambda lam[i].
     A scalar lam, kinds, d0 or controlled applies to every row.
     The control is recomputed every step and the whole stack advances with
-    one RK4 step, a GEMM pair for a linear plant.  A row whose state or L2
-    norm turns non-finite is a failed trial: its trace and terminal ratio
-    read inf from that step on, it is frozen at zero, and the others go on.
+    one RK4 step.  A symmetric linear plant (heat) is carried as y = z Q in
+    the eigenbasis of its A (:func:`pde.rk4_stepper`), with the law in that
+    basis and the L2 norm, which Q preserves, read off y; a step is then the
+    law's GEMM, an elementwise product and a rank-m product for the input.
+    A row whose state or L2 norm turns non-finite is a failed trial: its
+    trace and terminal ratio read inf from that step on, it is frozen at
+    zero, and the others go on.
     """
     Z = np.array(Z0, dtype=float, ndmin=2)
     batch = Z.shape[0]
@@ -246,27 +243,30 @@ def simulate_closed_loop(
     if np.any(d0 < 0) or np.any(lam < 0):
         raise HarnessError("d0 and lambda must be nonnegative")
     w = np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
+    d_sin, d_const = d0 * (kinds == "sin"), d0 * (kinds == "const")
     rows = np.flatnonzero(controlled)
-    feedback = _feedback(cfg, art, lam[rows]) if rows.size else None
-    is_sin, is_const = kinds == "sin", kinds == "const"
-    step = rk4_stepper(art.sim, cfg.dt_sim)
+    lam_rows = _lambda_state(cfg, art, lam[rows])
+    law = compile_law(build_law(cfg, art), art.design_sim) if rows.size else None
+    Q, step = rk4_stepper(art.sim, cfg.dt_sim)
+    Y = Z if Q is None else Z @ Q  # the loop carries y = z Q, and |y| = |z|
+    if law is not None and Q is not None:
+        law = law.in_basis(Q)
 
     grid = grid_of(cfg)
     n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
     t = np.arange(n_steps + 1) * cfg.dt_sim
     l2 = np.empty((batch, n_steps + 1))
-    l2[:, 0] = l2_norm(Z, grid)
+    l2[:, 0] = l2_norm(Y, grid)
     failed = np.zeros(batch, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            shape = np.where(is_sin, np.sin(t[k]), np.where(is_const, 1.0, 0.0))
-            U = (d0 * shape)[:, None] * w
-            if feedback is not None:
-                U[rows] = feedback(Z[rows]) + U[rows]
-            Z = step(Z, U)
-            norms = l2_norm(Z, grid)  # non-finite for a non-finite state too
+            U = (d_sin * np.sin(t[k]) + d_const)[:, None] * w
+            if law is not None:
+                U[rows] += law(Y[rows], lam_rows)
+            Y = step(Y, U)
+            norms = l2_norm(Y, grid)  # non-finite for a non-finite state too
             failed |= ~np.isfinite(norms)
-            Z[failed] = 0.0
+            Y[failed] = 0.0
             l2[:, k + 1] = np.where(failed, np.inf, norms)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(failed | (l2[:, 0] == 0), np.inf, l2[:, -1] / l2[:, 0])

@@ -12,8 +12,9 @@ circulant, constants lie in their kernel).
 
 A :class:`Simulator` evaluates ``rhs(x, u)`` and exposes its input matrix
 as ``control_matrix``; training and the compiled control law read the
-design model's A and B directly.  :func:`rk4_stepper` compiles a linear
-simulator's RK4 step once into two matrices.
+design model's A and B directly.  :func:`rk4_stepper` compiles the RK4
+step of a symmetric linear simulator once, in the eigenbasis of its A, into
+an elementwise product and one small GEMM.
 """
 
 from __future__ import annotations
@@ -222,24 +223,26 @@ def rk4_step(sim: Simulator, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarr
 
 
 def rk4_stepper(sim: Simulator, h: float):
-    """(x, u) -> :func:`rk4_step` of ``sim`` with step h, for one state or a stack.
+    """(Q, step): :func:`rk4_step` of ``sim`` with step h on y = z Q, for one state or a stack.
 
-    A linear simulator's step is x R(hA)' + u (h phi(hA) B)', R and phi RK4's
-    polynomials: compiled once by one ``rk4_step`` of the identity, it is two
-    GEMMs that match ``rk4_step`` to rounding.  Others take ``rk4_step`` itself.
+    A linear simulator whose A is exactly symmetric has A = Q diag Q' with Q
+    orthogonal (``eigh``), so its step z M' + u N', M = R(hA) and
+    N = h phi(hA) B with R and phi RK4's polynomials, is diagonal in that
+    basis: y -> y * mu + u N' Q, mu = diag(Q'MQ).  Both are read off one
+    ``rk4_step`` of the stacked [Q' | 0; 0 | I], and the step matches
+    ``rk4_step`` mapped back by ``y Q'`` to rounding.  Every other simulator
+    takes ``rk4_step`` itself on the state, and Q is None.
     """
-    if not isinstance(sim, LinearSimulator):
-        return lambda x, u: rk4_step(sim, x, u, h)
-    E = np.eye(sim.n + sim.m)
-    step = rk4_step(sim, E[:, : sim.n], E[:, sim.n :], h)
-    MT, NT = step[: sim.n], step[sim.n :]
-
-    def linear_step(x, u):
-        out = x @ MT
-        out += u @ NT
-        return out
-
-    return linear_step
+    if not (isinstance(sim, LinearSimulator) and np.array_equal(sim.A, sim.A.T)):
+        return None, lambda x, u: rk4_step(sim, x, u, h)
+    _, Q = np.linalg.eigh(sim.A)
+    n, m = sim.n, sim.m
+    X, U = np.zeros((n + m, n)), np.zeros((n + m, m))
+    X[:n], U[n:] = Q.T, np.eye(m)
+    step = rk4_step(sim, X, U, h)
+    mu = np.einsum("ij,ji->i", step[:n], Q)
+    NQ = step[n:] @ Q
+    return Q, lambda y, u: y * mu + u @ NQ
 
 
 def sample_initial_condition(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
@@ -257,4 +260,4 @@ def sample_initial_condition(rng: np.random.Generator, grid: GridSpec) -> np.nda
 def l2_norm(z: np.ndarray, grid: GridSpec):
     """Rectangle-rule L2 norm sqrt(sum_i z_i^2 * dy) along the last axis."""
     z = np.asarray(z, dtype=float)
-    return np.sqrt(np.sum(z * z, axis=-1) * grid.dy)
+    return np.sqrt(np.einsum("...i,...i->...", z, z) * grid.dy)

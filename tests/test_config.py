@@ -105,6 +105,16 @@ class TestRangeChecks:
         with pytest.raises(ConfigError, match=r"\[experiment\] T_sim must be finite"):
             parse_config_text("[experiment]\nT_sim = inf\n")
 
+    def test_horizon_must_be_whole_steps(self):
+        # the rollout would run to t = 0.02, past the configured horizon
+        with pytest.raises(ConfigError, match=r"T_sim = 0\.015 .* dt_sim = 0\.01; the nearest valid T_sim is 0\.02$"):
+            heat_config(T_sim=0.015, dt_sim=0.01)
+        with pytest.raises(ConfigError, match="nearest valid T_sim is 0.001$"):
+            parse_config_text("[experiment]\nT_sim = 0.0004\n")
+        # 0.1 / 1e-3 is 100.00000000000001 in floating point
+        assert heat_config(T_sim=0.1, dt_sim=1e-3).T_sim == 0.1
+        assert heat_config(T_sim=0.3, dt_sim=0.1).T_sim == 0.3
+
     def test_dmdc_order_above_p_only_matters_for_the_dmdc_model(self):
         heat_config(p=9)  # order 10 > p, but model=full fits no reduced model
         with pytest.raises(ConfigError, match="dmdc order must be at most p"):

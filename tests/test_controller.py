@@ -287,9 +287,12 @@ class TestCompiledLaw:
         Z[1] *= 1e-4  # inside the ball |g| < r
         lam = np.array([0.0, 0.7, 0.7, 0.0, 1.3, 0.2])
         law = make_law(P, R, r=0.01, b_access=b_access, reduction=red)
-        U = compile_law(law, sim)(Z, lam)
-        for z, lam_i, u in zip(Z, lam, U):
-            np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=1e-15)
+        compiled = compile_law(law, sim)
+        # the one-matrix law, and the same law in a random orthonormal basis at y = z Q
+        Q = np.linalg.qr(rng.normal(size=(Z.shape[1],) * 2))[0]
+        for U in (compiled(Z, lam), compiled.in_basis(Q)(Z @ Q, lam)):
+            for z, lam_i, u in zip(Z, lam, U):
+                np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=1e-15)
 
     def test_probes_b_once_and_checks_rank(self):
         B = np.zeros((3, 2))

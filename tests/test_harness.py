@@ -196,7 +196,7 @@ class TestBlowUp:
         np.testing.assert_allclose(roll.l2[[0, 2]], alone.l2, rtol=RTOL, atol=0)
 
     def test_norm_overflow_is_a_failure(self, heat_full):
-        # d0 = 1e308 leaves the compiled step's state finite (U N' is about
+        # d0 = 1e308 leaves the compiled step's state finite (U N'Q is about
         # 1e305 at dt = 1e-3) but overflows its L2 norm, under sin(t) and
         # under a constant shape alike; the norm's overflow marks the failure
         cfg, art = heat_full

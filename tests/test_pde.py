@@ -193,27 +193,36 @@ class TestIntegrate:
 
 
 class TestCompiledStep:
-    @pytest.mark.parametrize("make", [
-        lambda rng: HeatSimulator(GridSpec(p=48), 0.01, 4, bc="periodic"),
-        lambda rng: HeatSimulator(GridSpec(p=48), 0.01, 4, bc="dirichlet"),
+    @pytest.mark.parametrize("make,symmetric", [
+        # the periodic operator has repeated eigenvalues
+        (lambda rng: HeatSimulator(GridSpec(p=48), 0.01, 4, bc="periodic"), True),
+        (lambda rng: HeatSimulator(GridSpec(p=48), 0.01, 4, bc="dirichlet"), True),
         # a nonsymmetric A and a dense B, as a DMDc reduced model has
-        lambda rng: LinearSimulator(rng.normal(size=(10, 10)), rng.normal(size=(10, 3))),
+        (lambda rng: LinearSimulator(rng.normal(size=(10, 10)), rng.normal(size=(10, 3))), False),
     ], ids=["heat-periodic", "heat-dirichlet", "random-linear"])
-    def test_linear_matches_rk4_step(self, make):
+    def test_linear_matches_rk4_step(self, make, symmetric):
+        # a symmetric A is stepped in its eigenbasis, y = z Q, and matches
+        # rk4_step mapped back to rounding; any other A takes rk4_step itself
         rng = np.random.default_rng(6)
         sim = make(rng)
-        step = rk4_stepper(sim, 1e-2)
+        Q, step = rk4_stepper(sim, 1e-2)
+        assert (Q is not None) == symmetric
         x, u = rng.normal(size=(5, sim.n)), rng.normal(size=(5, sim.m))
         for xi, ui in ((x, u), (x[0], u[0])):  # a stack and a 1-D state
             want = rk4_step(sim, xi, ui, 1e-2)
-            got = step(xi, ui)
+            if not symmetric:
+                assert np.array_equal(step(xi, ui), want)
+                continue
+            np.testing.assert_allclose(Q.T @ Q, np.eye(sim.n), rtol=0, atol=1e-13)
+            got = step(xi @ Q, ui) @ Q.T
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_burgers_is_rk4_step(self):
         rng = np.random.default_rng(7)
         sim = BurgersSimulator(GridSpec(p=32), 0.01, 4)
-        step = rk4_stepper(sim, 1e-3)
+        Q, step = rk4_stepper(sim, 1e-3)
+        assert Q is None
         x, u = rng.normal(size=(5, 32)), rng.normal(size=(5, 4))
         assert np.array_equal(step(x, u), rk4_step(sim, x, u, 1e-3))
         assert np.array_equal(step(x[0], u[0]), rk4_step(sim, x[0], u[0], 1e-3))
