@@ -36,12 +36,29 @@ def _render(kind: str, header: dict, matrices: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _block(name: str, rows: list[list[float]]) -> np.ndarray:
-    if not rows:
+def _row(lineno: int, line: str) -> list[float]:
+    try:
+        return [float(v) for v in line.split(",")]
+    except ValueError:
+        raise BundleError(f"line {lineno}: bad matrix row {line!r}") from None
+
+
+def _block(name: str, lines: list[tuple[int, str]]) -> np.ndarray:
+    """A block's (line number, row text) lines as a matrix, converted in one numpy call.
+
+    numpy parses each token as ``float`` does.  Rows of unequal length, or a
+    token it cannot convert, take the per-row loop instead, which names the
+    first bad line.
+    """
+    if not lines:
         raise BundleError(f"[{name}] block is empty")
-    if len({len(row) for row in rows}) > 1:
-        raise BundleError(f"[{name}] block has rows of different lengths")
-    M = np.array(rows)
+    try:
+        M = np.array([line.split(",") for _, line in lines], dtype=float)
+    except ValueError:  # a bad token, or rows of unequal length
+        rows = [_row(lineno, line) for lineno, line in lines]
+        if len({len(row) for row in rows}) > 1:
+            raise BundleError(f"[{name}] block has rows of different lengths") from None
+        M = np.array(rows)
     if not np.isfinite(M).all():
         raise BundleError(f"[{name}] block has non-finite entries")
     return M
@@ -72,7 +89,7 @@ def _matrix(matrices: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
 def _parse(text: str) -> tuple[dict, dict]:
     header: dict[str, str] = {}
     matrices: dict[str, np.ndarray] = {}
-    current: list[list[float]] | None = None
+    current: list[tuple[int, str]] | None = None
     name = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -86,10 +103,7 @@ def _parse(text: str) -> tuple[dict, dict]:
                 raise BundleError(f"line {lineno}: repeated [{name}] block")
             current = []
         elif current is not None:
-            try:
-                current.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise BundleError(f"line {lineno}: bad matrix row {line!r}") from None
+            current.append((lineno, line))
         else:
             if "=" not in line:
                 raise BundleError(f"line {lineno}: expected key=value, got {line!r}")

@@ -26,7 +26,8 @@ at every call and are the reference the tests compare against;
 reduction Phi, P, K = R^-1 B' P and B^+ together, and :class:`CompiledLaw`
 evaluates it for a whole stack of states with one GEMM, in the plant's
 state coordinates or any orthonormal basis of them.  The closed loop always
-uses the compiled law.
+uses the compiled law; its lambda = 0 rows (the optimal learning control)
+use the K block alone, ``CompiledLaw.K``, and never read g or B^+.
 """
 
 from __future__ import annotations
@@ -142,19 +143,37 @@ class CompiledLaw:
     and a row z of the stack gives g, K x and B^+ g at once as the row
     z H, H = [Phi'P' | Phi'K' | Phi'P'B^+'] with n + m + m columns.  lambda
     is supplied per row at evaluation, so one compiled law serves every
-    lambda that shares the gain.
+    lambda that shares the gain.  A row with lambda = 0 reads K x alone:
+    ``z @ law.K`` is its whole feedback, from H's m feedback columns.
     """
 
     H: np.ndarray
     n: int
     r: float
 
-    def __call__(self, Z: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """(batch, m) controls for the rows of Z, row i under lambda lam[i]."""
-        F = Z @ self.H
-        n, m = self.n, (self.H.shape[1] - self.n) // 2
-        r1 = np.maximum(np.sqrt(np.einsum("ij,ij->i", F[:, :n], F[:, :n])), self.r)
-        return -F[:, n:n + m] - (lam / r1)[:, None] * F[:, n + m:]
+    @property
+    def m(self) -> int:
+        return (self.H.shape[1] - self.n) // 2
+
+    @property
+    def K(self) -> np.ndarray:
+        """Phi'K', H's feedback columns as a contiguous copy: u = -z Phi'K' at lambda = 0."""
+        return np.ascontiguousarray(self.H[:, self.n:self.n + self.m])
+
+    def __call__(self, Z: np.ndarray, lam: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
+        """(batch, m) controls for the rows of Z, row i under lambda lam[i].
+
+        F, if given, is the (batch, n + 2m) work array for Z H, and the
+        controls are returned as a view of it.
+        """
+        F = np.matmul(Z, self.H, out=F)
+        n, m = self.n, self.m
+        G, FK, FB = F[:, :n], F[:, n:n + m], F[:, n + m:]
+        r1 = np.maximum(np.sqrt(np.einsum("ij,ij->i", G, G)), self.r)
+        FB *= (lam / r1)[:, None]
+        np.negative(FK, out=FK)
+        FK -= FB
+        return FK
 
     def in_basis(self, Q: np.ndarray) -> "CompiledLaw":
         """The same law on y = z Q, Q orthogonal: z = y Q', so H becomes Q'H."""

@@ -106,7 +106,7 @@ def collect_snapshots(
     xs = np.empty((n_traj, steps + 1, Z0.shape[1]))
     xs[:, 0] = Z0 if Q is None else Z0 @ Q
     for k in range(steps):
-        xs[:, k + 1] = step(xs[:, k], us[:, k])
+        step(xs[:, k], us[:, k], xs[:, k + 1])  # a new slot: xs[:, k] is a stored snapshot
     if Q is not None:
         xs = xs @ Q.T
     columns = lambda a: a.reshape(-1, a.shape[-1]).T  # one column per (trajectory, step)

@@ -18,11 +18,14 @@ and controlled flag.  Every verb states its trials as a list of
 :class:`Case` (``batch``: the three policies, ``grid``: one robust case per
 cell, ``simulate``: one case of one trial) and :func:`run_cases` runs the
 distinct cases x trials as one stack.  The control law is compiled once
-into one matrix (:func:`controller.compile_law`) and serves every row with
-one GEMM per step.  A row whose state or L2 norm turns non-finite is masked,
-reading inf from that step on, while the other rows carry on.  Rows agree
-with a one-trajectory-at-a-time loop to rounding (matrix products over the
-stack instead of matrix-vector ones).
+into one matrix (:func:`controller.compile_law`).  The loop groups the rows
+once as uncontrolled | lambda = 0 | lambda > 0, so each group does only the
+work it reads: no law, the feedback block alone (an m-column GEMM), or the
+whole law (one GEMM); it then steps the stack in place.  A row whose state
+or L2 norm turns non-finite is masked, reading inf from that step on, while
+the other rows carry on.  Rows agree with a one-trajectory-at-a-time loop
+to rounding (matrix products over the stack instead of matrix-vector ones),
+and a row's result does not depend on where it sits in the stack.
 """
 
 from __future__ import annotations
@@ -224,11 +227,17 @@ def simulate_closed_loop(
     on every control channel (w the configured channel weights, shape sin(t),
     1 or 0) and, if controlled[i], feeds back the law with lambda lam[i].
     A scalar lam, kinds, d0 or controlled applies to every row.
-    The control is recomputed every step and the whole stack advances with
-    one RK4 step.  A symmetric linear plant (heat) is carried as y = z Q in
-    the eigenbasis of its A (:func:`pde.rk4_stepper`), with the law in that
-    basis and the L2 norm, which Q preserves, read off y; a step is then the
-    law's GEMM, an elementwise product and a rank-m product for the input.
+
+    One stable permutation sorts the rows into three contiguous groups,
+    uncontrolled | controlled with lambda = 0 | lambda > 0, which take no
+    law, the feedback block alone (u = -y K, :attr:`controller.CompiledLaw.K`)
+    and the whole one-matrix law; ``l2`` and ``failed`` are put back in the
+    caller's order at the end.  The control is recomputed every step and
+    the whole stack advances with one RK4 step, in place, on buffers
+    allocated once, so a step gathers and scatters no rows.  A symmetric
+    linear plant (heat) is carried as y = z Q in the eigenbasis of its A
+    (:func:`pde.rk4_stepper`), with the law in that basis and the L2 norm,
+    which Q preserves, read off y.
     A row whose state or L2 norm turns non-finite is a failed trial: its
     trace and terminal ratio read inf from that step on, it is frozen at
     zero, and the others go on.
@@ -242,32 +251,45 @@ def simulate_closed_loop(
         raise HarnessError(f"unknown disturbance kind in {sorted(set(kinds.tolist()))}")
     if np.any(d0 < 0) or np.any(lam < 0):
         raise HarnessError("d0 and lambda must be nonnegative")
+    lam = _lambda_state(cfg, art, lam)
+    group = np.where(controlled, np.where(lam > 0, 2, 1), 0)
+    order = np.argsort(group, kind="stable")
+    a, b = np.searchsorted(group[order], [1, 2])  # rows [a, b) lambda = 0, [b, batch) lambda > 0
+    Z, lam, d0, kinds = Z[order], lam[order], d0[order], kinds[order]
     w = np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
     d_sin, d_const = d0 * (kinds == "sin"), d0 * (kinds == "const")
-    rows = np.flatnonzero(controlled)
-    lam_rows = _lambda_state(cfg, art, lam[rows])
-    law = compile_law(build_law(cfg, art), art.design_sim) if rows.size else None
     Q, step = rk4_stepper(art.sim, cfg.dt_sim)
     Y = Z if Q is None else Z @ Q  # the loop carries y = z Q, and |y| = |z|
-    if law is not None and Q is not None:
-        law = law.in_basis(Q)
+    if a < batch:
+        law = compile_law(build_law(cfg, art), art.design_sim)
+        if Q is not None:
+            law = law.in_basis(Q)
+        K, FK, F = law.K, np.empty((b - a, cfg.m)), np.empty((batch - b, law.H.shape[1]))
 
     grid = grid_of(cfg)
     n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
     t = np.arange(n_steps + 1) * cfg.dt_sim
-    l2 = np.empty((batch, n_steps + 1))
-    l2[:, 0] = l2_norm(Y, grid)
+    l2 = np.empty((n_steps + 1, batch))  # time-major: step k's norms are one contiguous row
+    l2_norm(Y, grid, out=l2[0])
     failed = np.zeros(batch, dtype=bool)
+    shape, U = np.empty(batch), np.empty((batch, cfg.m))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            U = (d_sin * np.sin(t[k]) + d_const)[:, None] * w
-            if law is not None:
-                U[rows] += law(Y[rows], lam_rows)
-            Y = step(Y, U)
-            norms = l2_norm(Y, grid)  # non-finite for a non-finite state too
+            np.multiply(d_sin, np.sin(t[k]), out=shape)
+            shape += d_const
+            np.multiply(shape[:, None], w, out=U)
+            if a < b:
+                U[a:b] -= np.matmul(Y[a:b], K, out=FK)
+            if b < batch:
+                U[b:] += law(Y[b:], lam[b:], F)
+            step(Y, U, Y)
+            norms = l2_norm(Y, grid, out=l2[k + 1])  # non-finite for a non-finite state too
             failed |= ~np.isfinite(norms)
-            Y[failed] = 0.0
-            l2[:, k + 1] = np.where(failed, np.inf, norms)
+            if failed.any():
+                norms[failed] = np.inf
+                Y[failed] = 0.0
+    inverse = np.argsort(order)
+    l2, failed = np.ascontiguousarray(l2.T[inverse]), failed[inverse]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(failed | (l2[:, 0] == 0), np.inf, l2[:, -1] / l2[:, 0])
     return Rollout(t=t, l2=l2, ratios=ratios, failed=failed)

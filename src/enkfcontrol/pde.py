@@ -225,6 +225,8 @@ def rk4_step(sim: Simulator, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarr
 def rk4_stepper(sim: Simulator, h: float):
     """(Q, step): :func:`rk4_step` of ``sim`` with step h on y = z Q, for one state or a stack.
 
+    ``step(y, u, out)`` writes the next state into ``out`` and returns it;
+    ``out`` may be ``y`` itself, which steps the stack in place.
     A linear simulator whose A is exactly symmetric has A = Q diag Q' with Q
     orthogonal (``eigh``), so its step z M' + u N', M = R(hA) and
     N = h phi(hA) B with R and phi RK4's polynomials, is diagonal in that
@@ -234,15 +236,25 @@ def rk4_stepper(sim: Simulator, h: float):
     takes ``rk4_step`` itself on the state, and Q is None.
     """
     if not (isinstance(sim, LinearSimulator) and np.array_equal(sim.A, sim.A.T)):
-        return None, lambda x, u: rk4_step(sim, x, u, h)
+        def step(x, u, out):
+            out[...] = rk4_step(sim, x, u, h)
+            return out
+
+        return None, step
     _, Q = np.linalg.eigh(sim.A)
     n, m = sim.n, sim.m
     X, U = np.zeros((n + m, n)), np.zeros((n + m, m))
     X[:n], U[n:] = Q.T, np.eye(m)
-    step = rk4_step(sim, X, U, h)
-    mu = np.einsum("ij,ji->i", step[:n], Q)
-    NQ = step[n:] @ Q
-    return Q, lambda y, u: y * mu + u @ NQ
+    compiled = rk4_step(sim, X, U, h)
+    mu = np.einsum("ij,ji->i", compiled[:n], Q)
+    NQ = compiled[n:] @ Q
+
+    def step(y, u, out):
+        np.multiply(y, mu, out=out)
+        out += u @ NQ
+        return out
+
+    return Q, step
 
 
 def sample_initial_condition(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
@@ -257,7 +269,8 @@ def sample_initial_condition(rng: np.random.Generator, grid: GridSpec) -> np.nda
     return alpha / np.cosh((grid.points - center) / beta)
 
 
-def l2_norm(z: np.ndarray, grid: GridSpec):
-    """Rectangle-rule L2 norm sqrt(sum_i z_i^2 * dy) along the last axis."""
+def l2_norm(z: np.ndarray, grid: GridSpec, out: np.ndarray | None = None):
+    """Rectangle-rule L2 norm sqrt(sum_i z_i^2 * dy) along the last axis, into ``out`` if given."""
     z = np.asarray(z, dtype=float)
-    return np.sqrt(np.einsum("...i,...i->...", z, z) * grid.dy)
+    squares = np.einsum("...i,...i->...", z, z, out=out)
+    return np.sqrt(np.multiply(squares, grid.dy, out=out), out=out)

@@ -42,6 +42,18 @@ def test_reduced_model_roundtrip_exact(tmp_path):
     assert loaded.discrete == model.discrete
 
 
+def test_roundtrip_is_bitwise(tmp_path):
+    # signed zeros, subnormals and extremes come back bit for bit, as one
+    # float() per entry reads them
+    M = np.array([[-0.0, 5e-324, 1e300], [-1.5e-310, np.nextafter(1.0, 2.0), 0.1]])
+    model = ReducedModel(A=M[:, :2], B=M, Phi=-M, dt=1e-3, discrete=True)
+    path = tmp_path / "reduced.bundle"
+    save_reduced_model(model, path)
+    loaded = load_reduced_model(path)
+    for got, want in ((loaded.A, model.A), (loaded.B, model.B), (loaded.Phi, model.Phi)):
+        assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want).view(np.int64))
+
+
 def test_saved_bytes_deterministic(tmp_path):
     gain = GainApprox(P=np.eye(2))
     p1, p2 = tmp_path / "a.bundle", tmp_path / "b.bundle"
@@ -146,6 +158,11 @@ P_ROWS = "[P]\n0.5714285714285714,-0.2857142857142857\n-0.2857142857142857,1.142
         (load_gain, GOOD_GAIN.replace("[S0]\n2,0.5\n0.5,1\n", "[S0]\n"), r"\[S0\] block is empty"),
         (load_gain, GOOD_GAIN.replace("-0.2857142857142857,1.1428571428571428", "1"),
          r"\[P\] block has rows of different lengths"),
+        (load_gain, GOOD_GAIN.replace("1.1428571428571428", "1.14x"),
+         r"line 10: bad matrix row '-0.2857142857142857,1.14x'"),
+        # a bad token is named even where the rows are ragged too
+        (load_gain, GOOD_GAIN.replace("0.5714285714285714,-0.2857142857142857", "1")
+         .replace("1.1428571428571428", "1,,2"), r"line 10: bad matrix row '-0.2857142857142857,1,,2'"),
         (load_gain, GOOD_GAIN.replace(P_ROWS, ""), r"missing \[P\] block"),
         (load_gain, GOOD_GAIN.replace(P_ROWS, "[P]\n1,0.5\n0,1\n"), r"\[P\] block is not symmetric"),
         (load_gain, GOOD_GAIN.replace(P_ROWS, "[P]\n-1,0\n0,-1\n"),
@@ -158,9 +175,9 @@ P_ROWS = "[P]\n0.5714285714285714,-0.2857142857142857\n-0.2857142857142857,1.142
         (load_reduced_model, GOOD_REDUCED.replace("n=1\n", "n=1\nn=2\n"),
          r"line 4: repeated header key 'n'"),
     ],
-    ids=["wrong-shape", "nan", "empty-block", "ragged-row", "missing-block", "asymmetric-P",
-         "indefinite-P", "missing-header", "bad-header-value", "reduced-wrong-shape",
-         "repeated-block", "repeated-header-key"],
+    ids=["wrong-shape", "nan", "empty-block", "ragged-row", "bad-token", "ragged-and-bad-token",
+         "missing-block", "asymmetric-P", "indefinite-P", "missing-header", "bad-header-value",
+         "reduced-wrong-shape", "repeated-block", "repeated-header-key"],
 )
 def test_malformed_bundle_rejected(tmp_path, load, text, named):
     path = tmp_path / "bad.bundle"

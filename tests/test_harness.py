@@ -14,6 +14,7 @@ import pytest
 
 from enkfcontrol import controller, harness
 from enkfcontrol.config import burgers_config, heat_config
+from enkfcontrol.dmdc import collect_snapshots
 from enkfcontrol.controller import robust_control
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.harness import (
@@ -31,7 +32,7 @@ from enkfcontrol.harness import (
     simulate_closed_loop,
     trial_initial_condition,
 )
-from enkfcontrol.pde import l2_norm, rk4_step
+from enkfcontrol.pde import l2_norm, rk4_step, rk4_stepper, sample_initial_condition
 
 RTOL = 1e-12
 
@@ -263,6 +264,84 @@ class TestTwinCells:
             traces = full.l2[i * n:(i + 1) * n]
             np.testing.assert_allclose(cell.mean, traces.mean(axis=0), rtol=1e-14, atol=0)
             np.testing.assert_allclose(cell.ratios, full.ratios[i * n:(i + 1) * n], rtol=1e-14, atol=0)
+
+
+class TestRowGroups:
+    """The loop regroups rows as uncontrolled | lambda = 0 | lambda > 0 and steps them in place."""
+
+    @staticmethod
+    def mixed_stack(cfg):
+        # interleaved groups, each group's rows in more than one place; the
+        # last row's constant d0 = 1e308 fails it
+        rows = [(0, 0.3, True, 0.1), (1, 0.0, False, 0.2), (2, 0.0, True, 0.1),
+                (0, 0.0, True, 0.0), (1, 0.2, True, 0.2), (2, 0.0, False, 0.0),
+                (1, 0.0, True, 0.2), (0, 0.3, True, 1e308)]
+        Z0 = np.array([trial_initial_condition(cfg, i) for i, *_ in rows])
+        _, lam, ctrl, d0 = (np.array(col) for col in zip(*rows))
+        return Z0, lam, ctrl, d0
+
+    @pytest.mark.parametrize("pde", ["heat", "burgers"])
+    def test_permuting_rows_permutes_the_results(self, heat_full, pde):
+        if pde == "heat":
+            cfg, art = heat_full
+        else:
+            cfg = burgers_config(model="full", p=16, m=4, n_trials=2, T_sim=0.01)
+            art = build_artifacts(cfg, gain=spd_gain(cfg.p, 6))
+        Z0, lam, ctrl, d0 = self.mixed_stack(cfg)
+        run = lambda i: simulate_closed_loop(cfg, art, Z0[i], lam=lam[i], kinds="const", d0=d0[i],
+                                             controlled=ctrl[i])
+        base = run(np.arange(len(lam)))
+        assert base.failed.tolist() == [False] * 7 + [True]
+        for perm in (np.arange(len(lam))[::-1], np.random.default_rng(7).permutation(len(lam))):
+            moved = run(perm)
+            assert np.array_equal(moved.l2, base.l2[perm])
+            assert np.array_equal(moved.ratios, base.ratios[perm])
+            assert np.array_equal(moved.failed, base.failed[perm])
+
+    def test_lambda_zero_rows_read_only_the_feedback_block(self, heat_full, monkeypatch):
+        # NaN in the law's g and B^+ columns fails every lambda > 0 row and
+        # leaves the uncontrolled and lambda = 0 rows bit for bit as they were
+        cfg, art = heat_full
+        Z0, lam, ctrl, d0 = self.mixed_stack(cfg)
+        Z0, lam, ctrl, d0 = Z0[:-1], lam[:-1], ctrl[:-1], d0[:-1]
+        run = lambda: simulate_closed_loop(cfg, art, Z0, lam=lam, kinds="sin", d0=d0, controlled=ctrl)
+        clean = run()
+        compile_law = harness.compile_law
+
+        def poisoned(*args):
+            law = compile_law(*args)
+            H = law.H.copy()
+            H[:, :law.n] = H[:, law.n + law.m:] = np.nan
+            return replace(law, H=H)
+
+        monkeypatch.setattr(harness, "compile_law", poisoned)
+        dirty = run()
+        robust = ctrl & (lam > 0)
+        assert dirty.failed.tolist() == robust.tolist()
+        assert np.all(np.isfinite(dirty.l2[~robust]))
+        assert np.array_equal(dirty.l2[~robust], clean.l2[~robust])
+
+    @pytest.mark.parametrize("pde", ["heat", "burgers"])
+    def test_snapshots_match_a_step_into_fresh_arrays(self, pde):
+        # collect_snapshots steps each new snapshot into its own slot; stepping
+        # into a fresh array every time gives the same bits, so no stored
+        # snapshot is overwritten
+        cfg = (heat_config if pde == "heat" else burgers_config)(p=24, m=4)
+        sim, grid = build_full_simulator(cfg), grid_of(cfg)
+        ic = lambda rng: sample_initial_condition(rng, grid)
+        n_traj, steps, dt, amplitude = 3, 12, 1e-3, 0.5
+        data = collect_snapshots(sim, ic, n_traj, steps, dt, amplitude, np.random.default_rng(4))
+        streams = np.random.default_rng(4).spawn(n_traj)
+        Z0 = np.array([ic(rng) for rng in streams])
+        us = np.array([rng.uniform(-amplitude, amplitude, size=(steps, cfg.m)) for rng in streams])
+        Q, step = rk4_stepper(sim, dt)
+        ys = [Z0 if Q is None else Z0 @ Q]
+        for k in range(steps):
+            ys.append(step(ys[-1], us[:, k], np.empty_like(ys[-1])))
+        xs = np.stack(ys, axis=1)
+        xs = xs if Q is None else xs @ Q.T
+        assert np.array_equal(data.X, xs[:, :-1].reshape(-1, cfg.p).T)
+        assert np.array_equal(data.Xnext, xs[:, 1:].reshape(-1, cfg.p).T)
 
 
 class TestDeterminism:

@@ -211,10 +211,10 @@ class TestCompiledStep:
         for xi, ui in ((x, u), (x[0], u[0])):  # a stack and a 1-D state
             want = rk4_step(sim, xi, ui, 1e-2)
             if not symmetric:
-                assert np.array_equal(step(xi, ui), want)
+                assert np.array_equal(step(xi, ui, np.empty_like(xi)), want)
                 continue
             np.testing.assert_allclose(Q.T @ Q, np.eye(sim.n), rtol=0, atol=1e-13)
-            got = step(xi @ Q, ui) @ Q.T
+            got = step(xi @ Q, ui, np.empty_like(xi)) @ Q.T
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -224,8 +224,21 @@ class TestCompiledStep:
         Q, step = rk4_stepper(sim, 1e-3)
         assert Q is None
         x, u = rng.normal(size=(5, 32)), rng.normal(size=(5, 4))
-        assert np.array_equal(step(x, u), rk4_step(sim, x, u, 1e-3))
-        assert np.array_equal(step(x[0], u[0]), rk4_step(sim, x[0], u[0], 1e-3))
+        assert np.array_equal(step(x, u, np.empty_like(x)), rk4_step(sim, x, u, 1e-3))
+        assert np.array_equal(step(x[0], u[0], np.empty_like(x[0])), rk4_step(sim, x[0], u[0], 1e-3))
+
+    @pytest.mark.parametrize("make", [
+        lambda: HeatSimulator(GridSpec(p=24), 0.01, 4),
+        lambda: BurgersSimulator(GridSpec(p=24), 0.01, 4),
+    ], ids=["heat", "burgers"])
+    def test_in_place_step_matches_a_fresh_one(self, make):
+        # out = y steps the stack in place, bit for bit as into a new array
+        rng = np.random.default_rng(8)
+        _, step = rk4_stepper(make(), 1e-3)
+        y, u = rng.normal(size=(5, 24)), rng.normal(size=(5, 4))
+        want = step(y, u, np.empty_like(y))
+        assert step(y, u, y) is y
+        assert np.array_equal(y, want)
 
     @pytest.mark.parametrize("make_config,compiled", [(heat_config, True), (burgers_config, False)])
     def test_closed_loop_compiles_once(self, make_config, compiled, monkeypatch):
