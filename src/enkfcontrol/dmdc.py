@@ -161,32 +161,41 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
 def to_continuous(model: ReducedModel) -> ReducedModel:
     """Continuous-time equivalent: A = log(A_d)/dt, B solves the step integral.
 
-    B_d = M B with M = int_0^dt exp(A s) ds; M is read off a block matrix
-    exponential, which also covers singular A.
+    One eigendecomposition A_d = V diag(mu) V^-1 gives both:
+    A = V diag(log mu / dt) V^-1 and, since B_d = int_0^dt exp(A s) ds B,
+    B = V diag(log mu / (dt (mu - 1))) V^-1 B_d.  The factor
+    log mu / (mu - 1) tends to 1 as mu -> 1, where the periodic constant
+    mode sits; it keeps full relative accuracy there, because mu - 1 is
+    exact and numpy's complex log is accurate near 1.  A defective or
+    ill-conditioned V (cond(V) above 1e8) is rejected: rounding in V^-1
+    grows like cond(V) eps, and at 1e8 reaches the 1e-8 tolerance of the
+    realness check.
     """
-    from scipy.linalg import expm, logm  # here, not at the top: full-model runs need no scipy
-
     if not model.discrete:
         raise ConversionError("model is already continuous-time")
-    eigs = np.linalg.eigvals(model.A)
-    on_neg_axis = (eigs.real <= 0) & (np.abs(eigs.imag) <= 1e-12 * np.maximum(1.0, np.abs(eigs)))
+    mu, V = np.linalg.eig(model.A)
+    on_neg_axis = (mu.real <= 0) & (np.abs(mu.imag) <= 1e-12 * np.maximum(1.0, np.abs(mu)))
     if np.any(on_neg_axis):
         raise ConversionError(
             "discrete matrix has eigenvalues on the closed negative real axis; "
             "no principal logarithm (try a smaller sampling step)"
         )
-    A_log = logm(model.A)
-    if np.linalg.norm(np.imag(A_log)) > 1e-8 * max(1.0, np.linalg.norm(np.real(A_log))):
+    cond = np.linalg.cond(V)
+    if not cond <= 1e8:
+        raise ConversionError(
+            f"discrete matrix is defective or nearly so: its eigenvector matrix has "
+            f"cond(V) = {cond:.3e} > 1e+08"
+        )
+    w = mu - 1.0  # exact for |mu - 1| <= 1/2
+    log_mu = np.log(mu.astype(complex))
+    factor = np.divide(log_mu, w, out=np.ones_like(log_mu), where=w != 0)
+    V_inv = np.linalg.inv(V)
+    A_log = (V * log_mu) @ V_inv
+    if np.linalg.norm(A_log.imag) > 1e-8 * max(1.0, np.linalg.norm(A_log.real)):
         raise ConversionError("matrix logarithm is not real; try a smaller sampling step")
-    A = np.real(A_log) / model.dt
-
-    n = model.n
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = A * model.dt
-    block[:n, n:] = np.eye(n) * model.dt
-    M = expm(block)[:n, n:]
-    B = np.linalg.solve(M, model.B)
-    return ReducedModel(A=A, B=B, Phi=model.Phi, dt=model.dt, discrete=False)
+    A = A_log.real / model.dt
+    B = (V * (factor / model.dt)) @ (V_inv @ model.B)
+    return ReducedModel(A=A, B=B.real, Phi=model.Phi, dt=model.dt, discrete=False)
 
 
 def reduce_state(model: ReducedModel, z: np.ndarray) -> np.ndarray:

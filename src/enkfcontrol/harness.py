@@ -47,6 +47,7 @@ from .pde import (
     l2_norm,
     rk4_stepper,
     sample_initial_condition,
+    sample_initial_conditions,
 )
 
 POLICIES = ("uncontrolled", "optimal", "robust")
@@ -358,7 +359,8 @@ def run_cases(
     keys = [(c.policy != "uncontrolled", c.kind if c.d0 else "none", c.d0, c.lam) for c in cases]
     block_of = {key: j for j, key in enumerate(dict.fromkeys(keys))}
     controlled, kinds, d0, lam = (np.repeat(col, n_trials) for col in zip(*block_of))
-    Z0 = np.array([trial_initial_condition(cfg, i) for i in range(n_trials)])
+    streams = [_rng(cfg, _TAG_TRIALS, i) for i in range(n_trials)]  # as trial_initial_condition
+    Z0 = sample_initial_conditions(streams, grid_of(cfg))
     roll = simulate_closed_loop(
         cfg, art, np.tile(Z0, (len(block_of), 1)),
         lam=lam, kinds=kinds, d0=d0, controlled=controlled,

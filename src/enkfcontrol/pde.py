@@ -263,10 +263,17 @@ def sample_initial_condition(rng: np.random.Generator, grid: GridSpec) -> np.nda
     alpha ~ unif(0.9, 1.1) and beta ~ unif(0.04, 0.06); with the default
     L = 1 domain the bump is centered at y = 1/2.
     """
-    alpha = rng.uniform(0.9, 1.1)
-    beta = rng.uniform(0.04, 0.06)
+    return sample_initial_conditions([rng], grid)[0]
+
+
+def sample_initial_conditions(rngs: list[np.random.Generator], grid: GridSpec) -> np.ndarray:
+    """One bump per generator, as rows: row i is sample_initial_condition(rngs[i], grid).
+
+    Each generator draws its (alpha, beta); the bumps are then one broadcast.
+    """
+    alpha, beta = np.array([(rng.uniform(0.9, 1.1), rng.uniform(0.04, 0.06)) for rng in rngs]).T
     center = 1.0 / (2.0 * grid.L)
-    return alpha / np.cosh((grid.points - center) / beta)
+    return alpha[:, None] / np.cosh((grid.points - center) / beta[:, None])
 
 
 def l2_norm(z: np.ndarray, grid: GridSpec, out: np.ndarray | None = None):

@@ -2,12 +2,13 @@
 
 These are the trusted oracles the particle-based gain estimates are tested
 against: a Runge-Kutta integrator for the differential Riccati equation (the
-finite-horizon P(0) the ensemble approximates) and scipy's Schur-form solver
-for the algebraic equation.  Before the algebraic solve the system passes the
-PBH rank test at every eigenvalue with Re lambda >= 0: (A, B) stabilizable
-and (A, C) detectable, the conditions for a unique stabilizing solution.  A
-system with uncontrollable but stable modes is therefore accepted, as the
-paper's periodic heat equation needs (only its constant mode is marginal).
+finite-horizon P(0) the ensemble approximates) and, for the algebraic
+equation, the stable eigenvectors of its Hamiltonian matrix.  Before the
+algebraic solve the system passes the PBH rank test at every eigenvalue with
+Re lambda >= 0: (A, B) stabilizable and (A, C) detectable, the conditions for
+a unique stabilizing solution.  A system with uncontrollable but stable modes
+is therefore accepted, as the paper's periodic heat equation needs (only its
+constant mode is marginal).
 """
 
 from __future__ import annotations
@@ -153,13 +154,28 @@ def solve_dre(sys: LtiSystem, T: float, dt: float) -> np.ndarray:
 def solve_are(sys: LtiSystem, residual_tol: float = 1e-8) -> np.ndarray:
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
-    scipy's Schur-form solver, symmetrized; raises :class:`ConvergenceError`
-    unless the residual is at most ``residual_tol * max(1, ||Q||_F)``.
+    With S = B R^-1 B', the stable eigenvectors [V1; V2] of the Hamiltonian
+    [A, -S; -Q, -A'] span the graph of P, so P = V2 V1^-1 (Laub, IEEE TAC
+    24(6), 1979, uses their Schur form; this takes numpy's eigenvectors),
+    real part, symmetrized.  Raises :class:`ConvergenceError` unless exactly
+    n eigenvalues have Re < 0 (an eigenvalue on the imaginary axis leaves no
+    stabilizing solution) and the residual is at most
+    ``residual_tol * max(1, ||Q||_F)``.
     """
-    from scipy.linalg import solve_continuous_are  # here: training imports riccati, not scipy
-
     validate_system(sys)
-    P = solve_continuous_are(sys.A, sys.B, sys.Q, sys.R)
+    n = sys.n
+    S = sys.B @ np.linalg.solve(sys.R, sys.B.T)
+    H = np.block([[sys.A, -S], [-sys.Q, -sys.A.T]])
+    eigs, V = np.linalg.eig(H)
+    # 1e-9 of the spectral radius, as _pbh_full_rank draws the imaginary axis
+    stable = eigs.real < -1e-9 * max(1.0, np.max(np.abs(eigs)))
+    if np.count_nonzero(stable) != n:
+        raise ConvergenceError(
+            f"Hamiltonian has {np.count_nonzero(stable)} eigenvalues with Re < 0, not n = {n}: "
+            "eigenvalues on the imaginary axis leave no stabilizing solution"
+        )
+    V1, V2 = V[:n, stable], V[n:, stable]
+    P = np.linalg.solve(V1.T, V2.T).T.real
     P = 0.5 * (P + P.T)
     tol = residual_tol * max(1.0, np.linalg.norm(sys.Q, "fro"))
     residual = riccati_residual(sys, P)

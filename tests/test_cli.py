@@ -1,3 +1,4 @@
+import glob
 import os
 import subprocess
 import sys
@@ -338,14 +339,32 @@ def test_oracle_prints_the_riccati_references():
     assert abscissa.rsplit(": ", 1)[1] == f"{-np.sqrt(2.0):.6g}"  # -sqrt(2) as printed
 
 
-def test_heat_full_train_imports_no_scipy(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["train", "--pde", "heat", "--p", "12", "--m", "2", "--particles", "50"],
+    ["fit-dmdc", "--pde", "heat"],
+    ["train", "--pde", "heat", "--model", "dmdc", "--p", "16", "--m", "2", "--particles", "50",
+     "--trials", "2"],
+    ["oracle"],
+], ids=["heat-full-train", "fit-dmdc", "train-dmdc", "oracle"])
+def test_verb_imports_no_scipy(tmp_path, argv):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    if argv[0] != "oracle":
+        argv = argv + ["--out", str(tmp_path / "out")]
     code = ("import sys; from enkfcontrol.cli import main; "
-            "rc = main(['train', '--pde', 'heat', '--p', '12', '--m', '2', '--particles', '50', "
-            "'--out', sys.argv[1]]); print(rc, 'scipy' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+            "rc = main(sys.argv[1:]); print(rc, 'scipy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, *argv],
                          capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 False"
+
+
+def test_no_module_imports_scipy():
+    package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "enkfcontrol")
+    modules = glob.glob(os.path.join(package, "**", "*.py"), recursive=True)
+    assert len(modules) > 10
+    for path in modules:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert "import scipy" not in text and "from scipy" not in text, path

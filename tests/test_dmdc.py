@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from enkfcontrol.config import default_config
 from enkfcontrol.dmdc import (
@@ -296,6 +296,59 @@ class TestToContinuous:
                              dt=0.1, discrete=True)
         with pytest.raises(ConversionError):
             to_continuous(model)
+
+    def test_roundtrip_damped_rotation(self):
+        # a complex-conjugate eigenvalue pair -0.3 +- 2i
+        A = np.array([[-0.3, 2.0], [-2.0, -0.3]])
+        B = np.array([[1.0, 0.5], [-0.2, 2.0]])
+        dt = 0.1
+        Ad, Bd = exact_discretization(A, B, dt)
+        assert np.all(np.abs(np.linalg.eigvals(Ad).imag) > 0.1)
+        cont = to_continuous(ReducedModel(A=Ad, B=Bd, Phi=np.eye(2), dt=dt, discrete=True))
+        assert np.max(np.abs(cont.A - A)) <= 1e-12 * np.max(np.abs(A))
+        assert np.max(np.abs(cont.B - B)) <= 1e-12 * np.max(np.abs(B))
+
+    @pytest.mark.parametrize("r, theta", [(1.0, 0.0), (1 + 3e-11, 0.0), (1 - 7e-11, 0.0),
+                                          (1 + 2e-11, 5e-11), (1.0, 8e-11), (1 - 4e-11, 3e-11)])
+    def test_eigenvalue_near_one_takes_the_series_limit(self, r, theta):
+        # A_d = r [[c, -s], [s, c]] has the pair mu = r exp(+-i theta), within 1e-10 of 1;
+        # any f(A_d) is Re f(mu) I + Im f(mu) J with J = [[0, -1], [1, 0]]
+        c, s = np.cos(theta), np.sin(theta)
+        Ad = r * np.array([[c, -s], [s, c]])
+        mu = complex(Ad[0, 0], Ad[1, 0])
+        w = mu - 1.0
+        assert abs(w) <= 1e-10
+        dt = 0.01
+        cont = to_continuous(ReducedModel(A=Ad, B=np.eye(2), Phi=np.eye(2), dt=dt, discrete=True))
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        as_matrix = lambda f: f.real * np.eye(2) + f.imag * J
+        factor = 1 - w / 2 + w**2 / 3 - w**3 / 4  # log(1 + w) / w; the next term is below 1e-40
+        log_mu = w * factor
+        # normwise: the entries of size |w| / dt carry the eigenbasis's rounding
+        for got, f in ((cont.B, factor), (cont.A, log_mu)):
+            want = as_matrix(f) / dt
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_defective_matrix_rejected(self):
+        model = ReducedModel(A=np.array([[0.9, 1.0], [0.0, 0.9]]), B=np.ones((2, 1)),
+                             Phi=np.eye(2), dt=0.1, discrete=True)
+        with pytest.raises(ConversionError, match=r"cond\(V\) = .* > 1e\+08"):
+            to_continuous(model)
+
+    @pytest.mark.parametrize("pde", ["heat", "burgers"])
+    def test_default_fits_match_the_logm_expm_route(self, pde):
+        for seed in range(5):
+            data, n = default_snapshots(pde, seed)
+            model = fit_dmdc(data, n)
+            cont = to_continuous(model)
+            # the reference: A = logm(A_d)/dt, and B_d = M B with M read off a block exponential
+            A = np.real(logm(model.A)) / model.dt
+            block = np.zeros((2 * n, 2 * n))
+            block[:n, :n] = A * model.dt
+            block[:n, n:] = np.eye(n) * model.dt
+            B = np.linalg.solve(expm(block)[:n, n:], model.B)
+            assert np.linalg.norm(cont.A - A) <= 1e-12 * np.linalg.norm(A)
+            assert np.linalg.norm(cont.B - B) <= 1e-12 * np.linalg.norm(B)
 
 
 class TestReduceLift:

@@ -18,6 +18,7 @@ from enkfcontrol.pde import (
     rk4_step,
     rk4_stepper,
     sample_initial_condition,
+    sample_initial_conditions,
     second_difference_matrix,
 )
 
@@ -279,6 +280,16 @@ class TestInitialCondition:
         z1 = sample_initial_condition(np.random.default_rng(42), grid)
         z2 = sample_initial_condition(np.random.default_rng(42), grid)
         assert np.array_equal(z1, z2)
+
+    def test_stack_is_one_bump_per_generator_bit_for_bit(self):
+        # each generator draws alpha then beta; the row is the per-bump formula exactly
+        grid = GridSpec(p=64, L=2.0)
+        Z = sample_initial_conditions([np.random.default_rng(seed) for seed in range(5)], grid)
+        for seed, z in enumerate(Z):
+            rng = np.random.default_rng(seed)
+            alpha, beta = rng.uniform(0.9, 1.1), rng.uniform(0.04, 0.06)
+            want = alpha / np.cosh((grid.points - 0.25) / beta)
+            assert np.array_equal(z.view(np.int64), want.view(np.int64))
 
 
 class TestL2Norm:

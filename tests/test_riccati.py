@@ -6,8 +6,10 @@ from scipy.linalg import solve_continuous_are
 
 from enkfcontrol.config import heat_config
 from enkfcontrol.harness import build_full_simulator
+from enkfcontrol import riccati
 from enkfcontrol.riccati import (
     AssumptionError,
+    ConvergenceError,
     LtiSystem,
     OracleError,
     invert_spd,
@@ -139,6 +141,23 @@ class TestAre:
             P = solve_are(sys)
             P_ref = solve_continuous_are(sys.A, sys.B, sys.Q, sys.R)
             assert np.linalg.norm(P - P_ref, "fro") < 1e-7 * np.linalg.norm(P_ref, "fro") + 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_imaginary_axis_hamiltonian_eigenvalues_rejected(self, monkeypatch, seed):
+        # an undamped oscillator that B does not move and C does not see, beside one stable
+        # mode, in a random basis: the Hamiltonian has +-i twice and no stabilizing solution
+        # exists.  Rounding scatters those four eigenvalues across Re = 0; a split into n = 3
+        # with Re < 0 gives a P with a tiny residual and a marginal closed loop.  Called past
+        # validate_system, which rejects the system.
+        T = np.random.default_rng(seed).normal(size=(3, 3))
+        A = T @ np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]) @ np.linalg.inv(T)
+        sys = LtiSystem(A=A, B=T @ [[0.0], [0.0], [1.0]], C=[[0.0, 0.0, 1.0]] @ np.linalg.inv(T),
+                        R=[[1.0]])
+        with pytest.raises(AssumptionError):
+            validate_system(sys)
+        monkeypatch.setattr(riccati, "validate_system", lambda sys: None)
+        with pytest.raises(ConvergenceError, match="1 eigenvalues with Re < 0, not n = 3"):
+            solve_are(sys)
 
 
 class TestLqrGain:
