@@ -1,10 +1,10 @@
 """Robust control law: u = (optimal learning control) + (robust term).
 
-With g = P x the learned value gradient and B the input matrix, the
-optimal learning control minimizes the control Hamiltonian, an exact
-quadratic in u, at
+With g = P x the learned value gradient, B the input matrix and R > 0 the
+scalar input weight of the running cost R |u|^2, the optimal learning
+control minimizes the control Hamiltonian, an exact quadratic in u, at
 
-    u_bar = -R^-1 B' g,
+    u_bar = -B' g / R,
 
 and the Lyapunov-redesign term opposes norm-bounded matched disturbances
 along the value gradient:
@@ -23,7 +23,7 @@ constant B u, so the probe is exact and the law is always a fixed linear
 feedback plus a normalized projection.  The per-state functions re-solve it
 at every call and are the reference the tests compare against;
 :func:`compile_law` solves it once into one matrix, which folds the
-reduction Phi, P, K = R^-1 B' P and B^+ together, and :class:`CompiledLaw`
+reduction Phi, P, K = B'P / R and B^+ together, and :class:`CompiledLaw`
 evaluates it for a whole stack of states with one GEMM, in the plant's
 state coordinates or any orthonormal basis of them.  The closed loop always
 uses the compiled law; its lambda = 0 rows (the optimal learning control)
@@ -48,23 +48,17 @@ class RankDeficientError(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlLaw:
-    """The law but its lambda: gain, input weight R (SPD), floor r > 0 and B access."""
+    """The law but its lambda: gain, scalar input weight R > 0, floor r > 0 and B access."""
 
     gain: GainApprox
-    R: np.ndarray
+    R: float
     r: float
     b_access: str = "known"
     reduction: ReducedModel | None = None
 
     def __post_init__(self):
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        if not np.allclose(R, R.T, atol=1e-10):
-            raise ValueError("R must be symmetric")
-        try:
-            np.linalg.cholesky(R)
-        except np.linalg.LinAlgError:
-            raise ValueError("R must be positive definite") from None
-        object.__setattr__(self, "R", R)
+        if not self.R > 0:
+            raise ValueError(f"input weight R must be positive, got {self.R}")
         if not self.r > 0:
             raise ValueError(f"regularization r must be positive, got {self.r}")
         if self.b_access not in B_ACCESS_MODES:
@@ -113,9 +107,9 @@ def input_matrix(law: ControlLaw, sim: Simulator) -> np.ndarray:
 
 
 def minimize_hamiltonian(law: ControlLaw, x: np.ndarray, sim: Simulator) -> np.ndarray:
-    """Global minimizer -R^-1 B' g of the control Hamiltonian at x."""
+    """Global minimizer -B' g / R of the control Hamiltonian at x."""
     B = input_matrix(law, sim)
-    return -np.linalg.solve(law.R, B.T @ (law.gain.P @ x))
+    return -(B.T @ (law.gain.P @ x)) / law.R
 
 
 def robust_term(law: ControlLaw, x: np.ndarray, sim: Simulator, lam: float) -> np.ndarray:
@@ -136,7 +130,7 @@ def robust_control(law: ControlLaw, z: np.ndarray, sim: Simulator, lam: float) -
 class CompiledLaw:
     """The law of :func:`robust_control` as one matrix, for a stack of states.
 
-    With x = Phi z (Phi = I without a reduction), g = P x and K = R^-1 B' P,
+    With x = Phi z (Phi = I without a reduction), g = P x and K = B'P / R,
 
         u = -K x - lambda B^+ g / max(|g|, r),
 
@@ -184,7 +178,7 @@ def compile_law(law: ControlLaw, sim: Simulator) -> CompiledLaw:
     """Solve the law once, with B from :func:`input_matrix`."""
     B = input_matrix(law, sim)
     P = law.gain.P
-    K = np.linalg.solve(law.R, B.T @ P)
+    K = B.T @ P / law.R
     Phi = np.eye(P.shape[0]) if law.reduction is None else law.reduction.Phi
     H = Phi.T @ np.hstack([P.T, K.T, P.T @ np.linalg.pinv(B).T])
     return CompiledLaw(H=H, n=P.shape[0], r=law.r)

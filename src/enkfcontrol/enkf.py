@@ -2,23 +2,24 @@
 
 The gain comes from the linear dual EnKF (Joshi, Taghvaei, Mehta & Meyn,
 *Systems & Control Letters*, 2022) on a linear design model: the heat
-operator, or the DMDc reduced model of the heat or Burgers plant.  An
+operator, or the DMDc reduced model of the heat or Burgers plant.  The cost
+is quadratic with scalar weights, q |x|^2 + r |u|^2 running and g |x|^2
+terminal, which the config holds as ``q``, ``r_input`` and ``g``.  An
 ensemble of N copies of the disturbance-free model is integrated backward
 from the horizon T to time 0.  Each particle follows the model drift plus
-control-channel noise with covariance R^-1, and is coupled to the ensemble
+control-channel noise with covariance I/r, and is coupled to the ensemble
 through an empirical-covariance gain acting on the averaged innovation
-(C Y_i + C mean) / 2.  The inverse of the 1/N-normalized ensemble
+sqrt(q) (Y_i + mean) / 2.  The inverse of the 1/N-normalized ensemble
 covariance S at time 0 approximates the Riccati solution P.
 
 Time direction.  Particles are indexed by decreasing t.  The drift and the
 coupling term are applied with step -dt on the reversed clock, and the noise
-is drawn as fresh Gaussian increments with covariance R^-1 dt; this
+is drawn as fresh Gaussian increments with covariance dt I/r; this
 convention is pinned by the scalar stationary-Riccati benchmark in the tests.
 
-Linear step.  With M = C'C S / 2, G = I - dt (A' + M) and
-W = sqrt(dt) chol' B' (chol the Cholesky factor of R^-1), a particle step
-is Y+ = Y G - dt 1 (mean' M) + xi W, xi an (N, m) standard-normal draw, so
-the centered rows move as Yc+ = Yc G + xic W and
+Linear step.  With M = q S / 2, G = I - dt (A' + M) and W = sqrt(dt / r) B',
+a particle step is Y+ = Y G - dt 1 (mean' M) + xi W, xi an (N, m)
+standard-normal draw, so the centered rows move as Yc+ = Yc G + xic W and
 
     S+ = G'SG + V + V',  V = (G'X + W'Xi / 2) W,
 
@@ -32,8 +33,8 @@ standard normals Z1 (p x m), z2 (1 x m) and Z3, and
 
 with E ~ Wishart_m(N - p - 1, I); z2 moves only the mean.  S is therefore
 a Markov chain that is sampled here exactly in law, with O(p^3 + p^2 m)
-work a step and no N x p array.  The terminal draw Y_i ~ N(0, S_T) gives
-N S ~ Wishart_p(N - 1, S_T), drawn by the Bartlett decomposition.  In
+work a step and no N x p array.  The terminal draw Y_i ~ N(0, I/g) gives
+g N S ~ Wishart_p(N - 1, I), drawn by the Bartlett decomposition.  In
 continuous time this chain is the Riccati diffusion of the ensemble
 covariance (Bishop & Del Moral, *Math. Control Signals Syst.*, 2023).
 """
@@ -69,34 +70,24 @@ class RankError(RuntimeError):
 class EnkfConfig:
     """Run parameters for a dual-EnKF pass.
 
-    S_T is the covariance of the terminal ensemble draw; pairing the terminal
-    cost weight G with S_T = G^-1 is the convention used by the harness.  The
-    ensemble needs more particles than states, N > n, for its covariance to
-    have full rank.
+    g > 0 is the terminal cost weight g |x|^2; the terminal ensemble is drawn
+    from N(0, I/g).  The ensemble needs more particles than states, N > n,
+    for its covariance to have full rank; :func:`init_covariance` checks
+    that once n is known.
     """
 
     N: int
     T: float
     dt: float
-    S_T: np.ndarray
+    g: float
 
     def __post_init__(self):
-        S_T = np.atleast_2d(np.asarray(self.S_T, dtype=float))
-        if self.N <= S_T.shape[0]:
-            raise EnkfConfigError(
-                f"need more particles than states, got N={self.N} for n={S_T.shape[0]}"
-            )
         if not self.T > 0:
             raise EnkfConfigError(f"horizon must be positive, got T={self.T}")
         if not 0 < self.dt <= self.T:
             raise EnkfConfigError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
-        if not np.allclose(S_T, S_T.T, atol=1e-10):
-            raise EnkfConfigError("S_T must be symmetric")
-        try:
-            np.linalg.cholesky(S_T)
-        except np.linalg.LinAlgError:
-            raise EnkfConfigError("S_T must be positive definite") from None
-        object.__setattr__(self, "S_T", S_T)
+        if not self.g > 0:
+            raise EnkfConfigError(f"terminal weight must be positive, got g={self.g}")
 
     @property
     def n_steps(self) -> int:
@@ -124,11 +115,6 @@ class GainApprox:
         return self.P.shape[0]
 
 
-def noise_factor(R: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of R^-1, the control-noise covariance per unit time."""
-    return np.linalg.cholesky(invert_spd(np.atleast_2d(R)))
-
-
 def _wishart_factor(dof: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """F with F'F ~ Wishart_k(dof, I).
 
@@ -144,21 +130,21 @@ def _wishart_factor(dof: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def init_covariance(cfg: EnkfConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """S of a terminal ensemble Y_i ~ N(0, S_T), drawn without the ensemble.
+    """S of a terminal ensemble Y_i ~ N(0, I/g), drawn without the ensemble.
 
-    N S = L_T F'F L_T' with S_T = L_T L_T' and F'F ~ Wishart_n(N - 1, I).
+    g N S = F'F with F'F ~ Wishart_n(N - 1, I).
     """
-    if cfg.S_T.shape != (n, n):
-        raise EnkfConfigError(f"S_T shape {cfg.S_T.shape} != ({n}, {n})")
-    U = _wishart_factor(cfg.N - 1, n, rng) @ np.linalg.cholesky(cfg.S_T).T
-    return U.T @ U / cfg.N
+    if cfg.N <= n:
+        raise EnkfConfigError(f"need more particles than states, got N={cfg.N} for n={n}")
+    F = _wishart_factor(cfg.N - 1, n, rng)
+    return F.T @ F / (cfg.N * cfg.g)
 
 
 def step_linear(
     S: np.ndarray,
     t: float,
     A: np.ndarray,
-    CtC: np.ndarray,
+    q: float,
     W: np.ndarray,
     N: int,
     dt: float,
@@ -166,8 +152,8 @@ def step_linear(
 ) -> np.ndarray:
     """One backward step of the ensemble covariance, from t to t - dt.
 
-    ``CtC`` is C'C and ``W`` = sqrt(dt) chol' B', chol = :func:`noise_factor`
-    of R.  With S = LL', G = I - dt (A' + C'C S / 2) and U = L'G,
+    q and r are the running weights of q |x|^2 + r |u|^2, and ``W`` is
+    sqrt(dt / r) B'.  With S = LL', G = I - dt (A' + q S / 2) and U = L'G,
 
         S_next = U'U + V + V',  V = (U'Z1 / sqrt(N) + W'Xi / 2) W,
 
@@ -182,7 +168,7 @@ def step_linear(
     except np.linalg.LinAlgError:
         raise DivergenceError(t) from None
     with np.errstate(over="ignore", invalid="ignore"):
-        U = L.T @ (np.eye(p) - dt * (A.T + 0.5 * CtC @ S))
+        U = L.T @ (np.eye(p) - dt * (A.T + 0.5 * q * S))
         Z = rng.standard_normal((p, m))
         F = _wishart_factor(N - p - 1, m, rng)
         Xi = (Z.T @ Z + F.T @ F) / N
@@ -205,22 +191,24 @@ def _gain_from_covariance(S0: np.ndarray) -> GainApprox:
 def run_dual_enkf_linear(
     A: np.ndarray,
     B: np.ndarray,
-    C: np.ndarray,
-    R: np.ndarray,
+    q: float,
+    r: float,
     cfg: EnkfConfig,
     rng: np.random.Generator,
 ) -> GainApprox:
-    """Sample the ensemble covariance from t=T down to t=0 and invert S_0."""
+    """Sample the ensemble covariance from t=T down to t=0 and invert S_0.
+
+    q > 0 and r > 0 are the running weights of q |x|^2 + r |u|^2.
+    """
+    if not (q > 0 and r > 0):
+        raise EnkfConfigError(f"running weights must be positive, got q={q}, r={r}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
     S = init_covariance(cfg, A.shape[0], rng)
     h = cfg.dt_effective
-    W = np.sqrt(h) * noise_factor(R).T @ B.T
-    CtC = C.T @ C
+    W = np.sqrt(h / r) * B.T
     t = cfg.T
     for _ in range(cfg.n_steps):
-        S = step_linear(S, t, A, CtC, W, cfg.N, h, rng)
+        S = step_linear(S, t, A, q, W, cfg.N, h, rng)
         t -= h
     return _gain_from_covariance(S)

@@ -126,14 +126,13 @@ def _train_gain(cfg: ExperimentConfig, design_sim: Simulator) -> GainApprox:
     if not isinstance(design_sim, LinearSimulator):
         raise HarnessError(
             f"no linear design model to train a gain on for pde={cfg.pde}, model={cfg.model}; "
-            "train on the reduced model with --model dmdc, or supply a trained gain with --gain"
+            "train on the reduced model with --model dmdc, "
+            "or give batch, grid or simulate a trained gain with --gain"
         )
     T, dt = _enkf_horizon(cfg, design_sim.A)
-    enkf_cfg = EnkfConfig(N=cfg.enkf_particles, T=T, dt=dt, S_T=np.eye(design_sim.n) / cfg.g)
-    C = np.sqrt(cfg.q) * np.eye(design_sim.n)
-    R = cfg.r_input * np.eye(cfg.m)
+    enkf_cfg = EnkfConfig(N=cfg.enkf_particles, T=T, dt=dt, g=cfg.g)
     return run_dual_enkf_linear(
-        design_sim.A, design_sim.control_matrix, C, R, enkf_cfg, _rng(cfg, _TAG_ENKF)
+        design_sim.A, design_sim.control_matrix, cfg.q, cfg.r_input, enkf_cfg, _rng(cfg, _TAG_ENKF)
     )
 
 
@@ -196,7 +195,7 @@ def build_law(cfg: ExperimentConfig, art: Artifacts) -> ControlLaw:
     """The control law of the trained gain; lambda is given at evaluation."""
     return ControlLaw(
         gain=art.gain,
-        R=cfg.r_input * np.eye(cfg.m),
+        R=cfg.r_input,
         r=cfg.r_robust,
         b_access="known" if cfg.b_access == "auto" else cfg.b_access,
         reduction=art.reduction,

@@ -108,13 +108,6 @@ def second_difference_matrix(grid: GridSpec, bc: str = "periodic") -> np.ndarray
     return np.asarray(second_difference(np.eye(grid.p), grid, bc)).T.copy()
 
 
-def _apply_control(B: np.ndarray, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.ndim <= 1:
-        return B @ u
-    return u @ B.T
-
-
 def burgers_rhs(
     z: np.ndarray,
     u: np.ndarray,
@@ -135,7 +128,7 @@ def burgers_rhs(
     if not nu > 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
     adv = -z * first_difference(z, grid, bc)
-    return adv + nu * second_difference(z, grid, bc) + _apply_control(B, u)
+    return adv + nu * second_difference(z, grid, bc) + np.asarray(u, dtype=float) @ B.T
 
 
 class Simulator:
@@ -158,7 +151,7 @@ class Simulator:
 
 
 class LinearSimulator(Simulator):
-    """dx/dt = A x + B u; a stack of states as x A' + u B', with A' and B' stored contiguous."""
+    """dx/dt = A x + B u, as x A' + u B' for one state or a stack, with A' and B' stored contiguous."""
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
         A = np.asarray(A, dtype=float)
@@ -168,18 +161,14 @@ class LinearSimulator(Simulator):
         if B.shape[0] != A.shape[0]:
             raise ValueError("A and B row counts differ")
         self.A = A
-        self._B = self.control_matrix = B
+        self.control_matrix = B
         self._AT = np.ascontiguousarray(A.T)
         self._BT = np.ascontiguousarray(B.T)
         self.n, self.m = B.shape
 
     def rhs(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.ndim <= 1:
-            return self.A @ x + self._B @ u
-        out = x @ self._AT
-        out += u @ self._BT
+        out = np.asarray(x, dtype=float) @ self._AT
+        out += np.asarray(u, dtype=float) @ self._BT
         return out
 
 

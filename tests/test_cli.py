@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -149,6 +150,20 @@ class TestBurgersTrain:
         assert err.startswith("error:")
         assert "--model dmdc" in err and "--gain" in err
         assert not os.path.exists(os.path.join(out, "gain.bundle"))
+
+    @pytest.mark.parametrize("verb", ["train", "batch"])
+    def test_full_state_error_names_a_remedy_the_verb_takes(self, verb, tmp_path, capsys):
+        # each flag the message suggests is one the verb accepts, or the message
+        # names every verb that accepts it
+        argv = [verb, "--pde", "burgers", "--model", "full", "--p", "16", "--m", "2",
+                "--particles", "40", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        flags = set(re.findall(r"--[a-z][a-z-]*", err))
+        accepted = set(cli.VERBS[verb].flags)
+        assert flags & accepted
+        for flag in flags - accepted:
+            assert all(name in err for name, v in cli.VERBS.items() if flag in v.flags), (flag, err)
 
 
 class TestConfigFilePde:

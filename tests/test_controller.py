@@ -43,9 +43,9 @@ def random_lti(rng, n, m):
 
 class TestControlLaw:
     @pytest.mark.parametrize("R,r,message", [
-        ([[1.0, 0.5], [0.0, 1.0]], 0.01, "R must be symmetric"),
-        ([[1.0, 0.0], [0.0, -1.0]], 0.01, "R must be positive definite"),
-        (np.eye(2), 0.0, "regularization r must be positive"),
+        (0.0, 0.01, "input weight R must be positive"),
+        (-1.0, 0.01, "input weight R must be positive"),
+        (1.0, 0.0, "regularization r must be positive"),
     ])
     def test_bad_weights_rejected(self, R, r, message):
         with pytest.raises(ValueError, match=message):
@@ -55,8 +55,8 @@ class TestControlLaw:
         rng = np.random.default_rng(1)
         A, B = random_lti(rng, 4, 2)
         sim = LinearSimulator(A, B)
-        assert input_matrix(make_law(np.eye(4), np.eye(2)), sim) is B
-        probed = input_matrix(make_law(np.eye(4), np.eye(2), b_access="simulator"), hidden_b(sim))
+        assert input_matrix(make_law(np.eye(4), 1.0), sim) is B
+        probed = input_matrix(make_law(np.eye(4), 1.0, b_access="simulator"), hidden_b(sim))
         np.testing.assert_allclose(probed, B, rtol=0, atol=1e-12)
 
 
@@ -65,13 +65,13 @@ class TestMinimizeHamiltonian:
         rng = np.random.default_rng(2)
         A, B = random_lti(rng, 3, 2)
         sim = LinearSimulator(A, B)
-        law = make_law(np.eye(3), np.eye(2))
+        law = make_law(np.eye(3), 1.0)
         assert np.allclose(minimize_hamiltonian(law, np.zeros(3), sim), 0.0)
 
     def test_scalar_complete_square(self):
         # A=0, B=1, Q=R=1, P=1: H(1, u) = u + (1 + u^2)/2, minimum at u=-1
         sim = LinearSimulator([[0.0]], [[1.0]])
-        law = make_law([[1.0]], [[1.0]])
+        law = make_law([[1.0]], 1.0)
         assert minimize_hamiltonian(law, np.array([1.0]), sim) == pytest.approx([-1.0])
 
     def test_branches_agree_on_random_systems(self):
@@ -83,25 +83,24 @@ class TestMinimizeHamiltonian:
             sim = LinearSimulator(A, B)
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.1 * np.eye(n)
-            D = rng.uniform(0.5, 2.0, size=m)
-            R = np.diag(D)
+            R = float(rng.uniform(0.5, 2.0))
             x = rng.normal(size=n)
             law_known = make_law(P, R, b_access="known")
             law_free = make_law(P, R, b_access="simulator")
             u_known = minimize_hamiltonian(law_known, x, sim)
             u_free = minimize_hamiltonian(law_free, x, hidden_b(sim))
             assert np.allclose(u_known, u_free, atol=1e-10)
-            assert np.allclose(u_known, -np.linalg.solve(R, B.T @ P @ x), atol=1e-10)
+            assert np.allclose(u_known, -B.T @ P @ x / R, atol=1e-10)
 
     def test_global_minimum_property(self):
         rng = np.random.default_rng(4)
         A, B = random_lti(rng, 4, 2)
         sim = LinearSimulator(A, B)
-        P, Q, R = np.eye(4) * 2.0, np.eye(4), np.eye(2)
+        P, Q, R = np.eye(4) * 2.0, np.eye(4), 2.5
         law = make_law(P, R)
 
-        def H(x, u):  # g'(Ax + Bu) + (x'Qx + u'Ru)/2 with g = Px
-            return (P @ x) @ (A @ x + B @ u) + 0.5 * (x @ Q @ x + u @ R @ u)
+        def H(x, u):  # g'(Ax + Bu) + (x'Qx + R u'u)/2 with g = Px
+            return (P @ x) @ (A @ x + B @ u) + 0.5 * (x @ Q @ x + R * u @ u)
 
         for _ in range(100):
             x = rng.normal(size=4)
@@ -137,19 +136,19 @@ class TestRobustTerm:
     def test_worked_example(self):
         # B = I2, g = (3, 4), lambda = 1, r = 0.01: u_d = -(0.6, 0.8)
         sim = LinearSimulator(np.zeros((2, 2)), np.eye(2))
-        law = make_law(np.eye(2), np.eye(2), r=0.01)
+        law = make_law(np.eye(2), 1.0, r=0.01)
         u_d = robust_term(law, np.array([3.0, 4.0]), sim, 1.0)
         assert np.allclose(u_d, [-0.6, -0.8], atol=1e-12)
 
     def test_zero_gradient_inside_ball(self):
         sim = LinearSimulator(np.zeros((2, 2)), np.eye(2))
-        law = make_law(np.eye(2), np.eye(2), r=0.01)
+        law = make_law(np.eye(2), 1.0, r=0.01)
         assert np.allclose(robust_term(law, np.zeros(2), sim, 1.0), 0.0)
 
     def test_lambda_zero_is_identically_zero(self):
         rng = np.random.default_rng(7)
         sim = LinearSimulator(*random_lti(rng, 3, 2))
-        law = make_law(np.eye(3), np.eye(2))
+        law = make_law(np.eye(3), 1.0)
         for _ in range(10):
             assert np.array_equal(robust_term(law, rng.normal(size=3), sim, 0.0), np.zeros(2))
 
@@ -164,7 +163,7 @@ class TestRobustTerm:
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.1 * np.eye(n)
             lam = float(rng.uniform(0.1, 3.0))
-            law = make_law(P, np.eye(m), r=0.01)
+            law = make_law(P, 1.0, r=0.01)
             x = rng.normal(size=n)
             u_d = robust_term(law, x, sim, lam)
             assert np.linalg.norm(B @ u_d) <= lam + 1e-9
@@ -179,7 +178,7 @@ class TestRobustTerm:
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.5 * np.eye(n)
             lam = 0.7
-            law = make_law(P, np.eye(n), r=1e-4)
+            law = make_law(P, 1.0, r=1e-4)
             x = rng.normal(size=n)
             g = P @ x
             u_d = robust_term(law, x, sim, lam)
@@ -193,8 +192,8 @@ class TestRobustTerm:
             sim = LinearSimulator(A, B)
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.1 * np.eye(n)
-            law_known = make_law(P, np.eye(m), r=0.01, b_access="known")
-            law_free = make_law(P, np.eye(m), r=0.01, b_access="simulator")
+            law_known = make_law(P, 1.0, r=0.01, b_access="known")
+            law_free = make_law(P, 1.0, r=0.01, b_access="simulator")
             x = rng.normal(size=n)
             assert np.allclose(
                 robust_term(law_known, x, sim, 1.3),
@@ -206,7 +205,7 @@ class TestRobustTerm:
         B = np.zeros((3, 2))
         B[:, 0] = [1.0, 0.0, 0.0]  # second column identically zero
         sim = LinearSimulator(np.zeros((3, 3)), B)
-        law = make_law(np.eye(3), np.eye(2))
+        law = make_law(np.eye(3), 1.0)
         with pytest.raises(RankDeficientError, match="columns"):
             robust_term(law, np.array([1.0, 0.0, 0.0]), sim, 1.0)
 
@@ -215,7 +214,7 @@ class TestRobustControl:
     def test_zero_state_zero_control(self):
         rng = np.random.default_rng(11)
         sim = LinearSimulator(*random_lti(rng, 3, 3))
-        law = make_law(np.eye(3), np.eye(3))
+        law = make_law(np.eye(3), 1.0)
         assert np.allclose(robust_control(law, np.zeros(3), sim, 0.5), 0.0)
 
     def test_branch_swap_leaves_control_unchanged(self):
@@ -225,8 +224,8 @@ class TestRobustControl:
         sim = LinearSimulator(A, B)
         M = rng.normal(size=(n, n))
         P = M @ M.T + 0.2 * np.eye(n)
-        law_known = make_law(P, np.eye(m), b_access="known")
-        law_free = make_law(P, np.eye(m), b_access="simulator")
+        law_known = make_law(P, 1.0, b_access="known")
+        law_free = make_law(P, 1.0, b_access="simulator")
         for lam in (0.0, 0.8):
             for _ in range(20):
                 z = rng.normal(size=n)
@@ -241,7 +240,7 @@ class TestRobustControl:
         sim = LinearSimulator([[0.0]], [[1.0]])
         sys = LtiSystem([[0.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
         P = solve_are(sys)
-        law = make_law(P, [[1.0]])
+        law = make_law(P, 1.0)
         x = np.array([1.0])
         dt = 1e-2
         for _ in range(400):
@@ -256,10 +255,10 @@ class TestRobustControl:
         Phi = np.linalg.qr(rng.normal(size=(6, 2)))[0].T  # 2x6, orthonormal rows
         red = ReducedModel(A=-np.eye(2), B=np.eye(2), Phi=Phi, dt=0.1, discrete=False)
         design_sim = LinearSimulator(red.A, red.B)
-        law = make_law(np.eye(2) * 2.0, np.eye(2), reduction=red)
+        law = make_law(np.eye(2) * 2.0, 1.0, reduction=red)
         z = rng.normal(size=6)
         u = robust_control(law, z, design_sim, 0.0)
-        expected = -np.linalg.solve(np.eye(2), red.B.T @ (2.0 * (Phi @ z)))
+        expected = -red.B.T @ (2.0 * (Phi @ z))
         assert np.allclose(u, expected, atol=1e-12)
 
 
@@ -277,7 +276,7 @@ class TestCompiledLaw:
         sim = LinearSimulator(A, B)
         M = rng.normal(size=(n, n))
         P = M @ M.T + 0.2 * np.eye(n)
-        R = np.diag([0.5, 1.0, 2.0])
+        R = 0.4
         red = None
         if reduced:
             Phi = np.linalg.qr(rng.normal(size=(p, n)))[0].T
@@ -294,11 +293,31 @@ class TestCompiledLaw:
             for z, lam_i, u in zip(Z, lam, U):
                 np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=1e-15)
 
+    def test_input_weight_divides_the_feedback(self):
+        # at R = 2.5 the compiled law is u_bar + u_d of the per-state functions, and its
+        # feedback block is the R = 1 block over R while the gradient and B^+ blocks stay
+        rng = np.random.default_rng(17)
+        n, m = 5, 2
+        A, B = random_lti(rng, n, m)
+        sim = LinearSimulator(A, B)
+        M = rng.normal(size=(n, n))
+        P = M @ M.T + 0.2 * np.eye(n)
+        law = make_law(P, 2.5)
+        compiled, unit = compile_law(law, sim), compile_law(make_law(P, 1.0), sim)
+        np.testing.assert_allclose(compiled.K, unit.K / 2.5, rtol=1e-15, atol=0)
+        for block in (slice(0, n), slice(n + m, None)):
+            np.testing.assert_array_equal(compiled.H[:, block], unit.H[:, block])
+        Z = rng.normal(size=(4, n))
+        lam = np.array([0.0, 0.5, 1.0, 2.0])
+        for z, lam_i, u in zip(Z, lam, compiled(Z, lam)):
+            want = minimize_hamiltonian(law, z, sim) + robust_term(law, z, sim, lam_i)
+            np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-15)
+
     def test_probes_b_once_and_checks_rank(self):
         B = np.zeros((3, 2))
         B[:, 0] = [1.0, 0.0, 0.0]
         sim = LinearSimulator(np.zeros((3, 3)), B)
-        law = make_law(np.eye(3), np.eye(2), b_access="simulator")
+        law = make_law(np.eye(3), 1.0, b_access="simulator")
         with pytest.raises(RankDeficientError):
             compile_law(law, sim)
 
@@ -312,7 +331,7 @@ class TestCompiledLaw:
         P = np.eye(p) + M @ M.T / p
         Z = rng.normal(size=(5, p))
         lam = np.array([0.0, 0.5, 1.0, 0.5, 2.0])
-        law = make_law(P, np.eye(m), b_access="simulator")
+        law = make_law(P, 1.0, b_access="simulator")
         U = compile_law(law, sim)(Z, lam)
         for z, lam_i, u in zip(Z, lam, U):
             np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=0)
@@ -333,7 +352,7 @@ class TestLyapunovDecrease:
             lam = 0.5
             r = 0.05
             sim = LinearSimulator(A, B)
-            compiled = compile_law(make_law(P, np.eye(n), r=r), sim)
+            compiled = compile_law(make_law(P, 1.0, r=r), sim)
             lam_row = np.array([lam])
 
             # adversarial matched disturbance of norm 0.9*lambda enters the

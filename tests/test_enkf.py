@@ -10,15 +10,28 @@ from enkfcontrol.enkf import (
     RankError,
     _gain_from_covariance,
     init_covariance,
-    noise_factor,
     run_dual_enkf_linear,
     step_linear,
 )
 from enkfcontrol.riccati import LtiSystem, solve_are, solve_dre
 
 
+# cost weights other than 1: at 1 every product with a weight is exact, so a misplaced weight would not show
+Q_WEIGHT, R_WEIGHT, G_WEIGHT = 2.5, 0.4, 0.5
+
+
 def scalar_cfg(N, T=10.0, dt=1e-3):
-    return EnkfConfig(N=N, T=T, dt=dt, S_T=np.eye(1))
+    return EnkfConfig(N=N, T=T, dt=dt, g=1.0)
+
+
+def weight_matrices(n, m, q=Q_WEIGHT, r=R_WEIGHT, g=G_WEIGHT):
+    """The scalar weights as the reference's matrices: C = sqrt(q) I, R = r I, S_T = I/g."""
+    return np.sqrt(q) * np.eye(n), r * np.eye(m), np.eye(n) / g
+
+
+def noise_factor(R):
+    """Lower Cholesky factor of R^-1, the control-noise covariance per unit time."""
+    return np.linalg.cholesky(np.linalg.inv(R))
 
 
 def empirical_stats(Y):
@@ -40,25 +53,26 @@ def four_product_step(Y, A, B, C, chol, dt, xi, innovation="averaged"):
     return Y - dt * (Y @ A.T + innov @ (S @ C.T).T) + xi @ chol.T * np.sqrt(dt) @ B.T
 
 
-def particle_loop(A, B, C, R, cfg, rng):
+def particle_loop(A, B, C, R, S_T, cfg, rng):
     """The particle system the chain samples, from t = T down to t = 0.
 
-    Y_i ~ N(0, S_T) at t = T, then n_steps four-product steps.  Returns the
-    terminal standard-normal draw, each step's noise draw and the ensembles,
-    the terminal one first.
+    Y_i ~ N(0, S_T) at t = T, then n_steps four-product steps; C, R and S_T
+    are matrices, as general as the particle system allows, and only cfg's
+    N, T and dt are read.  Returns the terminal standard-normal draw, each
+    step's noise draw and the ensembles, the terminal one first.
     """
     chol = noise_factor(R)
-    G0 = rng.standard_normal((cfg.N, cfg.S_T.shape[0]))
-    Ys, xis = [G0 @ np.linalg.cholesky(cfg.S_T).T], []
+    G0 = rng.standard_normal((cfg.N, S_T.shape[0]))
+    Ys, xis = [G0 @ np.linalg.cholesky(S_T).T], []
     for _ in range(cfg.n_steps):
         xis.append(rng.standard_normal((cfg.N, chol.shape[0])))
         Ys.append(four_product_step(Ys[-1], A, B, C, chol, cfg.dt_effective, xis[-1]))
     return G0, xis, Ys
 
 
-def particle_gain(A, B, C, R, cfg, rng):
+def particle_gain(A, B, C, R, S_T, cfg, rng):
     """The gain of the particle system: the inverse of its S at t = 0."""
-    return _gain_from_covariance(empirical_stats(particle_loop(A, B, C, R, cfg, rng)[2][-1])[1])
+    return _gain_from_covariance(empirical_stats(particle_loop(A, B, C, R, S_T, cfg, rng)[2][-1])[1])
 
 
 class Replay:
@@ -105,22 +119,17 @@ def chain_draws(Y, xi):
     return [Q.T @ xi, *wishart_draws(rest.T @ xi)]
 
 
-def coupled_noisy_system(n, m, seed):
-    """A stable A, a full B, a non-square C and a non-identity R."""
+def stable_system(n, m, seed):
+    """A stable A and a full B."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
     A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
-    B = rng.normal(size=(n, m))
-    C = rng.normal(size=(2, n))
-    M = rng.normal(size=(m, m))
-    R = M @ M.T + m * np.eye(m)
-    return A, B, C, R
+    return A, rng.normal(size=(n, m))
 
 
-def chain_step(S, A, B, C, R, N, dt, rng, t=1.0):
-    """step_linear with the run's precomputed C'C and W."""
-    W = np.sqrt(dt) * noise_factor(R).T @ B.T
-    return step_linear(S, t, A, C.T @ C, W, N, dt, rng)
+def chain_step(S, A, B, q, r, N, dt, rng, t=1.0):
+    """step_linear with the run's W = sqrt(dt / r) B'."""
+    return step_linear(S, t, A, q, np.sqrt(dt / r) * B.T, N, dt, rng)
 
 
 def ks_statistic(a, b):
@@ -134,53 +143,55 @@ def ks_statistic(a, b):
 class TestConfig:
     def test_invalid_particle_count(self):
         with pytest.raises(EnkfConfigError):
-            EnkfConfig(N=1, T=1.0, dt=0.1, S_T=np.eye(1))
+            init_covariance(scalar_cfg(N=1), 1, np.random.default_rng(0))
 
     def test_particles_must_exceed_the_dimension(self):
+        # checked where n is known, before any draw
+        cfg = EnkfConfig(N=3, T=1.0, dt=0.1, g=1.0)
         with pytest.raises(EnkfConfigError, match="N=3 for n=3"):
-            EnkfConfig(N=3, T=1.0, dt=0.1, S_T=np.eye(3))
-        EnkfConfig(N=4, T=1.0, dt=0.1, S_T=np.eye(3))
+            init_covariance(cfg, 3, np.random.default_rng(0))
+        with pytest.raises(EnkfConfigError, match="N=3 for n=3"):
+            run_dual_enkf_linear(np.zeros((3, 3)), np.ones((3, 1)), 1.0, 1.0, cfg, np.random.default_rng(0))
+        init_covariance(cfg, 2, np.random.default_rng(0))
 
     def test_zero_terminal_covariance_rejected(self):
-        with pytest.raises(EnkfConfigError):
-            EnkfConfig(N=10, T=1.0, dt=0.1, S_T=np.zeros((1, 1)))
+        # the scalar case: a terminal weight g that is not positive
+        for g in (0.0, -1.0):
+            with pytest.raises(EnkfConfigError, match="terminal weight"):
+                EnkfConfig(N=10, T=1.0, dt=0.1, g=g)
 
     def test_dt_exceeding_horizon_rejected(self):
         with pytest.raises(EnkfConfigError):
-            EnkfConfig(N=10, T=0.1, dt=0.2, S_T=np.eye(1))
+            EnkfConfig(N=10, T=0.1, dt=0.2, g=1.0)
+
+    @pytest.mark.parametrize("q,r", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_running_weights_must_be_positive(self, q, r):
+        with pytest.raises(EnkfConfigError, match="running weights"):
+            run_dual_enkf_linear([[0.0]], [[1.0]], q, r, scalar_cfg(10), np.random.default_rng(0))
 
 
 class TestInitEnsemble:
-    """The terminal covariance drawn without the ensemble: N S ~ Wishart(N - 1, S_T)."""
+    """The terminal covariance drawn without the ensemble: g N S ~ Wishart(N - 1, I)."""
 
     def test_empirical_covariance_close(self):
-        cfg = EnkfConfig(N=10**5, T=1.0, dt=0.1, S_T=np.eye(3))
+        cfg = EnkfConfig(N=10**5, T=1.0, dt=0.1, g=1.0)
         S = init_covariance(cfg, 3, np.random.default_rng(1))
         assert np.linalg.norm(S - np.eye(3), "fro") <= 0.02 * np.linalg.norm(np.eye(3), "fro")
 
     def test_mean_is_the_wishart_mean(self):
-        # E[S] = (N - 1)/N S_T, which a terminal draw with N degrees of freedom misses by 1/N
+        # E[S] = (N - 1)/N I/g, which a terminal draw with N degrees of freedom misses by 1/N
         N, draws = 5, 20000
-        S_T = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
-        cfg = EnkfConfig(N=N, T=1.0, dt=0.1, S_T=S_T)
+        cfg = EnkfConfig(N=N, T=1.0, dt=0.1, g=G_WEIGHT)
         rng = np.random.default_rng(7)
         mean = sum(init_covariance(cfg, 3, rng) for _ in range(draws)) / draws
-        want = (N - 1) / N * S_T
+        want = (N - 1) / N * np.eye(3) / G_WEIGHT
         assert np.linalg.norm(mean - want) <= 0.02 * np.linalg.norm(want)
 
     def test_fixed_seed_bit_identical(self):
-        cfg = EnkfConfig(N=50, T=1.0, dt=0.1, S_T=np.eye(2))
+        cfg = EnkfConfig(N=50, T=1.0, dt=0.1, g=1.0)
         S1 = init_covariance(cfg, 2, np.random.default_rng(3))
         S2 = init_covariance(cfg, 2, np.random.default_rng(3))
         assert np.array_equal(S1, S2)
-
-    def test_covariance_shape_mismatch(self):
-        cfg = EnkfConfig(N=50, T=1.0, dt=0.1, S_T=np.eye(2))
-        with pytest.raises(EnkfConfigError):
-            init_covariance(cfg, 3, np.random.default_rng(0))
-        with pytest.raises(EnkfConfigError):
-            run_dual_enkf_linear(np.zeros((3, 3)), np.ones((3, 1)), np.eye(3), np.eye(1), cfg,
-                                 np.random.default_rng(0))
 
 
 class TestEmpiricalStats:
@@ -204,20 +215,19 @@ class TestEmpiricalStats:
         assert np.allclose(S1, S2)
 
     def test_symmetry_every_step(self):
-        A, B, C, R = coupled_noisy_system(4, 2, seed=36)
+        A, B = stable_system(4, 2, seed=36)
         S, rng = np.eye(4), np.random.default_rng(37)
         for _ in range(50):
-            S = chain_step(S, A, B, C, R, 10, 1e-2, rng)
+            S = chain_step(S, A, B, Q_WEIGHT, R_WEIGHT, 10, 1e-2, rng)
             assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
 
 
 class TestStepLinear:
     def test_no_coupling_no_noise_is_linear_flow(self):
-        # C = 0 kills the coupling and B = 0 the noise: S+ = G'SG with G = I - dt A'
+        # q = 0 kills the coupling and B = 0 the noise: S+ = G'SG with G = I - dt A'
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         S = np.array([[2.0, 0.3], [0.3, 0.5]])
-        got = chain_step(S, A, np.zeros((2, 1)), np.zeros((1, 2)), np.eye(1), 20, 0.01,
-                         np.random.default_rng(6))
+        got = chain_step(S, A, np.zeros((2, 1)), 0.0, 1.0, 20, 0.01, np.random.default_rng(6))
         G = np.eye(2) - 0.01 * A.T
         np.testing.assert_allclose(got, G.T @ S @ G, rtol=1e-15, atol=0)
 
@@ -226,36 +236,37 @@ class TestStepLinear:
         # E[S+] = G'SG + (N - 1)/N W'W: the draw along the ensemble averages out,
         # and Xi has mean (p + (N - p - 1)) / N I.  At p = 3, m = 2, N = 8 draws E
         # by Bartlett's factor and N = 5 as one normal row.
-        A, B, C, R = coupled_noisy_system(3, 2, seed=34)
+        A, B = stable_system(3, 2, seed=34)
         B = 4.0 * B  # a noise term well above the spread of the draws along the ensemble
         S = np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.6]])
         dt, draws = 0.05, 20000
         rng = np.random.default_rng(35)
-        mean = sum(chain_step(S, A, B, C, R, N, dt, rng) for _ in range(draws)) / draws
-        G = np.eye(3) - dt * (A.T + 0.5 * C.T @ C @ S)
-        W = np.sqrt(dt) * noise_factor(R).T @ B.T
+        mean = sum(chain_step(S, A, B, Q_WEIGHT, R_WEIGHT, N, dt, rng) for _ in range(draws)) / draws
+        G = np.eye(3) - dt * (A.T + 0.5 * Q_WEIGHT * S)
+        W = np.sqrt(dt / R_WEIGHT) * B.T
         noise = (N - 1) / N * W.T @ W
         assert np.linalg.norm(mean - (G.T @ S @ G + noise)) <= 0.02 * np.linalg.norm(noise)
 
     def test_two_particles_scalar_no_singularity(self):
         cfg = scalar_cfg(N=2, T=1.0)
-        gain = run_dual_enkf_linear([[0.0]], [[1.0]], [[1.0]], [[1.0]], cfg, np.random.default_rng(0))
+        gain = run_dual_enkf_linear([[0.0]], [[1.0]], 1.0, 1.0, cfg, np.random.default_rng(0))
         assert np.isfinite(gain.P[0, 0])
 
     @pytest.mark.parametrize("innovation", ("averaged", "literal"))
     def test_matches_the_four_product_step(self, innovation):
         # fed the projections of the particle step's noise, the chain's step gives the S
         # of the step written out term by term; the innovation without its 1/2 is the
-        # averaged one with C'C doubled
-        A, B, C, R = coupled_noisy_system(3, 2, seed=31)
+        # averaged one with q doubled.  The reference takes C = sqrt(q) I and R = r I.
+        A, B = stable_system(3, 2, seed=31)
+        C, R, _ = weight_matrices(3, 2)
         chol = noise_factor(R)
         N, dt = 60, 1e-2
         rng = np.random.default_rng(32)
         Y, xi = rng.normal(size=(N, 3)), rng.standard_normal((N, 2))
         scale = 1.0 if innovation == "averaged" else 2.0
-        W = np.sqrt(dt) * chol.T @ B.T
+        W = np.sqrt(dt / R_WEIGHT) * B.T
         replay = Replay(chain_draws(Y, xi))
-        got = step_linear(empirical_stats(Y)[1], 1.0, A, scale * C.T @ C, W, N, dt, replay)
+        got = step_linear(empirical_stats(Y)[1], 1.0, A, scale * Q_WEIGHT, W, N, dt, replay)
         assert not replay.draws
         _, want = empirical_stats(four_product_step(Y, A, B, C, chol, dt, xi, innovation))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
@@ -267,8 +278,7 @@ class TestStepLinear:
 
     def test_divergence_detected(self):
         # an overflowing step fails at its end time, an indefinite S at its start time
-        args = (np.array([[-1e30]]), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1), 10, 0.1,
-                np.random.default_rng(0))
+        args = (np.array([[-1e30]]), np.zeros((1, 1)), 0.0, 1.0, 10, 0.1, np.random.default_rng(0))
         with pytest.raises(DivergenceError) as err:
             chain_step(np.array([[1e308]]), *args, t=1.0)
         assert err.value.t == pytest.approx(0.9)
@@ -278,13 +288,13 @@ class TestStepLinear:
 
 
 class TestScalarBenchmark:
-    """Scalar system A=0, B=C=R=1: the stationary Riccati solution is 1."""
+    """Scalar system A=0, B=1, q=r=1: the stationary Riccati solution is 1."""
 
     def test_estimate_in_band_at_n1000(self):
         hits = 0
         for seed in range(10):
             gain = run_dual_enkf_linear(
-                [[0.0]], [[1.0]], [[1.0]], [[1.0]], scalar_cfg(1000), np.random.default_rng(seed)
+                [[0.0]], [[1.0]], 1.0, 1.0, scalar_cfg(1000), np.random.default_rng(seed)
             )
             hits += 0.9 <= gain.P[0, 0] <= 1.1
         assert hits >= 9  # >= 95% of seeds at this sample size
@@ -292,12 +302,10 @@ class TestScalarBenchmark:
     def test_decoupled_pair_block_structure(self):
         A = np.zeros((2, 2))
         B = np.eye(2)
-        C = np.eye(2)
-        R = np.eye(2)
         offdiags = []
         for N in (200, 2000):
-            cfg = EnkfConfig(N=N, T=10.0, dt=1e-3, S_T=np.eye(2))
-            gain = run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(0))
+            cfg = EnkfConfig(N=N, T=10.0, dt=1e-3, g=1.0)
+            gain = run_dual_enkf_linear(A, B, 1.0, 1.0, cfg, np.random.default_rng(0))
             assert np.allclose(np.diag(gain.P), 1.0, atol=0.3)
             offdiags.append(abs(gain.P[0, 1]))
         assert offdiags[1] < offdiags[0]
@@ -307,15 +315,16 @@ class TestScalarBenchmark:
 class TestLinearRun:
     def test_matches_a_loop_of_the_four_product_step(self):
         # p = 12, N = 500, 200 steps: the run, fed the terminal draw's Bartlett factor and
-        # each step's projected noise, gives the gain of the particle loop
-        A, B, C, R = coupled_noisy_system(12, 3, seed=41)
-        cfg = EnkfConfig(N=500, T=0.2, dt=1e-3, S_T=np.eye(12))
+        # each step's projected noise, gives the gain of the particle loop; the loop takes
+        # the weights as the matrices C = sqrt(q) I, R = r I and S_T = I/g
+        A, B = stable_system(12, 3, seed=41)
+        cfg = EnkfConfig(N=500, T=0.2, dt=1e-3, g=G_WEIGHT)
         assert cfg.n_steps == 200
-        G0, xis, Ys = particle_loop(A, B, C, R, cfg, np.random.default_rng(42))
+        G0, xis, Ys = particle_loop(A, B, *weight_matrices(12, 3), cfg, np.random.default_rng(42))
         replay = Replay(wishart_draws(G0 - G0.mean(axis=0)))
         for Y, xi in zip(Ys, xis):
             replay.draws += chain_draws(Y, xi)
-        got = run_dual_enkf_linear(A, B, C, R, cfg, replay)
+        got = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, replay)
         assert not replay.draws
         want = _gain_from_covariance(empirical_stats(Ys[-1])[1])
         rel = np.linalg.norm(got.P - want.P, "fro") / np.linalg.norm(want.P, "fro")
@@ -325,17 +334,18 @@ class TestLinearRun:
         # the chain and the particle reference on 300 seeds each: the two-sample KS
         # statistic of the gain error stays below its 1% critical value, 1.628 sqrt(2/300).
         # At N = 10 a chain that drops E, or scales X by 1/N, reads above 0.3.
-        A, B, C, R = coupled_noisy_system(4, 2, seed=51)
-        cfg = EnkfConfig(N=10, T=0.5, dt=1e-2, S_T=np.eye(4))
-        P_dre = solve_dre(LtiSystem(A, B, C, R, np.eye(4)), cfg.T, 1e-3)
+        A, B = stable_system(4, 2, seed=51)
+        C, R, S_T = weight_matrices(4, 2)
+        cfg = EnkfConfig(N=10, T=0.5, dt=1e-2, g=G_WEIGHT)
+        P_dre = solve_dre(LtiSystem(A, B, C, R, G_WEIGHT * np.eye(4)), cfg.T, 1e-3)
 
         def errors(run, seeds):
             return np.array([
-                np.linalg.norm(run(A, B, C, R, cfg, np.random.default_rng(s)).P - P_dre) for s in seeds
+                np.linalg.norm(run(np.random.default_rng(s)).P - P_dre) for s in seeds
             ]) / np.linalg.norm(P_dre)
 
-        chain = errors(run_dual_enkf_linear, range(300))
-        particles = errors(particle_gain, range(1000, 1300))
+        chain = errors(lambda rng: run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, rng), range(300))
+        particles = errors(lambda rng: particle_gain(A, B, C, R, S_T, cfg, rng), range(1000, 1300))
         assert ks_statistic(chain, particles) <= 1.628 * np.sqrt(2 / 300)
 
     def test_consistent_with_riccati_oracle(self):
@@ -344,11 +354,9 @@ class TestLinearRun:
         A = rng.normal(size=(n, n))
         A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
         B = rng.normal(size=(n, m))
-        C = np.eye(n)
-        R = np.eye(m)
-        P_are = solve_are(LtiSystem(A, B, C, R, np.eye(n)))
-        cfg = EnkfConfig(N=2000, T=4.0, dt=1e-3, S_T=np.eye(n))
-        gain = run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(2))
+        P_are = solve_are(LtiSystem(A, B, np.eye(n), np.eye(m), np.eye(n)))
+        cfg = EnkfConfig(N=2000, T=4.0, dt=1e-3, g=1.0)
+        gain = run_dual_enkf_linear(A, B, 1.0, 1.0, cfg, np.random.default_rng(2))
         rel = np.linalg.norm(gain.P - P_are, "fro") / np.linalg.norm(P_are, "fro")
         assert rel < 0.15
 
@@ -357,18 +365,17 @@ class TestCarriedMoments:
     def test_carried_moments_match_the_samples(self):
         # the S the chain carries, fed the particle loop's draws, against the S of the
         # samples every step, with E drawn as N - p - 1 < m normal rows: two at N = 7,
-        # none at N = p + 1 = 5
-        A, B, C, R = coupled_noisy_system(4, 3, seed=43)
-        W_unit = noise_factor(R).T @ B.T
+        # none at N = p + 1 = 5.  The particles take C = sqrt(q) I, R = r I and S_T = I/g.
+        A, B = stable_system(4, 3, seed=43)
         for N in (7, 5):
-            cfg = EnkfConfig(N=N, T=0.2, dt=1e-2, S_T=np.eye(4))
+            cfg = EnkfConfig(N=N, T=0.2, dt=1e-2, g=G_WEIGHT)
             h = cfg.dt_effective
-            G0, xis, Ys = particle_loop(A, B, C, R, cfg, np.random.default_rng(44))
+            G0, xis, Ys = particle_loop(A, B, *weight_matrices(4, 3), cfg, np.random.default_rng(44))
             S = init_covariance(cfg, 4, Replay(wishart_draws(G0 - G0.mean(axis=0))))
             t = cfg.T
             for Y, xi, Y_next in zip(Ys, xis, Ys[1:]):
                 replay = Replay(chain_draws(Y, xi))
-                S = step_linear(S, t, A, C.T @ C, np.sqrt(h) * W_unit, N, h, replay)
+                S = step_linear(S, t, A, Q_WEIGHT, np.sqrt(h / R_WEIGHT) * B.T, N, h, replay)
                 assert not replay.draws
                 t -= h
                 _, want = empirical_stats(Y_next)
@@ -377,26 +384,25 @@ class TestCarriedMoments:
     def test_run_diverges_before_time_zero(self):
         # a wide terminal draw makes the coupling blow up: G ~ -dt S/2 grows with S,
         # so the particles and the chain both leave the finite range well before t = 0
-        A = -40.0 * np.eye(3)
-        B, C, R = np.ones((3, 1)), np.eye(3), np.eye(1)
-        cfg = EnkfConfig(N=50, T=1.0, dt=0.05, S_T=1e3 * np.eye(3))
+        A, B = -40.0 * np.eye(3), np.ones((3, 1))
+        cfg = EnkfConfig(N=50, T=1.0, dt=0.05, g=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
-            Ys = particle_loop(A, B, C, R, cfg, np.random.default_rng(45))[2]
+            Ys = particle_loop(A, B, *weight_matrices(3, 1, 1.0, 1.0, cfg.g), cfg, np.random.default_rng(45))[2]
         assert not np.isfinite(Ys[-2]).all()  # already at t = dt
         with pytest.raises(DivergenceError) as err:
-            run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(45))
+            run_dual_enkf_linear(A, B, 1.0, 1.0, cfg, np.random.default_rng(45))
         assert 0.0 < err.value.t < cfg.T
 
     def test_peak_allocation_of_a_run(self):
         # nothing the chain allocates grows with N
         p, m = 50, 4
-        A, B, C, R = coupled_noisy_system(p, m, seed=46)
+        A, B = stable_system(p, m, seed=46)
         peaks = []
         for N in (10**3, 10**3, 10**9):  # the first run warms up numpy's caches
-            cfg = EnkfConfig(N=N, T=0.02, dt=1e-3, S_T=np.eye(p))
+            cfg = EnkfConfig(N=N, T=0.02, dt=1e-3, g=G_WEIGHT)
             tracemalloc.start()
             try:
-                run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(47))
+                run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, np.random.default_rng(47))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -407,15 +413,15 @@ class TestCarriedMoments:
 class TestDeterminism:
     def test_gain_bit_identical(self):
         cfg = scalar_cfg(500, T=2.0)
-        g1 = run_dual_enkf_linear([[0.0]], [[1.0]], [[1.0]], [[1.0]], cfg, np.random.default_rng(42))
-        g2 = run_dual_enkf_linear([[0.0]], [[1.0]], [[1.0]], [[1.0]], cfg, np.random.default_rng(42))
+        g1 = run_dual_enkf_linear([[0.0]], [[1.0]], 1.0, 1.0, cfg, np.random.default_rng(42))
+        g2 = run_dual_enkf_linear([[0.0]], [[1.0]], 1.0, 1.0, cfg, np.random.default_rng(42))
         assert np.array_equal(g1.P, g2.P)
 
     def test_gain_bit_identical_at_p12(self):
-        A, B, C, R = coupled_noisy_system(12, 3, seed=48)
-        cfg = EnkfConfig(N=60, T=0.2, dt=1e-3, S_T=np.eye(12))
-        g1 = run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(49))
-        g2 = run_dual_enkf_linear(A, B, C, R, cfg, np.random.default_rng(49))
+        A, B = stable_system(12, 3, seed=48)
+        cfg = EnkfConfig(N=60, T=0.2, dt=1e-3, g=G_WEIGHT)
+        g1 = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, np.random.default_rng(49))
+        g2 = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, np.random.default_rng(49))
         assert np.array_equal(g1.P, g2.P)
 
 

@@ -15,11 +15,12 @@ import pytest
 from enkfcontrol import controller, harness
 from enkfcontrol.config import burgers_config, heat_config
 from enkfcontrol.dmdc import collect_snapshots
-from enkfcontrol.controller import robust_control
+from enkfcontrol.controller import compile_law, robust_control
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.harness import (
     POLICIES,
     HarnessError,
+    _enkf_horizon,
     _lambda_state,
     build_artifacts,
     build_full_simulator,
@@ -33,6 +34,7 @@ from enkfcontrol.harness import (
     trial_initial_condition,
 )
 from enkfcontrol.pde import l2_norm, rk4_step, rk4_stepper, sample_initial_condition
+from enkfcontrol.riccati import LtiSystem, solve_dre
 
 RTOL = 1e-12
 
@@ -392,6 +394,21 @@ class TestLambdaUnits:
         cfg, art = heat_full
         cfg = replace(cfg, channel=(1.0, 2.0, 0.5, 0.0), lambda_units=units).validate()
         assert _lambda_state(cfg, art, 0.3) == pytest.approx(0.3 * scale, rel=1e-15)
+
+
+def test_configured_weights_reach_the_gain_and_the_law():
+    # q, r_input and g off 1: the trained gain is within 0.08 of the Riccati solution of
+    # those weights (0.02 at this N; 0.2 with g read as 1, 1.5 with q and r swapped),
+    # and the law's feedback block is P B / r_input
+    cfg = heat_config(p=8, m=2, q=2.5, r_input=0.4, g=0.5, enkf_particles=2000, T_sim=0.5)
+    art = build_artifacts(cfg)
+    A, B = art.design_sim.A, art.design_sim.control_matrix
+    I = np.eye(cfg.p)
+    sys = LtiSystem(A, B, np.sqrt(cfg.q) * I, cfg.r_input * np.eye(cfg.m), cfg.g * I)
+    P_dre = solve_dre(sys, *_enkf_horizon(cfg, A))
+    assert np.linalg.norm(art.gain.P - P_dre) <= 0.08 * np.linalg.norm(P_dre)
+    law = compile_law(build_law(cfg, art), art.design_sim)
+    np.testing.assert_allclose(law.K, art.gain.P @ B / cfg.r_input, rtol=1e-14, atol=0)
 
 
 def test_discrete_reduced_model_rejected(heat_dmdc_sim):
