@@ -190,22 +190,25 @@ VERBS: dict[str, Verb] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """Every verb's subparser; given ``verb``, only that subparser gets its flags."""
     parser = argparse.ArgumentParser(
         prog="enkfcontrol",
         description="Robust stabilization of discretized PDEs via ensemble-Kalman control",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, verb in VERBS.items():
-        p = sub.add_parser(name, help=verb.help)
-        for flag in verb.flags:
+    for name, spec in VERBS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for flag in spec.flags if verb in (None, name) else ():
             p.add_argument(flag, **FLAGS[flag])
-        p.set_defaults(fn=verb.fn, **(verb.defaults or {}))
+        p.set_defaults(fn=spec.fn, **(spec.defaults or {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads only the named verb's subparser, so only it needs its flags
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -3,9 +3,12 @@
 Fits a discrete-time linear model x_{k+1} = A_d x_k + B_d u_k on a reduced
 basis from snapshot pairs of a (possibly nonlinear) simulator, then converts
 it to continuous time.  The projection Phi has orthonormal rows; the full
-state is reconstructed as z = Phi' x.  The fit takes one QR of the stacked
-snapshots before any SVD (Chan, ACM TOMS 8, 1982), so no factor with one
-column per snapshot is formed.
+state is reconstructed as z = Phi' x.  The snapshots are held once: X and
+Xnext are views of one step-major buffer.  The fit takes the R factor of the
+stacked snapshots before any SVD (Chan, ACM TOMS 8, 1982), carried over fixed
+row blocks as a sequential tall-skinny QR (Demmel, Grigori, Hoemmen & Langou,
+SIAM J. Sci. Comput. 34, 2012), so no factor with one column per snapshot is
+formed and the fit's memory does not grow with the snapshot count.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pde import Simulator, rk4_stepper
+
+
+# snapshot rows per QR step of fit_dmdc: fixed, so the fit's rounding is the same on every machine
+_BLOCK_ROWS = 512
 
 
 class FitError(RuntimeError):
@@ -27,7 +34,12 @@ class ConversionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SnapshotData:
-    """Aligned snapshot triples: columns of X, Xnext, U are (z_k, z_{k+1}, u_k)."""
+    """Aligned snapshot triples: columns of X, Xnext, U are (z_k, z_{k+1}, u_k).
+
+    From :func:`collect_snapshots`, columns are step-major (column
+    k n_traj + i is trajectory i at step k), and X and Xnext are overlapping
+    views of one (steps + 1, n_traj, p) buffer, so they must not be written.
+    """
 
     X: np.ndarray
     Xnext: np.ndarray
@@ -90,27 +102,30 @@ def collect_snapshots(
     own child RNG stream (its initial condition, then one input per step),
     so the data is reproducible regardless of how the trajectories are
     scheduled.  A stream's inputs are drawn in one (steps, m) call, which
-    fills them in the order of one draw per step.  All trajectories advance
-    as one (n_traj, p) stack by :func:`pde.rk4_stepper`'s step, in the
-    eigenbasis of a symmetric linear simulator's A and mapped back with one
-    product at the end; columns are trajectory-major and time-ordered.
+    fills them in the order of one draw per step; the draws are stacked
+    once as (steps, n_traj, m).  All trajectories advance as one (n_traj, p)
+    stack by :func:`pde.rk4_stepper`'s step into slab k + 1 of one
+    (steps + 1, n_traj, p) buffer, in the eigenbasis of a symmetric linear
+    simulator's A, mapped back in place one slab at a time.  Columns are
+    step-major: column k n_traj + i is trajectory i at step k.  X = buffer[:-1]
+    and Xnext = buffer[1:] (and U, of the inputs) are reshaped views, not copies.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     streams = rng.spawn(n_traj)
     Z0 = np.array([ic_sampler(traj_rng) for traj_rng in streams], dtype=float)
-    us = np.array(
-        [traj_rng.uniform(-amplitude, amplitude, size=(steps, sim.m)) for traj_rng in streams]
-    )
+    draws = [traj_rng.uniform(-amplitude, amplitude, size=(steps, sim.m)) for traj_rng in streams]
+    us = np.stack(draws, axis=1)  # (steps, n_traj, m): slab k is every trajectory's input at step k
     Q, step = rk4_stepper(sim, dt)
-    xs = np.empty((n_traj, steps + 1, Z0.shape[1]))
-    xs[:, 0] = Z0 if Q is None else Z0 @ Q
+    xs = np.empty((steps + 1, n_traj, Z0.shape[1]))
+    xs[0] = Z0 if Q is None else Z0 @ Q
     for k in range(steps):
-        step(xs[:, k], us[:, k], xs[:, k + 1])  # a new slot: xs[:, k] is a stored snapshot
+        step(xs[k], us[k], xs[k + 1])  # a new slot: xs[k] is a stored snapshot
     if Q is not None:
-        xs = xs @ Q.T
-    columns = lambda a: a.reshape(-1, a.shape[-1]).T  # one column per (trajectory, step)
-    return SnapshotData(X=columns(xs[:, :-1]), Xnext=columns(xs[:, 1:]), U=columns(us), dt=dt)
+        for slab in xs:
+            slab[...] = slab @ Q.T
+    columns = lambda a: a.reshape(-1, a.shape[-1]).T  # views: one column per (step, trajectory)
+    return SnapshotData(X=columns(xs[:-1]), Xnext=columns(xs[1:]), U=columns(us), dt=dt)
 
 
 def _truncated_svd(M: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,7 +140,11 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
     The stacked input matrix [X; U] is truncated at rank n + m for the
     regression; the successor snapshots provide the rank-n output basis.
 
-    Both come from one QR of the K x (2p + m) matrix [X; U; Xnext]' = Q R.
+    Both come from the R of the K x (2p + m) matrix [X; U; Xnext]' = Q R,
+    which is carried over row blocks of _BLOCK_ROWS snapshots: each step
+    takes the R of [R; next block] in one work array, so the stack is never
+    formed and the fit's memory does not depend on K.  R is the one-QR
+    factor up to row signs and rounding; neither moves the singular vectors.
     With R = [R1 R2] split after column p + m, [X; U] = R1' Q' and
     Xnext = R2' Q', so their left singular vectors and values are those of
     R1' and R2', and Xnext V_in = R2' W_in for the right singular vectors
@@ -140,7 +159,18 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
     if K < n + m:
         raise FitError(f"need at least n+m={n + m} snapshot columns, got K={K}")
 
-    R = np.linalg.qr(np.vstack([data.X, data.U, data.Xnext]).T, mode="r")
+    # [R; next block] in one work array; R keeps min(rows seen, 2p + m) rows
+    work = np.empty((2 * p + m + _BLOCK_ROWS, 2 * p + m))
+    rows = 0
+    for start in range(0, K, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, K)
+        block = work[rows:rows + stop - start]
+        block[:, :p] = data.X[:, start:stop].T
+        block[:, p:p + m] = data.U[:, start:stop].T
+        block[:, p + m:] = data.Xnext[:, start:stop].T
+        R = np.linalg.qr(work[:rows + stop - start], mode="r")
+        rows = len(R)
+        work[:rows] = R
     R1t, R2t = R[:, :p + m].T, R[:, p + m:].T
     U_in, s_in, Wt_in = _truncated_svd(R1t, n + m)
     U_out, _, _ = _truncated_svd(R2t, n)

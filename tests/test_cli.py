@@ -300,6 +300,15 @@ class TestVerbFlags:
         assert last.endswith("error: unrecognized arguments: " + " ".join([flag] + FLAG_VALUES[flag]))
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_main_parses_as_the_full_parser(self, verb, monkeypatch):
+        # main builds only the named verb's flags; a full flag line reads the same
+        parsed = []
+        monkeypatch.setitem(cli.VERBS, verb, cli.VERBS[verb]._replace(fn=parsed.append))
+        argv = [verb] + [word for flag in cli.VERBS[verb].flags for word in [flag] + FLAG_VALUES[flag]]
+        assert main(argv) is None
+        assert parsed == [build_parser().parse_args(argv)]
+
     @pytest.mark.parametrize("verb,flag", [
         (verb, flag) for verb in CONFIG_VERBS for flag in cli.VERBS[verb].flags if flag in OVERRIDES
     ])

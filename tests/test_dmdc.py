@@ -1,9 +1,13 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
 from enkfcontrol.config import default_config
 from enkfcontrol.dmdc import (
+    _BLOCK_ROWS,
     ConversionError,
     FitError,
     ReducedModel,
@@ -77,6 +81,41 @@ class TestCollect:
         assert np.allclose(data.Xnext, Ad @ data.X, atol=1e-10)
         assert np.allclose(data.U, 0.0)
 
+    def test_snapshots_are_held_once(self):
+        cfg = default_config("heat", model="dmdc")
+        grid = grid_of(cfg)
+        sim = build_full_simulator(cfg)
+        tracemalloc.start()
+        try:
+            data = collect_snapshots(
+                sim, lambda r: sample_initial_condition(r, grid),
+                n_traj=cfg.dmdc_trajectories, steps=cfg.dmdc_steps, dt=cfg.dt_sim,
+                amplitude=cfg.dmdc_amplitude, rng=np.random.default_rng(3),
+            )
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # X and Xnext are views of one (steps + 1) x n_traj x p buffer
+        assert np.shares_memory(data.X, data.Xnext)
+        buffer = (cfg.dmdc_steps + 1) * cfg.dmdc_trajectories * cfg.p * 8
+        assert held <= 1.1 * (buffer + data.U.nbytes), (held, buffer)
+
+    def test_columns_are_step_major(self):
+        # column k n_traj + i is trajectory i at step k
+        sim = LinearSimulator(-np.eye(3), np.eye(3))
+        n_traj, steps = 4, 5
+        data = collect_snapshots(
+            sim, lambda rng: rng.normal(size=3), n_traj=n_traj, steps=steps,
+            dt=0.01, amplitude=0.5, rng=np.random.default_rng(0),
+        )
+        streams = np.random.default_rng(0).spawn(n_traj)
+        for i, traj_rng in enumerate(streams):
+            z0 = traj_rng.normal(size=3)
+            us = traj_rng.uniform(-0.5, 0.5, size=(steps, 3))
+            assert np.array_equal(data.X[:, i], z0)
+            assert np.array_equal(data.U[:, i::n_traj], us.T)
+            assert np.array_equal(data.X[:, n_traj + i], data.Xnext[:, i])
+
     def test_deterministic(self):
         grid = GridSpec(p=32)
         sim = BurgersSimulator(grid, 0.01, 4)
@@ -101,7 +140,12 @@ def snapshots_one_at_a_time(sim, ic_sampler, n_traj, steps, dt, amplitude, rng):
             xnexts.append(z_next)
             us.append(u)
             z = z_next
-    return np.array(xs).T, np.array(xnexts).T, np.array(us).T
+    # generated trajectory-major; columns reordered step-major, as collect_snapshots lays them out
+    def step_major(rows):
+        rows = np.array(rows).reshape(n_traj, steps, -1)
+        return rows.swapaxes(0, 1).reshape(n_traj * steps, -1).T
+
+    return step_major(xs), step_major(xnexts), step_major(us)
 
 
 class TestStackedTrajectories:
@@ -207,8 +251,8 @@ def two_svd_fit(data, n):
     return A_d, B_d, U_out.T
 
 
-def default_snapshots(pde, seed=0):
-    cfg = default_config(pde, model="dmdc", seed=seed)
+def default_snapshots(pde, seed=0, **overrides):
+    cfg = replace(default_config(pde, model="dmdc", seed=seed), **overrides)
     grid = grid_of(cfg)
     data = collect_snapshots(
         build_full_simulator(cfg), lambda r: sample_initial_condition(r, grid),
@@ -246,6 +290,30 @@ class TestQrFit:
                             U=rng.normal(size=(m, K)), dt=0.1)
         assert n + m <= K < 2 * p + m
         assert_matches_two_svd_fit(fit_dmdc(data, n), data, n, rtol=1e-11)
+
+    @pytest.mark.parametrize("p, m, K", [(20, 3, 3 * _BLOCK_ROWS + 37), (300, 3, _BLOCK_ROWS + 48)])
+    def test_running_r_over_row_blocks(self, p, m, K):
+        # R is carried across blocks: three full blocks and a remainder, and
+        # (p = 300) an R with fewer rows than its 2p + m columns after each block
+        assert K % _BLOCK_ROWS != 0 and K // _BLOCK_ROWS >= (3 if K > 2 * p + m else 1)
+        rng = np.random.default_rng(14)
+        n = 5
+        data = SnapshotData(X=rng.normal(size=(p, K)), Xnext=rng.normal(size=(p, K)),
+                            U=rng.normal(size=(m, K)), dt=0.1)
+        assert_matches_two_svd_fit(fit_dmdc(data, n), data, n, rtol=1e-11)
+
+    def test_peak_allocation_does_not_grow_with_the_snapshot_count(self):
+        peaks = []
+        for n_traj in (10, 10, 20, 40):  # K = 1,500, 3,000, 6,000; the first fit warms up numpy
+            data, n = default_snapshots("heat", dmdc_trajectories=n_traj)
+            tracemalloc.start()
+            try:
+                fit_dmdc(data, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks[1:]) <= 1.1 * min(peaks[1:]), peaks
+        assert max(peaks[1:]) < data.X.nbytes, peaks
 
     def test_no_k_column_matrix_is_decomposed(self, monkeypatch):
         data, n = default_snapshots("heat")

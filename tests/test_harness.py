@@ -340,10 +340,10 @@ class TestRowGroups:
         ys = [Z0 if Q is None else Z0 @ Q]
         for k in range(steps):
             ys.append(step(ys[-1], us[:, k], np.empty_like(ys[-1])))
-        xs = np.stack(ys, axis=1)
+        xs = np.stack(ys)  # step-major: column k n_traj + i is trajectory i at step k
         xs = xs if Q is None else xs @ Q.T
-        assert np.array_equal(data.X, xs[:, :-1].reshape(-1, cfg.p).T)
-        assert np.array_equal(data.Xnext, xs[:, 1:].reshape(-1, cfg.p).T)
+        assert np.array_equal(data.X, xs[:-1].reshape(-1, cfg.p).T)
+        assert np.array_equal(data.Xnext, xs[1:].reshape(-1, cfg.p).T)
 
 
 class TestDeterminism:
