@@ -3,6 +3,9 @@
 One file per artifact: `key=value` header lines, then one `[name]` block per
 matrix with comma-separated rows.  Floats are printed with 17 significant
 digits so save/load round-trips are exact and files are byte-reproducible.
+A square block that equals its transpose bit for bit, such as a gain's P,
+has each value of its upper triangle formatted once and mirrored below the
+diagonal; the bytes are those of formatting every entry.
 Loading checks what it reads: no header key or block appears twice, every
 one it needs is there, each block is a finite rectangle, its shape agrees
 with the header's dimensions, and a gain's P is symmetric positive definite.
@@ -31,8 +34,15 @@ def _render(kind: str, header: dict, matrices: dict) -> str:
     for name, M in matrices.items():
         lines.append(f"[{name}]")
         M = np.atleast_2d(np.asarray(M, dtype=float))
-        row_format = ",".join(["%.17g"] * M.shape[1])  # _fmt of each float, in one pass
-        lines.extend(row_format % tuple(row) for row in M.tolist())
+        rows = M.tolist()
+        n = len(rows)
+        if M.shape == (n, n) and np.array_equal(M.view(np.int64), M.T.view(np.int64)):
+            # row i's upper triangle, formatted in one pass; its lower part is column i of the rows above
+            upper = [(",".join(["%.17g"] * (n - i)) % tuple(rows[i][i:])).split(",") for i in range(n)]
+            lines.extend(",".join([upper[j][i - j] for j in range(i)] + upper[i]) for i in range(n))
+        else:
+            row_format = ",".join(["%.17g"] * M.shape[1])  # _fmt of each float, in one pass
+            lines.extend(row_format % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

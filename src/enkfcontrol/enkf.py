@@ -37,6 +37,15 @@ work a step and no N x p array.  The terminal draw Y_i ~ N(0, I/g) gives
 g N S ~ Wishart_p(N - 1, I), drawn by the Bartlett decomposition.  In
 continuous time this chain is the Riccati diffusion of the ensemble
 covariance (Bishop & Del Moral, *Math. Control Signals Syst.*, 2023).
+
+Cost.  A run computes once what its steps share: the identity, A' in C
+order, the buffer each step builds G in, E's Wishart degrees of freedom and
+the index of its factor's lower triangle; one ``errstate`` covers its loop.
+A step builds G in that buffer with the operations of the formula in its
+order, (q/2) S, then + A', * dt and I - G, and draws E's factor from the
+generator as Bartlett's construction always has, so S is the same bit for
+bit as from a step that builds everything afresh.  What is left of a step
+is one Cholesky factor and two p x p products.
 """
 
 from __future__ import annotations
@@ -115,18 +124,27 @@ class GainApprox:
         return self.P.shape[0]
 
 
-def _wishart_factor(dof: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """F with F'F ~ Wishart_k(dof, I).
+def _wishart(dof: int, k: int):
+    """A draw(rng) of F with F'F ~ Wishart_k(dof, I), its index arrays built once.
 
-    Bartlett's upper triangle when dof >= k (chi-square diagonal with
-    dof, dof - 1, ... degrees of freedom, standard normals above it);
-    otherwise dof standard-normal rows, so dof = 0 gives F'F = 0.
+    Bartlett's upper triangle when dof >= k: a (k, k) standard-normal draw
+    with its lower triangle set to +0.0, then a chi-square diagonal with
+    dof, dof - 1, ... degrees of freedom.  Otherwise dof standard-normal
+    rows, so dof = 0 gives F'F = 0.
     """
     if dof < k:
-        return rng.standard_normal((dof, k))
-    F = np.triu(rng.standard_normal((k, k)), 1)
-    F[np.diag_indices(k)] = np.sqrt(rng.chisquare(dof - np.arange(k)))
-    return F
+        return lambda rng: rng.standard_normal((dof, k))
+    chi_dof = dof - np.arange(k)
+    lower = np.flatnonzero(np.tri(k, k, -1))
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        F = rng.standard_normal((k, k))
+        flat = F.reshape(-1)
+        flat[lower] = 0.0
+        flat[:: k + 1] = np.sqrt(rng.chisquare(chi_dof))
+        return F
+
+    return draw
 
 
 def init_covariance(cfg: EnkfConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -136,8 +154,18 @@ def init_covariance(cfg: EnkfConfig, n: int, rng: np.random.Generator) -> np.nda
     """
     if cfg.N <= n:
         raise EnkfConfigError(f"need more particles than states, got N={cfg.N} for n={n}")
-    F = _wishart_factor(cfg.N - 1, n, rng)
+    F = _wishart(cfg.N - 1, n)(rng)
     return F.T @ F / (cfg.N * cfg.g)
+
+
+def _chain(A: np.ndarray, m: int, N: int) -> tuple:
+    """What every step of one run shares, computed once.
+
+    The p x p identity, A' in C order, the buffer each step builds G in,
+    and the draw of E's factor, Wishart_m(N - p - 1, I).
+    """
+    p = A.shape[0]
+    return np.eye(p), np.ascontiguousarray(A.T), np.empty((p, p)), _wishart(N - p - 1, m)
 
 
 def step_linear(
@@ -149,6 +177,7 @@ def step_linear(
     N: int,
     dt: float,
     rng: np.random.Generator,
+    chain: tuple | None = None,
 ) -> np.ndarray:
     """One backward step of the ensemble covariance, from t to t - dt.
 
@@ -161,19 +190,36 @@ def step_linear(
     Wishart_m(N - p - 1, I) part of the noise outside the ensemble's span
     (module docstring).  Raises :class:`DivergenceError` when S is not
     positive definite or S_next is not finite.
+
+    ``chain`` holds the run's constants from :func:`_chain`, and the caller
+    that passes it ignores overflow and invalid-value warnings around its
+    loop; a single step leaves it out.
     """
+    if chain is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _step(S, t, q, W, N, dt, rng, _chain(A, W.shape[0], N))
+    return _step(S, t, q, W, N, dt, rng, chain)
+
+
+def _step(S, t, q, W, N, dt, rng, chain: tuple) -> np.ndarray:
+    eye, At, G, wishart = chain
     m, p = W.shape
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise DivergenceError(t) from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        U = L.T @ (np.eye(p) - dt * (A.T + 0.5 * q * S))
-        Z = rng.standard_normal((p, m))
-        F = _wishart_factor(N - p - 1, m, rng)
-        Xi = (Z.T @ Z + F.T @ F) / N
-        V = (U.T @ Z / np.sqrt(N) + 0.5 * W.T @ Xi) @ W
-        S_next = U.T @ U + V + V.T
+    np.multiply(0.5 * q, S, out=G)
+    G += At
+    G *= dt
+    np.subtract(eye, G, out=G)
+    U = L.T @ G
+    Z = rng.standard_normal((p, m))
+    F = wishart(rng)
+    Xi = (Z.T @ Z + F.T @ F) / N
+    V = (U.T @ Z / np.sqrt(N) + 0.5 * W.T @ Xi) @ W
+    S_next = U.T @ U
+    S_next += V
+    S_next += V.T
     if not np.isfinite(S_next).all():
         raise DivergenceError(t - dt)
     return S_next
@@ -207,8 +253,10 @@ def run_dual_enkf_linear(
     S = init_covariance(cfg, A.shape[0], rng)
     h = cfg.dt_effective
     W = np.sqrt(h / r) * B.T
+    chain = _chain(A, B.shape[1], cfg.N)
     t = cfg.T
-    for _ in range(cfg.n_steps):
-        S = step_linear(S, t, A, q, W, cfg.N, h, rng)
-        t -= h
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.n_steps):
+            S = step_linear(S, t, A, q, W, cfg.N, h, rng, chain)
+            t -= h
     return _gain_from_covariance(S)

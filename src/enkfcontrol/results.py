@@ -47,8 +47,9 @@ def _write(path: str, lines: list[str]) -> None:
 def timeseries_lines(series: list[CaseResult]) -> list[str]:
     lines = ["policy,t,mean,variance"]
     for res in series:
-        for t, mean, var in zip(res.t, res.mean, res.variance):
-            lines.append(f"{res.case.policy},{_fmt(t)},{_fmt(mean)},{_fmt(var)}")
+        # one format per row over Python floats: "%.17g" is _fmt of each
+        row_format = res.case.policy.replace("%", "%%") + ",%.17g,%.17g,%.17g"
+        lines.extend(row_format % row for row in zip(res.t.tolist(), res.mean.tolist(), res.variance.tolist()))
     return lines
 
 
@@ -64,8 +65,8 @@ def trials_lines(results: list[CaseResult]) -> list[str]:
     lines = ["policy,kind,d0,lambda,trial,terminal_ratio"]
     for res in results:
         c = res.case
-        for i, ratio in enumerate(res.ratios):
-            lines.append(f"{c.policy},{c.kind},{_fmt(c.d0)},{_fmt(c.lam)},{i},{_fmt(ratio)}")
+        row_format = f"{c.policy},{c.kind},{_fmt(c.d0)},{_fmt(c.lam)},".replace("%", "%%") + "%d,%.17g"
+        lines.extend(row_format % row for row in enumerate(res.ratios.tolist()))
     return lines
 
 

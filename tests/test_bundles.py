@@ -74,6 +74,45 @@ def test_rows_render_as_fmt_of_each_value():
     assert "-0,4.9406564584124654e-324,1.0000000000000001e+300,3" in lines
 
 
+def per_value(name, M):
+    """A block's lines with _fmt of each value, the bytes every block renders to."""
+    return [f"[{name}]"] + [",".join(_fmt(v) for v in row) for row in M.tolist()]
+
+
+def symmetric_matrix(n, seed):
+    """R + R' is bit-symmetric; the diagonal has -0.0, and a subnormal and 1e300 are mirrored pairs."""
+    R = np.random.default_rng(seed).normal(size=(n, n))
+    M = R + R.T
+    M.flat[:: 2 * (n + 1)] = -0.0  # every other diagonal entry
+    if n > 2:
+        M[0, 2] = M[2, 0] = 5e-324
+        M[1, 2] = M[2, 1] = -1e300
+        M[0, 1] = M[1, 0] = -1.5e-310
+    return M
+
+
+@pytest.mark.parametrize("n", list(range(1, 11)) + [17, 50])
+def test_symmetric_block_renders_as_fmt_of_each_value(n):
+    M = symmetric_matrix(n, seed=n)
+    assert np.array_equal(M.view(np.int64), M.T.view(np.int64))
+    want = ["format=enkfcontrol-bundle-v1", "kind=test"] + per_value("M", M)
+    assert _render("test", {}, {"M": M}) == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize(
+    "below,above", [(0.0, -0.0), (0.25, np.nextafter(0.25, 1.0))], ids=["signed-zero", "one-ulp"]
+)
+def test_nearly_symmetric_block_renders_per_value(below, above):
+    # equal as floats but not as bits, or off by one ulp: not mirrored, each value printed as it is
+    M = symmetric_matrix(6, seed=3)
+    M[4, 1], M[1, 4] = below, above
+    want = ["format=enkfcontrol-bundle-v1", "kind=test"] + per_value("M", M)
+    text = _render("test", {}, {"M": M})
+    assert text == "\n".join(want) + "\n"
+    rows = [line.split(",") for line in text.splitlines()[3:]]
+    assert rows[1][4] != rows[4][1]
+
+
 def test_kind_mismatch_rejected(tmp_path):
     gain = GainApprox(P=np.eye(2))
     path = tmp_path / "gain.bundle"

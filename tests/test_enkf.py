@@ -8,7 +8,9 @@ from enkfcontrol.enkf import (
     EnkfConfig,
     EnkfConfigError,
     RankError,
+    _chain,
     _gain_from_covariance,
+    _wishart,
     init_covariance,
     run_dual_enkf_linear,
     step_linear,
@@ -130,6 +132,31 @@ def stable_system(n, m, seed):
 def chain_step(S, A, B, q, r, N, dt, rng, t=1.0):
     """step_linear with the run's W = sqrt(dt / r) B'."""
     return step_linear(S, t, A, q, np.sqrt(dt / r) * B.T, N, dt, rng)
+
+
+def reference_wishart_factor(dof, k, rng):
+    """The chain's Wishart factor with nothing hoisted: Bartlett's triangle cut by np.triu."""
+    if dof < k:
+        return rng.standard_normal((dof, k))
+    F = np.triu(rng.standard_normal((k, k)), 1)
+    F[np.diag_indices(k)] = np.sqrt(rng.chisquare(dof - np.arange(k)))
+    return F
+
+
+def reference_step(S, A, q, W, N, dt, rng):
+    """The chain's step with nothing hoisted: G rebuilt from np.eye, the Wishart factor from np.triu."""
+    m, p = W.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = np.linalg.cholesky(S).T @ (np.eye(p) - dt * (A.T + 0.5 * q * S))
+        Z = rng.standard_normal((p, m))
+        F = reference_wishart_factor(N - p - 1, m, rng)
+        Xi = (Z.T @ Z + F.T @ F) / N
+        V = (U.T @ Z / np.sqrt(N) + 0.5 * W.T @ Xi) @ W
+        return U.T @ U + V + V.T
+
+
+def bits(M):
+    return np.ascontiguousarray(M).view(np.int64)
 
 
 def ks_statistic(a, b):
@@ -285,6 +312,46 @@ class TestStepLinear:
         with pytest.raises(DivergenceError) as err:
             chain_step(np.array([[-1.0]]), *args, t=1.0)
         assert err.value.t == 1.0
+
+
+class TestHoistedChain:
+    """The run's constants, computed once, leave every bit of S as the step with nothing hoisted."""
+
+    @pytest.mark.parametrize("p,N", [(100, 10_000), (10, 15)])
+    def test_hundred_steps_match_the_reference_bit_for_bit(self, p, N):
+        # p = 100 draws E by Bartlett's factor, p = 10 as N - p - 1 = 4 < m normal rows
+        m = 8
+        A, B = stable_system(p, m, seed=p)
+        cfg = EnkfConfig(N=N, T=0.1, dt=1e-3, g=G_WEIGHT)
+        assert cfg.n_steps == 100
+        h = cfg.dt_effective
+        W = np.sqrt(h / R_WEIGHT) * B.T
+        rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
+        S = init_covariance(cfg, p, rng)
+        F = reference_wishart_factor(N - 1, p, ref_rng)
+        want = F.T @ F / (N * cfg.g)
+        assert np.array_equal(bits(S), bits(want))
+        chain, t = _chain(A, m, N), cfg.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.n_steps):
+                S = step_linear(S, t, A, Q_WEIGHT, W, N, h, rng, chain)
+                want = reference_step(want, A, Q_WEIGHT, W, N, h, ref_rng)
+                t -= h
+        assert np.array_equal(bits(S), bits(want))
+        # the run, from the same seed, inverts that S
+        got = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, np.random.default_rng(61))
+        assert np.array_equal(bits(got.P), bits(_gain_from_covariance(want).P))
+
+    @pytest.mark.parametrize("dof", [12, 8, 5, 0])
+    def test_wishart_factor_matches_the_reference(self, dof):
+        # dof >= k takes Bartlett's triangle, with +0.0 below the diagonal as np.triu
+        # leaves it; 0 < dof < k and dof = 0 normal rows.  The generator is left
+        # where the reference leaves it, draw after draw.
+        k = 8
+        draw, rng, ref_rng = _wishart(dof, k), np.random.default_rng(62), np.random.default_rng(62)
+        for _ in range(3):
+            assert np.array_equal(bits(draw(rng)), bits(reference_wishart_factor(dof, k, ref_rng)))
+        assert rng.random() == ref_rng.random()
 
 
 class TestScalarBenchmark:
