@@ -2,7 +2,7 @@
 
 Each verb takes only the flags its row of ``VERBS`` lists (their argparse
 keywords are in ``FLAGS``); any other flag exits 2 before any work starts.
-Every verb but ``oracle`` takes the config flags, which config.echo records:
+Every verb takes the config flags, which config.echo records:
 --config --pde --nu --lambda --d0 --disturbance --trials --seed --p --m
 --particles --out.  ``train`` adds --model and --reduced-model; ``fit-dmdc``
 takes the config flags alone and fits model = dmdc; ``simulate``, ``batch``
@@ -25,8 +25,6 @@ import sys
 from dataclasses import fields, replace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import bundles
 from .config import (
     ConfigError,
@@ -48,7 +46,6 @@ from .harness import (
     run_cases,
 )
 from .results import ResultSet, emit_results
-from .riccati import LtiSystem, lqr_gain, riccati_residual, solve_are
 
 GAIN_FILE = "gain.bundle"
 REDUCED_FILE = "reduced_model.bundle"
@@ -153,28 +150,10 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    """Riccati reference benchmarks, printed for debugging."""
-    scalar = LtiSystem(A=[[0.0]], B=[[1.0]], C=[[1.0]], R=[[1.0]], G=[[1.0]])
-    P = solve_are(scalar)
-    print(f"scalar benchmark: P = {P[0, 0]:.12g} (expected 1), "
-          f"residual {riccati_residual(scalar, P):.3e}")
-    n = 3
-    diag = LtiSystem(A=-np.eye(n), B=np.eye(n), C=np.eye(n), R=np.eye(n), G=np.eye(n))
-    P3 = solve_are(diag)
-    expected = np.sqrt(2.0) - 1.0
-    print(f"diagonal 3-state benchmark: max |P - (sqrt(2)-1) I| = "
-          f"{np.max(np.abs(P3 - expected * np.eye(n))):.3e}")
-    K = lqr_gain(diag, P3)
-    print(f"closed-loop spectral abscissa: "
-          f"{np.max(np.linalg.eigvals(diag.A - diag.B @ K).real):.6g}")
-    return 0
-
-
 class Verb(NamedTuple):
     fn: Callable[[argparse.Namespace], int]
     help: str
-    flags: tuple[str, ...] = ()  # keys of FLAGS; argparse rejects every other flag
+    flags: tuple[str, ...]  # keys of FLAGS; argparse rejects every other flag
     defaults: dict | None = None  # passed to set_defaults
 
 
@@ -186,7 +165,6 @@ VERBS: dict[str, Verb] = {
     "batch": Verb(cmd_batch, "trial batch under the three policies", _ROLLOUT_FLAGS),
     "grid": Verb(cmd_grid, "(kind, d0, lambda) heat-map sweep",
                  _ROLLOUT_FLAGS + ("--grid-d0", "--grid-lambda", "--grid-kinds")),
-    "oracle": Verb(cmd_oracle, "Riccati reference benchmarks"),
 }
 
 
@@ -221,7 +199,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # surfaced as a one-line machine-parsable error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

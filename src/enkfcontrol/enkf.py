@@ -38,14 +38,15 @@ g N S ~ Wishart_p(N - 1, I), drawn by the Bartlett decomposition.  In
 continuous time this chain is the Riccati diffusion of the ensemble
 covariance (Bishop & Del Moral, *Math. Control Signals Syst.*, 2023).
 
-Cost.  A run computes once what its steps share: the identity, A' in C
-order, the buffer each step builds G in, E's Wishart degrees of freedom and
-the index of its factor's lower triangle; one ``errstate`` covers its loop.
-A step builds G in that buffer with the operations of the formula in its
-order, (q/2) S, then + A', * dt and I - G, and draws E's factor from the
-generator as Bartlett's construction always has, so S is the same bit for
-bit as from a step that builds everything afresh.  What is left of a step
-is one Cholesky factor and two p x p products.
+Cost.  A run computes once what its steps share, each step's required
+``chain``: the identity, A' in C order, the buffer each step builds G in,
+E's Wishart degrees of freedom and the index of its factor's lower
+triangle; one ``errstate`` covers its loop.  A step builds G in that
+buffer with the operations of the formula in its order, (q/2) S, then
++ A', * dt and I - G, and draws E's factor from the generator as
+Bartlett's construction always has, so S is the same bit for bit as from
+a step that builds everything afresh.  What is left of a step is one
+Cholesky factor and two p x p products.
 """
 
 from __future__ import annotations
@@ -171,13 +172,12 @@ def _chain(A: np.ndarray, m: int, N: int) -> tuple:
 def step_linear(
     S: np.ndarray,
     t: float,
-    A: np.ndarray,
     q: float,
     W: np.ndarray,
     N: int,
     dt: float,
     rng: np.random.Generator,
-    chain: tuple | None = None,
+    chain: tuple,
 ) -> np.ndarray:
     """One backward step of the ensemble covariance, from t to t - dt.
 
@@ -191,17 +191,9 @@ def step_linear(
     (module docstring).  Raises :class:`DivergenceError` when S is not
     positive definite or S_next is not finite.
 
-    ``chain`` holds the run's constants from :func:`_chain`, and the caller
-    that passes it ignores overflow and invalid-value warnings around its
-    loop; a single step leaves it out.
+    ``chain`` is required: the run's constants from :func:`_chain`, A' among
+    them.  The caller ignores overflow and invalid warnings around its loop.
     """
-    if chain is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _step(S, t, q, W, N, dt, rng, _chain(A, W.shape[0], N))
-    return _step(S, t, q, W, N, dt, rng, chain)
-
-
-def _step(S, t, q, W, N, dt, rng, chain: tuple) -> np.ndarray:
     eye, At, G, wishart = chain
     m, p = W.shape
     try:
@@ -257,6 +249,6 @@ def run_dual_enkf_linear(
     t = cfg.T
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.n_steps):
-            S = step_linear(S, t, A, q, W, cfg.N, h, rng, chain)
+            S = step_linear(S, t, q, W, cfg.N, h, rng, chain)
             t -= h
     return _gain_from_covariance(S)

@@ -32,10 +32,6 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-class OracleError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class LtiSystem:
     """LTI plant with quadratic cost weights.
@@ -182,17 +178,6 @@ def solve_are(sys: LtiSystem, residual_tol: float = 1e-8) -> np.ndarray:
     if residual > tol:
         raise ConvergenceError(f"Riccati residual {residual:.3e} exceeds {tol:.3e}")
     return P
-
-
-def lqr_gain(sys: LtiSystem, P: np.ndarray) -> np.ndarray:
-    """Optimal feedback gain K = R^-1 B' P; checks A - B K is Hurwitz."""
-    K = np.linalg.solve(sys.R, sys.B.T @ P)
-    eigs = np.linalg.eigvals(sys.A - sys.B @ K)
-    if np.max(eigs.real) >= 0:
-        raise OracleError(
-            f"closed loop is not Hurwitz (max Re eig = {np.max(eigs.real):.3e})"
-        )
-    return K
 
 
 def invert_spd(M: np.ndarray) -> np.ndarray:

