@@ -126,11 +126,7 @@ def heat_config(**overrides) -> ExperimentConfig:
 
 
 def burgers_config(**overrides) -> ExperimentConfig:
-    """Burgers defaults: p=128, m=10, T=3, N=10^3, Q=G=I, R=0.1 I, model=dmdc.
-
-    The gain is trained on the linear DMDc model; ``model=full`` runs the
-    closed loop on the full Burgers state with a supplied gain.
-    """
+    """Burgers defaults: p=128, m=10, T=3, N=10^3, Q=G=I, R=0.1 I, model=dmdc."""
     base = ExperimentConfig(
         pde="burgers",
         model="dmdc",

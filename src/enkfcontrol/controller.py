@@ -18,8 +18,8 @@ serves every disturbance bound that shares the gain.
 
 :func:`input_matrix` is the one place B is obtained: read from the
 simulator, or probed from it at the origin with :func:`estimate_b`, then
-checked for full column rank.  Every simulator enters the input as a
-constant B u, so the probe is exact and the law is always a fixed linear
+checked for full column rank.  The law compiles against a linear design
+model, so the probe is exact and the law is always a fixed linear
 feedback plus a normalized projection.  The per-state functions re-solve it
 at every call and are the reference the tests compare against;
 :func:`compile_law` solves it once into one matrix, which folds the
@@ -28,6 +28,12 @@ evaluates it for a whole stack of states with one GEMM, in the plant's
 state coordinates or any orthonormal basis of them.  The closed loop always
 uses the compiled law; its lambda = 0 rows (the optimal learning control)
 use the K block alone, ``CompiledLaw.K``, and never read g or B^+.
+
+Lyapunov redesign assumes a nominal stabilizing law plus a matched
+uncertainty (Khalil, *Nonlinear Systems*, 3rd ed., 2002, section 14.2).
+On Burgers with ``model=full`` the gain is designed on the linearization
+nu D2, and the advection -z D1 z is a state-dependent mismatch that the
+robust term does not bound.
 """
 
 from __future__ import annotations

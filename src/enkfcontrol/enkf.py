@@ -2,7 +2,7 @@
 
 The gain comes from the linear dual EnKF (Joshi, Taghvaei, Mehta & Meyn,
 *Systems & Control Letters*, 2022) on a linear design model: the heat
-operator, or the DMDc reduced model of the heat or Burgers plant.  The cost
+operator nu D2 (also the Burgers linearization) or a DMDc fit.  The cost
 is quadratic with scalar weights, q |x|^2 + r |u|^2 running and g |x|^2
 terminal, which the config holds as ``q``, ``r_input`` and ``g``.  An
 ensemble of N copies of the disturbance-free model is integrated backward
@@ -114,8 +114,9 @@ class GainApprox:
     """Learned gain: the inverse P of the ensemble covariance at t=0.
 
     It comes from the linear dual EnKF on a linear design model (the heat
-    operator or DMDc), so P approximates the Riccati solution of that model
-    and the value gradient at x is P @ x.
+    operator, the Burgers linearization nu D2 or the DMDc fit), so P
+    approximates the Riccati solution of that model and the value gradient
+    at x is P @ x.
     """
 
     P: np.ndarray

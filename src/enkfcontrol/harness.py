@@ -6,9 +6,10 @@ policies and grid cells (same initial conditions and disturbances), and
 aggregation is an ordered reduction, so rerunning a config reproduces results
 bit for bit.
 
-Training is the linear dual EnKF on a linear design model (the heat operator
-or the DMDc reduced model), always disturbance-free; a single learned gain is
-reused across every disturbance level of a sweep.
+Training is the linear dual EnKF on a linear design model (the heat operator,
+the Burgers linearization nu D2 or the DMDc reduced model), always
+disturbance-free; a single learned gain is reused across every disturbance
+level of a sweep.
 
 Closed-loop trials run batched: :func:`simulate_closed_loop` advances a
 (batch, p) stack of plant states with one RK4 step per time step (for the
@@ -67,7 +68,7 @@ class Artifacts:
     """Everything trained/built once per config and shared across trials."""
 
     sim: Simulator  # full PDE simulator (plant)
-    design_sim: Simulator  # simulator the control law evaluates against
+    design_sim: LinearSimulator  # the model the gain is trained on and the law compiled against
     gain: GainApprox
     reduction: dmdc_mod.ReducedModel | None
 
@@ -116,19 +117,8 @@ def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedMode
     return dmdc_mod.to_continuous(model)
 
 
-def _train_gain(cfg: ExperimentConfig, design_sim: Simulator) -> GainApprox:
-    """Run the linear dual EnKF on the design model's A and B.
-
-    The design model is linear: the full heat operator, which is LTI, or the
-    fitted reduced model for ``model=dmdc``.  The full Burgers state has no
-    linear model to train on, so it fails before any ensemble step.
-    """
-    if not isinstance(design_sim, LinearSimulator):
-        raise HarnessError(
-            f"no linear design model to train a gain on for pde={cfg.pde}, model={cfg.model}; "
-            "train on the reduced model with --model dmdc, "
-            "or give batch, grid or simulate a trained gain with --gain"
-        )
+def _train_gain(cfg: ExperimentConfig, design_sim: LinearSimulator) -> GainApprox:
+    """Run the linear dual EnKF on the design model's A and B."""
     T, dt = _enkf_horizon(cfg, design_sim.A)
     enkf_cfg = EnkfConfig(N=cfg.enkf_particles, T=T, dt=dt, g=cfg.g)
     return run_dual_enkf_linear(
@@ -162,7 +152,11 @@ def build_artifacts(
     gain: GainApprox | None = None,
     reduction: dmdc_mod.ReducedModel | None = None,
 ) -> Artifacts:
-    """Assemble the simulators, fitting and training whatever was not supplied."""
+    """Assemble the simulators, fitting and training whatever was not supplied.
+
+    The design model is the reduction's (A, B), else the plant's Jacobian at
+    the origin, nu D2 with the plant's B: for heat, the plant itself.
+    """
     sim = build_full_simulator(cfg)
     if reduction is not None:
         _check_reduction(cfg, reduction)
@@ -170,7 +164,8 @@ def build_artifacts(
         if gain is not None:
             raise HarnessError("dmdc model path needs a reduced model with the gain")
         reduction = fit_reduction(cfg, sim)
-    design_sim = sim if reduction is None else LinearSimulator(reduction.A, reduction.B)
+    design_sim = (HeatSimulator(grid_of(cfg), cfg.nu, cfg.m, bc=cfg.bc) if reduction is None
+                  else LinearSimulator(reduction.A, reduction.B))
     if gain is None:
         gain = _train_gain(cfg, design_sim)
     elif gain.n != design_sim.n:

@@ -136,10 +136,10 @@ class Simulator:
 
     Subclasses implement :meth:`rhs` for one state or a stack of states (rows
     of x, with the inputs as rows of u).  The input matrix B is constant: it
-    does not depend on x, so probing it once (at the origin) from ``rhs``
-    recovers it exactly, and the control law is compiled on that contract.
-    ``control_matrix`` is B; ``rhs`` holds its own reference to B and never
-    reads the attribute.
+    does not depend on x.  ``control_matrix`` is B; ``rhs`` holds its own
+    reference to B and never reads the attribute.  Training and the control
+    law read a linear design model (:class:`LinearSimulator`), never a
+    nonlinear plant.
     """
 
     n: int

@@ -1,7 +1,7 @@
 import glob
 import hashlib
+import math
 import os
-import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +12,8 @@ import pytest
 from enkfcontrol import bundles, cli, enkf, harness
 from enkfcontrol.cli import build_parser, main, resolve_config
 from enkfcontrol.config import default_config, load_config
+from enkfcontrol.pde import GridSpec, build_control_matrix, second_difference_matrix
+from enkfcontrol.riccati import LtiSystem, solve_dre
 
 SMALL = """\
 [experiment]
@@ -139,32 +141,29 @@ class TestBurgersTrain:
         for name in ("gain.bundle", "reduced_model.bundle"):
             assert os.path.exists(os.path.join(out, name))
 
-    def test_full_state_fails_before_any_ensemble_step(self, tmp_path, capsys, monkeypatch):
-        def no_ensemble(*args, **kwargs):
-            raise AssertionError("an ensemble ran")
-
-        monkeypatch.setattr(harness, "run_dual_enkf_linear", no_ensemble)
-        monkeypatch.setattr(enkf, "init_covariance", no_ensemble)
+    def test_full_state_trains_on_the_linearization(self, tmp_path, capsys):
+        # the design model is the Jacobian nu D2 at the origin with the plant's B, so the
+        # learned P is near the Riccati solution of that pair (0.057 here, 0.051 at seed 1)
         out = str(tmp_path / "burgers")
-        assert main(self.ARGV + ["--model", "full", "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "--model dmdc" in err and "--gain" in err
-        assert not os.path.exists(os.path.join(out, "gain.bundle"))
+        argv = ["train", "--pde", "burgers", "--model", "full", "--p", "32", "--m", "4", "--out", out]
+        assert main(argv) == 0
+        cfg = load_config(os.path.join(out, "config.echo"))
+        P = bundles.load_gain(os.path.join(out, "gain.bundle")).P
+        grid = GridSpec(p=cfg.p, L=cfg.L)
+        A, B = cfg.nu * second_difference_matrix(grid, cfg.bc), build_control_matrix(grid, cfg.m)
+        steps = max(1000, math.ceil(20.0 * cfg.T_sim * np.linalg.norm(A, 2)))
+        system = LtiSystem(A, B, np.sqrt(cfg.q) * np.eye(cfg.p), cfg.r_input * np.eye(cfg.m),
+                           cfg.g * np.eye(cfg.p))
+        P_dre = solve_dre(system, cfg.T_sim, cfg.T_sim / steps)
+        assert np.linalg.norm(P - P_dre) <= 0.1 * np.linalg.norm(P_dre)
 
-    @pytest.mark.parametrize("verb", ["train", "batch"])
-    def test_full_state_error_names_a_remedy_the_verb_takes(self, verb, tmp_path, capsys):
-        # each flag the message suggests is one the verb accepts, or the message
-        # names every verb that accepts it
-        argv = [verb, "--pde", "burgers", "--model", "full", "--p", "16", "--m", "2",
-                "--particles", "40", "--out", str(tmp_path / "out")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        flags = set(re.findall(r"--[a-z][a-z-]*", err))
-        accepted = set(cli.VERBS[verb].flags)
-        assert flags & accepted
-        for flag in flags - accepted:
-            assert all(name in err for name, v in cli.VERBS.items() if flag in v.flags), (flag, err)
+    def test_full_state_batch_trains_its_own_gain(self, tmp_path, capsys):
+        out = str(tmp_path / "burgers")
+        argv = ["batch", "--pde", "burgers", "--model", "full", "--p", "32", "--m", "4",
+                "--trials", "2", "--out", out]
+        assert main(argv) == 0
+        assert "model = full\n" in _read(os.path.join(out, "config.echo")).decode()
+        assert os.path.exists(os.path.join(out, "timeseries.csv"))
 
 
 class TestConfigFilePde:

@@ -33,7 +33,13 @@ from enkfcontrol.harness import (
     simulate_closed_loop,
     trial_initial_condition,
 )
-from enkfcontrol.pde import l2_norm, rk4_step, rk4_stepper, sample_initial_condition
+from enkfcontrol.pde import (
+    l2_norm,
+    rk4_step,
+    rk4_stepper,
+    sample_initial_condition,
+    second_difference_matrix,
+)
 from enkfcontrol.riccati import LtiSystem, solve_dre
 
 RTOL = 1e-12
@@ -409,6 +415,23 @@ def test_configured_weights_reach_the_gain_and_the_law():
     assert np.linalg.norm(art.gain.P - P_dre) <= 0.08 * np.linalg.norm(P_dre)
     law = compile_law(build_law(cfg, art), art.design_sim)
     np.testing.assert_allclose(law.K, art.gain.P @ B / cfg.r_input, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("config", [heat_config, burgers_config], ids=["heat", "burgers"])
+def test_full_design_model_is_the_plant_jacobian_at_the_origin(config, bc):
+    # -z D1 z + nu D2 z is quadratic plus linear, so a central difference of
+    # unit step at z = 0 reads its Jacobian nu D2 to rounding
+    cfg = config(p=16, m=4, bc=bc, model="full")
+    art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3))
+    A = cfg.nu * second_difference_matrix(grid_of(cfg), bc)
+    assert np.array_equal(art.design_sim.A, A)
+    if cfg.pde == "heat":
+        assert np.array_equal(art.design_sim.A, art.sim.A)
+    I, u = np.eye(cfg.p), np.zeros((cfg.p, cfg.m))
+    jacobian = (art.sim.rhs(I, u) - art.sim.rhs(-I, u)).T / 2.0
+    np.testing.assert_allclose(art.design_sim.A, jacobian, rtol=0, atol=1e-12 * np.abs(A).max())
+    assert np.array_equal(art.design_sim.control_matrix, art.sim.control_matrix)
 
 
 def test_discrete_reduced_model_rejected(heat_dmdc_sim):
