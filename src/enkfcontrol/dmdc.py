@@ -20,7 +20,8 @@ import numpy as np
 from .pde import Simulator, rk4_stepper
 
 
-# snapshot rows per QR step of fit_dmdc: fixed, so the fit's rounding is the same on every machine
+# snapshot rows per QR step of fit_dmdc and per block of collect_snapshots' rotation back from the
+# eigenbasis: fixed, so the rounding is the same on every machine
 _BLOCK_ROWS = 512
 
 
@@ -106,7 +107,10 @@ def collect_snapshots(
     once as (steps, n_traj, m).  All trajectories advance as one (n_traj, p)
     stack by :func:`pde.rk4_stepper`'s step into slab k + 1 of one
     (steps + 1, n_traj, p) buffer, in the eigenbasis of a symmetric linear
-    simulator's A, mapped back in place one slab at a time.  Columns are
+    simulator's A, mapped back in place over blocks of _BLOCK_ROWS rows of
+    the flattened buffer (at the heat defaults the bits of one slab at a
+    time; where a slab would take the BLAS's small-matrix kernel they part
+    by rounding).  Columns are
     step-major: column k n_traj + i is trajectory i at step k.  X = buffer[:-1]
     and Xnext = buffer[1:] (and U, of the inputs) are reshaped views, not copies.
     """
@@ -122,8 +126,10 @@ def collect_snapshots(
     for k in range(steps):
         step(xs[k], us[k], xs[k + 1])  # a new slot: xs[k] is a stored snapshot
     if Q is not None:
-        for slab in xs:
-            slab[...] = slab @ Q.T
+        flat = xs.reshape(-1, xs.shape[-1])
+        for start in range(0, len(flat), _BLOCK_ROWS):
+            block = flat[start:start + _BLOCK_ROWS]
+            block[...] = block @ Q.T
     columns = lambda a: a.reshape(-1, a.shape[-1]).T  # views: one column per (step, trajectory)
     return SnapshotData(X=columns(xs[:-1]), Xnext=columns(xs[1:]), U=columns(us), dt=dt)
 
@@ -159,8 +165,10 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
     if K < n + m:
         raise FitError(f"need at least n+m={n + m} snapshot columns, got K={K}")
 
-    # [R; next block] in one work array; R keeps min(rows seen, 2p + m) rows
-    work = np.empty((2 * p + m + _BLOCK_ROWS, 2 * p + m))
+    # [R; next block] in one work array; R keeps min(rows seen, 2p + m) rows.
+    # Fortran order, as LAPACK takes it: np.linalg.qr copies its argument to a
+    # column-major buffer, which from a C-ordered array is a transpose each way
+    work = np.empty((2 * p + m + _BLOCK_ROWS, 2 * p + m), order="F")
     rows = 0
     for start in range(0, K, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, K)

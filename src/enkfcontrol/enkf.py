@@ -29,24 +29,40 @@ along the column space of Yc (rank p), along the ones vector, and along
 the remaining N - p - 1 directions: the three parts are independent
 standard normals Z1 (p x m), z2 (1 x m) and Z3, and
 
-    X  = chol(S) Z1 / sqrt(N),   Xi = (Z1'Z1 + E) / N,   E = Z3'Z3,
+    X  = chol(S) Z1 / sqrt(N),   Xi = (Z1'Z1 + F'F) / N,   F'F = Z3'Z3,
 
-with E ~ Wishart_m(N - p - 1, I); z2 moves only the mean.  S is therefore
+with F'F ~ Wishart_m(N - p - 1, I) and F of f = min(N - p - 1, m) rows;
+z2 moves only the mean.  With S = LL', U = L'G and W^ = W / sqrt(N),
+the step is one Gram product,
+
+    S+ = C'C,  C = [U + Z1 W^ ; F W^],
+
+since U'U + V + V' = (U + Z1 W^)'(U + Z1 W^) + (F W^)'(F W^).  S+ is
+therefore symmetric bit for bit, and positive semidefinite as drawn.  S is
 a Markov chain that is sampled here exactly in law, with O(p^3 + p^2 m)
 work a step and no N x p array.  The terminal draw Y_i ~ N(0, I/g) gives
 g N S ~ Wishart_p(N - 1, I), drawn by the Bartlett decomposition.  In
 continuous time this chain is the Riccati diffusion of the ensemble
 covariance (Bishop & Del Moral, *Math. Control Signals Syst.*, 2023).
 
+Particle count.  N enters a step only through F's degrees of freedom and
+the 1/sqrt(N) scaling, so a run costs the same at any N.  As N grows the
+chain tends to the mean-field recursion S+ = G'SG + (N - 1)/N W'W, the
+expectation of one step given S, at a distance c/sqrt(N).  At the paper's
+N = 10^4 on the heat defaults the gain's error against the Riccati
+reference is 0.043-0.048, while the mean-field recursion's own error, the
+explicit step's bias, is 1.1e-3: the gain error is mostly sampling error.
+
 Cost.  A run computes once what its steps share, each step's required
 ``chain``: the identity, A' in C order, the buffer each step builds G in,
-E's Wishart degrees of freedom and the index of its factor's lower
-triangle; one ``errstate`` covers its loop.  A step builds G in that
-buffer with the operations of the formula in its order, (q/2) S, then
-+ A', * dt and I - G, and draws E's factor from the generator as
-Bartlett's construction always has, so S is the same bit for bit as from
-a step that builds everything afresh.  What is left of a step is one
-Cholesky factor and two p x p products.
+the (p + f) x p buffer C, and the draw of F (its chi-square degrees of
+freedom and the index of its lower triangle); one ``errstate`` covers its
+loop.  A step builds G in that buffer with the operations of the formula in
+its order, (q/2) S, then + A', * dt and I - G, and draws F from the
+generator as Bartlett's construction always has, so S is the same bit for
+bit as from a step that builds everything afresh.  What is left of a step
+is one Cholesky factor, the p x p product L'G, the thin products Z1 W^ and
+F W^ into C, and C'C, which numpy computes as a symmetric rank-k update.
 """
 
 from __future__ import annotations
@@ -164,10 +180,12 @@ def _chain(A: np.ndarray, m: int, N: int) -> tuple:
     """What every step of one run shares, computed once.
 
     The p x p identity, A' in C order, the buffer each step builds G in,
-    and the draw of E's factor, Wishart_m(N - p - 1, I).
+    the (p + f) x p buffer C and the draw of F, F'F ~ Wishart_m(N - p - 1, I)
+    with f = min(N - p - 1, m) rows.
     """
     p = A.shape[0]
-    return np.eye(p), np.ascontiguousarray(A.T), np.empty((p, p)), _wishart(N - p - 1, m)
+    C = np.empty((p + min(N - p - 1, m), p))
+    return np.eye(p), np.ascontiguousarray(A.T), np.empty((p, p)), C, _wishart(N - p - 1, m)
 
 
 def step_linear(
@@ -183,19 +201,21 @@ def step_linear(
     """One backward step of the ensemble covariance, from t to t - dt.
 
     q and r are the running weights of q |x|^2 + r |u|^2, and ``W`` is
-    sqrt(dt / r) B'.  With S = LL', G = I - dt (A' + q S / 2) and U = L'G,
+    sqrt(dt / r) B'.  With S = LL', G = I - dt (A' + q S / 2), U = L'G and
+    W^ = W / sqrt(N),
 
-        S_next = U'U + V + V',  V = (U'Z1 / sqrt(N) + W'Xi / 2) W,
+        S_next = C'C,  C = [U + Z1 W^ ; F W^],
 
-    Xi = (Z1'Z1 + E) / N, Z1 a (p, m) standard-normal draw and E the
-    Wishart_m(N - p - 1, I) part of the noise outside the ensemble's span
-    (module docstring).  Raises :class:`DivergenceError` when S is not
-    positive definite or S_next is not finite.
+    Z1 a (p, m) standard-normal draw and F'F ~ Wishart_m(N - p - 1, I) the
+    part of the noise outside the ensemble's span; C'C is the particle
+    step's U'U + V + V' regrouped (module docstring).  Raises
+    :class:`DivergenceError` when S is not positive definite or S_next is
+    not finite.
 
     ``chain`` is required: the run's constants from :func:`_chain`, A' among
     them.  The caller ignores overflow and invalid warnings around its loop.
     """
-    eye, At, G, wishart = chain
+    eye, At, G, C, wishart = chain
     m, p = W.shape
     try:
         L = np.linalg.cholesky(S)
@@ -205,14 +225,11 @@ def step_linear(
     G += At
     G *= dt
     np.subtract(eye, G, out=G)
-    U = L.T @ G
-    Z = rng.standard_normal((p, m))
-    F = wishart(rng)
-    Xi = (Z.T @ Z + F.T @ F) / N
-    V = (U.T @ Z / np.sqrt(N) + 0.5 * W.T @ Xi) @ W
-    S_next = U.T @ U
-    S_next += V
-    S_next += V.T
+    W_hat = W / np.sqrt(N)
+    np.matmul(L.T, G, out=C[:p])
+    C[:p] += rng.standard_normal((p, m)) @ W_hat
+    np.matmul(wishart(rng), W_hat, out=C[p:])
+    S_next = C.T @ C
     if not np.isfinite(S_next).all():
         raise DivergenceError(t - dt)
     return S_next

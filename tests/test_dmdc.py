@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
+from enkfcontrol import dmdc
 from enkfcontrol.config import default_config
 from enkfcontrol.dmdc import (
     _BLOCK_ROWS,
@@ -24,6 +25,7 @@ from enkfcontrol.pde import (
     HeatSimulator,
     LinearSimulator,
     rk4_step,
+    rk4_stepper,
     sample_initial_condition,
 )
 
@@ -115,6 +117,49 @@ class TestCollect:
             assert np.array_equal(data.X[:, i], z0)
             assert np.array_equal(data.U[:, i::n_traj], us.T)
             assert np.array_equal(data.X[:, n_traj + i], data.Xnext[:, i])
+
+    @pytest.mark.parametrize("p, n_traj", [(100, 20), (48, 7)])
+    def test_blocked_rotation_matches_the_slab_loop(self, monkeypatch, p, n_traj):
+        # a symmetric simulator steps in its eigenbasis, and the (steps + 1, n_traj, p) buffer
+        # is mapped back over blocks of _BLOCK_ROWS rows; 151 x 20 and 151 x 7 rows both end
+        # in a short block.  The reference maps back one step's slab at a time.  At the heat
+        # defaults, p = 100 and 20 trajectories, the bits are the same.  A slab of 7 x 48 may
+        # take the BLAS's small-matrix kernel, which sums in another order (OpenBLAS's AVX-512
+        # kernel does): there the two part by rounding.
+        grid = GridSpec(p=p)
+        sim = HeatSimulator(grid, 0.01, 4)
+        steps = 150
+        rows = (steps + 1) * n_traj
+        assert rows > 2 * _BLOCK_ROWS and rows % _BLOCK_ROWS != 0
+        bases, slabs = [], []  # Q, and the eigenbasis states as the step reads and writes them
+
+        def recording_stepper(sim, h):
+            Q, step = rk4_stepper(sim, h)
+            bases.append(Q)
+
+            def record(y, u, out):
+                if not slabs:
+                    slabs.append(y.copy())
+                step(y, u, out)
+                slabs.append(out.copy())
+                return out
+
+            return Q, record
+
+        monkeypatch.setattr(dmdc, "rk4_stepper", recording_stepper)
+        data = collect_snapshots(
+            sim, lambda r: sample_initial_condition(r, grid), n_traj=n_traj, steps=steps,
+            dt=1e-3, amplitude=0.5, rng=np.random.default_rng(23),
+        )
+        [Q] = bases
+        assert Q is not None and len(slabs) == steps + 1
+        want = np.array([slab @ Q.T for slab in slabs])
+        for got, ref in ((data.X, want[:-1]), (data.Xnext, want[1:])):
+            ref = ref.reshape(-1, p).T
+            if p == 100:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_deterministic(self):
         grid = GridSpec(p=32)

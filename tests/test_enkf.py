@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from enkfcontrol.config import heat_config
 from enkfcontrol.enkf import (
     DivergenceError,
     EnkfConfig,
@@ -15,6 +16,7 @@ from enkfcontrol.enkf import (
     run_dual_enkf_linear,
     step_linear,
 )
+from enkfcontrol.harness import build_full_simulator
 from enkfcontrol.riccati import LtiSystem, solve_are, solve_dre
 
 
@@ -144,16 +146,44 @@ def reference_wishart_factor(dof, k, rng):
     return F
 
 
-def reference_step(S, A, q, W, N, dt, rng):
-    """The chain's step with nothing hoisted: G rebuilt from np.eye, the Wishart factor from np.triu."""
+def reference_parts(S, A, q, W, N, dt, rng):
+    """U = L'G with G rebuilt from np.eye, Z and the Wishart factor F from np.triu: nothing hoisted."""
     m, p = W.shape
+    U = np.linalg.cholesky(S).T @ (np.eye(p) - dt * (A.T + 0.5 * q * S))
+    Z = rng.standard_normal((p, m))
+    return U, Z, reference_wishart_factor(N - p - 1, m, rng)
+
+
+def reference_step(S, A, q, W, N, dt, rng):
+    """The chain's step with nothing hoisted: S+ = C'C with C = [U + Z W^ ; F W^] stacked afresh."""
     with np.errstate(over="ignore", invalid="ignore"):
-        U = np.linalg.cholesky(S).T @ (np.eye(p) - dt * (A.T + 0.5 * q * S))
-        Z = rng.standard_normal((p, m))
-        F = reference_wishart_factor(N - p - 1, m, rng)
+        U, Z, F = reference_parts(S, A, q, W, N, dt, rng)
+        W_hat = W / np.sqrt(N)
+        C = np.vstack((U + Z @ W_hat, F @ W_hat))
+        return C.T @ C
+
+
+def four_term_step(S, A, q, W, N, dt, rng):
+    """The same step as the particle step's four terms: S+ = U'U + V + V', V = (U'Z / sqrt(N) + W'Xi / 2) W."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, Z, F = reference_parts(S, A, q, W, N, dt, rng)
         Xi = (Z.T @ Z + F.T @ F) / N
         V = (U.T @ Z / np.sqrt(N) + 0.5 * W.T @ Xi) @ W
         return U.T @ U + V + V.T
+
+
+def mean_field(A, B, q, r, cfg):
+    """The chain's limit as N grows: S+ = G'SG + (N - 1)/N (dt / r) BB' from S_T = (N - 1)/N I/g.
+
+    G = I - dt (A' + q S / 2); each step is the chain's step averaged given S.
+    """
+    N, h, p = cfg.N, cfg.dt_effective, A.shape[0]
+    S = (N - 1) / N * np.eye(p) / cfg.g
+    noise = (N - 1) / N * (h / r) * B @ B.T
+    for _ in range(cfg.n_steps):
+        G = np.eye(p) - h * (A.T + 0.5 * q * S)
+        S = G.T @ S @ G + noise
+    return S
 
 
 def bits(M):
@@ -320,25 +350,31 @@ class TestHoistedChain:
 
     @pytest.mark.parametrize("p,N", [(100, 10_000), (10, 15)])
     def test_hundred_steps_match_the_reference_bit_for_bit(self, p, N):
-        # p = 100 draws E by Bartlett's factor, p = 10 as N - p - 1 = 4 < m normal rows
+        # p = 100 draws F by Bartlett's factor, p = 10 as N - p - 1 = 4 < m normal rows,
+        # so C's F block is short
         m = 8
         A, B = stable_system(p, m, seed=p)
         cfg = EnkfConfig(N=N, T=0.1, dt=1e-3, g=G_WEIGHT)
         assert cfg.n_steps == 100
         h = cfg.dt_effective
         W = np.sqrt(h / R_WEIGHT) * B.T
-        rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
+        rng, ref_rng, four_rng = (np.random.default_rng(61) for _ in range(3))
         S = init_covariance(cfg, p, rng)
         F = reference_wishart_factor(N - 1, p, ref_rng)
         want = F.T @ F / (N * cfg.g)
         assert np.array_equal(bits(S), bits(want))
+        four = init_covariance(cfg, p, four_rng)
         chain, t = _chain(A, m, N), cfg.T
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(cfg.n_steps):
                 S = step_linear(S, t, Q_WEIGHT, W, N, h, rng, chain)
                 want = reference_step(want, A, Q_WEIGHT, W, N, h, ref_rng)
+                four = four_term_step(four, A, Q_WEIGHT, W, N, h, four_rng)
                 t -= h
+                # the Gram product is the four terms regrouped: they part by rounding only
+                assert np.linalg.norm(S - four) <= 1e-12 * np.linalg.norm(four)
         assert np.array_equal(bits(S), bits(want))
+        assert np.array_equal(bits(S), bits(S.T))
         # the run, from the same seed, inverts that S
         got = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, np.random.default_rng(61))
         assert np.array_equal(bits(got.P), bits(_gain_from_covariance(want).P))
@@ -427,6 +463,34 @@ class TestLinearRun:
         gain = run_dual_enkf_linear(A, B, 1.0, 1.0, cfg, np.random.default_rng(2))
         rel = np.linalg.norm(gain.P - P_are, "fro") / np.linalg.norm(P_are, "fro")
         assert rel < 0.15
+
+
+class TestMeanField:
+    """At large N the run is the deterministic mean-field recursion, off by c / sqrt(N)."""
+
+    @pytest.mark.parametrize("system, weights", [
+        ("heat", (1.0, 1.0, 1.0)),
+        ("heat", (Q_WEIGHT, R_WEIGHT, G_WEIGHT)),
+        ("p10", (Q_WEIGHT, R_WEIGHT, G_WEIGHT)),
+    ])
+    def test_run_matches_the_mean_field_recursion(self, system, weights):
+        # the heat defaults (p = 100, m = 8) and a DMDc-sized p = 10, m = 8 system, 100 steps of
+        # dt = 1e-3.  The gain's relative distance from the recursion's is c / sqrt(N), with
+        # c = 1.8-4.8 over seeds 1-8 in all three cases, the same at N = 10^4 and 10^12.  A
+        # mutated run (q S for q S / 2, sqrt(dt r) for sqrt(dt / r), or F dropped) is off by
+        # 0.13-0.76 at N = 10^12; sqrt(dt r) shows only at weights other than 1.  The (N - 1)/N
+        # factors are below its reach.
+        q, r, g = weights
+        if system == "heat":
+            sim = build_full_simulator(heat_config())
+            A, B = sim.A, sim.control_matrix
+        else:
+            A, B = stable_system(10, 8, seed=10)
+        N = 10**12
+        cfg = EnkfConfig(N=N, T=0.1, dt=1e-3, g=g)
+        got = run_dual_enkf_linear(A, B, q, r, cfg, np.random.default_rng(9)).P
+        want = _gain_from_covariance(mean_field(A, B, q, r, cfg)).P
+        assert np.linalg.norm(got - want) <= 10 / np.sqrt(N) * np.linalg.norm(want)
 
 
 class TestCarriedMoments:
