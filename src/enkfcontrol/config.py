@@ -4,6 +4,12 @@ Config files are flat ``key = value`` text with section headers.  Parsing is
 strict: unknown sections or keys are errors, so a saved ``config.echo`` is
 always a complete, loadable record of a run.  Floats are echoed with 17
 significant digits; rerunning from an echo reproduces the run byte for byte.
+
+:meth:`ExperimentConfig.validate` is the package's one range check, and
+each of its messages names the ``[section] key`` to change.  The engine
+(``pde``, ``enkf``, ``dmdc``, ``controller``, ``harness``) trusts a
+validated config and a bundle that ``bundles`` loaded, and checks no range
+again; it raises only when the numerics fail.
 """
 
 from __future__ import annotations
@@ -68,55 +74,64 @@ class ExperimentConfig:
     grid_kinds: tuple[str, ...] = ("sin", "const")
 
     def validate(self) -> "ExperimentConfig":
+        """This config, after every range check the package makes on it.
+
+        Each message names the rule's ``[section] key`` and the value it
+        rejects.
+        """
         def expect(cond, msg):
             if not cond:
                 raise ConfigError(msg)
 
+        def must(name, requirement):
+            return f"{_FILE_KEYS[name]} must {requirement}, got {_fmt(getattr(self, name)) or 'nothing'}"
+
         for f in fields(self):
             value = getattr(self, f.name)
             values = value if isinstance(value, tuple) else (value,)
-            expect(all(math.isfinite(v) for v in values if isinstance(v, float)),
-                   f"{_FILE_KEYS[f.name]} must be finite, got {_fmt(value)}")
-        expect(self.seed >= 0, "[experiment] seed must be nonnegative")
-        expect(self.pde in PDE_KINDS, f"pde must be one of {PDE_KINDS}")
-        expect(self.model in MODEL_PATHS, f"model must be one of {MODEL_PATHS}")
-        expect(self.bc in BOUNDARY_CONDITIONS, f"bc must be one of {BOUNDARY_CONDITIONS}")
-        expect(self.dist_kind in DISTURBANCE_KINDS, f"disturbance kind must be one of {DISTURBANCE_KINDS}")
-        expect(self.b_access in B_ACCESS_CHOICES, f"b_access must be one of {B_ACCESS_CHOICES}")
-        expect(self.lambda_units in LAMBDA_UNITS, f"lambda_units must be one of {LAMBDA_UNITS}")
-        expect(self.nu > 0, "nu must be positive")
-        expect(self.p >= 3, "p must be at least 3")
-        expect(self.L > 0, "L must be positive")
-        expect(1 <= self.m <= self.p, "need 1 <= m <= p")
-        expect(self.T_sim > 0 and self.dt_sim > 0, "T_sim and dt_sim must be positive")
+            expect(all(math.isfinite(v) for v in values if isinstance(v, float)), must(f.name, "be finite"))
+        expect(self.seed >= 0, must("seed", "be nonnegative"))
+        for name, choices in (("pde", PDE_KINDS), ("model", MODEL_PATHS), ("bc", BOUNDARY_CONDITIONS),
+                              ("dist_kind", DISTURBANCE_KINDS), ("b_access", B_ACCESS_CHOICES),
+                              ("lambda_units", LAMBDA_UNITS)):
+            expect(getattr(self, name) in choices, must(name, f"be one of {', '.join(choices)}"))
+        for name in ("nu", "L", "T_sim", "dt_sim", "q", "r_input", "g", "r_robust"):
+            expect(getattr(self, name) > 0, must(name, "be positive"))
+        expect(self.p >= 3, must("p", "be at least 3"))
+        expect(1 <= self.m <= self.p, must("m", f"be between 1 and [experiment] p = {self.p}"))
         steps = self.T_sim / self.dt_sim  # the rollout takes round(steps) steps
         expect(abs(steps - round(steps)) <= 1e-9 * steps,
                f"[experiment] T_sim = {self.T_sim!r} is not a whole number of steps of "
                f"dt_sim = {self.dt_sim!r}; the nearest valid T_sim is "
                f"{max(1, round(steps)) * self.dt_sim:.12g}")
-        expect(self.n_trials >= 1, "n_trials must be at least 1")
-        expect(self.q > 0 and self.r_input > 0 and self.g > 0, "weights must be positive")
-        expect(self.lam >= 0, "lambda must be nonnegative")
-        expect(self.r_robust > 0, "robust r must be positive")
+        expect(self.n_trials >= 1, must("n_trials", "be at least 1"))
+        expect(self.lam >= 0, must("lam", "be nonnegative"))
+        expect(self.d0 >= 0, must("d0", "be nonnegative"))
         # the ensemble covariance of the design model must have full rank
         key, design = (("[dmdc] order", self.dmdc_order) if self.model == "dmdc"
                        else ("[experiment] p", self.p))
         expect(self.enkf_particles > design,
                f"[enkf] particles = {self.enkf_particles} must exceed the design dimension, {key} = {design}")
-        expect(self.enkf_T is None or self.enkf_T > 0, "enkf T must be positive")
-        expect(self.enkf_dt is None or self.enkf_dt > 0, "enkf dt must be positive")
-        expect(self.d0 >= 0, "d0 must be nonnegative")
+        for name in ("enkf_T", "enkf_dt"):
+            expect(getattr(self, name) is None or getattr(self, name) > 0, must(name, "be positive or auto"))
         if self.channel is not None:
-            expect(len(self.channel) == self.m, "channel weights must have length m")
-        expect(self.dmdc_order >= 1, "dmdc order must be at least 1")
-        expect(self.model != "dmdc" or self.dmdc_order <= self.p, "dmdc order must be at most p")
-        expect(self.dmdc_trajectories >= 1 and self.dmdc_steps >= 1, "dmdc snapshot counts must be positive")
-        expect(len(self.grid_d0) > 0 and len(self.grid_lambda) > 0 and len(self.grid_kinds) > 0,
-               "grid lists must be nonempty")
-        expect(min(self.grid_d0) >= 0 and min(self.grid_lambda) >= 0,
-               "grid d0 and lambda values must be nonnegative")
-        for kind in self.grid_kinds:
-            expect(kind in DISTURBANCE_KINDS, f"grid kind {kind!r} unknown")
+            expect(len(self.channel) == self.m, must("channel", f"have [experiment] m = {self.m} weights"))
+        for name in ("dmdc_order", "dmdc_trajectories", "dmdc_steps"):
+            expect(getattr(self, name) >= 1, must(name, "be at least 1"))
+        if self.model == "dmdc":
+            expect(self.dmdc_order <= self.p, must("dmdc_order", f"be at most [experiment] p = {self.p}"))
+            expect(self.dmdc_amplitude > 0, must("dmdc_amplitude", "be positive"))
+            snapshots, needed = self.dmdc_trajectories * self.dmdc_steps, self.dmdc_order + self.m
+            expect(snapshots >= needed,
+                   f"[dmdc] trajectories = {self.dmdc_trajectories} times [dmdc] steps = "
+                   f"{self.dmdc_steps} gives {snapshots} snapshots; the fit needs at least "
+                   f"[dmdc] order + [experiment] m = {needed}")
+        for name in ("grid_d0", "grid_lambda", "grid_kinds"):
+            expect(len(getattr(self, name)) > 0, must(name, "be nonempty"))
+        for name in ("grid_d0", "grid_lambda"):
+            expect(min(getattr(self, name)) >= 0, must(name, "be nonnegative"))
+        expect(set(self.grid_kinds) <= set(DISTURBANCE_KINDS),
+               must("grid_kinds", f"each be one of {', '.join(DISTURBANCE_KINDS)}"))
         return self
 
 

@@ -45,9 +45,6 @@ from .dmdc import ReducedModel, reduce_state
 from .enkf import GainApprox
 from .pde import Simulator
 
-B_ACCESS_MODES = ("known", "simulator")
-
-
 class RankDeficientError(RuntimeError):
     pass
 
@@ -62,24 +59,10 @@ class ControlLaw:
     b_access: str = "known"
     reduction: ReducedModel | None = None
 
-    def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError(f"input weight R must be positive, got {self.R}")
-        if not self.r > 0:
-            raise ValueError(f"regularization r must be positive, got {self.r}")
-        if self.b_access not in B_ACCESS_MODES:
-            raise ValueError(f"unknown b_access {self.b_access!r}")
-        if self.reduction is not None and self.reduction.n != self.gain.n:
-            raise ValueError(
-                f"gain dimension {self.gain.n} != reduced dimension {self.reduction.n}"
-            )
-
 
 def estimate_b(sim: Simulator, x: np.ndarray, m: int) -> np.ndarray:
     """Probe the input matrix B columnwise at x: column j = S(x, e_j) - S(x, 0)."""
     x = np.asarray(x, dtype=float)
-    if m == 0:
-        return np.zeros((x.shape[0], 0))
     base = sim.rhs(x, np.zeros(m))
     cols = [sim.rhs(x, np.eye(m)[j]) - base for j in range(m)]
     return np.column_stack(cols)
@@ -87,8 +70,6 @@ def estimate_b(sim: Simulator, x: np.ndarray, m: int) -> np.ndarray:
 
 def _check_column_rank(B: np.ndarray) -> None:
     m = B.shape[1]
-    if m == 0:
-        return
     s = np.linalg.svd(B, compute_uv=False)
     tol = max(B.shape) * np.finfo(float).eps * s[0] if s[0] > 0 else 0.0
     rank = int(np.sum(s > tol)) if s[0] > 0 else 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pde import Simulator, rk4_stepper
+from .pde import GridSpec, Simulator, rk4_stepper, sample_initial_conditions
 
 
 # snapshot rows per QR step of fit_dmdc and per block of collect_snapshots' rotation back from the
@@ -46,14 +46,6 @@ class SnapshotData:
     Xnext: np.ndarray
     U: np.ndarray
     dt: float
-
-    def __post_init__(self):
-        if self.X.shape != self.Xnext.shape:
-            raise ValueError("X and Xnext shapes differ")
-        if self.U.shape[1] != self.X.shape[1]:
-            raise ValueError("U column count differs from X")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
 
     @property
     def K(self) -> int:
@@ -89,7 +81,7 @@ class ReducedModel:
 
 def collect_snapshots(
     sim: Simulator,
-    ic_sampler,
+    grid: GridSpec,
     n_traj: int,
     steps: int,
     dt: float,
@@ -100,9 +92,10 @@ def collect_snapshots(
 
     Inputs are zero-mean uniform on [-amplitude, amplitude], redrawn every
     step (piecewise constant over one step).  Each trajectory consumes its
-    own child RNG stream (its initial condition, then one input per step),
-    so the data is reproducible regardless of how the trajectories are
-    scheduled.  A stream's inputs are drawn in one (steps, m) call, which
+    own child RNG stream (its bump initial condition on ``grid``, from
+    :func:`pde.sample_initial_conditions`, then one input per step), so the
+    data is reproducible regardless of how the trajectories are scheduled.
+    A stream's inputs are drawn in one (steps, m) call, which
     fills them in the order of one draw per step; the draws are stacked
     once as (steps, n_traj, m).  All trajectories advance as one (n_traj, p)
     stack by :func:`pde.rk4_stepper`'s step into slab k + 1 of one
@@ -114,10 +107,8 @@ def collect_snapshots(
     step-major: column k n_traj + i is trajectory i at step k.  X = buffer[:-1]
     and Xnext = buffer[1:] (and U, of the inputs) are reshaped views, not copies.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     streams = rng.spawn(n_traj)
-    Z0 = np.array([ic_sampler(traj_rng) for traj_rng in streams], dtype=float)
+    Z0 = sample_initial_conditions(streams, grid)
     draws = [traj_rng.uniform(-amplitude, amplitude, size=(steps, sim.m)) for traj_rng in streams]
     us = np.stack(draws, axis=1)  # (steps, n_traj, m): slab k is every trajectory's input at step k
     Q, step = rk4_stepper(sim, dt)
@@ -160,10 +151,6 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
     """
     p, K = data.X.shape
     m = data.U.shape[0]
-    if n > p:
-        raise FitError(f"reduced order n={n} exceeds state dimension p={p}")
-    if K < n + m:
-        raise FitError(f"need at least n+m={n + m} snapshot columns, got K={K}")
 
     # [R; next block] in one work array; R keeps min(rows seen, 2p + m) rows.
     # Fortran order, as LAPACK takes it: np.linalg.qr copies its argument to a

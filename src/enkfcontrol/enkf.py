@@ -76,10 +76,6 @@ from .riccati import invert_spd
 COVARIANCE_JITTER = 1e-10
 
 
-class EnkfConfigError(ValueError):
-    pass
-
-
 class DivergenceError(RuntimeError):
     """Ensemble covariance left the finite, positive definite range; carries the time."""
 
@@ -98,22 +94,13 @@ class EnkfConfig:
 
     g > 0 is the terminal cost weight g |x|^2; the terminal ensemble is drawn
     from N(0, I/g).  The ensemble needs more particles than states, N > n,
-    for its covariance to have full rank; :func:`init_covariance` checks
-    that once n is known.
+    for its covariance to have full rank.
     """
 
     N: int
     T: float
     dt: float
     g: float
-
-    def __post_init__(self):
-        if not self.T > 0:
-            raise EnkfConfigError(f"horizon must be positive, got T={self.T}")
-        if not 0 < self.dt <= self.T:
-            raise EnkfConfigError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
-        if not self.g > 0:
-            raise EnkfConfigError(f"terminal weight must be positive, got g={self.g}")
 
     @property
     def n_steps(self) -> int:
@@ -170,8 +157,6 @@ def init_covariance(cfg: EnkfConfig, n: int, rng: np.random.Generator) -> np.nda
 
     g N S = F'F with F'F ~ Wishart_n(N - 1, I).
     """
-    if cfg.N <= n:
-        raise EnkfConfigError(f"need more particles than states, got N={cfg.N} for n={n}")
     F = _wishart(cfg.N - 1, n)(rng)
     return F.T @ F / (cfg.N * cfg.g)
 
@@ -256,8 +241,6 @@ def run_dual_enkf_linear(
 
     q > 0 and r > 0 are the running weights of q |x|^2 + r |u|^2.
     """
-    if not (q > 0 and r > 0):
-        raise EnkfConfigError(f"running weights must be positive, got q={q}, r={r}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     S = init_covariance(cfg, A.shape[0], rng)

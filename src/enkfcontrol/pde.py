@@ -33,12 +33,6 @@ class GridSpec:
     p: int
     L: float = 1.0
 
-    def __post_init__(self):
-        if self.p < 3:
-            raise ValueError(f"grid needs at least 3 points, got p={self.p}")
-        if not self.L > 0:
-            raise ValueError(f"domain length must be positive, got L={self.L}")
-
     @property
     def dy(self) -> float:
         return self.L / self.p
@@ -49,10 +43,6 @@ class GridSpec:
         return (np.arange(self.p) + 0.5) * self.dy
 
 
-class InvalidBasisError(ValueError):
-    pass
-
-
 def build_control_matrix(grid: GridSpec, m: int) -> np.ndarray:
     """Discretize m indicator basis functions into a p-by-m 0/1 matrix.
 
@@ -60,18 +50,11 @@ def build_control_matrix(grid: GridSpec, m: int) -> np.ndarray:
     [j L/m, (j+1) L/m); entry (i, j) is 1 iff grid point y_i lies in that
     cell.  The columns therefore have disjoint supports that cover the grid.
     """
-    if not 1 <= m <= grid.p:
-        raise InvalidBasisError(f"control dimension m={m} outside [1, p={grid.p}]")
     cell = np.floor(grid.points * m / grid.L).astype(int)
     cell = np.clip(cell, 0, m - 1)
     B = np.zeros((grid.p, m))
     B[np.arange(grid.p), cell] = 1.0
     return B
-
-
-def _check_bc(bc: str) -> None:
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
 
 
 def _neighbours(z: np.ndarray, bc: str) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +63,6 @@ def _neighbours(z: np.ndarray, bc: str) -> tuple[np.ndarray, np.ndarray]:
     Periodic boundaries wrap around; Dirichlet ghost cells mirror with a sign
     flip, so the wall value interpolates to 0.
     """
-    _check_bc(bc)
     if bc == "periodic":
         after, before = z[..., :1], z[..., -1:]
     else:
@@ -89,12 +71,6 @@ def _neighbours(z: np.ndarray, bc: str) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate((z[..., 1:], after), axis=-1),
         np.concatenate((before, z[..., :-1]), axis=-1),
     )
-
-
-def first_difference(z: np.ndarray, grid: GridSpec, bc: str = "periodic") -> np.ndarray:
-    """Central first difference (z_{i+1} - z_{i-1}) / (2 dy) along the last axis."""
-    zp, zm = _neighbours(z, bc)
-    return (zp - zm) / (2.0 * grid.dy)
 
 
 def second_difference(z: np.ndarray, grid: GridSpec, bc: str = "periodic") -> np.ndarray:
@@ -119,16 +95,14 @@ def burgers_rhs(
     """Right-hand side of forced Burgers: -z * D1 z + nu * D2 z + B u.
 
     The advection term uses the non-conservative form with the central first
-    difference; both difference operators annihilate constants under periodic
-    boundary conditions.
+    difference (z_{i+1} - z_{i-1}) / (2 dy); both difference operators
+    annihilate constants under periodic boundary conditions, and both read
+    one :func:`_neighbours` pass.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape[-1] != grid.p:
-        raise ValueError(f"state length {z.shape[-1]} != grid p={grid.p}")
-    if not nu > 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
-    adv = -z * first_difference(z, grid, bc)
-    return adv + nu * second_difference(z, grid, bc) + np.asarray(u, dtype=float) @ B.T
+    zp, zm = _neighbours(z, bc)
+    adv = -z * ((zp - zm) / (2.0 * grid.dy))
+    return adv + nu * ((zp - 2.0 * z + zm) / grid.dy**2) + np.asarray(u, dtype=float) @ B.T
 
 
 class Simulator:
@@ -156,10 +130,6 @@ class LinearSimulator(Simulator):
     def __init__(self, A: np.ndarray, B: np.ndarray):
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        if B.shape[0] != A.shape[0]:
-            raise ValueError("A and B row counts differ")
         self.A = A
         self.control_matrix = B
         self._AT = np.ascontiguousarray(A.T)
@@ -176,8 +146,6 @@ class HeatSimulator(LinearSimulator):
     """Discretized heat equation as a linear simulator."""
 
     def __init__(self, grid: GridSpec, nu: float, m: int, bc: str = "periodic"):
-        if not nu > 0:
-            raise ValueError(f"viscosity must be positive, got {nu}")
         B = build_control_matrix(grid, m)
         super().__init__(nu * second_difference_matrix(grid, bc), B)
         self.grid = grid
@@ -189,8 +157,6 @@ class BurgersSimulator(Simulator):
     """Discretized Burgers equation."""
 
     def __init__(self, grid: GridSpec, nu: float, m: int, bc: str = "periodic"):
-        if not nu > 0:
-            raise ValueError(f"viscosity must be positive, got {nu}")
         self.grid = grid
         self.nu = nu
         self.bc = bc

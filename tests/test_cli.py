@@ -212,7 +212,20 @@ class TestBadInput:
     def test_negative_seed_names_the_setting(self, small_cfg, tmp_path, capsys):
         out = str(tmp_path / "bad")
         assert main(["train", "--config", small_cfg, "--out", out, "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "error: config: [experiment] seed must be nonnegative\n"
+        assert capsys.readouterr().err == "error: config: [experiment] seed must be nonnegative, got -1\n"
+        assert not os.path.exists(out)
+
+    def test_zero_dmdc_amplitude_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # with no excitation the reduced B would be 0 and only a later batch would notice
+        def no_snapshots(*args, **kwargs):
+            raise AssertionError("snapshots were collected")
+
+        monkeypatch.setattr(harness.dmdc_mod, "collect_snapshots", no_snapshots)
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(SMALL + "amplitude = 0\n")
+        out = str(tmp_path / "bad")
+        assert main(["train", "--config", str(cfg), "--model", "dmdc", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: config: [dmdc] amplitude must be positive, got 0\n"
         assert not os.path.exists(out)
 
     def test_malformed_gain_bundle_names_the_block(self, small_cfg, tmp_path, capsys):

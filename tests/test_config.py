@@ -95,6 +95,35 @@ class TestRangeChecks:
             ({"grid_d0": (0.0, math.inf)}, r"\[grid\] d0_list must be finite"),
             ({"grid_lambda": (math.nan,)}, r"\[grid\] lambda_list must be finite"),
             ({"channel": (1.0,) * 7 + (math.inf,)}, r"\[disturbance\] channel must be finite"),
+            ({"p": 2, "m": 1}, r"\[experiment\] p must be at least 3, got 2$"),
+            ({"L": 0.0}, r"\[experiment\] L must be positive, got 0$"),
+            ({"m": 0}, r"\[experiment\] m must be between 1 and \[experiment\] p = 100, got 0$"),
+            ({"m": 101}, r"\[experiment\] m must be between 1 and \[experiment\] p = 100, got 101$"),
+            ({"nu": -0.002}, r"\[experiment\] nu must be positive, got -0.002$"),
+            ({"bc": "neumann"}, r"\[experiment\] bc must be one of periodic, dirichlet, got neumann$"),
+            ({"q": 0.0}, r"\[weights\] q must be positive, got 0$"),
+            ({"r_input": -1.0}, r"\[weights\] r must be positive, got -1$"),
+            ({"g": 0.0}, r"\[weights\] g must be positive, got 0$"),
+            ({"enkf_particles": 100}, r"\[enkf\] particles = 100 must exceed the design dimension, \[experiment\] p = 100$"),
+            ({"model": "dmdc", "enkf_particles": 10},
+             r"\[enkf\] particles = 10 must exceed the design dimension, \[dmdc\] order = 10$"),
+            ({"enkf_T": 0.0}, r"\[enkf\] T must be positive or auto, got 0$"),
+            ({"enkf_dt": -1e-3}, r"\[enkf\] dt must be positive or auto, got -0.001$"),
+            ({"lam": -0.25}, r"\[robust\] lambda must be nonnegative, got -0.25$"),
+            ({"d0": -0.5}, r"\[disturbance\] d0 must be nonnegative, got -0.5$"),
+            ({"r_robust": 0.0}, r"\[robust\] r must be positive, got 0$"),
+            ({"grid_d0": ()}, r"\[grid\] d0_list must be nonempty, got nothing$"),
+            ({"grid_kinds": ()}, r"\[grid\] kinds must be nonempty, got nothing$"),
+            ({"grid_d0": (0.5, -0.5)}, r"\[grid\] d0_list must be nonnegative, got 0.5, -0.5$"),
+            ({"grid_lambda": (-0.25,)}, r"\[grid\] lambda_list must be nonnegative, got -0.25$"),
+            ({"grid_kinds": ("sin", "square")},
+             r"\[grid\] kinds must each be one of sin, const, none, got sin, square$"),
+            ({"b_access": "probe"}, r"\[robust\] b_access must be one of auto, known, simulator, got probe$"),
+            ({"model": "dmdc", "dmdc_amplitude": 0.0}, r"\[dmdc\] amplitude must be positive, got 0$"),
+            ({"model": "dmdc", "dmdc_amplitude": -0.5}, r"\[dmdc\] amplitude must be positive, got -0.5$"),
+            ({"model": "dmdc", "dmdc_trajectories": 1, "dmdc_steps": 5},
+             r"\[dmdc\] trajectories = 1 times \[dmdc\] steps = 5 gives 5 snapshots; "
+             r"the fit needs at least \[dmdc\] order \+ \[experiment\] m = 18$"),
         ],
     )
     def test_rejected_with_the_key_named(self, overrides, named):
@@ -117,5 +146,9 @@ class TestRangeChecks:
 
     def test_dmdc_order_above_p_only_matters_for_the_dmdc_model(self):
         heat_config(p=9)  # order 10 > p, but model=full fits no reduced model
-        with pytest.raises(ConfigError, match="dmdc order must be at most p"):
+        with pytest.raises(ConfigError, match=r"\[dmdc\] order must be at most \[experiment\] p = 9, got 10$"):
             heat_config(p=9, model="dmdc")
+
+    def test_unused_dmdc_settings_only_matter_for_the_dmdc_model(self):
+        # model=full collects no snapshots, so their amplitude and count are not read
+        heat_config(dmdc_amplitude=0.0, dmdc_trajectories=1, dmdc_steps=1)

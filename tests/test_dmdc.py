@@ -60,12 +60,12 @@ class TestCollect:
     def test_column_count(self):
         sim = LinearSimulator(-np.eye(3), np.eye(3))
         data = collect_snapshots(
-            sim, lambda rng: rng.normal(size=3), n_traj=1, steps=5,
+            sim, GridSpec(p=3), n_traj=1, steps=5,
             dt=0.01, amplitude=0.5, rng=np.random.default_rng(0),
         )
         assert data.K == 5
         data2 = collect_snapshots(
-            sim, lambda rng: rng.normal(size=3), n_traj=4, steps=5,
+            sim, GridSpec(p=3), n_traj=4, steps=5,
             dt=0.01, amplitude=0.5, rng=np.random.default_rng(0),
         )
         assert data2.K == 20
@@ -76,7 +76,7 @@ class TestCollect:
         A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(4)
         sim = LinearSimulator(A, np.eye(4))
         data = collect_snapshots(
-            sim, lambda r: r.normal(size=4), n_traj=3, steps=10,
+            sim, GridSpec(p=4), n_traj=3, steps=10,
             dt=1e-3, amplitude=0.0, rng=np.random.default_rng(2),
         )
         Ad = expm(A * 1e-3)
@@ -90,8 +90,7 @@ class TestCollect:
         tracemalloc.start()
         try:
             data = collect_snapshots(
-                sim, lambda r: sample_initial_condition(r, grid),
-                n_traj=cfg.dmdc_trajectories, steps=cfg.dmdc_steps, dt=cfg.dt_sim,
+                sim, grid, n_traj=cfg.dmdc_trajectories, steps=cfg.dmdc_steps, dt=cfg.dt_sim,
                 amplitude=cfg.dmdc_amplitude, rng=np.random.default_rng(3),
             )
             held = tracemalloc.get_traced_memory()[0]
@@ -104,15 +103,15 @@ class TestCollect:
 
     def test_columns_are_step_major(self):
         # column k n_traj + i is trajectory i at step k
-        sim = LinearSimulator(-np.eye(3), np.eye(3))
+        sim, grid = LinearSimulator(-np.eye(3), np.eye(3)), GridSpec(p=3)
         n_traj, steps = 4, 5
         data = collect_snapshots(
-            sim, lambda rng: rng.normal(size=3), n_traj=n_traj, steps=steps,
+            sim, grid, n_traj=n_traj, steps=steps,
             dt=0.01, amplitude=0.5, rng=np.random.default_rng(0),
         )
         streams = np.random.default_rng(0).spawn(n_traj)
         for i, traj_rng in enumerate(streams):
-            z0 = traj_rng.normal(size=3)
+            z0 = sample_initial_condition(traj_rng, grid)
             us = traj_rng.uniform(-0.5, 0.5, size=(steps, 3))
             assert np.array_equal(data.X[:, i], z0)
             assert np.array_equal(data.U[:, i::n_traj], us.T)
@@ -148,7 +147,7 @@ class TestCollect:
 
         monkeypatch.setattr(dmdc, "rk4_stepper", recording_stepper)
         data = collect_snapshots(
-            sim, lambda r: sample_initial_condition(r, grid), n_traj=n_traj, steps=steps,
+            sim, grid, n_traj=n_traj, steps=steps,
             dt=1e-3, amplitude=0.5, rng=np.random.default_rng(23),
         )
         [Q] = bases
@@ -165,19 +164,17 @@ class TestCollect:
         grid = GridSpec(p=32)
         sim = BurgersSimulator(grid, 0.01, 4)
         kwargs = dict(n_traj=2, steps=8, dt=1e-3, amplitude=0.5)
-        d1 = collect_snapshots(sim, lambda r: sample_initial_condition(r, grid),
-                               rng=np.random.default_rng(9), **kwargs)
-        d2 = collect_snapshots(sim, lambda r: sample_initial_condition(r, grid),
-                               rng=np.random.default_rng(9), **kwargs)
+        d1 = collect_snapshots(sim, grid, rng=np.random.default_rng(9), **kwargs)
+        d2 = collect_snapshots(sim, grid, rng=np.random.default_rng(9), **kwargs)
         assert np.array_equal(d1.X, d2.X)
         assert np.array_equal(d1.U, d2.U)
 
 
-def snapshots_one_at_a_time(sim, ic_sampler, n_traj, steps, dt, amplitude, rng):
+def snapshots_one_at_a_time(sim, grid, n_traj, steps, dt, amplitude, rng):
     """Reference: each trajectory integrated alone, one state vector at a time."""
     xs, xnexts, us = [], [], []
     for traj_rng in rng.spawn(n_traj):
-        z = np.asarray(ic_sampler(traj_rng), dtype=float)
+        z = sample_initial_condition(traj_rng, grid)
         for _ in range(steps):
             u = traj_rng.uniform(-amplitude, amplitude, size=sim.m)
             z_next = rk4_step(sim, z, u, dt)
@@ -201,10 +198,9 @@ class TestStackedTrajectories:
         grid = GridSpec(p=48)
         make = BurgersSimulator if pde == "burgers" else HeatSimulator
         sim = make(grid, 0.01, 4)
-        ic = lambda r: sample_initial_condition(r, grid)
         kwargs = dict(n_traj=5, steps=30, dt=1e-3, amplitude=0.5)
-        data = collect_snapshots(sim, ic, rng=np.random.default_rng(21), **kwargs)
-        X, Xnext, U = snapshots_one_at_a_time(sim, ic, rng=np.random.default_rng(21), **kwargs)
+        data = collect_snapshots(sim, grid, rng=np.random.default_rng(21), **kwargs)
+        X, Xnext, U = snapshots_one_at_a_time(sim, grid, rng=np.random.default_rng(21), **kwargs)
         assert np.array_equal(data.U, U)
         for got, want in ((data.X, X), (data.Xnext, Xnext)):
             assert got.shape == want.shape == (48, 150)
@@ -272,7 +268,7 @@ class TestFit:
         grid = GridSpec(p=48)
         sim = BurgersSimulator(grid, 0.02, 4)
         data = collect_snapshots(
-            sim, lambda r: sample_initial_condition(r, grid), n_traj=4, steps=30,
+            sim, grid, n_traj=4, steps=30,
             dt=1e-3, amplitude=0.5, rng=rng,
         )
         model = fit_dmdc(data, n=6)
@@ -298,9 +294,8 @@ def two_svd_fit(data, n):
 
 def default_snapshots(pde, seed=0, **overrides):
     cfg = replace(default_config(pde, model="dmdc", seed=seed), **overrides)
-    grid = grid_of(cfg)
     data = collect_snapshots(
-        build_full_simulator(cfg), lambda r: sample_initial_condition(r, grid),
+        build_full_simulator(cfg), grid_of(cfg),
         n_traj=cfg.dmdc_trajectories, steps=cfg.dmdc_steps, dt=cfg.dt_sim,
         amplitude=cfg.dmdc_amplitude, rng=_rng(cfg, _TAG_SNAPSHOTS),
     )

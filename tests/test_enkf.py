@@ -3,11 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from enkfcontrol.config import heat_config
+from enkfcontrol.config import ConfigError, heat_config
 from enkfcontrol.enkf import (
     DivergenceError,
     EnkfConfig,
-    EnkfConfigError,
     RankError,
     _chain,
     _gain_from_covariance,
@@ -199,33 +198,31 @@ def ks_statistic(a, b):
 
 
 class TestConfig:
+    """The EnKF's parameters are range-checked once, by ExperimentConfig.validate."""
+
     def test_invalid_particle_count(self):
-        with pytest.raises(EnkfConfigError):
-            init_covariance(scalar_cfg(N=1), 1, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=r"\[enkf\] particles = 1 must exceed"):
+            heat_config(p=3, m=1, enkf_particles=1)
 
     def test_particles_must_exceed_the_dimension(self):
-        # checked where n is known, before any draw
-        cfg = EnkfConfig(N=3, T=1.0, dt=0.1, g=1.0)
-        with pytest.raises(EnkfConfigError, match="N=3 for n=3"):
-            init_covariance(cfg, 3, np.random.default_rng(0))
-        with pytest.raises(EnkfConfigError, match="N=3 for n=3"):
-            run_dual_enkf_linear(np.zeros((3, 3)), np.ones((3, 1)), 1.0, 1.0, cfg, np.random.default_rng(0))
-        init_covariance(cfg, 2, np.random.default_rng(0))
+        # the design dimension is p on the full model and the order on the reduced one
+        with pytest.raises(ConfigError, match=r"particles = 3 must exceed .* \[experiment\] p = 3$"):
+            heat_config(p=3, m=1, enkf_particles=3)
+        with pytest.raises(ConfigError, match=r"particles = 3 must exceed .* \[dmdc\] order = 3$"):
+            heat_config(model="dmdc", dmdc_order=3, enkf_particles=3)
+        heat_config(p=3, m=1, enkf_particles=4)
 
     def test_zero_terminal_covariance_rejected(self):
-        # the scalar case: a terminal weight g that is not positive
+        # a terminal weight g that is not positive
         for g in (0.0, -1.0):
-            with pytest.raises(EnkfConfigError, match="terminal weight"):
-                EnkfConfig(N=10, T=1.0, dt=0.1, g=g)
-
-    def test_dt_exceeding_horizon_rejected(self):
-        with pytest.raises(EnkfConfigError):
-            EnkfConfig(N=10, T=0.1, dt=0.2, g=1.0)
+            with pytest.raises(ConfigError, match=r"\[weights\] g must be positive"):
+                heat_config(g=g)
 
     @pytest.mark.parametrize("q,r", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_running_weights_must_be_positive(self, q, r):
-        with pytest.raises(EnkfConfigError, match="running weights"):
-            run_dual_enkf_linear([[0.0]], [[1.0]], q, r, scalar_cfg(10), np.random.default_rng(0))
+        key = "q" if q <= 0 else "r"
+        with pytest.raises(ConfigError, match=rf"\[weights\] {key} must be positive"):
+            heat_config(q=q, r_input=r)
 
 
 class TestInitEnsemble:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from enkfcontrol import controller, harness
-from enkfcontrol.config import burgers_config, heat_config
+from enkfcontrol.config import ConfigError, burgers_config, heat_config
 from enkfcontrol.dmdc import collect_snapshots
 from enkfcontrol.controller import compile_law, robust_control
 from enkfcontrol.enkf import GainApprox
@@ -336,11 +336,10 @@ class TestRowGroups:
         # snapshot is overwritten
         cfg = (heat_config if pde == "heat" else burgers_config)(p=24, m=4)
         sim, grid = build_full_simulator(cfg), grid_of(cfg)
-        ic = lambda rng: sample_initial_condition(rng, grid)
         n_traj, steps, dt, amplitude = 3, 12, 1e-3, 0.5
-        data = collect_snapshots(sim, ic, n_traj, steps, dt, amplitude, np.random.default_rng(4))
+        data = collect_snapshots(sim, grid, n_traj, steps, dt, amplitude, np.random.default_rng(4))
         streams = np.random.default_rng(4).spawn(n_traj)
-        Z0 = np.array([ic(rng) for rng in streams])
+        Z0 = np.array([sample_initial_condition(rng, grid) for rng in streams])
         us = np.array([rng.uniform(-amplitude, amplitude, size=(steps, cfg.m)) for rng in streams])
         Q, step = rk4_stepper(sim, dt)
         ys = [Z0 if Q is None else Z0 @ Q]
@@ -380,17 +379,21 @@ class TestDeterminism:
 
 
 class TestValidation:
+    """Every lambda and disturbance kind a rollout reads was checked by ExperimentConfig.validate."""
+
     def test_negative_lambda_rejected(self, heat_full):
-        cfg, art = heat_full
-        z = trial_initial_condition(cfg, 0)
-        with pytest.raises(HarnessError):
-            simulate_closed_loop(cfg, art, z, lam=-0.1, kinds="sin", d0=0.1, controlled=True)
+        cfg, _ = heat_full
+        with pytest.raises(ConfigError, match=r"\[robust\] lambda must be nonnegative, got -0.5$"):
+            replace(cfg, lam=-0.5).validate()
+        with pytest.raises(ConfigError, match=r"\[grid\] lambda_list must be nonnegative, got 0.5, -0.5$"):
+            replace(cfg, grid_lambda=(0.5, -0.5)).validate()
 
     def test_unknown_kind_rejected(self, heat_full):
-        cfg, art = heat_full
-        z = trial_initial_condition(cfg, 0)
-        with pytest.raises(HarnessError):
-            simulate_closed_loop(cfg, art, z, lam=0.1, kinds="square", d0=0.1, controlled=True)
+        cfg, _ = heat_full
+        with pytest.raises(ConfigError, match=r"\[disturbance\] kind must be one of sin, const, none, got square"):
+            replace(cfg, dist_kind="square").validate()
+        with pytest.raises(ConfigError, match=r"\[grid\] kinds must each be one of"):
+            replace(cfg, grid_kinds=("sin", "square")).validate()
 
 
 class TestLambdaUnits:

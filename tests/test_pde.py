@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from enkfcontrol import pde
-from enkfcontrol.config import burgers_config, heat_config
+from enkfcontrol.config import ConfigError, burgers_config, heat_config
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.harness import build_artifacts, simulate_closed_loop, trial_initial_condition
 from enkfcontrol.pde import (
     BurgersSimulator,
     GridSpec,
     HeatSimulator,
-    InvalidBasisError,
     LinearSimulator,
     build_control_matrix,
     burgers_rhs,
-    first_difference,
     l2_norm,
     rk4_step,
     rk4_stepper,
@@ -39,10 +37,11 @@ class TestGridSpec:
         assert grid.points[-1] == pytest.approx(0.995)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            GridSpec(p=2)
-        with pytest.raises(ValueError):
-            GridSpec(p=10, L=0.0)
+        # the grid is built from a validated config, which checks p and L
+        with pytest.raises(ConfigError, match=r"\[experiment\] p must be at least 3, got 2"):
+            heat_config(p=2, m=1)
+        with pytest.raises(ConfigError, match=r"\[experiment\] L must be positive, got 0"):
+            heat_config(L=0.0)
 
 
 class TestControlMatrix:
@@ -71,8 +70,8 @@ class TestControlMatrix:
         assert np.all(B.sum(axis=1) == 1)
 
     def test_m_exceeds_p(self):
-        with pytest.raises(InvalidBasisError):
-            build_control_matrix(GridSpec(p=4), 5)
+        with pytest.raises(ConfigError, match=r"\[experiment\] m must be between 1 and \[experiment\] p = 4, got 5"):
+            heat_config(p=4, m=5)
 
 
 class TestHeatRhs:
@@ -333,15 +332,18 @@ class TestDirichlet:
         assert norms[-1] < norms[0]
 
     def test_first_difference_of_a_stack(self):
-        # ghost cells z_{-1} = -z_0 and z_p = -z_{p-1}, row by row
-        grid = GridSpec(p=9)
+        # ghost cells z_{-1} = -z_0 and z_p = -z_{p-1}, row by row, in both stencils of burgers_rhs
+        grid, nu = GridSpec(p=9), 0.3
+        B = build_control_matrix(grid, 3)
         Z = np.random.default_rng(2).normal(size=(4, 9))
-        out = first_difference(Z, grid, "dirichlet")
+        out = burgers_rhs(Z, np.zeros((4, 3)), nu, grid, B, "dirichlet")
         assert out.shape == Z.shape
         for z, row in zip(Z, out):
             ghost = np.concatenate(([-z[0]], z, [-z[-1]]))
             for i in range(9):
-                assert row[i] == pytest.approx((ghost[i + 2] - ghost[i]) / (2 * grid.dy), rel=1e-14)
+                d1 = (ghost[i + 2] - ghost[i]) / (2 * grid.dy)
+                d2 = (ghost[i + 2] - 2 * ghost[i + 1] + ghost[i]) / grid.dy**2
+                assert row[i] == pytest.approx(-z[i] * d1 + nu * d2, rel=1e-14)
 
 
 def test_second_difference_matrix_matches_operator():
