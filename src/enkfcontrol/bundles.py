@@ -10,6 +10,11 @@ Loading checks what it reads: no header key or block appears twice, every
 one it needs is there, each block is a finite rectangle, its shape agrees
 with the header's dimensions, and a gain's P is symmetric positive definite.
 Header keys and blocks a loader does not use are ignored.
+
+A reduced-model bundle has the header keys format, kind = reduced_model, n,
+m and p, and the blocks [A] (n x n), [B] (n x m) and [Phi] (n x p) of the
+continuous-time model.  Older versions also wrote dt, which is ignored, and
+discrete = 0; a discrete other than 0 is rejected.
 """
 
 from __future__ import annotations
@@ -74,16 +79,13 @@ def _block(name: str, lines: list[tuple[int, str]]) -> np.ndarray:
     return M
 
 
-def _header_value(header: dict, key: str, parse, valid=lambda value: True):
+def _header_value(header: dict, key: str, parse):
     if key not in header:
         raise BundleError(f"missing header key {key!r}")
     try:
-        value = parse(header[key])
+        return parse(header[key])
     except ValueError:
-        value = None
-    if value is None or not valid(value):
-        raise BundleError(f"bad header value {key}={header[key]!r}")
-    return value
+        raise BundleError(f"bad header value {key}={header[key]!r}") from None
 
 
 def _matrix(matrices: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
@@ -153,13 +155,7 @@ def load_gain(path) -> GainApprox:
 
 
 def save_reduced_model(model: ReducedModel, path) -> None:
-    header = {
-        "n": str(model.n),
-        "m": str(model.m),
-        "p": str(model.p),
-        "dt": float(model.dt),
-        "discrete": str(int(model.discrete)),
-    }
+    header = {"n": str(model.n), "m": str(model.m), "p": str(model.p)}
     text = _render("reduced_model", header, {"A": model.A, "B": model.B, "Phi": model.Phi})
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -172,13 +168,14 @@ def load_reduced_model(path) -> ReducedModel:
         raise BundleError(
             f"expected a reduced_model bundle, got kind={header.get('kind')!r}"
         )
+    if header.get("discrete", "0") != "0":
+        raise BundleError(
+            f"reduced model is the discrete-time fit (discrete={header['discrete']}); "
+            "pass the continuous-time bundle that fit-dmdc writes"
+        )
     n, m, p = (_header_value(header, key, int) for key in ("n", "m", "p"))
-    dt = _header_value(header, "dt", float, lambda dt: 0 < dt < np.inf)
-    discrete = _header_value(header, "discrete", int, lambda d: d in (0, 1))
     return ReducedModel(
         A=_matrix(matrices, "A", (n, n)),
         B=_matrix(matrices, "B", (n, m)),
         Phi=_matrix(matrices, "Phi", (n, p)),
-        dt=dt,
-        discrete=bool(discrete),
     )

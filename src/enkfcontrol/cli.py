@@ -45,7 +45,7 @@ from .harness import (
     policy_cases,
     run_cases,
 )
-from .results import ResultSet, emit_results
+from .results import emit_results
 
 GAIN_FILE = "gain.bundle"
 REDUCED_FILE = "reduced_model.bundle"
@@ -104,7 +104,7 @@ def cmd_train(args) -> int:
     bundles.save_gain(art.gain, path)
     if art.reduction is not None:
         bundles.save_reduced_model(art.reduction, os.path.join(args.out, REDUCED_FILE))
-    emit_results(ResultSet(config=cfg), args.out)
+    emit_results(cfg, args.out)
     print(f"trained gain (n={art.gain.n}) -> {path}")
     return 0
 
@@ -116,7 +116,7 @@ def cmd_fit_dmdc(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, REDUCED_FILE)
     bundles.save_reduced_model(model, path)
-    emit_results(ResultSet(config=cfg), args.out)
+    emit_results(cfg, args.out)
     print(f"fitted reduced model (n={model.n}, p={model.p}) -> {path}")
     return 0
 
@@ -125,7 +125,7 @@ def cmd_simulate(args) -> int:
     cfg, art = _artifacts(args, args.gain)
     case = policy_cases(cfg)[POLICIES.index(args.policy)]
     series = run_cases(cfg, art, [case], n_trials=1)
-    emit_results(ResultSet(config=cfg, timeseries=series, dump_trials=args.dump_trials), args.out)
+    emit_results(cfg, args.out, timeseries=series, dump_trials=args.dump_trials)
     print(f"{case.policy} trial terminal ratio: {series[0].ratios[0]:.6g}")
     return 0
 
@@ -133,7 +133,7 @@ def cmd_simulate(args) -> int:
 def cmd_batch(args) -> int:
     cfg, art = _artifacts(args, args.gain)
     series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
-    emit_results(ResultSet(config=cfg, timeseries=series, dump_trials=args.dump_trials), args.out)
+    emit_results(cfg, args.out, timeseries=series, dump_trials=args.dump_trials)
     for res in series:
         print(
             f"{res.case.policy}: mean terminal ratio {res.mean_terminal_ratio:.6g}"
@@ -145,7 +145,7 @@ def cmd_batch(args) -> int:
 def cmd_grid(args) -> int:
     cfg, art = _artifacts(args, args.gain)
     cells = run_cases(cfg, art, grid_cases(cfg), cfg.n_trials)
-    emit_results(ResultSet(config=cfg, heatmap=cells, dump_trials=args.dump_trials), args.out)
+    emit_results(cfg, args.out, heatmap=cells, dump_trials=args.dump_trials)
     print(f"grid: {len(cells)} cells -> {os.path.join(args.out, 'heatmap.csv')}")
     return 0
 

@@ -84,7 +84,8 @@ class ExperimentConfig:
                 raise ConfigError(msg)
 
         def must(name, requirement):
-            return f"{_FILE_KEYS[name]} must {requirement}, got {_fmt(getattr(self, name)) or 'nothing'}"
+            value = _fmt(getattr(self, name), shortest=True)
+            return f"{_FILE_KEYS[name]} must {requirement}, got {value or 'nothing'}"
 
         for f in fields(self):
             value = getattr(self, f.name)
@@ -199,15 +200,16 @@ def _parse_opt_float_list(s: str):
     return _parse_float_list(s)
 
 
-def _fmt(v) -> str:
+def _fmt(v, shortest: bool = False) -> str:
     if v is None:
         return "auto"
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, float):
-        return format(v, ".17g")
+    if isinstance(v, float):  # 17 digits, as config.echo writes it, or the fewest that read back as v
+        digits = next((d for d in range(1, 17) if float("%.*g" % (d, v)) == v), 17) if shortest else 17
+        return "%.*g" % (digits, v)
     if isinstance(v, tuple):
-        return ", ".join(_fmt(x) for x in v)
+        return ", ".join(_fmt(x, shortest) for x in v)
     return str(v)
 
 

@@ -1,14 +1,19 @@
 """Dynamic mode decomposition with control (DMDc) reduced-order models.
 
-Fits a discrete-time linear model x_{k+1} = A_d x_k + B_d u_k on a reduced
-basis from snapshot pairs of a (possibly nonlinear) simulator, then converts
-it to continuous time.  The projection Phi has orthonormal rows; the full
-state is reconstructed as z = Phi' x.  The snapshots are held once: X and
-Xnext are views of one step-major buffer.  The fit takes the R factor of the
-stacked snapshots before any SVD (Chan, ACM TOMS 8, 1982), carried over fixed
-row blocks as a sequential tall-skinny QR (Demmel, Grigori, Hoemmen & Langou,
-SIAM J. Sci. Comput. 34, 2012), so no factor with one column per snapshot is
-formed and the fit's memory does not grow with the snapshot count.
+Trajectories in, one continuous-time model out.  :func:`collect_snapshots`
+integrates excited trajectories of a (possibly nonlinear) simulator into one
+step-major (steps + 1, n_traj, p) state buffer and its (steps, n_traj, m)
+inputs; :func:`fit_dmdc` regresses the discrete-time triple (A_d, B_d, Phi)
+of x_{k+1} = A_d x_k + B_d u_k from them, and :func:`to_continuous` turns
+that triple once into the :class:`ReducedModel` the gain is designed on.
+The projection Phi has orthonormal rows; the full state is reconstructed as
+z = Phi' x.  The snapshot pairs are rows of the one state buffer: X is every
+step but the last, and Xnext the same rows one step on.  The fit takes the R
+factor of the stacked snapshots before any SVD (Chan, ACM TOMS 8, 1982),
+carried over fixed row blocks as a sequential tall-skinny QR (Demmel,
+Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012), so no factor with
+one column per snapshot is formed and the fit's memory does not grow with
+the snapshot count.
 """
 
 from __future__ import annotations
@@ -34,37 +39,12 @@ class ConversionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SnapshotData:
-    """Aligned snapshot triples: columns of X, Xnext, U are (z_k, z_{k+1}, u_k).
-
-    From :func:`collect_snapshots`, columns are step-major (column
-    k n_traj + i is trajectory i at step k), and X and Xnext are overlapping
-    views of one (steps + 1, n_traj, p) buffer, so they must not be written.
-    """
-
-    X: np.ndarray
-    Xnext: np.ndarray
-    U: np.ndarray
-    dt: float
-
-    @property
-    def K(self) -> int:
-        return self.X.shape[1]
-
-
-@dataclass(frozen=True)
 class ReducedModel:
-    """Reduced model (A, B) with projection Phi (orthonormal rows).
-
-    ``discrete`` marks whether (A, B) is the fitted discrete-time map at
-    sampling step dt or its continuous-time equivalent.
-    """
+    """Continuous-time reduced model dx/dt = A x + B u on x = Phi z (Phi with orthonormal rows)."""
 
     A: np.ndarray
     B: np.ndarray
     Phi: np.ndarray
-    dt: float
-    discrete: bool
 
     @property
     def n(self) -> int:
@@ -87,25 +67,23 @@ def collect_snapshots(
     dt: float,
     amplitude: float,
     rng: np.random.Generator,
-) -> SnapshotData:
-    """Integrate short excited trajectories and record (z_k, z_{k+1}, u_k).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate short excited trajectories; return them as (states, inputs).
 
+    ``states`` is the (steps + 1, n_traj, p) buffer of every trajectory's
+    state at every step and ``inputs`` the (steps, n_traj, m) inputs between
+    them, both step-major: slab k is every trajectory at step k.
     Inputs are zero-mean uniform on [-amplitude, amplitude], redrawn every
     step (piecewise constant over one step).  Each trajectory consumes its
     own child RNG stream (its bump initial condition on ``grid``, from
-    :func:`pde.sample_initial_conditions`, then one input per step), so the
-    data is reproducible regardless of how the trajectories are scheduled.
-    A stream's inputs are drawn in one (steps, m) call, which
-    fills them in the order of one draw per step; the draws are stacked
-    once as (steps, n_traj, m).  All trajectories advance as one (n_traj, p)
-    stack by :func:`pde.rk4_stepper`'s step into slab k + 1 of one
-    (steps + 1, n_traj, p) buffer, in the eigenbasis of a symmetric linear
-    simulator's A, mapped back in place over blocks of _BLOCK_ROWS rows of
-    the flattened buffer (at the heat defaults the bits of one slab at a
-    time; where a slab would take the BLAS's small-matrix kernel they part
-    by rounding).  Columns are
-    step-major: column k n_traj + i is trajectory i at step k.  X = buffer[:-1]
-    and Xnext = buffer[1:] (and U, of the inputs) are reshaped views, not copies.
+    :func:`pde.sample_initial_conditions`, then its inputs in one (steps, m)
+    draw, one step after another), so the data is reproducible regardless
+    of how the trajectories are scheduled.  All trajectories advance as one
+    (n_traj, p) stack by :func:`pde.rk4_stepper`'s step into slab k + 1 of
+    ``states``, in the eigenbasis of a symmetric linear simulator's A, mapped
+    back in place over blocks of _BLOCK_ROWS rows of the flattened buffer (at
+    the heat defaults the bits of one slab at a time; where a slab would take
+    the BLAS's small-matrix kernel they part by rounding).
     """
     streams = rng.spawn(n_traj)
     Z0 = sample_initial_conditions(streams, grid)
@@ -121,8 +99,7 @@ def collect_snapshots(
         for start in range(0, len(flat), _BLOCK_ROWS):
             block = flat[start:start + _BLOCK_ROWS]
             block[...] = block @ Q.T
-    columns = lambda a: a.reshape(-1, a.shape[-1]).T  # views: one column per (step, trajectory)
-    return SnapshotData(X=columns(xs[:-1]), Xnext=columns(xs[1:]), U=columns(us), dt=dt)
+    return xs, us
 
 
 def _truncated_svd(M: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,11 +108,17 @@ def _truncated_svd(M: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np
     return U[:, :keep], s[:keep], Vt[:keep]
 
 
-def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
-    """Standard DMDc regression at reduced order n (discrete-time result).
+def fit_dmdc(states: np.ndarray, inputs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standard DMDc regression at reduced order n: the discrete-time (A_d, B_d, Phi).
 
-    The stacked input matrix [X; U] is truncated at rank n + m for the
-    regression; the successor snapshots provide the rank-n output basis.
+    ``states`` and ``inputs`` are trajectories as :func:`collect_snapshots`
+    lays them out, (steps + 1, ..., p) and (steps, ..., m).  The K snapshot
+    triples are the rows of states[:-1], states[1:] (the same rows one step
+    on) and inputs, flattened to one row per (step, trajectory); below, X,
+    Xnext and U are the p x K, p x K and m x K matrices with those rows as
+    columns.  The stacked input matrix [X; U] is truncated at rank n + m
+    for the regression; the successor snapshots provide the rank-n output
+    basis.
 
     Both come from the R of the K x (2p + m) matrix [X; U; Xnext]' = Q R,
     which is carried over row blocks of _BLOCK_ROWS snapshots: each step
@@ -149,8 +132,10 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
     square the condition number; the QR does not.  Phi's row signs are the
     ones LAPACK picks for the SVD of R2'.
     """
-    p, K = data.X.shape
-    m = data.U.shape[0]
+    p, m = states.shape[-1], inputs.shape[-1]
+    # row views of the buffers: the rows of X', Xnext' and U'
+    X, Xnext, U = states[:-1].reshape(-1, p), states[1:].reshape(-1, p), inputs.reshape(-1, m)
+    K = len(X)
 
     # [R; next block] in one work array; R keeps min(rows seen, 2p + m) rows.
     # Fortran order, as LAPACK takes it: np.linalg.qr copies its argument to a
@@ -160,9 +145,9 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
     for start in range(0, K, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, K)
         block = work[rows:rows + stop - start]
-        block[:, :p] = data.X[:, start:stop].T
-        block[:, p:p + m] = data.U[:, start:stop].T
-        block[:, p + m:] = data.Xnext[:, start:stop].T
+        block[:, :p] = X[start:stop]
+        block[:, p:p + m] = U[start:stop]
+        block[:, p + m:] = Xnext[start:stop]
         R = np.linalg.qr(work[:rows + stop - start], mode="r")
         rows = len(R)
         work[:rows] = R
@@ -180,11 +165,13 @@ def fit_dmdc(data: SnapshotData, n: int) -> ReducedModel:
     U2 = U_in[p:]
     A_d = U_out.T @ proj @ U1.T @ U_out
     B_d = U_out.T @ proj @ U2.T
-    return ReducedModel(A=A_d, B=B_d, Phi=U_out.T.copy(), dt=data.dt, discrete=True)
+    return A_d, B_d, U_out.T.copy()
 
 
-def to_continuous(model: ReducedModel) -> ReducedModel:
-    """Continuous-time equivalent: A = log(A_d)/dt, B solves the step integral.
+def to_continuous(A_d: np.ndarray, B_d: np.ndarray, Phi: np.ndarray, dt: float) -> ReducedModel:
+    """The continuous-time model of :func:`fit_dmdc`'s triple at sampling step dt.
+
+    A = log(A_d)/dt, and B solves the step integral.
 
     One eigendecomposition A_d = V diag(mu) V^-1 gives both:
     A = V diag(log mu / dt) V^-1 and, since B_d = int_0^dt exp(A s) ds B,
@@ -196,9 +183,7 @@ def to_continuous(model: ReducedModel) -> ReducedModel:
     grows like cond(V) eps, and at 1e8 reaches the 1e-8 tolerance of the
     realness check.
     """
-    if not model.discrete:
-        raise ConversionError("model is already continuous-time")
-    mu, V = np.linalg.eig(model.A)
+    mu, V = np.linalg.eig(A_d)
     on_neg_axis = (mu.real <= 0) & (np.abs(mu.imag) <= 1e-12 * np.maximum(1.0, np.abs(mu)))
     if np.any(on_neg_axis):
         raise ConversionError(
@@ -218,9 +203,9 @@ def to_continuous(model: ReducedModel) -> ReducedModel:
     A_log = (V * log_mu) @ V_inv
     if np.linalg.norm(A_log.imag) > 1e-8 * max(1.0, np.linalg.norm(A_log.real)):
         raise ConversionError("matrix logarithm is not real; try a smaller sampling step")
-    A = A_log.real / model.dt
-    B = (V * (factor / model.dt)) @ (V_inv @ model.B)
-    return ReducedModel(A=A, B=B.real, Phi=model.Phi, dt=model.dt, discrete=False)
+    A = A_log.real / dt
+    B = (V * (factor / dt)) @ (V_inv @ B_d)
+    return ReducedModel(A=A, B=B.real, Phi=Phi)
 
 
 def reduce_state(model: ReducedModel, z: np.ndarray) -> np.ndarray:

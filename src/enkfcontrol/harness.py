@@ -102,8 +102,8 @@ def _enkf_horizon(cfg: ExperimentConfig, A: np.ndarray) -> tuple[float, float]:
 
 
 def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedModel:
-    """Collect excited snapshots from the full simulator and fit DMDc."""
-    data = dmdc_mod.collect_snapshots(
+    """The reduced model of this config: excited trajectories, the DMDc fit, continuous time."""
+    states, inputs = dmdc_mod.collect_snapshots(
         sim,
         grid_of(cfg),
         n_traj=cfg.dmdc_trajectories,
@@ -112,8 +112,8 @@ def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedMode
         amplitude=cfg.dmdc_amplitude,
         rng=_rng(cfg, _TAG_SNAPSHOTS),
     )
-    model = dmdc_mod.fit_dmdc(data, cfg.dmdc_order)
-    return dmdc_mod.to_continuous(model)
+    A_d, B_d, Phi = dmdc_mod.fit_dmdc(states, inputs, cfg.dmdc_order)
+    return dmdc_mod.to_continuous(A_d, B_d, Phi, cfg.dt_sim)
 
 
 def _train_gain(cfg: ExperimentConfig, design_sim: LinearSimulator) -> GainApprox:
@@ -126,16 +126,11 @@ def _train_gain(cfg: ExperimentConfig, design_sim: LinearSimulator) -> GainAppro
 
 
 def _check_reduction(cfg: ExperimentConfig, reduction: dmdc_mod.ReducedModel) -> None:
-    """A supplied reduced model must be the continuous-time fit of this config."""
+    """A supplied reduced model must be the fit of this config."""
     if cfg.model != "dmdc":
         raise HarnessError(
             f"a reduced model was supplied with model={cfg.model}; "
             "pass --model dmdc to use it, or drop --reduced-model"
-        )
-    if reduction.discrete:
-        raise HarnessError(
-            "reduced model is the discrete-time fit (discrete=1); "
-            "pass the continuous-time bundle that fit-dmdc writes"
         )
     for key, fitted, configured in (("p", reduction.p, cfg.p), ("m", reduction.m, cfg.m),
                                     ("dmdc order", reduction.n, cfg.dmdc_order)):

@@ -1,17 +1,9 @@
-"""CSV emission for experiment results.
-
-File contract: ``timeseries.csv`` (policy,t,mean,variance), ``heatmap.csv``
-(kind,d0,lambda,mean_terminal_ratio) and ``config.echo`` (the exact resolved
-configuration, loadable as a config file).  Floats carry 17 significant
-digits and rows are emitted in a fixed order, so identical (config, seed)
-pairs produce byte-identical files.  Empty result sets still produce the
-headers.
-"""
+"""CSV emission for experiment results: :func:`emit_results` writes one run's files."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 from .config import ExperimentConfig, _fmt, render_config
 from .harness import POLICIES, CaseResult
@@ -19,21 +11,6 @@ from .harness import POLICIES, CaseResult
 
 class EmitError(RuntimeError):
     pass
-
-
-@dataclass
-class ResultSet:
-    """Everything one CLI run wants written to disk.
-
-    ``timeseries`` holds policy cases (written in :data:`POLICIES` order),
-    ``heatmap`` grid cells; with ``dump_trials`` every trial of both is
-    written to trials.csv.
-    """
-
-    config: ExperimentConfig
-    timeseries: list[CaseResult] = field(default_factory=list)
-    heatmap: list[CaseResult] = field(default_factory=list)
-    dump_trials: bool = False
 
 
 def _write(path: str, lines: list[str]) -> None:
@@ -70,11 +47,19 @@ def trials_lines(results: list[CaseResult]) -> list[str]:
     return lines
 
 
-def emit_results(results: ResultSet, out_dir: str) -> list[str]:
-    """Write timeseries.csv, heatmap.csv and config.echo (plus trials.csv).
+def emit_results(cfg: ExperimentConfig, out_dir: str, *, timeseries: Sequence[CaseResult] = (),
+                 heatmap: Sequence[CaseResult] = (), dump_trials: bool = False) -> list[str]:
+    """Write one run's files under out_dir and return their paths, in this order.
 
-    Returns the list of paths written.  trials.csv is only written with
-    ``dump_trials`` (the --dump-trials path).
+    ``timeseries.csv`` (policy,t,mean,variance) has the policy cases of
+    ``timeseries`` in :data:`POLICIES` order, ``heatmap.csv``
+    (kind,d0,lambda,mean_terminal_ratio) the grid cells of ``heatmap``, and
+    ``config.echo`` the exact resolved configuration, loadable as a config
+    file.  With ``dump_trials`` (the --dump-trials path), ``trials.csv``
+    (policy,kind,d0,lambda,trial,terminal_ratio) has every trial of both.
+    Floats carry 17 significant digits and rows are emitted in a fixed
+    order, so identical (config, seed) pairs produce byte-identical files.
+    Empty results still produce the headers.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -82,21 +67,21 @@ def emit_results(results: ResultSet, out_dir: str) -> list[str]:
         raise EmitError(f"cannot create output directory {out_dir}: {exc}") from exc
     paths = []
 
-    series = sorted(results.timeseries, key=lambda r: POLICIES.index(r.case.policy))
+    series = sorted(timeseries, key=lambda r: POLICIES.index(r.case.policy))
     path = os.path.join(out_dir, "timeseries.csv")
     _write(path, timeseries_lines(series))
     paths.append(path)
 
     path = os.path.join(out_dir, "heatmap.csv")
-    _write(path, heatmap_lines(results.heatmap))
+    _write(path, heatmap_lines(heatmap))
     paths.append(path)
 
     path = os.path.join(out_dir, "config.echo")
-    _write(path, render_config(results.config).splitlines())
+    _write(path, render_config(cfg).splitlines())
     paths.append(path)
 
-    if results.dump_trials:
+    if dump_trials:
         path = os.path.join(out_dir, "trials.csv")
-        _write(path, trials_lines(series + results.heatmap))
+        _write(path, trials_lines(series + list(heatmap)))
         paths.append(path)
     return paths

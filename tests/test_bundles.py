@@ -25,28 +25,61 @@ def test_gain_roundtrip_exact(tmp_path):
     assert np.array_equal(loaded.P, P)
 
 
-def test_reduced_model_roundtrip_exact(tmp_path):
-    rng = np.random.default_rng(1)
+def random_reduced_model(seed):
+    rng = np.random.default_rng(seed)
     Phi = np.linalg.qr(rng.normal(size=(8, 3)))[0].T
-    model = ReducedModel(
-        A=rng.normal(size=(3, 3)), B=rng.normal(size=(3, 2)), Phi=Phi,
-        dt=1e-3, discrete=False,
-    )
+    return ReducedModel(A=rng.normal(size=(3, 3)), B=rng.normal(size=(3, 2)), Phi=Phi)
+
+
+def assert_same_model(got, want):
+    for name in ("A", "B", "Phi"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_reduced_model_roundtrip_exact(tmp_path):
+    model = random_reduced_model(1)
     path = tmp_path / "reduced.bundle"
     save_reduced_model(model, path)
-    loaded = load_reduced_model(path)
-    assert np.array_equal(loaded.A, model.A)
-    assert np.array_equal(loaded.B, model.B)
-    assert np.array_equal(loaded.Phi, model.Phi)
-    assert loaded.dt == model.dt
-    assert loaded.discrete == model.discrete
+    assert_same_model(load_reduced_model(path), model)
+
+
+def test_saved_reduced_model_has_no_dt_or_discrete_header(tmp_path):
+    path = tmp_path / "reduced.bundle"
+    save_reduced_model(random_reduced_model(2), path)
+    assert path.read_text().splitlines()[:6] == [
+        "format=enkfcontrol-bundle-v1", "kind=reduced_model", "n=3", "m=2", "p=8", "[A]",
+    ]
+
+
+def with_old_header(text, discrete):
+    """A reduced-model bundle's text with the dt and discrete header lines that older versions wrote."""
+    return text.replace("p=8\n", f"p=8\ndt=0.001\ndiscrete={discrete}\n")
+
+
+def test_old_reduced_model_bundle_loads(tmp_path):
+    # older versions wrote dt and discrete=0 too: the model loads as it was saved
+    model = random_reduced_model(3)
+    path = tmp_path / "reduced.bundle"
+    save_reduced_model(model, path)
+    path.write_text(with_old_header(path.read_text(), 0))
+    assert "dt=0.001\ndiscrete=0\n" in path.read_text()
+    assert_same_model(load_reduced_model(path), model)
+
+
+def test_discrete_reduced_model_bundle_rejected(tmp_path):
+    # only the continuous-time model is ever written; a discrete=1 bundle came from elsewhere
+    path = tmp_path / "reduced.bundle"
+    save_reduced_model(random_reduced_model(4), path)
+    path.write_text(with_old_header(path.read_text(), 1))
+    with pytest.raises(BundleError, match="discrete=1.*fit-dmdc"):
+        load_reduced_model(path)
 
 
 def test_roundtrip_is_bitwise(tmp_path):
     # signed zeros, subnormals and extremes come back bit for bit, as one
     # float() per entry reads them
     M = np.array([[-0.0, 5e-324, 1e300], [-1.5e-310, np.nextafter(1.0, 2.0), 0.1]])
-    model = ReducedModel(A=M[:, :2], B=M, Phi=-M, dt=1e-3, discrete=True)
+    model = ReducedModel(A=M[:, :2], B=M, Phi=-M)
     path = tmp_path / "reduced.bundle"
     save_reduced_model(model, path)
     loaded = load_reduced_model(path)
@@ -172,6 +205,7 @@ def test_saved_gain_has_only_the_p_block(tmp_path):
 
 
 GOOD_GAIN = OLD_GAIN.format(mode="linear")
+# a reduced-model bundle as earlier versions wrote it, with dt and discrete=0
 GOOD_REDUCED = """format=enkfcontrol-bundle-v1
 kind=reduced_model
 n=1
@@ -206,8 +240,8 @@ P_ROWS = "[P]\n0.5714285714285714,-0.2857142857142857\n-0.2857142857142857,1.142
         (load_gain, GOOD_GAIN.replace(P_ROWS, "[P]\n1,0.5\n0,1\n"), r"\[P\] block is not symmetric"),
         (load_gain, GOOD_GAIN.replace(P_ROWS, "[P]\n-1,0\n0,-1\n"),
          r"\[P\] block is not positive definite"),
-        (load_reduced_model, GOOD_REDUCED.replace("dt=0.001\n", ""), r"missing header key 'dt'"),
-        (load_reduced_model, GOOD_REDUCED.replace("dt=0.001", "dt=nan"), r"bad header value dt='nan'"),
+        (load_reduced_model, GOOD_REDUCED.replace("n=1\n", ""), r"missing header key 'n'"),
+        (load_reduced_model, GOOD_REDUCED.replace("n=1\n", "n=one\n"), r"bad header value n='one'"),
         (load_reduced_model, GOOD_REDUCED.replace("[B]\n1\n", "[B]\n1,2\n"), r"\[B\] block is 1x2"),
         (load_reduced_model, GOOD_REDUCED.replace("[A]\n-1\n", "[A]\n1\n[A]\n5\n"),
          r"line 10: repeated \[A\] block"),

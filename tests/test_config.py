@@ -124,6 +124,9 @@ class TestRangeChecks:
             ({"model": "dmdc", "dmdc_trajectories": 1, "dmdc_steps": 5},
              r"\[dmdc\] trajectories = 1 times \[dmdc\] steps = 5 gives 5 snapshots; "
              r"the fit needs at least \[dmdc\] order \+ \[experiment\] m = 18$"),
+            # the shortest float that round-trips, not 17 digits
+            ({"r_robust": -0.3}, r"\[robust\] r must be positive, got -0\.3$"),
+            ({"grid_lambda": (0.1, -0.1)}, r"\[grid\] lambda_list must be nonnegative, got 0\.1, -0\.1$"),
         ],
     )
     def test_rejected_with_the_key_named(self, overrides, named):

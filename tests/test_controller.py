@@ -245,7 +245,7 @@ class TestRobustControl:
 
         rng = np.random.default_rng(13)
         Phi = np.linalg.qr(rng.normal(size=(6, 2)))[0].T  # 2x6, orthonormal rows
-        red = ReducedModel(A=-np.eye(2), B=np.eye(2), Phi=Phi, dt=0.1, discrete=False)
+        red = ReducedModel(A=-np.eye(2), B=np.eye(2), Phi=Phi)
         design_sim = LinearSimulator(red.A, red.B)
         law = make_law(np.eye(2) * 2.0, 1.0, reduction=red)
         z = rng.normal(size=6)
@@ -272,7 +272,7 @@ class TestCompiledLaw:
         red = None
         if reduced:
             Phi = np.linalg.qr(rng.normal(size=(p, n)))[0].T
-            red = ReducedModel(A=A, B=B, Phi=Phi, dt=0.1, discrete=False)
+            red = ReducedModel(A=A, B=B, Phi=Phi)
         Z = rng.normal(size=(6, p if reduced else n))
         Z[0] = 0.0
         Z[1] *= 1e-4  # inside the ball |g| < r

@@ -12,7 +12,6 @@ from enkfcontrol.dmdc import (
     ConversionError,
     FitError,
     ReducedModel,
-    SnapshotData,
     collect_snapshots,
     fit_dmdc,
     reduce_state,
@@ -41,47 +40,54 @@ def exact_discretization(A, B, dt):
 
 
 def lti_snapshots(A, B, dt, K, rng, amplitude=1.0):
-    """Snapshot data generated exactly by the discrete map of an LTI system."""
+    """One trajectory of K steps of the exact discrete map of an LTI system, as (states, inputs).
+
+    The buffers are laid out as collect_snapshots writes them: (K + 1, 1, n) and (K, 1, m).
+    """
     Ad, Bd = exact_discretization(A, B, dt)
     n, m = B.shape
-    xs, xnexts, us = [], [], []
-    x = rng.normal(size=n)
+    xs, us = [rng.normal(size=n)], []
     for _ in range(K):
-        u = rng.uniform(-amplitude, amplitude, size=m)
-        x_next = Ad @ x + Bd @ u
-        xs.append(x)
-        xnexts.append(x_next)
-        us.append(u)
-        x = x_next
-    return SnapshotData(X=np.array(xs).T, Xnext=np.array(xnexts).T, U=np.array(us).T, dt=dt)
+        us.append(rng.uniform(-amplitude, amplitude, size=m))
+        xs.append(Ad @ xs[-1] + Bd @ us[-1])
+    return np.array(xs)[:, None], np.array(us)[:, None]
+
+
+def snapshot_matrices(states, inputs):
+    """X, Xnext and U with one column per (step, trajectory): the snapshot triples fit_dmdc reads."""
+    p, m = states.shape[-1], inputs.shape[-1]
+    return states[:-1].reshape(-1, p).T, states[1:].reshape(-1, p).T, inputs.reshape(-1, m).T
+
+
+def one_step_pairs(X, Xnext, U):
+    """Buffers whose snapshot triples are the columns of X, Xnext and U: K trajectories of one step."""
+    return np.stack([X.T, Xnext.T]), U.T[None]
 
 
 class TestCollect:
     def test_column_count(self):
         sim = LinearSimulator(-np.eye(3), np.eye(3))
-        data = collect_snapshots(
-            sim, GridSpec(p=3), n_traj=1, steps=5,
-            dt=0.01, amplitude=0.5, rng=np.random.default_rng(0),
-        )
-        assert data.K == 5
-        data2 = collect_snapshots(
-            sim, GridSpec(p=3), n_traj=4, steps=5,
-            dt=0.01, amplitude=0.5, rng=np.random.default_rng(0),
-        )
-        assert data2.K == 20
+        for n_traj, K in ((1, 5), (4, 20)):
+            states, inputs = collect_snapshots(
+                sim, GridSpec(p=3), n_traj=n_traj, steps=5,
+                dt=0.01, amplitude=0.5, rng=np.random.default_rng(0),
+            )
+            assert states.shape == (6, n_traj, 3) and inputs.shape == (5, n_traj, 3)
+            X, Xnext, U = snapshot_matrices(states, inputs)
+            assert X.shape == Xnext.shape == U.shape == (3, K)
 
     def test_zero_excitation_matches_expm(self):
         rng = np.random.default_rng(1)
         A = rng.normal(size=(4, 4))
         A -= (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(4)
         sim = LinearSimulator(A, np.eye(4))
-        data = collect_snapshots(
+        X, Xnext, U = snapshot_matrices(*collect_snapshots(
             sim, GridSpec(p=4), n_traj=3, steps=10,
             dt=1e-3, amplitude=0.0, rng=np.random.default_rng(2),
-        )
+        ))
         Ad = expm(A * 1e-3)
-        assert np.allclose(data.Xnext, Ad @ data.X, atol=1e-10)
-        assert np.allclose(data.U, 0.0)
+        assert np.allclose(Xnext, Ad @ X, atol=1e-10)
+        assert np.allclose(U, 0.0)
 
     def test_snapshots_are_held_once(self):
         cfg = default_config("heat", model="dmdc")
@@ -89,33 +95,35 @@ class TestCollect:
         sim = build_full_simulator(cfg)
         tracemalloc.start()
         try:
-            data = collect_snapshots(
+            states, inputs = collect_snapshots(
                 sim, grid, n_traj=cfg.dmdc_trajectories, steps=cfg.dmdc_steps, dt=cfg.dt_sim,
                 amplitude=cfg.dmdc_amplitude, rng=np.random.default_rng(3),
             )
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # X and Xnext are views of one (steps + 1) x n_traj x p buffer
-        assert np.shares_memory(data.X, data.Xnext)
-        buffer = (cfg.dmdc_steps + 1) * cfg.dmdc_trajectories * cfg.p * 8
-        assert held <= 1.1 * (buffer + data.U.nbytes), (held, buffer)
+        # one (steps + 1) x n_traj x p buffer: X and Xnext are its rows, not copies of them
+        assert states.shape == (cfg.dmdc_steps + 1, cfg.dmdc_trajectories, cfg.p)
+        assert held <= 1.1 * (states.nbytes + inputs.nbytes), (held, states.nbytes)
 
     def test_columns_are_step_major(self):
-        # column k n_traj + i is trajectory i at step k
+        # slab k holds every trajectory at step k, so column k n_traj + i of X is trajectory i at step k
         sim, grid = LinearSimulator(-np.eye(3), np.eye(3)), GridSpec(p=3)
         n_traj, steps = 4, 5
-        data = collect_snapshots(
+        states, inputs = collect_snapshots(
             sim, grid, n_traj=n_traj, steps=steps,
             dt=0.01, amplitude=0.5, rng=np.random.default_rng(0),
         )
+        X, Xnext, U = snapshot_matrices(states, inputs)
         streams = np.random.default_rng(0).spawn(n_traj)
         for i, traj_rng in enumerate(streams):
             z0 = sample_initial_condition(traj_rng, grid)
             us = traj_rng.uniform(-0.5, 0.5, size=(steps, 3))
-            assert np.array_equal(data.X[:, i], z0)
-            assert np.array_equal(data.U[:, i::n_traj], us.T)
-            assert np.array_equal(data.X[:, n_traj + i], data.Xnext[:, i])
+            assert np.array_equal(states[0, i], z0)
+            assert np.array_equal(X[:, i], z0)
+            assert np.array_equal(inputs[:, i], us)
+            assert np.array_equal(U[:, i::n_traj], us.T)
+            assert np.array_equal(X[:, n_traj + i], Xnext[:, i])
 
     @pytest.mark.parametrize("p, n_traj", [(100, 20), (48, 7)])
     def test_blocked_rotation_matches_the_slab_loop(self, monkeypatch, p, n_traj):
@@ -146,48 +154,40 @@ class TestCollect:
             return Q, record
 
         monkeypatch.setattr(dmdc, "rk4_stepper", recording_stepper)
-        data = collect_snapshots(
+        states, _ = collect_snapshots(
             sim, grid, n_traj=n_traj, steps=steps,
             dt=1e-3, amplitude=0.5, rng=np.random.default_rng(23),
         )
         [Q] = bases
         assert Q is not None and len(slabs) == steps + 1
         want = np.array([slab @ Q.T for slab in slabs])
-        for got, ref in ((data.X, want[:-1]), (data.Xnext, want[1:])):
-            ref = ref.reshape(-1, p).T
-            if p == 100:
-                assert np.array_equal(got, ref)
-            else:
-                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert states.shape == want.shape
+        if p == 100:
+            assert np.array_equal(states, want)
+        else:
+            assert np.max(np.abs(states - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_deterministic(self):
         grid = GridSpec(p=32)
         sim = BurgersSimulator(grid, 0.01, 4)
         kwargs = dict(n_traj=2, steps=8, dt=1e-3, amplitude=0.5)
-        d1 = collect_snapshots(sim, grid, rng=np.random.default_rng(9), **kwargs)
-        d2 = collect_snapshots(sim, grid, rng=np.random.default_rng(9), **kwargs)
-        assert np.array_equal(d1.X, d2.X)
-        assert np.array_equal(d1.U, d2.U)
+        states1, inputs1 = collect_snapshots(sim, grid, rng=np.random.default_rng(9), **kwargs)
+        states2, inputs2 = collect_snapshots(sim, grid, rng=np.random.default_rng(9), **kwargs)
+        assert np.array_equal(states1, states2)
+        assert np.array_equal(inputs1, inputs2)
 
 
 def snapshots_one_at_a_time(sim, grid, n_traj, steps, dt, amplitude, rng):
     """Reference: each trajectory integrated alone, one state vector at a time."""
-    xs, xnexts, us = [], [], []
+    xs, us = [], []
     for traj_rng in rng.spawn(n_traj):
-        z = sample_initial_condition(traj_rng, grid)
+        xs.append([sample_initial_condition(traj_rng, grid)])
+        us.append([])
         for _ in range(steps):
-            u = traj_rng.uniform(-amplitude, amplitude, size=sim.m)
-            z_next = rk4_step(sim, z, u, dt)
-            xs.append(z)
-            xnexts.append(z_next)
-            us.append(u)
-            z = z_next
-    # generated trajectory-major; columns reordered step-major, as collect_snapshots lays them out
-    def step_major(rows):
-        rows = np.array(rows).reshape(n_traj, steps, -1)
-        return rows.swapaxes(0, 1).reshape(n_traj * steps, -1).T
-
-    return step_major(xs), step_major(xnexts), step_major(us)
+            us[-1].append(traj_rng.uniform(-amplitude, amplitude, size=sim.m))
+            xs[-1].append(rk4_step(sim, xs[-1][-1], us[-1][-1], dt))
+    # generated trajectory-major; stacked step-major, as collect_snapshots lays them out
+    return np.stack(xs, axis=1), np.stack(us, axis=1)
 
 
 class TestStackedTrajectories:
@@ -199,17 +199,16 @@ class TestStackedTrajectories:
         make = BurgersSimulator if pde == "burgers" else HeatSimulator
         sim = make(grid, 0.01, 4)
         kwargs = dict(n_traj=5, steps=30, dt=1e-3, amplitude=0.5)
-        data = collect_snapshots(sim, grid, rng=np.random.default_rng(21), **kwargs)
-        X, Xnext, U = snapshots_one_at_a_time(sim, grid, rng=np.random.default_rng(21), **kwargs)
-        assert np.array_equal(data.U, U)
-        for got, want in ((data.X, X), (data.Xnext, Xnext)):
-            assert got.shape == want.shape == (48, 150)
-            if pde == "burgers":
-                # elementwise rows and a 0/1 input matrix: the same arithmetic
-                assert np.array_equal(got, want)
-            else:
-                # x A' over the stack sums in another order than A x
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        states, inputs = collect_snapshots(sim, grid, rng=np.random.default_rng(21), **kwargs)
+        want, want_inputs = snapshots_one_at_a_time(sim, grid, rng=np.random.default_rng(21), **kwargs)
+        assert np.array_equal(inputs, want_inputs)
+        assert states.shape == want.shape == (31, 5, 48)
+        if pde == "burgers":
+            # elementwise rows and a 0/1 input matrix: the same arithmetic
+            assert np.array_equal(states, want)
+        else:
+            # x A' over the stack sums in another order than A x
+            assert np.max(np.abs(states - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestFit:
@@ -217,65 +216,69 @@ class TestFit:
         rng = np.random.default_rng(3)
         A = np.array([[0.0, 1.0, 0.0], [-1.0, -0.4, 0.2], [0.0, 0.3, -0.8]])
         B = rng.normal(size=(3, 2))
-        data = lti_snapshots(A, B, dt=0.05, K=60, rng=rng)
-        model = fit_dmdc(data, n=3)
+        A_d, B_d, Phi = fit_dmdc(*lti_snapshots(A, B, dt=0.05, K=60, rng=rng), n=3)
         Ad, Bd = exact_discretization(A, B, 0.05)
         # recovery is up to the orthogonal basis Phi; compare after lifting
-        A_lift = model.Phi.T @ model.A @ model.Phi
-        B_lift = model.Phi.T @ model.B
-        assert np.linalg.norm(A_lift - Ad, "fro") < 1e-8
-        assert np.linalg.norm(B_lift - Bd, "fro") < 1e-8
+        assert np.linalg.norm(Phi.T @ A_d @ Phi - Ad, "fro") < 1e-8
+        assert np.linalg.norm(Phi.T @ B_d - Bd, "fro") < 1e-8
+
+    def test_recovers_lti_from_three_trajectories(self):
+        # three trajectories in one (K + 1, 3, n) buffer, step-major as collect_snapshots writes it
+        rng = np.random.default_rng(16)
+        A = np.array([[-0.2, 1.0, 0.0], [-1.0, -0.5, 0.3], [0.1, 0.0, -0.9]])
+        B = rng.normal(size=(3, 2))
+        trajectories = [lti_snapshots(A, B, dt=0.05, K=20, rng=rng) for _ in range(3)]
+        states = np.concatenate([states for states, _ in trajectories], axis=1)
+        inputs = np.concatenate([inputs for _, inputs in trajectories], axis=1)
+        assert states.shape == (21, 3, 3) and inputs.shape == (20, 3, 2)
+        fit = fit_dmdc(states, inputs, n=3)
+        A_d, B_d, Phi = fit
+        Ad, Bd = exact_discretization(A, B, 0.05)
+        assert np.linalg.norm(Phi.T @ A_d @ Phi - Ad, "fro") < 1e-8
+        assert np.linalg.norm(Phi.T @ B_d - Bd, "fro") < 1e-8
+        assert_matches_two_svd_fit(fit, states, inputs, 3, rtol=1e-11)
 
     def test_prediction_residual_full_rank(self):
         rng = np.random.default_rng(4)
         A = -np.eye(4) + 0.2 * rng.normal(size=(4, 4))
         B = rng.normal(size=(4, 2))
-        data = lti_snapshots(A, B, dt=0.02, K=100, rng=rng)
-        model = fit_dmdc(data, n=4)
-        pred = model.Phi.T @ (model.A @ (model.Phi @ data.X) + model.B @ data.U)
-        assert np.linalg.norm(data.Xnext - pred) <= 1e-8
+        states, inputs = lti_snapshots(A, B, dt=0.02, K=100, rng=rng)
+        A_d, B_d, Phi = fit_dmdc(states, inputs, n=4)
+        X, Xnext, U = snapshot_matrices(states, inputs)
+        pred = Phi.T @ (A_d @ (Phi @ X) + B_d @ U)
+        assert np.linalg.norm(Xnext - pred) <= 1e-8
 
     def test_input_free_data_gives_zero_b(self):
         rng = np.random.default_rng(5)
         A = np.array([[0.9, 0.1], [0.0, 0.8]])
-        xs, xnexts = [], []
-        x = rng.normal(size=2)
+        xs = [rng.normal(size=2)]
         for _ in range(30):
-            x_next = A @ x
-            xs.append(x)
-            xnexts.append(x_next)
-            x = x_next
-        data = SnapshotData(
-            X=np.array(xs).T, Xnext=np.array(xnexts).T, U=np.zeros((1, 30)), dt=0.1
-        )
-        model = fit_dmdc(data, n=2)
-        assert np.linalg.norm(model.B) <= 1e-8
+            xs.append(A @ xs[-1])
+        _, B_d, _ = fit_dmdc(np.array(xs)[:, None], np.zeros((30, 1, 1)), n=2)
+        assert np.linalg.norm(B_d) <= 1e-8
 
     def test_rank_deficiency_reported(self):
-        # rank-1 snapshot data cannot support a rank-3 basis
-        x = np.ones((5, 1)) @ np.ones((1, 40))
-        data = SnapshotData(X=x, Xnext=x, U=np.zeros((1, 40)), dt=0.1)
+        # rank-1 snapshot data cannot support a rank-3 basis: one trajectory resting at ones(5)
         with pytest.raises(FitError, match="rank"):
-            fit_dmdc(data, n=3)
+            fit_dmdc(np.ones((41, 1, 5)), np.zeros((40, 1, 1)), n=3)
 
     def test_too_few_columns(self):
-        data = SnapshotData(X=np.ones((5, 3)), Xnext=np.ones((5, 3)), U=np.zeros((1, 3)), dt=0.1)
         with pytest.raises(FitError):
-            fit_dmdc(data, n=4)
+            fit_dmdc(np.ones((4, 1, 5)), np.zeros((3, 1, 1)), n=4)
 
     def test_phi_orthonormal_rows(self):
         rng = np.random.default_rng(6)
         grid = GridSpec(p=48)
         sim = BurgersSimulator(grid, 0.02, 4)
-        data = collect_snapshots(
+        states, inputs = collect_snapshots(
             sim, grid, n_traj=4, steps=30,
             dt=1e-3, amplitude=0.5, rng=rng,
         )
-        model = fit_dmdc(data, n=6)
-        assert np.linalg.norm(model.Phi @ model.Phi.T - np.eye(6)) < 1e-10
+        _, _, Phi = fit_dmdc(states, inputs, n=6)
+        assert np.linalg.norm(Phi @ Phi.T - np.eye(6)) < 1e-10
 
 
-def two_svd_fit(data, n):
+def two_svd_fit(states, inputs, n):
     """Reference: DMDc from thin SVDs of the K-column [X; U] and Xnext."""
 
     def truncated_svd(M, rank):
@@ -283,32 +286,34 @@ def two_svd_fit(data, n):
         keep = min(rank, int(np.sum(s > s[0] * 1e-12)))
         return U[:, :keep], s[:keep], Vt[:keep]
 
-    p, m = data.X.shape[0], data.U.shape[0]
-    U_in, s_in, Vt_in = truncated_svd(np.vstack([data.X, data.U]), n + m)
-    U_out, _, _ = truncated_svd(data.Xnext, n)
-    proj = data.Xnext @ (Vt_in.T / s_in)
+    X, Xnext, U = snapshot_matrices(states, inputs)
+    p, m = len(X), len(U)
+    U_in, s_in, Vt_in = truncated_svd(np.vstack([X, U]), n + m)
+    U_out, _, _ = truncated_svd(Xnext, n)
+    proj = Xnext @ (Vt_in.T / s_in)
     A_d = U_out.T @ proj @ U_in[:p].T @ U_out
     B_d = U_out.T @ proj @ U_in[p:].T
     return A_d, B_d, U_out.T
 
 
 def default_snapshots(pde, seed=0, **overrides):
+    """The (states, inputs) a default config fits, and the config."""
     cfg = replace(default_config(pde, model="dmdc", seed=seed), **overrides)
-    data = collect_snapshots(
+    states, inputs = collect_snapshots(
         build_full_simulator(cfg), grid_of(cfg),
         n_traj=cfg.dmdc_trajectories, steps=cfg.dmdc_steps, dt=cfg.dt_sim,
         amplitude=cfg.dmdc_amplitude, rng=_rng(cfg, _TAG_SNAPSHOTS),
     )
-    return data, cfg.dmdc_order
+    return states, inputs, cfg
 
 
-def assert_matches_two_svd_fit(model, data, n, rtol):
-    A_d, B_d, Phi = two_svd_fit(data, n)
+def assert_matches_two_svd_fit(fit, states, inputs, n, rtol):
+    A_d, B_d, Phi = two_svd_fit(states, inputs, n)
     # singular vectors are fixed up to sign: flip each reference row onto Phi's
-    signs = np.sign(np.sum(Phi * model.Phi, axis=1))
+    signs = np.sign(np.sum(Phi * fit[2], axis=1))
     assert np.all(signs != 0)
     Phi, A_d, B_d = signs[:, None] * Phi, signs[:, None] * A_d * signs, signs[:, None] * B_d
-    for got, want in ((model.Phi, Phi), (model.A, A_d), (model.B, B_d)):
+    for got, want in zip(fit, (A_d, B_d, Phi)):
         assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
@@ -317,8 +322,9 @@ class TestQrFit:
 
     @pytest.mark.parametrize("pde", ["heat", "burgers"])
     def test_matches_two_svd_fit_on_default_snapshots(self, pde):
-        data, n = default_snapshots(pde)
-        assert_matches_two_svd_fit(fit_dmdc(data, n), data, n, rtol=1e-11)
+        states, inputs, cfg = default_snapshots(pde)
+        n = cfg.dmdc_order
+        assert_matches_two_svd_fit(fit_dmdc(states, inputs, n), states, inputs, n, rtol=1e-11)
 
     @pytest.mark.parametrize("K", [12, 30])
     def test_wide_data(self, K):
@@ -326,10 +332,10 @@ class TestQrFit:
         # of its blocks are wider than tall
         rng = np.random.default_rng(13)
         p, m, n = 20, 3, 5
-        data = SnapshotData(X=rng.normal(size=(p, K)), Xnext=rng.normal(size=(p, K)),
-                            U=rng.normal(size=(m, K)), dt=0.1)
+        states, inputs = one_step_pairs(rng.normal(size=(p, K)), rng.normal(size=(p, K)),
+                                        rng.normal(size=(m, K)))
         assert n + m <= K < 2 * p + m
-        assert_matches_two_svd_fit(fit_dmdc(data, n), data, n, rtol=1e-11)
+        assert_matches_two_svd_fit(fit_dmdc(states, inputs, n), states, inputs, n, rtol=1e-11)
 
     @pytest.mark.parametrize("p, m, K", [(20, 3, 3 * _BLOCK_ROWS + 37), (300, 3, _BLOCK_ROWS + 48)])
     def test_running_r_over_row_blocks(self, p, m, K):
@@ -338,26 +344,27 @@ class TestQrFit:
         assert K % _BLOCK_ROWS != 0 and K // _BLOCK_ROWS >= (3 if K > 2 * p + m else 1)
         rng = np.random.default_rng(14)
         n = 5
-        data = SnapshotData(X=rng.normal(size=(p, K)), Xnext=rng.normal(size=(p, K)),
-                            U=rng.normal(size=(m, K)), dt=0.1)
-        assert_matches_two_svd_fit(fit_dmdc(data, n), data, n, rtol=1e-11)
+        states, inputs = one_step_pairs(rng.normal(size=(p, K)), rng.normal(size=(p, K)),
+                                        rng.normal(size=(m, K)))
+        assert_matches_two_svd_fit(fit_dmdc(states, inputs, n), states, inputs, n, rtol=1e-11)
 
     def test_peak_allocation_does_not_grow_with_the_snapshot_count(self):
         peaks = []
         for n_traj in (10, 10, 20, 40):  # K = 1,500, 3,000, 6,000; the first fit warms up numpy
-            data, n = default_snapshots("heat", dmdc_trajectories=n_traj)
+            states, inputs, cfg = default_snapshots("heat", dmdc_trajectories=n_traj)
             tracemalloc.start()
             try:
-                fit_dmdc(data, n)
+                fit_dmdc(states, inputs, cfg.dmdc_order)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert max(peaks[1:]) <= 1.1 * min(peaks[1:]), peaks
-        assert max(peaks[1:]) < data.X.nbytes, peaks
+        assert max(peaks[1:]) < states[:-1].nbytes, peaks
 
     def test_no_k_column_matrix_is_decomposed(self, monkeypatch):
-        data, n = default_snapshots("heat")
-        assert data.K > 2 * data.X.shape[0] + data.U.shape[0]
+        states, inputs, cfg = default_snapshots("heat")
+        K = inputs.shape[0] * inputs.shape[1]
+        assert K > 2 * cfg.p + cfg.m
         shapes = []
         svd = np.linalg.svd
 
@@ -366,25 +373,23 @@ class TestQrFit:
             return svd(M, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        fit_dmdc(data, n)
+        fit_dmdc(states, inputs, cfg.dmdc_order)
         assert len(shapes) == 2
-        assert all(shape[1] < data.K for shape in shapes), shapes
+        assert all(shape[1] < K for shape in shapes), shapes
 
 
 class TestToContinuous:
     def test_identity_map(self):
-        model = ReducedModel(A=np.eye(3), B=np.full((3, 2), 2.0), Phi=np.eye(3),
-                             dt=0.5, discrete=True)
-        cont = to_continuous(model)
+        B_d, Phi = np.full((3, 2), 2.0), np.eye(3)
+        cont = to_continuous(np.eye(3), B_d, Phi, 0.5)
         assert np.allclose(cont.A, 0.0, atol=1e-12)
-        assert np.allclose(cont.B, model.B / 0.5)
+        assert np.allclose(cont.B, B_d / 0.5)
+        assert cont.Phi is Phi
 
     def test_scalar_closed_form(self):
         a = -1.7
         dt = 0.05
-        model = ReducedModel(A=np.array([[np.exp(a * dt)]]), B=np.array([[1.0]]),
-                             Phi=np.eye(1), dt=dt, discrete=True)
-        cont = to_continuous(model)
+        cont = to_continuous(np.array([[np.exp(a * dt)]]), np.array([[1.0]]), np.eye(1), dt)
         assert cont.A[0, 0] == pytest.approx(a, abs=1e-10)
 
     def test_roundtrip_random_stable(self):
@@ -394,16 +399,13 @@ class TestToContinuous:
         B = rng.normal(size=(5, 2))
         dt = 0.01
         Ad, Bd = exact_discretization(A, B, dt)
-        model = ReducedModel(A=Ad, B=Bd, Phi=np.eye(5), dt=dt, discrete=True)
-        cont = to_continuous(model)
+        cont = to_continuous(Ad, Bd, np.eye(5), dt)
         assert np.linalg.norm(cont.A - A, "fro") < 1e-8
         assert np.linalg.norm(cont.B - B, "fro") < 1e-8
 
     def test_negative_real_eigenvalue_rejected(self):
-        model = ReducedModel(A=np.array([[-0.5]]), B=np.ones((1, 1)), Phi=np.eye(1),
-                             dt=0.1, discrete=True)
         with pytest.raises(ConversionError):
-            to_continuous(model)
+            to_continuous(np.array([[-0.5]]), np.ones((1, 1)), np.eye(1), 0.1)
 
     def test_roundtrip_damped_rotation(self):
         # a complex-conjugate eigenvalue pair -0.3 +- 2i
@@ -412,7 +414,7 @@ class TestToContinuous:
         dt = 0.1
         Ad, Bd = exact_discretization(A, B, dt)
         assert np.all(np.abs(np.linalg.eigvals(Ad).imag) > 0.1)
-        cont = to_continuous(ReducedModel(A=Ad, B=Bd, Phi=np.eye(2), dt=dt, discrete=True))
+        cont = to_continuous(Ad, Bd, np.eye(2), dt)
         assert np.max(np.abs(cont.A - A)) <= 1e-12 * np.max(np.abs(A))
         assert np.max(np.abs(cont.B - B)) <= 1e-12 * np.max(np.abs(B))
 
@@ -427,7 +429,7 @@ class TestToContinuous:
         w = mu - 1.0
         assert abs(w) <= 1e-10
         dt = 0.01
-        cont = to_continuous(ReducedModel(A=Ad, B=np.eye(2), Phi=np.eye(2), dt=dt, discrete=True))
+        cont = to_continuous(Ad, np.eye(2), np.eye(2), dt)
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
         as_matrix = lambda f: f.real * np.eye(2) + f.imag * J
         factor = 1 - w / 2 + w**2 / 3 - w**3 / 4  # log(1 + w) / w; the next term is below 1e-40
@@ -438,23 +440,22 @@ class TestToContinuous:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_defective_matrix_rejected(self):
-        model = ReducedModel(A=np.array([[0.9, 1.0], [0.0, 0.9]]), B=np.ones((2, 1)),
-                             Phi=np.eye(2), dt=0.1, discrete=True)
         with pytest.raises(ConversionError, match=r"cond\(V\) = .* > 1e\+08"):
-            to_continuous(model)
+            to_continuous(np.array([[0.9, 1.0], [0.0, 0.9]]), np.ones((2, 1)), np.eye(2), 0.1)
 
     @pytest.mark.parametrize("pde", ["heat", "burgers"])
     def test_default_fits_match_the_logm_expm_route(self, pde):
         for seed in range(5):
-            data, n = default_snapshots(pde, seed)
-            model = fit_dmdc(data, n)
-            cont = to_continuous(model)
+            states, inputs, cfg = default_snapshots(pde, seed)
+            n, dt = cfg.dmdc_order, cfg.dt_sim
+            A_d, B_d, Phi = fit_dmdc(states, inputs, n)
+            cont = to_continuous(A_d, B_d, Phi, dt)
             # the reference: A = logm(A_d)/dt, and B_d = M B with M read off a block exponential
-            A = np.real(logm(model.A)) / model.dt
+            A = np.real(logm(A_d)) / dt
             block = np.zeros((2 * n, 2 * n))
-            block[:n, :n] = A * model.dt
-            block[:n, n:] = np.eye(n) * model.dt
-            B = np.linalg.solve(expm(block)[:n, n:], model.B)
+            block[:n, :n] = A * dt
+            block[:n, n:] = np.eye(n) * dt
+            B = np.linalg.solve(expm(block)[:n, n:], B_d)
             assert np.linalg.norm(cont.A - A) <= 1e-12 * np.linalg.norm(A)
             assert np.linalg.norm(cont.B - B) <= 1e-12 * np.linalg.norm(B)
 
@@ -465,7 +466,7 @@ class TestReduceLift:
         rng = np.random.default_rng(8)
         M = rng.normal(size=(3, 10))
         Phi = np.linalg.qr(M.T)[0].T  # orthonormal rows
-        return ReducedModel(A=np.eye(3), B=np.eye(3), Phi=Phi, dt=0.1, discrete=False)
+        return ReducedModel(A=np.eye(3), B=np.eye(3), Phi=Phi)
 
     def test_projection_identity_in_span(self, model):
         rng = np.random.default_rng(9)
@@ -495,8 +496,8 @@ def test_one_step_prediction_heldout_lti():
     A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
     B = np.array([[0.0], [1.0]])
     train = lti_snapshots(A, B, dt=0.02, K=80, rng=rng)
-    test = lti_snapshots(A, B, dt=0.02, K=40, rng=rng)
-    model = fit_dmdc(train, n=2)
-    pred = model.Phi.T @ (model.A @ (model.Phi @ test.X) + model.B @ test.U)
-    err = np.linalg.norm(test.Xnext - pred) / np.linalg.norm(test.Xnext)
+    X, Xnext, U = snapshot_matrices(*lti_snapshots(A, B, dt=0.02, K=40, rng=rng))
+    A_d, B_d, Phi = fit_dmdc(*train, n=2)
+    pred = Phi.T @ (A_d @ (Phi @ X) + B_d @ U)
+    err = np.linalg.norm(Xnext - pred) / np.linalg.norm(Xnext)
     assert err <= 1e-6

@@ -337,7 +337,7 @@ class TestRowGroups:
         cfg = (heat_config if pde == "heat" else burgers_config)(p=24, m=4)
         sim, grid = build_full_simulator(cfg), grid_of(cfg)
         n_traj, steps, dt, amplitude = 3, 12, 1e-3, 0.5
-        data = collect_snapshots(sim, grid, n_traj, steps, dt, amplitude, np.random.default_rng(4))
+        states, _ = collect_snapshots(sim, grid, n_traj, steps, dt, amplitude, np.random.default_rng(4))
         streams = np.random.default_rng(4).spawn(n_traj)
         Z0 = np.array([sample_initial_condition(rng, grid) for rng in streams])
         us = np.array([rng.uniform(-amplitude, amplitude, size=(steps, cfg.m)) for rng in streams])
@@ -345,10 +345,9 @@ class TestRowGroups:
         ys = [Z0 if Q is None else Z0 @ Q]
         for k in range(steps):
             ys.append(step(ys[-1], us[:, k], np.empty_like(ys[-1])))
-        xs = np.stack(ys)  # step-major: column k n_traj + i is trajectory i at step k
+        xs = np.stack(ys)  # step-major: slab k is every trajectory at step k
         xs = xs if Q is None else xs @ Q.T
-        assert np.array_equal(data.X, xs[:-1].reshape(-1, cfg.p).T)
-        assert np.array_equal(data.Xnext, xs[1:].reshape(-1, cfg.p).T)
+        assert np.array_equal(states, xs)
 
 
 class TestDeterminism:
@@ -435,12 +434,6 @@ def test_full_design_model_is_the_plant_jacobian_at_the_origin(config, bc):
     jacobian = (art.sim.rhs(I, u) - art.sim.rhs(-I, u)).T / 2.0
     np.testing.assert_allclose(art.design_sim.A, jacobian, rtol=0, atol=1e-12 * np.abs(A).max())
     assert np.array_equal(art.design_sim.control_matrix, art.sim.control_matrix)
-
-
-def test_discrete_reduced_model_rejected(heat_dmdc_sim):
-    cfg, art = heat_dmdc_sim
-    with pytest.raises(HarnessError, match="discrete=1.*fit-dmdc"):
-        build_artifacts(cfg, gain=art.gain, reduction=replace(art.reduction, discrete=True))
 
 
 @pytest.mark.parametrize("overrides,named", [

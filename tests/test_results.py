@@ -5,7 +5,7 @@ import pytest
 
 from enkfcontrol.config import heat_config, render_config
 from enkfcontrol.harness import Case, CaseResult
-from enkfcontrol.results import EmitError, ResultSet, emit_results
+from enkfcontrol.results import EmitError, emit_results
 
 
 def _text(path):
@@ -23,7 +23,7 @@ def _result(case, offset=0.0, ratios=(1.0,)):
 class TestEmit:
     def test_empty_result_set_writes_headers(self, tmp_path):
         cfg = heat_config()
-        paths = emit_results(ResultSet(config=cfg), str(tmp_path))
+        paths = emit_results(cfg, str(tmp_path))
         assert [os.path.basename(p) for p in paths] == ["timeseries.csv", "heatmap.csv", "config.echo"]
         assert _text(paths[0]) == "policy,t,mean,variance\n"
         assert _text(paths[1]) == "kind,d0,lambda,mean_terminal_ratio\n"
@@ -31,7 +31,7 @@ class TestEmit:
         assert not os.path.exists(tmp_path / "trials.csv")
 
     def test_empty_trials_still_writes_header(self, tmp_path):
-        paths = emit_results(ResultSet(config=heat_config(), dump_trials=True), str(tmp_path))
+        paths = emit_results(heat_config(), str(tmp_path), dump_trials=True)
         assert os.path.basename(paths[-1]) == "trials.csv"
         assert _text(paths[-1]) == "policy,kind,d0,lambda,trial,terminal_ratio\n"
 
@@ -41,8 +41,7 @@ class TestEmit:
             _result(Case("uncontrolled", "sin", 0.1, 0.0), 0.2),
         ]
         cell = _result(Case("robust", "sin", 0.1, 0.2), ratios=(1 / 3,))
-        results = ResultSet(config=heat_config(), timeseries=series, heatmap=[cell], dump_trials=True)
-        paths = emit_results(results, str(tmp_path))
+        paths = emit_results(heat_config(), str(tmp_path), timeseries=series, heatmap=[cell], dump_trials=True)
         assert _text(paths[0]).splitlines()[1:] == [
             "uncontrolled,0,0.20000000000000001,0",
             "uncontrolled,0.5,0.69999999999999996,0",
@@ -61,4 +60,4 @@ class TestEmit:
         blocker = tmp_path / "file"
         blocker.write_text("")
         with pytest.raises(EmitError):
-            emit_results(ResultSet(config=heat_config()), str(blocker / "out"))
+            emit_results(heat_config(), str(blocker / "out"))
