@@ -59,16 +59,17 @@ def _row(lineno: int, line: str) -> list[float]:
 
 
 def _block(name: str, lines: list[tuple[int, str]]) -> np.ndarray:
-    """A block's (line number, row text) lines as a matrix, converted in one numpy call.
+    """A block's (line number, row text) lines as a matrix, converted by numpy's C text reader.
 
-    numpy parses each token as ``float`` does.  Rows of unequal length, or a
-    token it cannot convert, take the per-row loop instead, which names the
-    first bad line.
+    The reader rounds each token correctly, as ``float`` does.  Rows of
+    unequal length, or a token it does not take, go to the per-row loop of
+    ``float``, which accepts what ``float`` accepts and names the first bad
+    line.
     """
     if not lines:
         raise BundleError(f"[{name}] block is empty")
     try:
-        M = np.array([line.split(",") for _, line in lines], dtype=float)
+        M = np.loadtxt([line for _, line in lines], delimiter=",", comments=None, ndmin=2)
     except ValueError:  # a bad token, or rows of unequal length
         rows = [_row(lineno, line) for lineno, line in lines]
         if len({len(row) for row in rows}) > 1:

@@ -144,7 +144,7 @@ def cmd_batch(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg, art = _artifacts(args, args.gain)
-    cells = run_cases(cfg, art, grid_cases(cfg), cfg.n_trials)
+    cells = run_cases(cfg, art, grid_cases(cfg), cfg.n_trials, traces=False)  # it writes ratios alone
     emit_results(cfg, args.out, heatmap=cells, dump_trials=args.dump_trials)
     print(f"grid: {len(cells)} cells -> {os.path.join(args.out, 'heatmap.csv')}")
     return 0

@@ -77,62 +77,68 @@ class ExperimentConfig:
         """This config, after every range check the package makes on it.
 
         Each message names the rule's ``[section] key`` and the value it
-        rejects.
+        rejects, and is formatted only when its check fails.
         """
-        def expect(cond, msg):
+        def expect(cond, name, requirement):
             if not cond:
-                raise ConfigError(msg)
+                fail(name, requirement)
 
-        def must(name, requirement):
+        def fail(name, requirement):
             value = _fmt(getattr(self, name), shortest=True)
-            return f"{_FILE_KEYS[name]} must {requirement}, got {value or 'nothing'}"
+            raise ConfigError(f"{_FILE_KEYS[name]} must {requirement}, got {value or 'nothing'}")
 
         for f in fields(self):
             value = getattr(self, f.name)
             values = value if isinstance(value, tuple) else (value,)
-            expect(all(math.isfinite(v) for v in values if isinstance(v, float)), must(f.name, "be finite"))
-        expect(self.seed >= 0, must("seed", "be nonnegative"))
+            expect(all(math.isfinite(v) for v in values if isinstance(v, float)), f.name, "be finite")
+        expect(self.seed >= 0, "seed", "be nonnegative")
         for name, choices in (("pde", PDE_KINDS), ("model", MODEL_PATHS), ("bc", BOUNDARY_CONDITIONS),
                               ("dist_kind", DISTURBANCE_KINDS), ("b_access", B_ACCESS_CHOICES),
                               ("lambda_units", LAMBDA_UNITS)):
-            expect(getattr(self, name) in choices, must(name, f"be one of {', '.join(choices)}"))
+            if getattr(self, name) not in choices:
+                fail(name, f"be one of {', '.join(choices)}")
         for name in ("nu", "L", "T_sim", "dt_sim", "q", "r_input", "g", "r_robust"):
-            expect(getattr(self, name) > 0, must(name, "be positive"))
-        expect(self.p >= 3, must("p", "be at least 3"))
-        expect(1 <= self.m <= self.p, must("m", f"be between 1 and [experiment] p = {self.p}"))
+            expect(getattr(self, name) > 0, name, "be positive")
+        expect(self.p >= 3, "p", "be at least 3")
+        if not 1 <= self.m <= self.p:
+            fail("m", f"be between 1 and [experiment] p = {self.p}")
         steps = self.T_sim / self.dt_sim  # the rollout takes round(steps) steps
-        expect(abs(steps - round(steps)) <= 1e-9 * steps,
-               f"[experiment] T_sim = {self.T_sim!r} is not a whole number of steps of "
-               f"dt_sim = {self.dt_sim!r}; the nearest valid T_sim is "
-               f"{max(1, round(steps)) * self.dt_sim:.12g}")
-        expect(self.n_trials >= 1, must("n_trials", "be at least 1"))
-        expect(self.lam >= 0, must("lam", "be nonnegative"))
-        expect(self.d0 >= 0, must("d0", "be nonnegative"))
+        if not abs(steps - round(steps)) <= 1e-9 * steps:
+            raise ConfigError(
+                f"[experiment] T_sim = {self.T_sim!r} is not a whole number of steps of "
+                f"dt_sim = {self.dt_sim!r}; the nearest valid T_sim is "
+                f"{max(1, round(steps)) * self.dt_sim:.12g}")
+        expect(self.n_trials >= 1, "n_trials", "be at least 1")
+        expect(self.lam >= 0, "lam", "be nonnegative")
+        expect(self.d0 >= 0, "d0", "be nonnegative")
         # the ensemble covariance of the design model must have full rank
         key, design = (("[dmdc] order", self.dmdc_order) if self.model == "dmdc"
                        else ("[experiment] p", self.p))
-        expect(self.enkf_particles > design,
-               f"[enkf] particles = {self.enkf_particles} must exceed the design dimension, {key} = {design}")
+        if not self.enkf_particles > design:
+            raise ConfigError(
+                f"[enkf] particles = {self.enkf_particles} must exceed the design dimension, {key} = {design}")
         for name in ("enkf_T", "enkf_dt"):
-            expect(getattr(self, name) is None or getattr(self, name) > 0, must(name, "be positive or auto"))
-        if self.channel is not None:
-            expect(len(self.channel) == self.m, must("channel", f"have [experiment] m = {self.m} weights"))
+            expect(getattr(self, name) is None or getattr(self, name) > 0, name, "be positive or auto")
+        if self.channel is not None and len(self.channel) != self.m:
+            fail("channel", f"have [experiment] m = {self.m} weights")
         for name in ("dmdc_order", "dmdc_trajectories", "dmdc_steps"):
-            expect(getattr(self, name) >= 1, must(name, "be at least 1"))
+            expect(getattr(self, name) >= 1, name, "be at least 1")
         if self.model == "dmdc":
-            expect(self.dmdc_order <= self.p, must("dmdc_order", f"be at most [experiment] p = {self.p}"))
-            expect(self.dmdc_amplitude > 0, must("dmdc_amplitude", "be positive"))
+            if not self.dmdc_order <= self.p:
+                fail("dmdc_order", f"be at most [experiment] p = {self.p}")
+            expect(self.dmdc_amplitude > 0, "dmdc_amplitude", "be positive")
             snapshots, needed = self.dmdc_trajectories * self.dmdc_steps, self.dmdc_order + self.m
-            expect(snapshots >= needed,
-                   f"[dmdc] trajectories = {self.dmdc_trajectories} times [dmdc] steps = "
-                   f"{self.dmdc_steps} gives {snapshots} snapshots; the fit needs at least "
-                   f"[dmdc] order + [experiment] m = {needed}")
+            if not snapshots >= needed:
+                raise ConfigError(
+                    f"[dmdc] trajectories = {self.dmdc_trajectories} times [dmdc] steps = "
+                    f"{self.dmdc_steps} gives {snapshots} snapshots; the fit needs at least "
+                    f"[dmdc] order + [experiment] m = {needed}")
         for name in ("grid_d0", "grid_lambda", "grid_kinds"):
-            expect(len(getattr(self, name)) > 0, must(name, "be nonempty"))
+            expect(len(getattr(self, name)) > 0, name, "be nonempty")
         for name in ("grid_d0", "grid_lambda"):
-            expect(min(getattr(self, name)) >= 0, must(name, "be nonnegative"))
-        expect(set(self.grid_kinds) <= set(DISTURBANCE_KINDS),
-               must("grid_kinds", f"each be one of {', '.join(DISTURBANCE_KINDS)}"))
+            expect(min(getattr(self, name)) >= 0, name, "be nonnegative")
+        if not set(self.grid_kinds) <= set(DISTURBANCE_KINDS):
+            fail("grid_kinds", f"each be one of {', '.join(DISTURBANCE_KINDS)}")
         return self
 
 

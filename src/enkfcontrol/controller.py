@@ -23,11 +23,12 @@ model, so the probe is exact and the law is always a fixed linear
 feedback plus a normalized projection.  The per-state functions re-solve it
 at every call and are the reference the tests compare against;
 :func:`compile_law` solves it once into one matrix, which folds the
-reduction Phi, P, K = B'P / R and B^+ together, and :class:`CompiledLaw`
-evaluates it for a whole stack of states with one GEMM, in the plant's
-state coordinates or any orthonormal basis of them.  The closed loop always
-uses the compiled law; its lambda = 0 rows (the optimal learning control)
-use the K block alone, ``CompiledLaw.K``, and never read g or B^+.
+reduction Phi, P, K = B'P / R and B^+ together, and
+:meth:`CompiledLaw.bind` binds it once to a stack of states, which it then
+evaluates with one GEMM a call, in the plant's state coordinates or any
+orthonormal basis of them.  The closed loop always uses the compiled law;
+its lambda = 0 rows (the optimal learning control) use the K block alone,
+``CompiledLaw.K``, and never read g or B^+.
 
 Lyapunov redesign assumes a nominal stabilizing law plus a matched
 uncertainty (Khalil, *Nonlinear Systems*, 3rd ed., 2002, section 14.2).
@@ -39,6 +40,8 @@ robust term does not bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
+
 import numpy as np
 
 from .dmdc import ReducedModel, reduce_state
@@ -123,9 +126,10 @@ class CompiledLaw:
 
     and a row z of the stack gives g, K x and B^+ g at once as the row
     z H, H = [Phi'P' | Phi'K' | Phi'P'B^+'] with n + m + m columns.  lambda
-    is supplied per row at evaluation, so one compiled law serves every
-    lambda that shares the gain.  A row with lambda = 0 reads K x alone:
-    ``z @ law.K`` is its whole feedback, from H's m feedback columns.
+    is supplied per row when the law is bound to its rows, so one compiled
+    law serves every lambda that shares the gain.  A row with lambda = 0
+    reads K x alone: ``z @ law.K`` is its whole feedback, from H's m
+    feedback columns.
     """
 
     H: np.ndarray
@@ -141,20 +145,36 @@ class CompiledLaw:
         """Phi'K', H's feedback columns as a contiguous copy: u = -z Phi'K' at lambda = 0."""
         return np.ascontiguousarray(self.H[:, self.n:self.n + self.m])
 
-    def __call__(self, Z: np.ndarray, lam: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
-        """(batch, m) controls for the rows of Z, row i under lambda lam[i].
+    def bind(self, Z: np.ndarray, lam: np.ndarray, U: np.ndarray) -> Callable[[], None]:
+        """``control()``: adds the controls of the rows of Z, row i under lam[i], into U.
 
-        F, if given, is the (batch, n + 2m) work array for Z H, and the
-        controls are returned as a view of it.
+        Like the step of :func:`pde.rk4_stepper`, the law is bound once: Z
+        and U are views the caller keeps (a stack stepped in place), and the
+        work array for Z H and its g, K x and B^+ g column blocks are made
+        here, so a call reads whatever Z then holds and allocates nothing.
+        Rows that all have lambda = 0 read K x alone, ``Z @ law.K``.
         """
-        F = np.matmul(Z, self.H, out=F)
-        n, m = self.n, self.m
-        G, FK, FB = F[:, :n], F[:, n:n + m], F[:, n + m:]
-        r1 = np.maximum(np.sqrt(np.einsum("ij,ij->i", G, G)), self.r)
-        FB *= (lam / r1)[:, None]
-        np.negative(FK, out=FK)
-        FK -= FB
-        return FK
+        if not np.any(lam):
+            K, FK = self.K, np.empty((len(Z), self.m))
+
+            def feedback():
+                np.subtract(U, np.matmul(Z, K, out=FK), out=U)
+
+            return feedback
+        H, n, m, r = self.H, self.n, self.m, self.r
+        F, scale = np.empty((len(Z), H.shape[1])), np.empty(len(Z))
+        G, FK, FB, column = F[:, :n], F[:, n:n + m], F[:, n + m:], scale[:, None]
+
+        def control():
+            np.matmul(Z, H, out=F)
+            np.sqrt(np.einsum("ij,ij->i", G, G, out=scale), out=scale)  # |g|
+            np.divide(lam, np.maximum(scale, r, out=scale), out=scale)
+            np.multiply(FB, column, out=FB)
+            np.negative(FK, out=FK)
+            np.subtract(FK, FB, out=FK)
+            np.add(U, FK, out=U)
+
+        return control
 
     def in_basis(self, Q: np.ndarray) -> "CompiledLaw":
         """The same law on y = z Q, Q orthogonal: z = y Q', so H becomes Q'H."""

@@ -18,19 +18,23 @@ by :func:`pde.rk4_stepper`), each row carrying its own lambda, disturbance
 and controlled flag.  Every verb states its trials as a list of
 :class:`Case` (``batch``: the three policies, ``grid``: one robust case per
 cell, ``simulate``: one case of one trial) and :func:`run_cases` runs the
-distinct cases x trials as one stack.  The control law is compiled once
-into one matrix (:func:`controller.compile_law`).  The loop groups the rows
-once as uncontrolled | lambda = 0 | lambda > 0, so each group does only the
-work it reads: no law, the feedback block alone (an m-column GEMM), or the
-whole law (one GEMM); it then steps the stack in place.  A row whose state
-or L2 norm turns non-finite is masked, reading inf from that step on, while
-the other rows carry on.  Rows agree with a one-trajectory-at-a-time loop
+distinct cases x trials as one stack, keeping what the verb writes:
+``batch`` and ``simulate`` every step's L2 norms, for ``timeseries.csv``,
+and ``grid``, which writes ratios alone, two norms per row (the first and
+the current one).  The control law is compiled once into one matrix
+(:func:`controller.compile_law`).  The loop groups the rows once as
+uncontrolled | lambda = 0 | lambda > 0, so each group does only the work it
+reads: no law, the feedback block alone (an m-column GEMM), or the whole
+law (one GEMM); it then steps the stack in place.  A row whose state or L2
+norm turns non-finite is masked, reading inf from that step on, while the
+other rows carry on.  Rows agree with a one-trajectory-at-a-time loop
 to rounding (matrix products over the stack instead of matrix-vector ones),
 and a row's result does not depend on where it sits in the stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,10 +197,10 @@ def build_law(cfg: ExperimentConfig, art: Artifacts) -> ControlLaw:
 
 @dataclass
 class Rollout:
-    """L2-norm traces of a stack of closed-loop trajectories, one row each."""
+    """Terminal ratios, failures and, for ``batch`` and ``simulate``, L2 traces of a stack, one row each."""
 
     t: np.ndarray
-    l2: np.ndarray  # (batch, n_steps + 1)
+    l2: np.ndarray | None  # (batch, n_steps + 1); None in a ratio-only run (grid), which keeps two norms a row
     ratios: np.ndarray
     failed: np.ndarray  # bool per row
 
@@ -209,6 +213,7 @@ def simulate_closed_loop(
     kinds,
     d0,
     controlled,
+    traces: bool = True,
 ) -> Rollout:
     """Integrate a stack of plant states with U(t) = u(t) + d(t), zero-order hold.
 
@@ -217,18 +222,23 @@ def simulate_closed_loop(
     1 or 0) and, if controlled[i], feeds back the law with lambda lam[i].
     A scalar lam, kinds, d0 or controlled applies to every row.
 
+    With ``traces`` (``batch``, ``simulate``) every step's L2 norms are kept
+    as ``l2``; without (``grid``) a row keeps its first and current norm,
+    all its terminal ratio reads, and the ratios and failures are the same.
+
     One stable permutation sorts the rows into three contiguous groups,
     uncontrolled | controlled with lambda = 0 | lambda > 0, which take no
     law, the feedback block alone (u = -y K, :attr:`controller.CompiledLaw.K`)
-    and the whole one-matrix law; ``l2`` and ``failed`` are put back in the
-    caller's order at the end.  The control is recomputed every step and
-    the whole stack advances with one RK4 step, in place, on buffers
-    allocated once, so a step gathers and scatters no rows.  A symmetric
-    linear plant (heat) is carried as y = z Q in the eigenbasis of its A
-    (:func:`pde.rk4_stepper`), with the law in that basis and the L2 norm,
-    which Q preserves, read off y.
+    and the whole one-matrix law; the results are put back in the caller's
+    order at the end.  The control is recomputed every step and the whole
+    stack advances with one RK4 step, in place: each group's views and the
+    law's work array (:meth:`controller.CompiledLaw.bind`) and every buffer
+    are made once, so a step gathers, scatters and allocates no rows.  A
+    symmetric linear plant (heat) is carried as y = z Q in the eigenbasis of
+    its A (:func:`pde.rk4_stepper`), with the law in that basis and the L2
+    norm, which Q preserves, read off y.
     A row whose state or L2 norm turns non-finite is a failed trial: its
-    trace and terminal ratio read inf from that step on, it is frozen at
+    norm and terminal ratio read inf from that step on, it is frozen at
     zero, and the others go on.
     """
     Z = np.array(Z0, dtype=float, ndmin=2)
@@ -245,39 +255,48 @@ def simulate_closed_loop(
     d_sin, d_const = d0 * (kinds == "sin"), d0 * (kinds == "const")
     Q, step = rk4_stepper(art.sim, cfg.dt_sim)
     Y = Z if Q is None else Z @ Q  # the loop carries y = z Q, and |y| = |z|
+    shape, U = np.empty(batch), np.empty((batch, cfg.m))
+    controls = []
     if a < batch:
         law = compile_law(build_law(cfg, art), art.design_sim)
         if Q is not None:
             law = law.in_basis(Q)
-        K, FK, F = law.K, np.empty((b - a, cfg.m)), np.empty((batch - b, law.H.shape[1]))
+        controls = [law.bind(Y[rows], lam[rows], U[rows])
+                    for rows in (slice(a, b), slice(b, batch)) if rows.start < rows.stop]
 
     grid = grid_of(cfg)
     n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
     t = np.arange(n_steps + 1) * cfg.dt_sim
-    l2 = np.empty((n_steps + 1, batch))  # time-major: step k's norms are one contiguous row
-    l2_norm(Y, grid, out=l2[0])
-    failed = np.zeros(batch, dtype=bool)
-    shape, U = np.empty(batch), np.empty((batch, cfg.m))
+    first = l2_norm(Y, grid)
+    norms = np.empty(batch)  # the current step's norms
+    l2 = None
+    if traces:
+        l2 = np.empty((n_steps + 1, batch))  # time-major: step k's norms are one contiguous row
+        l2[0] = first
+    failed, any_failed = np.zeros(batch, dtype=bool), False
+    column = shape[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             np.multiply(d_sin, np.sin(t[k]), out=shape)
             shape += d_const
-            np.multiply(shape[:, None], w, out=U)
-            if a < b:
-                U[a:b] -= np.matmul(Y[a:b], K, out=FK)
-            if b < batch:
-                U[b:] += law(Y[b:], lam[b:], F)
+            np.multiply(column, w, out=U)
+            for control in controls:
+                control()
             step(Y, U, Y)
-            norms = l2_norm(Y, grid, out=l2[k + 1])  # non-finite for a non-finite state too
-            failed |= ~np.isfinite(norms)
-            if failed.any():
+            l2_norm(Y, grid, out=norms)  # non-finite for a non-finite state too
+            if any_failed or not math.isfinite(norms.max()):  # max propagates NaN
+                failed |= ~np.isfinite(norms)
                 norms[failed] = np.inf
                 Y[failed] = 0.0
-    inverse = np.argsort(order)
-    l2, failed = np.ascontiguousarray(l2.T[inverse]), failed[inverse]
+                any_failed = True
+            if traces:
+                l2[k + 1] = norms
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(failed | (l2[:, 0] == 0), np.inf, l2[:, -1] / l2[:, 0])
-    return Rollout(t=t, l2=l2, ratios=ratios, failed=failed)
+        ratios = np.where(failed | (first == 0), np.inf, norms / first)
+    inverse = np.argsort(order)
+    if traces:
+        l2 = np.ascontiguousarray(l2.T[inverse])
+    return Rollout(t=t, l2=l2, ratios=ratios[inverse], failed=failed[inverse])
 
 
 def trial_initial_condition(cfg: ExperimentConfig, trial: int) -> np.ndarray:
@@ -297,12 +316,13 @@ class Case:
 
 @dataclass
 class CaseResult:
-    """Pointwise mean/variance of a case's L2 traces plus per-trial terminal ratios."""
+    """Per-trial terminal ratios plus, for ``batch`` and ``simulate``, the pointwise mean/variance
+    of the case's L2 traces; ``grid``'s ratio-only run keeps two norms a row and leaves them None."""
 
     case: Case
     t: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
+    mean: np.ndarray | None
+    variance: np.ndarray | None
     ratios: np.ndarray
     failures: int
 
@@ -327,7 +347,7 @@ def grid_cases(cfg: ExperimentConfig) -> list[Case]:
 
 
 def run_cases(
-    cfg: ExperimentConfig, art: Artifacts, cases: list[Case], n_trials: int
+    cfg: ExperimentConfig, art: Artifacts, cases: list[Case], n_trials: int, traces: bool = True
 ) -> list[CaseResult]:
     """Trials 0..n_trials-1 of every case, paired across cases, as one stack.
 
@@ -335,7 +355,8 @@ def run_cases(
     Cases whose trajectories coincide are integrated once: with d0 = 0 the
     disturbance kind has no effect, so each distinct (controlled, kind, d0,
     lambda) block, kind read as "none" when d0 = 0, is one block of the stack
-    and its twins share its traces, ratios and failures.
+    and its twins share its traces, ratios and failures.  ``traces`` is as
+    in :func:`simulate_closed_loop`.
     """
     keys = [(c.policy != "uncontrolled", c.kind if c.d0 else "none", c.d0, c.lam) for c in cases]
     block_of = {key: j for j, key in enumerate(dict.fromkeys(keys))}
@@ -344,17 +365,20 @@ def run_cases(
     Z0 = sample_initial_conditions(streams, grid_of(cfg))
     roll = simulate_closed_loop(
         cfg, art, np.tile(Z0, (len(block_of), 1)),
-        lam=lam, kinds=kinds, d0=d0, controlled=controlled,
+        lam=lam, kinds=kinds, d0=d0, controlled=controlled, traces=traces,
     )
     results = []
     for case, key in zip(cases, keys):
         j = block_of[key]
         rows = slice(j * n_trials, (j + 1) * n_trials)
-        traces = roll.l2[rows]
-        with np.errstate(invalid="ignore"):  # inf - inf in a blown-up column
-            variance = traces.var(axis=0)
+        mean = variance = None
+        if traces:
+            block = roll.l2[rows]
+            mean = block.mean(axis=0)
+            with np.errstate(invalid="ignore"):  # inf - inf in a blown-up column
+                variance = block.var(axis=0)
         results.append(CaseResult(
-            case=case, t=roll.t, mean=traces.mean(axis=0), variance=variance,
+            case=case, t=roll.t, mean=mean, variance=variance,
             ratios=roll.ratios[rows], failures=int(np.sum(roll.failed[rows])),
         ))
     return results

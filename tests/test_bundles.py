@@ -3,6 +3,7 @@ import pytest
 
 from enkfcontrol.bundles import (
     BundleError,
+    _block,
     _render,
     load_gain,
     load_reduced_model,
@@ -23,6 +24,22 @@ def test_gain_roundtrip_exact(tmp_path):
     save_gain(gain, path)
     loaded = load_gain(path)
     assert np.array_equal(loaded.P, P)
+
+
+def test_block_parses_each_token_as_float_does():
+    # random bit patterns cover every exponent; then subnormals, the normal
+    # boundary, +-0 and the largest magnitudes
+    bits = np.random.default_rng(11).integers(0, 2**64, size=3000, dtype=np.uint64).view(float)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    values = np.concatenate([bits[np.isfinite(bits)][:3000 - len(special)], special]).reshape(-1, 25)
+    lines = [(i, ",".join("%.17g" % v for v in row)) for i, row in enumerate(values.tolist(), 1)]
+    want = np.array([[float(token) for token in line.split(",")] for _, line in lines])
+    got = _block("P", lines)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # what the C reader does not take, float() still reads
+    assert _block("P", [(1, "1_0, 2 ,+.5e1")]).tolist() == [[10.0, 2.0, 5.0]]
 
 
 def random_reduced_model(seed):

@@ -28,6 +28,13 @@ def make_law(P, R, r=0.01, b_access="known", reduction=None):
     return ControlLaw(gain=make_gain(P), R=R, r=r, b_access=b_access, reduction=reduction)
 
 
+def controls(compiled, Z, lam):
+    """The (batch, m) controls of the rows of Z, from the compiled law bound to them."""
+    U = np.zeros((len(Z), compiled.m))
+    compiled.bind(Z, np.asarray(lam, dtype=float), U)()
+    return U
+
+
 def hidden_b(sim):
     """A copy of ``sim`` without its input matrix, so only ``rhs`` can reveal B."""
     twin = copy.copy(sim)
@@ -281,9 +288,13 @@ class TestCompiledLaw:
         compiled = compile_law(law, sim)
         # the one-matrix law, and the same law in a random orthonormal basis at y = z Q
         Q = np.linalg.qr(rng.normal(size=(Z.shape[1],) * 2))[0]
-        for U in (compiled(Z, lam), compiled.in_basis(Q)(Z @ Q, lam)):
+        for U in (controls(compiled, Z, lam), controls(compiled.in_basis(Q), Z @ Q, lam)):
             for z, lam_i, u in zip(Z, lam, U):
                 np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=1e-15)
+        # rows bound with lambda = 0 alone take the feedback block
+        zero = lam == 0
+        for z, u in zip(Z[zero], controls(compiled, Z[zero], lam[zero])):
+            np.testing.assert_allclose(u, robust_control(law, z, sim, 0.0), rtol=1e-12, atol=1e-15)
 
     def test_input_weight_divides_the_feedback(self):
         # at R = 2.5 the compiled law is u_bar + u_d of the per-state functions, and its
@@ -301,7 +312,7 @@ class TestCompiledLaw:
             np.testing.assert_array_equal(compiled.H[:, block], unit.H[:, block])
         Z = rng.normal(size=(4, n))
         lam = np.array([0.0, 0.5, 1.0, 2.0])
-        for z, lam_i, u in zip(Z, lam, compiled(Z, lam)):
+        for z, lam_i, u in zip(Z, lam, controls(compiled, Z, lam)):
             want = minimize_hamiltonian(law, z, sim) + robust_term(law, z, sim, lam_i)
             np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-15)
 
@@ -324,7 +335,7 @@ class TestCompiledLaw:
         Z = rng.normal(size=(5, p))
         lam = np.array([0.0, 0.5, 1.0, 0.5, 2.0])
         law = make_law(P, 1.0, b_access="simulator")
-        U = compile_law(law, sim)(Z, lam)
+        U = controls(compile_law(law, sim), Z, lam)
         for z, lam_i, u in zip(Z, lam, U):
             np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=0)
 
@@ -344,8 +355,8 @@ class TestLyapunovDecrease:
             lam = 0.5
             r = 0.05
             sim = LinearSimulator(A, B)
-            compiled = compile_law(make_law(P, 1.0, r=r), sim)
-            lam_row = np.array([lam])
+            X, U = np.empty((1, n)), np.empty((1, n))  # the state row and its control
+            control = compile_law(make_law(P, 1.0, r=r), sim).bind(X, np.array([lam]), U)
 
             # adversarial matched disturbance of norm 0.9*lambda enters the
             # state equation directly, aligned with the value gradient
@@ -361,8 +372,9 @@ class TestLyapunovDecrease:
             entered = False
             ok = True
             for k in range(8000):
-                u = compiled(x[None], lam_row)[0]
-                x = x + dt * (sim.rhs(x, u) + disturbance(x))
+                X[0], U[0] = x, 0.0
+                control()
+                x = x + dt * (sim.rhs(x, U[0]) + disturbance(x))
                 V = 0.5 * x @ P @ x
                 if not entered:
                     if np.linalg.norm(P @ x) < r:

@@ -7,6 +7,7 @@ evaluates the same arithmetic with the compiled law, as matrix products over
 the whole stack, so the two agree to rounding.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,10 @@ class TestBlowUp:
             controlled=ctrl[[0, 2]],
         )
         np.testing.assert_allclose(roll.l2[[0, 2]], alone.l2, rtol=RTOL, atol=0)
+        # a ratio-only run of the same rows keeps no trace and gives the same bits
+        bare = simulate_closed_loop(cfg, art, Z0, lam=lam, kinds="const", d0=d0, controlled=ctrl, traces=False)
+        assert bare.l2 is None
+        assert np.array_equal(bare.ratios, roll.ratios) and np.array_equal(bare.failed, roll.failed)
 
     def test_norm_overflow_is_a_failure(self, heat_full):
         # d0 = 1e308 leaves the compiled step's state finite (U N'Q is about
@@ -216,6 +221,10 @@ class TestBlowUp:
             traces, ratios = reference_batch(cfg, art, 0.0, cell.case.kind, 1e308, True)
             assert np.all(np.isinf(ratios)) and np.all(np.isinf(cell.ratios))
             assert np.all(np.isinf(traces[:, -1]))
+        # as grid runs it, ratio-only, the cells read the same bits
+        for cell, bare in zip(cells, run_cases(overflow, art, grid_cases(overflow), cfg.n_trials, traces=False)):
+            assert bare.mean is None and bare.variance is None
+            assert np.array_equal(bare.ratios, cell.ratios) and bare.failures == cell.failures
 
     def test_grid_failure_counts(self, heat_full):
         cfg, art = heat_full
@@ -274,6 +283,28 @@ class TestTwinCells:
             np.testing.assert_allclose(cell.ratios, full.ratios[i * n:(i + 1) * n], rtol=1e-14, atol=0)
 
 
+class TestRatioOnly:
+    def test_grid_holds_no_trace(self):
+        # 3,000 steps of 32 rows of 8 cells: one (n_steps + 1) x batch float64
+        # trace is 768 kB, and the stack itself 2 kB.  numpy reports its
+        # allocations to tracemalloc.
+        cfg = heat_config(p=8, m=2, n_trials=4, T_sim=3.0, grid_d0=(0.1, 0.2), grid_lambda=(0.0, 0.3))
+        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 8))
+        cases = grid_cases(cfg)
+        trace_bytes = (3000 + 1) * len(cases) * cfg.n_trials * 8
+
+        def peak(traces):
+            tracemalloc.start()
+            try:
+                run_cases(cfg, art, cases, cfg.n_trials, traces=traces)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(traces=True) > trace_bytes  # batch and simulate keep the traces
+        assert peak(traces=False) < trace_bytes
+
+
 class TestRowGroups:
     """The loop regroups rows as uncontrolled | lambda = 0 | lambda > 0 and steps them in place."""
 
@@ -296,8 +327,8 @@ class TestRowGroups:
             cfg = burgers_config(model="full", p=16, m=4, n_trials=2, T_sim=0.01)
             art = build_artifacts(cfg, gain=spd_gain(cfg.p, 6))
         Z0, lam, ctrl, d0 = self.mixed_stack(cfg)
-        run = lambda i: simulate_closed_loop(cfg, art, Z0[i], lam=lam[i], kinds="const", d0=d0[i],
-                                             controlled=ctrl[i])
+        run = lambda i, traces=True: simulate_closed_loop(cfg, art, Z0[i], lam=lam[i], kinds="const",
+                                                          d0=d0[i], controlled=ctrl[i], traces=traces)
         base = run(np.arange(len(lam)))
         assert base.failed.tolist() == [False] * 7 + [True]
         for perm in (np.arange(len(lam))[::-1], np.random.default_rng(7).permutation(len(lam))):
@@ -305,6 +336,9 @@ class TestRowGroups:
             assert np.array_equal(moved.l2, base.l2[perm])
             assert np.array_equal(moved.ratios, base.ratios[perm])
             assert np.array_equal(moved.failed, base.failed[perm])
+            bare = run(perm, traces=False)  # ratio-only, as grid runs
+            assert np.array_equal(bare.ratios, base.ratios[perm])
+            assert np.array_equal(bare.failed, base.failed[perm])
 
     def test_lambda_zero_rows_read_only_the_feedback_block(self, heat_full, monkeypatch):
         # NaN in the law's g and B^+ columns fails every lambda > 0 row and
