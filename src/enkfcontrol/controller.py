@@ -27,8 +27,8 @@ reduction Phi, P, K = B'P / R and B^+ together, and
 :meth:`CompiledLaw.bind` binds it once to a stack of states, which it then
 evaluates with one GEMM a call, in the plant's state coordinates or any
 orthonormal basis of them.  The closed loop always uses the compiled law;
-its lambda = 0 rows (the optimal learning control) use the K block alone,
-``CompiledLaw.K``, and never read g or B^+.
+its lambda = 0 rows (the optimal learning control) use the K block alone
+and never read g or B^+.
 
 Lyapunov redesign assumes a nominal stabilizing law plus a matched
 uncertainty (Khalil, *Nonlinear Systems*, 3rd ed., 2002, section 14.2).
@@ -124,12 +124,14 @@ class CompiledLaw:
 
         u = -K x - lambda B^+ g / max(|g|, r),
 
-    and a row z of the stack gives g, K x and B^+ g at once as the row
-    z H, H = [Phi'P' | Phi'K' | Phi'P'B^+'] with n + m + m columns.  lambda
-    is supplied per row when the law is bound to its rows, so one compiled
-    law serves every lambda that shares the gain.  A row with lambda = 0
-    reads K x alone: ``z @ law.K`` is its whole feedback, from H's m
-    feedback columns.
+    and a row z of the stack gives g, -K x and -B^+ g at once as the row
+    z H, H = [Phi'P' | -Phi'K' | -Phi'P'B^+'] with n + m + m columns: the
+    last two blocks are stored negated, so an evaluation adds them and
+    negates nothing, with the bits of the unnegated form.  lambda is
+    supplied per row when the law is bound to its rows, so one compiled law
+    serves every lambda that shares the gain.  A row with lambda = 0 reads
+    K x alone: ``-z @ law.K`` is its whole feedback, from H's m feedback
+    columns.
     """
 
     H: np.ndarray
@@ -142,23 +144,25 @@ class CompiledLaw:
 
     @property
     def K(self) -> np.ndarray:
-        """Phi'K', H's feedback columns as a contiguous copy: u = -z Phi'K' at lambda = 0."""
-        return np.ascontiguousarray(self.H[:, self.n:self.n + self.m])
+        """Phi'K', H's feedback columns negated back, as a new array: u = -z Phi'K' at lambda = 0."""
+        return -self.H[:, self.n:self.n + self.m]
 
     def bind(self, Z: np.ndarray, lam: np.ndarray, U: np.ndarray) -> Callable[[], None]:
         """``control()``: adds the controls of the rows of Z, row i under lam[i], into U.
 
         Like the step of :func:`pde.rk4_stepper`, the law is bound once: Z
         and U are views the caller keeps (a stack stepped in place), and the
-        work array for Z H and its g, K x and B^+ g column blocks are made
+        work array for Z H and its g, -K x and -B^+ g column blocks are made
         here, so a call reads whatever Z then holds and allocates nothing.
-        Rows that all have lambda = 0 read K x alone, ``Z @ law.K``.
+        Rows that all have lambda = 0 read -K x alone, Z times H's feedback
+        columns.
         """
         if not np.any(lam):
-            K, FK = self.K, np.empty((len(Z), self.m))
+            minus_K = np.ascontiguousarray(self.H[:, self.n:self.n + self.m])
+            FK = np.empty((len(Z), self.m))
 
             def feedback():
-                np.subtract(U, np.matmul(Z, K, out=FK), out=U)
+                np.add(U, np.matmul(Z, minus_K, out=FK), out=U)
 
             return feedback
         H, n, m, r = self.H, self.n, self.m, self.r
@@ -170,8 +174,7 @@ class CompiledLaw:
             np.sqrt(np.einsum("ij,ij->i", G, G, out=scale), out=scale)  # |g|
             np.divide(lam, np.maximum(scale, r, out=scale), out=scale)
             np.multiply(FB, column, out=FB)
-            np.negative(FK, out=FK)
-            np.subtract(FK, FB, out=FK)
+            np.add(FK, FB, out=FK)
             np.add(U, FK, out=U)
 
         return control
@@ -187,5 +190,5 @@ def compile_law(law: ControlLaw, sim: Simulator) -> CompiledLaw:
     P = law.gain.P
     K = B.T @ P / law.R
     Phi = np.eye(P.shape[0]) if law.reduction is None else law.reduction.Phi
-    H = Phi.T @ np.hstack([P.T, K.T, P.T @ np.linalg.pinv(B).T])
+    H = Phi.T @ np.hstack([P.T, -K.T, -(P.T @ np.linalg.pinv(B).T)])
     return CompiledLaw(H=H, n=P.shape[0], r=law.r)

@@ -80,10 +80,11 @@ def collect_snapshots(
     draw, one step after another), so the data is reproducible regardless
     of how the trajectories are scheduled.  All trajectories advance as one
     (n_traj, p) stack by :func:`pde.rk4_stepper`'s step into slab k + 1 of
-    ``states``, in the eigenbasis of a symmetric linear simulator's A, mapped
-    back in place over blocks of _BLOCK_ROWS rows of the flattened buffer (at
-    the heat defaults the bits of one slab at a time; where a slab would take
-    the BLAS's small-matrix kernel they part by rounding).
+    ``states``.  The heat plant is stepped in the closed-form eigenbasis of
+    its A and mapped back in place over blocks of _BLOCK_ROWS rows of the
+    flattened buffer (at the heat defaults the bits of one slab at a time;
+    where a slab would take the BLAS's small-matrix kernel they part by
+    rounding); any other simulator steps the states themselves.
     """
     streams = rng.spawn(n_traj)
     Z0 = sample_initial_conditions(streams, grid)

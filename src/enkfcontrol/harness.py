@@ -13,23 +13,26 @@ level of a sweep.
 
 Closed-loop trials run batched: :func:`simulate_closed_loop` advances a
 (batch, p) stack of plant states with one RK4 step per time step (for the
-heat plant, an elementwise step in the eigenbasis of its operator, compiled
-by :func:`pde.rk4_stepper`), each row carrying its own lambda, disturbance
-and controlled flag.  Every verb states its trials as a list of
+heat plant, an elementwise step in the closed-form eigenbasis of its
+operator, from :func:`pde.rk4_stepper`), each row carrying its own lambda,
+disturbance and controlled flag.  Every verb states its trials as a list of
 :class:`Case` (``batch``: the three policies, ``grid``: one robust case per
 cell, ``simulate``: one case of one trial) and :func:`run_cases` runs the
 distinct cases x trials as one stack, keeping what the verb writes:
-``batch`` and ``simulate`` every step's L2 norms, for ``timeseries.csv``,
-and ``grid``, which writes ratios alone, two norms per row (the first and
-the current one).  The control law is compiled once into one matrix
-(:func:`controller.compile_law`).  The loop groups the rows once as
-uncontrolled | lambda = 0 | lambda > 0, so each group does only the work it
-reads: no law, the feedback block alone (an m-column GEMM), or the whole
-law (one GEMM); it then steps the stack in place.  A row whose state or L2
-norm turns non-finite is masked, reading inf from that step on, while the
-other rows carry on.  Rows agree with a one-trajectory-at-a-time loop
-to rounding (matrix products over the stack instead of matrix-vector ones),
-and a row's result does not depend on where it sits in the stack.
+``batch`` and ``simulate`` every step's L2 norms, one time-major trace that
+:func:`run_cases` reads each case's rows from for ``timeseries.csv``, and
+``grid``, which writes ratios alone, two norms per row (the first and the
+current one).  A step keeps squared norms, sum_i z_i^2; they are finished
+into sqrt(. dy) once, after the last step.  The control law is compiled
+once into one matrix (:func:`controller.compile_law`).  The loop groups the
+rows once as uncontrolled | lambda = 0 | lambda > 0, so each group does only
+the work it reads: no law, the feedback block alone (an m-column GEMM), or
+the whole law (one GEMM); it then steps the stack in place, into buffers
+the rollout owns.  A row whose state or L2 norm turns non-finite is masked,
+reading inf from that step on, while the other rows carry on.  Rows agree
+with a one-trajectory-at-a-time loop to rounding (matrix products over the
+stack instead of matrix-vector ones), and a row's result does not depend on
+where it sits in the stack.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ from .pde import (
 )
 
 POLICIES = ("uncontrolled", "optimal", "robust")
+
+_CHUNK_STEPS = 128  # trace rows per gather of a case's columns in run_cases
 
 # RNG purpose tags (first SeedSequence word after the master seed)
 _TAG_ENKF = 0
@@ -200,9 +205,15 @@ class Rollout:
     """Terminal ratios, failures and, for ``batch`` and ``simulate``, L2 traces of a stack, one row each."""
 
     t: np.ndarray
-    l2: np.ndarray | None  # (batch, n_steps + 1); None in a ratio-only run (grid), which keeps two norms a row
+    trace: np.ndarray | None  # (n_steps + 1, batch) L2 norms, time-major; None in a ratio-only run (grid)
+    column: np.ndarray  # row i's column of ``trace``
     ratios: np.ndarray
     failed: np.ndarray  # bool per row
+
+    @property
+    def l2(self) -> np.ndarray | None:
+        """The L2 traces as (batch, n_steps + 1), one row each: a copy, or None in a ratio-only run."""
+        return None if self.trace is None else self.trace[:, self.column].T
 
 
 def simulate_closed_loop(
@@ -223,8 +234,11 @@ def simulate_closed_loop(
     A scalar lam, kinds, d0 or controlled applies to every row.
 
     With ``traces`` (``batch``, ``simulate``) every step's L2 norms are kept
-    as ``l2``; without (``grid``) a row keeps its first and current norm,
-    all its terminal ratio reads, and the ratios and failures are the same.
+    as ``trace``, time-major, in the loop's row order; without (``grid``) a
+    row keeps its first and current norm, all its terminal ratio reads, and
+    the ratios and failures are the same.  A step keeps the squared norms
+    sum_i y_i^2 alone, and sqrt(. dy) finishes them once at the end: over
+    the trace, or over the last norms in a ratio-only run.
 
     One stable permutation sorts the rows into three contiguous groups,
     uncontrolled | controlled with lambda = 0 | lambda > 0, which take no
@@ -232,14 +246,17 @@ def simulate_closed_loop(
     and the whole one-matrix law; the results are put back in the caller's
     order at the end.  The control is recomputed every step and the whole
     stack advances with one RK4 step, in place: each group's views and the
-    law's work array (:meth:`controller.CompiledLaw.bind`) and every buffer
-    are made once, so a step gathers, scatters and allocates no rows.  A
-    symmetric linear plant (heat) is carried as y = z Q in the eigenbasis of
-    its A (:func:`pde.rk4_stepper`), with the law in that basis and the L2
-    norm, which Q preserves, read off y.
+    law's work array (:meth:`controller.CompiledLaw.bind`) and every buffer,
+    the step's ``u NQ`` product among them, are made once and owned by the
+    rollout, so a step gathers, scatters and allocates no rows, and sin(t_k)
+    is evaluated once for all steps.  The heat plant is carried as y = z Q
+    in the closed-form eigenbasis of its A (:func:`pde.rk4_stepper`), with
+    the law in that basis and the L2 norm, which Q preserves, read off y.
     A row whose state or L2 norm turns non-finite is a failed trial: its
     norm and terminal ratio read inf from that step on, it is frozen at
-    zero, and the others go on.
+    zero, and the others go on.  A norm is finite exactly when its squared
+    norm times dy is, so the test reads max(sq) dy, which is also non-finite
+    when dy > 1 takes a finite sq past the largest float.
     """
     Z = np.array(Z0, dtype=float, ndmin=2)
     batch = Z.shape[0]
@@ -265,38 +282,40 @@ def simulate_closed_loop(
                     for rows in (slice(a, b), slice(b, batch)) if rows.start < rows.stop]
 
     grid = grid_of(cfg)
+    dy = grid.dy
     n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
     t = np.arange(n_steps + 1) * cfg.dt_sim
+    sines = np.sin(t[:-1])
+    work = None if Q is None else np.empty_like(Y)  # u NQ of the eigenbasis step
     first = l2_norm(Y, grid)
-    norms = np.empty(batch)  # the current step's norms
-    l2 = None
-    if traces:
-        l2 = np.empty((n_steps + 1, batch))  # time-major: step k's norms are one contiguous row
-        l2[0] = first
+    trace = np.empty((n_steps + 1, batch)) if traces else None  # step k's norms are one contiguous row
+    sq = np.empty(batch)  # the current squared norms, a row of the trace if there is one
     failed, any_failed = np.zeros(batch, dtype=bool), False
     column = shape[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            np.multiply(d_sin, np.sin(t[k]), out=shape)
+            np.multiply(d_sin, sines[k], out=shape)
             shape += d_const
             np.multiply(column, w, out=U)
             for control in controls:
                 control()
-            step(Y, U, Y)
-            l2_norm(Y, grid, out=norms)  # non-finite for a non-finite state too
-            if any_failed or not math.isfinite(norms.max()):  # max propagates NaN
-                failed |= ~np.isfinite(norms)
-                norms[failed] = np.inf
+            step(Y, U, Y, work)
+            if traces:
+                sq = trace[k + 1]
+            np.einsum("...i,...i->...", Y, Y, out=sq)  # non-finite for a non-finite state too
+            if any_failed or not math.isfinite(sq.max() * dy):  # max propagates NaN
+                failed |= ~np.isfinite(sq * dy)
+                sq[failed] = np.inf
                 Y[failed] = 0.0
                 any_failed = True
-            if traces:
-                l2[k + 1] = norms
+        norms = trace[1:] if traces else sq  # sq is the trace's last row if there is one
+        np.sqrt(np.multiply(norms, dy, out=norms), out=norms)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(failed | (first == 0), np.inf, norms / first)
-    inverse = np.argsort(order)
+        ratios = np.where(failed | (first == 0), np.inf, sq / first)  # sq: the last norms, finished
     if traces:
-        l2 = np.ascontiguousarray(l2.T[inverse])
-    return Rollout(t=t, l2=l2, ratios=ratios[inverse], failed=failed[inverse])
+        trace[0] = first
+    inverse = np.argsort(order)
+    return Rollout(t=t, trace=trace, column=inverse, ratios=ratios[inverse], failed=failed[inverse])
 
 
 def trial_initial_condition(cfg: ExperimentConfig, trial: int) -> np.ndarray:
@@ -346,6 +365,27 @@ def grid_cases(cfg: ExperimentConfig) -> list[Case]:
     ]
 
 
+def _case_moments(trace: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise mean and variance over the given columns of a time-major trace.
+
+    Each chunk of steps is gathered into a C-ordered (trials, steps) block,
+    whose axis-0 mean and variance add the trials in order, as they do over
+    the whole (trials, n_steps + 1) block.  Every chunk is at least two
+    steps wide: a one-step block would be summed pairwise.  A whole case
+    gathered at once would hold its block and the variance's deviations on
+    top of the trace: with ``batch``'s three cases, 3/4 of a second one.
+    """
+    n = len(trace)
+    mean, variance = np.empty(n), np.empty(n)
+    bounds = [*range(0, n - 1, _CHUNK_STEPS), n]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = np.ascontiguousarray(trace[start:stop].T[columns])
+        mean[start:stop] = block.mean(axis=0)
+        with np.errstate(invalid="ignore"):  # inf - inf in a blown-up column
+            variance[start:stop] = block.var(axis=0)
+    return mean, variance
+
+
 def run_cases(
     cfg: ExperimentConfig, art: Artifacts, cases: list[Case], n_trials: int, traces: bool = True
 ) -> list[CaseResult]:
@@ -356,7 +396,9 @@ def run_cases(
     disturbance kind has no effect, so each distinct (controlled, kind, d0,
     lambda) block, kind read as "none" when d0 = 0, is one block of the stack
     and its twins share its traces, ratios and failures.  ``traces`` is as
-    in :func:`simulate_closed_loop`.
+    in :func:`simulate_closed_loop`; a case's mean and variance read its
+    columns of the time-major trace, _CHUNK_STEPS steps at a time, so the
+    trace is held once.
     """
     keys = [(c.policy != "uncontrolled", c.kind if c.d0 else "none", c.d0, c.lam) for c in cases]
     block_of = {key: j for j, key in enumerate(dict.fromkeys(keys))}
@@ -373,10 +415,7 @@ def run_cases(
         rows = slice(j * n_trials, (j + 1) * n_trials)
         mean = variance = None
         if traces:
-            block = roll.l2[rows]
-            mean = block.mean(axis=0)
-            with np.errstate(invalid="ignore"):  # inf - inf in a blown-up column
-                variance = block.var(axis=0)
+            mean, variance = _case_moments(roll.trace, roll.column[rows])
         results.append(CaseResult(
             case=case, t=roll.t, mean=mean, variance=variance,
             ratios=roll.ratios[rows], failures=int(np.sum(roll.failed[rows])),

@@ -12,9 +12,14 @@ circulant, constants lie in their kernel).
 
 A :class:`Simulator` evaluates ``rhs(x, u)`` and exposes its input matrix
 as ``control_matrix``; training and the compiled control law read the
-design model's A and B directly.  :func:`rk4_stepper` compiles the RK4
-step of a symmetric linear simulator once, in the eigenbasis of its A, into
-an elementwise product and one small GEMM.
+design model's A and B directly.
+
+The second difference with periodic or mirrored (Dirichlet) ghost cells has
+a known orthonormal eigenbasis: the real Fourier basis and the DST-II basis
+(Strang, "The Discrete Cosine Transform", SIAM Review 41(1), 1999), given
+by :func:`second_difference_eigenbasis`.  :func:`rk4_stepper` compiles the
+heat plant's RK4 step once in that basis, into an elementwise product and
+one small GEMM; every other simulator takes :func:`rk4_step`.
 """
 
 from __future__ import annotations
@@ -82,6 +87,35 @@ def second_difference(z: np.ndarray, grid: GridSpec, bc: str = "periodic") -> np
 def second_difference_matrix(grid: GridSpec, bc: str = "periodic") -> np.ndarray:
     """Dense matrix form of :func:`second_difference` (used by linear solvers)."""
     return np.asarray(second_difference(np.eye(grid.p), grid, bc)).T.copy()
+
+
+def second_difference_eigenbasis(grid: GridSpec, bc: str = "periodic") -> tuple[np.ndarray, np.ndarray]:
+    """(lam, Q): D2 = Q diag(lam) Q' with Q orthogonal, both in closed form.
+
+    Periodic: column k of Q (k = 0..p-1) is cos(2 pi k j / p) for k <= p/2
+    and sin(2 pi k j / p) = -sin(2 pi (p - k) j / p) above, the real Fourier
+    basis.  Dirichlet, whose ghost cells mirror with a sign flip: column k is
+    sin(pi k (j + 1/2) / p), k = 1..p, the DST-II basis.  Columns scale by
+    sqrt(2 / p), except the constant and alternating ones, by sqrt(1 / p).
+    Each angle is reduced exactly in integers, so Q gathers its entries
+    from one table of the p (periodic) or 4p (Dirichlet) angles.
+    lam_k = -4 sin^2(theta_k / 2) / dy^2, with theta_k = 2 pi k / p
+    (periodic) or pi k / p (Dirichlet).
+    """
+    p, j = grid.p, np.arange(grid.p)[:, None]
+    if bc == "periodic":
+        k = np.arange(p)
+        angle, turn = k * (2.0 * np.pi / p), j * k % p
+        Q = np.where(2 * k <= p, np.cos(angle)[turn], np.sin(angle)[turn])
+        single = (k == 0) | (2 * k == p)
+        half_angle = np.pi * k / p
+    else:
+        k = np.arange(1, p + 1)
+        Q = np.sin(np.arange(4 * p) * (np.pi / (2 * p)))[(2 * j + 1) * k % (4 * p)]
+        single = k == p
+        half_angle = np.pi * k / (2 * p)
+    Q *= np.where(single, np.sqrt(1.0 / p), np.sqrt(2.0 / p))
+    return -4.0 * np.sin(half_angle) ** 2 / grid.dy**2, Q
 
 
 def burgers_rhs(
@@ -180,33 +214,36 @@ def rk4_step(sim: Simulator, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarr
 def rk4_stepper(sim: Simulator, h: float):
     """(Q, step): :func:`rk4_step` of ``sim`` with step h on y = z Q, for one state or a stack.
 
-    ``step(y, u, out)`` writes the next state into ``out`` and returns it;
-    ``out`` may be ``y`` itself, which steps the stack in place.
-    A linear simulator whose A is exactly symmetric has A = Q diag Q' with Q
-    orthogonal (``eigh``), so its step z M' + u N', M = R(hA) and
-    N = h phi(hA) B with R and phi RK4's polynomials, is diagonal in that
-    basis: y -> y * mu + u N' Q, mu = diag(Q'MQ).  Both are read off one
-    ``rk4_step`` of the stacked [Q' | 0; 0 | I], and the step matches
-    ``rk4_step`` mapped back by ``y Q'`` to rounding.  Every other simulator
-    takes ``rk4_step`` itself on the state, and Q is None.
+    ``step(y, u, out, work=None)`` writes the next state into ``out`` and
+    returns it; ``out`` may be ``y`` itself, which steps the stack in place.
+    Only the heat plant is diagonal: its A = nu D2 = Q diag(nu lam) Q' with
+    (lam, Q) the closed-form :func:`second_difference_eigenbasis`, so its
+    step z M' + u N', M = R(hA) and N = h phi(hA) B with R and phi RK4's
+    polynomials, is y -> y * mu + u N' Q in that basis, mu = R(h nu lam).
+    Both are read off one ``rk4_step`` of the plant in that basis, the
+    linear simulator (diag(nu lam), Q'B), on the stacked [1 | 0; 0 | I]:
+    the row of ones gives mu and the identity rows N' Q.  The step matches
+    ``rk4_step`` mapped back by ``y Q'`` to rounding.
+    ``u N' Q`` goes into ``work`` when the caller passes a (rows, n) buffer,
+    else into a new array.  Every other simulator takes ``rk4_step`` itself
+    on the state, ignores ``work``, and Q is None.
     """
-    if not (isinstance(sim, LinearSimulator) and np.array_equal(sim.A, sim.A.T)):
-        def step(x, u, out):
+    if not isinstance(sim, HeatSimulator):
+        def step(x, u, out, work=None):
             out[...] = rk4_step(sim, x, u, h)
             return out
 
         return None, step
-    _, Q = np.linalg.eigh(sim.A)
+    lam, Q = second_difference_eigenbasis(sim.grid, sim.bc)
     n, m = sim.n, sim.m
-    X, U = np.zeros((n + m, n)), np.zeros((n + m, m))
-    X[:n], U[n:] = Q.T, np.eye(m)
-    compiled = rk4_step(sim, X, U, h)
-    mu = np.einsum("ij,ji->i", compiled[:n], Q)
-    NQ = compiled[n:] @ Q
+    X, U = np.zeros((1 + m, n)), np.zeros((1 + m, m))
+    X[0], U[1:] = 1.0, np.eye(m)
+    compiled = rk4_step(LinearSimulator(np.diag(sim.nu * lam), Q.T @ sim.control_matrix), X, U, h)
+    mu, NQ = compiled[0], compiled[1:]
 
-    def step(y, u, out):
+    def step(y, u, out, work=None):
         np.multiply(y, mu, out=out)
-        out += u @ NQ
+        out += np.matmul(u, NQ, out=work)
         return out
 
     return Q, step
@@ -231,8 +268,7 @@ def sample_initial_conditions(rngs: list[np.random.Generator], grid: GridSpec) -
     return alpha[:, None] / np.cosh((grid.points - center) / beta[:, None])
 
 
-def l2_norm(z: np.ndarray, grid: GridSpec, out: np.ndarray | None = None):
-    """Rectangle-rule L2 norm sqrt(sum_i z_i^2 * dy) along the last axis, into ``out`` if given."""
+def l2_norm(z: np.ndarray, grid: GridSpec):
+    """Rectangle-rule L2 norm sqrt(sum_i z_i^2 * dy) along the last axis."""
     z = np.asarray(z, dtype=float)
-    squares = np.einsum("...i,...i->...", z, z, out=out)
-    return np.sqrt(np.multiply(squares, grid.dy, out=out), out=out)
+    return np.sqrt(np.einsum("...i,...i->...", z, z) * grid.dy)

@@ -226,6 +226,41 @@ class TestBlowUp:
             assert bare.mean is None and bare.variance is None
             assert np.array_equal(bare.ratios, cell.ratios) and bare.failures == cell.failures
 
+    @pytest.mark.parametrize("overrides", [
+        dict(p=32, m=4, T_sim=0.3),
+        dict(L=32.0, p=16, m=4, T_sim=0.03),  # dy = 2
+    ], ids=["mid-run", "wide-cells"])
+    def test_deferred_norms_fail_as_the_per_step_norm(self, overrides):
+        # a step keeps squared norms and finishes sqrt(. dy) after the loop; the
+        # constant d0 = 1e155 row drives its squared norm times dy past the
+        # largest float some steps in, and fails at the step where the per-step
+        # norm of the reference turns inf.  With dy > 1 that step comes before
+        # the squared norm itself overflows, and the run ends in between, so a
+        # test on the squared norm alone would miss the failure.
+        cfg = heat_config(n_trials=1, **overrides)
+        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 9))
+        z = trial_initial_condition(cfg, 0)
+        rows = [(1e155, False, 0.0), (0.1, True, 0.3), (0.0, False, 0.0)]
+        d0, ctrl, lam = (np.array(col) for col in zip(*rows))
+        run = lambda traces=True: simulate_closed_loop(cfg, art, np.tile(z, (3, 1)), lam=lam, kinds="const",
+                                                       d0=d0, controlled=ctrl, traces=traces)
+        roll = run()
+        assert roll.failed.tolist() == [True, False, False]
+        for i, (d0_i, ctrl_i, lam_i) in enumerate(rows):
+            l2, ratio = reference(cfg, art, z, lam_i, "const", d0_i, ctrl_i)
+            assert np.array_equal(np.isinf(roll.l2[i]), np.isinf(l2))
+            np.testing.assert_allclose(roll.l2[i], l2, rtol=RTOL, atol=0)
+            assert roll.ratios[i] == pytest.approx(ratio, rel=RTOL)
+        blown = int(np.argmax(np.isinf(roll.l2[0])))
+        assert 1 < blown < roll.l2.shape[1] - 1
+        zk = z
+        with np.errstate(over="ignore"):
+            for _ in range(blown):
+                zk = rk4_step(art.sim, zk, np.full(cfg.m, 1e155), cfg.dt_sim)
+            assert np.isfinite(np.sum(zk * zk)) == (grid_of(cfg).dy > 1)
+        bare = run(traces=False)
+        assert np.array_equal(bare.ratios, roll.ratios) and np.array_equal(bare.failed, roll.failed)
+
     def test_grid_failure_counts(self, heat_full):
         cfg, art = heat_full
         # a constant d0 = 1e308 overflows the L2 norm after the first step of
@@ -284,25 +319,53 @@ class TestTwinCells:
 
 
 class TestRatioOnly:
+    # 3,000 steps of 32 rows of 8 cells: one (n_steps + 1) x batch float64
+    # trace is 768 kB, and the stack itself 2 kB.  numpy reports its
+    # allocations to tracemalloc.
+    cfg = heat_config(p=8, m=2, n_trials=4, T_sim=3.0, grid_d0=(0.1, 0.2), grid_lambda=(0.0, 0.3))
+    trace_bytes = (3000 + 1) * len(grid_cases(cfg)) * cfg.n_trials * 8
+
+    def peak(self, traces):
+        """(peak, kept): the peak bytes of run_cases, and the bytes its results keep."""
+        art = build_artifacts(self.cfg, gain=spd_gain(self.cfg.p, 8))
+        tracemalloc.start()
+        try:
+            results = run_cases(self.cfg, art, grid_cases(self.cfg), self.cfg.n_trials, traces=traces)
+            kept, peak = tracemalloc.get_traced_memory()
+            assert results
+            return peak, kept
+        finally:
+            tracemalloc.stop()
+
     def test_grid_holds_no_trace(self):
-        # 3,000 steps of 32 rows of 8 cells: one (n_steps + 1) x batch float64
-        # trace is 768 kB, and the stack itself 2 kB.  numpy reports its
-        # allocations to tracemalloc.
-        cfg = heat_config(p=8, m=2, n_trials=4, T_sim=3.0, grid_d0=(0.1, 0.2), grid_lambda=(0.0, 0.3))
-        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 8))
-        cases = grid_cases(cfg)
-        trace_bytes = (3000 + 1) * len(cases) * cfg.n_trials * 8
+        assert self.peak(traces=True)[0] > self.trace_bytes  # batch and simulate keep the traces
+        assert self.peak(traces=False)[0] < self.trace_bytes
 
-        def peak(traces):
-            tracemalloc.start()
-            try:
-                run_cases(cfg, art, cases, cfg.n_trials, traces=traces)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_traced_run_holds_the_trace_once(self):
+        # run_cases reads each case's means and variances off the time-major
+        # trace, with no copy of it in row order.  Those means and variances
+        # are what the run returns, half a trace here, and come on top.
+        peak, kept = self.peak(traces=True)
+        assert peak - kept <= 1.2 * self.trace_bytes
 
-        assert peak(traces=True) > trace_bytes  # batch and simulate keep the traces
-        assert peak(traces=False) < trace_bytes
+
+@pytest.mark.parametrize("steps", [2, 129, 257, 3001])
+def test_case_moments_are_the_row_block_moments_bit_for_bit(steps):
+    # the chunked reads of a case's trace columns give the bits of the mean and
+    # variance over its rows in row order, a final one-step chunk included
+    # (129 = 128 + 1), and an inf in a column as the row block gives it.  One
+    # row near 1 and the others near 1e-16 make a sum in row order part from
+    # a pairwise one.
+    rng = np.random.default_rng(steps)
+    columns = rng.permutation(40)[:29]
+    trace = rng.random((steps, 40)) * 1e-16
+    trace[:, columns[0]] += 1.0
+    trace[steps // 4:steps // 2, 7] = np.inf
+    block = np.ascontiguousarray(trace.T[columns])
+    mean, variance = harness._case_moments(trace, columns)
+    assert np.array_equal(mean, block.mean(axis=0))
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(variance, block.var(axis=0), equal_nan=True)
 
 
 class TestRowGroups:

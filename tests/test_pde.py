@@ -192,25 +192,52 @@ class TestIntegrate:
         assert rel < 1e-6
 
 
+class TestEigenbasis:
+    @pytest.mark.parametrize("p", [3, 4, 7, 100, 128])
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+    def test_closed_form_diagonalizes_the_second_difference(self, bc, p):
+        # D2 = Q diag(lam) Q' with Q orthogonal, to rounding, for odd and even p
+        grid = GridSpec(p=p, L=2.0)
+        lam, Q = pde.second_difference_eigenbasis(grid, bc)
+        D2 = second_difference_matrix(grid, bc)
+        assert np.linalg.norm(Q.T @ Q - np.eye(p), 2) <= 1e-13
+        assert np.linalg.norm(D2 @ Q - Q * lam, 2) <= 1e-13 * np.linalg.norm(D2, 2)
+
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+    def test_heat_step_tracks_rk4_step_over_300_steps(self, bc):
+        rng = np.random.default_rng(5)
+        sim = HeatSimulator(GridSpec(p=100), 0.01, 10, bc=bc)
+        Q, step = rk4_stepper(sim, 1e-3)
+        z, u = rng.normal(size=(4, sim.n)), rng.normal(size=(4, sim.m))
+        y, work = z @ Q, np.empty_like(z)
+        for _ in range(300):
+            z = rk4_step(sim, z, u, 1e-3)
+            step(y, u, y, work)
+        assert np.max(np.abs(y @ Q.T - z)) <= 1e-12 * np.max(np.abs(z))
+
+
 class TestCompiledStep:
-    @pytest.mark.parametrize("make,symmetric", [
+    @pytest.mark.parametrize("make,diagonal", [
         # the periodic operator has repeated eigenvalues
         (lambda rng: HeatSimulator(GridSpec(p=48), 0.01, 4, bc="periodic"), True),
         (lambda rng: HeatSimulator(GridSpec(p=48), 0.01, 4, bc="dirichlet"), True),
         # a nonsymmetric A and a dense B, as a DMDc reduced model has
         (lambda rng: LinearSimulator(rng.normal(size=(10, 10)), rng.normal(size=(10, 3))), False),
-    ], ids=["heat-periodic", "heat-dirichlet", "random-linear"])
-    def test_linear_matches_rk4_step(self, make, symmetric):
-        # a symmetric A is stepped in its eigenbasis, y = z Q, and matches
-        # rk4_step mapped back to rounding; any other A takes rk4_step itself
+        # the heat operator, not as the heat plant
+        (lambda rng: LinearSimulator(0.01 * second_difference_matrix(GridSpec(p=48)), np.ones((48, 2))), False),
+    ], ids=["heat-periodic", "heat-dirichlet", "random-linear", "symmetric-linear"])
+    def test_linear_matches_rk4_step(self, make, diagonal):
+        # the heat plant is stepped in its closed-form eigenbasis, y = z Q, and
+        # matches rk4_step mapped back to rounding; any other simulator takes
+        # rk4_step itself
         rng = np.random.default_rng(6)
         sim = make(rng)
         Q, step = rk4_stepper(sim, 1e-2)
-        assert (Q is not None) == symmetric
+        assert (Q is not None) == diagonal
         x, u = rng.normal(size=(5, sim.n)), rng.normal(size=(5, sim.m))
         for xi, ui in ((x, u), (x[0], u[0])):  # a stack and a 1-D state
             want = rk4_step(sim, xi, ui, 1e-2)
-            if not symmetric:
+            if not diagonal:
                 assert np.array_equal(step(xi, ui, np.empty_like(xi)), want)
                 continue
             np.testing.assert_allclose(Q.T @ Q, np.eye(sim.n), rtol=0, atol=1e-13)
@@ -242,9 +269,10 @@ class TestCompiledStep:
 
     @pytest.mark.parametrize("make_config,compiled", [(heat_config, True), (burgers_config, False)])
     def test_closed_loop_compiles_once(self, make_config, compiled, monkeypatch):
-        # a linear plant runs one rk4_step (its compile) for the whole rollout;
-        # Burgers runs one per time step.  The plant's rhs is counted too, so
-        # a step taken by any other route shows.
+        # the heat plant runs one rk4_step for the whole rollout, its compile
+        # on the plant's diagonal form, and never calls the plant's rhs;
+        # Burgers runs one rk4_step per time step, on the plant.  The plant's
+        # rhs is counted, so a step taken by any other route shows.
         cfg = make_config(model="full", p=16, m=2, n_trials=2, T_sim=0.01)
         art = build_artifacts(cfg, gain=GainApprox(P=np.eye(cfg.p)))
         Z0 = np.array([trial_initial_condition(cfg, i) for i in range(2)])
@@ -256,7 +284,8 @@ class TestCompiledStep:
         n_steps = roll.l2.shape[1] - 1
         assert n_steps > 1
         assert len(steps) == (1 if compiled else n_steps)
-        assert len(rhs_calls) == 4 * len(steps)
+        assert all((a[0] is art.sim) != compiled for a in steps)
+        assert len(rhs_calls) == (0 if compiled else 4 * n_steps)
 
 
 class TestInitialCondition:
