@@ -4,6 +4,8 @@ Config files are flat ``key = value`` text with section headers.  Parsing is
 strict: unknown sections or keys are errors, so a saved ``config.echo`` is
 always a complete, loadable record of a run.  Floats are echoed with 17
 significant digits; rerunning from an echo reproduces the run byte for byte.
+The retired key ``[robust] b_access`` is skipped when it holds one of its
+old values (``auto``, ``known``, ``simulator``), so old echoes still load.
 
 :meth:`ExperimentConfig.validate` is the package's one range check, and
 each of its messages names the ``[section] key`` to change.  The engine
@@ -24,7 +26,6 @@ from .pde import BOUNDARY_CONDITIONS
 PDE_KINDS = ("heat", "burgers")
 MODEL_PATHS = ("full", "dmdc")
 DISTURBANCE_KINDS = ("sin", "const", "none")
-B_ACCESS_CHOICES = ("auto", "known", "simulator")
 LAMBDA_UNITS = ("amplitude", "state")
 
 
@@ -53,7 +54,6 @@ class ExperimentConfig:
     # robust term
     lam: float = 0.2
     r_robust: float = 0.002
-    b_access: str = "auto"
     lambda_units: str = "amplitude"
     # dual EnKF
     enkf_particles: int = 10000
@@ -93,8 +93,7 @@ class ExperimentConfig:
             expect(all(math.isfinite(v) for v in values if isinstance(v, float)), f.name, "be finite")
         expect(self.seed >= 0, "seed", "be nonnegative")
         for name, choices in (("pde", PDE_KINDS), ("model", MODEL_PATHS), ("bc", BOUNDARY_CONDITIONS),
-                              ("dist_kind", DISTURBANCE_KINDS), ("b_access", B_ACCESS_CHOICES),
-                              ("lambda_units", LAMBDA_UNITS)):
+                              ("dist_kind", DISTURBANCE_KINDS), ("lambda_units", LAMBDA_UNITS)):
             if getattr(self, name) not in choices:
                 fail(name, f"be one of {', '.join(choices)}")
         for name in ("nu", "L", "T_sim", "dt_sim", "q", "r_input", "g", "r_robust"):
@@ -242,7 +241,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "robust": {
         "lambda": ("lam", _parse_float),
         "r": ("r_robust", _parse_float),
-        "b_access": ("b_access", str),
         "lambda_units": ("lambda_units", str),
     },
     "enkf": {
@@ -293,6 +291,11 @@ def parse_config_text(text: str, pde: str | None = None) -> ExperimentConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in cp[section].items():
+            if (section, key) == ("robust", "b_access"):  # retired; an old file's value is skipped
+                if value not in ("auto", "known", "simulator"):
+                    raise ConfigError("[robust] b_access is no longer read; an old file's value must "
+                                      f"be one of auto, known, simulator, got {value}")
+                continue
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             field_name, parser = _SCHEMA[section][key]

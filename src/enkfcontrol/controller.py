@@ -16,11 +16,10 @@ asymptotic for practical stability (the state settles into the ball |g| < r
 instead of reaching the origin).  lambda is given at evaluation, so one law
 serves every disturbance bound that shares the gain.
 
-:func:`input_matrix` is the one place B is obtained: read from the
-simulator, or probed from it at the origin with :func:`estimate_b`, then
-checked for full column rank.  The law compiles against a linear design
-model, so the probe is exact and the law is always a fixed linear
-feedback plus a normalized projection.  The per-state functions re-solve it
+:func:`input_matrix` is the one place B is obtained: the design model's
+``control_matrix``, checked for full column rank.  The law compiles against
+a linear design model, so it is always a fixed linear feedback plus a
+normalized projection.  The per-state functions re-solve it
 at every call and are the reference the tests compare against;
 :func:`compile_law` solves it once into one matrix, which folds the
 reduction Phi, P, K = B'P / R and B^+ together, and
@@ -54,24 +53,30 @@ class RankDeficientError(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlLaw:
-    """The law but its lambda: gain, scalar input weight R > 0, floor r > 0 and B access."""
+    """The law but its lambda: gain, scalar input weight R > 0, floor r > 0 and reduction."""
 
     gain: GainApprox
     R: float
     r: float
-    b_access: str = "known"
     reduction: ReducedModel | None = None
 
 
 def estimate_b(sim: Simulator, x: np.ndarray, m: int) -> np.ndarray:
-    """Probe the input matrix B columnwise at x: column j = S(x, e_j) - S(x, 0)."""
+    """Probe the input matrix B columnwise at x: column j = S(x, e_j) - S(x, 0).
+
+    Nothing in the package calls it: the law reads B from its linear design
+    model, where this probe gives the same bits.  It stays until a benchmark
+    change retires the span the benchmark's tracer keeps on it.
+    """
     x = np.asarray(x, dtype=float)
     base = sim.rhs(x, np.zeros(m))
     cols = [sim.rhs(x, np.eye(m)[j]) - base for j in range(m)]
     return np.column_stack(cols)
 
 
-def _check_column_rank(B: np.ndarray) -> None:
+def input_matrix(sim: Simulator) -> np.ndarray:
+    """B read from ``sim``, of full column rank."""
+    B = sim.control_matrix
     m = B.shape[1]
     s = np.linalg.svd(B, compute_uv=False)
     tol = max(B.shape) * np.finfo(float).eps * s[0] if s[0] > 0 else 0.0
@@ -84,21 +89,12 @@ def _check_column_rank(B: np.ndarray) -> None:
             f"input matrix has column rank {rank} < m={m}; "
             f"null space involves columns {bad}"
         )
-
-
-def input_matrix(law: ControlLaw, sim: Simulator) -> np.ndarray:
-    """B read from ``sim`` or probed from it at the origin, of full column rank."""
-    if law.b_access == "known":
-        B = sim.control_matrix
-    else:
-        B = estimate_b(sim, np.zeros(sim.n), sim.m)
-    _check_column_rank(B)
     return B
 
 
 def minimize_hamiltonian(law: ControlLaw, x: np.ndarray, sim: Simulator) -> np.ndarray:
     """Global minimizer -B' g / R of the control Hamiltonian at x."""
-    B = input_matrix(law, sim)
+    B = input_matrix(sim)
     return -(B.T @ (law.gain.P @ x)) / law.R
 
 
@@ -106,7 +102,7 @@ def robust_term(law: ControlLaw, x: np.ndarray, sim: Simulator, lam: float) -> n
     """Lyapunov-redesign term u_d = -lambda * B^+ g / max(|g|, r)."""
     g = law.gain.P @ x
     r1 = max(float(np.linalg.norm(g)), law.r)
-    v, *_ = np.linalg.lstsq(input_matrix(law, sim), g / r1, rcond=None)
+    v, *_ = np.linalg.lstsq(input_matrix(sim), g / r1, rcond=None)
     return -lam * v
 
 
@@ -186,7 +182,7 @@ class CompiledLaw:
 
 def compile_law(law: ControlLaw, sim: Simulator) -> CompiledLaw:
     """Solve the law once, with B from :func:`input_matrix`."""
-    B = input_matrix(law, sim)
+    B = input_matrix(sim)
     P = law.gain.P
     K = B.T @ P / law.R
     Phi = np.eye(P.shape[0]) if law.reduction is None else law.reduction.Phi

@@ -191,13 +191,7 @@ def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam):
 
 def build_law(cfg: ExperimentConfig, art: Artifacts) -> ControlLaw:
     """The control law of the trained gain; lambda is given at evaluation."""
-    return ControlLaw(
-        gain=art.gain,
-        R=cfg.r_input,
-        r=cfg.r_robust,
-        b_access="known" if cfg.b_access == "auto" else cfg.b_access,
-        reduction=art.reduction,
-    )
+    return ControlLaw(gain=art.gain, R=cfg.r_input, r=cfg.r_robust, reduction=art.reduction)
 
 
 @dataclass

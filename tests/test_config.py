@@ -83,6 +83,25 @@ class TestStrictness:
             default_config("advection")
 
 
+class TestRetiredKey:
+    """[robust] b_access is no longer read: an old file's value is skipped."""
+
+    TEXT = "[experiment]\nmodel = dmdc\n\n[robust]\nlambda = 0.3\n"
+
+    @pytest.mark.parametrize("value", ["auto", "known", "simulator"])
+    def test_old_value_parses_as_if_absent(self, value):
+        old = self.TEXT + f"b_access = {value}\n"
+        assert parse_config_text(old) == parse_config_text(self.TEXT)
+
+    def test_render_writes_no_b_access_line(self):
+        assert "b_access" not in render_config(heat_config())
+
+    def test_other_value_rejected_with_the_key_named(self):
+        with pytest.raises(ConfigError, match=r"^\[robust\] b_access is no longer read; .* "
+                                              r"one of auto, known, simulator, got probe$"):
+            parse_config_text(self.TEXT + "b_access = probe\n")
+
+
 class TestRangeChecks:
     @pytest.mark.parametrize(
         "overrides,named",
@@ -118,7 +137,7 @@ class TestRangeChecks:
             ({"grid_lambda": (-0.25,)}, r"\[grid\] lambda_list must be nonnegative, got -0.25$"),
             ({"grid_kinds": ("sin", "square")},
              r"\[grid\] kinds must each be one of sin, const, none, got sin, square$"),
-            ({"b_access": "probe"}, r"\[robust\] b_access must be one of auto, known, simulator, got probe$"),
+            ({"lambda_units": "volts"}, r"\[robust\] lambda_units must be one of amplitude, state, got volts$"),
             ({"model": "dmdc", "dmdc_amplitude": 0.0}, r"\[dmdc\] amplitude must be positive, got 0$"),
             ({"model": "dmdc", "dmdc_amplitude": -0.5}, r"\[dmdc\] amplitude must be positive, got -0.5$"),
             ({"model": "dmdc", "dmdc_trajectories": 1, "dmdc_steps": 5},

@@ -1,7 +1,6 @@
-import copy
-
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_are
 
 from enkfcontrol.config import ConfigError, heat_config
 from enkfcontrol.controller import (
@@ -16,7 +15,6 @@ from enkfcontrol.controller import (
 )
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.pde import BurgersSimulator, GridSpec, LinearSimulator, build_control_matrix
-from enkfcontrol.riccati import LtiSystem, solve_are
 
 
 def make_gain(P):
@@ -24,8 +22,8 @@ def make_gain(P):
     return GainApprox(P=P)
 
 
-def make_law(P, R, r=0.01, b_access="known", reduction=None):
-    return ControlLaw(gain=make_gain(P), R=R, r=r, b_access=b_access, reduction=reduction)
+def make_law(P, R, r=0.01, reduction=None):
+    return ControlLaw(gain=make_gain(P), R=R, r=r, reduction=reduction)
 
 
 def controls(compiled, Z, lam):
@@ -33,13 +31,6 @@ def controls(compiled, Z, lam):
     U = np.zeros((len(Z), compiled.m))
     compiled.bind(Z, np.asarray(lam, dtype=float), U)()
     return U
-
-
-def hidden_b(sim):
-    """A copy of ``sim`` without its input matrix, so only ``rhs`` can reveal B."""
-    twin = copy.copy(sim)
-    twin.control_matrix = None
-    return twin
 
 
 def random_lti(rng, n, m):
@@ -50,13 +41,10 @@ def random_lti(rng, n, m):
 
 
 class TestControlLaw:
-    def test_input_matrix_read_or_probed(self):
+    def test_input_matrix_is_the_control_matrix(self):
         rng = np.random.default_rng(1)
         A, B = random_lti(rng, 4, 2)
-        sim = LinearSimulator(A, B)
-        assert input_matrix(make_law(np.eye(4), 1.0), sim) is B
-        probed = input_matrix(make_law(np.eye(4), 1.0, b_access="simulator"), hidden_b(sim))
-        np.testing.assert_allclose(probed, B, rtol=0, atol=1e-12)
+        assert input_matrix(LinearSimulator(A, B)) is B
 
 
 class TestMinimizeHamiltonian:
@@ -73,7 +61,7 @@ class TestMinimizeHamiltonian:
         law = make_law([[1.0]], 1.0)
         assert minimize_hamiltonian(law, np.array([1.0]), sim) == pytest.approx([-1.0])
 
-    def test_branches_agree_on_random_systems(self):
+    def test_matches_the_closed_form_on_random_systems(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = rng.integers(2, 6)
@@ -84,12 +72,8 @@ class TestMinimizeHamiltonian:
             P = M @ M.T + 0.1 * np.eye(n)
             R = float(rng.uniform(0.5, 2.0))
             x = rng.normal(size=n)
-            law_known = make_law(P, R, b_access="known")
-            law_free = make_law(P, R, b_access="simulator")
-            u_known = minimize_hamiltonian(law_known, x, sim)
-            u_free = minimize_hamiltonian(law_free, x, hidden_b(sim))
-            assert np.allclose(u_known, u_free, atol=1e-10)
-            assert np.allclose(u_known, -B.T @ P @ x / R, atol=1e-10)
+            u = minimize_hamiltonian(make_law(P, R), x, sim)
+            assert np.allclose(u, -B.T @ P @ x / R, atol=1e-10)
 
     def test_global_minimum_property(self):
         rng = np.random.default_rng(4)
@@ -183,23 +167,6 @@ class TestRobustTerm:
             u_d = robust_term(law, x, sim, lam)
             assert np.allclose(B @ u_d, -lam * g / np.linalg.norm(g), atol=1e-10)
 
-    def test_branches_agree(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            n, m = 5, 3
-            A, B = random_lti(rng, n, m)
-            sim = LinearSimulator(A, B)
-            M = rng.normal(size=(n, n))
-            P = M @ M.T + 0.1 * np.eye(n)
-            law_known = make_law(P, 1.0, r=0.01, b_access="known")
-            law_free = make_law(P, 1.0, r=0.01, b_access="simulator")
-            x = rng.normal(size=n)
-            assert np.allclose(
-                robust_term(law_known, x, sim, 1.3),
-                robust_term(law_free, x, hidden_b(sim), 1.3),
-                atol=1e-10,
-            )
-
     def test_rank_deficient_b_reported(self):
         B = np.zeros((3, 2))
         B[:, 0] = [1.0, 0.0, 0.0]  # second column identically zero
@@ -216,29 +183,10 @@ class TestRobustControl:
         law = make_law(np.eye(3), 1.0)
         assert np.allclose(robust_control(law, np.zeros(3), sim, 0.5), 0.0)
 
-    def test_branch_swap_leaves_control_unchanged(self):
-        rng = np.random.default_rng(12)
-        n, m = 4, 2
-        A, B = random_lti(rng, n, m)
-        sim = LinearSimulator(A, B)
-        M = rng.normal(size=(n, n))
-        P = M @ M.T + 0.2 * np.eye(n)
-        law_known = make_law(P, 1.0, b_access="known")
-        law_free = make_law(P, 1.0, b_access="simulator")
-        for lam in (0.0, 0.8):
-            for _ in range(20):
-                z = rng.normal(size=n)
-                assert np.allclose(
-                    robust_control(law_known, z, sim, lam),
-                    robust_control(law_free, z, hidden_b(sim), lam),
-                    atol=1e-10,
-                )
-
     def test_closed_loop_decay_without_disturbance(self):
         # pure optimal control on the scalar benchmark: x' = -x after feedback
         sim = LinearSimulator([[0.0]], [[1.0]])
-        sys = LtiSystem([[0.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        P = solve_are(sys)
+        P = solve_continuous_are([[0.0]], [[1.0]], [[1.0]], [[1.0]])
         law = make_law(P, 1.0)
         x = np.array([1.0])
         dt = 1e-2
@@ -264,9 +212,8 @@ class TestRobustControl:
 class TestCompiledLaw:
     """The compiled law against the per-state law, on stacks of states."""
 
-    @pytest.mark.parametrize("b_access", ["known", "simulator"])
     @pytest.mark.parametrize("reduced", [False, True])
-    def test_matches_robust_control(self, b_access, reduced):
+    def test_matches_robust_control(self, reduced):
         from enkfcontrol.dmdc import ReducedModel
 
         rng = np.random.default_rng(15)
@@ -284,7 +231,7 @@ class TestCompiledLaw:
         Z[0] = 0.0
         Z[1] *= 1e-4  # inside the ball |g| < r
         lam = np.array([0.0, 0.7, 0.7, 0.0, 1.3, 0.2])
-        law = make_law(P, R, r=0.01, b_access=b_access, reduction=red)
+        law = make_law(P, R, r=0.01, reduction=red)
         compiled = compile_law(law, sim)
         # the one-matrix law, and the same law in a random orthonormal basis at y = z Q
         Q = np.linalg.qr(rng.normal(size=(Z.shape[1],) * 2))[0]
@@ -316,16 +263,15 @@ class TestCompiledLaw:
             want = minimize_hamiltonian(law, z, sim) + robust_term(law, z, sim, lam_i)
             np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-15)
 
-    def test_probes_b_once_and_checks_rank(self):
+    def test_checks_rank(self):
         B = np.zeros((3, 2))
         B[:, 0] = [1.0, 0.0, 0.0]
         sim = LinearSimulator(np.zeros((3, 3)), B)
-        law = make_law(np.eye(3), 1.0, b_access="simulator")
         with pytest.raises(RankDeficientError):
-            compile_law(law, sim)
+            compile_law(make_law(np.eye(3), 1.0), sim)
 
-    def test_burgers_law_with_probed_b_matches_the_per_state_law(self):
-        # Burgers enters the input as a constant B u, so B probed at the origin
+    def test_burgers_law_matches_the_per_state_law(self):
+        # Burgers enters the input as a constant B u, so its control matrix
         # serves every state
         p, m = 12, 3
         sim = BurgersSimulator(GridSpec(p=p), 0.01, m)
@@ -334,7 +280,7 @@ class TestCompiledLaw:
         P = np.eye(p) + M @ M.T / p
         Z = rng.normal(size=(5, p))
         lam = np.array([0.0, 0.5, 1.0, 0.5, 2.0])
-        law = make_law(P, 1.0, b_access="simulator")
+        law = make_law(P, 1.0)
         U = controls(compile_law(law, sim), Z, lam)
         for z, lam_i, u in zip(Z, lam, U):
             np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=0)
@@ -350,8 +296,7 @@ class TestLyapunovDecrease:
             n = 3
             A = rng.normal(size=(n, n))
             B = rng.normal(size=(n, n)) + np.eye(n)  # square, full rank a.s.
-            sys = LtiSystem(A, B, np.eye(n), np.eye(n), np.eye(n))
-            P = solve_are(sys)
+            P = solve_continuous_are(A, B, np.eye(n), np.eye(n))
             lam = 0.5
             r = 0.05
             sim = LinearSimulator(A, B)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_are
 
 from enkfcontrol.config import ConfigError, heat_config
 from enkfcontrol.enkf import (
@@ -16,7 +17,7 @@ from enkfcontrol.enkf import (
     step_linear,
 )
 from enkfcontrol.harness import build_full_simulator
-from enkfcontrol.riccati import LtiSystem, solve_are, solve_dre
+from enkfcontrol.riccati import LtiSystem, solve_dre
 
 
 # cost weights other than 1: at 1 every product with a weight is exact, so a misplaced weight would not show
@@ -455,7 +456,7 @@ class TestLinearRun:
         A = rng.normal(size=(n, n))
         A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
         B = rng.normal(size=(n, m))
-        P_are = solve_are(LtiSystem(A, B, np.eye(n), np.eye(m), np.eye(n)))
+        P_are = solve_continuous_are(A, B, np.eye(n), np.eye(m))
         cfg = EnkfConfig(N=2000, T=4.0, dt=1e-3, g=1.0)
         gain = run_dual_enkf_linear(A, B, 1.0, 1.0, cfg, np.random.default_rng(2))
         rel = np.linalg.norm(gain.P - P_are, "fro") / np.linalg.norm(P_are, "fro")

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from enkfcontrol import controller, harness
+from enkfcontrol import harness
 from enkfcontrol.config import ConfigError, burgers_config, heat_config
 from enkfcontrol.dmdc import collect_snapshots
 from enkfcontrol.controller import compile_law, robust_control
@@ -86,16 +86,6 @@ def reference_batch(cfg, art, lam, kind, d0, controlled):
     return np.array([l2 for l2, _ in runs]), np.array([r for _, r in runs])
 
 
-def count_probes(monkeypatch) -> list:
-    """Record every call of ``controller.estimate_b`` from here on."""
-    probes = []
-    estimate_b = controller.estimate_b
-    monkeypatch.setattr(
-        controller, "estimate_b", lambda *a: probes.append(a) or estimate_b(*a)
-    )
-    return probes
-
-
 @pytest.fixture(scope="module")
 def heat_full():
     cfg = heat_config(
@@ -106,9 +96,9 @@ def heat_full():
 
 
 @pytest.fixture(scope="module")
-def heat_dmdc_sim():
+def heat_dmdc():
     cfg = heat_config(
-        p=32, m=4, n_trials=2, T_sim=0.03, model="dmdc", b_access="simulator",
+        p=32, m=4, n_trials=2, T_sim=0.03, model="dmdc",
         dmdc_order=6, dmdc_trajectories=4, dmdc_steps=30,
         grid_d0=(0.0, 0.1), grid_lambda=(0.0, 0.3), grid_kinds=("sin", "const"),
     )
@@ -146,11 +136,9 @@ class TestAgainstReference:
             np.testing.assert_allclose(roll.l2[i], l2, rtol=RTOL, atol=0)
             assert roll.ratios[i] == pytest.approx(ratio, rel=RTOL)
 
-    def test_heat_dmdc_simulator_b_grid(self, heat_dmdc_sim, monkeypatch):
-        cfg, art = heat_dmdc_sim
-        probes = count_probes(monkeypatch)
+    def test_heat_dmdc_grid(self, heat_dmdc):
+        cfg, art = heat_dmdc
         cells = run_cases(cfg, art, grid_cases(cfg), cfg.n_trials)
-        assert len(probes) == 1  # B probed once, when the law is compiled
         assert [(c.case.policy, c.case.kind, c.case.d0, c.case.lam) for c in cells] == [
             ("robust", k, d0, lam)
             for k in cfg.grid_kinds for d0 in cfg.grid_d0 for lam in cfg.grid_lambda
@@ -162,15 +150,12 @@ class TestAgainstReference:
             assert cell.mean_terminal_ratio == pytest.approx(np.mean(ratios), rel=RTOL)
             assert cell.failures == 0
 
-    def test_burgers_probed_b_row_by_row(self, monkeypatch):
-        # the Burgers law compiled from a probed B: the input matrix is
-        # constant, so one probe at the origin serves every row, and each row
+    def test_burgers_full_row_by_row(self):
+        # the Burgers law compiled from its constant input matrix: each row
         # matches the per-state law row by row
-        cfg = burgers_config(model="full", p=16, m=4, n_trials=2, T_sim=0.01, b_access="simulator")
+        cfg = burgers_config(model="full", p=16, m=4, n_trials=2, T_sim=0.01)
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3))
-        probes = count_probes(monkeypatch)
         series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
-        assert len(probes) == 1
         for res in series[1:]:
             traces, ratios = reference_batch(cfg, art, res.case.lam, cfg.dist_kind, cfg.d0, True)
             np.testing.assert_allclose(res.ratios, ratios, rtol=RTOL, atol=0)
@@ -284,10 +269,10 @@ class TestBlowUp:
 
 
 class TestTwinCells:
-    def test_zero_d0_cells_are_integrated_once(self, heat_dmdc_sim, monkeypatch):
+    def test_zero_d0_cells_are_integrated_once(self, heat_dmdc, monkeypatch):
         # with d0 = 0 the disturbance kind has no effect, so the sin and const
         # cells at d0 = 0 are one block of the stack: 8 cells, 6 blocks
-        cfg, art = heat_dmdc_sim
+        cfg, art = heat_dmdc
         n, cases = cfg.n_trials, grid_cases(cfg)
         stacks = []
         simulate = harness.simulate_closed_loop
@@ -448,8 +433,8 @@ class TestRowGroups:
 
 
 class TestDeterminism:
-    def test_row_does_not_depend_on_its_batch(self, heat_dmdc_sim):
-        cfg, art = heat_dmdc_sim
+    def test_row_does_not_depend_on_its_batch(self, heat_dmdc):
+        cfg, art = heat_dmdc
         n = 5
         Z0 = np.array([trial_initial_condition(cfg, i) for i in range(n)])
         lam = [0.0, 0.3, 0.1, 0.3, 0.0]
@@ -539,8 +524,8 @@ def test_full_design_model_is_the_plant_jacobian_at_the_origin(config, bc):
     ({"m": 3}, r"reduced model has m=4, the config m=3; run with m=4"),
     ({"dmdc_order": 5}, r"reduced model has dmdc order=6, the config dmdc order=5"),
 ], ids=["model-full", "p", "m", "order"])
-def test_reduced_model_must_match_the_config(heat_dmdc_sim, overrides, named):
-    cfg, art = heat_dmdc_sim
+def test_reduced_model_must_match_the_config(heat_dmdc, overrides, named):
+    cfg, art = heat_dmdc
     cfg = replace(cfg, **overrides).validate()
     gain = spd_gain(cfg.p, 5) if cfg.model == "full" else art.gain
     with pytest.raises(HarnessError, match=named):

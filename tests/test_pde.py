@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from enkfcontrol import pde
 from enkfcontrol.config import ConfigError, burgers_config, heat_config
 from enkfcontrol.enkf import GainApprox
-from enkfcontrol.harness import build_artifacts, simulate_closed_loop, trial_initial_condition
+from enkfcontrol.harness import build_artifacts, grid_of, simulate_closed_loop, trial_initial_condition
 from enkfcontrol.pde import (
     BurgersSimulator,
     GridSpec,
@@ -317,6 +319,22 @@ class TestInitialCondition:
             rng = np.random.default_rng(seed)
             alpha, beta = rng.uniform(0.9, 1.1), rng.uniform(0.04, 0.06)
             want = alpha / np.cosh((grid.points - 0.25) / beta)
+            assert np.array_equal(z.view(np.int64), want.view(np.int64))
+
+    def test_long_domain_overflow_is_silent_and_default_rows_keep_their_bits(self):
+        # at [experiment] L = 200 cosh overflows far from the bump, where alpha / inf = 0 is right
+        def rngs():
+            return [np.random.default_rng(seed) for seed in range(4)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = sample_initial_conditions(rngs(), grid_of(heat_config(L=200.0, p=50, m=5)))
+        assert np.all(np.isfinite(Z)) and np.any(Z == 0.0)
+        grid = grid_of(heat_config())
+        for seed, z in enumerate(sample_initial_conditions(rngs(), grid)):
+            rng = np.random.default_rng(seed)
+            alpha, beta = rng.uniform(0.9, 1.1), rng.uniform(0.04, 0.06)
+            want = alpha / np.cosh((grid.points - 0.5) / beta)
             assert np.array_equal(z.view(np.int64), want.view(np.int64))
 
 
