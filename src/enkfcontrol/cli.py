@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Callable, NamedTuple
 
 from . import bundles
@@ -78,15 +78,16 @@ CONFIG_FLAGS = ("--config", "--pde", "--nu", "--lambda", "--d0", "--disturbance"
                 "--seed", "--p", "--m", "--particles", "--out")
 _ROLLOUT_FLAGS = CONFIG_FLAGS + ("--model", "--gain", "--reduced-model", "--dump-trials")
 
-_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
+# the fields a flag of the same dest overrides; --pde instead picks the defaults the rest start from
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig)) - {"pde"}
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults of the final PDE, then the --config file's keys, then flags."""
-    cfg = load_config(args.config, args.pde) if args.config else default_config(args.pde or "heat")
+    """Defaults of the final PDE, then the --config file's keys, then flags, validated once merged."""
     overrides = {k: tuple(v) if isinstance(v, list) else v
                  for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
-    return replace(cfg, **overrides).validate()
+    return (load_config(args.config, args.pde, **overrides) if args.config
+            else default_config(args.pde or "heat", **overrides))
 
 
 def _artifacts(args, gain_file: str | None = None) -> tuple[ExperimentConfig, Artifacts]:

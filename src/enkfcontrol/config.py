@@ -274,10 +274,11 @@ _FILE_KEYS = {
 }
 
 
-def parse_config_text(text: str, pde: str | None = None) -> ExperimentConfig:
+def parse_config_text(text: str, pde: str | None = None, **overrides) -> ExperimentConfig:
     """Parse the strict sectioned key=value format into a config.
 
-    Keys the text leaves out take the defaults of ``pde``, else of its own.
+    Keys the text leaves out take the defaults of ``pde``, else of its own;
+    ``overrides`` (fields but ``pde``) replace its values before the one validation.
     """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keys are case sensitive
@@ -302,12 +303,12 @@ def parse_config_text(text: str, pde: str | None = None) -> ExperimentConfig:
             raw[field_name] = parser(value)
 
     file_pde = raw.pop("pde", "heat")
-    return default_config(pde or str(file_pde), **raw)
+    return default_config(pde or str(file_pde), **{**raw, **overrides})
 
 
-def load_config(path, pde: str | None = None) -> ExperimentConfig:
+def load_config(path, pde: str | None = None, **overrides) -> ExperimentConfig:
     with open(path) as fh:
-        return parse_config_text(fh.read(), pde)
+        return parse_config_text(fh.read(), pde, **overrides)
 
 
 def render_config(cfg: ExperimentConfig) -> str:

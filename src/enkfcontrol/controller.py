@@ -16,18 +16,17 @@ asymptotic for practical stability (the state settles into the ball |g| < r
 instead of reaching the origin).  lambda is given at evaluation, so one law
 serves every disturbance bound that shares the gain.
 
-:func:`input_matrix` is the one place B is obtained: the design model's
-``control_matrix``, checked for full column rank.  The law compiles against
-a linear design model, so it is always a fixed linear feedback plus a
-normalized projection.  The per-state functions re-solve it
-at every call and are the reference the tests compare against;
-:func:`compile_law` solves it once into one matrix, which folds the
-reduction Phi, P, K = B'P / R and B^+ together, and
+:class:`ControlLaw` carries the B of its linear design model, which
+:func:`harness.build_law` checks once with :func:`input_matrix`, so the law
+is always a fixed linear feedback plus a normalized projection.  The
+per-state functions evaluate it at one state and are the reference the
+tests compare against; :func:`compile_law` solves it once into one matrix,
+which folds the reduction Phi, P, K = B'P / R and B^+ together, in the
+plant's state coordinates or any orthonormal basis of them, and
 :meth:`CompiledLaw.bind` binds it once to a stack of states, which it then
-evaluates with one GEMM a call, in the plant's state coordinates or any
-orthonormal basis of them.  The closed loop always uses the compiled law;
-its lambda = 0 rows (the optimal learning control) use the K block alone
-and never read g or B^+.
+evaluates with one GEMM a call.  The closed loop always uses the compiled
+law; its lambda = 0 rows (the optimal learning control) use the K block
+alone and never read g or B^+.
 
 Lyapunov redesign assumes a nominal stabilizing law plus a matched
 uncertainty (Khalil, *Nonlinear Systems*, 3rd ed., 2002, section 14.2).
@@ -38,7 +37,7 @@ robust term does not bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,9 +52,10 @@ class RankDeficientError(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlLaw:
-    """The law but its lambda: gain, scalar input weight R > 0, floor r > 0 and reduction."""
+    """The law but its lambda: gain, design input matrix B, input weight R > 0, floor r > 0 and reduction."""
 
     gain: GainApprox
+    B: np.ndarray
     R: float
     r: float
     reduction: ReducedModel | None = None
@@ -74,42 +74,35 @@ def estimate_b(sim: Simulator, x: np.ndarray, m: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def input_matrix(sim: Simulator) -> np.ndarray:
-    """B read from ``sim``, of full column rank."""
-    B = sim.control_matrix
+def input_matrix(B: np.ndarray) -> np.ndarray:
+    """B itself, checked for full column rank."""
     m = B.shape[1]
     s = np.linalg.svd(B, compute_uv=False)
-    tol = max(B.shape) * np.finfo(float).eps * s[0] if s[0] > 0 else 0.0
-    rank = int(np.sum(s > tol)) if s[0] > 0 else 0
-    if rank < m:
+    rank = int(np.sum(s > max(B.shape) * np.finfo(float).eps * s[0]))
+    if rank < m:  # the rows of the full V' past the rank span the null space, also for m > rows of B
         _, _, Vt = np.linalg.svd(B)
-        null_weight = np.abs(Vt[rank:]).sum(axis=0)
-        bad = np.nonzero(null_weight > 1e-8)[0].tolist()
-        raise RankDeficientError(
-            f"input matrix has column rank {rank} < m={m}; "
-            f"null space involves columns {bad}"
-        )
+        bad = np.nonzero(np.abs(Vt[rank:]).sum(axis=0) > 1e-8)[0].tolist()
+        raise RankDeficientError(f"input matrix has column rank {rank} < m={m}; null space involves columns {bad}")
     return B
 
 
-def minimize_hamiltonian(law: ControlLaw, x: np.ndarray, sim: Simulator) -> np.ndarray:
+def minimize_hamiltonian(law: ControlLaw, x: np.ndarray) -> np.ndarray:
     """Global minimizer -B' g / R of the control Hamiltonian at x."""
-    B = input_matrix(sim)
-    return -(B.T @ (law.gain.P @ x)) / law.R
+    return -(law.B.T @ (law.gain.P @ x)) / law.R
 
 
-def robust_term(law: ControlLaw, x: np.ndarray, sim: Simulator, lam: float) -> np.ndarray:
+def robust_term(law: ControlLaw, x: np.ndarray, lam: float) -> np.ndarray:
     """Lyapunov-redesign term u_d = -lambda * B^+ g / max(|g|, r)."""
     g = law.gain.P @ x
     r1 = max(float(np.linalg.norm(g)), law.r)
-    v, *_ = np.linalg.lstsq(input_matrix(sim), g / r1, rcond=None)
+    v, *_ = np.linalg.lstsq(law.B, g / r1, rcond=None)
     return -lam * v
 
 
-def robust_control(law: ControlLaw, z: np.ndarray, sim: Simulator, lam: float) -> np.ndarray:
+def robust_control(law: ControlLaw, z: np.ndarray, lam: float) -> np.ndarray:
     """Full control u = u_bar + u_d at state z (reduced first if applicable)."""
     x = reduce_state(law.reduction, z) if law.reduction is not None else np.asarray(z, dtype=float)
-    return minimize_hamiltonian(law, x, sim) + robust_term(law, x, sim, lam)
+    return minimize_hamiltonian(law, x) + robust_term(law, x, lam)
 
 
 @dataclass(frozen=True)
@@ -126,22 +119,12 @@ class CompiledLaw:
     negates nothing, with the bits of the unnegated form.  lambda is
     supplied per row when the law is bound to its rows, so one compiled law
     serves every lambda that shares the gain.  A row with lambda = 0 reads
-    K x alone: ``-z @ law.K`` is its whole feedback, from H's m feedback
-    columns.
+    K x alone, from H's m feedback columns.
     """
 
     H: np.ndarray
     n: int
     r: float
-
-    @property
-    def m(self) -> int:
-        return (self.H.shape[1] - self.n) // 2
-
-    @property
-    def K(self) -> np.ndarray:
-        """Phi'K', H's feedback columns negated back, as a new array: u = -z Phi'K' at lambda = 0."""
-        return -self.H[:, self.n:self.n + self.m]
 
     def bind(self, Z: np.ndarray, lam: np.ndarray, U: np.ndarray) -> Callable[[], None]:
         """``control()``: adds the controls of the rows of Z, row i under lam[i], into U.
@@ -153,15 +136,16 @@ class CompiledLaw:
         Rows that all have lambda = 0 read -K x alone, Z times H's feedback
         columns.
         """
+        H, n, r = self.H, self.n, self.r
+        m = (H.shape[1] - n) // 2
         if not np.any(lam):
-            minus_K = np.ascontiguousarray(self.H[:, self.n:self.n + self.m])
-            FK = np.empty((len(Z), self.m))
+            minus_K = np.ascontiguousarray(H[:, n:n + m])
+            FK = np.empty((len(Z), m))
 
             def feedback():
                 np.add(U, np.matmul(Z, minus_K, out=FK), out=U)
 
             return feedback
-        H, n, m, r = self.H, self.n, self.m, self.r
         F, scale = np.empty((len(Z), H.shape[1])), np.empty(len(Z))
         G, FK, FB, column = F[:, :n], F[:, n:n + m], F[:, n + m:], scale[:, None]
 
@@ -175,16 +159,11 @@ class CompiledLaw:
 
         return control
 
-    def in_basis(self, Q: np.ndarray) -> "CompiledLaw":
-        """The same law on y = z Q, Q orthogonal: z = y Q', so H becomes Q'H."""
-        return replace(self, H=Q.T @ self.H)
 
-
-def compile_law(law: ControlLaw, sim: Simulator) -> CompiledLaw:
-    """Solve the law once, with B from :func:`input_matrix`."""
-    B = input_matrix(sim)
-    P = law.gain.P
+def compile_law(law: ControlLaw, Q: np.ndarray | None = None) -> CompiledLaw:
+    """Solve the law once, on the states z, or on y = z Q for Q orthogonal (z = y Q', so H becomes Q'H)."""
+    P, B = law.gain.P, law.B
     K = B.T @ P / law.R
     Phi = np.eye(P.shape[0]) if law.reduction is None else law.reduction.Phi
     H = Phi.T @ np.hstack([P.T, -K.T, -(P.T @ np.linalg.pinv(B).T)])
-    return CompiledLaw(H=H, n=P.shape[0], r=law.r)
+    return CompiledLaw(H=H if Q is None else Q.T @ H, n=P.shape[0], r=law.r)

@@ -189,7 +189,7 @@ def to_continuous(A_d: np.ndarray, B_d: np.ndarray, Phi: np.ndarray, dt: float) 
     if np.any(on_neg_axis):
         raise ConversionError(
             "discrete matrix has eigenvalues on the closed negative real axis; "
-            "no principal logarithm (try a smaller sampling step)"
+            "no principal logarithm"
         )
     cond = np.linalg.cond(V)
     if not cond <= 1e8:
@@ -203,7 +203,7 @@ def to_continuous(A_d: np.ndarray, B_d: np.ndarray, Phi: np.ndarray, dt: float) 
     V_inv = np.linalg.inv(V)
     A_log = (V * log_mu) @ V_inv
     if np.linalg.norm(A_log.imag) > 1e-8 * max(1.0, np.linalg.norm(A_log.real)):
-        raise ConversionError("matrix logarithm is not real; try a smaller sampling step")
+        raise ConversionError("matrix logarithm is not real")
     A = A_log.real / dt
     B = (V * (factor / dt)) @ (V_inv @ B_d)
     return ReducedModel(A=A, B=B.real, Phi=Phi)

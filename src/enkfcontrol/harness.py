@@ -44,18 +44,18 @@ import numpy as np
 
 from . import dmdc as dmdc_mod
 from .config import ExperimentConfig
-from .controller import ControlLaw, compile_law
+from .controller import ControlLaw, compile_law, input_matrix
 from .enkf import EnkfConfig, GainApprox, run_dual_enkf_linear
 from .pde import (
     BurgersSimulator,
     GridSpec,
     HeatSimulator,
-    LinearSimulator,
     Simulator,
     l2_norm,
     rk4_stepper,
     sample_initial_condition,
     sample_initial_conditions,
+    second_difference_matrix,
 )
 
 POLICIES = ("uncontrolled", "optimal", "robust")
@@ -77,7 +77,8 @@ class Artifacts:
     """Everything trained/built once per config and shared across trials."""
 
     sim: Simulator  # full PDE simulator (plant)
-    design_sim: LinearSimulator  # the model the gain is trained on and the law compiled against
+    A: np.ndarray  # the linear design model dx/dt = A x + B u the gain is trained on
+    B: np.ndarray  # and whose input matrix the law carries
     gain: GainApprox
     reduction: dmdc_mod.ReducedModel | None
 
@@ -121,17 +122,22 @@ def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedMode
         amplitude=cfg.dmdc_amplitude,
         rng=_rng(cfg, _TAG_SNAPSHOTS),
     )
-    A_d, B_d, Phi = dmdc_mod.fit_dmdc(states, inputs, cfg.dmdc_order)
-    return dmdc_mod.to_continuous(A_d, B_d, Phi, cfg.dt_sim)
+    try:
+        A_d, B_d, Phi = dmdc_mod.fit_dmdc(states, inputs, cfg.dmdc_order)
+        return dmdc_mod.to_continuous(A_d, B_d, Phi, cfg.dt_sim)
+    except dmdc_mod.FitError as exc:
+        raise dmdc_mod.FitError(f"{exc}; lower [dmdc] order = {cfg.dmdc_order}, or raise [dmdc] trajectories = "
+                                f"{cfg.dmdc_trajectories} or [dmdc] steps = {cfg.dmdc_steps}") from None
+    except dmdc_mod.ConversionError as exc:
+        raise dmdc_mod.ConversionError(f"{exc}; try a smaller [experiment] dt_sim = {cfg.dt_sim!r} "
+                                       f"or another [dmdc] order = {cfg.dmdc_order}") from None
 
 
-def _train_gain(cfg: ExperimentConfig, design_sim: LinearSimulator) -> GainApprox:
+def _train_gain(cfg: ExperimentConfig, A: np.ndarray, B: np.ndarray) -> GainApprox:
     """Run the linear dual EnKF on the design model's A and B."""
-    T, dt = _enkf_horizon(cfg, design_sim.A)
+    T, dt = _enkf_horizon(cfg, A)
     enkf_cfg = EnkfConfig(N=cfg.enkf_particles, T=T, dt=dt, g=cfg.g)
-    return run_dual_enkf_linear(
-        design_sim.A, design_sim.control_matrix, cfg.q, cfg.r_input, enkf_cfg, _rng(cfg, _TAG_ENKF)
-    )
+    return run_dual_enkf_linear(A, B, cfg.q, cfg.r_input, enkf_cfg, _rng(cfg, _TAG_ENKF))
 
 
 def _check_reduction(cfg: ExperimentConfig, reduction: dmdc_mod.ReducedModel) -> None:
@@ -155,7 +161,7 @@ def build_artifacts(
     gain: GainApprox | None = None,
     reduction: dmdc_mod.ReducedModel | None = None,
 ) -> Artifacts:
-    """Assemble the simulators, fitting and training whatever was not supplied.
+    """Assemble the plant and the design model, fitting and training whatever was not supplied.
 
     The design model is the reduction's (A, B), else the plant's Jacobian at
     the origin, nu D2 with the plant's B: for heat, the plant itself.
@@ -167,13 +173,13 @@ def build_artifacts(
         if gain is not None:
             raise HarnessError("dmdc model path needs a reduced model with the gain")
         reduction = fit_reduction(cfg, sim)
-    design_sim = (HeatSimulator(grid_of(cfg), cfg.nu, cfg.m, bc=cfg.bc) if reduction is None
-                  else LinearSimulator(reduction.A, reduction.B))
+    A, B = ((cfg.nu * second_difference_matrix(grid_of(cfg), cfg.bc), sim.control_matrix) if reduction is None
+            else (reduction.A, reduction.B))
     if gain is None:
-        gain = _train_gain(cfg, design_sim)
-    elif gain.n != design_sim.n:
-        raise HarnessError(f"gain dimension {gain.n} does not match design dimension {design_sim.n}")
-    return Artifacts(sim=sim, design_sim=design_sim, gain=gain, reduction=reduction)
+        gain = _train_gain(cfg, A, B)
+    elif gain.n != len(A):
+        raise HarnessError(f"gain dimension {gain.n} does not match design dimension {len(A)}")
+    return Artifacts(sim=sim, A=A, B=B, gain=gain, reduction=reduction)
 
 
 def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam):
@@ -186,12 +192,12 @@ def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam):
     if cfg.lambda_units != "amplitude":
         return lam
     w = np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
-    return lam * float(np.linalg.norm(art.design_sim.control_matrix @ w))
+    return lam * float(np.linalg.norm(art.B @ w))
 
 
 def build_law(cfg: ExperimentConfig, art: Artifacts) -> ControlLaw:
-    """The control law of the trained gain; lambda is given at evaluation."""
-    return ControlLaw(gain=art.gain, R=cfg.r_input, r=cfg.r_robust, reduction=art.reduction)
+    """The law of the trained gain and the design B, checked for full column rank; lambda is given later."""
+    return ControlLaw(art.gain, input_matrix(art.B), cfg.r_input, cfg.r_robust, art.reduction)
 
 
 @dataclass
@@ -236,7 +242,7 @@ def simulate_closed_loop(
 
     One stable permutation sorts the rows into three contiguous groups,
     uncontrolled | controlled with lambda = 0 | lambda > 0, which take no
-    law, the feedback block alone (u = -y K, :attr:`controller.CompiledLaw.K`)
+    law, the feedback block alone (u = -y K, H's feedback columns)
     and the whole one-matrix law; the results are put back in the caller's
     order at the end.  The control is recomputed every step and the whole
     stack advances with one RK4 step, in place: each group's views and the
@@ -267,13 +273,9 @@ def simulate_closed_loop(
     Q, step = rk4_stepper(art.sim, cfg.dt_sim)
     Y = Z if Q is None else Z @ Q  # the loop carries y = z Q, and |y| = |z|
     shape, U = np.empty(batch), np.empty((batch, cfg.m))
-    controls = []
-    if a < batch:
-        law = compile_law(build_law(cfg, art), art.design_sim)
-        if Q is not None:
-            law = law.in_basis(Q)
-        controls = [law.bind(Y[rows], lam[rows], U[rows])
-                    for rows in (slice(a, b), slice(b, batch)) if rows.start < rows.stop]
+    law = compile_law(build_law(cfg, art), Q) if a < batch else None  # no controlled rows: no law, no rank check
+    controls = [law.bind(Y[rows], lam[rows], U[rows])
+                for rows in (slice(a, b), slice(b, batch)) if rows.start < rows.stop]
 
     grid = grid_of(cfg)
     dy = grid.dy

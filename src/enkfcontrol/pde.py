@@ -146,8 +146,8 @@ class Simulator:
     of x, with the inputs as rows of u).  The input matrix B is constant: it
     does not depend on x.  ``control_matrix`` is B; ``rhs`` holds its own
     reference to B and never reads the attribute.  Training and the control
-    law read a linear design model (:class:`LinearSimulator`), never a
-    nonlinear plant.
+    law read the (A, B) arrays of a linear design model, never a nonlinear
+    plant.
     """
 
     n: int

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from enkfcontrol import bundles, cli, enkf, harness
+from enkfcontrol import bundles, cli, dmdc, enkf, harness
 from enkfcontrol.cli import build_parser, main, resolve_config
 from enkfcontrol.config import default_config, load_config
 from enkfcontrol.pde import GridSpec, build_control_matrix, second_difference_matrix
@@ -49,6 +49,7 @@ def _files(out):
     return {name: _read(os.path.join(out, name)) for name in sorted(os.listdir(out))}
 
 
+@pytest.mark.filterwarnings("error")  # a warning a verb writes to stderr fails the run
 class TestEchoRoundTrip:
     @pytest.mark.parametrize("verb,written", [
         ("train", ["config.echo", "gain.bundle", "heatmap.csv", "timeseries.csv"]),
@@ -167,7 +168,15 @@ class TestBurgersTrain:
 
 
 class TestConfigFilePde:
-    """Keys a --config file leaves out take the defaults of the final PDE."""
+    """Keys a --config file leaves out take the defaults of the final PDE, and flags override the rest."""
+
+    def test_flags_apply_before_the_file_is_validated(self, tmp_path):
+        # order 110 is out of range at heat's default p = 100, but not at the p = 128 the flag sets
+        path = tmp_path / "big.cfg"
+        path.write_text("[experiment]\nmodel = dmdc\n\n[dmdc]\norder = 110\n")
+        argv = ["train", "--config", str(path), "--p", "128", "--m", "4", "--particles", "200"]
+        cfg = resolve_config(build_parser().parse_args(argv))
+        assert (cfg.p, cfg.m, cfg.dmdc_order, cfg.enkf_particles) == (128, 4, 110, 200)
 
     @pytest.mark.parametrize("file_pde,flag_pde", [(None, "burgers"), ("burgers", "heat")])
     def test_unset_keys_follow_the_pde_flag(self, file_pde, flag_pde, tmp_path, capsys):
@@ -234,6 +243,38 @@ class TestBadInput:
         out = str(tmp_path / "bad")
         assert main(["batch", "--config", small_cfg, "--gain", str(gain), "--out", out]) == 1
         assert capsys.readouterr().err == "error: BundleError: missing [P] block\n"
+        assert not os.path.exists(out)
+
+    def test_dmdc_failures_name_the_settings_to_change(self, small_cfg, tmp_path, capsys, monkeypatch):
+        # heat at p = 20 from one 30-step trajectory supports rank 14, below order 20
+        thin = tmp_path / "thin.cfg"
+        thin.write_text("[experiment]\np = 20\nm = 4\n\n[dmdc]\norder = 20\ntrajectories = 1\nsteps = 30\n")
+        assert main(["fit-dmdc", "--config", str(thin), "--out", str(tmp_path / "thin")]) == 1
+        assert capsys.readouterr().err == (
+            "error: FitError: snapshot data supports rank 14 < requested n=20; lower [dmdc] order = 20, "
+            "or raise [dmdc] trajectories = 1 or [dmdc] steps = 30\n")
+
+        def not_real(*args):
+            raise dmdc.ConversionError("matrix logarithm is not real")
+
+        monkeypatch.setattr(harness.dmdc_mod, "to_continuous", not_real)
+        assert main(["fit-dmdc", "--config", small_cfg, "--out", str(tmp_path / "small")]) == 1
+        assert capsys.readouterr().err == (
+            "error: ConversionError: matrix logarithm is not real; try a smaller [experiment] dt_sim = 0.001 "
+            "or another [dmdc] order = 4\n")
+
+    def test_rank_deficient_reduced_b_fails_the_rollout(self, small_cfg, tmp_path, capsys):
+        # the design B has a zero column: train takes it, the first controlled rollout names the column
+        B = np.zeros((4, 2))
+        B[0, 0] = 1.0
+        model = tmp_path / "reduced_model.bundle"
+        bundles.save_reduced_model(dmdc.ReducedModel(A=-np.eye(4), B=B, Phi=np.eye(4, 16)), str(model))
+        flags = ["--config", small_cfg, "--model", "dmdc", "--reduced-model", str(model)]
+        assert main(["train", *flags, "--out", str(tmp_path / "train")]) == 0
+        out = str(tmp_path / "batch")
+        assert main(["batch", *flags, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: RankDeficientError: input matrix has column rank 1 < m=2; null space involves columns [1]\n")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flag", ["--gain", "--reduced-model"])

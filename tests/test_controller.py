@@ -22,13 +22,14 @@ def make_gain(P):
     return GainApprox(P=P)
 
 
-def make_law(P, R, r=0.01, reduction=None):
-    return ControlLaw(gain=make_gain(P), R=R, r=r, reduction=reduction)
+def make_law(P, B, R, r=0.01, reduction=None):
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    return ControlLaw(gain=make_gain(P), B=B, R=R, r=r, reduction=reduction)
 
 
 def controls(compiled, Z, lam):
     """The (batch, m) controls of the rows of Z, from the compiled law bound to them."""
-    U = np.zeros((len(Z), compiled.m))
+    U = np.zeros((len(Z), (compiled.H.shape[1] - compiled.n) // 2))
     compiled.bind(Z, np.asarray(lam, dtype=float), U)()
     return U
 
@@ -44,22 +45,28 @@ class TestControlLaw:
     def test_input_matrix_is_the_control_matrix(self):
         rng = np.random.default_rng(1)
         A, B = random_lti(rng, 4, 2)
-        assert input_matrix(LinearSimulator(A, B)) is B
+        assert input_matrix(B) is B
+
+    @pytest.mark.parametrize("B,named", [
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], r"rank 1 < m=2; null space involves columns \[1\]"),  # a zero column
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], r"rank 2 < m=3; null space involves columns \[2\]"),  # wider than tall
+    ], ids=["zero-column", "wide"])
+    def test_input_matrix_names_the_null_space_columns(self, B, named):
+        with pytest.raises(RankDeficientError, match=named):
+            input_matrix(np.array(B))
 
 
 class TestMinimizeHamiltonian:
     def test_zero_state_gives_zero_control(self):
         rng = np.random.default_rng(2)
         A, B = random_lti(rng, 3, 2)
-        sim = LinearSimulator(A, B)
-        law = make_law(np.eye(3), 1.0)
-        assert np.allclose(minimize_hamiltonian(law, np.zeros(3), sim), 0.0)
+        law = make_law(np.eye(3), B, 1.0)
+        assert np.allclose(minimize_hamiltonian(law, np.zeros(3)), 0.0)
 
     def test_scalar_complete_square(self):
         # A=0, B=1, Q=R=1, P=1: H(1, u) = u + (1 + u^2)/2, minimum at u=-1
-        sim = LinearSimulator([[0.0]], [[1.0]])
-        law = make_law([[1.0]], 1.0)
-        assert minimize_hamiltonian(law, np.array([1.0]), sim) == pytest.approx([-1.0])
+        law = make_law([[1.0]], [[1.0]], 1.0)
+        assert minimize_hamiltonian(law, np.array([1.0])) == pytest.approx([-1.0])
 
     def test_matches_the_closed_form_on_random_systems(self):
         rng = np.random.default_rng(3)
@@ -67,27 +74,25 @@ class TestMinimizeHamiltonian:
             n = rng.integers(2, 6)
             m = rng.integers(1, n + 1)
             A, B = random_lti(rng, n, m)
-            sim = LinearSimulator(A, B)
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.1 * np.eye(n)
             R = float(rng.uniform(0.5, 2.0))
             x = rng.normal(size=n)
-            u = minimize_hamiltonian(make_law(P, R), x, sim)
+            u = minimize_hamiltonian(make_law(P, B, R), x)
             assert np.allclose(u, -B.T @ P @ x / R, atol=1e-10)
 
     def test_global_minimum_property(self):
         rng = np.random.default_rng(4)
         A, B = random_lti(rng, 4, 2)
-        sim = LinearSimulator(A, B)
         P, Q, R = np.eye(4) * 2.0, np.eye(4), 2.5
-        law = make_law(P, R)
+        law = make_law(P, B, R)
 
         def H(x, u):  # g'(Ax + Bu) + (x'Qx + R u'u)/2 with g = Px
             return (P @ x) @ (A @ x + B @ u) + 0.5 * (x @ Q @ x + R * u @ u)
 
         for _ in range(100):
             x = rng.normal(size=4)
-            u_star = minimize_hamiltonian(law, x, sim)
+            u_star = minimize_hamiltonian(law, x)
             u_probe = rng.normal(size=2, scale=3.0)
             assert H(x, u_star) <= H(x, u_probe) + 1e-12
 
@@ -118,22 +123,20 @@ class TestEstimateB:
 class TestRobustTerm:
     def test_worked_example(self):
         # B = I2, g = (3, 4), lambda = 1, r = 0.01: u_d = -(0.6, 0.8)
-        sim = LinearSimulator(np.zeros((2, 2)), np.eye(2))
-        law = make_law(np.eye(2), 1.0, r=0.01)
-        u_d = robust_term(law, np.array([3.0, 4.0]), sim, 1.0)
+        law = make_law(np.eye(2), np.eye(2), 1.0, r=0.01)
+        u_d = robust_term(law, np.array([3.0, 4.0]), 1.0)
         assert np.allclose(u_d, [-0.6, -0.8], atol=1e-12)
 
     def test_zero_gradient_inside_ball(self):
-        sim = LinearSimulator(np.zeros((2, 2)), np.eye(2))
-        law = make_law(np.eye(2), 1.0, r=0.01)
-        assert np.allclose(robust_term(law, np.zeros(2), sim, 1.0), 0.0)
+        law = make_law(np.eye(2), np.eye(2), 1.0, r=0.01)
+        assert np.allclose(robust_term(law, np.zeros(2), 1.0), 0.0)
 
     def test_lambda_zero_is_identically_zero(self):
         rng = np.random.default_rng(7)
-        sim = LinearSimulator(*random_lti(rng, 3, 2))
-        law = make_law(np.eye(3), 1.0)
+        _, B = random_lti(rng, 3, 2)
+        law = make_law(np.eye(3), B, 1.0)
         for _ in range(10):
-            assert np.array_equal(robust_term(law, rng.normal(size=3), sim, 0.0), np.zeros(2))
+            assert np.array_equal(robust_term(law, rng.normal(size=3), 0.0), np.zeros(2))
 
     def test_projection_bound_random_wide(self):
         # |B u_d| <= lambda across random cases with m < n
@@ -142,13 +145,12 @@ class TestRobustTerm:
             n = int(rng.integers(3, 7))
             m = int(rng.integers(1, n))
             B = rng.normal(size=(n, m))
-            sim = LinearSimulator(np.zeros((n, n)), B)
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.1 * np.eye(n)
             lam = float(rng.uniform(0.1, 3.0))
-            law = make_law(P, 1.0, r=0.01)
+            law = make_law(P, B, 1.0, r=0.01)
             x = rng.normal(size=n)
-            u_d = robust_term(law, x, sim, lam)
+            u_d = robust_term(law, x, lam)
             assert np.linalg.norm(B @ u_d) <= lam + 1e-9
 
     def test_full_span_direction(self):
@@ -157,41 +159,32 @@ class TestRobustTerm:
         for _ in range(50):
             n = 4
             B = rng.normal(size=(n, n))  # square full rank
-            sim = LinearSimulator(np.zeros((n, n)), B)
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.5 * np.eye(n)
             lam = 0.7
-            law = make_law(P, 1.0, r=1e-4)
+            law = make_law(P, B, 1.0, r=1e-4)
             x = rng.normal(size=n)
             g = P @ x
-            u_d = robust_term(law, x, sim, lam)
+            u_d = robust_term(law, x, lam)
             assert np.allclose(B @ u_d, -lam * g / np.linalg.norm(g), atol=1e-10)
-
-    def test_rank_deficient_b_reported(self):
-        B = np.zeros((3, 2))
-        B[:, 0] = [1.0, 0.0, 0.0]  # second column identically zero
-        sim = LinearSimulator(np.zeros((3, 3)), B)
-        law = make_law(np.eye(3), 1.0)
-        with pytest.raises(RankDeficientError, match="columns"):
-            robust_term(law, np.array([1.0, 0.0, 0.0]), sim, 1.0)
 
 
 class TestRobustControl:
     def test_zero_state_zero_control(self):
         rng = np.random.default_rng(11)
-        sim = LinearSimulator(*random_lti(rng, 3, 3))
-        law = make_law(np.eye(3), 1.0)
-        assert np.allclose(robust_control(law, np.zeros(3), sim, 0.5), 0.0)
+        _, B = random_lti(rng, 3, 3)
+        law = make_law(np.eye(3), B, 1.0)
+        assert np.allclose(robust_control(law, np.zeros(3), 0.5), 0.0)
 
     def test_closed_loop_decay_without_disturbance(self):
         # pure optimal control on the scalar benchmark: x' = -x after feedback
         sim = LinearSimulator([[0.0]], [[1.0]])
         P = solve_continuous_are([[0.0]], [[1.0]], [[1.0]], [[1.0]])
-        law = make_law(P, 1.0)
+        law = make_law(P, sim.control_matrix, 1.0)
         x = np.array([1.0])
         dt = 1e-2
         for _ in range(400):
-            u = robust_control(law, x, sim, 0.0)
+            u = robust_control(law, x, 0.0)
             x = x + dt * sim.rhs(x, u)
         assert abs(x[0]) < np.exp(-3.0)
 
@@ -201,10 +194,9 @@ class TestRobustControl:
         rng = np.random.default_rng(13)
         Phi = np.linalg.qr(rng.normal(size=(6, 2)))[0].T  # 2x6, orthonormal rows
         red = ReducedModel(A=-np.eye(2), B=np.eye(2), Phi=Phi)
-        design_sim = LinearSimulator(red.A, red.B)
-        law = make_law(np.eye(2) * 2.0, 1.0, reduction=red)
+        law = make_law(np.eye(2) * 2.0, red.B, 1.0, reduction=red)
         z = rng.normal(size=6)
-        u = robust_control(law, z, design_sim, 0.0)
+        u = robust_control(law, z, 0.0)
         expected = -red.B.T @ (2.0 * (Phi @ z))
         assert np.allclose(u, expected, atol=1e-12)
 
@@ -219,7 +211,6 @@ class TestCompiledLaw:
         rng = np.random.default_rng(15)
         n, m, p = 4, 3, 7
         A, B = random_lti(rng, n, m)
-        sim = LinearSimulator(A, B)
         M = rng.normal(size=(n, n))
         P = M @ M.T + 0.2 * np.eye(n)
         R = 0.4
@@ -231,17 +222,17 @@ class TestCompiledLaw:
         Z[0] = 0.0
         Z[1] *= 1e-4  # inside the ball |g| < r
         lam = np.array([0.0, 0.7, 0.7, 0.0, 1.3, 0.2])
-        law = make_law(P, R, r=0.01, reduction=red)
-        compiled = compile_law(law, sim)
+        law = make_law(P, B, R, r=0.01, reduction=red)
+        compiled = compile_law(law)
         # the one-matrix law, and the same law in a random orthonormal basis at y = z Q
         Q = np.linalg.qr(rng.normal(size=(Z.shape[1],) * 2))[0]
-        for U in (controls(compiled, Z, lam), controls(compiled.in_basis(Q), Z @ Q, lam)):
+        for U in (controls(compiled, Z, lam), controls(compile_law(law, Q), Z @ Q, lam)):
             for z, lam_i, u in zip(Z, lam, U):
-                np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(u, robust_control(law, z, lam_i), rtol=1e-12, atol=1e-15)
         # rows bound with lambda = 0 alone take the feedback block
         zero = lam == 0
         for z, u in zip(Z[zero], controls(compiled, Z[zero], lam[zero])):
-            np.testing.assert_allclose(u, robust_control(law, z, sim, 0.0), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(u, robust_control(law, z, 0.0), rtol=1e-12, atol=1e-15)
 
     def test_input_weight_divides_the_feedback(self):
         # at R = 2.5 the compiled law is u_bar + u_d of the per-state functions, and its
@@ -249,26 +240,19 @@ class TestCompiledLaw:
         rng = np.random.default_rng(17)
         n, m = 5, 2
         A, B = random_lti(rng, n, m)
-        sim = LinearSimulator(A, B)
         M = rng.normal(size=(n, n))
         P = M @ M.T + 0.2 * np.eye(n)
-        law = make_law(P, 2.5)
-        compiled, unit = compile_law(law, sim), compile_law(make_law(P, 1.0), sim)
-        np.testing.assert_allclose(compiled.K, unit.K / 2.5, rtol=1e-15, atol=0)
+        law = make_law(P, B, 2.5)
+        compiled, unit = compile_law(law), compile_law(make_law(P, B, 1.0))
+        feedback = slice(n, n + m)
+        np.testing.assert_allclose(compiled.H[:, feedback], unit.H[:, feedback] / 2.5, rtol=1e-15, atol=0)
         for block in (slice(0, n), slice(n + m, None)):
             np.testing.assert_array_equal(compiled.H[:, block], unit.H[:, block])
         Z = rng.normal(size=(4, n))
         lam = np.array([0.0, 0.5, 1.0, 2.0])
         for z, lam_i, u in zip(Z, lam, controls(compiled, Z, lam)):
-            want = minimize_hamiltonian(law, z, sim) + robust_term(law, z, sim, lam_i)
+            want = minimize_hamiltonian(law, z) + robust_term(law, z, lam_i)
             np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-15)
-
-    def test_checks_rank(self):
-        B = np.zeros((3, 2))
-        B[:, 0] = [1.0, 0.0, 0.0]
-        sim = LinearSimulator(np.zeros((3, 3)), B)
-        with pytest.raises(RankDeficientError):
-            compile_law(make_law(np.eye(3), 1.0), sim)
 
     def test_burgers_law_matches_the_per_state_law(self):
         # Burgers enters the input as a constant B u, so its control matrix
@@ -280,10 +264,10 @@ class TestCompiledLaw:
         P = np.eye(p) + M @ M.T / p
         Z = rng.normal(size=(5, p))
         lam = np.array([0.0, 0.5, 1.0, 0.5, 2.0])
-        law = make_law(P, 1.0)
-        U = controls(compile_law(law, sim), Z, lam)
+        law = make_law(P, sim.control_matrix, 1.0)
+        U = controls(compile_law(law), Z, lam)
         for z, lam_i, u in zip(Z, lam, U):
-            np.testing.assert_allclose(u, robust_control(law, z, sim, lam_i), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(u, robust_control(law, z, lam_i), rtol=1e-12, atol=0)
 
 
 class TestLyapunovDecrease:
@@ -301,7 +285,7 @@ class TestLyapunovDecrease:
             r = 0.05
             sim = LinearSimulator(A, B)
             X, U = np.empty((1, n)), np.empty((1, n))  # the state row and its control
-            control = compile_law(make_law(P, 1.0, r=r), sim).bind(X, np.array([lam]), U)
+            control = compile_law(make_law(P, B, 1.0, r=r)).bind(X, np.array([lam]), U)
 
             # adversarial matched disturbance of norm 0.9*lambda enters the
             # state equation directly, aligned with the value gradient

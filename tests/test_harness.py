@@ -65,7 +65,7 @@ def reference(cfg, art, z0, lam, kind, d0, controlled):
     failed = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            u = robust_control(law, z, art.design_sim, lam_state) if controlled else np.zeros(cfg.m)
+            u = robust_control(law, z, lam_state) if controlled else np.zeros(cfg.m)
             d = d0 * {"sin": np.sin(t[k]), "const": 1.0, "none": 0.0}[kind] * w
             z = rk4_step(art.sim, z, u + d, cfg.dt_sim)
             norm = l2_norm(z, grid)
@@ -401,7 +401,7 @@ class TestRowGroups:
         def poisoned(*args):
             law = compile_law(*args)
             H = law.H.copy()
-            H[:, :law.n] = H[:, law.n + law.m:] = np.nan
+            H[:, :law.n] = H[:, law.n + cfg.m:] = np.nan
             return replace(law, H=H)
 
         monkeypatch.setattr(harness, "compile_law", poisoned)
@@ -492,13 +492,13 @@ def test_configured_weights_reach_the_gain_and_the_law():
     # and the law's feedback block is P B / r_input
     cfg = heat_config(p=8, m=2, q=2.5, r_input=0.4, g=0.5, enkf_particles=2000, T_sim=0.5)
     art = build_artifacts(cfg)
-    A, B = art.design_sim.A, art.design_sim.control_matrix
+    A, B = art.A, art.B
     I = np.eye(cfg.p)
     sys = LtiSystem(A, B, np.sqrt(cfg.q) * I, cfg.r_input * np.eye(cfg.m), cfg.g * I)
     P_dre = solve_dre(sys, *_enkf_horizon(cfg, A))
     assert np.linalg.norm(art.gain.P - P_dre) <= 0.08 * np.linalg.norm(P_dre)
-    law = compile_law(build_law(cfg, art), art.design_sim)
-    np.testing.assert_allclose(law.K, art.gain.P @ B / cfg.r_input, rtol=1e-14, atol=0)
+    H = compile_law(build_law(cfg, art)).H
+    np.testing.assert_allclose(-H[:, cfg.p:cfg.p + cfg.m], art.gain.P @ B / cfg.r_input, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
@@ -509,13 +509,13 @@ def test_full_design_model_is_the_plant_jacobian_at_the_origin(config, bc):
     cfg = config(p=16, m=4, bc=bc, model="full")
     art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3))
     A = cfg.nu * second_difference_matrix(grid_of(cfg), bc)
-    assert np.array_equal(art.design_sim.A, A)
+    assert np.array_equal(art.A, A)
     if cfg.pde == "heat":
-        assert np.array_equal(art.design_sim.A, art.sim.A)
+        assert np.array_equal(art.A, art.sim.A)
     I, u = np.eye(cfg.p), np.zeros((cfg.p, cfg.m))
     jacobian = (art.sim.rhs(I, u) - art.sim.rhs(-I, u)).T / 2.0
-    np.testing.assert_allclose(art.design_sim.A, jacobian, rtol=0, atol=1e-12 * np.abs(A).max())
-    assert np.array_equal(art.design_sim.control_matrix, art.sim.control_matrix)
+    np.testing.assert_allclose(art.A, jacobian, rtol=0, atol=1e-12 * np.abs(A).max())
+    assert np.array_equal(art.B, art.sim.control_matrix)
 
 
 @pytest.mark.parametrize("overrides,named", [
