@@ -1,11 +1,15 @@
 """Experiment configuration: defaults, validation, strict file format.
 
-Config files are flat ``key = value`` text with section headers.  Parsing is
-strict: unknown sections or keys are errors, so a saved ``config.echo`` is
-always a complete, loadable record of a run.  Floats are echoed with 17
-significant digits; rerunning from an echo reproduces the run byte for byte.
-The retired key ``[robust] b_access`` is skipped when it holds one of its
-old values (``auto``, ``known``, ``simulator``), so old echoes still load.
+Config files are flat ``key = value`` text with section headers.  Each
+:class:`ExperimentConfig` field declares its ``[section] key`` once, and the
+file schema, its parsers (one per annotation) and the order ``config.echo``
+writes are derived from the fields.  Parsing is strict: unknown sections
+(``[DEFAULT]`` among them) or keys are errors, and a value that does not
+parse names its key, so a saved ``config.echo`` is always a complete,
+loadable record of a run.  Floats are echoed with 17 significant digits;
+rerunning from an echo reproduces the run byte for byte.  The retired key
+``[robust] b_access`` is skipped when it holds one of its old values
+(``auto``, ``known``, ``simulator``), so old echoes still load.
 
 :meth:`ExperimentConfig.validate` is the package's one range check, and
 each of its messages names the ``[section] key`` to change.  The engine
@@ -19,11 +23,17 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .pde import BOUNDARY_CONDITIONS
 
-PDE_KINDS = ("heat", "burgers")
+# each PDE's defaults, as overrides of the field defaults, which are heat's
+_PDE_DEFAULTS: dict[str, dict] = {
+    "heat": {},
+    "burgers": dict(pde="burgers", model="dmdc", nu=0.02, p=128, m=10, T_sim=3.0, r_input=0.1,
+                    enkf_particles=1000),
+}
+PDE_KINDS = tuple(_PDE_DEFAULTS)
 MODEL_PATHS = ("full", "dmdc")
 DISTURBANCE_KINDS = ("sin", "const", "none")
 LAMBDA_UNITS = ("amplitude", "state")
@@ -33,45 +43,43 @@ class ConfigError(ValueError):
     pass
 
 
+def _setting(section: str, key: str, default):
+    """A field with its default, which a config file writes as ``[section] key``."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # experiment
-    pde: str = "heat"
-    model: str = "full"
-    nu: float = 0.002
-    p: int = 100
-    L: float = 1.0
-    m: int = 8
-    bc: str = "periodic"
-    T_sim: float = 0.1
-    dt_sim: float = 1e-3
-    n_trials: int = 100
-    seed: int = 0
-    # cost weights, scaled identities
-    q: float = 1.0
-    r_input: float = 1.0
-    g: float = 1.0
-    # robust term
-    lam: float = 0.2
-    r_robust: float = 0.002
-    lambda_units: str = "amplitude"
-    # dual EnKF
-    enkf_particles: int = 10000
-    enkf_T: float | None = None  # None = auto
-    enkf_dt: float | None = None  # None = auto
-    # disturbance
-    dist_kind: str = "sin"
-    d0: float = 0.1
-    channel: tuple[float, ...] | None = None
-    # reduced model
-    dmdc_order: int = 10
-    dmdc_trajectories: int = 20
-    dmdc_steps: int = 150
-    dmdc_amplitude: float = 0.5
-    # grid sweep
-    grid_d0: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
-    grid_lambda: tuple[float, ...] = (0.0, 0.1, 0.2, 0.4)
-    grid_kinds: tuple[str, ...] = ("sin", "const")
+    pde: str = _setting("experiment", "pde", "heat")
+    model: str = _setting("experiment", "model", "full")
+    nu: float = _setting("experiment", "nu", 0.002)
+    p: int = _setting("experiment", "p", 100)
+    L: float = _setting("experiment", "L", 1.0)
+    m: int = _setting("experiment", "m", 8)
+    bc: str = _setting("experiment", "bc", "periodic")
+    T_sim: float = _setting("experiment", "T_sim", 0.1)
+    dt_sim: float = _setting("experiment", "dt_sim", 1e-3)
+    n_trials: int = _setting("experiment", "n_trials", 100)
+    seed: int = _setting("experiment", "seed", 0)
+    q: float = _setting("weights", "q", 1.0)  # the cost weights are scaled identities
+    r_input: float = _setting("weights", "r", 1.0)
+    g: float = _setting("weights", "g", 1.0)
+    lam: float = _setting("robust", "lambda", 0.2)
+    r_robust: float = _setting("robust", "r", 0.002)
+    lambda_units: str = _setting("robust", "lambda_units", "amplitude")
+    enkf_particles: int = _setting("enkf", "particles", 10000)
+    enkf_T: float | None = _setting("enkf", "T", None)  # None = auto
+    enkf_dt: float | None = _setting("enkf", "dt", None)  # None = auto
+    dist_kind: str = _setting("disturbance", "kind", "sin")
+    d0: float = _setting("disturbance", "d0", 0.1)
+    channel: tuple[float, ...] | None = _setting("disturbance", "channel", None)  # None = all ones
+    dmdc_order: int = _setting("dmdc", "order", 10)
+    dmdc_trajectories: int = _setting("dmdc", "trajectories", 20)
+    dmdc_steps: int = _setting("dmdc", "steps", 150)
+    dmdc_amplitude: float = _setting("dmdc", "amplitude", 0.5)
+    grid_d0: tuple[float, ...] = _setting("grid", "d0_list", (0.0, 0.05, 0.1, 0.2))
+    grid_lambda: tuple[float, ...] = _setting("grid", "lambda_list", (0.0, 0.1, 0.2, 0.4))
+    grid_kinds: tuple[str, ...] = _setting("grid", "kinds", ("sin", "const"))
 
     def validate(self) -> "ExperimentConfig":
         """This config, after every range check the package makes on it.
@@ -141,32 +149,21 @@ class ExperimentConfig:
         return self
 
 
+def default_config(pde: str, **overrides) -> ExperimentConfig:
+    """The defaults of ``pde`` with ``overrides`` (fields) replaced, validated."""
+    if pde not in _PDE_DEFAULTS:
+        raise ConfigError(f"pde must be one of {PDE_KINDS}, got {pde!r}")
+    return replace(ExperimentConfig(), **{**_PDE_DEFAULTS[pde], **overrides}).validate()
+
+
 def heat_config(**overrides) -> ExperimentConfig:
     """Heat-equation defaults: p=100, m=8, nu=0.002, T=0.1, N=10^4, Q=G=R=I."""
-    return replace(ExperimentConfig(), **overrides).validate()
+    return default_config("heat", **overrides)
 
 
 def burgers_config(**overrides) -> ExperimentConfig:
     """Burgers defaults: p=128, m=10, T=3, N=10^3, Q=G=I, R=0.1 I, model=dmdc."""
-    base = ExperimentConfig(
-        pde="burgers",
-        model="dmdc",
-        nu=0.02,
-        p=128,
-        m=10,
-        T_sim=3.0,
-        r_input=0.1,
-        enkf_particles=1000,
-    )
-    return replace(base, **overrides).validate()
-
-
-def default_config(pde: str, **overrides) -> ExperimentConfig:
-    if pde == "heat":
-        return heat_config(**overrides)
-    if pde == "burgers":
-        return burgers_config(**overrides)
-    raise ConfigError(f"pde must be one of {PDE_KINDS}, got {pde!r}")
+    return default_config("burgers", **overrides)
 
 
 # --- file format ------------------------------------------------------------
@@ -185,31 +182,22 @@ def _parse_int(s: str) -> int:
         raise ConfigError(f"expected an integer, got {s!r}") from None
 
 
-def _parse_opt_float(s: str):
-    if s.strip().lower() == "auto":
-        return None
-    return _parse_float(s)
-
-
-def _parse_float_list(s: str) -> tuple[float, ...]:
-    return tuple(_parse_float(v) for v in s.split(",") if v.strip())
-
-
 def _parse_str_list(s: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in s.split(",") if v.strip())
 
 
-def _parse_opt_float_list(s: str):
-    if s.strip().lower() == "none":
-        return None
-    return _parse_float_list(s)
+def _parse_float_list(s: str) -> tuple[float, ...]:
+    return tuple(_parse_float(v) for v in _parse_str_list(s))
+
+
+def _optional(word: str, parse):
+    """``parse``, but None for ``word``, the spelling of an unset value."""
+    return lambda s: None if s.strip().lower() == word else parse(s)
 
 
 def _fmt(v, shortest: bool = False) -> str:
     if v is None:
         return "auto"
-    if isinstance(v, bool):
-        return str(v).lower()
     if isinstance(v, float):  # 17 digits, as config.echo writes it, or the fewest that read back as v
         digits = next((d for d in range(1, 17) if float("%.*g" % (d, v)) == v), 17) if shortest else 17
         return "%.*g" % (digits, v)
@@ -218,60 +206,24 @@ def _fmt(v, shortest: bool = False) -> str:
     return str(v)
 
 
-# section -> {file key: (dataclass field, parser)}
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "experiment": {
-        "pde": ("pde", str),
-        "model": ("model", str),
-        "nu": ("nu", _parse_float),
-        "p": ("p", _parse_int),
-        "L": ("L", _parse_float),
-        "m": ("m", _parse_int),
-        "bc": ("bc", str),
-        "T_sim": ("T_sim", _parse_float),
-        "dt_sim": ("dt_sim", _parse_float),
-        "n_trials": ("n_trials", _parse_int),
-        "seed": ("seed", _parse_int),
-    },
-    "weights": {
-        "q": ("q", _parse_float),
-        "r": ("r_input", _parse_float),
-        "g": ("g", _parse_float),
-    },
-    "robust": {
-        "lambda": ("lam", _parse_float),
-        "r": ("r_robust", _parse_float),
-        "lambda_units": ("lambda_units", str),
-    },
-    "enkf": {
-        "particles": ("enkf_particles", _parse_int),
-        "T": ("enkf_T", _parse_opt_float),
-        "dt": ("enkf_dt", _parse_opt_float),
-    },
-    "disturbance": {
-        "kind": ("dist_kind", str),
-        "d0": ("d0", _parse_float),
-        "channel": ("channel", _parse_opt_float_list),
-    },
-    "dmdc": {
-        "order": ("dmdc_order", _parse_int),
-        "trajectories": ("dmdc_trajectories", _parse_int),
-        "steps": ("dmdc_steps", _parse_int),
-        "amplitude": ("dmdc_amplitude", _parse_float),
-    },
-    "grid": {
-        "d0_list": ("grid_d0", _parse_float_list),
-        "lambda_list": ("grid_lambda", _parse_float_list),
-        "kinds": ("grid_kinds", _parse_str_list),
-    },
+# a field's annotation -> the parser of its file value; an annotation missing here fails at import
+_PARSERS = {
+    "str": str,
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": _optional("auto", _parse_float),
+    "tuple[float, ...]": _parse_float_list,
+    "tuple[float, ...] | None": _optional("none", _parse_float_list),
+    "tuple[str, ...]": _parse_str_list,
 }
 
+# section -> {file key: (dataclass field, parser)}, in the order the fields are declared
+_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {}
+for _f in fields(ExperimentConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"]] = (_f.name, _PARSERS[_f.type])
+
 # dataclass field -> its key as a config file writes it, for messages
-_FILE_KEYS = {
-    field_name: f"[{section}] {key}"
-    for section, keys in _SCHEMA.items()
-    for key, (field_name, _) in keys.items()
-}
+_FILE_KEYS = {f.name: f"[{f.metadata['section']}] {f.metadata['key']}" for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, pde: str | None = None, **overrides) -> ExperimentConfig:
@@ -280,7 +232,7 @@ def parse_config_text(text: str, pde: str | None = None, **overrides) -> Experim
     Keys the text leaves out take the defaults of ``pde``, else of its own;
     ``overrides`` (fields but ``pde``) replace its values before the one validation.
     """
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, default_section="")  # [DEFAULT] is no special section
     cp.optionxform = str  # keys are case sensitive
     try:
         cp.read_string(text)
@@ -300,7 +252,10 @@ def parse_config_text(text: str, pde: str | None = None, **overrides) -> Experim
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             field_name, parser = _SCHEMA[section][key]
-            raw[field_name] = parser(value)
+            try:
+                raw[field_name] = parser(value)
+            except ConfigError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
 
     file_pde = raw.pop("pde", "heat")
     return default_config(pde or str(file_pde), **{**raw, **overrides})
@@ -313,17 +268,12 @@ def load_config(path, pde: str | None = None, **overrides) -> ExperimentConfig:
 
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical text form of a config; loading it back reproduces the run."""
-    by_field = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     out = io.StringIO()
     for si, (section, keys) in enumerate(_SCHEMA.items()):
         if si:
             out.write("\n")
         out.write(f"[{section}]\n")
         for key, (field_name, _) in keys.items():
-            value = by_field[field_name]
-            if field_name == "channel" and value is None:
-                text = "none"
-            else:
-                text = _fmt(value)
-            out.write(f"{key} = {text}\n")
+            value = getattr(cfg, field_name)
+            out.write(f"{key} = {'none' if field_name == 'channel' and value is None else _fmt(value)}\n")
     return out.getvalue()

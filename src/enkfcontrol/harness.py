@@ -171,15 +171,23 @@ def build_artifacts(
         _check_reduction(cfg, reduction)
     elif cfg.model == "dmdc":
         if gain is not None:
-            raise HarnessError("dmdc model path needs a reduced model with the gain")
+            raise HarnessError("a gain on model=dmdc needs the reduced model it was trained on; pass "
+                               "--reduced-model, or drop --gain so the run fits and trains its own")
         reduction = fit_reduction(cfg, sim)
     A, B = ((cfg.nu * second_difference_matrix(grid_of(cfg), cfg.bc), sim.control_matrix) if reduction is None
             else (reduction.A, reduction.B))
     if gain is None:
         gain = _train_gain(cfg, A, B)
     elif gain.n != len(A):
-        raise HarnessError(f"gain dimension {gain.n} does not match design dimension {len(A)}")
+        raise HarnessError(f"gain dimension {gain.n} does not match design dimension {len(A)}; run with the "
+                           "settings the gain was trained with (a dmdc gain: --model dmdc --reduced-model), "
+                           "or retrain it with train")
     return Artifacts(sim=sim, A=A, B=B, gain=gain, reduction=reduction)
+
+
+def _channel_weights(cfg: ExperimentConfig) -> np.ndarray:
+    """The disturbance's weights w on the control channels: ``cfg.channel``, else all ones."""
+    return np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
 
 
 def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam):
@@ -191,8 +199,7 @@ def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam):
     """
     if cfg.lambda_units != "amplitude":
         return lam
-    w = np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
-    return lam * float(np.linalg.norm(art.B @ w))
+    return lam * float(np.linalg.norm(art.B @ _channel_weights(cfg)))
 
 
 def build_law(cfg: ExperimentConfig, art: Artifacts) -> ControlLaw:
@@ -268,7 +275,7 @@ def simulate_closed_loop(
     order = np.argsort(group, kind="stable")
     a, b = np.searchsorted(group[order], [1, 2])  # rows [a, b) lambda = 0, [b, batch) lambda > 0
     Z, lam, d0, kinds = Z[order], lam[order], d0[order], kinds[order]
-    w = np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
+    w = _channel_weights(cfg)
     d_sin, d_const = d0 * (kinds == "sin"), d0 * (kinds == "const")
     Q, step = rk4_stepper(art.sim, cfg.dt_sim)
     Y = Z if Q is None else Z @ Q  # the loop carries y = z Q, and |y| = |z|

@@ -277,6 +277,23 @@ class TestBadInput:
             "error: RankDeficientError: input matrix has column rank 1 < m=2; null space involves columns [1]\n")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("model,fix", [
+        ("dmdc", "; pass --reduced-model, or drop --gain so the run fits and trains its own\n"),
+        ("full", "; run with the settings the gain was trained with (a dmdc gain: --model dmdc "
+                 "--reduced-model), or retrain it with train\n"),
+    ], ids=["dmdc", "full"])
+    def test_dmdc_gain_without_its_reduced_model_names_the_fix(self, model, fix, small_cfg, tmp_path, capsys):
+        train = str(tmp_path / "train")
+        assert main(["train", "--config", small_cfg, "--model", "dmdc", "--out", train]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "batch")
+        argv = ["batch", "--config", small_cfg, "--model", model, "--gain", os.path.join(train, "gain.bundle"),
+                "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: HarnessError: ") and err.endswith(fix)
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("flag", ["--gain", "--reduced-model"])
     def test_fit_dmdc_rejects_a_bundle_flag(self, flag, tmp_path, capsys, monkeypatch):
         # fit-dmdc loads no bundle, so argparse rejects a bundle flag before any snapshot

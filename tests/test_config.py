@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
 from enkfcontrol.config import (
     ConfigError,
+    ExperimentConfig,
     burgers_config,
     default_config,
     heat_config,
@@ -58,6 +60,25 @@ class TestRoundTrip:
         loaded = parse_config_text(text)
         assert loaded.enkf_T is None and loaded.enkf_dt is None
 
+    def test_every_setting_roundtrips(self):
+        cfg = ExperimentConfig(
+            pde="burgers", model="dmdc", nu=0.01, p=20, L=2.0, m=3, bc="dirichlet", T_sim=0.5,
+            dt_sim=0.01, n_trials=5, seed=3, q=2.0, r_input=0.5, g=3.0, lam=0.3, r_robust=0.01,
+            lambda_units="state", enkf_particles=50, enkf_T=0.25, enkf_dt=0.005, dist_kind="const",
+            d0=0.2, channel=(1.0, 0.5, 0.25), dmdc_order=5, dmdc_trajectories=4, dmdc_steps=30,
+            dmdc_amplitude=0.25, grid_d0=(0.0, 0.3), grid_lambda=(0.1,), grid_kinds=("none", "sin"),
+        ).validate()
+        # a field added later without a value here fails this line
+        assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == f.default] == []
+        auto = replace(cfg, enkf_T=None, enkf_dt=None, channel=None)
+        for c, spelled in ((cfg, []), (auto, ["T = auto", "dt = auto", "channel = none"])):
+            text = render_config(c)
+            assert parse_config_text(text) == c
+            lines = text.splitlines()
+            assert all(line in lines for line in spelled)
+            headers = [line for line in lines if line.startswith("[")]
+            assert len(set(headers)) == len(headers) == 7
+
 
 class TestStrictness:
     def test_unknown_section(self):
@@ -69,8 +90,19 @@ class TestStrictness:
             parse_config_text("[experiment]\nfoo = bar\n")
 
     def test_bad_number(self):
-        with pytest.raises(ConfigError):
+        # the message names the key whose value does not parse
+        with pytest.raises(ConfigError, match=r"^\[experiment\] nu: expected a number, got 'not-a-number'$"):
             parse_config_text("[experiment]\nnu = not-a-number\n")
+        with pytest.raises(ConfigError, match=r"^\[enkf\] particles: expected an integer, got '1e4'$"):
+            parse_config_text("[enkf]\nparticles = 1e4\n")
+        with pytest.raises(ConfigError, match=r"^\[grid\] d0_list: expected a number, got 'x'$"):
+            parse_config_text("[grid]\nd0_list = 0.1, x\n")
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nnu = 0.5\n", "[DEFAULT]\np = 50\n[experiment]\nm = 4\n"])
+    def test_default_section_is_unknown(self, text):
+        # configparser's [DEFAULT] would otherwise be skipped, or fill in keys of every other section
+        with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+            parse_config_text(text)
 
     def test_partial_file_fills_defaults(self):
         cfg = parse_config_text("[experiment]\npde = burgers\nnu = 0.002\n")
