@@ -1,23 +1,25 @@
 """Dynamic mode decomposition with control (DMDc) reduced-order models.
 
 Trajectories in, one continuous-time model out.  :func:`collect_snapshots`
-integrates excited trajectories of a (possibly nonlinear) simulator into one
-step-major (steps + 1, n_traj, p) state buffer and its (steps, n_traj, m)
-inputs; :func:`fit_dmdc` regresses the discrete-time triple (A_d, B_d, Phi)
-of x_{k+1} = A_d x_k + B_d u_k from them, and :func:`to_continuous` turns
-that triple once into the :class:`ReducedModel` the gain is designed on.
-The projection Phi has orthonormal rows; the full state is reconstructed as
-z = Phi' x.  The snapshot pairs are rows of the one state buffer: X is every
-step but the last, and Xnext the same rows one step on.  The fit takes the R
-factor of the stacked snapshots before any SVD (Chan, ACM TOMS 8, 1982),
-carried over fixed row blocks as a sequential tall-skinny QR (Demmel,
-Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012), so no factor with
-one column per snapshot is formed and the fit's memory does not grow with
-the snapshot count.
+integrates excited trajectories of a (possibly nonlinear) simulator and
+yields them one step at a time, as slabs (X_k, U_k, Xnext_k) of every
+trajectory's state, input and next state; :func:`fit_dmdc` regresses the
+discrete-time triple (A_d, B_d, Phi) of x_{k+1} = A_d x_k + B_d u_k from any
+stream of such row blocks, and :func:`to_continuous` turns that triple once
+into the :class:`ReducedModel` the gain is designed on.  The projection Phi
+has orthonormal rows; the full state is reconstructed as z = Phi' x.
+No snapshot is stored: the collection holds one step's slabs, which it
+overwrites as it steps, and the fit copies each slab's rows into its work
+array.  The fit takes the R factor of the stacked snapshots before any SVD
+(Chan, ACM TOMS 8, 1982), carried over fixed row blocks as a sequential
+tall-skinny QR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34,
+2012), so no factor with one column per snapshot is formed, and the
+training path's memory does not grow with the snapshot count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +27,10 @@ import numpy as np
 from .pde import GridSpec, Simulator, rk4_stepper, sample_initial_conditions
 
 
-# snapshot rows per QR step of fit_dmdc and per block of collect_snapshots' rotation back from the
-# eigenbasis: fixed, so the rounding is the same on every machine
+# snapshot rows per QR step of fit_dmdc: fixed, so the rounding is the same on every machine
 _BLOCK_ROWS = 512
+# steps of input collect_snapshots draws from each trajectory's stream at a time
+_INPUT_STEPS = 32
 
 
 class FitError(RuntimeError):
@@ -67,40 +70,49 @@ def collect_snapshots(
     dt: float,
     amplitude: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate short excited trajectories; return them as (states, inputs).
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Integrate short excited trajectories; yield them step by step as (X, U, Xnext).
 
-    ``states`` is the (steps + 1, n_traj, p) buffer of every trajectory's
-    state at every step and ``inputs`` the (steps, n_traj, m) inputs between
-    them, both step-major: slab k is every trajectory at step k.
+    Step k yields the (n_traj, p) states X, the (n_traj, m) inputs U and the
+    (n_traj, p) next states Xnext: row i is trajectory i at step k, and
+    Xnext is the X of step k + 1.  The slabs are the generator's own
+    buffers, so a yielded slab is valid until the next one is drawn; copy
+    it to keep it.
     Inputs are zero-mean uniform on [-amplitude, amplitude], redrawn every
     step (piecewise constant over one step).  Each trajectory consumes its
     own child RNG stream (its bump initial condition on ``grid``, from
-    :func:`pde.sample_initial_conditions`, then its inputs in one (steps, m)
-    draw, one step after another), so the data is reproducible regardless
-    of how the trajectories are scheduled.  All trajectories advance as one
-    (n_traj, p) stack by :func:`pde.rk4_stepper`'s step into slab k + 1 of
-    ``states``.  The heat plant is stepped in the closed-form eigenbasis of
-    its A and mapped back in place over blocks of _BLOCK_ROWS rows of the
-    flattened buffer (at the heat defaults the bits of one slab at a time;
-    where a slab would take the BLAS's small-matrix kernel they part by
-    rounding); any other simulator steps the states themselves.
+    :func:`pde.sample_initial_conditions`, then its inputs, drawn
+    _INPUT_STEPS steps at a time: the values of one (steps, m) draw), so
+    the data is reproducible regardless of how the trajectories are
+    scheduled.  All trajectories advance as one (n_traj, p) stack by
+    :func:`pde.rk4_stepper`'s step.  The heat plant is stepped in place in
+    the closed-form eigenbasis of its A, and each new slab is mapped back
+    once into the plant coordinates Xnext; any other simulator steps the
+    states themselves.
     """
     streams = rng.spawn(n_traj)
     Z0 = sample_initial_conditions(streams, grid)
-    draws = [traj_rng.uniform(-amplitude, amplitude, size=(steps, sim.m)) for traj_rng in streams]
-    us = np.stack(draws, axis=1)  # (steps, n_traj, m): slab k is every trajectory's input at step k
     Q, step = rk4_stepper(sim, dt)
-    xs = np.empty((steps + 1, n_traj, Z0.shape[1]))
-    xs[0] = Z0 if Q is None else Z0 @ Q
+    if Q is None:
+        x = Z0
+    else:
+        y, work = Z0 @ Q, Z0  # the eigenbasis slab; Z0's buffer takes the step's input term
+        x = y @ Q.T
+    x_next = np.empty_like(x)
+    us = np.empty((min(steps, _INPUT_STEPS), n_traj, sim.m))
     for k in range(steps):
-        step(xs[k], us[k], xs[k + 1])  # a new slot: xs[k] is a stored snapshot
-    if Q is not None:
-        flat = xs.reshape(-1, xs.shape[-1])
-        for start in range(0, len(flat), _BLOCK_ROWS):
-            block = flat[start:start + _BLOCK_ROWS]
-            block[...] = block @ Q.T
-    return xs, us
+        if k % _INPUT_STEPS == 0:
+            chunk = us[:min(_INPUT_STEPS, steps - k)]
+            for i, traj_rng in enumerate(streams):
+                chunk[:, i] = traj_rng.uniform(-amplitude, amplitude, size=(len(chunk), sim.m))
+        u = us[k % _INPUT_STEPS]
+        if Q is None:
+            step(x, u, x_next)
+        else:
+            step(y, u, y, work)
+            np.matmul(y, Q.T, out=x_next)
+        yield x, u, x_next
+        x, x_next = x_next, x
 
 
 def _truncated_svd(M: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,23 +121,26 @@ def _truncated_svd(M: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np
     return U[:, :keep], s[:keep], Vt[:keep]
 
 
-def fit_dmdc(states: np.ndarray, inputs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_dmdc(
+    snapshots: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard DMDc regression at reduced order n: the discrete-time (A_d, B_d, Phi).
 
-    ``states`` and ``inputs`` are trajectories as :func:`collect_snapshots`
-    lays them out, (steps + 1, ..., p) and (steps, ..., m).  The K snapshot
-    triples are the rows of states[:-1], states[1:] (the same rows one step
-    on) and inputs, flattened to one row per (step, trajectory); below, X,
-    Xnext and U are the p x K, p x K and m x K matrices with those rows as
-    columns.  The stacked input matrix [X; U] is truncated at rank n + m
-    for the regression; the successor snapshots provide the rank-n output
-    basis.
+    ``snapshots`` is any iterable of row blocks (X, U, Xnext), shaped
+    (rows, p), (rows, m) and (rows, p): the blocks :func:`collect_snapshots`
+    yields, or ``[(X, U, Xnext)]`` for data already in arrays.  Each row is
+    one snapshot triple; a block is read once, when it arrives, and not
+    kept.  Below, X, Xnext and U are the p x K, p x K and m x K matrices
+    with all K rows as columns.  The stacked input matrix [X; U] is
+    truncated at rank n + m for the regression; the successor snapshots
+    provide the rank-n output basis.
 
     Both come from the R of the K x (2p + m) matrix [X; U; Xnext]' = Q R,
-    which is carried over row blocks of _BLOCK_ROWS snapshots: each step
-    takes the R of [R; next block] in one work array, so the stack is never
-    formed and the fit's memory does not depend on K.  R is the one-QR
-    factor up to row signs and rounding; neither moves the singular vectors.
+    which is carried over blocks of _BLOCK_ROWS rows, filled in arrival
+    order whatever the incoming blocks' sizes: each step takes the R of
+    [R; next block] in one work array, so the stack is never formed and the
+    fit's memory does not depend on K.  R is the one-QR factor up to row
+    signs and rounding; neither moves the singular vectors.
     With R = [R1 R2] split after column p + m, [X; U] = R1' Q' and
     Xnext = R2' Q', so their left singular vectors and values are those of
     R1' and R2', and Xnext V_in = R2' W_in for the right singular vectors
@@ -133,25 +148,39 @@ def fit_dmdc(states: np.ndarray, inputs: np.ndarray, n: int) -> tuple[np.ndarray
     square the condition number; the QR does not.  Phi's row signs are the
     ones LAPACK picks for the SVD of R2'.
     """
-    p, m = states.shape[-1], inputs.shape[-1]
-    # row views of the buffers: the rows of X', Xnext' and U'
-    X, Xnext, U = states[:-1].reshape(-1, p), states[1:].reshape(-1, p), inputs.reshape(-1, m)
-    K = len(X)
-
-    # [R; next block] in one work array; R keeps min(rows seen, 2p + m) rows.
+    # [R; next block] in one work array; R keeps min(rows seen, 2p + m) rows
+    # and the block fills the `filled` rows below it, in arrival order whatever
+    # the incoming blocks' sizes, so R has the bits of one array's fit.
     # Fortran order, as LAPACK takes it: np.linalg.qr copies its argument to a
     # column-major buffer, which from a C-ordered array is a transpose each way
-    work = np.empty((2 * p + m + _BLOCK_ROWS, 2 * p + m), order="F")
-    rows = 0
-    for start in range(0, K, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, K)
-        block = work[rows:rows + stop - start]
-        block[:, :p] = X[start:stop]
-        block[:, p:p + m] = U[start:stop]
-        block[:, p + m:] = Xnext[start:stop]
-        R = np.linalg.qr(work[:rows + stop - start], mode="r")
-        rows = len(R)
-        work[:rows] = R
+    work, R, rows, filled = None, None, 0, 0
+
+    def fold(stop: int) -> int:  # the R of work[:stop] into work's top rows; its row count
+        nonlocal R
+        # the last R is freed only once the new one exists: freed first, it let glibc trim the
+        # heap after each fold, and each next QR faulted its 2.2 MB of buffers back in
+        R = np.linalg.qr(work[:stop], mode="r")
+        work[:len(R)] = R
+        return len(R)
+
+    for X, U, Xnext in snapshots:
+        if work is None:
+            p, m = X.shape[1], U.shape[1]
+            work = np.empty((2 * p + m + _BLOCK_ROWS, 2 * p + m), order="F")
+        done = 0
+        while done < len(X):
+            take = min(len(X) - done, _BLOCK_ROWS - filled)
+            block = work[rows + filled:rows + filled + take]
+            block[:, :p] = X[done:done + take]
+            block[:, p:p + m] = U[done:done + take]
+            block[:, p + m:] = Xnext[done:done + take]
+            done, filled = done + take, filled + take
+            if filled == _BLOCK_ROWS:
+                rows, filled = fold(rows + filled), 0
+    if filled:
+        rows = fold(rows + filled)
+    if R is None:
+        raise FitError("no snapshots to fit")
     R1t, R2t = R[:, :p + m].T, R[:, p + m:].T
     U_in, s_in, Wt_in = _truncated_svd(R1t, n + m)
     U_out, _, _ = _truncated_svd(R2t, n)

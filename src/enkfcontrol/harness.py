@@ -112,8 +112,13 @@ def _enkf_horizon(cfg: ExperimentConfig, A: np.ndarray) -> tuple[float, float]:
 
 
 def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedModel:
-    """The reduced model of this config: excited trajectories, the DMDc fit, continuous time."""
-    states, inputs = dmdc_mod.collect_snapshots(
+    """The reduced model of this config: excited trajectories, the DMDc fit, continuous time.
+
+    The fit draws the trajectories' steps from the collection as it folds them
+    in, so no snapshot buffer is held: memory is one step's slabs and the
+    fit's work array, whatever the trajectory and step counts.
+    """
+    snapshots = dmdc_mod.collect_snapshots(
         sim,
         grid_of(cfg),
         n_traj=cfg.dmdc_trajectories,
@@ -123,7 +128,7 @@ def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedMode
         rng=_rng(cfg, _TAG_SNAPSHOTS),
     )
     try:
-        A_d, B_d, Phi = dmdc_mod.fit_dmdc(states, inputs, cfg.dmdc_order)
+        A_d, B_d, Phi = dmdc_mod.fit_dmdc(snapshots, cfg.dmdc_order)
         return dmdc_mod.to_continuous(A_d, B_d, Phi, cfg.dt_sim)
     except dmdc_mod.FitError as exc:
         raise dmdc_mod.FitError(f"{exc}; lower [dmdc] order = {cfg.dmdc_order}, or raise [dmdc] trajectories = "

@@ -413,13 +413,14 @@ class TestRowGroups:
 
     @pytest.mark.parametrize("pde", ["heat", "burgers"])
     def test_snapshots_match_a_step_into_fresh_arrays(self, pde):
-        # collect_snapshots steps each new snapshot into its own slot; stepping
-        # into a fresh array every time gives the same bits, so no stored
-        # snapshot is overwritten
+        # collect_snapshots steps one slab in place and reuses its buffers; stepping into
+        # a fresh array every time gives the same bits, so no slab is overwritten before
+        # it is drawn
         cfg = (heat_config if pde == "heat" else burgers_config)(p=24, m=4)
         sim, grid = build_full_simulator(cfg), grid_of(cfg)
         n_traj, steps, dt, amplitude = 3, 12, 1e-3, 0.5
-        states, _ = collect_snapshots(sim, grid, n_traj, steps, dt, amplitude, np.random.default_rng(4))
+        slabs = [tuple(part.copy() for part in slab)
+                 for slab in collect_snapshots(sim, grid, n_traj, steps, dt, amplitude, np.random.default_rng(4))]
         streams = np.random.default_rng(4).spawn(n_traj)
         Z0 = np.array([sample_initial_condition(rng, grid) for rng in streams])
         us = np.array([rng.uniform(-amplitude, amplitude, size=(steps, cfg.m)) for rng in streams])
@@ -427,9 +428,10 @@ class TestRowGroups:
         ys = [Z0 if Q is None else Z0 @ Q]
         for k in range(steps):
             ys.append(step(ys[-1], us[:, k], np.empty_like(ys[-1])))
-        xs = np.stack(ys)  # step-major: slab k is every trajectory at step k
-        xs = xs if Q is None else xs @ Q.T
-        assert np.array_equal(states, xs)
+        xs = [y if Q is None else y @ Q.T for y in ys]  # slab k is every trajectory at step k
+        assert len(slabs) == steps
+        for k, (X, U, Xnext) in enumerate(slabs):
+            assert np.array_equal(X, xs[k]) and np.array_equal(U, us[:, k]) and np.array_equal(Xnext, xs[k + 1])
 
 
 class TestDeterminism:
