@@ -156,16 +156,6 @@ def default_config(pde: str, **overrides) -> ExperimentConfig:
     return replace(ExperimentConfig(), **{**_PDE_DEFAULTS[pde], **overrides}).validate()
 
 
-def heat_config(**overrides) -> ExperimentConfig:
-    """Heat-equation defaults: p=100, m=8, nu=0.002, T=0.1, N=10^4, Q=G=R=I."""
-    return default_config("heat", **overrides)
-
-
-def burgers_config(**overrides) -> ExperimentConfig:
-    """Burgers defaults: p=128, m=10, T=3, N=10^3, Q=G=I, R=0.1 I, model=dmdc."""
-    return default_config("burgers", **overrides)
-
-
 # --- file format ------------------------------------------------------------
 
 def _parse_float(s: str) -> float:

@@ -89,30 +89,6 @@ class RankError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EnkfConfig:
-    """Run parameters for a dual-EnKF pass.
-
-    g > 0 is the terminal cost weight g |x|^2; the terminal ensemble is drawn
-    from N(0, I/g).  The ensemble needs more particles than states, N > n,
-    for its covariance to have full rank.
-    """
-
-    N: int
-    T: float
-    dt: float
-    g: float
-
-    @property
-    def n_steps(self) -> int:
-        return max(1, int(round(self.T / self.dt)))
-
-    @property
-    def dt_effective(self) -> float:
-        """Step actually used so that n_steps * dt lands exactly on T."""
-        return self.T / self.n_steps
-
-
-@dataclass(frozen=True)
 class GainApprox:
     """Learned gain: the inverse P of the ensemble covariance at t=0.
 
@@ -152,13 +128,13 @@ def _wishart(dof: int, k: int):
     return draw
 
 
-def init_covariance(cfg: EnkfConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """S of a terminal ensemble Y_i ~ N(0, I/g), drawn without the ensemble.
+def init_covariance(n: int, N: int, g: float, rng: np.random.Generator) -> np.ndarray:
+    """S of a terminal ensemble of N particles Y_i ~ N(0, I/g) in R^n, drawn without the ensemble.
 
     g N S = F'F with F'F ~ Wishart_n(N - 1, I).
     """
-    F = _wishart(cfg.N - 1, n)(rng)
-    return F.T @ F / (cfg.N * cfg.g)
+    F = _wishart(N - 1, n)(rng)
+    return F.T @ F / (N * g)
 
 
 def _chain(A: np.ndarray, m: int, N: int) -> tuple:
@@ -234,22 +210,28 @@ def run_dual_enkf_linear(
     B: np.ndarray,
     q: float,
     r: float,
-    cfg: EnkfConfig,
+    g: float,
+    N: int,
+    T: float,
+    n_steps: int,
     rng: np.random.Generator,
 ) -> GainApprox:
-    """Sample the ensemble covariance from t=T down to t=0 and invert S_0.
+    """Sample the ensemble covariance from t=T down to t=0 in n_steps steps of T / n_steps; invert S_0.
 
-    q > 0 and r > 0 are the running weights of q |x|^2 + r |u|^2.
+    q > 0 and r > 0 are the running weights of q |x|^2 + r |u|^2 and g > 0
+    the terminal one of g |x|^2: the terminal ensemble is drawn from
+    N(0, I/g).  Its covariance has full rank only with more particles than
+    states, N > n.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    S = init_covariance(cfg, A.shape[0], rng)
-    h = cfg.dt_effective
+    S = init_covariance(A.shape[0], N, g, rng)
+    h = T / n_steps
     W = np.sqrt(h / r) * B.T
-    chain = _chain(A, B.shape[1], cfg.N)
-    t = cfg.T
+    chain = _chain(A, B.shape[1], N)
+    t = T
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.n_steps):
-            S = step_linear(S, t, q, W, cfg.N, h, rng, chain)
+        for _ in range(n_steps):
+            S = step_linear(S, t, q, W, N, h, rng, chain)
             t -= h
     return _gain_from_covariance(S)

@@ -45,7 +45,7 @@ import numpy as np
 from . import dmdc as dmdc_mod
 from .config import ExperimentConfig
 from .controller import ControlLaw, compile_law, input_matrix
-from .enkf import EnkfConfig, GainApprox, run_dual_enkf_linear
+from .enkf import GainApprox, run_dual_enkf_linear
 from .pde import (
     BurgersSimulator,
     GridSpec,
@@ -53,7 +53,6 @@ from .pde import (
     Simulator,
     l2_norm,
     rk4_stepper,
-    sample_initial_condition,
     sample_initial_conditions,
     second_difference_matrix,
 )
@@ -98,17 +97,22 @@ def _rng(cfg: ExperimentConfig, *words: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, *words]))
 
 
-def _enkf_horizon(cfg: ExperimentConfig, A: np.ndarray) -> tuple[float, float]:
-    """(T, dt) for a linear dual-EnKF run, respecting explicit overrides.
+def _enkf_horizon(cfg: ExperimentConfig, A: np.ndarray) -> tuple[float, int]:
+    """(T, n_steps) of the linear dual-EnKF run on A, which steps T / n_steps.
 
-    The covariance recursion relaxes at up to twice the drift's spectral
-    radius; the explicit step must resolve that rate.
+    T is ``[enkf] T``, else T_sim.  The step asked for is ``[enkf] dt``, else
+    the smaller of dt_sim and 0.5 / (2 |A|_2): the covariance recursion
+    relaxes at up to twice the drift's spectral radius, and the explicit
+    step must resolve that rate.  n_steps is the fewest steps no longer than
+    that, up to a relative 1e-9, so a T / dt that rounding leaves just above
+    a whole number takes that number.  |A|_2 takes singular values only,
+    one rule for the symmetric heat operator and a DMDc fit alike.
     """
     a_max = float(np.linalg.norm(A, 2))
     dt_stable = 0.5 / (2.0 * a_max) if a_max > 0 else cfg.dt_sim
     T = cfg.enkf_T if cfg.enkf_T is not None else cfg.T_sim
     dt = cfg.enkf_dt if cfg.enkf_dt is not None else min(cfg.dt_sim, dt_stable)
-    return T, min(dt, T)
+    return T, max(1, math.ceil(T / dt * (1.0 - 1e-9)))
 
 
 def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedModel:
@@ -138,13 +142,6 @@ def fit_reduction(cfg: ExperimentConfig, sim: Simulator) -> dmdc_mod.ReducedMode
                                        f"or another [dmdc] order = {cfg.dmdc_order}") from None
 
 
-def _train_gain(cfg: ExperimentConfig, A: np.ndarray, B: np.ndarray) -> GainApprox:
-    """Run the linear dual EnKF on the design model's A and B."""
-    T, dt = _enkf_horizon(cfg, A)
-    enkf_cfg = EnkfConfig(N=cfg.enkf_particles, T=T, dt=dt, g=cfg.g)
-    return run_dual_enkf_linear(A, B, cfg.q, cfg.r_input, enkf_cfg, _rng(cfg, _TAG_ENKF))
-
-
 def _check_reduction(cfg: ExperimentConfig, reduction: dmdc_mod.ReducedModel) -> None:
     """A supplied reduced model must be the fit of this config."""
     if cfg.model != "dmdc":
@@ -169,7 +166,8 @@ def build_artifacts(
     """Assemble the plant and the design model, fitting and training whatever was not supplied.
 
     The design model is the reduction's (A, B), else the plant's Jacobian at
-    the origin, nu D2 with the plant's B: for heat, the plant itself.
+    the origin, nu D2 with the plant's B: for heat, the plant itself.  The
+    gain is trained by the linear dual EnKF on that (A, B).
     """
     sim = build_full_simulator(cfg)
     if reduction is not None:
@@ -182,7 +180,9 @@ def build_artifacts(
     A, B = ((cfg.nu * second_difference_matrix(grid_of(cfg), cfg.bc), sim.control_matrix) if reduction is None
             else (reduction.A, reduction.B))
     if gain is None:
-        gain = _train_gain(cfg, A, B)
+        T, n_steps = _enkf_horizon(cfg, A)
+        gain = run_dual_enkf_linear(A, B, cfg.q, cfg.r_input, cfg.g, cfg.enkf_particles, T, n_steps,
+                                    _rng(cfg, _TAG_ENKF))
     elif gain.n != len(A):
         raise HarnessError(f"gain dimension {gain.n} does not match design dimension {len(A)}; run with the "
                            "settings the gain was trained with (a dmdc gain: --model dmdc --reduced-model), "
@@ -328,7 +328,7 @@ def simulate_closed_loop(
 
 def trial_initial_condition(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     """Initial condition for a trial index; shared across policies by design."""
-    return sample_initial_condition(_rng(cfg, _TAG_TRIALS, trial), grid_of(cfg))
+    return sample_initial_conditions([_rng(cfg, _TAG_TRIALS, trial)], grid_of(cfg))[0]
 
 
 @dataclass(frozen=True)

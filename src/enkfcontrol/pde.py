@@ -249,21 +249,13 @@ def rk4_stepper(sim: Simulator, h: float):
     return Q, step
 
 
-def sample_initial_condition(rng: np.random.Generator, grid: GridSpec) -> np.ndarray:
-    """Random bump initial condition alpha * sech((y - 1/(2L)) / beta).
-
-    alpha ~ unif(0.9, 1.1) and beta ~ unif(0.04, 0.06); with the default
-    L = 1 domain the bump is centered at y = 1/2.
-    """
-    return sample_initial_conditions([rng], grid)[0]
-
-
 def sample_initial_conditions(rngs: list[np.random.Generator], grid: GridSpec) -> np.ndarray:
-    """One bump per generator, as rows: row i is sample_initial_condition(rngs[i], grid).
+    """One random bump alpha * sech((y - 1/(2L)) / beta) per generator, as rows.
 
-    Each generator draws its (alpha, beta); the bumps are then one broadcast.
-    On a long domain cosh overflows far from the bump, where alpha / inf = 0
-    is the right value.
+    Generator i draws alpha ~ unif(0.9, 1.1), then beta ~ unif(0.04, 0.06);
+    the bumps are then one broadcast.  With the default L = 1 domain the
+    bump is centered at y = 1/2.  On a long domain cosh overflows far from
+    the bump, where alpha / inf = 0 is the right value.
     """
     alpha, beta = np.array([(rng.uniform(0.9, 1.1), rng.uniform(0.04, 0.06)) for rng in rngs]).T
     center = 1.0 / (2.0 * grid.L)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 import enkfcontrol
-from enkfcontrol.config import heat_config
+from enkfcontrol.config import default_config
 from enkfcontrol.harness import build_full_simulator
 
 CHECKS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "checks.py")
@@ -25,7 +25,7 @@ def test_dre_gain_is_symmetric_positive_definite(monkeypatch):
     checks = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, checks)
     spec.loader.exec_module(checks)
-    cfg = heat_config(p=8, m=2)
+    cfg = default_config("heat", p=8, m=2)
     sim = build_full_simulator(cfg)
     P = checks.References(enkfcontrol, cfg).dre_gain(sim.A, sim.control_matrix)
     assert P.shape == (cfg.p, cfg.p) and np.all(np.isfinite(P))

@@ -6,9 +6,7 @@ import pytest
 from enkfcontrol.config import (
     ConfigError,
     ExperimentConfig,
-    burgers_config,
     default_config,
-    heat_config,
     parse_config_text,
     render_config,
 )
@@ -16,7 +14,7 @@ from enkfcontrol.config import (
 
 class TestDefaults:
     def test_heat_defaults(self):
-        cfg = heat_config()
+        cfg = default_config("heat")
         assert cfg.p == 100 and cfg.m == 8
         assert cfg.nu == 0.002
         assert cfg.T_sim == 0.1 and cfg.dt_sim == 1e-3
@@ -25,7 +23,7 @@ class TestDefaults:
         assert cfg.r_robust == 0.002
 
     def test_burgers_defaults(self):
-        cfg = burgers_config()
+        cfg = default_config("burgers")
         assert cfg.p == 128 and cfg.m == 10
         assert cfg.T_sim == 3.0
         assert cfg.r_input == 0.1
@@ -35,26 +33,26 @@ class TestDefaults:
 
     def test_overrides_validate(self):
         with pytest.raises(ConfigError):
-            heat_config(m=200)  # m > p
+            default_config("heat", m=200)  # m > p
         with pytest.raises(ConfigError):
-            burgers_config(dist_kind="sawtooth")
+            default_config("burgers", dist_kind="sawtooth")
 
 
 class TestRoundTrip:
     def test_render_parse_identity(self):
-        cfg = burgers_config(seed=7, lam=0.4, d0=0.05, nu=0.002,
+        cfg = default_config("burgers", seed=7, lam=0.4, d0=0.05, nu=0.002,
                              grid_d0=(0.0, 0.1), channel=(1.0,) * 10)
         text = render_config(cfg)
         assert parse_config_text(text) == cfg
 
     def test_render_is_canonical(self):
-        cfg = heat_config(seed=3)
+        cfg = default_config("heat", seed=3)
         once = render_config(cfg)
         twice = render_config(parse_config_text(once))
         assert once == twice
 
     def test_auto_fields_roundtrip(self):
-        cfg = heat_config(enkf_T=None, enkf_dt=None)
+        cfg = default_config("heat", enkf_T=None, enkf_dt=None)
         text = render_config(cfg)
         assert "T = auto" in text
         loaded = parse_config_text(text)
@@ -126,7 +124,7 @@ class TestRetiredKey:
         assert parse_config_text(old) == parse_config_text(self.TEXT)
 
     def test_render_writes_no_b_access_line(self):
-        assert "b_access" not in render_config(heat_config())
+        assert "b_access" not in render_config(default_config("heat"))
 
     def test_other_value_rejected_with_the_key_named(self):
         with pytest.raises(ConfigError, match=r"^\[robust\] b_access is no longer read; .* "
@@ -182,7 +180,7 @@ class TestRangeChecks:
     )
     def test_rejected_with_the_key_named(self, overrides, named):
         with pytest.raises(ConfigError, match=named):
-            heat_config(**overrides)
+            default_config("heat", **overrides)
 
     def test_infinite_value_in_a_file_rejected(self):
         with pytest.raises(ConfigError, match=r"\[experiment\] T_sim must be finite"):
@@ -191,18 +189,18 @@ class TestRangeChecks:
     def test_horizon_must_be_whole_steps(self):
         # the rollout would run to t = 0.02, past the configured horizon
         with pytest.raises(ConfigError, match=r"T_sim = 0\.015 .* dt_sim = 0\.01; the nearest valid T_sim is 0\.02$"):
-            heat_config(T_sim=0.015, dt_sim=0.01)
+            default_config("heat", T_sim=0.015, dt_sim=0.01)
         with pytest.raises(ConfigError, match="nearest valid T_sim is 0.001$"):
             parse_config_text("[experiment]\nT_sim = 0.0004\n")
         # 0.1 / 1e-3 is 100.00000000000001 in floating point
-        assert heat_config(T_sim=0.1, dt_sim=1e-3).T_sim == 0.1
-        assert heat_config(T_sim=0.3, dt_sim=0.1).T_sim == 0.3
+        assert default_config("heat", T_sim=0.1, dt_sim=1e-3).T_sim == 0.1
+        assert default_config("heat", T_sim=0.3, dt_sim=0.1).T_sim == 0.3
 
     def test_dmdc_order_above_p_only_matters_for_the_dmdc_model(self):
-        heat_config(p=9)  # order 10 > p, but model=full fits no reduced model
+        default_config("heat", p=9)  # order 10 > p, but model=full fits no reduced model
         with pytest.raises(ConfigError, match=r"\[dmdc\] order must be at most \[experiment\] p = 9, got 10$"):
-            heat_config(p=9, model="dmdc")
+            default_config("heat", p=9, model="dmdc")
 
     def test_unused_dmdc_settings_only_matter_for_the_dmdc_model(self):
         # model=full collects no snapshots, so their amplitude and count are not read
-        heat_config(dmdc_amplitude=0.0, dmdc_trajectories=1, dmdc_steps=1)
+        default_config("heat", dmdc_amplitude=0.0, dmdc_trajectories=1, dmdc_steps=1)

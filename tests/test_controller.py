@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
-from enkfcontrol.config import ConfigError, heat_config
+from enkfcontrol.config import ConfigError, default_config
 from enkfcontrol.controller import (
     ControlLaw,
     RankDeficientError,
@@ -117,7 +117,7 @@ class TestEstimateB:
     def test_empty_control(self):
         # m = 0 never reaches the probe: the config asks for at least one channel
         with pytest.raises(ConfigError, match=r"\[experiment\] m must be between 1 and \[experiment\] p = 100, got 0"):
-            heat_config(m=0)
+            default_config("heat", m=0)
 
 
 class TestRobustTerm:

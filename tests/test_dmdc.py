@@ -1,3 +1,5 @@
+import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -26,7 +28,7 @@ from enkfcontrol.pde import (
     LinearSimulator,
     rk4_step,
     rk4_stepper,
-    sample_initial_condition,
+    sample_initial_conditions,
 )
 
 
@@ -128,7 +130,7 @@ class TestCollect:
         assert len(slabs) == steps
         streams = np.random.default_rng(0).spawn(n_traj)
         for i, traj_rng in enumerate(streams):
-            z0 = sample_initial_condition(traj_rng, grid)
+            z0 = sample_initial_conditions([traj_rng], grid)[0]
             us = traj_rng.uniform(-0.5, 0.5, size=(steps, 3))
             assert np.array_equal(slabs[0][0][i], z0)
             assert np.array_equal(np.array([U[i] for _, U, _ in slabs]), us)
@@ -198,7 +200,7 @@ def snapshots_one_at_a_time(sim, grid, n_traj, steps, dt, amplitude, rng):
     """Reference: each trajectory integrated alone, one state vector at a time, as (X, U, Xnext) rows."""
     xs, us = [], []
     for traj_rng in rng.spawn(n_traj):
-        xs.append([sample_initial_condition(traj_rng, grid)])
+        xs.append([sample_initial_conditions([traj_rng], grid)[0]])
         us.append([])
         for _ in range(steps):
             us[-1].append(traj_rng.uniform(-amplitude, amplitude, size=sim.m))
@@ -574,3 +576,10 @@ def test_one_step_prediction_heldout_lti():
     pred = Phi.T @ (A_d @ (Phi @ X) + B_d @ U)
     err = np.linalg.norm(Xnext - pred) / np.linalg.norm(Xnext)
     assert err <= 1e-6
+
+
+def test_declared_numpy_floor_has_generator_spawn():
+    # collect_snapshots splits its streams with Generator.spawn, new in numpy 1.25.0
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")) as fh:
+        floor = re.search(r'"numpy>=([0-9.]+)"', fh.read()).group(1)
+    assert tuple(int(part) for part in floor.split(".")[:2]) >= (1, 25)

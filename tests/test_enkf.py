@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
-from enkfcontrol.config import ConfigError, heat_config
+from enkfcontrol.config import ConfigError, default_config
 from enkfcontrol.enkf import (
     DivergenceError,
-    EnkfConfig,
     RankError,
     _chain,
     _gain_from_covariance,
@@ -23,9 +22,8 @@ from enkfcontrol.riccati import LtiSystem, solve_dre
 # cost weights other than 1: at 1 every product with a weight is exact, so a misplaced weight would not show
 Q_WEIGHT, R_WEIGHT, G_WEIGHT = 2.5, 0.4, 0.5
 
-
-def scalar_cfg(N, T=10.0, dt=1e-3):
-    return EnkfConfig(N=N, T=T, dt=dt, g=1.0)
+# the scalar benchmark's A, B, q, r and g: the stationary Riccati solution is 1
+SCALAR = ([[0.0]], [[1.0]], 1.0, 1.0, 1.0)
 
 
 def weight_matrices(n, m, q=Q_WEIGHT, r=R_WEIGHT, g=G_WEIGHT):
@@ -57,26 +55,26 @@ def four_product_step(Y, A, B, C, chol, dt, xi, innovation="averaged"):
     return Y - dt * (Y @ A.T + innov @ (S @ C.T).T) + xi @ chol.T * np.sqrt(dt) @ B.T
 
 
-def particle_loop(A, B, C, R, S_T, cfg, rng):
-    """The particle system the chain samples, from t = T down to t = 0.
+def particle_loop(A, B, C, R, S_T, N, T, n_steps, rng):
+    """The N-particle system the chain samples, from t = T down to t = 0.
 
-    Y_i ~ N(0, S_T) at t = T, then n_steps four-product steps; C, R and S_T
-    are matrices, as general as the particle system allows, and only cfg's
-    N, T and dt are read.  Returns the terminal standard-normal draw, each
-    step's noise draw and the ensembles, the terminal one first.
+    Y_i ~ N(0, S_T) at t = T, then n_steps four-product steps of T / n_steps;
+    C, R and S_T are matrices, as general as the particle system allows.
+    Returns the terminal standard-normal draw, each step's noise draw and
+    the ensembles, the terminal one first.
     """
     chol = noise_factor(R)
-    G0 = rng.standard_normal((cfg.N, S_T.shape[0]))
+    G0 = rng.standard_normal((N, S_T.shape[0]))
     Ys, xis = [G0 @ np.linalg.cholesky(S_T).T], []
-    for _ in range(cfg.n_steps):
-        xis.append(rng.standard_normal((cfg.N, chol.shape[0])))
-        Ys.append(four_product_step(Ys[-1], A, B, C, chol, cfg.dt_effective, xis[-1]))
+    for _ in range(n_steps):
+        xis.append(rng.standard_normal((N, chol.shape[0])))
+        Ys.append(four_product_step(Ys[-1], A, B, C, chol, T / n_steps, xis[-1]))
     return G0, xis, Ys
 
 
-def particle_gain(A, B, C, R, S_T, cfg, rng):
+def particle_gain(A, B, C, R, S_T, N, T, n_steps, rng):
     """The gain of the particle system: the inverse of its S at t = 0."""
-    return _gain_from_covariance(empirical_stats(particle_loop(A, B, C, R, S_T, cfg, rng)[2][-1])[1])
+    return _gain_from_covariance(empirical_stats(particle_loop(A, B, C, R, S_T, N, T, n_steps, rng)[2][-1])[1])
 
 
 class Replay:
@@ -172,15 +170,15 @@ def four_term_step(S, A, q, W, N, dt, rng):
         return U.T @ U + V + V.T
 
 
-def mean_field(A, B, q, r, cfg):
+def mean_field(A, B, q, r, g, N, T, n_steps):
     """The chain's limit as N grows: S+ = G'SG + (N - 1)/N (dt / r) BB' from S_T = (N - 1)/N I/g.
 
-    G = I - dt (A' + q S / 2); each step is the chain's step averaged given S.
+    G = I - dt (A' + q S / 2), dt = T / n_steps; each step is the chain's step averaged given S.
     """
-    N, h, p = cfg.N, cfg.dt_effective, A.shape[0]
-    S = (N - 1) / N * np.eye(p) / cfg.g
+    h, p = T / n_steps, A.shape[0]
+    S = (N - 1) / N * np.eye(p) / g
     noise = (N - 1) / N * (h / r) * B @ B.T
-    for _ in range(cfg.n_steps):
+    for _ in range(n_steps):
         G = np.eye(p) - h * (A.T + 0.5 * q * S)
         S = G.T @ S @ G + noise
     return S
@@ -203,50 +201,47 @@ class TestConfig:
 
     def test_invalid_particle_count(self):
         with pytest.raises(ConfigError, match=r"\[enkf\] particles = 1 must exceed"):
-            heat_config(p=3, m=1, enkf_particles=1)
+            default_config("heat", p=3, m=1, enkf_particles=1)
 
     def test_particles_must_exceed_the_dimension(self):
         # the design dimension is p on the full model and the order on the reduced one
         with pytest.raises(ConfigError, match=r"particles = 3 must exceed .* \[experiment\] p = 3$"):
-            heat_config(p=3, m=1, enkf_particles=3)
+            default_config("heat", p=3, m=1, enkf_particles=3)
         with pytest.raises(ConfigError, match=r"particles = 3 must exceed .* \[dmdc\] order = 3$"):
-            heat_config(model="dmdc", dmdc_order=3, enkf_particles=3)
-        heat_config(p=3, m=1, enkf_particles=4)
+            default_config("heat", model="dmdc", dmdc_order=3, enkf_particles=3)
+        default_config("heat", p=3, m=1, enkf_particles=4)
 
     def test_zero_terminal_covariance_rejected(self):
         # a terminal weight g that is not positive
         for g in (0.0, -1.0):
             with pytest.raises(ConfigError, match=r"\[weights\] g must be positive"):
-                heat_config(g=g)
+                default_config("heat", g=g)
 
     @pytest.mark.parametrize("q,r", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_running_weights_must_be_positive(self, q, r):
         key = "q" if q <= 0 else "r"
         with pytest.raises(ConfigError, match=rf"\[weights\] {key} must be positive"):
-            heat_config(q=q, r_input=r)
+            default_config("heat", q=q, r_input=r)
 
 
 class TestInitEnsemble:
     """The terminal covariance drawn without the ensemble: g N S ~ Wishart(N - 1, I)."""
 
     def test_empirical_covariance_close(self):
-        cfg = EnkfConfig(N=10**5, T=1.0, dt=0.1, g=1.0)
-        S = init_covariance(cfg, 3, np.random.default_rng(1))
+        S = init_covariance(3, 10**5, 1.0, np.random.default_rng(1))
         assert np.linalg.norm(S - np.eye(3), "fro") <= 0.02 * np.linalg.norm(np.eye(3), "fro")
 
     def test_mean_is_the_wishart_mean(self):
         # E[S] = (N - 1)/N I/g, which a terminal draw with N degrees of freedom misses by 1/N
         N, draws = 5, 20000
-        cfg = EnkfConfig(N=N, T=1.0, dt=0.1, g=G_WEIGHT)
         rng = np.random.default_rng(7)
-        mean = sum(init_covariance(cfg, 3, rng) for _ in range(draws)) / draws
+        mean = sum(init_covariance(3, N, G_WEIGHT, rng) for _ in range(draws)) / draws
         want = (N - 1) / N * np.eye(3) / G_WEIGHT
         assert np.linalg.norm(mean - want) <= 0.02 * np.linalg.norm(want)
 
     def test_fixed_seed_bit_identical(self):
-        cfg = EnkfConfig(N=50, T=1.0, dt=0.1, g=1.0)
-        S1 = init_covariance(cfg, 2, np.random.default_rng(3))
-        S2 = init_covariance(cfg, 2, np.random.default_rng(3))
+        S1 = init_covariance(2, 50, 1.0, np.random.default_rng(3))
+        S2 = init_covariance(2, 50, 1.0, np.random.default_rng(3))
         assert np.array_equal(S1, S2)
 
 
@@ -304,8 +299,7 @@ class TestStepLinear:
         assert np.linalg.norm(mean - (G.T @ S @ G + noise)) <= 0.02 * np.linalg.norm(noise)
 
     def test_two_particles_scalar_no_singularity(self):
-        cfg = scalar_cfg(N=2, T=1.0)
-        gain = run_dual_enkf_linear([[0.0]], [[1.0]], 1.0, 1.0, cfg, np.random.default_rng(0))
+        gain = run_dual_enkf_linear(*SCALAR, 2, 1.0, 1000, np.random.default_rng(0))
         assert np.isfinite(gain.P[0, 0])
 
     @pytest.mark.parametrize("innovation", ("averaged", "literal"))
@@ -352,19 +346,18 @@ class TestHoistedChain:
         # so C's F block is short
         m = 8
         A, B = stable_system(p, m, seed=p)
-        cfg = EnkfConfig(N=N, T=0.1, dt=1e-3, g=G_WEIGHT)
-        assert cfg.n_steps == 100
-        h = cfg.dt_effective
+        T, n_steps = 0.1, 100
+        h = T / n_steps
         W = np.sqrt(h / R_WEIGHT) * B.T
         rng, ref_rng, four_rng = (np.random.default_rng(61) for _ in range(3))
-        S = init_covariance(cfg, p, rng)
+        S = init_covariance(p, N, G_WEIGHT, rng)
         F = reference_wishart_factor(N - 1, p, ref_rng)
-        want = F.T @ F / (N * cfg.g)
+        want = F.T @ F / (N * G_WEIGHT)
         assert np.array_equal(bits(S), bits(want))
-        four = init_covariance(cfg, p, four_rng)
-        chain, t = _chain(A, m, N), cfg.T
+        four = init_covariance(p, N, G_WEIGHT, four_rng)
+        chain, t = _chain(A, m, N), T
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(cfg.n_steps):
+            for _ in range(n_steps):
                 S = step_linear(S, t, Q_WEIGHT, W, N, h, rng, chain)
                 want = reference_step(want, A, Q_WEIGHT, W, N, h, ref_rng)
                 four = four_term_step(four, A, Q_WEIGHT, W, N, h, four_rng)
@@ -374,7 +367,7 @@ class TestHoistedChain:
         assert np.array_equal(bits(S), bits(want))
         assert np.array_equal(bits(S), bits(S.T))
         # the run, from the same seed, inverts that S
-        got = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, np.random.default_rng(61))
+        got = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, G_WEIGHT, N, T, n_steps, np.random.default_rng(61))
         assert np.array_equal(bits(got.P), bits(_gain_from_covariance(want).P))
 
     @pytest.mark.parametrize("dof", [12, 8, 5, 0])
@@ -395,9 +388,7 @@ class TestScalarBenchmark:
     def test_estimate_in_band_at_n1000(self):
         hits = 0
         for seed in range(10):
-            gain = run_dual_enkf_linear(
-                [[0.0]], [[1.0]], 1.0, 1.0, scalar_cfg(1000), np.random.default_rng(seed)
-            )
+            gain = run_dual_enkf_linear(*SCALAR, 1000, 10.0, 10_000, np.random.default_rng(seed))
             hits += 0.9 <= gain.P[0, 0] <= 1.1
         assert hits >= 9  # >= 95% of seeds at this sample size
 
@@ -406,8 +397,7 @@ class TestScalarBenchmark:
         B = np.eye(2)
         offdiags = []
         for N in (200, 2000):
-            cfg = EnkfConfig(N=N, T=10.0, dt=1e-3, g=1.0)
-            gain = run_dual_enkf_linear(A, B, 1.0, 1.0, cfg, np.random.default_rng(0))
+            gain = run_dual_enkf_linear(A, B, 1.0, 1.0, 1.0, N, 10.0, 10_000, np.random.default_rng(0))
             assert np.allclose(np.diag(gain.P), 1.0, atol=0.3)
             offdiags.append(abs(gain.P[0, 1]))
         assert offdiags[1] < offdiags[0]
@@ -420,13 +410,12 @@ class TestLinearRun:
         # each step's projected noise, gives the gain of the particle loop; the loop takes
         # the weights as the matrices C = sqrt(q) I, R = r I and S_T = I/g
         A, B = stable_system(12, 3, seed=41)
-        cfg = EnkfConfig(N=500, T=0.2, dt=1e-3, g=G_WEIGHT)
-        assert cfg.n_steps == 200
-        G0, xis, Ys = particle_loop(A, B, *weight_matrices(12, 3), cfg, np.random.default_rng(42))
+        N, T, n_steps = 500, 0.2, 200
+        G0, xis, Ys = particle_loop(A, B, *weight_matrices(12, 3), N, T, n_steps, np.random.default_rng(42))
         replay = Replay(wishart_draws(G0 - G0.mean(axis=0)))
         for Y, xi in zip(Ys, xis):
             replay.draws += chain_draws(Y, xi)
-        got = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, replay)
+        got = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, G_WEIGHT, N, T, n_steps, replay)
         assert not replay.draws
         want = _gain_from_covariance(empirical_stats(Ys[-1])[1])
         rel = np.linalg.norm(got.P - want.P, "fro") / np.linalg.norm(want.P, "fro")
@@ -438,16 +427,16 @@ class TestLinearRun:
         # At N = 10 a chain that drops E, or scales X by 1/N, reads above 0.3.
         A, B = stable_system(4, 2, seed=51)
         C, R, S_T = weight_matrices(4, 2)
-        cfg = EnkfConfig(N=10, T=0.5, dt=1e-2, g=G_WEIGHT)
-        P_dre = solve_dre(LtiSystem(A, B, C, R, G_WEIGHT * np.eye(4)), cfg.T, 1e-3)
+        run = (10, 0.5, 50)  # N, T and n_steps
+        P_dre = solve_dre(LtiSystem(A, B, C, R, G_WEIGHT * np.eye(4)), 0.5, 1e-3)
 
         def errors(run, seeds):
             return np.array([
                 np.linalg.norm(run(np.random.default_rng(s)).P - P_dre) for s in seeds
             ]) / np.linalg.norm(P_dre)
 
-        chain = errors(lambda rng: run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, rng), range(300))
-        particles = errors(lambda rng: particle_gain(A, B, C, R, S_T, cfg, rng), range(1000, 1300))
+        chain = errors(lambda rng: run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, G_WEIGHT, *run, rng), range(300))
+        particles = errors(lambda rng: particle_gain(A, B, C, R, S_T, *run, rng), range(1000, 1300))
         assert ks_statistic(chain, particles) <= 1.628 * np.sqrt(2 / 300)
 
     def test_consistent_with_riccati_oracle(self):
@@ -457,8 +446,7 @@ class TestLinearRun:
         A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
         B = rng.normal(size=(n, m))
         P_are = solve_continuous_are(A, B, np.eye(n), np.eye(m))
-        cfg = EnkfConfig(N=2000, T=4.0, dt=1e-3, g=1.0)
-        gain = run_dual_enkf_linear(A, B, 1.0, 1.0, cfg, np.random.default_rng(2))
+        gain = run_dual_enkf_linear(A, B, 1.0, 1.0, 1.0, 2000, 4.0, 4000, np.random.default_rng(2))
         rel = np.linalg.norm(gain.P - P_are, "fro") / np.linalg.norm(P_are, "fro")
         assert rel < 0.15
 
@@ -480,14 +468,13 @@ class TestMeanField:
         # factors are below its reach.
         q, r, g = weights
         if system == "heat":
-            sim = build_full_simulator(heat_config())
+            sim = build_full_simulator(default_config("heat"))
             A, B = sim.A, sim.control_matrix
         else:
             A, B = stable_system(10, 8, seed=10)
         N = 10**12
-        cfg = EnkfConfig(N=N, T=0.1, dt=1e-3, g=g)
-        got = run_dual_enkf_linear(A, B, q, r, cfg, np.random.default_rng(9)).P
-        want = _gain_from_covariance(mean_field(A, B, q, r, cfg)).P
+        got = run_dual_enkf_linear(A, B, q, r, g, N, 0.1, 100, np.random.default_rng(9)).P
+        want = _gain_from_covariance(mean_field(A, B, q, r, g, N, 0.1, 100)).P
         assert np.linalg.norm(got - want) <= 10 / np.sqrt(N) * np.linalg.norm(want)
 
 
@@ -498,11 +485,11 @@ class TestCarriedMoments:
         # none at N = p + 1 = 5.  The particles take C = sqrt(q) I, R = r I and S_T = I/g.
         A, B = stable_system(4, 3, seed=43)
         for N in (7, 5):
-            cfg = EnkfConfig(N=N, T=0.2, dt=1e-2, g=G_WEIGHT)
-            h = cfg.dt_effective
-            G0, xis, Ys = particle_loop(A, B, *weight_matrices(4, 3), cfg, np.random.default_rng(44))
-            S = init_covariance(cfg, 4, Replay(wishart_draws(G0 - G0.mean(axis=0))))
-            chain, t = _chain(A, 3, N), cfg.T
+            T, n_steps = 0.2, 20
+            h = T / n_steps
+            G0, xis, Ys = particle_loop(A, B, *weight_matrices(4, 3), N, T, n_steps, np.random.default_rng(44))
+            S = init_covariance(4, N, G_WEIGHT, Replay(wishart_draws(G0 - G0.mean(axis=0))))
+            chain, t = _chain(A, 3, N), T
             for Y, xi, Y_next in zip(Ys, xis, Ys[1:]):
                 replay = Replay(chain_draws(Y, xi))
                 S = step_linear(S, t, Q_WEIGHT, np.sqrt(h / R_WEIGHT) * B.T, N, h, replay, chain)
@@ -515,13 +502,13 @@ class TestCarriedMoments:
         # a wide terminal draw makes the coupling blow up: G ~ -dt S/2 grows with S,
         # so the particles and the chain both leave the finite range well before t = 0
         A, B = -40.0 * np.eye(3), np.ones((3, 1))
-        cfg = EnkfConfig(N=50, T=1.0, dt=0.05, g=1e-3)
+        g, N, T, n_steps = 1e-3, 50, 1.0, 20
         with np.errstate(over="ignore", invalid="ignore"):
-            Ys = particle_loop(A, B, *weight_matrices(3, 1, 1.0, 1.0, cfg.g), cfg, np.random.default_rng(45))[2]
+            Ys = particle_loop(A, B, *weight_matrices(3, 1, 1.0, 1.0, g), N, T, n_steps, np.random.default_rng(45))[2]
         assert not np.isfinite(Ys[-2]).all()  # already at t = dt
         with pytest.raises(DivergenceError) as err:
-            run_dual_enkf_linear(A, B, 1.0, 1.0, cfg, np.random.default_rng(45))
-        assert 0.0 < err.value.t < cfg.T
+            run_dual_enkf_linear(A, B, 1.0, 1.0, g, N, T, n_steps, np.random.default_rng(45))
+        assert 0.0 < err.value.t < T
 
     def test_peak_allocation_of_a_run(self):
         # nothing the chain allocates grows with N
@@ -529,10 +516,9 @@ class TestCarriedMoments:
         A, B = stable_system(p, m, seed=46)
         peaks = []
         for N in (10**3, 10**3, 10**9):  # the first run warms up numpy's caches
-            cfg = EnkfConfig(N=N, T=0.02, dt=1e-3, g=G_WEIGHT)
             tracemalloc.start()
             try:
-                run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, np.random.default_rng(47))
+                run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, G_WEIGHT, N, 0.02, 20, np.random.default_rng(47))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -542,16 +528,15 @@ class TestCarriedMoments:
 
 class TestDeterminism:
     def test_gain_bit_identical(self):
-        cfg = scalar_cfg(500, T=2.0)
-        g1 = run_dual_enkf_linear([[0.0]], [[1.0]], 1.0, 1.0, cfg, np.random.default_rng(42))
-        g2 = run_dual_enkf_linear([[0.0]], [[1.0]], 1.0, 1.0, cfg, np.random.default_rng(42))
+        g1 = run_dual_enkf_linear(*SCALAR, 500, 2.0, 2000, np.random.default_rng(42))
+        g2 = run_dual_enkf_linear(*SCALAR, 500, 2.0, 2000, np.random.default_rng(42))
         assert np.array_equal(g1.P, g2.P)
 
     def test_gain_bit_identical_at_p12(self):
         A, B = stable_system(12, 3, seed=48)
-        cfg = EnkfConfig(N=60, T=0.2, dt=1e-3, g=G_WEIGHT)
-        g1 = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, np.random.default_rng(49))
-        g2 = run_dual_enkf_linear(A, B, Q_WEIGHT, R_WEIGHT, cfg, np.random.default_rng(49))
+        run = (Q_WEIGHT, R_WEIGHT, G_WEIGHT, 60, 0.2, 200)  # q, r, g, N, T and n_steps
+        g1 = run_dual_enkf_linear(A, B, *run, np.random.default_rng(49))
+        g2 = run_dual_enkf_linear(A, B, *run, np.random.default_rng(49))
         assert np.array_equal(g1.P, g2.P)
 
 

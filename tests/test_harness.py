@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from enkfcontrol import harness
-from enkfcontrol.config import ConfigError, burgers_config, heat_config
+from enkfcontrol import enkf, harness
+from enkfcontrol.config import ConfigError, default_config
 from enkfcontrol.dmdc import collect_snapshots
 from enkfcontrol.controller import compile_law, robust_control
 from enkfcontrol.enkf import GainApprox
@@ -38,7 +38,7 @@ from enkfcontrol.pde import (
     l2_norm,
     rk4_step,
     rk4_stepper,
-    sample_initial_condition,
+    sample_initial_conditions,
     second_difference_matrix,
 )
 from enkfcontrol.riccati import LtiSystem, solve_dre
@@ -88,8 +88,8 @@ def reference_batch(cfg, art, lam, kind, d0, controlled):
 
 @pytest.fixture(scope="module")
 def heat_full():
-    cfg = heat_config(
-        p=32, m=4, n_trials=3, T_sim=0.03, lam=0.3, d0=0.2,
+    cfg = default_config(
+        "heat", p=32, m=4, n_trials=3, T_sim=0.03, lam=0.3, d0=0.2,
         grid_lambda=(0.0, 0.3), grid_kinds=("sin", "const"),
     )
     return cfg, build_artifacts(cfg, gain=spd_gain(cfg.p, 1))
@@ -97,8 +97,8 @@ def heat_full():
 
 @pytest.fixture(scope="module")
 def heat_dmdc():
-    cfg = heat_config(
-        p=32, m=4, n_trials=2, T_sim=0.03, model="dmdc",
+    cfg = default_config(
+        "heat", p=32, m=4, n_trials=2, T_sim=0.03, model="dmdc",
         dmdc_order=6, dmdc_trajectories=4, dmdc_steps=30,
         grid_d0=(0.0, 0.1), grid_lambda=(0.0, 0.3), grid_kinds=("sin", "const"),
     )
@@ -153,7 +153,7 @@ class TestAgainstReference:
     def test_burgers_full_row_by_row(self):
         # the Burgers law compiled from its constant input matrix: each row
         # matches the per-state law row by row
-        cfg = burgers_config(model="full", p=16, m=4, n_trials=2, T_sim=0.01)
+        cfg = default_config("burgers", model="full", p=16, m=4, n_trials=2, T_sim=0.01)
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3))
         series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
         for res in series[1:]:
@@ -164,7 +164,7 @@ class TestAgainstReference:
 
 class TestBlowUp:
     def test_mask_isolates_blown_up_rows(self):
-        cfg = burgers_config(model="full", p=32, m=4, n_trials=2, T_sim=0.05)
+        cfg = default_config("burgers", model="full", p=32, m=4, n_trials=2, T_sim=0.05)
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 4))
         z = trial_initial_condition(cfg, 0)
         # (z0, lambda, controlled, d0): the 130x bump steepens until explicit
@@ -222,7 +222,7 @@ class TestBlowUp:
         # norm of the reference turns inf.  With dy > 1 that step comes before
         # the squared norm itself overflows, and the run ends in between, so a
         # test on the squared norm alone would miss the failure.
-        cfg = heat_config(n_trials=1, **overrides)
+        cfg = default_config("heat", n_trials=1, **overrides)
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 9))
         z = trial_initial_condition(cfg, 0)
         rows = [(1e155, False, 0.0), (0.1, True, 0.3), (0.0, False, 0.0)]
@@ -307,7 +307,7 @@ class TestRatioOnly:
     # 3,000 steps of 32 rows of 8 cells: one (n_steps + 1) x batch float64
     # trace is 768 kB, and the stack itself 2 kB.  numpy reports its
     # allocations to tracemalloc.
-    cfg = heat_config(p=8, m=2, n_trials=4, T_sim=3.0, grid_d0=(0.1, 0.2), grid_lambda=(0.0, 0.3))
+    cfg = default_config("heat", p=8, m=2, n_trials=4, T_sim=3.0, grid_d0=(0.1, 0.2), grid_lambda=(0.0, 0.3))
     trace_bytes = (3000 + 1) * len(grid_cases(cfg)) * cfg.n_trials * 8
 
     def peak(self, traces):
@@ -372,7 +372,7 @@ class TestRowGroups:
         if pde == "heat":
             cfg, art = heat_full
         else:
-            cfg = burgers_config(model="full", p=16, m=4, n_trials=2, T_sim=0.01)
+            cfg = default_config("burgers", model="full", p=16, m=4, n_trials=2, T_sim=0.01)
             art = build_artifacts(cfg, gain=spd_gain(cfg.p, 6))
         Z0, lam, ctrl, d0 = self.mixed_stack(cfg)
         run = lambda i, traces=True: simulate_closed_loop(cfg, art, Z0[i], lam=lam[i], kinds="const",
@@ -416,13 +416,13 @@ class TestRowGroups:
         # collect_snapshots steps one slab in place and reuses its buffers; stepping into
         # a fresh array every time gives the same bits, so no slab is overwritten before
         # it is drawn
-        cfg = (heat_config if pde == "heat" else burgers_config)(p=24, m=4)
+        cfg = default_config(pde, p=24, m=4)
         sim, grid = build_full_simulator(cfg), grid_of(cfg)
         n_traj, steps, dt, amplitude = 3, 12, 1e-3, 0.5
         slabs = [tuple(part.copy() for part in slab)
                  for slab in collect_snapshots(sim, grid, n_traj, steps, dt, amplitude, np.random.default_rng(4))]
         streams = np.random.default_rng(4).spawn(n_traj)
-        Z0 = np.array([sample_initial_condition(rng, grid) for rng in streams])
+        Z0 = sample_initial_conditions(streams, grid)
         us = np.array([rng.uniform(-amplitude, amplitude, size=(steps, cfg.m)) for rng in streams])
         Q, step = rk4_stepper(sim, dt)
         ys = [Z0 if Q is None else Z0 @ Q]
@@ -488,27 +488,57 @@ class TestLambdaUnits:
         assert _lambda_state(cfg, art, 0.3) == pytest.approx(0.3 * scale, rel=1e-15)
 
 
+class TestEnkfHorizon:
+    """(T, n_steps) of the EnKF run: its step T / n_steps is never longer than the one asked for."""
+
+    @pytest.mark.parametrize("dt,n_steps", [(0.07, 2), (0.04, 3)])
+    def test_the_chain_steps_no_longer_than_asked(self, dt, n_steps, monkeypatch):
+        # neither dt divides T = 0.1: 0.07 takes 2 steps of 0.05, not 1 of 0.1, and 0.04 takes 3, not 2 of 0.05
+        cfg = default_config("heat", p=8, m=2, enkf_T=0.1, enkf_dt=dt)
+        steps, step = [], enkf.step_linear
+        monkeypatch.setattr(enkf, "step_linear", lambda *a: steps.append(a[5]) or step(*a))
+        art = build_artifacts(cfg)
+        assert _enkf_horizon(cfg, art.A) == (0.1, n_steps)
+        assert steps == [0.1 / n_steps] * n_steps
+        assert 0.1 / n_steps <= dt
+
+    @pytest.mark.parametrize("pde,want", [("heat", (0.1, 100)), ("burgers", (3.0, 15_729))])
+    def test_full_model_defaults(self, pde, want):
+        # heat: dt_sim = 1e-3 binds; Burgers: 0.5 / (2 |nu D2|) = 1.9e-4 binds, T / dt = 15,728.64
+        cfg = default_config(pde, model="full")
+        assert _enkf_horizon(cfg, build_artifacts(cfg, gain=spd_gain(cfg.p, 4)).A) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reduced_model_takes_dt_sim(self, seed):
+        # the benchmark's heat-dmdc-grid-sim config: the fit's |A| leaves dt_sim the step
+        cfg = default_config("heat", model="dmdc", n_trials=4, seed=seed)
+        A = fit_reduction(cfg, build_full_simulator(cfg)).A
+        assert 0.5 / (2.0 * np.linalg.norm(A, 2)) > cfg.dt_sim
+        assert _enkf_horizon(cfg, A) == (0.1, 100)
+
+
 def test_configured_weights_reach_the_gain_and_the_law():
     # q, r_input and g off 1: the trained gain is within 0.08 of the Riccati solution of
     # those weights (0.02 at this N; 0.2 with g read as 1, 1.5 with q and r swapped),
     # and the law's feedback block is P B / r_input
-    cfg = heat_config(p=8, m=2, q=2.5, r_input=0.4, g=0.5, enkf_particles=2000, T_sim=0.5)
+    cfg = default_config("heat", p=8, m=2, q=2.5, r_input=0.4, g=0.5, enkf_particles=2000, T_sim=0.5)
     art = build_artifacts(cfg)
     A, B = art.A, art.B
     I = np.eye(cfg.p)
     sys = LtiSystem(A, B, np.sqrt(cfg.q) * I, cfg.r_input * np.eye(cfg.m), cfg.g * I)
-    P_dre = solve_dre(sys, *_enkf_horizon(cfg, A))
+    T, n_steps = _enkf_horizon(cfg, A)
+    P_dre = solve_dre(sys, T, T / n_steps)
     assert np.linalg.norm(art.gain.P - P_dre) <= 0.08 * np.linalg.norm(P_dre)
     H = compile_law(build_law(cfg, art)).H
     np.testing.assert_allclose(-H[:, cfg.p:cfg.p + cfg.m], art.gain.P @ B / cfg.r_input, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-@pytest.mark.parametrize("config", [heat_config, burgers_config], ids=["heat", "burgers"])
-def test_full_design_model_is_the_plant_jacobian_at_the_origin(config, bc):
+@pytest.mark.parametrize("pde", ["heat", "burgers"])
+def test_full_design_model_is_the_plant_jacobian_at_the_origin(pde, bc):
     # -z D1 z + nu D2 z is quadratic plus linear, so a central difference of
     # unit step at z = 0 reads its Jacobian nu D2 to rounding
-    cfg = config(p=16, m=4, bc=bc, model="full")
+    cfg = default_config(pde, p=16, m=4, bc=bc, model="full")
     art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3))
     A = cfg.nu * second_difference_matrix(grid_of(cfg), bc)
     assert np.array_equal(art.A, A)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from enkfcontrol import pde
-from enkfcontrol.config import ConfigError, burgers_config, heat_config
+from enkfcontrol.config import ConfigError, default_config
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.harness import build_artifacts, grid_of, simulate_closed_loop, trial_initial_condition
 from enkfcontrol.pde import (
@@ -17,7 +17,6 @@ from enkfcontrol.pde import (
     l2_norm,
     rk4_step,
     rk4_stepper,
-    sample_initial_condition,
     sample_initial_conditions,
     second_difference_matrix,
 )
@@ -41,9 +40,9 @@ class TestGridSpec:
     def test_invalid(self):
         # the grid is built from a validated config, which checks p and L
         with pytest.raises(ConfigError, match=r"\[experiment\] p must be at least 3, got 2"):
-            heat_config(p=2, m=1)
+            default_config("heat", p=2, m=1)
         with pytest.raises(ConfigError, match=r"\[experiment\] L must be positive, got 0"):
-            heat_config(L=0.0)
+            default_config("heat", L=0.0)
 
 
 class TestControlMatrix:
@@ -73,7 +72,7 @@ class TestControlMatrix:
 
     def test_m_exceeds_p(self):
         with pytest.raises(ConfigError, match=r"\[experiment\] m must be between 1 and \[experiment\] p = 4, got 5"):
-            heat_config(p=4, m=5)
+            default_config("heat", p=4, m=5)
 
 
 class TestHeatRhs:
@@ -187,7 +186,7 @@ class TestIntegrate:
         grid = GridSpec(p=32)
         sim = HeatSimulator(grid, 0.002, 4)
         rng = np.random.default_rng(0)
-        z0 = sample_initial_condition(rng, grid)
+        z0 = sample_initial_conditions([rng], grid)[0]
         back = rk4_run(sim, z0, np.zeros(4), -1e-3, 100)
         forth = rk4_run(sim, back[-1], np.zeros(4), 1e-3, 100)
         rel = np.linalg.norm(forth[-1] - z0) / np.linalg.norm(z0)
@@ -269,13 +268,13 @@ class TestCompiledStep:
         assert step(y, u, y) is y
         assert np.array_equal(y, want)
 
-    @pytest.mark.parametrize("make_config,compiled", [(heat_config, True), (burgers_config, False)])
-    def test_closed_loop_compiles_once(self, make_config, compiled, monkeypatch):
+    @pytest.mark.parametrize("pde_name,compiled", [("heat", True), ("burgers", False)])
+    def test_closed_loop_compiles_once(self, pde_name, compiled, monkeypatch):
         # the heat plant runs one rk4_step for the whole rollout, its compile
         # on the plant's diagonal form, and never calls the plant's rhs;
         # Burgers runs one rk4_step per time step, on the plant.  The plant's
         # rhs is counted, so a step taken by any other route shows.
-        cfg = make_config(model="full", p=16, m=2, n_trials=2, T_sim=0.01)
+        cfg = default_config(pde_name, model="full", p=16, m=2, n_trials=2, T_sim=0.01)
         art = build_artifacts(cfg, gain=GainApprox(P=np.eye(cfg.p)))
         Z0 = np.array([trial_initial_condition(cfg, i) for i in range(2)])
         steps, rhs_calls = [], []
@@ -295,20 +294,20 @@ class TestInitialCondition:
         # odd p puts a grid point exactly at y = 1/2
         grid = GridSpec(p=101)
         rng = np.random.default_rng(0)
-        z = sample_initial_condition(rng, grid)
+        z = sample_initial_conditions([rng], grid)[0]
         assert np.argmax(z) == 50
 
     def test_range_and_symmetry(self):
         grid = GridSpec(p=101)
         for seed in range(100):
-            z = sample_initial_condition(np.random.default_rng(seed), grid)
+            z = sample_initial_conditions([np.random.default_rng(seed)], grid)[0]
             assert np.all(z > 0) and np.all(z <= 1.1)
             assert np.allclose(z, z[::-1], atol=1e-12)  # symmetric about 1/2
 
     def test_determinism(self):
         grid = GridSpec(p=64)
-        z1 = sample_initial_condition(np.random.default_rng(42), grid)
-        z2 = sample_initial_condition(np.random.default_rng(42), grid)
+        z1 = sample_initial_conditions([np.random.default_rng(42)], grid)[0]
+        z2 = sample_initial_conditions([np.random.default_rng(42)], grid)[0]
         assert np.array_equal(z1, z2)
 
     def test_stack_is_one_bump_per_generator_bit_for_bit(self):
@@ -328,9 +327,9 @@ class TestInitialCondition:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Z = sample_initial_conditions(rngs(), grid_of(heat_config(L=200.0, p=50, m=5)))
+            Z = sample_initial_conditions(rngs(), grid_of(default_config("heat", L=200.0, p=50, m=5)))
         assert np.all(np.isfinite(Z)) and np.any(Z == 0.0)
-        grid = grid_of(heat_config())
+        grid = grid_of(default_config("heat"))
         for seed, z in enumerate(sample_initial_conditions(rngs(), grid)):
             rng = np.random.default_rng(seed)
             alpha, beta = rng.uniform(0.9, 1.1), rng.uniform(0.04, 0.06)
@@ -355,7 +354,7 @@ class TestHeatDissipation:
         grid = GridSpec(p=64)
         sim = HeatSimulator(grid, 0.002, 4)
         for seed in range(100):
-            z0 = sample_initial_condition(np.random.default_rng(seed), grid)
+            z0 = sample_initial_conditions([np.random.default_rng(seed)], grid)[0]
             xs = rk4_run(sim, z0, np.zeros(4), 1e-3, 50)
             norms = np.array([l2_norm(x, grid) for x in xs])
             assert np.all(np.diff(norms) <= 1e-12)
@@ -373,7 +372,7 @@ class TestDirichlet:
     def test_dissipation(self):
         grid = GridSpec(p=32)
         sim = HeatSimulator(grid, 0.01, 2, bc="dirichlet")
-        z0 = sample_initial_condition(np.random.default_rng(1), grid)
+        z0 = sample_initial_conditions([np.random.default_rng(1)], grid)[0]
         xs = rk4_run(sim, z0, np.zeros(2), 1e-3, 200)
         norms = [l2_norm(x, grid) for x in xs]
         assert norms[-1] < norms[0]

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from enkfcontrol.config import heat_config, render_config
+from enkfcontrol.config import default_config, render_config
 from enkfcontrol.harness import Case, CaseResult
 from enkfcontrol.results import EmitError, emit_results
 
@@ -22,7 +22,7 @@ def _result(case, offset=0.0, ratios=(1.0,)):
 
 class TestEmit:
     def test_empty_result_set_writes_headers(self, tmp_path):
-        cfg = heat_config()
+        cfg = default_config("heat")
         paths = emit_results(cfg, str(tmp_path))
         assert [os.path.basename(p) for p in paths] == ["timeseries.csv", "heatmap.csv", "config.echo"]
         assert _text(paths[0]) == "policy,t,mean,variance\n"
@@ -31,7 +31,7 @@ class TestEmit:
         assert not os.path.exists(tmp_path / "trials.csv")
 
     def test_empty_trials_still_writes_header(self, tmp_path):
-        paths = emit_results(heat_config(), str(tmp_path), dump_trials=True)
+        paths = emit_results(default_config("heat"), str(tmp_path), dump_trials=True)
         assert os.path.basename(paths[-1]) == "trials.csv"
         assert _text(paths[-1]) == "policy,kind,d0,lambda,trial,terminal_ratio\n"
 
@@ -41,7 +41,7 @@ class TestEmit:
             _result(Case("uncontrolled", "sin", 0.1, 0.0), 0.2),
         ]
         cell = _result(Case("robust", "sin", 0.1, 0.2), ratios=(1 / 3,))
-        paths = emit_results(heat_config(), str(tmp_path), timeseries=series, heatmap=[cell], dump_trials=True)
+        paths = emit_results(default_config("heat"), str(tmp_path), timeseries=series, heatmap=[cell], dump_trials=True)
         assert _text(paths[0]).splitlines()[1:] == [
             "uncontrolled,0,0.20000000000000001,0",
             "uncontrolled,0.5,0.69999999999999996,0",
@@ -60,4 +60,4 @@ class TestEmit:
         blocker = tmp_path / "file"
         blocker.write_text("")
         with pytest.raises(EmitError):
-            emit_results(heat_config(), str(blocker / "out"))
+            emit_results(default_config("heat"), str(blocker / "out"))
