@@ -16,17 +16,16 @@ asymptotic for practical stability (the state settles into the ball |g| < r
 instead of reaching the origin).  lambda is given at evaluation, so one law
 serves every disturbance bound that shares the gain.
 
-:class:`ControlLaw` carries the B of its linear design model, which
-:func:`harness.build_law` checks once with :func:`input_matrix`, so the law
+:class:`ControlLaw` carries the B of its linear design model, so the law
 is always a fixed linear feedback plus a normalized projection.  The
-per-state functions evaluate it at one state and are the reference the
-tests compare against; :func:`compile_law` solves it once into one matrix,
-which folds the reduction Phi, P, K = B'P / R and B^+ together, in the
-plant's state coordinates or any orthonormal basis of them, and
-:meth:`CompiledLaw.bind` binds it once to a stack of states, which it then
-evaluates with one GEMM a call.  The closed loop always uses the compiled
-law; its lambda = 0 rows (the optimal learning control) use the K block
-alone and never read g or B^+.
+per-state functions evaluate it at one state and are the tests' reference;
+:func:`compile_law` checks B's column rank and solves the law once into one
+matrix from one SVD of B, folding the reduction Phi, P, K = B'P / R and B^+
+together, in the plant's state coordinates or any orthonormal basis of
+them, and :meth:`CompiledLaw.bind` binds it once to a stack of states,
+which it then evaluates with one GEMM a call.  The closed loop always uses
+the compiled law; its lambda = 0 rows (the optimal learning control) use
+the K block alone and never read g or B^+.
 
 Lyapunov redesign assumes a nominal stabilizing law plus a matched
 uncertainty (Khalil, *Nonlinear Systems*, 3rd ed., 2002, section 14.2).
@@ -52,7 +51,7 @@ class RankDeficientError(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlLaw:
-    """The law but its lambda: gain, design input matrix B, input weight R > 0, floor r > 0 and reduction."""
+    """The law but its lambda: gain, design B (:func:`compile_law` checks its rank), R > 0, r > 0, reduction."""
 
     gain: GainApprox
     B: np.ndarray
@@ -72,18 +71,6 @@ def estimate_b(sim: Simulator, x: np.ndarray, m: int) -> np.ndarray:
     base = sim.rhs(x, np.zeros(m))
     cols = [sim.rhs(x, np.eye(m)[j]) - base for j in range(m)]
     return np.column_stack(cols)
-
-
-def input_matrix(B: np.ndarray) -> np.ndarray:
-    """B itself, checked for full column rank."""
-    m = B.shape[1]
-    s = np.linalg.svd(B, compute_uv=False)
-    rank = int(np.sum(s > max(B.shape) * np.finfo(float).eps * s[0]))
-    if rank < m:  # the rows of the full V' past the rank span the null space, also for m > rows of B
-        _, _, Vt = np.linalg.svd(B)
-        bad = np.nonzero(np.abs(Vt[rank:]).sum(axis=0) > 1e-8)[0].tolist()
-        raise RankDeficientError(f"input matrix has column rank {rank} < m={m}; null space involves columns {bad}")
-    return B
 
 
 def minimize_hamiltonian(law: ControlLaw, x: np.ndarray) -> np.ndarray:
@@ -161,9 +148,21 @@ class CompiledLaw:
 
 
 def compile_law(law: ControlLaw, Q: np.ndarray | None = None) -> CompiledLaw:
-    """Solve the law once, on the states z, or on y = z Q for Q orthogonal (z = y Q', so H becomes Q'H)."""
+    """Solve the law once, on the states z, or on y = z Q for Q orthogonal (z = y Q', so H becomes Q'H).
+
+    One thin SVD B = U diag(s) V' checks B's column rank (every s above max(B.shape) eps s_0) and gives
+    B^+ = V diag(1 / s) U' in :func:`numpy.linalg.pinv`'s operation order, without its 1e-15 s_0 cutoff.
+    """
     P, B = law.gain.P, law.B
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    m = B.shape[1]
+    rank = int(np.sum(s > max(B.shape) * np.finfo(float).eps * s[0]))
+    if rank < m:  # the rows of the full V' past the rank span the null space, also for m > rows of B
+        _, _, Vt = np.linalg.svd(B)
+        bad = np.nonzero(np.abs(Vt[rank:]).sum(axis=0) > 1e-8)[0].tolist()
+        raise RankDeficientError(f"input matrix has column rank {rank} < m={m}; null space involves columns {bad}")
+    B_pinv = Vt.T @ ((1.0 / s)[:, None] * U.T)
     K = B.T @ P / law.R
-    Phi = np.eye(P.shape[0]) if law.reduction is None else law.reduction.Phi
-    H = Phi.T @ np.hstack([P.T, -K.T, -(P.T @ np.linalg.pinv(B).T)])
+    H = np.hstack([P.T, -K.T, -(P.T @ B_pinv.T)])
+    H = H if law.reduction is None else law.reduction.Phi.T @ H
     return CompiledLaw(H=H if Q is None else Q.T @ H, n=P.shape[0], r=law.r)

@@ -264,18 +264,32 @@ class TestBadInput:
             "or another [dmdc] order = 4\n")
 
     def test_rank_deficient_reduced_b_fails_the_rollout(self, small_cfg, tmp_path, capsys):
-        # the design B has a zero column: train takes it, the first controlled rollout names the column
+        # the design B has a zero column: train takes it, an uncontrolled rollout compiles no law,
+        # and the first controlled rollout names the column
         B = np.zeros((4, 2))
         B[0, 0] = 1.0
         model = tmp_path / "reduced_model.bundle"
         bundles.save_reduced_model(dmdc.ReducedModel(A=-np.eye(4), B=B, Phi=np.eye(4, 16)), str(model))
         flags = ["--config", small_cfg, "--model", "dmdc", "--reduced-model", str(model)]
         assert main(["train", *flags, "--out", str(tmp_path / "train")]) == 0
+        assert main(["simulate", *flags, "--policy", "uncontrolled", "--out", str(tmp_path / "free")]) == 0
         out = str(tmp_path / "batch")
         assert main(["batch", *flags, "--out", out]) == 1
         assert capsys.readouterr().err == (
             "error: RankDeficientError: input matrix has column rank 1 < m=2; null space involves columns [1]\n")
         assert not os.path.exists(out)
+
+    def test_train_checks_no_rank_and_a_batch_compiles_one_law(self, small_cfg, tmp_path, capsys, monkeypatch):
+        # the rank check lives in compile_law's one SVD of the design B: train calls no SVD,
+        # and a batch's three policies share one stack, so one law and one SVD
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+        train = str(tmp_path / "train")
+        assert main(["train", "--config", small_cfg, "--out", train]) == 0
+        assert shapes == []
+        gain = os.path.join(train, "gain.bundle")
+        assert main(["batch", "--config", small_cfg, "--gain", gain, "--out", str(tmp_path / "batch")]) == 0
+        assert shapes == [(16, 2)]
 
     @pytest.mark.parametrize("model,fix", [
         ("dmdc", "; pass --reduced-model, or drop --gain so the run fits and trains its own\n"),
@@ -444,8 +458,13 @@ def test_package_import_loads_nothing():
 
 
 def test_cli_import_loads_every_module():
-    # bench/pipeline.py imports enkfcontrol.cli alone, then reads each of these as pkg.<module>
-    modules = ("config", "pde", "dmdc", "enkf", "riccati", "controller", "harness", "bundles", "results")
+    # bench/pipeline.py imports enkfcontrol.cli alone; bench/checks.py then reads pkg.riccati, pkg.pde,
+    # pkg.harness, pkg.bundles and pkg.config, and the tracer takes each module its SPANNED table names
+    # from sys.modules.  So every module of the package is loaded, in a fresh interpreter
+    package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "enkfcontrol")
+    modules = {os.path.basename(path)[:-3] for path in glob.glob(os.path.join(package, "*.py"))}
+    modules -= {"__init__", "__main__"}
+    assert {"riccati", "pde", "harness", "bundles", "config", "enkf", "dmdc", "controller", "results"} < modules
     assert {"enkfcontrol." + name for name in modules} <= _fresh_modules("import enkfcontrol.cli")
 
 

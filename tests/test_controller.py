@@ -8,7 +8,6 @@ from enkfcontrol.controller import (
     RankDeficientError,
     compile_law,
     estimate_b,
-    input_matrix,
     minimize_hamiltonian,
     robust_control,
     robust_term,
@@ -39,21 +38,6 @@ def random_lti(rng, n, m):
     A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
     B = rng.normal(size=(n, m))
     return A, B
-
-
-class TestControlLaw:
-    def test_input_matrix_is_the_control_matrix(self):
-        rng = np.random.default_rng(1)
-        A, B = random_lti(rng, 4, 2)
-        assert input_matrix(B) is B
-
-    @pytest.mark.parametrize("B,named", [
-        ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], r"rank 1 < m=2; null space involves columns \[1\]"),  # a zero column
-        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], r"rank 2 < m=3; null space involves columns \[2\]"),  # wider than tall
-    ], ids=["zero-column", "wide"])
-    def test_input_matrix_names_the_null_space_columns(self, B, named):
-        with pytest.raises(RankDeficientError, match=named):
-            input_matrix(np.array(B))
 
 
 class TestMinimizeHamiltonian:
@@ -253,6 +237,46 @@ class TestCompiledLaw:
         for z, lam_i, u in zip(Z, lam, controls(compiled, Z, lam)):
             want = minimize_hamiltonian(law, z) + robust_term(law, z, lam_i)
             np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("n,m", [(6, 2), (4, 4), (3, 1)])
+    def test_b_pinv_block_is_numpys_pinv(self, n, m, reduced):
+        # the one SVD that checks B's rank also gives B^+ with the bits of np.linalg.pinv,
+        # and a full model's H is the block row itself
+        from enkfcontrol.dmdc import ReducedModel
+
+        rng = np.random.default_rng(18)
+        A, B = random_lti(rng, n, m)
+        M = rng.normal(size=(n, n))
+        P = M @ M.T + 0.2 * np.eye(n)
+        Phi = np.linalg.qr(rng.normal(size=(9, n)))[0].T
+        law = make_law(P, B, 0.4, reduction=ReducedModel(A=A, B=B, Phi=Phi) if reduced else None)
+        rows = np.hstack([P.T, -(B.T @ P / 0.4).T, -(P.T @ np.linalg.pinv(B).T)])
+        np.testing.assert_array_equal(compile_law(law).H, Phi.T @ rows if reduced else rows)
+
+    def test_one_svd_per_compiled_law(self, monkeypatch):
+        # the rank check and B^+ share one SVD; only a rank-deficient B takes a second, full one.
+        # numpy's own functions (pinv among them) call the svd of their module's namespace
+        shapes, svd = [], np.linalg.svd
+        counted = lambda a, **kw: shapes.append((a.shape, kw)) or svd(a, **kw)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setitem(np.linalg.pinv.__wrapped__.__globals__, "svd", counted)
+        rng = np.random.default_rng(19)
+        _, B = random_lti(rng, 5, 2)
+        compile_law(make_law(np.eye(5), B, 1.0))
+        assert shapes == [((5, 2), {"full_matrices": False})]
+        with pytest.raises(RankDeficientError):
+            compile_law(make_law(np.eye(5), np.column_stack([B[:, 0], 2.0 * B[:, 0]]), 1.0))
+        assert shapes[1:] == [((5, 2), {"full_matrices": False}), ((5, 2), {})]
+
+    @pytest.mark.parametrize("B,named", [
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], r"rank 1 < m=2; null space involves columns \[1\]"),  # a zero column
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], r"rank 2 < m=3; null space involves columns \[2\]"),  # wider than tall
+    ], ids=["zero-column", "wide"])
+    def test_names_the_null_space_columns(self, B, named):
+        B = np.array(B)
+        with pytest.raises(RankDeficientError, match=named):
+            compile_law(make_law(np.eye(len(B)), B, 1.0))
 
     def test_burgers_law_matches_the_per_state_law(self):
         # Burgers enters the input as a constant B u, so its control matrix

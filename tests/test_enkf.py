@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
 
 from enkfcontrol.config import ConfigError, default_config
 from enkfcontrol.enkf import (
     DivergenceError,
+    GainApprox,
     RankError,
     _chain,
     _gain_from_covariance,
@@ -15,7 +16,7 @@ from enkfcontrol.enkf import (
     run_dual_enkf_linear,
     step_linear,
 )
-from enkfcontrol.harness import build_full_simulator
+from enkfcontrol.harness import _enkf_horizon, build_artifacts, build_full_simulator
 from enkfcontrol.riccati import LtiSystem, solve_dre
 
 
@@ -182,6 +183,21 @@ def mean_field(A, B, q, r, g, N, T, n_steps):
         G = np.eye(p) - h * (A.T + 0.5 * q * S)
         S = G.T @ S @ G + noise
     return S
+
+
+def finite_horizon_riccati(A, B, q, r, g, T):
+    """P(0) of -P' = A'P + PA + q I - P BB' P / r, P(T) = g I, exactly: P_inf and one Lyapunov solve.
+
+    With A_c = A - BB'P_inf / r, E = e^{A_c T}, D = g I - P_inf and X = int_0^T e^{A_c s} BB' e^{A_c' s} ds / r,
+    which is L - E L E' for A_c L + L A_c' = -BB' / r, the solution is P_inf + E' D (I + X D)^-1 E.
+    """
+    n = len(A)
+    P_inf = solve_continuous_are(A, B, q * np.eye(n), r * np.eye(B.shape[1]))
+    A_c = A - B @ B.T @ P_inf / r
+    L = solve_continuous_lyapunov(A_c, -B @ B.T / r)
+    E = expm(A_c * T)
+    D = g * np.eye(n) - P_inf
+    return P_inf + E.T @ D @ np.linalg.solve(np.eye(n) + (L - E @ L @ E.T) @ D, E)
 
 
 def bits(M):
@@ -476,6 +492,23 @@ class TestMeanField:
         got = run_dual_enkf_linear(A, B, q, r, g, N, 0.1, 100, np.random.default_rng(9)).P
         want = _gain_from_covariance(mean_field(A, B, q, r, g, N, 0.1, 100)).P
         assert np.linalg.norm(got - want) <= 10 / np.sqrt(N) * np.linalg.norm(want)
+
+    def test_the_horizon_rule_keeps_the_step_bias_first_order(self):
+        # harness._enkf_horizon steps at 0.75 / |A|_2.  nu = 1 at p = 16 gives |nu D2| = 1,024,
+        # so that step, 7.3e-4, binds below dt_sim: 4,096 steps of T = 3.  The recursion there is
+        # within 1e-3 of the exact P(0) (5.8e-4 measured), and half the step halves that error
+        # (ratio 2.0008): the bias is still first order, short of the explicit step's limit
+        # 1 / |A|_2.  At dt_sim, 1.02 / |A|_2, the ratio is 2.2
+        cfg = default_config("burgers", model="full", p=16, m=4, nu=1.0)
+        art = build_artifacts(cfg, gain=GainApprox(P=np.eye(cfg.p)))
+        T, n_steps = _enkf_horizon(cfg, art.A)
+        assert (T, n_steps) == (3.0, 4_096)
+        weights = (art.A, art.B, cfg.q, cfg.r_input, cfg.g)
+        exact = finite_horizon_riccati(*weights, T)
+        errors = [np.linalg.norm(np.linalg.inv(mean_field(*weights, 10**12, T, n)) - exact) / np.linalg.norm(exact)
+                  for n in (n_steps, 2 * n_steps)]
+        assert errors[0] <= 1e-3
+        assert 1.9 <= errors[0] / errors[1] <= 2.1
 
 
 class TestCarriedMoments:
