@@ -43,7 +43,7 @@ from .harness import (
     fit_reduction,
     grid_cases,
     policy_cases,
-    run_cases,
+    simulate_closed_loop,
 )
 from .results import emit_results
 
@@ -125,7 +125,7 @@ def cmd_fit_dmdc(args) -> int:
 def cmd_simulate(args) -> int:
     cfg, art = _artifacts(args, args.gain)
     case = policy_cases(cfg)[POLICIES.index(args.policy)]
-    series = run_cases(cfg, art, [case], n_trials=1)
+    series = simulate_closed_loop(cfg, art, [case], n_trials=1)
     emit_results(cfg, args.out, timeseries=series, dump_trials=args.dump_trials)
     print(f"{case.policy} trial terminal ratio: {series[0].ratios[0]:.6g}")
     return 0
@@ -133,7 +133,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_batch(args) -> int:
     cfg, art = _artifacts(args, args.gain)
-    series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
+    series = simulate_closed_loop(cfg, art, policy_cases(cfg), cfg.n_trials)
     emit_results(cfg, args.out, timeseries=series, dump_trials=args.dump_trials)
     for res in series:
         print(
@@ -145,7 +145,7 @@ def cmd_batch(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg, art = _artifacts(args, args.gain)
-    cells = run_cases(cfg, art, grid_cases(cfg), cfg.n_trials, traces=False)  # it writes ratios alone
+    cells = simulate_closed_loop(cfg, art, grid_cases(cfg), cfg.n_trials, traces=False)  # it writes ratios alone
     emit_results(cfg, args.out, heatmap=cells, dump_trials=args.dump_trials)
     print(f"grid: {len(cells)} cells -> {os.path.join(args.out, 'heatmap.csv')}")
     return 0

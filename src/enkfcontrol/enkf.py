@@ -77,11 +77,11 @@ COVARIANCE_JITTER = 1e-10
 
 
 class DivergenceError(RuntimeError):
-    """Ensemble covariance left the finite, positive definite range; carries the time."""
+    """Ensemble covariance left the finite, positive definite range; carries the time, and the fix if known."""
 
-    def __init__(self, t: float):
+    def __init__(self, t: float, fix: str = ""):
         self.t = t
-        super().__init__(f"ensemble covariance became non-finite or indefinite at t={t:g}")
+        super().__init__(f"ensemble covariance became non-finite or indefinite at t={t:g}" + (fix and f"; {fix}"))
 
 
 class RankError(RuntimeError):

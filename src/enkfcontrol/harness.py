@@ -11,28 +11,28 @@ the Burgers linearization nu D2 or the DMDc reduced model), always
 disturbance-free; a single learned gain is reused across every disturbance
 level of a sweep.
 
-Closed-loop trials run batched: :func:`simulate_closed_loop` advances a
-(batch, p) stack of plant states with one RK4 step per time step (for the
-heat plant, an elementwise step in the closed-form eigenbasis of its
-operator, from :func:`pde.rk4_stepper`), each row carrying its own lambda,
-disturbance and controlled flag.  Every verb states its trials as a list of
-:class:`Case` (``batch``: the three policies, ``grid``: one robust case per
-cell, ``simulate``: one case of one trial) and :func:`run_cases` runs the
-distinct cases x trials as one stack, keeping what the verb writes:
-``batch`` and ``simulate`` every step's L2 norms, one time-major trace that
-:func:`run_cases` reads each case's rows from for ``timeseries.csv``, and
+Closed-loop trials run batched, through one entry point.  Every verb
+states its trials as a list of :class:`Case` (``batch``: the three
+policies, ``grid``: one robust case per cell, ``simulate``: one case of one
+trial), and :func:`simulate_closed_loop` runs the distinct cases x trials
+as one (batch, p) stack of plant states, one RK4 step per time step (for
+the heat plant, an elementwise step in the closed-form eigenbasis of its
+operator, from :func:`pde.rk4_stepper`).  It orders the distinct blocks
+once as uncontrolled | lambda = 0 | lambda > 0, so each group is a
+contiguous run of rows that does only the work it reads: no law, the
+feedback block alone (an m-column GEMM), or the whole law compiled once
+into one matrix (:func:`controller.compile_law`, one GEMM).  Each case's
+trials are a contiguous run of rows too, so its ratios, failures and
+trace columns are slices.  The run keeps what the verb writes: ``batch``
+and ``simulate`` every step's L2 norms, one time-major trace that each
+case's mean and variance for ``timeseries.csv`` are read from, and
 ``grid``, which writes ratios alone, two norms per row (the first and the
 current one).  A step keeps squared norms, sum_i z_i^2; they are finished
-into sqrt(. dy) once, after the last step.  The control law is compiled
-once into one matrix (:func:`controller.compile_law`).  The loop groups the
-rows once as uncontrolled | lambda = 0 | lambda > 0, so each group does only
-the work it reads: no law, the feedback block alone (an m-column GEMM), or
-the whole law (one GEMM); it then steps the stack in place, into buffers
-the rollout owns.  A row whose state or L2 norm turns non-finite is masked,
-reading inf from that step on, while the other rows carry on.  Rows agree
-with a one-trajectory-at-a-time loop to rounding (matrix products over the
-stack instead of matrix-vector ones), and a row's result does not depend on
-where it sits in the stack.
+into sqrt(. dy) once, after the last step.  A row whose state or L2 norm
+turns non-finite is masked, reading inf from that step on, while the other
+rows carry on.  Rows agree with a one-trajectory-at-a-time loop to
+rounding (matrix products over the stack instead of matrix-vector ones),
+and a case's result does not depend on where its block sits in the stack.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ import numpy as np
 
 from . import dmdc as dmdc_mod
 from .config import ExperimentConfig
-from .controller import ControlLaw, compile_law
-from .enkf import GainApprox, run_dual_enkf_linear
+from .controller import CompiledLaw, ControlLaw, RankDeficientError, compile_law
+from .enkf import DivergenceError, GainApprox, run_dual_enkf_linear
 from .pde import (
     BurgersSimulator,
     GridSpec,
@@ -54,12 +54,11 @@ from .pde import (
     l2_norm,
     rk4_stepper,
     sample_initial_conditions,
-    second_difference_matrix,
 )
 
 POLICIES = ("uncontrolled", "optimal", "robust")
 
-_CHUNK_STEPS = 128  # trace rows per gather of a case's columns in run_cases
+_CHUNK_STEPS = 128  # trace rows per gather of a case's columns in simulate_closed_loop
 
 # RNG purpose tags (first SeedSequence word after the master seed)
 _TAG_ENKF = 0
@@ -177,12 +176,16 @@ def build_artifacts(
             raise HarnessError("a gain on model=dmdc needs the reduced model it was trained on; pass "
                                "--reduced-model, or drop --gain so the run fits and trains its own")
         reduction = fit_reduction(cfg, sim)
-    A, B = ((cfg.nu * second_difference_matrix(grid_of(cfg), cfg.bc), sim.control_matrix) if reduction is None
-            else (reduction.A, reduction.B))
+    A, B = (sim.A, sim.control_matrix) if reduction is None else (reduction.A, reduction.B)
     if gain is None:
         T, n_steps = _enkf_horizon(cfg, A)
-        gain = run_dual_enkf_linear(A, B, cfg.q, cfg.r_input, cfg.g, cfg.enkf_particles, T, n_steps,
-                                    _rng(cfg, _TAG_ENKF))
+        try:
+            gain = run_dual_enkf_linear(A, B, cfg.q, cfg.r_input, cfg.g, cfg.enkf_particles, T, n_steps,
+                                        _rng(cfg, _TAG_ENKF))
+        except DivergenceError as exc:
+            raise DivergenceError(exc.t, f"the chain stepped {T / n_steps:.2g} ([enkf] dt = "
+                                  f"{cfg.enkf_dt or 'auto'}); set [enkf] dt at or below the stable step "
+                                  f"0.75/|A|_2 = {0.75 / np.linalg.norm(A, 2):.2g}") from None
     elif gain.n != len(A):
         raise HarnessError(f"gain dimension {gain.n} does not match design dimension {len(A)}; run with the "
                            "settings the gain was trained with (a dmdc gain: --model dmdc --reduced-model), "
@@ -212,118 +215,15 @@ def build_law(cfg: ExperimentConfig, art: Artifacts) -> ControlLaw:
     return ControlLaw(art.gain, art.B, cfg.r_input, cfg.r_robust, art.reduction)
 
 
-@dataclass
-class Rollout:
-    """Terminal ratios, failures and, for ``batch`` and ``simulate``, L2 traces of a stack, one row each."""
-
-    t: np.ndarray
-    trace: np.ndarray | None  # (n_steps + 1, batch) L2 norms, time-major; None in a ratio-only run (grid)
-    column: np.ndarray  # row i's column of ``trace``
-    ratios: np.ndarray
-    failed: np.ndarray  # bool per row
-
-    @property
-    def l2(self) -> np.ndarray | None:
-        """The L2 traces as (batch, n_steps + 1), one row each: a copy, or None in a ratio-only run."""
-        return None if self.trace is None else self.trace[:, self.column].T
-
-
-def simulate_closed_loop(
-    cfg: ExperimentConfig,
-    art: Artifacts,
-    Z0: np.ndarray,
-    lam,
-    kinds,
-    d0,
-    controlled,
-    traces: bool = True,
-) -> Rollout:
-    """Integrate a stack of plant states with U(t) = u(t) + d(t), zero-order hold.
-
-    Row i starts at Z0[i], is disturbed by d(t) = d0[i] shape(kinds[i], t) w
-    on every control channel (w the configured channel weights, shape sin(t),
-    1 or 0) and, if controlled[i], feeds back the law with lambda lam[i].
-    A scalar lam, kinds, d0 or controlled applies to every row.
-
-    With ``traces`` (``batch``, ``simulate``) every step's L2 norms are kept
-    as ``trace``, time-major, in the loop's row order; without (``grid``) a
-    row keeps its first and current norm, all its terminal ratio reads, and
-    the ratios and failures are the same.  A step keeps the squared norms
-    sum_i y_i^2 alone, and sqrt(. dy) finishes them once at the end: over
-    the trace, or over the last norms in a ratio-only run.
-
-    One stable permutation sorts the rows into three contiguous groups,
-    uncontrolled | controlled with lambda = 0 | lambda > 0, which take no
-    law, the feedback block alone (u = -y K, H's feedback columns)
-    and the whole one-matrix law; the results are put back in the caller's
-    order at the end.  The control is recomputed every step and the whole
-    stack advances with one RK4 step, in place: each group's views and the
-    law's work array (:meth:`controller.CompiledLaw.bind`) and every buffer,
-    the step's ``u NQ`` product among them, are made once and owned by the
-    rollout, so a step gathers, scatters and allocates no rows, and sin(t_k)
-    is evaluated once for all steps.  The heat plant is carried as y = z Q
-    in the closed-form eigenbasis of its A (:func:`pde.rk4_stepper`), with
-    the law in that basis and the L2 norm, which Q preserves, read off y.
-    A row whose state or L2 norm turns non-finite is a failed trial: its
-    norm and terminal ratio read inf from that step on, it is frozen at
-    zero, and the others go on.  A norm is finite exactly when its squared
-    norm times dy is, so the test reads max(sq) dy, which is also non-finite
-    when dy > 1 takes a finite sq past the largest float.
-    """
-    Z = np.array(Z0, dtype=float, ndmin=2)
-    batch = Z.shape[0]
-    lam, d0 = (np.broadcast_to(np.asarray(v, dtype=float), batch) for v in (lam, d0))
-    controlled = np.broadcast_to(np.asarray(controlled, dtype=bool), batch)
-    kinds = np.broadcast_to(np.asarray(kinds), batch)
-    lam = _lambda_state(cfg, art, lam)
-    group = np.where(controlled, np.where(lam > 0, 2, 1), 0)
-    order = np.argsort(group, kind="stable")
-    a, b = np.searchsorted(group[order], [1, 2])  # rows [a, b) lambda = 0, [b, batch) lambda > 0
-    Z, lam, d0, kinds = Z[order], lam[order], d0[order], kinds[order]
-    w = _channel_weights(cfg)
-    d_sin, d_const = d0 * (kinds == "sin"), d0 * (kinds == "const")
-    Q, step = rk4_stepper(art.sim, cfg.dt_sim)
-    Y = Z if Q is None else Z @ Q  # the loop carries y = z Q, and |y| = |z|
-    shape, U = np.empty(batch), np.empty((batch, cfg.m))
-    law = compile_law(build_law(cfg, art), Q) if a < batch else None  # no controlled rows: no law, no rank check
-    controls = [law.bind(Y[rows], lam[rows], U[rows])
-                for rows in (slice(a, b), slice(b, batch)) if rows.start < rows.stop]
-
-    grid = grid_of(cfg)
-    dy = grid.dy
-    n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
-    t = np.arange(n_steps + 1) * cfg.dt_sim
-    sines = np.sin(t[:-1])
-    work = None if Q is None else np.empty_like(Y)  # u NQ of the eigenbasis step
-    first = l2_norm(Y, grid)
-    trace = np.empty((n_steps + 1, batch)) if traces else None  # step k's norms are one contiguous row
-    sq = np.empty(batch)  # the current squared norms, a row of the trace if there is one
-    failed, any_failed = np.zeros(batch, dtype=bool), False
-    column = shape[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            np.multiply(d_sin, sines[k], out=shape)
-            shape += d_const
-            np.multiply(column, w, out=U)
-            for control in controls:
-                control()
-            step(Y, U, Y, work)
-            if traces:
-                sq = trace[k + 1]
-            np.einsum("...i,...i->...", Y, Y, out=sq)  # non-finite for a non-finite state too
-            if any_failed or not math.isfinite(sq.max() * dy):  # max propagates NaN
-                failed |= ~np.isfinite(sq * dy)
-                sq[failed] = np.inf
-                Y[failed] = 0.0
-                any_failed = True
-        norms = trace[1:] if traces else sq  # sq is the trace's last row if there is one
-        np.sqrt(np.multiply(norms, dy, out=norms), out=norms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(failed | (first == 0), np.inf, sq / first)  # sq: the last norms, finished
-    if traces:
-        trace[0] = first
-    inverse = np.argsort(order)
-    return Rollout(t=t, trace=trace, column=inverse, ratios=ratios[inverse], failed=failed[inverse])
+def _compile_law(cfg: ExperimentConfig, art: Artifacts, Q: np.ndarray | None) -> CompiledLaw:
+    """The law compiled on y = z Q; a rank-deficient B of a reduced model names the refit that fixes it."""
+    try:
+        return compile_law(build_law(cfg, art), Q)
+    except RankDeficientError as exc:
+        if art.reduction is None:
+            raise
+        raise RankDeficientError(f"{exc}; refit the reduced model with fit-dmdc at "
+                                 f"[dmdc] order >= [experiment] m = {cfg.m} (now {cfg.dmdc_order})") from None
 
 
 def trial_initial_condition(cfg: ExperimentConfig, trial: int) -> np.ndarray:
@@ -373,7 +273,7 @@ def grid_cases(cfg: ExperimentConfig) -> list[Case]:
     ]
 
 
-def _case_moments(trace: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _case_moments(trace: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise mean and variance over the given columns of a time-major trace.
 
     Each chunk of steps is gathered into a C-ordered (trials, steps) block,
@@ -394,38 +294,100 @@ def _case_moments(trace: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, n
     return mean, variance
 
 
-def run_cases(
+def simulate_closed_loop(
     cfg: ExperimentConfig, art: Artifacts, cases: list[Case], n_trials: int, traces: bool = True
 ) -> list[CaseResult]:
-    """Trials 0..n_trials-1 of every case, paired across cases, as one stack.
+    """Trials 0..n_trials-1 of every case, paired across cases, as one stack, with U(t) = u(t) + d(t).
 
     Training happened once (disturbance-free), so every case shares the gain.
     Cases whose trajectories coincide are integrated once: with d0 = 0 the
     disturbance kind has no effect, so each distinct (controlled, kind, d0,
     lambda) block, kind read as "none" when d0 = 0, is one block of the stack
-    and its twins share its traces, ratios and failures.  ``traces`` is as
-    in :func:`simulate_closed_loop`; a case's mean and variance read its
-    columns of the time-major trace, _CHUNK_STEPS steps at a time, so the
-    trace is held once.
+    and its twins share its ratios, failures and moments.  The blocks are
+    ordered once, stably, as uncontrolled | lambda = 0 | lambda > 0 (lambda
+    in state units, :func:`_lambda_state`), which take no law, the feedback
+    block alone (u = -y K, H's feedback columns) and the whole one-matrix
+    law.  Every block holds the trials' initial conditions in trial order,
+    so a case's rows are contiguous.  A row is disturbed by d(t) = d0
+    shape(kind, t) w on every control channel (w the configured channel
+    weights, shape sin(t), 1 or 0), zero-order hold.
+
+    The control is recomputed every step and the whole stack advances with
+    one RK4 step, in place: each group's views and the law's work array
+    (:meth:`controller.CompiledLaw.bind`) and every buffer, the step's
+    ``u NQ`` product among them, are made once and owned by the run, so a
+    step gathers, scatters and allocates no rows, and sin(t_k) is evaluated
+    once for all steps.  The heat plant is carried as y = z Q in the
+    closed-form eigenbasis of its A (:func:`pde.rk4_stepper`), with the law
+    in that basis and the L2 norm, which Q preserves, read off y.
+
+    With ``traces`` (``batch``, ``simulate``) every step's L2 norms are kept
+    in one time-major trace, and a case's mean and variance read its columns
+    _CHUNK_STEPS steps at a time, so the trace is held once; without
+    (``grid``) a row keeps its first and current norm, all its terminal
+    ratio reads, and the ratios and failures are the same.  A step keeps
+    the squared norms sum_i y_i^2 alone, and sqrt(. dy) finishes them once
+    at the end.  A row whose state or L2 norm turns non-finite is a failed
+    trial: its norm and terminal ratio read inf from that step on, it is
+    frozen at zero, and the others go on.  A norm is finite exactly when its
+    squared norm times dy is, so the test reads max(sq) dy, which is also
+    non-finite when dy > 1 takes a finite sq past the largest float.
     """
     keys = [(c.policy != "uncontrolled", c.kind if c.d0 else "none", c.d0, c.lam) for c in cases]
-    block_of = {key: j for j, key in enumerate(dict.fromkeys(keys))}
-    controlled, kinds, d0, lam = (np.repeat(col, n_trials) for col in zip(*block_of))
+    group = {key: 0 if not key[0] else 1 + (_lambda_state(cfg, art, key[3]) > 0) for key in keys}
+    blocks = sorted(group, key=group.get)  # group's keys in first-seen order, and sorted is stable
+    start = {key: j * n_trials for j, key in enumerate(blocks)}
+    _, kinds, d0, lam = (np.repeat(col, n_trials) for col in zip(*blocks))
+    lam = _lambda_state(cfg, art, lam)
+    batch = len(lam)
+    a, b = (n_trials * sum(g < bound for g in group.values()) for bound in (1, 2))  # rows [a, b): lambda = 0
+    w = _channel_weights(cfg)
+    d_sin, d_const = d0 * (kinds == "sin"), d0 * (kinds == "const")
+    grid = grid_of(cfg)
     streams = [_rng(cfg, _TAG_TRIALS, i) for i in range(n_trials)]  # as trial_initial_condition
-    Z0 = sample_initial_conditions(streams, grid_of(cfg))
-    roll = simulate_closed_loop(
-        cfg, art, np.tile(Z0, (len(block_of), 1)),
-        lam=lam, kinds=kinds, d0=d0, controlled=controlled, traces=traces,
-    )
+    Z = np.tile(sample_initial_conditions(streams, grid), (len(blocks), 1))
+    Q, step = rk4_stepper(art.sim, cfg.dt_sim)
+    Y = Z if Q is None else Z @ Q  # the loop carries y = z Q, and |y| = |z|
+    shape, U = np.empty(batch), np.empty((batch, cfg.m))
+    law = _compile_law(cfg, art, Q) if a < batch else None  # no controlled rows: no law, no rank check
+    controls = [law.bind(Y[rows], lam[rows], U[rows])
+                for rows in (slice(a, b), slice(b, batch)) if rows.start < rows.stop]
+
+    dy = grid.dy
+    n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
+    t = np.arange(n_steps + 1) * cfg.dt_sim
+    sines = np.sin(t[:-1])
+    work = None if Q is None else np.empty_like(Y)  # u NQ of the eigenbasis step
+    first = l2_norm(Y, grid)
+    trace = np.empty((n_steps + 1, batch)) if traces else None  # step k's norms are one contiguous row
+    sq = np.empty(batch)  # the current squared norms, a row of the trace if there is one
+    failed, any_failed = np.zeros(batch, dtype=bool), False
+    column = shape[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            np.multiply(d_sin, sines[k], out=shape)
+            shape += d_const
+            np.multiply(column, w, out=U)
+            for control in controls:
+                control()
+            step(Y, U, Y, work)
+            if traces:
+                sq = trace[k + 1]
+            np.einsum("...i,...i->...", Y, Y, out=sq)  # non-finite for a non-finite state too
+            if any_failed or not math.isfinite(sq.max() * dy):  # max propagates NaN
+                failed |= ~np.isfinite(sq * dy)
+                sq[failed] = np.inf
+                Y[failed] = 0.0
+                any_failed = True
+        norms = trace[1:] if traces else sq  # sq is the trace's last row if there is one
+        np.sqrt(np.multiply(norms, dy, out=norms), out=norms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(failed | (first == 0), np.inf, sq / first)  # sq: the last norms, finished
+    if traces:
+        trace[0] = first
     results = []
     for case, key in zip(cases, keys):
-        j = block_of[key]
-        rows = slice(j * n_trials, (j + 1) * n_trials)
-        mean = variance = None
-        if traces:
-            mean, variance = _case_moments(roll.trace, roll.column[rows])
-        results.append(CaseResult(
-            case=case, t=roll.t, mean=mean, variance=variance,
-            ratios=roll.ratios[rows], failures=int(np.sum(roll.failed[rows])),
-        ))
+        rows = slice(start[key], start[key] + n_trials)
+        mean, variance = _case_moments(trace, rows) if traces else (None, None)
+        results.append(CaseResult(case, t, mean, variance, ratios[rows], int(np.sum(failed[rows]))))
     return results

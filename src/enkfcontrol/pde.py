@@ -11,8 +11,8 @@ conditions are supported; periodic is the default (difference operators are
 circulant, constants lie in their kernel).
 
 A :class:`Simulator` evaluates ``rhs(x, u)`` and exposes its input matrix
-as ``control_matrix``; training and the compiled control law read the
-design model's A and B directly.
+as ``control_matrix`` and its Jacobian at the origin as ``A``; training and
+the compiled control law read the design model's A and B directly.
 
 The second difference with periodic or mirrored (Dirichlet) ghost cells has
 a known orthonormal eigenbasis: the real Fourier basis and the DST-II basis
@@ -145,13 +145,16 @@ class Simulator:
     Subclasses implement :meth:`rhs` for one state or a stack of states (rows
     of x, with the inputs as rows of u).  The input matrix B is constant: it
     does not depend on x.  ``control_matrix`` is B; ``rhs`` holds its own
-    reference to B and never reads the attribute.  Training and the control
-    law read the (A, B) arrays of a linear design model, never a nonlinear
-    plant.
+    reference to B and never reads the attribute.  ``A`` is the Jacobian of
+    a at the origin: the operator itself for the heat plant, the
+    linearization nu D2 for Burgers.  Training and the control law read the
+    (A, B) arrays of a linear design model, never a nonlinear plant: with
+    ``model = full`` that model is this (A, control_matrix).
     """
 
     n: int
     m: int
+    A: np.ndarray
     control_matrix: np.ndarray
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -195,6 +198,7 @@ class BurgersSimulator(Simulator):
         self.nu = nu
         self.bc = bc
         self._B = self.control_matrix = build_control_matrix(grid, m)
+        self.A = nu * second_difference_matrix(grid, bc)  # the Jacobian at the origin; rhs never reads it
         self.n = grid.p
         self.m = m
 

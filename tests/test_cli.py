@@ -276,8 +276,38 @@ class TestBadInput:
         out = str(tmp_path / "batch")
         assert main(["batch", *flags, "--out", out]) == 1
         assert capsys.readouterr().err == (
-            "error: RankDeficientError: input matrix has column rank 1 < m=2; null space involves columns [1]\n")
+            "error: RankDeficientError: input matrix has column rank 1 < m=2; null space involves columns [1]; "
+            "refit the reduced model with fit-dmdc at [dmdc] order >= [experiment] m = 2 (now 4)\n")
         assert not os.path.exists(out)
+
+    def test_reduced_order_below_m_names_the_refit(self, tmp_path, capsys):
+        # a fit of order 3 has a 3 x 4 B, of rank 3 < m = 4: train takes it, and the controlled
+        # rollout names the fit-dmdc setting that fixes it
+        order = tmp_path / "order.cfg"
+        order.write_text(SMALL.replace("order = 4", "order = 3"))
+        flags = ["--config", str(order), "--m", "4", "--model", "dmdc"]
+        assert main(["train", *flags, "--out", str(tmp_path / "train")]) == 0
+        capsys.readouterr()
+        assert main(["batch", *flags, "--out", str(tmp_path / "batch")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: RankDeficientError: input matrix has column rank 3 < m=4; ")
+        assert err.endswith("; refit the reduced model with fit-dmdc at [dmdc] order >= [experiment] m = 4 (now 3)\n")
+
+    def test_diverging_chain_names_the_step_to_change(self, tmp_path, capsys):
+        # [enkf] dt = 0.05 is five times 0.75/|nu D2|_2 on the 32-cell Burgers linearization, so
+        # the chain diverges; the error keeps its time and names the key, the step taken and the stable one
+        cfg = tmp_path / "dt.cfg"
+        cfg.write_text("[enkf]\ndt = 0.05\n")
+        argv = ["train", "--config", str(cfg), "--pde", "burgers", "--model", "full", "--p", "32", "--m", "4"]
+        out = str(tmp_path / "out")
+        assert main([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: DivergenceError: ensemble covariance became non-finite or indefinite at t=2.75; the chain "
+            "stepped 0.05 ([enkf] dt = 0.05); set [enkf] dt at or below the stable step 0.75/|A|_2 = 0.0092\n")
+        assert not os.path.exists(out)
+        with pytest.raises(enkf.DivergenceError) as err:
+            harness.build_artifacts(resolve_config(build_parser().parse_args([*argv, "--out", out])))
+        assert err.value.t == pytest.approx(2.75)
 
     def test_train_checks_no_rank_and_a_batch_compiles_one_law(self, small_cfg, tmp_path, capsys, monkeypatch):
         # the rank check lives in compile_law's one SVD of the design B: train calls no SVD,

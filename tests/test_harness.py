@@ -4,7 +4,9 @@ The reference advances one state at a time with the per-state law
 (``robust_control``) and ``rk4_step``, stopping a trajectory at its first
 state that is non-finite or has a non-finite L2 norm.  The batched engine
 evaluates the same arithmetic with the compiled law, as matrix products over
-the whole stack, so the two agree to rounding.
+the whole stack, so the two agree to rounding.  Every run goes through
+``simulate_closed_loop``'s cases; custom initial states reach it through
+``harness.sample_initial_conditions`` (:func:`start_at`).
 """
 
 import tracemalloc
@@ -20,6 +22,7 @@ from enkfcontrol.controller import compile_law, robust_control
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.harness import (
     POLICIES,
+    Case,
     HarnessError,
     _enkf_horizon,
     _lambda_state,
@@ -30,7 +33,6 @@ from enkfcontrol.harness import (
     grid_cases,
     grid_of,
     policy_cases,
-    run_cases,
     simulate_closed_loop,
     trial_initial_condition,
 )
@@ -78,6 +80,17 @@ def reference(cfg, art, z0, lam, kind, d0, controlled):
     return l2, ratio
 
 
+def start_at(monkeypatch, Z0):
+    """Trial i of every run starts at Z0[i] instead of its sampled bump."""
+    Z0 = np.array(Z0, dtype=float, ndmin=2)
+
+    def sample(streams, grid):
+        assert len(streams) == len(Z0) and grid.p == Z0.shape[1]
+        return Z0.copy()
+
+    monkeypatch.setattr(harness, "sample_initial_conditions", sample)
+
+
 def reference_batch(cfg, art, lam, kind, d0, controlled):
     runs = [
         reference(cfg, art, trial_initial_condition(cfg, i), lam, kind, d0, controlled)
@@ -109,7 +122,7 @@ def heat_dmdc():
 class TestAgainstReference:
     def test_heat_full_known_b_batch(self, heat_full):
         cfg, art = heat_full
-        series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
+        series = simulate_closed_loop(cfg, art, policy_cases(cfg), cfg.n_trials)
         assert [res.case.policy for res in series] == list(POLICIES)
         for res in series:
             lam = cfg.lam if res.case.policy == "robust" else 0.0
@@ -125,20 +138,20 @@ class TestAgainstReference:
         assert len(set(means)) == 3
 
     def test_heat_full_traces(self, heat_full):
+        # one trial a case: the case's mean is that trial's trace, and its variance 0
         cfg, art = heat_full
-        Z0 = np.array([trial_initial_condition(cfg, i) for i in range(2)])
-        roll = simulate_closed_loop(
-            cfg, art, Z0, lam=[0.3, 0.0], kinds=["const", "sin"], d0=[0.2, 0.1],
-            controlled=[True, False],
-        )
-        for i, (lam, kind, d0, ctrl) in enumerate([(0.3, "const", 0.2, True), (0.0, "sin", 0.1, False)]):
-            l2, ratio = reference(cfg, art, Z0[i], lam, kind, d0, ctrl)
-            np.testing.assert_allclose(roll.l2[i], l2, rtol=RTOL, atol=0)
-            assert roll.ratios[i] == pytest.approx(ratio, rel=RTOL)
+        z = trial_initial_condition(cfg, 0)
+        for res in simulate_closed_loop(cfg, art, [Case("robust", "const", 0.2, 0.3),
+                                                   Case("uncontrolled", "sin", 0.1, 0.0)], 1):
+            c = res.case
+            l2, ratio = reference(cfg, art, z, c.lam, c.kind, c.d0, c.policy != "uncontrolled")
+            np.testing.assert_allclose(res.mean, l2, rtol=RTOL, atol=0)
+            assert np.all(res.variance == 0.0)
+            assert res.ratios[0] == pytest.approx(ratio, rel=RTOL)
 
     def test_heat_dmdc_grid(self, heat_dmdc):
         cfg, art = heat_dmdc
-        cells = run_cases(cfg, art, grid_cases(cfg), cfg.n_trials)
+        cells = simulate_closed_loop(cfg, art, grid_cases(cfg), cfg.n_trials)
         assert [(c.case.policy, c.case.kind, c.case.d0, c.case.lam) for c in cells] == [
             ("robust", k, d0, lam)
             for k in cfg.grid_kinds for d0 in cfg.grid_d0 for lam in cfg.grid_lambda
@@ -155,7 +168,7 @@ class TestAgainstReference:
         # matches the per-state law row by row
         cfg = default_config("burgers", model="full", p=16, m=4, n_trials=2, T_sim=0.01)
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3))
-        series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
+        series = simulate_closed_loop(cfg, art, policy_cases(cfg), cfg.n_trials)
         for res in series[1:]:
             traces, ratios = reference_batch(cfg, art, res.case.lam, cfg.dist_kind, cfg.d0, True)
             np.testing.assert_allclose(res.ratios, ratios, rtol=RTOL, atol=0)
@@ -163,36 +176,38 @@ class TestAgainstReference:
 
 
 class TestBlowUp:
-    def test_mask_isolates_blown_up_rows(self):
+    def test_mask_isolates_blown_up_rows(self, monkeypatch):
         cfg = default_config("burgers", model="full", p=32, m=4, n_trials=2, T_sim=0.05)
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 4))
         z = trial_initial_condition(cfg, 0)
-        # (z0, lambda, controlled, d0): the 130x bump steepens until explicit
-        # RK4 blows up a few steps in; a constant d0 = 1e308 overflows step one.
-        # Under control the bump fails too.
-        rows = [(z, 0.2, True, 0.0), (130.0 * z, 0.0, False, 0.0), (z, 0.0, False, 0.0),
-                (z, 0.2, True, 1e308), (130.0 * z, 0.2, True, 0.0)]
-        Z0, lam, ctrl, d0 = (np.array(col) for col in zip(*rows))
-        roll = simulate_closed_loop(cfg, art, Z0, lam=lam, kinds="const", d0=d0, controlled=ctrl)
-        assert roll.failed.tolist() == [False, True, False, True, True]
-        for i, (z0, lam_i, ctrl_i, d0_i) in enumerate(rows):
-            l2, ratio = reference(cfg, art, z0, lam_i, "const", d0_i, ctrl_i)
-            np.testing.assert_allclose(roll.l2[i], l2, rtol=RTOL, atol=0)
-            assert roll.ratios[i] == pytest.approx(ratio, rel=RTOL)
-        first = np.argmax(np.isinf(roll.l2[1]))
-        assert 1 < first < roll.l2.shape[1] - 1
-        assert np.all(np.isfinite(roll.l2[1, :first])) and np.all(np.isinf(roll.l2[1, first:]))
-        assert np.all(np.isinf(roll.l2[3, 1:]))
-        # the surviving rows are the rows of a stack without the blown-up ones
-        alone = simulate_closed_loop(
-            cfg, art, Z0[[0, 2]], lam=lam[[0, 2]], kinds="const", d0=d0[[0, 2]],
-            controlled=ctrl[[0, 2]],
-        )
-        np.testing.assert_allclose(roll.l2[[0, 2]], alone.l2, rtol=RTOL, atol=0)
-        # a ratio-only run of the same rows keeps no trace and gives the same bits
-        bare = simulate_closed_loop(cfg, art, Z0, lam=lam, kinds="const", d0=d0, controlled=ctrl, traces=False)
-        assert bare.l2 is None
-        assert np.array_equal(bare.ratios, roll.ratios) and np.array_equal(bare.failed, roll.failed)
+        # trial 1 starts at the 130x bump, which steepens until explicit RK4
+        # blows up a few steps in, under control too; a constant d0 = 1e308
+        # overflows step one
+        Z0 = np.array([z, 130.0 * z])
+        start_at(monkeypatch, Z0)
+        cases = [Case("robust", "const", 0.0, 0.2), Case("uncontrolled", "const", 0.0, 0.0),
+                 Case("robust", "const", 1e308, 0.2)]
+        results = simulate_closed_loop(cfg, art, cases, cfg.n_trials)
+        assert [res.failures for res in results] == [1, 1, 2]
+        for res in results:
+            c = res.case
+            runs = [reference(cfg, art, z0, c.lam, c.kind, c.d0, c.policy != "uncontrolled") for z0 in Z0]
+            np.testing.assert_allclose(res.mean, np.mean([l2 for l2, _ in runs], axis=0), rtol=RTOL, atol=0)
+            np.testing.assert_allclose(res.ratios, [ratio for _, ratio in runs], rtol=RTOL, atol=0)
+        free = results[1].mean  # inf from the bump's blow-up on
+        first = np.argmax(np.isinf(free))
+        assert 1 < first < len(free) - 1
+        assert np.all(np.isfinite(free[:first])) and np.all(np.isinf(free[first:]))
+        assert np.all(np.isinf(results[2].mean[1:]))
+        # a ratio-only run of the same cases keeps no trace and gives the same bits
+        bare = simulate_closed_loop(cfg, art, cases, cfg.n_trials, traces=False)
+        for got, want in zip(bare, results):
+            assert got.mean is None and got.variance is None
+            assert np.array_equal(got.ratios, want.ratios) and got.failures == want.failures
+        # the surviving trials are the trials of a stack without the blown-up ones
+        start_at(monkeypatch, Z0[:1])
+        for got, want in zip(simulate_closed_loop(cfg, art, cases[:2], 1), results):
+            np.testing.assert_allclose(got.ratios, want.ratios[:1], rtol=RTOL, atol=0)
 
     def test_norm_overflow_is_a_failure(self, heat_full):
         # d0 = 1e308 leaves the compiled step's state finite (U N'Q is about
@@ -200,14 +215,15 @@ class TestBlowUp:
         # under a constant shape alike; the norm's overflow marks the failure
         cfg, art = heat_full
         overflow = replace(cfg, grid_d0=(1e308,), grid_lambda=(0.0,), grid_kinds=("sin", "const"))
-        cells = run_cases(overflow, art, grid_cases(overflow), cfg.n_trials)
+        cells = simulate_closed_loop(overflow, art, grid_cases(overflow), cfg.n_trials)
         assert [(c.case.kind, c.failures) for c in cells] == [("sin", cfg.n_trials), ("const", cfg.n_trials)]
         for cell in cells:
             traces, ratios = reference_batch(cfg, art, 0.0, cell.case.kind, 1e308, True)
             assert np.all(np.isinf(ratios)) and np.all(np.isinf(cell.ratios))
             assert np.all(np.isinf(traces[:, -1]))
         # as grid runs it, ratio-only, the cells read the same bits
-        for cell, bare in zip(cells, run_cases(overflow, art, grid_cases(overflow), cfg.n_trials, traces=False)):
+        bare_cells = simulate_closed_loop(overflow, art, grid_cases(overflow), cfg.n_trials, traces=False)
+        for cell, bare in zip(cells, bare_cells):
             assert bare.mean is None and bare.variance is None
             assert np.array_equal(bare.ratios, cell.ratios) and bare.failures == cell.failures
 
@@ -225,26 +241,25 @@ class TestBlowUp:
         cfg = default_config("heat", n_trials=1, **overrides)
         art = build_artifacts(cfg, gain=spd_gain(cfg.p, 9))
         z = trial_initial_condition(cfg, 0)
-        rows = [(1e155, False, 0.0), (0.1, True, 0.3), (0.0, False, 0.0)]
-        d0, ctrl, lam = (np.array(col) for col in zip(*rows))
-        run = lambda traces=True: simulate_closed_loop(cfg, art, np.tile(z, (3, 1)), lam=lam, kinds="const",
-                                                       d0=d0, controlled=ctrl, traces=traces)
-        roll = run()
-        assert roll.failed.tolist() == [True, False, False]
-        for i, (d0_i, ctrl_i, lam_i) in enumerate(rows):
-            l2, ratio = reference(cfg, art, z, lam_i, "const", d0_i, ctrl_i)
-            assert np.array_equal(np.isinf(roll.l2[i]), np.isinf(l2))
-            np.testing.assert_allclose(roll.l2[i], l2, rtol=RTOL, atol=0)
-            assert roll.ratios[i] == pytest.approx(ratio, rel=RTOL)
-        blown = int(np.argmax(np.isinf(roll.l2[0])))
-        assert 1 < blown < roll.l2.shape[1] - 1
+        cases = [Case("uncontrolled", "const", 1e155, 0.0), Case("robust", "const", 0.1, 0.3),
+                 Case("uncontrolled", "const", 0.0, 0.0)]
+        results = simulate_closed_loop(cfg, art, cases, cfg.n_trials)  # one trial: a case's mean is its trace
+        assert [res.failures for res in results] == [1, 0, 0]
+        for res in results:
+            c = res.case
+            l2, ratio = reference(cfg, art, z, c.lam, c.kind, c.d0, c.policy != "uncontrolled")
+            assert np.array_equal(np.isinf(res.mean), np.isinf(l2))
+            np.testing.assert_allclose(res.mean, l2, rtol=RTOL, atol=0)
+            assert res.ratios[0] == pytest.approx(ratio, rel=RTOL)
+        blown = int(np.argmax(np.isinf(results[0].mean)))
+        assert 1 < blown < len(results[0].mean) - 1
         zk = z
         with np.errstate(over="ignore"):
             for _ in range(blown):
                 zk = rk4_step(art.sim, zk, np.full(cfg.m, 1e155), cfg.dt_sim)
             assert np.isfinite(np.sum(zk * zk)) == (grid_of(cfg).dy > 1)
-        bare = run(traces=False)
-        assert np.array_equal(bare.ratios, roll.ratios) and np.array_equal(bare.failed, roll.failed)
+        for got, want in zip(simulate_closed_loop(cfg, art, cases, cfg.n_trials, traces=False), results):
+            assert np.array_equal(got.ratios, want.ratios) and got.failures == want.failures
 
     def test_grid_failure_counts(self, heat_full):
         cfg, art = heat_full
@@ -252,7 +267,7 @@ class TestBlowUp:
         # every trial of its cells (the compiled step's state stays finite)
         def grid(**lists):
             sweep = replace(cfg, **lists)
-            return run_cases(sweep, art, grid_cases(sweep), cfg.n_trials)
+            return simulate_closed_loop(sweep, art, grid_cases(sweep), cfg.n_trials)
 
         blown = grid(grid_d0=(0.1, 1e308), grid_kinds=("const",))
         clean = grid(grid_d0=(0.1,), grid_kinds=("const",))
@@ -274,14 +289,15 @@ class TestTwinCells:
         # cells at d0 = 0 are one block of the stack: 8 cells, 6 blocks
         cfg, art = heat_dmdc
         n, cases = cfg.n_trials, grid_cases(cfg)
-        stacks = []
-        simulate = harness.simulate_closed_loop
-        monkeypatch.setattr(
-            harness, "simulate_closed_loop",
-            lambda c, a, Z0, **rows: stacks.append(len(Z0)) or simulate(c, a, Z0, **rows),
-        )
-        cells = run_cases(cfg, art, cases, n)
-        assert stacks == [6 * n]
+        stacks, stepper = [], harness.rk4_stepper
+
+        def counted(sim, h):
+            Q, step = stepper(sim, h)
+            return Q, lambda y, *args: stacks.append(len(y)) or step(y, *args)
+
+        monkeypatch.setattr(harness, "rk4_stepper", counted)
+        cells = simulate_closed_loop(cfg, art, cases, n)
+        assert stacks and set(stacks) == {6 * n}
         assert [c.case for c in cells] == cases
         by_cell = {(c.case.kind, c.case.d0, c.case.lam): c for c in cells}
         for lam in cfg.grid_lambda:
@@ -289,18 +305,12 @@ class TestTwinCells:
             for field in ("mean", "variance", "ratios"):
                 assert np.array_equal(getattr(sin, field), getattr(const, field))
             assert sin.failures == const.failures == 0
-        # the stack that integrates every cell agrees to rounding (GEMM tiling
-        # follows the stack height)
-        Z0 = np.array([trial_initial_condition(cfg, i) for i in range(n)])
-        full = simulate(
-            cfg, art, np.tile(Z0, (len(cases), 1)),
-            lam=np.repeat([c.lam for c in cases], n), kinds=np.repeat([c.kind for c in cases], n),
-            d0=np.repeat([c.d0 for c in cases], n), controlled=True,
-        )
-        for i, cell in enumerate(cells):
-            traces = full.l2[i * n:(i + 1) * n]
-            np.testing.assert_allclose(cell.mean, traces.mean(axis=0), rtol=1e-14, atol=0)
-            np.testing.assert_allclose(cell.ratios, full.ratios[i * n:(i + 1) * n], rtol=1e-14, atol=0)
+        # each cell integrated alone agrees to rounding (GEMM tiling follows
+        # the stack height)
+        for cell in cells:
+            one, = simulate_closed_loop(cfg, art, [cell.case], n)
+            np.testing.assert_allclose(cell.mean, one.mean, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(cell.ratios, one.ratios, rtol=1e-14, atol=0)
 
 
 class TestRatioOnly:
@@ -311,11 +321,11 @@ class TestRatioOnly:
     trace_bytes = (3000 + 1) * len(grid_cases(cfg)) * cfg.n_trials * 8
 
     def peak(self, traces):
-        """(peak, kept): the peak bytes of run_cases, and the bytes its results keep."""
+        """(peak, kept): the peak bytes of simulate_closed_loop, and the bytes its results keep."""
         art = build_artifacts(self.cfg, gain=spd_gain(self.cfg.p, 8))
         tracemalloc.start()
         try:
-            results = run_cases(self.cfg, art, grid_cases(self.cfg), self.cfg.n_trials, traces=traces)
+            results = simulate_closed_loop(self.cfg, art, grid_cases(self.cfg), self.cfg.n_trials, traces=traces)
             kept, peak = tracemalloc.get_traced_memory()
             assert results
             return peak, kept
@@ -327,7 +337,7 @@ class TestRatioOnly:
         assert self.peak(traces=False)[0] < self.trace_bytes
 
     def test_traced_run_holds_the_trace_once(self):
-        # run_cases reads each case's means and variances off the time-major
+        # simulate_closed_loop reads each case's means and variances off the time-major
         # trace, with no copy of it in row order.  Those means and variances
         # are what the run returns, half a trace here, and come on top.
         peak, kept = self.peak(traces=True)
@@ -354,62 +364,89 @@ def test_case_moments_are_the_row_block_moments_bit_for_bit(steps):
 
 
 class TestRowGroups:
-    """The loop regroups rows as uncontrolled | lambda = 0 | lambda > 0 and steps them in place."""
+    """The loop groups the blocks as uncontrolled | lambda = 0 | lambda > 0 and steps them in place."""
+
+    # interleaved groups, each group in more than one place; the last case's
+    # constant d0 = 1e308 fails it
+    MIXED = [Case("robust", "const", 0.1, 0.3), Case("uncontrolled", "const", 0.2, 0.0),
+             Case("optimal", "const", 0.1, 0.0), Case("optimal", "const", 0.0, 0.0),
+             Case("robust", "const", 0.2, 0.2), Case("uncontrolled", "const", 0.0, 0.0),
+             Case("optimal", "const", 0.2, 0.0), Case("robust", "const", 1e308, 0.3)]
 
     @staticmethod
-    def mixed_stack(cfg):
-        # interleaved groups, each group's rows in more than one place; the
-        # last row's constant d0 = 1e308 fails it
-        rows = [(0, 0.3, True, 0.1), (1, 0.0, False, 0.2), (2, 0.0, True, 0.1),
-                (0, 0.0, True, 0.0), (1, 0.2, True, 0.2), (2, 0.0, False, 0.0),
-                (1, 0.0, True, 0.2), (0, 0.3, True, 1e308)]
-        Z0 = np.array([trial_initial_condition(cfg, i) for i, *_ in rows])
-        _, lam, ctrl, d0 = (np.array(col) for col in zip(*rows))
-        return Z0, lam, ctrl, d0
-
-    @pytest.mark.parametrize("pde", ["heat", "burgers"])
-    def test_permuting_rows_permutes_the_results(self, heat_full, pde):
-        if pde == "heat":
-            cfg, art = heat_full
-        else:
-            cfg = default_config("burgers", model="full", p=16, m=4, n_trials=2, T_sim=0.01)
-            art = build_artifacts(cfg, gain=spd_gain(cfg.p, 6))
-        Z0, lam, ctrl, d0 = self.mixed_stack(cfg)
-        run = lambda i, traces=True: simulate_closed_loop(cfg, art, Z0[i], lam=lam[i], kinds="const",
-                                                          d0=d0[i], controlled=ctrl[i], traces=traces)
-        base = run(np.arange(len(lam)))
-        assert base.failed.tolist() == [False] * 7 + [True]
-        for perm in (np.arange(len(lam))[::-1], np.random.default_rng(7).permutation(len(lam))):
-            moved = run(perm)
-            assert np.array_equal(moved.l2, base.l2[perm])
-            assert np.array_equal(moved.ratios, base.ratios[perm])
-            assert np.array_equal(moved.failed, base.failed[perm])
-            bare = run(perm, traces=False)  # ratio-only, as grid runs
-            assert np.array_equal(bare.ratios, base.ratios[perm])
-            assert np.array_equal(bare.failed, base.failed[perm])
-
-    def test_lambda_zero_rows_read_only_the_feedback_block(self, heat_full, monkeypatch):
-        # NaN in the law's g and B^+ columns fails every lambda > 0 row and
-        # leaves the uncontrolled and lambda = 0 rows bit for bit as they were
-        cfg, art = heat_full
-        Z0, lam, ctrl, d0 = self.mixed_stack(cfg)
-        Z0, lam, ctrl, d0 = Z0[:-1], lam[:-1], ctrl[:-1], d0[:-1]
-        run = lambda: simulate_closed_loop(cfg, art, Z0, lam=lam, kinds="sin", d0=d0, controlled=ctrl)
-        clean = run()
+    def poisoned_run(cfg, art, cases, monkeypatch, columns):
+        """The cases under a law whose H reads NaN in the given columns."""
         compile_law = harness.compile_law
 
         def poisoned(*args):
             law = compile_law(*args)
             H = law.H.copy()
-            H[:, :law.n] = H[:, law.n + cfg.m:] = np.nan
+            H[:, columns(law.n)] = np.nan
             return replace(law, H=H)
 
         monkeypatch.setattr(harness, "compile_law", poisoned)
-        dirty = run()
-        robust = ctrl & (lam > 0)
-        assert dirty.failed.tolist() == robust.tolist()
-        assert np.all(np.isfinite(dirty.l2[~robust]))
-        assert np.array_equal(dirty.l2[~robust], clean.l2[~robust])
+        return simulate_closed_loop(cfg, art, cases, cfg.n_trials)
+
+    @pytest.mark.parametrize("pde", ["heat", "burgers"])
+    def test_permuting_rows_permutes_the_results(self, heat_full, pde):
+        # reordering the cases moves their blocks in the stack, and each case keeps its bits
+        if pde == "heat":
+            cfg, art = heat_full
+        else:
+            cfg = default_config("burgers", model="full", p=16, m=4, n_trials=2, T_sim=0.01)
+            art = build_artifacts(cfg, gain=spd_gain(cfg.p, 6))
+        base = {res.case: res for res in simulate_closed_loop(cfg, art, self.MIXED, cfg.n_trials)}
+        assert [base[c].failures for c in self.MIXED] == [0] * 7 + [cfg.n_trials]
+        for perm in (np.arange(len(self.MIXED))[::-1], np.random.default_rng(7).permutation(len(self.MIXED))):
+            cases = [self.MIXED[i] for i in perm]
+            moved = simulate_closed_loop(cfg, art, cases, cfg.n_trials)
+            bare = simulate_closed_loop(cfg, art, cases, cfg.n_trials, traces=False)  # ratio-only, as grid runs
+            assert [res.case for res in moved] == [res.case for res in bare] == cases
+            for got, ratio_only in zip(moved, bare):
+                want = base[got.case]
+                assert np.array_equal(got.mean, want.mean)
+                assert np.array_equal(got.variance, want.variance, equal_nan=True)  # inf - inf once failed
+                for res in (got, ratio_only):
+                    assert np.array_equal(res.ratios, want.ratios) and res.failures == want.failures
+
+    def test_alternating_lambda_grid_reads_as_the_grouped_one(self, heat_full):
+        # a lambda list alternating 0 and > 0 gives each cell the bits of the same cells listed grouped
+        cfg, art = heat_full
+        sweep = replace(cfg, grid_d0=(0.0, 0.2), grid_lambda=(0.0, 0.3, 0.0, 0.1)).validate()
+        cells = grid_cases(sweep)
+        grouped = sorted(cells, key=lambda c: c.lam > 0)
+        assert grouped != cells
+        want = {res.case: res for res in simulate_closed_loop(sweep, art, grouped, cfg.n_trials)}
+        for res in simulate_closed_loop(sweep, art, cells, cfg.n_trials):
+            assert np.array_equal(res.mean, want[res.case].mean)
+            assert np.array_equal(res.variance, want[res.case].variance)
+            assert np.array_equal(res.ratios, want[res.case].ratios)
+
+    def test_lambda_zero_rows_read_only_the_feedback_block(self, heat_full, monkeypatch):
+        # NaN in the law's g and B^+ columns fails every lambda > 0 case and
+        # leaves the uncontrolled and lambda = 0 cases bit for bit as they were
+        cfg, art = heat_full
+        cases = self.MIXED[:-1]
+        clean = simulate_closed_loop(cfg, art, cases, cfg.n_trials)
+        dirty = self.poisoned_run(cfg, art, cases, monkeypatch, lambda n: np.r_[:n, n + cfg.m:n + 2 * cfg.m])
+        for got, want in zip(dirty, clean):
+            robust = got.case.lam > 0
+            assert got.failures == (cfg.n_trials if robust else 0)
+            if not robust:
+                assert np.all(np.isfinite(got.mean))
+                assert np.array_equal(got.mean, want.mean) and np.array_equal(got.ratios, want.ratios)
+
+    def test_uncontrolled_rows_never_read_the_law(self, heat_full, monkeypatch):
+        # a law that is NaN throughout fails every controlled case; the uncontrolled ones keep their bits
+        cfg, art = heat_full
+        cases = self.MIXED[:-1]
+        clean = simulate_closed_loop(cfg, art, cases, cfg.n_trials)
+        dirty = self.poisoned_run(cfg, art, cases, monkeypatch, lambda n: slice(None))
+        for got, want in zip(dirty, clean):
+            free = got.case.policy == "uncontrolled"
+            assert got.failures == (0 if free else cfg.n_trials)
+            if free:
+                assert np.array_equal(got.mean, want.mean) and np.array_equal(got.ratios, want.ratios)
 
     @pytest.mark.parametrize("pde", ["heat", "burgers"])
     def test_snapshots_match_a_step_into_fresh_arrays(self, pde):
@@ -436,26 +473,24 @@ class TestRowGroups:
 
 class TestDeterminism:
     def test_row_does_not_depend_on_its_batch(self, heat_dmdc):
+        # each case run alone agrees with it in the whole stack to rounding, and a rerun gives the same bits
         cfg, art = heat_dmdc
         n = 5
-        Z0 = np.array([trial_initial_condition(cfg, i) for i in range(n)])
-        lam = [0.0, 0.3, 0.1, 0.3, 0.0]
-        kinds = ["sin", "const", "none", "sin", "const"]
-        d0 = [0.1, 0.2, 0.1, 0.0, 0.05]
-        ctrl = [True, True, True, False, True]
-        full = simulate_closed_loop(cfg, art, Z0, lam=lam, kinds=kinds, d0=d0, controlled=ctrl)
-        again = simulate_closed_loop(cfg, art, Z0, lam=lam, kinds=kinds, d0=d0, controlled=ctrl)
-        assert np.array_equal(full.l2, again.l2)
-        for i in range(n):
-            one = simulate_closed_loop(
-                cfg, art, Z0[i], lam=lam[i], kinds=kinds[i], d0=d0[i], controlled=ctrl[i]
-            )
-            np.testing.assert_allclose(one.l2[0], full.l2[i], rtol=RTOL, atol=0)
-            assert one.ratios[0] == pytest.approx(full.ratios[i], rel=RTOL)
+        cases = [Case("optimal", "sin", 0.1, 0.0), Case("robust", "const", 0.2, 0.3),
+                 Case("robust", "none", 0.1, 0.1), Case("uncontrolled", "sin", 0.0, 0.0),
+                 Case("optimal", "const", 0.05, 0.0)]
+        full = simulate_closed_loop(cfg, art, cases, n)
+        again = simulate_closed_loop(cfg, art, cases, n)
+        for res, rerun in zip(full, again):
+            assert np.array_equal(res.mean, rerun.mean) and np.array_equal(res.ratios, rerun.ratios)
+        for case, res in zip(cases, full):
+            one, = simulate_closed_loop(cfg, art, [case], n)
+            np.testing.assert_allclose(one.mean, res.mean, rtol=RTOL, atol=0)
+            np.testing.assert_allclose(one.ratios, res.ratios, rtol=RTOL, atol=0)
 
     def test_policies_share_initial_conditions(self, heat_full):
         cfg, art = heat_full
-        series = run_cases(cfg, art, policy_cases(cfg), cfg.n_trials)
+        series = simulate_closed_loop(cfg, art, policy_cases(cfg), cfg.n_trials)
         starts = {res.case.policy: res.mean[0] for res in series}
         assert list(starts) == list(POLICIES)
         assert len(set(starts.values())) == 1
@@ -536,18 +571,17 @@ def test_configured_weights_reach_the_gain_and_the_law():
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
 @pytest.mark.parametrize("pde", ["heat", "burgers"])
 def test_full_design_model_is_the_plant_jacobian_at_the_origin(pde, bc):
-    # -z D1 z + nu D2 z is quadratic plus linear, so a central difference of
-    # unit step at z = 0 reads its Jacobian nu D2 to rounding
+    # every plant carries its linearization nu D2 as A, and the design model is
+    # that pair.  -z D1 z + nu D2 z is quadratic plus linear, so a central
+    # difference of unit step at z = 0 reads its Jacobian nu D2 to rounding
     cfg = default_config(pde, p=16, m=4, bc=bc, model="full")
     art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3))
     A = cfg.nu * second_difference_matrix(grid_of(cfg), bc)
-    assert np.array_equal(art.A, A)
-    if cfg.pde == "heat":
-        assert np.array_equal(art.A, art.sim.A)
+    assert np.array_equal(art.sim.A, A)
+    assert art.A is art.sim.A and art.B is art.sim.control_matrix
     I, u = np.eye(cfg.p), np.zeros((cfg.p, cfg.m))
     jacobian = (art.sim.rhs(I, u) - art.sim.rhs(-I, u)).T / 2.0
     np.testing.assert_allclose(art.A, jacobian, rtol=0, atol=1e-12 * np.abs(A).max())
-    assert np.array_equal(art.B, art.sim.control_matrix)
 
 
 @pytest.mark.parametrize("overrides,named", [

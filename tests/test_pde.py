@@ -6,7 +6,7 @@ import pytest
 from enkfcontrol import pde
 from enkfcontrol.config import ConfigError, default_config
 from enkfcontrol.enkf import GainApprox
-from enkfcontrol.harness import build_artifacts, grid_of, simulate_closed_loop, trial_initial_condition
+from enkfcontrol.harness import Case, build_artifacts, grid_of, simulate_closed_loop
 from enkfcontrol.pde import (
     BurgersSimulator,
     GridSpec,
@@ -276,13 +276,12 @@ class TestCompiledStep:
         # rhs is counted, so a step taken by any other route shows.
         cfg = default_config(pde_name, model="full", p=16, m=2, n_trials=2, T_sim=0.01)
         art = build_artifacts(cfg, gain=GainApprox(P=np.eye(cfg.p)))
-        Z0 = np.array([trial_initial_condition(cfg, i) for i in range(2)])
         steps, rhs_calls = [], []
         step, rhs = pde.rk4_step, art.sim.rhs
         monkeypatch.setattr(pde, "rk4_step", lambda *a: steps.append(a) or step(*a))
         monkeypatch.setattr(art.sim, "rhs", lambda *a: rhs_calls.append(a) or rhs(*a))
-        roll = simulate_closed_loop(cfg, art, Z0, lam=0.2, kinds="sin", d0=0.1, controlled=True)
-        n_steps = roll.l2.shape[1] - 1
+        robust, = simulate_closed_loop(cfg, art, [Case("robust", "sin", 0.1, 0.2)], cfg.n_trials)
+        n_steps = len(robust.t) - 1
         assert n_steps > 1
         assert len(steps) == (1 if compiled else n_steps)
         assert all((a[0] is art.sim) != compiled for a in steps)
