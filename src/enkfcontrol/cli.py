@@ -191,12 +191,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # surfaced as a one-line machine-parsable error
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # one machine-parsable line: error: config | io | the exception's class: message
+        tag = ("config" if isinstance(exc, ConfigError) else "io" if isinstance(exc, FileNotFoundError)
+               else type(exc).__name__)
+        print(f"error: {tag}: {exc}", file=sys.stderr)
         return 1

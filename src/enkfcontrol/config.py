@@ -215,6 +215,12 @@ for _f in fields(ExperimentConfig):
 # dataclass field -> its key as a config file writes it, for messages
 _FILE_KEYS = {f.name: f"[{f.metadata['section']}] {f.metadata['key']}" for f in fields(ExperimentConfig)}
 
+# what is wrong with the line each error of configparser.read_string names, subclasses first
+_MALFORMED = {configparser.MissingSectionHeaderError: "comes before any [section] header",
+              configparser.DuplicateSectionError: "repeats a section above it",
+              configparser.DuplicateOptionError: "repeats a key of its section",
+              configparser.ParsingError: "is neither a [section] header nor key = value"}
+
 
 def parse_config_text(text: str, pde: str | None = None, **overrides) -> ExperimentConfig:
     """Parse the strict sectioned key=value format into a config.
@@ -226,8 +232,11 @@ def parse_config_text(text: str, pde: str | None = None, **overrides) -> Experim
     cp.optionxform = str  # keys are case sensitive
     try:
         cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file: {exc}") from None
+    except configparser.Error as exc:  # its own message spans lines and names '<string>'
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()  # read_string splits at "\n" alone
+        why = next(why for cls, why in _MALFORMED.items() if isinstance(exc, cls))
+        raise ConfigError(f"malformed config file: line {lineno}: {line!r} {why}") from None
 
     raw: dict[str, object] = {}
     for section in cp.sections():

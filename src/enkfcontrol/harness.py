@@ -14,25 +14,20 @@ level of a sweep.
 Closed-loop trials run batched, through one entry point.  Every verb
 states its trials as a list of :class:`Case` (``batch``: the three
 policies, ``grid``: one robust case per cell, ``simulate``: one case of one
-trial), and :func:`simulate_closed_loop` runs the distinct cases x trials
-as one (batch, p) stack of plant states, one RK4 step per time step (for
-the heat plant, an elementwise step in the closed-form eigenbasis of its
-operator, from :func:`pde.rk4_stepper`).  It orders the distinct blocks
-once as uncontrolled | lambda = 0 | lambda > 0, so each group is a
-contiguous run of rows that does only the work it reads: no law, the
-feedback block alone (an m-column GEMM), or the whole law compiled once
-into one matrix (:func:`controller.compile_law`, one GEMM).  Each case's
-trials are a contiguous run of rows too, so its ratios, failures and
-trace columns are slices.  The run keeps what the verb writes: ``batch``
-and ``simulate`` every step's L2 norms, one time-major trace that each
-case's mean and variance for ``timeseries.csv`` are read from, and
-``grid``, which writes ratios alone, two norms per row (the first and the
-current one).  A step keeps squared norms, sum_i z_i^2; they are finished
-into sqrt(. dy) once, after the last step.  A row whose state or L2 norm
-turns non-finite is masked, reading inf from that step on, while the other
-rows carry on.  Rows agree with a one-trajectory-at-a-time loop to
-rounding (matrix products over the stack instead of matrix-vector ones),
-and a case's result does not depend on where its block sits in the stack.
+trial), and :func:`simulate_closed_loop` runs them as one (batch, p) stack
+of plant states, one RK4 step per time step (for the heat plant, an
+elementwise step in the closed-form eigenbasis of its operator, from
+:func:`pde.rk4_stepper`).  A block of the stack is what its rows read: the
+law group (no law, the feedback block alone, or the whole law compiled into
+one matrix), the disturbance that reaches the plant and lambda in state
+units, so cases that read the same are integrated once, whatever their
+labels.  Each law group is a contiguous run of rows that does only its own
+work.  ``batch`` and ``simulate`` keep every step's L2 norms, ``grid`` the
+first and the last.  A row whose state or norm turns non-finite is masked,
+reading inf from that step on, while the other rows carry on.  Rows agree
+with a one-trajectory-at-a-time loop to rounding (matrix products over the
+stack instead of matrix-vector ones), and a case's result does not depend
+on where its block sits in the stack.
 """
 
 from __future__ import annotations
@@ -198,8 +193,8 @@ def _channel_weights(cfg: ExperimentConfig) -> np.ndarray:
     return np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
 
 
-def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam):
-    """The state-space bound for a lambda, or an array of them, quoted in ``cfg.lambda_units``.
+def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam: float) -> float:
+    """The state-space bound for a lambda quoted in ``cfg.lambda_units``.
 
     With ``lambda_units = amplitude`` (default), lambda is quoted in the same
     per-channel units as the disturbance amplitude d0: the disturbance d0*w
@@ -300,26 +295,24 @@ def simulate_closed_loop(
     """Trials 0..n_trials-1 of every case, paired across cases, as one stack, with U(t) = u(t) + d(t).
 
     Training happened once (disturbance-free), so every case shares the gain.
-    Cases whose trajectories coincide are integrated once: with d0 = 0 the
-    disturbance kind has no effect, so each distinct (controlled, kind, d0,
-    lambda) block, kind read as "none" when d0 = 0, is one block of the stack
-    and its twins share its ratios, failures and moments.  The blocks are
-    ordered once, stably, as uncontrolled | lambda = 0 | lambda > 0 (lambda
-    in state units, :func:`_lambda_state`), which take no law, the feedback
-    block alone (u = -y K, H's feedback columns) and the whole one-matrix
-    law.  Every block holds the trials' initial conditions in trial order,
-    so a case's rows are contiguous.  A row is disturbed by d(t) = d0
-    shape(kind, t) w on every control channel (w the configured channel
-    weights, shape sin(t), 1 or 0), zero-order hold.
+    A row is disturbed by d(t) = d0 shape(kind, t) w on every control channel
+    (w the configured channel weights, shape sin(t), 1 or 0), zero-order
+    hold.  A case is keyed on what its rows read, (group, d0 [kind = sin]
+    [w != 0], d0 [kind = const] [w != 0], lambda in state units), the group
+    being none | feedback (u = -y K, H's feedback columns) | the whole
+    one-matrix law, and lambda (:func:`_lambda_state`) 0 outside the last.
+    Cases with equal keys, whatever their labels, are twins of one block and
+    share its ratios, failures and moments.  Blocks are ordered by group,
+    first seen first within each, and hold the trials' initial conditions in
+    trial order, so a case's rows are contiguous.
 
-    The control is recomputed every step and the whole stack advances with
-    one RK4 step, in place: each group's views and the law's work array
-    (:meth:`controller.CompiledLaw.bind`) and every buffer, the step's
-    ``u NQ`` product among them, are made once and owned by the run, so a
-    step gathers, scatters and allocates no rows, and sin(t_k) is evaluated
-    once for all steps.  The heat plant is carried as y = z Q in the
-    closed-form eigenbasis of its A (:func:`pde.rk4_stepper`), with the law
-    in that basis and the L2 norm, which Q preserves, read off y.
+    The whole stack advances in place with one RK4 step a time step, the
+    control recomputed each step: every view and buffer (the law's work
+    array, :meth:`controller.CompiledLaw.bind`, and the step's ``u NQ``) is
+    made once, so a step gathers, scatters and allocates no rows, and
+    sin(t_k) is evaluated once for all steps.  The heat plant is carried as
+    y = z Q in the closed-form eigenbasis of its A (:func:`pde.rk4_stepper`),
+    with the law in that basis and the L2 norm, which Q preserves, read off y.
 
     With ``traces`` (``batch``, ``simulate``) every step's L2 norms are kept
     in one time-major trace, and a case's mean and variance read its columns
@@ -333,16 +326,17 @@ def simulate_closed_loop(
     squared norm times dy is, so the test reads max(sq) dy, which is also
     non-finite when dy > 1 takes a finite sq past the largest float.
     """
-    keys = [(c.policy != "uncontrolled", c.kind if c.d0 else "none", c.d0, c.lam) for c in cases]
-    group = {key: 0 if not key[0] else 1 + (_lambda_state(cfg, art, key[3]) > 0) for key in keys}
-    blocks = sorted(group, key=group.get)  # group's keys in first-seen order, and sorted is stable
-    start = {key: j * n_trials for j, key in enumerate(blocks)}
-    _, kinds, d0, lam = (np.repeat(col, n_trials) for col in zip(*blocks))
-    lam = _lambda_state(cfg, art, lam)
-    batch = len(lam)
-    a, b = (n_trials * sum(g < bound for g in group.values()) for bound in (1, 2))  # rows [a, b): lambda = 0
     w = _channel_weights(cfg)
-    d_sin, d_const = d0 * (kinds == "sin"), d0 * (kinds == "const")
+    keys = []
+    for c in cases:  # the key above: what the case's rows read
+        on = c.policy != "uncontrolled"
+        lam_c, d0_c = _lambda_state(cfg, art, c.lam) * on, c.d0 * bool(w.any())
+        keys.append((on + (lam_c > 0), d0_c * (c.kind == "sin"), d0_c * (c.kind == "const"), lam_c))
+    blocks = sorted(dict.fromkeys(keys), key=lambda key: key[0])  # first-seen order within each group
+    start = {key: j * n_trials for j, key in enumerate(blocks)}
+    group, d_sin, d_const, lam = (np.repeat(col, n_trials) for col in zip(*blocks))
+    batch = len(lam)
+    a, b = np.searchsorted(group, [1, 2])  # rows [a, b): the feedback group
     grid = grid_of(cfg)
     streams = [_rng(cfg, _TAG_TRIALS, i) for i in range(n_trials)]  # as trial_initial_condition
     Z = np.tile(sample_initial_conditions(streams, grid), (len(blocks), 1))

@@ -264,10 +264,14 @@ P_ROWS = "[P]\n0.5714285714285714,-0.2857142857142857\n-0.2857142857142857,1.142
          r"line 10: repeated \[A\] block"),
         (load_reduced_model, GOOD_REDUCED.replace("n=1\n", "n=1\nn=2\n"),
          r"line 4: repeated header key 'n'"),
+        (load_gain, GOOD_GAIN.replace("format=enkfcontrol-bundle-v1", "format=enkfcontrol-bundle-v2"),
+         r"^unrecognized bundle format 'enkfcontrol-bundle-v2'$"),
+        (load_gain, GOOD_REDUCED, r"^expected a gain bundle, got kind='reduced_model'$"),
     ],
     ids=["wrong-shape", "nan", "empty-block", "ragged-row", "bad-token", "ragged-and-bad-token",
          "missing-block", "asymmetric-P", "indefinite-P", "missing-header", "bad-header-value",
-         "reduced-wrong-shape", "repeated-block", "repeated-header-key"],
+         "reduced-wrong-shape", "repeated-block", "repeated-header-key", "unknown-format",
+         "gain-from-reduced-model"],
 )
 def test_malformed_bundle_rejected(tmp_path, load, text, named):
     path = tmp_path / "bad.bundle"

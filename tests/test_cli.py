@@ -237,6 +237,30 @@ class TestBadInput:
         assert capsys.readouterr().err == "error: config: [dmdc] amplitude must be positive, got 0\n"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "flag,text,err",
+        [
+            ("--config", "p = 10\n",
+             "config: malformed config file: line 1: 'p = 10' comes before any [section] header"),
+            ("--config", "[experiment]\np 10\n",
+             "config: malformed config file: line 2: 'p 10' is neither a [section] header nor key = value"),
+            ("--config", "[experiment]\np = 10\n\n[experiment]\nm = 2\n",
+             "config: malformed config file: line 4: '[experiment]' repeats a section above it"),
+            ("--config", None, "io: [Errno 2] No such file or directory: {path!r}"),
+            ("--gain", None, "io: [Errno 2] No such file or directory: {path!r}"),
+        ],
+        ids=["no-header", "no-delimiter", "duplicate-section", "missing-config", "missing-gain"],
+    )
+    def test_unreadable_input_file_is_one_line(self, flag, text, err, small_cfg, tmp_path, capsys):
+        # configparser's own messages span lines and name '<string>'; a file that is not there is one io line
+        path, out = tmp_path / "input", str(tmp_path / "bad")
+        if text is not None:
+            path.write_text(text)
+        argv = ["batch", *(["--config", small_cfg] if flag == "--gain" else []), flag, str(path), "--out", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: " + err.format(path=str(path)) + "\n"
+        assert not os.path.exists(out)
+
     def test_malformed_gain_bundle_names_the_block(self, small_cfg, tmp_path, capsys):
         gain = tmp_path / "gain.bundle"
         gain.write_text("format=enkfcontrol-bundle-v1\nkind=gain\nn=2\n[S0]\n1,0\n0,1\n")

@@ -176,6 +176,7 @@ class TestRangeChecks:
             # the shortest float that round-trips, not 17 digits
             ({"r_robust": -0.3}, r"\[robust\] r must be positive, got -0\.3$"),
             ({"grid_lambda": (0.1, -0.1)}, r"\[grid\] lambda_list must be nonnegative, got 0\.1, -0\.1$"),
+            ({"channel": (1.0, 0.5)}, r"\[disturbance\] channel must have \[experiment\] m = 8 weights, got 1, 0\.5$"),
         ],
     )
     def test_rejected_with_the_key_named(self, overrides, named):

@@ -284,10 +284,20 @@ class TestBlowUp:
 
 
 class TestTwinCells:
-    def test_zero_d0_cells_are_integrated_once(self, heat_dmdc, monkeypatch):
-        # with d0 = 0 the disturbance kind has no effect, so the sin and const
-        # cells at d0 = 0 are one block of the stack: 8 cells, 6 blocks
+    # grids of the heat_dmdc fixture (d0 0, 0.1; lambda 0, 0.3) whose cells read fewer distinct
+    # inputs than there are cells, and the number of distinct inputs
+    @pytest.mark.parametrize(
+        "overrides,distinct",
+        [
+            ({}, 6),  # at d0 = 0 the kind has no effect: the sin and const cells there are twins
+            ({"channel": (0.0, 0.0, 0.0, 0.0)}, 1),  # no disturbance reaches the plant, and |B w| lambda = 0
+            ({"grid_kinds": ("none",)}, 2),  # no disturbance: one block per lambda
+        ],
+        ids=["zero-d0", "zero-channel", "kinds-none"],
+    )
+    def test_zero_d0_cells_are_integrated_once(self, heat_dmdc, monkeypatch, overrides, distinct):
         cfg, art = heat_dmdc
+        cfg = replace(cfg, **overrides).validate()
         n, cases = cfg.n_trials, grid_cases(cfg)
         stacks, stepper = [], harness.rk4_stepper
 
@@ -295,16 +305,23 @@ class TestTwinCells:
             Q, step = stepper(sim, h)
             return Q, lambda y, *args: stacks.append(len(y)) or step(y, *args)
 
+        def reads(case):  # the disturbance that reaches the plant, and lambda in state units
+            disturbed = case.kind != "none" and case.d0 > 0 and any(cfg.channel or (1.0,))
+            return (case.kind, case.d0) if disturbed else None, _lambda_state(cfg, art, case.lam)
+
         monkeypatch.setattr(harness, "rk4_stepper", counted)
         cells = simulate_closed_loop(cfg, art, cases, n)
-        assert stacks and set(stacks) == {6 * n}
+        assert stacks and set(stacks) == {distinct * n}
         assert [c.case for c in cells] == cases
-        by_cell = {(c.case.kind, c.case.d0, c.case.lam): c for c in cells}
-        for lam in cfg.grid_lambda:
-            sin, const = by_cell["sin", 0.0, lam], by_cell["const", 0.0, lam]
-            for field in ("mean", "variance", "ratios"):
-                assert np.array_equal(getattr(sin, field), getattr(const, field))
-            assert sin.failures == const.failures == 0
+        twins = {}
+        for cell in cells:
+            twins.setdefault(reads(cell.case), []).append(cell)
+        assert len(twins) == distinct < len(cells)
+        for first, *rest in twins.values():
+            for twin in rest:
+                for field in ("mean", "variance", "ratios"):
+                    assert np.array_equal(getattr(twin, field), getattr(first, field))
+                assert twin.failures == first.failures == 0
         # each cell integrated alone agrees to rounding (GEMM tiling follows
         # the stack height)
         for cell in cells:
