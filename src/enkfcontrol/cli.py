@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Each verb takes only the flags its row of ``VERBS`` lists (their argparse
-keywords are in ``FLAGS``); any other flag exits 2 before any work starts.
-Every verb takes the config flags, which config.echo records:
---config --pde --nu --lambda --d0 --disturbance --trials --seed --p --m
---particles --out.  ``train`` adds --model and --reduced-model; ``fit-dmdc``
-takes the config flags alone and fits model = dmdc; ``simulate``, ``batch``
-and ``grid`` add --model --gain --reduced-model --dump-trials, ``simulate``
---policy and ``grid`` the lists --grid-d0 --grid-lambda --grid-kinds.
+Four verbs: ``train``, ``fit-dmdc``, ``batch`` and ``grid``.  Each takes
+only the flags its row of ``VERBS`` lists (their argparse keywords are in
+``FLAGS``); any other flag exits 2 before any work starts.  Every verb takes
+the config flags, which config.echo records: --config --pde --nu --lambda
+--d0 --disturbance --trials --seed --p --m --particles --out.  ``train`` adds
+--model and --reduced-model; ``fit-dmdc`` takes the config flags alone and
+fits model = dmdc; ``batch`` and ``grid`` add --model --gain --reduced-model
+--dump-trials, and ``grid`` the lists --grid-d0 --grid-lambda --grid-kinds.
+One trial of a policy is ``batch --trials 1``: that policy's rows of
+``timeseries.csv`` and its printed mean terminal ratio.
 
 Settings resolve as the defaults of the PDE (--pde if given, else the file's),
 then --config file values, then every flag whose dest names a config field.
@@ -36,7 +38,6 @@ from .config import (
     load_config,
 )
 from .harness import (
-    POLICIES,
     Artifacts,
     build_artifacts,
     build_full_simulator,
@@ -67,7 +68,6 @@ FLAGS: dict[str, dict] = {
     "--gain": dict(metavar="FILE", help="load a trained gain bundle"),
     "--reduced-model": dict(metavar="FILE", help="load a fitted reduced model"),
     "--dump-trials": dict(action="store_true", help="also write per-trial ratios"),
-    "--policy": dict(choices=POLICIES, default="robust"),
     "--grid-d0": dict(type=float, nargs="+", metavar="D0"),
     "--grid-lambda": dict(type=float, nargs="+", metavar="LAM"),
     "--grid-kinds": dict(choices=DISTURBANCE_KINDS, nargs="+", metavar="KIND"),
@@ -122,15 +122,6 @@ def cmd_fit_dmdc(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg, art = _artifacts(args, args.gain)
-    case = policy_cases(cfg)[POLICIES.index(args.policy)]
-    series = simulate_closed_loop(cfg, art, [case], n_trials=1)
-    emit_results(cfg, args.out, timeseries=series, dump_trials=args.dump_trials)
-    print(f"{case.policy} trial terminal ratio: {series[0].ratios[0]:.6g}")
-    return 0
-
-
 def cmd_batch(args) -> int:
     cfg, art = _artifacts(args, args.gain)
     series = simulate_closed_loop(cfg, art, policy_cases(cfg), cfg.n_trials)
@@ -162,7 +153,6 @@ VERBS: dict[str, Verb] = {
     "train": Verb(cmd_train, "run the dual EnKF and save the gain",
                   CONFIG_FLAGS + ("--model", "--reduced-model")),
     "fit-dmdc": Verb(cmd_fit_dmdc, "fit and save a reduced model", CONFIG_FLAGS, {"model": "dmdc"}),
-    "simulate": Verb(cmd_simulate, "single closed-loop trajectory", _ROLLOUT_FLAGS + ("--policy",)),
     "batch": Verb(cmd_batch, "trial batch under the three policies", _ROLLOUT_FLAGS),
     "grid": Verb(cmd_grid, "(kind, d0, lambda) heat-map sweep",
                  _ROLLOUT_FLAGS + ("--grid-d0", "--grid-lambda", "--grid-kinds")),

@@ -13,21 +13,21 @@ level of a sweep.
 
 Closed-loop trials run batched, through one entry point.  Every verb
 states its trials as a list of :class:`Case` (``batch``: the three
-policies, ``grid``: one robust case per cell, ``simulate``: one case of one
-trial), and :func:`simulate_closed_loop` runs them as one (batch, p) stack
-of plant states, one RK4 step per time step (for the heat plant, an
-elementwise step in the closed-form eigenbasis of its operator, from
+policies, ``grid``: one robust case per cell), and
+:func:`simulate_closed_loop` runs them as one (batch, p) stack of plant
+states, one RK4 step per time step (for the heat plant, an elementwise step
+in the closed-form eigenbasis of its operator, from
 :func:`pde.rk4_stepper`).  A block of the stack is what its rows read: the
 law group (no law, the feedback block alone, or the whole law compiled into
 one matrix), the disturbance that reaches the plant and lambda in state
 units, so cases that read the same are integrated once, whatever their
 labels.  Each law group is a contiguous run of rows that does only its own
-work.  ``batch`` and ``simulate`` keep every step's L2 norms, ``grid`` the
-first and the last.  A row whose state or norm turns non-finite is masked,
-reading inf from that step on, while the other rows carry on.  Rows agree
-with a one-trajectory-at-a-time loop to rounding (matrix products over the
-stack instead of matrix-vector ones), and a case's result does not depend
-on where its block sits in the stack.
+work.  ``batch`` keeps every step's L2 norms, ``grid`` the first and the
+last.  A row whose state or norm turns non-finite is masked, reading inf
+from that step on, while the other rows carry on.  Rows agree with a
+one-trajectory-at-a-time loop to rounding (matrix products over the stack
+instead of matrix-vector ones), and a case's result does not depend on
+where its block sits in the stack.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ class Case:
 
 @dataclass
 class CaseResult:
-    """Per-trial terminal ratios plus, for ``batch`` and ``simulate``, the pointwise mean/variance
+    """Per-trial terminal ratios plus, for ``batch``, the pointwise mean/variance
     of the case's L2 traces; ``grid``'s ratio-only run keeps two norms a row and leaves them None."""
 
     case: Case
@@ -314,8 +314,8 @@ def simulate_closed_loop(
     y = z Q in the closed-form eigenbasis of its A (:func:`pde.rk4_stepper`),
     with the law in that basis and the L2 norm, which Q preserves, read off y.
 
-    With ``traces`` (``batch``, ``simulate``) every step's L2 norms are kept
-    in one time-major trace, and a case's mean and variance read its columns
+    With ``traces`` (``batch``) every step's L2 norms are kept in one
+    time-major trace, and a case's mean and variance read its columns
     _CHUNK_STEPS steps at a time, so the trace is held once; without
     (``grid``) a row keeps its first and current norm, all its terminal
     ratio reads, and the ratios and failures are the same.  A step keeps

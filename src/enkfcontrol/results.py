@@ -6,7 +6,7 @@ import os
 from collections.abc import Sequence
 
 from .config import ExperimentConfig, _fmt, render_config
-from .harness import POLICIES, CaseResult
+from .harness import CaseResult
 
 
 class EmitError(RuntimeError):
@@ -21,7 +21,7 @@ def _write(path: str, lines: list[str]) -> None:
         raise EmitError(f"cannot write {path}: {exc}") from exc
 
 
-def timeseries_lines(series: list[CaseResult]) -> list[str]:
+def timeseries_lines(series: Sequence[CaseResult]) -> list[str]:
     lines = ["policy,t,mean,variance"]
     for res in series:
         # one format per row over Python floats: "%.17g" is _fmt of each
@@ -51,15 +51,15 @@ def emit_results(cfg: ExperimentConfig, out_dir: str, *, timeseries: Sequence[Ca
                  heatmap: Sequence[CaseResult] = (), dump_trials: bool = False) -> list[str]:
     """Write one run's files under out_dir and return their paths, in this order.
 
-    ``timeseries.csv`` (policy,t,mean,variance) has the policy cases of
-    ``timeseries`` in :data:`POLICIES` order, ``heatmap.csv``
-    (kind,d0,lambda,mean_terminal_ratio) the grid cells of ``heatmap``, and
-    ``config.echo`` the exact resolved configuration, loadable as a config
-    file.  With ``dump_trials`` (the --dump-trials path), ``trials.csv``
-    (policy,kind,d0,lambda,trial,terminal_ratio) has every trial of both.
-    Floats carry 17 significant digits and rows are emitted in a fixed
-    order, so identical (config, seed) pairs produce byte-identical files.
-    Empty results still produce the headers.
+    ``timeseries.csv`` (policy,t,mean,variance) has the cases of
+    ``timeseries``, ``heatmap.csv`` (kind,d0,lambda,mean_terminal_ratio) the
+    cells of ``heatmap``, and ``config.echo`` the exact resolved config,
+    loadable as a config file.  With ``dump_trials`` (--dump-trials),
+    ``trials.csv`` (policy,kind,d0,lambda,trial,terminal_ratio) has every
+    trial of both.  Rows follow the order given and floats carry 17
+    significant digits, so identical (config, seed) pairs give byte-identical
+    files.  Both CSVs are written, header-only when empty: ``bench/checks.py``
+    opens ``heatmap.csv`` after ``batch`` and ``timeseries.csv`` after ``grid``.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -67,9 +67,8 @@ def emit_results(cfg: ExperimentConfig, out_dir: str, *, timeseries: Sequence[Ca
         raise EmitError(f"cannot create output directory {out_dir}: {exc}") from exc
     paths = []
 
-    series = sorted(timeseries, key=lambda r: POLICIES.index(r.case.policy))
     path = os.path.join(out_dir, "timeseries.csv")
-    _write(path, timeseries_lines(series))
+    _write(path, timeseries_lines(timeseries))
     paths.append(path)
 
     path = os.path.join(out_dir, "heatmap.csv")
@@ -82,6 +81,6 @@ def emit_results(cfg: ExperimentConfig, out_dir: str, *, timeseries: Sequence[Ca
 
     if dump_trials:
         path = os.path.join(out_dir, "trials.csv")
-        _write(path, trials_lines(series + list(heatmap)))
+        _write(path, trials_lines([*timeseries, *heatmap]))
         paths.append(path)
     return paths

@@ -54,7 +54,6 @@ class TestEchoRoundTrip:
     @pytest.mark.parametrize("verb,written", [
         ("train", ["config.echo", "gain.bundle", "heatmap.csv", "timeseries.csv"]),
         ("fit-dmdc", ["config.echo", "heatmap.csv", "reduced_model.bundle", "timeseries.csv"]),
-        ("simulate", ["config.echo", "heatmap.csv", "timeseries.csv"]),
         ("batch", ["config.echo", "heatmap.csv", "timeseries.csv"]),
     ])
     def test_rerun_from_echo_is_byte_identical(self, verb, written, small_cfg, tmp_path, capsys):
@@ -80,7 +79,7 @@ class TestEchoRoundTrip:
         for name in ("timeseries.csv", "heatmap.csv", "config.echo"):
             assert _read(os.path.join(dumped, name)) == _read(os.path.join(plain, name))
 
-    @pytest.mark.parametrize("verb", ["train", "fit-dmdc", "simulate", "batch"])
+    @pytest.mark.parametrize("verb", ["train", "fit-dmdc", "batch"])
     def test_bad_flag_exits_1(self, verb, small_cfg, tmp_path, capsys):
         out = str(tmp_path / "bad")
         assert main([verb, "--config", small_cfg, "--out", out, "--m", "0"]) == 1
@@ -288,15 +287,14 @@ class TestBadInput:
             "or another [dmdc] order = 4\n")
 
     def test_rank_deficient_reduced_b_fails_the_rollout(self, small_cfg, tmp_path, capsys):
-        # the design B has a zero column: train takes it, an uncontrolled rollout compiles no law,
-        # and the first controlled rollout names the column
+        # the design B has a zero column: train takes it, and the first controlled rollout names the
+        # column (an uncontrolled-only rollout, which compiles no law, is in test_harness)
         B = np.zeros((4, 2))
         B[0, 0] = 1.0
         model = tmp_path / "reduced_model.bundle"
         bundles.save_reduced_model(dmdc.ReducedModel(A=-np.eye(4), B=B, Phi=np.eye(4, 16)), str(model))
         flags = ["--config", small_cfg, "--model", "dmdc", "--reduced-model", str(model)]
         assert main(["train", *flags, "--out", str(tmp_path / "train")]) == 0
-        assert main(["simulate", *flags, "--policy", "uncontrolled", "--out", str(tmp_path / "free")]) == 0
         out = str(tmp_path / "batch")
         assert main(["batch", *flags, "--out", out]) == 1
         assert capsys.readouterr().err == (
@@ -400,7 +398,7 @@ OVERRIDES = {
 FLAG_VALUES = {
     **{flag: values for flag, (values, _, _) in OVERRIDES.items()},
     "--config": ["run.cfg"], "--out": ["run"], "--gain": ["gain.bundle"],
-    "--reduced-model": ["reduced_model.bundle"], "--dump-trials": [], "--policy": ["optimal"],
+    "--reduced-model": ["reduced_model.bundle"], "--dump-trials": [],
 }
 CONFIG_VERBS = list(cli.VERBS)
 
@@ -415,7 +413,6 @@ class TestVerbFlags:
         assert {name: set(verb.flags) for name, verb in cli.VERBS.items()} == {
             "train": config | {"--model", "--reduced-model"},
             "fit-dmdc": config,
-            "simulate": rollout | {"--policy"},
             "batch": rollout,
             "grid": rollout | {"--grid-d0", "--grid-lambda", "--grid-kinds"},
         }
@@ -502,6 +499,14 @@ def _fresh_modules(statement):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_subprocess_env(), check=True)
     return set(run.stdout.split())
+
+
+def test_simulate_is_no_verb():
+    # one trial of one policy is batch --trials 1, so simulate is argparse's invalid choice
+    run = subprocess.run([sys.executable, "-m", "enkfcontrol", "simulate", "--pde", "heat"],
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert run.returncode == 2
+    assert "invalid choice: 'simulate'" in run.stderr
 
 
 def test_package_import_loads_nothing():

@@ -17,8 +17,8 @@ import pytest
 
 from enkfcontrol import enkf, harness
 from enkfcontrol.config import ConfigError, default_config
-from enkfcontrol.dmdc import collect_snapshots
-from enkfcontrol.controller import compile_law, robust_control
+from enkfcontrol.dmdc import ReducedModel, collect_snapshots
+from enkfcontrol.controller import RankDeficientError, compile_law, robust_control
 from enkfcontrol.enkf import GainApprox
 from enkfcontrol.harness import (
     POLICIES,
@@ -350,7 +350,7 @@ class TestRatioOnly:
             tracemalloc.stop()
 
     def test_grid_holds_no_trace(self):
-        assert self.peak(traces=True)[0] > self.trace_bytes  # batch and simulate keep the traces
+        assert self.peak(traces=True)[0] > self.trace_bytes  # batch keeps the traces
         assert self.peak(traces=False)[0] < self.trace_bytes
 
     def test_traced_run_holds_the_trace_once(self):
@@ -464,6 +464,23 @@ class TestRowGroups:
             assert got.failures == (0 if free else cfg.n_trials)
             if free:
                 assert np.array_equal(got.mean, want.mean) and np.array_equal(got.ratios, want.ratios)
+
+    def test_an_uncontrolled_rollout_compiles_no_law(self, monkeypatch):
+        # a reduced B with a zero column fails the law's rank check: the uncontrolled case alone
+        # takes no SVD and runs, and a controlled case names the column
+        B = np.zeros((4, 2))
+        B[0, 0] = 1.0
+        cfg = default_config("heat", p=16, m=2, T_sim=0.01, n_trials=2, seed=5, model="dmdc", dmdc_order=4)
+        art = build_artifacts(cfg, gain=spd_gain(4, 3),
+                              reduction=ReducedModel(A=-np.eye(4), B=B, Phi=np.eye(4, 16)))
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+        uncontrolled, optimal, _ = policy_cases(cfg)
+        [free] = simulate_closed_loop(cfg, art, [uncontrolled], cfg.n_trials)
+        assert shapes == []
+        assert free.failures == 0 and np.all(np.isfinite(free.ratios)) and np.all(np.isfinite(free.mean))
+        with pytest.raises(RankDeficientError, match=r"null space involves columns \[1\]"):
+            simulate_closed_loop(cfg, art, [optimal], cfg.n_trials)
 
     @pytest.mark.parametrize("pde", ["heat", "burgers"])
     def test_snapshots_match_a_step_into_fresh_arrays(self, pde):

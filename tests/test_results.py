@@ -36,9 +36,10 @@ class TestEmit:
         assert _text(paths[-1]) == "policy,kind,d0,lambda,trial,terminal_ratio\n"
 
     def test_rows_in_fixed_order_with_17_digits(self, tmp_path):
+        # the series in POLICIES order, as batch passes it; rows follow the order given
         series = [
-            _result(Case("robust", "sin", 0.1, 0.2), 0.1, ratios=(np.inf,)),
             _result(Case("uncontrolled", "sin", 0.1, 0.0), 0.2),
+            _result(Case("robust", "sin", 0.1, 0.2), 0.1, ratios=(np.inf,)),
         ]
         cell = _result(Case("robust", "sin", 0.1, 0.2), ratios=(1 / 3,))
         paths = emit_results(default_config("heat"), str(tmp_path), timeseries=series, heatmap=[cell], dump_trials=True)
