@@ -160,15 +160,22 @@ VERBS: dict[str, Verb] = {
 
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """Every verb's subparser; given ``verb``, only that subparser gets its flags."""
+    """Every verb's subparser, or, given ``verb``, that verb's alone; the usage lists all four either way.
+
+    The one-verb parser gives the verb argument the full parser's metavar,
+    so its usage line lists all four verbs; the errors that name the verb
+    argument (no verb, an unknown one) arise only where main builds the
+    full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="enkfcontrol",
         description="Robust stabilization of discretized PDEs via ensemble-Kalman control",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for name, spec in VERBS.items():
+    metavar = None if verb is None else "{%s}" % ",".join(VERBS)  # the full parser's usage line
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name, spec in VERBS.items() if verb is None else [(verb, VERBS[verb])]:
         p = sub.add_parser(name, help=spec.help)
-        for flag in spec.flags if verb in (None, name) else ():
+        for flag in spec.flags:
             p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(fn=spec.fn, **(spec.defaults or {}))
     return parser
@@ -176,7 +183,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads only the named verb's subparser, so only it needs its flags
+    # argparse reads only the named verb's subparser, so only it is built
     parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     try:

@@ -193,16 +193,17 @@ def _channel_weights(cfg: ExperimentConfig) -> np.ndarray:
     return np.ones(cfg.m) if cfg.channel is None else np.asarray(cfg.channel, dtype=float)
 
 
-def _lambda_state(cfg: ExperimentConfig, art: Artifacts, lam: float) -> float:
-    """The state-space bound for a lambda quoted in ``cfg.lambda_units``.
+def _lambda_scale(cfg: ExperimentConfig, art: Artifacts) -> float:
+    """The factor that takes a lambda quoted in ``cfg.lambda_units`` to the state-space bound.
 
     With ``lambda_units = amplitude`` (default), lambda is quoted in the same
     per-channel units as the disturbance amplitude d0: the disturbance d0*w
     enters the state equation as B (d0 w), so the bound scales by |B w|.
+    With ``state`` the factor is 1, and lambda * 1 is lambda's own bits.
     """
     if cfg.lambda_units != "amplitude":
-        return lam
-    return lam * float(np.linalg.norm(art.B @ _channel_weights(cfg)))
+        return 1.0
+    return float(np.linalg.norm(art.B @ _channel_weights(cfg)))
 
 
 def build_law(cfg: ExperimentConfig, art: Artifacts) -> ControlLaw:
@@ -300,7 +301,8 @@ def simulate_closed_loop(
     hold.  A case is keyed on what its rows read, (group, d0 [kind = sin]
     [w != 0], d0 [kind = const] [w != 0], lambda in state units), the group
     being none | feedback (u = -y K, H's feedback columns) | the whole
-    one-matrix law, and lambda (:func:`_lambda_state`) 0 outside the last.
+    one-matrix law, and lambda (times :func:`_lambda_scale`, formed once) 0
+    outside the last.
     Cases with equal keys, whatever their labels, are twins of one block and
     share its ratios, failures and moments.  Blocks are ordered by group,
     first seen first within each, and hold the trials' initial conditions in
@@ -308,11 +310,12 @@ def simulate_closed_loop(
 
     The whole stack advances in place with one RK4 step a time step, the
     control recomputed each step: every view and buffer (the law's work
-    array, :meth:`controller.CompiledLaw.bind`, and the step's ``u NQ``) is
-    made once, so a step gathers, scatters and allocates no rows, and
-    sin(t_k) is evaluated once for all steps.  The heat plant is carried as
-    y = z Q in the closed-form eigenbasis of its A (:func:`pde.rk4_stepper`),
-    with the law in that basis and the L2 norm, which Q preserves, read off y.
+    array, :meth:`controller.CompiledLaw.bind`, the step's ``u NQ`` and the
+    buffers the step owns) is made once, so a step gathers, scatters and
+    allocates no rows, and sin(t_k) is evaluated once for all steps.  The
+    heat plant is carried as y = z Q in the closed-form eigenbasis of its A
+    (:func:`pde.rk4_stepper`), with the law in that basis and the L2 norm,
+    which Q preserves, read off y.
 
     With ``traces`` (``batch``) every step's L2 norms are kept in one
     time-major trace, and a case's mean and variance read its columns
@@ -326,11 +329,11 @@ def simulate_closed_loop(
     squared norm times dy is, so the test reads max(sq) dy, which is also
     non-finite when dy > 1 takes a finite sq past the largest float.
     """
-    w = _channel_weights(cfg)
+    w, scale = _channel_weights(cfg), _lambda_scale(cfg, art)
     keys = []
     for c in cases:  # the key above: what the case's rows read
         on = c.policy != "uncontrolled"
-        lam_c, d0_c = _lambda_state(cfg, art, c.lam) * on, c.d0 * bool(w.any())
+        lam_c, d0_c = c.lam * scale * on, c.d0 * bool(w.any())
         keys.append((on + (lam_c > 0), d0_c * (c.kind == "sin"), d0_c * (c.kind == "const"), lam_c))
     blocks = sorted(dict.fromkeys(keys), key=lambda key: key[0])  # first-seen order within each group
     start = {key: j * n_trials for j, key in enumerate(blocks)}

@@ -447,6 +447,20 @@ class TestVerbFlags:
         assert main(argv) is None
         assert parsed == [build_parser().parse_args(argv)]
 
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    @pytest.mark.parametrize("bad", [["--grid-d0", "1", "--bogus"], ["--p", "x"], ["--pde"]],
+                             ids=["unknown-flag", "bad-value", "missing-value"])
+    def test_main_fails_as_the_full_parser(self, verb, bad, capsys):
+        # main's one-verb parser prints the usage and error the full parser does, byte for byte
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args([verb, *bad])
+        want = capsys.readouterr().err
+        with pytest.raises(SystemExit) as one:
+            main([verb, *bad])
+        assert one.value.code == full.value.code == 2
+        assert capsys.readouterr().err == want
+        assert want.startswith("usage: enkfcontrol ")
+
     @pytest.mark.parametrize("verb,flag", [
         (verb, flag) for verb in CONFIG_VERBS for flag in cli.VERBS[verb].flags if flag in OVERRIDES
     ])

@@ -25,7 +25,7 @@ from enkfcontrol.harness import (
     Case,
     HarnessError,
     _enkf_horizon,
-    _lambda_state,
+    _lambda_scale,
     build_artifacts,
     build_full_simulator,
     build_law,
@@ -58,7 +58,7 @@ def reference(cfg, art, z0, lam, kind, d0, controlled):
     """(l2 trace, terminal ratio) of one trajectory, one state at a time."""
     grid = grid_of(cfg)
     w = np.ones(cfg.m)
-    law, lam_state = build_law(cfg, art), _lambda_state(cfg, art, lam)
+    law, lam_state = build_law(cfg, art), lam * _lambda_scale(cfg, art)
     n_steps = max(1, int(round(cfg.T_sim / cfg.dt_sim)))
     t = np.arange(n_steps + 1) * cfg.dt_sim
     l2 = np.empty(n_steps + 1)
@@ -307,7 +307,7 @@ class TestTwinCells:
 
         def reads(case):  # the disturbance that reaches the plant, and lambda in state units
             disturbed = case.kind != "none" and case.d0 > 0 and any(cfg.channel or (1.0,))
-            return (case.kind, case.d0) if disturbed else None, _lambda_state(cfg, art, case.lam)
+            return (case.kind, case.d0) if disturbed else None, case.lam * _lambda_scale(cfg, art)
 
         monkeypatch.setattr(harness, "rk4_stepper", counted)
         cells = simulate_closed_loop(cfg, art, cases, n)
@@ -554,7 +554,7 @@ class TestLambdaUnits:
     def test_robust_bound_under_each_unit(self, heat_full, units, scale):
         cfg, art = heat_full
         cfg = replace(cfg, channel=(1.0, 2.0, 0.5, 0.0), lambda_units=units).validate()
-        assert _lambda_state(cfg, art, 0.3) == pytest.approx(0.3 * scale, rel=1e-15)
+        assert _lambda_scale(cfg, art) == pytest.approx(scale, rel=1e-15)
 
 
 class TestEnkfHorizon:

@@ -247,13 +247,73 @@ class TestCompiledStep:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_burgers_is_rk4_step(self):
+        # the step advances _RK4_ROWS rows at a time and matches rk4_step on the whole stack bit for
+        # bit: below one chunk, exactly one, and two and a partial one, taken one after the other by
+        # one stepper, then a 1-D state, under both boundary conditions
+        rows = pde._RK4_ROWS
         rng = np.random.default_rng(7)
-        sim = BurgersSimulator(GridSpec(p=32), 0.01, 4)
-        Q, step = rk4_stepper(sim, 1e-3)
-        assert Q is None
-        x, u = rng.normal(size=(5, 32)), rng.normal(size=(5, 4))
-        assert np.array_equal(step(x, u, np.empty_like(x)), rk4_step(sim, x, u, 1e-3))
-        assert np.array_equal(step(x[0], u[0], np.empty_like(x[0])), rk4_step(sim, x[0], u[0], 1e-3))
+        for bc in ("periodic", "dirichlet"):
+            sim = BurgersSimulator(GridSpec(p=32), 0.01, 4, bc=bc)
+            Q, step = rk4_stepper(sim, 1e-3)
+            assert Q is None
+            for height in (5, rows, 2 * rows + 13, 5):
+                x, u = rng.normal(size=(height, 32)), rng.normal(size=(height, 4))
+                assert np.array_equal(step(x, u, np.empty_like(x)), rk4_step(sim, x, u, 1e-3))
+            assert np.array_equal(step(x[0], u[0], np.empty_like(x[0])), rk4_step(sim, x[0], u[0], 1e-3))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: HeatSimulator(GridSpec(p=24), 0.01, 4, bc="dirichlet"),
+        lambda rng: BurgersSimulator(GridSpec(p=24), 0.01, 4),
+        lambda rng: BurgersSimulator(GridSpec(p=24), 0.01, 4, bc="dirichlet"),
+        lambda rng: LinearSimulator(rng.normal(size=(24, 24)), rng.normal(size=(24, 4))),
+    ], ids=["heat", "burgers-periodic", "burgers-dirichlet", "random-linear"])
+    def test_rk4_step_is_the_textbook_formula(self, make):
+        # the buffered step does the textbook step's operations in its order, stage slopes from the
+        # allocating rhs, so the bits are the same; the input term is formed once, which moves none
+        rng = np.random.default_rng(11)
+        sim, h = make(rng), 1e-3
+        for x, u in ((rng.normal(size=(6, 24)), rng.normal(size=(6, 4))), (rng.normal(size=24), rng.normal(size=4))):
+            k1 = sim.rhs(x, u)
+            k2 = sim.rhs(x + 0.5 * h * k1, u)
+            k3 = sim.rhs(x + 0.5 * h * k2, u)
+            k4 = sim.rhs(x + h * k3, u)
+            want = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert np.array_equal(rk4_step(sim, x, u, h), want)
+            work, out = pde.RK4Work(x.shape), np.empty_like(x)
+            assert rk4_step(sim, x, u, h, out, work) is out and np.array_equal(out, want)
+
+    def test_repeated_burgers_steps_allocate_no_stack(self):
+        # after a warm-up call the step writes through the buffers it owns: three steps of a stack
+        # two and a bit chunks tall allocate less than the stack's own bytes at their peak
+        tracemalloc = pytest.importorskip("tracemalloc")
+        rng = np.random.default_rng(13)
+        _, step = rk4_stepper(BurgersSimulator(GridSpec(p=32), 0.01, 4), 1e-3)
+        x, u = rng.normal(size=(2 * pde._RK4_ROWS + 13, 32)), rng.normal(size=(2 * pde._RK4_ROWS + 13, 4))
+        step(x, u, x)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                step(x, u, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+    def test_heat_step_is_the_broadcast_product(self, bc):
+        # y * mu + u N'Q with mu broadcast along the rows, bit for bit, whichever shape the step met before
+        rng = np.random.default_rng(14)
+        sim = HeatSimulator(GridSpec(p=20), 0.01, 4, bc=bc)
+        lam, Q = pde.second_difference_eigenbasis(sim.grid, bc)
+        X, U = np.zeros((5, 20)), np.zeros((5, 4))
+        X[0], U[1:] = 1.0, np.eye(4)
+        compiled = rk4_step(LinearSimulator(np.diag(sim.nu * lam), Q.T @ sim.control_matrix), X, U, 1e-3)
+        mu, NQ = compiled[0], compiled[1:]
+        _, step = rk4_stepper(sim, 1e-3)
+        for shape in ((9, 20), (3, 20), (20,), (9, 20)):
+            y, u = rng.normal(size=shape), rng.normal(size=shape[:-1] + (4,))
+            work = np.empty_like(y) if y.ndim > 1 else None
+            assert np.array_equal(step(y, u, np.empty_like(y), work), y * mu + u @ NQ)
 
     @pytest.mark.parametrize("make", [
         lambda: HeatSimulator(GridSpec(p=24), 0.01, 4),
