@@ -22,12 +22,15 @@ law group (no law, the feedback block alone, or the whole law compiled into
 one matrix), the disturbance that reaches the plant and lambda in state
 units, so cases that read the same are integrated once, whatever their
 labels.  Each law group is a contiguous run of rows that does only its own
-work.  ``batch`` keeps every step's L2 norms, ``grid`` the first and the
-last.  A row whose state or norm turns non-finite is masked, reading inf
-from that step on, while the other rows carry on.  Rows agree with a
-one-trajectory-at-a-time loop to rounding (matrix products over the stack
-instead of matrix-vector ones), and a case's result does not depend on
-where its block sits in the stack.
+work.  ``batch`` keeps every step's L2 norms and masks a row whose state or
+norm turns non-finite, reading inf from that step on, while the other rows
+carry on; ``grid`` forms the norms after the last step alone and fails a
+row whose first or last norm is non-finite.  They fail the same rows but a
+row whose state stays finite while its norm overflows mid-run and comes
+back below by the end: ``grid`` reads its finite ratio, ``batch`` inf.
+Rows agree with a one-trajectory-at-a-time loop to rounding (matrix
+products over the stack instead of matrix-vector ones), and a case's
+result does not depend on where its block sits in the stack.
 """
 
 from __future__ import annotations
@@ -239,8 +242,8 @@ class Case:
 
 @dataclass
 class CaseResult:
-    """Per-trial terminal ratios plus, for ``batch``, the pointwise mean/variance
-    of the case's L2 traces; ``grid``'s ratio-only run keeps two norms a row and leaves them None."""
+    """Per-trial terminal ratios, their mean and failure count, plus, for ``batch``, the pointwise
+    mean/variance of the case's L2 traces; ``grid``'s ratio-only run keeps two norms a row and leaves them None."""
 
     case: Case
     t: np.ndarray
@@ -248,10 +251,7 @@ class CaseResult:
     variance: np.ndarray | None
     ratios: np.ndarray
     failures: int
-
-    @property
-    def mean_terminal_ratio(self) -> float:
-        return float(np.mean(self.ratios))
+    mean_terminal_ratio: float
 
 
 def policy_cases(cfg: ExperimentConfig) -> list[Case]:
@@ -304,30 +304,38 @@ def simulate_closed_loop(
     one-matrix law, and lambda (times :func:`_lambda_scale`, formed once) 0
     outside the last.
     Cases with equal keys, whatever their labels, are twins of one block and
-    share its ratios, failures and moments.  Blocks are ordered by group,
-    first seen first within each, and hold the trials' initial conditions in
-    trial order, so a case's rows are contiguous.
+    share its ratios, failures, mean ratio and moments, each reduced once a
+    block.  Blocks are ordered by group, first seen first within each, and
+    hold the trials' initial conditions in trial order, so a case's rows are
+    contiguous.
 
     The whole stack advances in place with one RK4 step a time step, the
     control recomputed each step: every view and buffer (the law's work
     array, :meth:`controller.CompiledLaw.bind`, the step's ``u NQ`` and the
     buffers the step owns) is made once, so a step gathers, scatters and
     allocates no rows, and sin(t_k) is evaluated once for all steps.  The
+    disturbance's d0 and w are held at U's shape, as numpy runs a product
+    broadcast along rows one inner loop a row; the bits are the same.  The
     heat plant is carried as y = z Q in the closed-form eigenbasis of its A
     (:func:`pde.rk4_stepper`), with the law in that basis and the L2 norm,
     which Q preserves, read off y.
 
     With ``traces`` (``batch``) every step's L2 norms are kept in one
     time-major trace, and a case's mean and variance read its columns
-    _CHUNK_STEPS steps at a time, so the trace is held once; without
-    (``grid``) a row keeps its first and current norm, all its terminal
-    ratio reads, and the ratios and failures are the same.  A step keeps
+    _CHUNK_STEPS steps at a time, so the trace is held once.  A step keeps
     the squared norms sum_i y_i^2 alone, and sqrt(. dy) finishes them once
     at the end.  A row whose state or L2 norm turns non-finite is a failed
     trial: its norm and terminal ratio read inf from that step on, it is
     frozen at zero, and the others go on.  A norm is finite exactly when its
     squared norm times dy is, so the test reads max(sq) dy, which is also
     non-finite when dy > 1 takes a finite sq past the largest float.
+    Without (``grid``) a step forms no norm, and a row fails when its first
+    or last norm is non-finite.  Each step works on one row at a time (the
+    law's GEMM, the eigenbasis step, the Burgers stencil) and inf and NaN
+    are absorbing, so a failed row touches no other and fails every row the
+    per-step test fails, but one whose state stays finite while its squared
+    norm overflows mid-run (above about 1.3e154) and comes back below by the
+    end: it reads its finite ratio, as ``bench/checks.py``'s reference does.
     """
     w, scale = _channel_weights(cfg), _lambda_scale(cfg, art)
     keys = []
@@ -336,7 +344,7 @@ def simulate_closed_loop(
         lam_c, d0_c = c.lam * scale * on, c.d0 * bool(w.any())
         keys.append((on + (lam_c > 0), d0_c * (c.kind == "sin"), d0_c * (c.kind == "const"), lam_c))
     blocks = sorted(dict.fromkeys(keys), key=lambda key: key[0])  # first-seen order within each group
-    start = {key: j * n_trials for j, key in enumerate(blocks)}
+    index = {key: j for j, key in enumerate(blocks)}
     group, d_sin, d_const, lam = (np.repeat(col, n_trials) for col in zip(*blocks))
     batch = len(lam)
     a, b = np.searchsorted(group, [1, 2])  # rows [a, b): the feedback group
@@ -345,7 +353,9 @@ def simulate_closed_loop(
     Z = np.tile(sample_initial_conditions(streams, grid), (len(blocks), 1))
     Q, step = rk4_stepper(art.sim, cfg.dt_sim)
     Y = Z if Q is None else Z @ Q  # the loop carries y = z Q, and |y| = |z|
-    shape, U = np.empty(batch), np.empty((batch, cfg.m))
+    U = np.empty((batch, cfg.m))
+    sin_rows, const_rows, weights = (np.ascontiguousarray(np.broadcast_to(v, U.shape))
+                                     for v in (d_sin[:, None], d_const[:, None], w))
     law = _compile_law(cfg, art, Q) if a < batch else None  # no controlled rows: no law, no rank check
     controls = [law.bind(Y[rows], lam[rows], U[rows])
                 for rows in (slice(a, b), slice(b, batch)) if rows.start < rows.stop]
@@ -357,34 +367,39 @@ def simulate_closed_loop(
     work = None if Q is None else np.empty_like(Y)  # u NQ of the eigenbasis step
     first = l2_norm(Y, grid)
     trace = np.empty((n_steps + 1, batch)) if traces else None  # step k's norms are one contiguous row
-    sq = np.empty(batch)  # the current squared norms, a row of the trace if there is one
+    sq = np.empty(batch)  # the squared norms: a step's row of the trace, else the last ones
     failed, any_failed = np.zeros(batch, dtype=bool), False
-    column = shape[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            np.multiply(d_sin, sines[k], out=shape)
-            shape += d_const
-            np.multiply(column, w, out=U)
+            np.multiply(sin_rows, sines[k], out=U)
+            U += const_rows
+            U *= weights
             for control in controls:
                 control()
             step(Y, U, Y, work)
             if traces:
                 sq = trace[k + 1]
-            np.einsum("...i,...i->...", Y, Y, out=sq)  # non-finite for a non-finite state too
-            if any_failed or not math.isfinite(sq.max() * dy):  # max propagates NaN
-                failed |= ~np.isfinite(sq * dy)
-                sq[failed] = np.inf
-                Y[failed] = 0.0
-                any_failed = True
-        norms = trace[1:] if traces else sq  # sq is the trace's last row if there is one
+                np.einsum("...i,...i->...", Y, Y, out=sq)  # non-finite for a non-finite state too
+                if any_failed or not math.isfinite(sq.max() * dy):  # max propagates NaN
+                    failed |= ~np.isfinite(sq * dy)
+                    sq[failed] = np.inf
+                    Y[failed] = 0.0
+                    any_failed = True
+        norms = trace[1:] if traces else np.einsum("...i,...i->...", Y, Y, out=sq)  # sq: the trace's last row
         np.sqrt(np.multiply(norms, dy, out=norms), out=norms)
+        if not traces:
+            failed = ~np.isfinite(first) | ~np.isfinite(sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(failed | (first == 0), np.inf, sq / first)  # sq: the last norms, finished
     if traces:
         trace[0] = first
+    per_block = (len(blocks), n_trials)  # a block's rows are contiguous: one reduction each, shared by twins
+    failures = failed.reshape(per_block).sum(axis=1).tolist()
+    means = ratios.reshape(per_block).mean(axis=1).tolist()
     results = []
     for case, key in zip(cases, keys):
-        rows = slice(start[key], start[key] + n_trials)
+        j = index[key]
+        rows = slice(j * n_trials, (j + 1) * n_trials)
         mean, variance = _case_moments(trace, rows) if traces else (None, None)
-        results.append(CaseResult(case, t, mean, variance, ratios[rows], int(np.sum(failed[rows]))))
+        results.append(CaseResult(case, t, mean, variance, ratios[rows], failures[j], means[j]))
     return results

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from enkfcontrol import enkf, harness
+from enkfcontrol import pde as pde_mod
 from enkfcontrol.config import ConfigError, default_config
 from enkfcontrol.dmdc import ReducedModel, collect_snapshots
 from enkfcontrol.controller import RankDeficientError, compile_law, robust_control
@@ -281,6 +282,72 @@ class TestBlowUp:
         for got, want in zip(survivors, clean):
             assert got.failures == 0
             np.testing.assert_allclose(got.ratios, want.ratios, rtol=RTOL, atol=0)
+
+
+class TestEndCheck:
+    # grid's ratio-only run forms no norm on a step: a row fails when its
+    # first or its last norm is non-finite, and a failed row carries its
+    # non-finite state on, touching no other row
+
+    def test_norm_back_below_overflow_reads_its_terminal_ratio(self):
+        # the one difference from batch's per-step test: an uncontrolled sin
+        # trial at d0 = 5e153 keeps a finite state whose squared norm overflows
+        # near t = pi and comes back below by T = 6, where 1 - cos(6) = 0.04;
+        # under a constant d0 the squared norm is still inf at the end, and
+        # both verbs fail that trial
+        cfg = default_config("heat", p=8, m=2, n_trials=1, T_sim=6.0)
+        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 5))
+        d0 = 5e153
+        cases = [Case("uncontrolled", "sin", d0, 0.0), Case("uncontrolled", "const", d0, 0.0)]
+        z = z0 = trial_initial_condition(cfg, 0)
+        peak = 0.0
+        with np.errstate(over="ignore"):
+            for k in range(int(round(cfg.T_sim / cfg.dt_sim))):
+                z = rk4_step(art.sim, z, np.full(cfg.m, d0 * np.sin(k * cfg.dt_sim)), cfg.dt_sim)
+                peak = max(peak, float(np.sum(z * z)))
+        assert np.all(np.isfinite(z)) and peak == np.inf
+        ratio = l2_norm(z, grid_of(cfg)) / l2_norm(z0, grid_of(cfg))
+        bare, bare_const = simulate_closed_loop(cfg, art, cases, 1, traces=False)
+        assert bare.failures == 0 and bare.ratios[0] == pytest.approx(ratio, rel=RTOL)
+        traced, traced_const = simulate_closed_loop(cfg, art, cases, 1)
+        assert traced.failures == 1 and traced.ratios[0] == np.inf
+        for res in (bare_const, traced_const):
+            assert res.failures == 1 and res.ratios[0] == np.inf
+
+    @pytest.mark.parametrize("pde", ["heat", "burgers"])
+    def test_nan_row_touches_no_other_row(self, heat_full, monkeypatch, pde):
+        # one trial starts at a state with a NaN cell; on Burgers the three
+        # policies of 70 trials are 210 rows, past one chunk of the step, and
+        # trial 60's robust row is the first of the second chunk
+        if pde == "heat":
+            cfg, art = heat_full
+            cases, bad = grid_cases(cfg), 1
+        else:
+            cfg = default_config("burgers", model="full", p=16, m=4, n_trials=70, T_sim=0.01)
+            art = build_artifacts(cfg, gain=spd_gain(cfg.p, 3))
+            cases, bad = policy_cases(cfg), 60
+        assert pde == "heat" or len(cases) * cfg.n_trials > pde_mod._RK4_ROWS
+        Z0 = np.array([trial_initial_condition(cfg, i) for i in range(cfg.n_trials)])
+        start_at(monkeypatch, Z0)
+        clean = simulate_closed_loop(cfg, art, cases, cfg.n_trials, traces=False)
+        Z0[bad, cfg.p // 2] = np.nan
+        start_at(monkeypatch, Z0)
+        poisoned = simulate_closed_loop(cfg, art, cases, cfg.n_trials, traces=False)
+        others = np.arange(cfg.n_trials) != bad
+        for got, want in zip(poisoned, clean):
+            assert want.failures == 0 and got.failures == 1 and got.ratios[bad] == np.inf
+            assert np.array_equal(got.ratios[others], want.ratios[others])
+
+    def test_overflowed_first_norm_fails(self, monkeypatch):
+        # the Nyquist mode at 3e154 a cell: its first squared norm overflows,
+        # and it decays to a finite one by the end; the ratio reads inf, not
+        # the finite end over an inf start
+        cfg = default_config("heat", p=8, m=2, n_trials=2, T_sim=6.0)
+        art = build_artifacts(cfg, gain=spd_gain(cfg.p, 6))
+        z = trial_initial_condition(cfg, 0)
+        start_at(monkeypatch, [z, 3e154 * (-1.0) ** np.arange(cfg.p)])
+        bare, = simulate_closed_loop(cfg, art, [Case("uncontrolled", "none", 0.0, 0.0)], 2, traces=False)
+        assert bare.failures == 1 and bare.ratios[1] == np.inf and np.isfinite(bare.ratios[0])
 
 
 class TestTwinCells:

@@ -16,7 +16,8 @@ def _text(path):
 def _result(case, offset=0.0, ratios=(1.0,)):
     t = np.array([0.0, 0.5])
     return CaseResult(
-        case=case, t=t, mean=t + offset, variance=np.zeros(2), ratios=np.array(ratios), failures=0
+        case=case, t=t, mean=t + offset, variance=np.zeros(2), ratios=np.array(ratios), failures=0,
+        mean_terminal_ratio=float(np.mean(ratios)),
     )
 
 
